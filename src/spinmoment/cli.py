@@ -5,7 +5,8 @@ Moment files are JSON with the spin number transported as the integer
 ``two_j`` plus either a full 3x3 complex matrix "M" (entries as [re, im]
 pairs) or renormalized coordinates "coords": {"u": [...], "v": [...]}.
 Exit codes for ``check``: 0 quantum, 1 non-quantum, 2 boundary, 3 input or
-validation errors.
+validation errors.  ``check`` and ``witness`` exit with 4 when the SDP solver
+fails to converge, so no verdict or witness could be produced.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_QUANTUM = 0
 EXIT_NON_QUANTUM = 1
 EXIT_BOUNDARY = 2
 EXIT_INPUT_ERROR = 3
+EXIT_SOLVER_FAILURE = 4
 
 
 class MomentFileError(ValueError):
@@ -142,6 +144,9 @@ def cmd_check(args) -> int:
     except (MomentFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     title = label or args.input
     print(f"moment check: {title}")
     print(f"  j = {_spin_label(m.two_j)} (two_j = {m.two_j})")
@@ -176,6 +181,9 @@ def cmd_witness(args) -> int:
     except (MomentFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     title = label or args.input
     print(f"witness search: {title}")
     zvals, _ = matcore.hermitian_eig(witness.matrix)

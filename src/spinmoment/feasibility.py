@@ -3,7 +3,9 @@
 The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
 tests bracket it from both sides, and the dual of the feasibility program is
-the separating hyperplane when the moments are not quantum.
+the separating hyperplane when the moments are not quantum.  Inside
+``classify`` the outer test is carried by the 4x4 chi check, which is
+congruent to it; ``outer_test`` remains the standalone definition of T_j.
 """
 
 from __future__ import annotations
@@ -381,14 +383,15 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
     """Full decision pipeline with cheap early exits.
 
     Order: structural validation (done on construction), the 4x4 expectation
-    value matrix precheck, reconstruction positivity, the PPT inner test
-    (quick accept), the outer test (quick reject), then the decisive SDP; a
-    rejection at any stage is finished with a witness search.
+    value matrix precheck (chi, quick reject), reconstruction positivity, the
+    PPT inner test (quick accept), then the decisive SDP; a rejection at any
+    stage is finished with a witness search.
 
-    The chi matrix and the reduced expectation value matrix of the
-    reconstructed state are congruent (chi = D tau D with D = diag(1, j, j, j)),
-    so the outer stage is a numerical cross-check of the chi stage here and
-    normally only the latter fires.
+    There is no separate outer (tau) stage: chi = D tau D with
+    D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
+    with y = D^-1 x and |y| <= |x|.  Hence lambda_min(tau) >=
+    min(0, lambda_min(chi)) >= -tol once chi has passed, and the outer test
+    could never reject here.
     """
     log = _StageLog()
     log.add("validate", "pass")
@@ -426,14 +429,6 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
         log.add("inner", "accept", "reduced state is PPT, hence separable")
         return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
     log.add("inner", "undecided", "reduced state is entangled")
-
-    tau_min = matcore.min_eigenvalue(reduction.tau(rho, m.two_j))
-    if tau_min < -tol:
-        log.add("outer", "reject", f"min eigenvalue {tau_min:.3e}")
-        witness = witness_search(m)
-        log.add("witness", "found", f"value = {witness.value:.3e}")
-        return Verdict(STATUS_NON_QUANTUM, "outer", None, None, witness, log.done())
-    log.add("outer", "pass", f"min eigenvalue {tau_min:.3e}")
 
     exact = exact_test_direct(m, band=band)
     log.records.extend(exact.tests_run)

@@ -9,8 +9,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-8
 
-_JACOBI_MAX_SWEEPS = 64
-
 
 def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Return (A + A^dag)/2, rejecting inputs further than ``tol`` from Hermitian.
@@ -34,84 +32,18 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(a) * b)))
 
 
-def _jacobi(a: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
-
-    Rotations sweep the strict upper triangle in a fixed row-major order, so
-    the iteration is bit-reproducible for identical inputs.  Returns the
-    unsorted diagonal and the accumulated unitary (or None).
-    """
-    h = np.array(a, dtype=complex)
-    n = h.shape[0]
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    if n == 1:
-        return h.real.diagonal().copy(), v
-
-    scale = max(1.0, float(np.abs(h).max()))
-    stop = 1e-15 * scale
-    skip = 1e-2 * stop
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            row = np.abs(h[p, p + 1 :])
-            if row.size:
-                off = max(off, float(row.max()))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = h[p, q]
-                r = abs(beta)
-                if r <= skip:
-                    continue
-                tau = (h[q, q].real - h[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = (t * c) * (beta / r)
-                sc = np.conj(s)
-
-                hp = h[:, p].copy()
-                hq = h[:, q].copy()
-                h[:, p] = c * hp - sc * hq
-                h[:, q] = s * hp + c * hq
-                rp = h[p, :].copy()
-                rq = h[q, :].copy()
-                h[p, :] = c * rp - s * rq
-                h[q, :] = sc * rp + c * rq
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = h[p, p].real
-                h[q, q] = h[q, q].real
-
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - sc * vq
-                    v[:, q] = s * vp + c * vq
-    else:
-        raise ArithmeticError("Jacobi eigensolver failed to converge")
-
-    return h.real.diagonal().copy(), v
-
-
 def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition H = U diag(w) U^dag of a Hermitian matrix.
+    """Eigendecomposition H = U diag(w) U^dag of a Hermitian matrix (LAPACK).
 
     Eigenvalues are returned in ascending order; U's columns are the matching
-    orthonormal eigenvectors.
+    orthonormal eigenvectors.  A real symmetric input yields real eigenvectors.
     """
-    a = hermitize(h, tol=tol)
-    vals, vecs = _jacobi(a, want_vectors=True)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    return np.linalg.eigh(hermitize(h, tol=tol))
 
 
 def hermitian_eigvals(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Eigenvalues only (ascending); skips eigenvector accumulation."""
-    a = hermitize(h, tol=tol)
-    vals, _ = _jacobi(a, want_vectors=False)
-    return np.sort(vals)
+    return np.linalg.eigvalsh(hermitize(h, tol=tol))
 
 
 def min_eigenvalue(h: np.ndarray, tol: float = HERMITIAN_TOL) -> float:

@@ -101,6 +101,40 @@ def _vec_h(a: np.ndarray, d: int) -> np.ndarray:
     )
 
 
+def _gram_schmidt(vecs, values: np.ndarray, tol: float):
+    """Re-orthogonalized Gram-Schmidt over the rows of ``vecs``.
+
+    Returns (weights, kept, dependent).  ``weights[i] @ vecs`` is the i-th
+    orthonormal vector, built from the rows ``kept``.  Each row within ``tol``
+    of the span of the earlier rows is listed in ``dependent`` as
+    (index, w, mismatch): w is the row minus its combination of earlier rows
+    (so w @ vecs ~ 0) and mismatch = w @ values is how far the row's value
+    lies from the value the earlier rows imply.
+    """
+    m = len(vecs)
+    basis: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    kept: list[int] = []
+    dependent: list[tuple[int, np.ndarray, float]] = []
+    for idx, vec in enumerate(vecs):
+        w = np.zeros(m)
+        w[idx] = 1.0
+        r = vec.copy()
+        for _ in range(2):  # one reorthogonalization pass for stability
+            for svec, swt in zip(basis, weights):
+                coeff = float(r @ svec)
+                r -= coeff * svec
+                w -= coeff * swt
+        norm = float(np.linalg.norm(r))
+        if norm <= tol * max(1.0, float(np.linalg.norm(vec))):
+            dependent.append((idx, w, float(w @ values)))
+            continue
+        basis.append(r / norm)
+        weights.append(w / norm)
+        kept.append(idx)
+    return weights, kept, dependent
+
+
 def orthonormalize(ops, values, tol: float = 1e-10) -> OrthonormalizedSet:
     """Gram-Schmidt an operator list into an orthonormal Hermitian set.
 
@@ -123,88 +157,44 @@ def orthonormalize(ops, values, tol: float = 1e-10) -> OrthonormalizedSet:
         raise ValueError("the first operator must be proportional to the identity")
 
     vecs = np.stack([_vec_h(a, d) for a in mats])
-    basis: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    kept: list[int] = []
-    dropped: list[int] = []
-    t: list[float] = []
+    weights, kept, dependent = _gram_schmidt(vecs, values, tol)
     value_tol = 1e-8 * (1.0 + float(np.abs(values).max()))
-
-    for idx, vec in enumerate(vecs):
-        w = np.zeros(len(mats))
-        w[idx] = 1.0
-        r = vec.copy()
-        for _ in range(2):  # one reorthogonalization pass for stability
-            for svec, swt in zip(basis, weights):
-                coeff = float(r @ svec)
-                r -= coeff * svec
-                w -= coeff * swt
-        norm = float(np.linalg.norm(r))
-        if norm <= tol * max(1.0, float(np.linalg.norm(vec))):
-            coeffs = np.array([float(vec @ sv) for sv in basis])
-            implied = float(coeffs @ np.asarray(t))
-            if abs(values[idx] - implied) > value_tol:
-                raise ValueError(
-                    f"operator {idx} is linearly dependent but its value "
-                    f"{values[idx]:.9g} conflicts with the implied {implied:.9g}"
-                )
-            dropped.append(idx)
-            continue
-        basis.append(r / norm)
-        weights.append(w / norm)
-        kept.append(idx)
-        t.append(float(weights[-1] @ values))
+    for idx, _, mismatch in dependent:
+        if abs(mismatch) > value_tol:
+            raise ValueError(
+                f"operator {idx} is linearly dependent but its value "
+                f"{values[idx]:.9g} conflicts with the implied {values[idx] - mismatch:.9g}"
+            )
 
     transform = np.stack(weights)
     operators = tuple(
         sum(transform[i, j] * mats[j] for j in range(len(mats)))
-        for i in range(len(basis))
+        for i in range(len(weights))
     )
     return OrthonormalizedSet(
         operators=operators,
-        values=np.asarray(t),
+        values=np.array([float(w @ values) for w in weights]),
         transform=transform,
         kept=tuple(kept),
-        dropped=tuple(dropped),
+        dropped=tuple(idx for idx, _, _ in dependent),
     )
 
 
 def _independent_constraints(problem: SdpProblem, tol: float):
-    """Sequentially drop dependent constraint rows, checking value consistency.
+    """Drop dependent constraint rows, checking value consistency.
 
     Returns (ops, b, kept) or raises _InconsistentRows carrying a Farkas-style
     certificate when a dependent row has a conflicting right-hand side.
     """
     d = problem.dim
     rows = [_vec_h(a, d) for a, _ in problem.constraints]
-    vals = [b for _, b in problem.constraints]
-    basis: list[np.ndarray] = []
-    combo: list[np.ndarray] = []
-    kept: list[int] = []
-    m = len(rows)
-    for idx, row in enumerate(rows):
-        w = np.zeros(m)
-        w[idx] = 1.0
-        r = row.copy()
-        for _ in range(2):
-            for bvec, bw in zip(basis, combo):
-                c = float(r @ bvec)
-                r -= c * bvec
-                w -= c * bw
-        norm = float(np.linalg.norm(r))
-        if norm <= tol * max(1.0, float(np.linalg.norm(row))):
-            implied = float((np.eye(m)[idx] - w) @ np.asarray(vals))
-            mismatch = vals[idx] - implied
-            if abs(mismatch) > 1e-8 * (1.0 + abs(vals[idx])):
-                cert = w / mismatch
-                raise _InconsistentRows(idx, cert)
-            continue
-        basis.append(r / norm)
-        combo.append(w / norm)
-        kept.append(idx)
+    vals = np.array([b for _, b in problem.constraints], dtype=float)
+    _, kept, dependent = _gram_schmidt(rows, vals, tol)
+    for idx, w, mismatch in dependent:
+        if abs(mismatch) > 1e-8 * (1.0 + abs(vals[idx])):
+            raise _InconsistentRows(idx, w / mismatch)
     ops = np.stack([problem.constraints[i][0] for i in kept]) if kept else np.zeros((0, d, d), complex)
-    b = np.array([vals[i] for i in kept])
-    return ops, b, kept
+    return ops, vals[kept], kept
 
 
 class _InconsistentRows(Exception):

@@ -89,7 +89,8 @@ class MomentMatrix:
         target = j * (j + 1.0)
         if abs(casimir - target) > tol:
             raise ValueError(
-                f"Casimir violated: tr Re(M) = {casimir:.9g}, expected j(j+1) = {target:.9g}"
+                f"Casimir violated: tr Re(M) - j(j+1) = {casimir - target:.3e} "
+                f"exceeds the tolerance {tol:.1e} (j(j+1) = {target:.9g})"
             )
         ell = extract_first_moments(m, tol=tol)
         return cls(two_j=two_j, matrix=m, first_moments=ell)

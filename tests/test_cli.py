@@ -1,10 +1,11 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from spinmoment import cli
+from spinmoment import cli, sdp
 from spinmoment.cli import MomentFileError, load_moment_file, parse_spin
 from spinmoment.scan import read_scan_csv, scan_grid
 
@@ -133,6 +134,28 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert rc == 3
         assert "Casimir" in err
+
+
+class TestSolverFailure:
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    def test_failed_solve_exits_four(self, tmp_path, capsys, monkeypatch, command):
+        # Dicke |2,0> at 2j = 4: entangled, so classify reaches the exact SDP
+        m = [[[3, 0], [0, 0], [0, 0]], [[0, 0], [3, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+        path = write_json(tmp_path / "dicke.json", {"two_j": 4, "M": m})
+
+        def failing_solve(problem, options=None):
+            return sdp.SdpSolution(
+                status=sdp.STATUS_FAILURE, x=None, y=None, z=None,
+                primal_objective=math.nan, dual_objective=math.nan, gap=math.nan,
+                iterations=0, primal_residual=math.inf, dual_residual=math.inf,
+                mu=math.nan, message="forced failure",
+            )
+
+        monkeypatch.setattr(sdp, "solve", failing_solve)
+        rc = cli.main([command, "--input", path])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_SOLVER_FAILURE == 4
+        assert err.startswith("error: ") and "forced failure" in err
 
 
 class TestWitnessCommand:

@@ -15,6 +15,7 @@ from conftest import (
     moments_of_pair_state,
     random_coords,
     random_density,
+    random_so3,
 )
 
 
@@ -305,7 +306,9 @@ class TestClassify:
         assert v.status in (STATUS_QUANTUM, STATUS_BOUNDARY)
         assert v.stage == "exact"
         names = [r.name for r in v.tests_run]
-        assert "inner" in names and "outer" in names
+        assert "inner" in names
+        # the tau test is implied by the chi stage, so classify never runs it
+        assert "outer" not in names
 
     def test_tau_rejection_with_witness(self):
         # entangled state whose moments violate the 4x4 conditions at large j
@@ -336,6 +339,47 @@ class TestClassify:
             chi = spinalg.chi_matrix(m)
             scale = max(1.0, np.abs(chi).max())
             assert np.abs(chi - d @ tau @ d).max() < 1e-10 * scale
+
+    @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 30, 62])
+    def test_chi_pass_implies_tau_pass(self, two_j):
+        rng = np.random.default_rng(1000 + two_j)
+        # the highest-weight state puts chi exactly on the PSD boundary
+        edge = spinalg.moment_matrix(highest_weight_state(two_j), spinalg.spin_operators(two_j))
+        tested = 0
+        for trial in range(60):
+            if trial % 10 == 0:
+                m = edge
+            else:
+                try:
+                    m = reduction.moments_from_coords(random_coords(rng, two_j))
+                except ValueError:
+                    continue
+            rot = random_so3(rng)
+            m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
+            if matcore.min_eigenvalue(spinalg.chi_matrix(m)) < -matcore.PSD_TOL:
+                continue
+            tau = reduction.tau(reduction.reconstruct_rho(m), two_j)
+            assert matcore.min_eigenvalue(tau) >= -matcore.PSD_TOL
+            tested += 1
+        assert tested >= 10
+
+    def test_rotated_exact_accept_is_bit_identical(self):
+        rng = np.random.default_rng(41)
+        two_j = 10
+        rot = random_so3(rng)
+        while True:
+            rho = random_density(rng, 3)
+            if reduction.ppt_inner_test(rho):
+                continue
+            m = moments_of_pair_state(rho, two_j)
+            m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
+            first = feasibility.classify(m)
+            if first.stage == "exact" and first.status == STATUS_QUANTUM:
+                break
+        assert np.abs(m.matrix.real - np.diag(np.diag(m.matrix.real))).max() > 1e-3
+        second = feasibility.classify(m)
+        assert first.t_star == second.t_star
+        assert first.certificate_state.tobytes() == second.certificate_state.tobytes()
 
     def test_early_exits_never_contradict_exact(self):
         rng = np.random.default_rng(31)

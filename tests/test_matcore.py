@@ -40,6 +40,13 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="not Hermitian"):
             matcore.hermitian_eig(bad)
 
+    def test_repeated_calls_are_bit_identical(self):
+        h = random_hermitian(np.random.default_rng(63), 63)
+        vals_a, vecs_a = matcore.hermitian_eig(h)
+        vals_b, vecs_b = matcore.hermitian_eig(h)
+        assert vals_a.tobytes() == vals_b.tobytes()
+        assert vecs_a.tobytes() == vecs_b.tobytes()
+
     def test_agrees_with_eigvals_only_path(self, rng):
         h = random_hermitian(rng, 6)
         vals, _ = matcore.hermitian_eig(h)

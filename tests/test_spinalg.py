@@ -98,6 +98,13 @@ class TestMomentMatrix:
         with pytest.raises(ValueError, match="Casimir"):
             MomentMatrix.from_matrix(2, m)
 
+    def test_casimir_message_reports_residual(self):
+        t = spinalg.spin_operators(20)
+        m = spinalg.moment_matrix(np.eye(21, dtype=complex) / 21.0, t).matrix.copy()
+        m[0, 0] += 2e-9
+        with pytest.raises(ValueError, match=r"j\(j\+1\) = 2\.000e-09 exceeds the tolerance 1\.0e-09"):
+            MomentMatrix.from_matrix(20, m)
+
     def test_from_matrix_rejects_non_hermitian(self):
         m = (2.0 / 3.0) * np.eye(3, dtype=complex)
         m[0, 1] = 0.2
