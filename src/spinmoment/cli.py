@@ -5,8 +5,9 @@ Moment files are JSON with the spin number transported as the integer
 ``two_j`` plus either a full 3x3 complex matrix "M" (entries as [re, im]
 pairs) or renormalized coordinates "coords": {"u": [...], "v": [...]}.
 Exit codes for ``check``: 0 quantum, 1 non-quantum, 2 boundary, 3 input or
-validation errors.  ``check`` and ``witness`` exit with 4 when the SDP solver
-fails to converge, so no verdict or witness could be produced.
+validation errors.  ``check``, ``witness`` and ``scan`` exit with 4 when the
+SDP solver fails to converge, so no verdict, witness or region could be
+produced.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def cmd_scan(args) -> int:
     except (MomentFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     elapsed = time.perf_counter() - t0
     areas = [f"area({name}) = {result.area(name)}" for name in ("R", "S", "T") if name in sets or name in "RT"]
     print(

@@ -2,8 +2,9 @@
 
 The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
-tests bracket it from both sides, and the dual of the feasibility program is
-the separating hyperplane when the moments are not quantum.  Inside
+tests bracket it from both sides.  Every witness is read off the dual of that
+one phase-1 program (``Phase1Result.dual_z``); no separate hyperplane program
+is solved, so each decision costs at most one SDP.  Inside
 ``classify`` the outer test is carried by the 4x4 chi check, which is
 congruent to it; ``outer_test`` remains the standalone definition of T_j.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -141,16 +142,22 @@ def _verdict_from_phase1(
         log.add(stage, "infeasible-constraints")
         return Verdict(STATUS_NON_QUANTUM, stage, math.inf, None, None, log.done())
     t = p1.t_star
+    detail = f"t_star = {t:.3e}, {p1.solution.iterations} iterations, gap {p1.solution.gap:.0e}"
     if t > band:
-        log.add(stage, "reject", f"t_star = {t:.3e}")
+        log.add(stage, "reject", detail)
         return Verdict(STATUS_NON_QUANTUM, stage, t, None, None, log.done())
     floor = 1e-9 if t <= 0 else t + 2e-9
     state = _clean_state(p1.x, floor)
     if abs(t) <= band:
-        log.add(stage, "boundary", f"t_star = {t:.3e}")
+        log.add(stage, "boundary", detail)
         return Verdict(STATUS_BOUNDARY, stage, t, state, None, log.done())
-    log.add(stage, "accept", f"t_star = {t:.3e}")
+    log.add(stage, "accept", detail)
     return Verdict(STATUS_QUANTUM, stage, t, state, None, log.done())
+
+
+def _rejected(stage: str, witness: Witness, log: _StageLog, t_star: float | None = None) -> Verdict:
+    log.add("witness", "found", f"value = {witness.value:.3e}")
+    return Verdict(STATUS_NON_QUANTUM, stage, t_star, None, witness, log.done())
 
 
 def first_moment_test(ell: np.ndarray, two_j: int, band: float = 1e-9) -> Verdict:
@@ -313,9 +320,9 @@ def outer_test(m: MomentMatrix, tol: float = matcore.PSD_TOL) -> bool:
 def witness_search(m: MomentMatrix) -> Witness:
     """Optimal separating hyperplane for a moment matrix.
 
-    Solves the hyperplane program over the orthonormalized operator set; the
-    result has Z >= 0 and tr Z = 1 always, and value < 0 exactly when the input
-    lies outside the quantum set (up to solver accuracy).
+    Solves the phase-1 program once and reads the hyperplane off its dual; the
+    result has Z >= 0 and tr Z = 1 always, and value = -t_star < 0 exactly when
+    the input lies outside the quantum set (up to solver accuracy).
     """
     ops, triple = _moment_operator_set(m.two_j)
     values = _moment_values(m)
@@ -331,31 +338,22 @@ def witness_for_first_moments(ell: np.ndarray, two_j: int) -> Witness:
     return _witness_from_ops(ops, values, triple.dim, ("I", "L1", "L2", "L3"))
 
 
-def _witness_from_ops(ops, values, dim, labels) -> Witness:
+def _witness_from_ops(ops, values, dim, labels, p1: sdp.Phase1Result | None = None) -> Witness:
+    """The phase-1 dual over the orthonormalized operators; ``p1`` is solved if not given."""
     ortho = sdp.orthonormalize(ops, values)
-    s_ops = ortho.operators
-    t = ortho.values
-    d = dim
-    constraints = [(s_ops[i], float(t[i])) for i in range(1, len(s_ops))]
-    problem = sdp.SdpProblem.build(d, np.eye(d, dtype=complex) / d, constraints)
-    sol = sdp.solve(problem)
-    if sol.status != sdp.STATUS_OPTIMAL:
-        raise ArithmeticError(f"witness SDP did not converge: {sol.message}")
-    z = np.empty(len(s_ops))
-    z[0] = 1.0 / math.sqrt(d)
-    z[1:] = -sol.y
-    zmat = sum(z[i] * s_ops[i] for i in range(len(s_ops)))
-    zmat = (zmat + zmat.conj().T) / 2.0
-    value = float(z @ t)
-    coeffs = ortho.transform.T @ z
-    kept_labels = tuple(labels[i] for i in range(len(labels)))
+    if p1 is None:
+        p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+    if p1.dual_z is None:
+        raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
+    z = np.array([matcore.hs_inner(s, p1.dual_z) for s in ortho.operators])
+    zmat = sum(zk * s for zk, s in zip(z, ortho.operators))
     return Witness(
         z=z,
-        matrix=zmat,
-        value=value,
-        op_coefficients=coeffs,
-        op_labels=kept_labels,
-        orthonormalized_values=t,
+        matrix=(zmat + zmat.conj().T) / 2.0,
+        value=float(z @ ortho.values),
+        op_coefficients=ortho.transform.T @ z,
+        op_labels=tuple(labels),
+        orthonormalized_values=ortho.values,
     )
 
 
@@ -384,8 +382,9 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
 
     Order: structural validation (done on construction), the 4x4 expectation
     value matrix precheck (chi, quick reject), reconstruction positivity, the
-    PPT inner test (quick accept), then the decisive SDP; a rejection at any
-    stage is finished with a witness search.
+    PPT inner test (quick accept), then the decisive phase-1 SDP.  Every
+    rejection carries a witness read off a phase-1 dual, the exact stage's own
+    when it rejected, so no path solves more than one SDP.
 
     There is no separate outer (tau) stage: chi = D tau D with
     D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
@@ -403,26 +402,21 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
         log.records.extend(inner.tests_run)
         if inner.status == STATUS_NON_QUANTUM:
             witness = witness_for_first_moments(m.first_moments, m.two_j)
-            log.add("witness", "found", f"value = {witness.value:.3e}")
-            return Verdict(STATUS_NON_QUANTUM, "first-moment", None, None, witness, log.done())
+            return _rejected("first-moment", witness, log)
         return Verdict(inner.status, "first-moment", None, inner.certificate_state, None, log.done())
 
     chi = spinalg.chi_matrix(m)
     chi_min = matcore.min_eigenvalue(chi)
     if chi_min < -tol:
         log.add("chi", "reject", f"min eigenvalue {chi_min:.3e}")
-        witness = witness_search(m)
-        log.add("witness", "found", f"value = {witness.value:.3e}")
-        return Verdict(STATUS_NON_QUANTUM, "chi", None, None, witness, log.done())
+        return _rejected("chi", witness_search(m), log)
     log.add("chi", "pass", f"min eigenvalue {chi_min:.3e}")
 
     rho = reduction.reconstruct_rho(m)
     rho_min = matcore.min_eigenvalue(rho)
     if rho_min < -tol:
         log.add("reconstruct", "reject", f"min eigenvalue {rho_min:.3e}")
-        witness = witness_search(m)
-        log.add("witness", "found", f"value = {witness.value:.3e}")
-        return Verdict(STATUS_NON_QUANTUM, "reconstruct", None, None, witness, log.done())
+        return _rejected("reconstruct", witness_search(m), log)
     log.add("reconstruct", "pass", f"min eigenvalue {rho_min:.3e}")
 
     if reduction.ppt_inner_test(rho, tol=tol):
@@ -430,10 +424,11 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
         return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
     log.add("inner", "undecided", "reduced state is entangled")
 
-    exact = exact_test_direct(m, band=band)
-    log.records.extend(exact.tests_run)
+    ops, triple = _moment_operator_set(m.two_j)
+    values = _moment_values(m)
+    p1 = sdp.phase1_min_t(list(zip(ops, values)), triple.dim)
+    exact = _verdict_from_phase1(p1, "exact", log, band)
     if exact.status == STATUS_NON_QUANTUM:
-        witness = witness_search(m)
-        log.add("witness", "found", f"value = {witness.value:.3e}")
-        return Verdict(STATUS_NON_QUANTUM, "exact", exact.t_star, None, witness, log.done())
-    return Verdict(exact.status, "exact", exact.t_star, exact.certificate_state, None, log.done())
+        witness = _witness_from_ops(list(ops), values, triple.dim, _OP_LABELS, p1)
+        return _rejected("exact", witness, log, exact.t_star)
+    return exact

@@ -465,17 +465,16 @@ class Phase1Result:
     """Outcome of the min-t feasibility program.
 
     ``t_star <= 0`` certifies a PSD point ``x`` satisfying the constraints;
-    ``t_star > 0`` proves infeasibility, with the dual solution acting as the
-    separating hyperplane (PSD, unit trace, in the span of the constraints).
+    ``t_star > 0`` proves infeasibility.  ``dual_z = 1/d - sum_i y_i A~_i``,
+    rebuilt from ``y`` over the traceless rows, is the separating hyperplane:
+    PSD, unit trace, in the span of the constraints, and it pairs with every
+    X meeting them to ``-t_star``.  ``x`` and ``dual_z`` are None unless optimal.
     """
 
     t_star: float
     x: np.ndarray | None
     solution: SdpSolution
-
-    @property
-    def dual_z(self) -> np.ndarray | None:
-        return self.solution.z
+    dual_z: np.ndarray | None = None
 
 
 def phase1_min_t(
@@ -533,4 +532,5 @@ def phase1_min_t(
         return Phase1Result(t_star=math.nan, x=None, solution=sol)
     t_star = sol.primal_objective - trace_value / d
     x = sol.x - t_star * np.eye(d)
-    return Phase1Result(t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol)
+    z = problem.objective - sum(y * a for y, (a, _) in zip(sol.y, problem.constraints))
+    return Phase1Result(t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol, dual_z=z)

@@ -137,11 +137,17 @@ class TestCheckCommand:
 
 
 class TestSolverFailure:
-    @pytest.mark.parametrize("command", ["check", "witness"])
+    @pytest.mark.parametrize("command", ["check", "witness", "scan"])
     def test_failed_solve_exits_four(self, tmp_path, capsys, monkeypatch, command):
         # Dicke |2,0> at 2j = 4: entangled, so classify reaches the exact SDP
         m = [[[3, 0], [0, 0], [0, 0]], [[0, 0], [3, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
         path = write_json(tmp_path / "dicke.json", {"two_j": 4, "M": m})
+        argv = [command, "--input", path]
+        if command == "scan":
+            # the paper-figure slice has cells only the S test (an SDP) decides
+            out = str(tmp_path / "scan.csv")
+            argv = ["scan", "--two-j", "10", "--u", "0.1,0.2,0.3", "--grid", "9",
+                    "--workers", "1", "--out", out]
 
         def failing_solve(problem, options=None):
             return sdp.SdpSolution(
@@ -152,7 +158,7 @@ class TestSolverFailure:
             )
 
         monkeypatch.setattr(sdp, "solve", failing_solve)
-        rc = cli.main([command, "--input", path])
+        rc = cli.main(argv)
         err = capsys.readouterr().err
         assert rc == cli.EXIT_SOLVER_FAILURE == 4
         assert err.startswith("error: ") and "forced failure" in err

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from spinmoment import feasibility, matcore, reduction, spinalg
+from spinmoment import feasibility, matcore, reduction, sdp, spinalg
 from spinmoment.feasibility import (
     STATUS_BOUNDARY,
     STATUS_NON_QUANTUM,
@@ -309,6 +311,10 @@ class TestClassify:
         assert "inner" in names
         # the tau test is implied by the chi stage, so classify never runs it
         assert "outer" not in names
+        # the exact stage reports the SDP's iteration count and final gap
+        assert re.fullmatch(
+            r"t_star = \S+, \d+ iterations, gap \S+", v.tests_run[-1].detail
+        )
 
     def test_tau_rejection_with_witness(self):
         # entangled state whose moments violate the 4x4 conditions at large j
@@ -394,6 +400,82 @@ class TestClassify:
             exact = feasibility.exact_test_direct(m)
             if abs(exact.t_star) > 1e-7:
                 assert v.accepted == exact.accepted
+
+
+def dicke_zero_moments(two_j, f):
+    """<L3^2> = 0 forces |j,0>, whose L1/L2 moments are equal: not quantum for f > 0."""
+    casimir = two_j / 2.0 * (two_j / 2.0 + 1.0)
+    diag = np.diag([(0.5 + f) * casimir, (0.5 - f) * casimir, 0.0]).astype(complex)
+    return MomentMatrix.from_matrix(two_j, diag)
+
+
+def dicke_mixture_moments(two_j, eps=0.01):
+    """|j,0> (j integer) or |j,1/2> plus eps * I/d: quantum but pair-entangled."""
+    triple = spinalg.spin_operators(two_j)
+    d = triple.dim
+    rho = (1.0 - eps) * np.diag(np.eye(d)[d // 2]).astype(complex) + eps * np.eye(d) / d
+    return spinalg.moment_matrix(rho, triple)
+
+
+def long_first_moment_moments(two_j):
+    j = two_j / 2.0
+    m = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
+    m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + 0.5]))
+    return MomentMatrix.from_matrix(two_j, m)
+
+
+class TestOneSdpPerDecision:
+    PATHS = {
+        # path: (moments builder, expected stage, expected status, SDP solves)
+        "inner-accept": (
+            lambda tj: spinalg.moment_matrix(
+                np.eye(tj + 1, dtype=complex) / (tj + 1), spinalg.spin_operators(tj)
+            ),
+            "inner", STATUS_QUANTUM, 0,
+        ),
+        "chi-reject": (long_first_moment_moments, "chi", STATUS_NON_QUANTUM, 1),
+        "reconstruct-reject": (
+            lambda tj: coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], tj),
+            "reconstruct", STATUS_NON_QUANTUM, 1,
+        ),
+        "exact-accept": (dicke_mixture_moments, "exact", STATUS_QUANTUM, 1),
+        "exact-reject": (lambda tj: dicke_zero_moments(tj, 0.1), "exact", STATUS_NON_QUANTUM, 1),
+    }
+
+    @pytest.mark.parametrize("two_j", [4, 10])
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_solve_count(self, monkeypatch, two_j, path):
+        build, stage, status, expected = self.PATHS[path]
+        m = build(two_j)
+        calls = []
+        real_solve = sdp.solve
+
+        def counting_solve(problem, options=None):
+            calls.append(problem.dim)
+            return real_solve(problem, options)
+
+        monkeypatch.setattr(sdp, "solve", counting_solve)
+        v = feasibility.classify(m)
+        assert (v.stage, v.status) == (stage, status)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("two_j", [4, 10, 30])
+    def test_exact_reject_witness_is_phase1_dual(self, two_j):
+        rng = np.random.default_rng(500 + two_j)
+        ops, _ = feasibility._moment_operator_set(two_j)
+        for f in (0.05, 0.1, 0.15):
+            rot = random_so3(rng)
+            m = dicke_zero_moments(two_j, f)
+            m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
+            v = feasibility.classify(m)
+            assert (v.stage, v.status) == ("exact", STATUS_NON_QUANTUM)
+            w = v.witness
+            assert abs(w.value + v.t_star) <= 1e-6
+            assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+            assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+            rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
+            assert np.abs(rebuilt - w.matrix).max() <= 1e-8
+            assert [r.name for r in v.tests_run][-2:] == ["exact", "witness"]
 
 
 class TestSpinHalfRouting:

@@ -181,6 +181,17 @@ class TestPhase1:
         z = p1.dual_z
         assert np.trace(z).real == pytest.approx(1.0, abs=1e-9)
         assert matcore.min_eigenvalue(z) >= -1e-9
+        # on a feasible input the dual pairs with the certificate to -t_star
+        feasible = sdp.phase1_min_t([cons[0], (cons[1][0], 0.3)], 2)
+        assert matcore.hs_inner(feasible.dual_z, feasible.x) == pytest.approx(
+            -feasible.t_star, abs=1e-8
+        )
+
+    def test_trace_only_dual_is_maximally_mixed(self):
+        # no traceless row reaches the solver, so the dual is the objective 1/d
+        p1 = sdp.phase1_min_t([(np.eye(3, dtype=complex), 1.0)], 3)
+        assert p1.t_star == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert np.abs(p1.dual_z - np.eye(3) / 3.0).max() < 1e-15
 
 
 class TestInfeasibilityDetection:
