@@ -239,6 +239,9 @@ def cmd_scan(args) -> int:
         f"scanned {args.grid}x{args.grid} grid at j = {_spin_label(two_j)} "
         f"in {elapsed:.1f}s; " + ", ".join(areas)
     )
+    n_exact = int(((result.in_t == 1) & (result.in_r == 0)).sum()) if "S" in sets else 0
+    p50, p99 = np.percentile(result.point_seconds * 1e3, [50, 99])
+    print(f"exact tests on {n_exact} cells; per cell p50 {p50:.3f} ms, p99 {p99:.3f} ms")
     print(f"wrote {args.out}" + (f" and {args.svg}" if args.svg else ""))
     return 0
 
@@ -311,21 +314,22 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
                 violations += 1
     checks.append(("sandwich", violations == 0, f"{total} samples, {violations} violations"))
 
-    worst = 0.0
+    # The witness comes from the direct program, t* from the independent extension program.
+    worst = z_dev = 0.0
     tested = 0
     for v in ((1.1, -0.05), (1.3, -0.2), (-0.4, 0.8)):
         coords = reduction.RenormalizedCoords(
             u=np.zeros(3), v=np.array([v[0], v[1], 1.0 - v[0] - v[1]]), two_j=4
         )
         mm = reduction.moments_from_coords(coords)
-        verdict = feasibility.exact_test_direct(mm)
+        verdict = feasibility.exact_test_extension(reduction.reconstruct_rho(mm), 4)
         if verdict.status == feasibility.STATUS_NON_QUANTUM:
-            witness = feasibility.witness_search(mm)
-            worst = max(worst, abs(witness.value + verdict.t_star))
+            w = feasibility.witness_search(mm)
+            worst = max(worst, abs(w.value + verdict.t_star))
+            z_dev = max(z_dev, -matcore.min_eigenvalue(w.matrix), abs(np.trace(w.matrix).real - 1.0))
             tested += 1
-    checks.append(
-        ("witness-duality", tested > 0 and worst < 1e-6, f"{tested} points, max |value + t*| = {worst:.2e}")
-    )
+    detail = f"{tested} points, max |value + t*| = {worst:.2e}, max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
+    checks.append(("witness-duality", tested > 0 and worst < 1e-6 and z_dev <= 1e-9, detail))
 
     mism = 0
     for _ in range(60):
@@ -384,12 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", help="optional SVG rendering path")
     p.add_argument("--tol", type=float, default=matcore.PSD_TOL)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="scan processes (default: SPINMOMENT_THREADS or 1)",
-    )
+    p.add_argument("--workers", type=int, default=1, help="processes for the exact-test cells")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("validate", help="run the self-validation suites")

@@ -1,16 +1,16 @@
 """Region scans over the renormalized coordinates (v1, v2) at fixed u.
 
 Every grid point fixes v3 = 1 - v1 - v2 (the Casimir constraint) and is
-classified against the inner PPT set, the exact extendible set and the outer
-reduced-expectation-value set.  The cheap 4x4 eigenvalue tests run first; the
-SDP only runs where they disagree, which is sound because the three sets are
-nested.  Output goes to CSV and optionally to a simple SVG rendering.
+classified against the inner PPT set R, the exact extendible set S_j and the
+outer reduced-expectation-value set T_j.  R and T come from stacked 4x4
+eigenvalue tests, a grid row at a time; the SDP runs only on cells in T but
+not R, which is sound because the three sets are nested.  Output goes to CSV
+and optionally to a simple SVG rendering.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +25,10 @@ _CSV_HEADER = ("v1", "v2", "in_R", "in_Sj", "in_Tj")
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid membership flags; ``in_s`` is -1 where the exact set was skipped."""
+    """Grid membership flags; ``in_s`` is -1 where the exact set was skipped.
+
+    ``point_seconds`` holds each cell's share of the batched R/T time plus
+    the seconds of its own exact test, if it ran one."""
 
     two_j: int
     u: np.ndarray
@@ -66,10 +69,14 @@ class ScanResult:
         write_scan_svg(self, path, size=size, margin=margin)
 
 
+def _moments(two_j: int, u: np.ndarray, v1: float, v2: float):
+    coords = reduction.RenormalizedCoords(u=u, v=np.array([v1, v2, 1.0 - v1 - v2]), two_j=two_j)
+    return reduction.moments_from_coords(coords)
+
+
 def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool, tol: float, band: float):
-    v3 = 1.0 - v1 - v2
-    coords = reduction.RenormalizedCoords(u=u, v=np.array([v1, v2, v3]), two_j=two_j)
-    m = reduction.moments_from_coords(coords)
+    """One cell from scratch: the per-cell reference for the batched scan."""
+    m = _moments(two_j, u, v1, v2)
     rho = reduction.reconstruct_rho(m)
     rho_psd = matcore.min_eigenvalue(rho) >= -tol
     in_r = rho_psd and reduction.ppt_inner_test(rho, tol=tol)
@@ -84,29 +91,24 @@ def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool, 
     return in_r, 1 if verdict.accepted else 0, in_t
 
 
-def _scan_rows(args):
-    two_j, u, v1_chunk, v2s, want_s, tol, band = args
-    n2 = len(v2s)
-    r = np.zeros((len(v1_chunk), n2), dtype=np.int8)
-    s = np.full((len(v1_chunk), n2), -1, dtype=np.int8)
-    t = np.zeros((len(v1_chunk), n2), dtype=np.int8)
-    secs = np.zeros((len(v1_chunk), n2))
-    for i1, v1 in enumerate(v1_chunk):
-        for i2, v2 in enumerate(v2s):
-            t0 = time.perf_counter()
-            fr, fs, ft = _point_flags(two_j, u, float(v1), float(v2), want_s, tol, band)
-            secs[i1, i2] = time.perf_counter() - t0
-            r[i1, i2] = 1 if fr else 0
-            s[i1, i2] = fs
-            t[i1, i2] = 1 if ft else 0
-    return r, s, t, secs
+def _slice_maps(two_j: int, u: np.ndarray):
+    """(c0, d1, d2) for each of rho, PT(V rho V^dag) and tau, which are affine in
+    (v1, v2) at fixed u: a cell's matrix is c0 + v1 d1 + v2 d2."""
+    iso = reduction._symmetric_pair_isometry()
+    corners = []
+    for v1, v2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
+        rho = reduction.reconstruct_rho(_moments(two_j, u, v1, v2))
+        pt = matcore.hermitize(matcore.partial_transpose_b(iso @ rho @ iso.conj().T), tol=1e-10)
+        corners.append((rho, pt, reduction.tau(rho, two_j)))
+    return [(c0, c1 - c0, c2 - c0) for c0, c1, c2 in zip(*corners)]
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SPINMOMENT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _exact_cell(args) -> tuple[bool, float]:
+    """Exact test of one cell in T but not R; returns (accepted, seconds)."""
+    two_j, u, v1, v2, band = args
+    t0 = time.perf_counter()
+    accepted = feasibility.exact_test_direct(_moments(two_j, u, v1, v2), band=band).accepted
+    return accepted, time.perf_counter() - t0
 
 
 def scan_grid(
@@ -118,13 +120,14 @@ def scan_grid(
     sets=("R", "S", "T"),
     tol: float = matcore.PSD_TOL,
     band: float = feasibility.BOUNDARY_BAND,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ScanResult:
     """Classify a (v1, v2) grid at fixed u against the requested sets.
 
-    R and T are always evaluated (they cost two small eigenvalue problems);
-    the exact set S is skipped unless requested.  Rows are distributed across
-    worker processes when ``workers`` > 1, with a deterministic merge order.
+    R and T come from the affine maps of ``_slice_maps`` (T through tau, as
+    chi = D tau D would scale the tolerance edge by up to j^2).  S is skipped
+    unless requested; only its cells in T but not R run the SDP, in ``workers``
+    processes when ``workers`` > 1, with results collected in cell order.
     """
     two_j = reduction._require_j_ge_1(two_j)
     if resolution < 2 or resolution > 1024:
@@ -135,38 +138,35 @@ def scan_grid(
     want_s = "S" in {str(x).upper() for x in sets}
     v1s = np.linspace(v1_range[0], v1_range[1], resolution)
     v2s = np.linspace(v2_range[0], v2_range[1], resolution)
-    workers = default_workers() if workers is None else max(1, int(workers))
 
-    if workers == 1:
-        r, s, t, secs = _scan_rows((two_j, u, v1s, v2s, want_s, tol, band))
-    else:
-        chunk_rows = max(1, resolution // (4 * workers))
-        chunks = [
-            (two_j, u, v1s[lo : lo + chunk_rows], v2s, want_s, tol, band)
-            for lo in range(0, resolution, chunk_rows)
-        ]
-        parts_r, parts_s, parts_t, parts_sec = [], [], [], []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for pr, ps, pt, psec in pool.map(_scan_rows, chunks):
-                parts_r.append(pr)
-                parts_s.append(ps)
-                parts_t.append(pt)
-                parts_sec.append(psec)
-        r = np.concatenate(parts_r)
-        s = np.concatenate(parts_s)
-        t = np.concatenate(parts_t)
-        secs = np.concatenate(parts_sec)
+    t0 = time.perf_counter()
+    maps = _slice_maps(two_j, u)
+    in_r = np.zeros((resolution, resolution), dtype=bool)
+    in_t = np.zeros_like(in_r)
+    for i1, v1 in enumerate(v1s):
+        rho_psd, pt_psd, tau_psd = (
+            np.linalg.eigvalsh(c0 + v1 * d1 + v2s[:, None, None] * d2)[:, 0] >= -tol
+            for c0, d1, d2 in maps
+        )
+        in_r[i1] = rho_psd & pt_psd
+        in_t[i1] = rho_psd & tau_psd
+    secs = np.full(in_r.shape, (time.perf_counter() - t0) / in_r.size)
 
-    return ScanResult(
-        two_j=two_j,
-        u=u,
-        v1_values=v1s,
-        v2_values=v2s,
-        in_r=r,
-        in_s=s,
-        in_t=t,
-        point_seconds=secs,
-    )
+    s = np.full(in_r.shape, -1, dtype=np.int8)
+    if want_s:
+        s[:] = in_r
+        cells = np.argwhere(in_t & ~in_r)
+        jobs = [(two_j, u, float(v1s[i1]), float(v2s[i2]), band) for i1, i2 in cells]
+        if workers <= 1 or not jobs:
+            done = list(map(_exact_cell, jobs))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                done = list(pool.map(_exact_cell, jobs))
+        for (i1, i2), (accepted, seconds) in zip(cells, done):
+            s[i1, i2] = accepted
+            secs[i1, i2] += seconds
+
+    return ScanResult(two_j, u, v1s, v2s, in_r.astype(np.int8), s, in_t.astype(np.int8), secs)
 
 
 def read_scan_csv(path: str):

@@ -221,6 +221,14 @@ class TestScanCommand:
             assert not (fs == 1 and ft == 0)
         svg = (tmp_path / "scan.svg").read_text(encoding="utf-8")
         assert svg.startswith("<?xml")
+        # the summary counts the exact-test cells (T but not R) and the per-cell times
+        summary = re.search(
+            r"exact tests on (\d+) cells; per cell p50 ([\d.]+) ms, p99 ([\d.]+) ms",
+            capsys.readouterr().out,
+        )
+        assert summary is not None
+        assert int(summary.group(1)) == sum(fr == 0 and ft == 1 for _, _, fr, _, ft in rows) > 0
+        assert 0.0 < float(summary.group(2)) <= float(summary.group(3))
 
     def test_svg_cells_match_csv_flags(self, tmp_path):
         result = scan_grid(4, np.array([0.0, 0.0, 0.2]), resolution=7)
@@ -305,13 +313,26 @@ class TestScanCommand:
         assert np.array_equal(serial.in_s, parallel.in_s)
         assert np.array_equal(serial.in_t, parallel.in_t)
 
-    def test_workers_env_variable(self, monkeypatch):
-        from spinmoment.scan import default_workers
+    @pytest.mark.parametrize(
+        "two_j, u, n, sets",
+        [
+            (2, (0.0, 0.0, 0.0), 9, ("R", "S", "T")),
+            (4, (0.0, 0.0, 1.2), 3, ("R", "T")),
+            (6, (0.0, 0.0, 1.0), 7, ("R", "S", "T")),
+            (10, (0.1, 0.2, 0.3), 15, ("R", "S", "T")),
+            (62, (0.3, -0.2, 0.1), 15, ("R", "T")),
+        ],
+    )
+    def test_every_cell_matches_point_oracle(self, two_j, u, n, sets):
+        from spinmoment.scan import _point_flags
 
-        monkeypatch.setenv("SPINMOMENT_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("SPINMOMENT_THREADS", "bogus")
-        assert default_workers() == 1
+        u = np.array(u)
+        result = scan_grid(two_j, u, resolution=n, sets=sets)
+        for i1, v1 in enumerate(result.v1_values):
+            for i2, v2 in enumerate(result.v2_values):
+                fr, fs, ft = _point_flags(two_j, u, float(v1), float(v2), "S" in sets, 1e-8, 1e-7)
+                got = (result.in_r[i1, i2], result.in_s[i1, i2], result.in_t[i1, i2])
+                assert got == (int(fr), int(fs), int(ft)), (v1, v2)
 
     def test_warns_on_long_u(self, tmp_path, capsys):
         rc = cli.main(
@@ -340,6 +361,23 @@ class TestValidateCommand:
         assert rc == 0
         assert "[FAIL]" not in out
         assert "spin-algebra" in out
+
+    def test_witness_duality_checks_extension_formulation(self, capsys, monkeypatch):
+        # the witness must agree with t* of the independent extension program
+        import dataclasses
+
+        from spinmoment import feasibility
+
+        real = feasibility.exact_test_extension
+
+        def shifted(*args, **kwargs):
+            v = real(*args, **kwargs)
+            return dataclasses.replace(v, t_star=v.t_star + 1e-3)
+
+        monkeypatch.setattr(feasibility, "exact_test_extension", shifted)
+        rc = cli.main(["validate", "--j-max", "4"])
+        assert rc == 1
+        assert "[FAIL] witness-duality" in capsys.readouterr().out
 
     def test_injected_fault_goes_red(self, capsys):
         rc = cli.main(["validate", "--j-max", "4", "--inject-fault"])
