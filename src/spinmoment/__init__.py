@@ -32,7 +32,7 @@ from .reduction import (
     renormalized_coords,
     tau,
 )
-from .sdp import SdpProblem, SdpSolution, orthonormalize, phase1_min_t, solve
+from .sdp import SdpProblem, SdpSolution, phase1_min_t, solve
 from .feasibility import (
     Verdict,
     Witness,

@@ -56,12 +56,17 @@ def _spin_label(two_j: int) -> str:
     return str(two_j // 2) if two_j % 2 == 0 else f"{two_j}/2"
 
 
+def _is_number(x) -> bool:
+    """A JSON number: ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_complex_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
         re, im = entry
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+        if _is_number(re) and _is_number(im):
             return complex(re, im)
     raise MomentFileError(f"{where} must be a number or an [re, im] pair, got {entry!r}")
 
@@ -80,7 +85,7 @@ def load_moment_file(path: str) -> tuple[MomentMatrix, str]:
     if "two_j" not in data:
         raise MomentFileError('missing field "two_j"')
     two_j = data["two_j"]
-    if not isinstance(two_j, int) or two_j < 1:
+    if not isinstance(two_j, int) or isinstance(two_j, bool) or two_j < 1:
         raise MomentFileError(f'"two_j" must be a positive integer, got {two_j!r}')
     label = data.get("label", "")
     if not isinstance(label, str):
@@ -112,7 +117,7 @@ def load_moment_file(path: str) -> tuple[MomentMatrix, str]:
     for name in ("u", "v"):
         seq = raw[name]
         if not isinstance(seq, list) or len(seq) != 3 or not all(
-            isinstance(x, (int, float)) for x in seq
+            _is_number(x) for x in seq
         ):
             raise MomentFileError(f'coords.{name} must be a list of 3 numbers')
         vectors[name] = np.array(seq, dtype=float)
@@ -132,7 +137,9 @@ def _print_stages(records) -> None:
 def _witness_json(witness: feasibility.Witness) -> dict:
     return {
         "value": witness.value,
-        "z": [float(x) for x in witness.z],
+        "coefficients": {
+            name: float(c) for name, c in zip(witness.op_labels, witness.op_coefficients)
+        },
         "min_eigenvalue": matcore.min_eigenvalue(witness.matrix),
         "trace": float(np.trace(witness.matrix).real),
     }
@@ -188,12 +195,10 @@ def cmd_witness(args) -> int:
     title = label or args.input
     print(f"witness search: {title}")
     zvals, _ = matcore.hermitian_eig(witness.matrix)
-    print(f"  value z.t = {witness.value:.9g}")
+    print(f"  value c.b = {witness.value:.9g}")
     print(f"  Z spectrum: {np.array2string(zvals, precision=8)}")
     print(f"  tr Z = {float(np.trace(witness.matrix).real):.12g}")
-    print("  z over the orthonormalized basis:")
-    print(f"    {np.array2string(witness.z, precision=8)}")
-    print("  coefficients over the original operators:")
+    print("  coefficients over the measured operators:")
     for name, coeff in zip(witness.op_labels, witness.op_coefficients):
         print(f"    {name:<4} {coeff:+.9g}")
     print(json.dumps(_witness_json(witness)))

@@ -2,9 +2,11 @@
 
 The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
-tests bracket it from both sides.  Every witness is read off the dual of that
-one phase-1 program (``Phase1Result.dual_z``); no separate hyperplane program
-is solved, so each decision costs at most one SDP.  Inside
+tests bracket it from both sides.  Every witness is the dual of that one
+phase-1 program, expanded over the measured operators
+(``Phase1Result.dual_coefficients``); no separate hyperplane program is
+solved and no second basis is built, so each decision costs at most one SDP
+and one Gram-Schmidt.  Inside
 ``classify`` the outer test is carried by the 4x4 chi check, which is
 congruent to it; ``outer_test`` remains the standalone definition of T_j.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +30,7 @@ STATUS_NON_QUANTUM = "non-quantum"
 STATUS_BOUNDARY = "boundary"
 
 _OP_LABELS = ("I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3")
+_FIRST_MOMENT_LABELS = ("I", "L1", "L2", "L3")
 
 
 @dataclass(frozen=True)
@@ -40,27 +43,26 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class Witness:
-    """Separating hyperplane Z = sum_i z_i S_i with Z >= 0 and tr Z = 1.
+    """Separating hyperplane Z = sum_i c_i A_i with Z >= 0 and tr Z = 1.
 
-    ``value`` is z.t evaluated on the input's orthonormalized expectation
-    values; it is negative exactly when the input is detected as non-quantum.
-    ``op_coefficients`` express Z over the kept original operators.
+    The A_i are the measured operators named by ``op_labels`` and c is
+    ``op_coefficients``.  ``value`` = c . values on the input's expectation
+    values, which is <Z, X> for any X reproducing them; it is negative exactly
+    when the input is detected as non-quantum.
     """
 
-    z: np.ndarray
     matrix: np.ndarray
     value: float
     op_coefficients: np.ndarray
     op_labels: tuple[str, ...]
-    orthonormalized_values: np.ndarray
 
     @property
     def separates(self) -> bool:
         return self.value < -BOUNDARY_BAND
 
     def evaluate(self, values: np.ndarray) -> float:
-        """Apply the hyperplane to another orthonormalized value vector."""
-        return float(np.asarray(values) @ self.z)
+        """Apply the hyperplane to the expectation values of the labelled operators."""
+        return float(np.asarray(values) @ self.op_coefficients)
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,22 @@ def _rejected(stage: str, witness: Witness, log: _StageLog, t_star: float | None
     return Verdict(STATUS_NON_QUANTUM, stage, t_star, None, witness, log.done())
 
 
+def _dual_witness(p1: sdp.Phase1Result, values: np.ndarray, labels) -> Witness:
+    """The optimal phase-1 dual as a witness over the labelled operators."""
+    c = p1.dual_coefficients
+    return Witness(p1.dual_z, float(c @ values), c, tuple(labels))
+
+
+def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str, band: float) -> Verdict:
+    """Solve the phase-1 program over labelled operators; a reject carries its dual."""
+    log = _StageLog()
+    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+    verdict = _verdict_from_phase1(p1, stage, log, band)
+    if verdict.status == STATUS_NON_QUANTUM and p1.dual_z is not None:
+        return _rejected(stage, _dual_witness(p1, values, labels), log, verdict.t_star)
+    return verdict
+
+
 def first_moment_test(ell: np.ndarray, two_j: int, band: float = 1e-9) -> Verdict:
     """Closed-form first-moment feasibility: quantum iff |l|^2 <= j^2.
 
@@ -221,12 +239,10 @@ def exact_test_direct(m: MomentMatrix, band: float = BOUNDARY_BAND) -> Verdict:
     Constrains the identity, the symmetrized products and the bare spin
     operators to the values prescribed by M, then minimizes t with
     rho + t*1 >= 0; the moments are quantum iff t_star <= the boundary band.
+    A reject carries the program's dual as its witness.
     """
     ops, triple = _moment_operator_set(m.two_j)
-    values = _moment_values(m)
-    log = _StageLog()
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), triple.dim)
-    return _verdict_from_phase1(p1, "exact", log, band)
+    return _phase1_verdict(ops, _moment_values(m), triple.dim, _OP_LABELS, "exact", band)
 
 
 def exact_test_first_moments(ell: np.ndarray, two_j: int, band: float = BOUNDARY_BAND) -> Verdict:
@@ -239,9 +255,7 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int, band: float = BOUNDARY
     ell = np.asarray(ell, dtype=float)
     ops = [np.eye(triple.dim, dtype=complex)] + triple.as_list()
     values = np.concatenate([[1.0], ell])
-    log = _StageLog()
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), triple.dim)
-    return _verdict_from_phase1(p1, "exact-first-moment", log, band)
+    return _phase1_verdict(ops, values, triple.dim, _FIRST_MOMENT_LABELS, "exact-first-moment", band)
 
 
 @lru_cache(maxsize=None)
@@ -297,14 +311,7 @@ def exact_test_extension(
     verdict = _verdict_from_phase1(p1, "extension", log, band)
     if verdict.certificate_state is not None:
         spin_state = verdict.certificate_state[::-1, ::-1].copy()
-        verdict = Verdict(
-            verdict.status,
-            verdict.stage,
-            verdict.t_star,
-            spin_state,
-            verdict.witness,
-            verdict.tests_run,
-        )
+        verdict = replace(verdict, certificate_state=spin_state)
     return verdict
 
 
@@ -335,36 +342,28 @@ def witness_for_first_moments(ell: np.ndarray, two_j: int) -> Witness:
     triple = spinalg.spin_operators(two_j)
     ops = [np.eye(triple.dim, dtype=complex)] + triple.as_list()
     values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
-    return _witness_from_ops(ops, values, triple.dim, ("I", "L1", "L2", "L3"))
+    return _witness_from_ops(ops, values, triple.dim, _FIRST_MOMENT_LABELS)
 
 
-def _witness_from_ops(ops, values, dim, labels, p1: sdp.Phase1Result | None = None) -> Witness:
-    """The phase-1 dual over the orthonormalized operators; ``p1`` is solved if not given."""
-    ortho = sdp.orthonormalize(ops, values)
-    if p1 is None:
-        p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+def _witness_from_ops(ops, values, dim, labels) -> Witness:
+    """Solve the phase-1 program over the labelled operators and return its dual."""
+    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+    if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
+        raise ValueError(
+            "the moment values conflict: a linearly dependent operator's value "
+            f"differs from the value the others imply ({p1.solution.message})"
+        )
     if p1.dual_z is None:
         raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
-    z = np.array([matcore.hs_inner(s, p1.dual_z) for s in ortho.operators])
-    zmat = sum(zk * s for zk, s in zip(z, ortho.operators))
-    return Witness(
-        z=z,
-        matrix=(zmat + zmat.conj().T) / 2.0,
-        value=float(z @ ortho.values),
-        op_coefficients=ortho.transform.T @ z,
-        op_labels=tuple(labels),
-        orthonormalized_values=ortho.values,
-    )
+    return _dual_witness(p1, values, labels)
 
 
 def moment_values_in_witness_basis(m: MomentMatrix, witness: Witness) -> np.ndarray:
-    """Orthonormalized value vector of a moment matrix, for witness evaluation."""
-    ops, _ = _moment_operator_set(m.two_j)
+    """Expectation values of the witness's operators prescribed by a moment matrix."""
     values = _moment_values(m)
-    ortho = sdp.orthonormalize(list(ops), values)
-    if ortho.values.shape != witness.z.shape:
+    if values.shape != witness.op_coefficients.shape:
         raise ValueError("witness and moment matrix use different operator sets")
-    return ortho.values
+    return values
 
 
 def _validate_half_spin_structure(m: MomentMatrix, tol: float = 1e-9) -> None:
@@ -382,9 +381,10 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
 
     Order: structural validation (done on construction), the 4x4 expectation
     value matrix precheck (chi, quick reject), reconstruction positivity, the
-    PPT inner test (quick accept), then the decisive phase-1 SDP.  Every
-    rejection carries a witness read off a phase-1 dual, the exact stage's own
-    when it rejected, so no path solves more than one SDP.
+    PPT inner test (quick accept), then the decisive phase-1 SDP
+    (``exact_test_direct``).  Every rejection carries a witness read off a
+    phase-1 dual, the exact stage's own when it rejected, so no path solves
+    more than one SDP.
 
     There is no separate outer (tau) stage: chi = D tau D with
     D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
@@ -424,11 +424,6 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
         return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
     log.add("inner", "undecided", "reduced state is entangled")
 
-    ops, triple = _moment_operator_set(m.two_j)
-    values = _moment_values(m)
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), triple.dim)
-    exact = _verdict_from_phase1(p1, "exact", log, band)
-    if exact.status == STATUS_NON_QUANTUM:
-        witness = _witness_from_ops(list(ops), values, triple.dim, _OP_LABELS, p1)
-        return _rejected("exact", witness, log, exact.t_star)
-    return exact
+    exact = exact_test_direct(m, band)
+    log.records.extend(exact.tests_run)
+    return replace(exact, tests_run=log.done())

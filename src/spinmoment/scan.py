@@ -135,7 +135,11 @@ def scan_grid(
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("u must be a real 3-vector")
-    want_s = "S" in {str(x).upper() for x in sets}
+    names = {str(x).upper() for x in sets}
+    unknown = sorted(names - {"R", "S", "T"})
+    if unknown:
+        raise ValueError(f"unknown set names {unknown}: use a subset of R, S, T")
+    want_s = "S" in names
     v1s = np.linspace(v1_range[0], v1_range[1], resolution)
     v2s = np.linspace(v2_range[0], v2_range[1], resolution)
 

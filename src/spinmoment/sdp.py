@@ -8,7 +8,8 @@ robustness is preferred over asymptotic speed throughout.
 
 The phase-1 feasibility form  min t  s.t.  X + t*1 >= 0  under the same
 equality constraints is provided as ``phase1_min_t``; its sign decides
-feasibility and its dual solution is the separating hyperplane.
+feasibility, and its dual solution, expanded over the caller's constraint
+operators, is the separating hyperplane.
 """
 
 from __future__ import annotations
@@ -77,22 +78,6 @@ class SdpSolution:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class OrthonormalizedSet:
-    """Hilbert-Schmidt orthonormal operators spanning the same space as the input.
-
-    ``operators[i] = sum_j transform[i, j] * ops[j]`` over the kept original
-    operators, and ``values`` are the input expectation values mapped through
-    the same (invertible on its range) transformation.
-    """
-
-    operators: tuple[np.ndarray, ...]
-    values: np.ndarray
-    transform: np.ndarray
-    kept: tuple[int, ...]
-    dropped: tuple[int, ...]
-
-
 def _vec_h(a: np.ndarray, d: int) -> np.ndarray:
     """Inner-product-preserving real coordinates of a Hermitian matrix."""
     iu = np.triu_indices(d, 1)
@@ -104,12 +89,11 @@ def _vec_h(a: np.ndarray, d: int) -> np.ndarray:
 def _gram_schmidt(vecs, values: np.ndarray, tol: float):
     """Re-orthogonalized Gram-Schmidt over the rows of ``vecs``.
 
-    Returns (weights, kept, dependent).  ``weights[i] @ vecs`` is the i-th
-    orthonormal vector, built from the rows ``kept``.  Each row within ``tol``
-    of the span of the earlier rows is listed in ``dependent`` as
-    (index, w, mismatch): w is the row minus its combination of earlier rows
-    (so w @ vecs ~ 0) and mismatch = w @ values is how far the row's value
-    lies from the value the earlier rows imply.
+    Returns (kept, dependent): the rows kept span the same space as all of
+    ``vecs``.  Each row within ``tol`` of the span of the earlier rows is
+    listed in ``dependent`` as (index, w, mismatch): w is the row minus its
+    combination of earlier rows (so w @ vecs ~ 0) and mismatch = w @ values is
+    how far the row's value lies from the value the earlier rows imply.
     """
     m = len(vecs)
     basis: list[np.ndarray] = []
@@ -132,52 +116,7 @@ def _gram_schmidt(vecs, values: np.ndarray, tol: float):
         basis.append(r / norm)
         weights.append(w / norm)
         kept.append(idx)
-    return weights, kept, dependent
-
-
-def orthonormalize(ops, values, tol: float = 1e-10) -> OrthonormalizedSet:
-    """Gram-Schmidt an operator list into an orthonormal Hermitian set.
-
-    The first operator must be proportional to the identity, which makes every
-    later element traceless.  Linearly dependent operators are dropped when
-    their value is implied consistently by the earlier ones; an inconsistent
-    value means no assignment exists at all and is rejected.
-    """
-    mats = [matcore.hermitize(np.asarray(a, dtype=complex)) for a in ops]
-    values = np.asarray(values, dtype=float)
-    if len(mats) != values.size:
-        raise ValueError("operator and value counts differ")
-    if not mats:
-        raise ValueError("empty operator list")
-    d = mats[0].shape[0]
-    ident = np.eye(d)
-    lead = mats[0]
-    scale = np.abs(lead).max()
-    if scale == 0.0 or np.abs(lead - lead[0, 0] * ident).max() > 1e-12 * scale:
-        raise ValueError("the first operator must be proportional to the identity")
-
-    vecs = np.stack([_vec_h(a, d) for a in mats])
-    weights, kept, dependent = _gram_schmidt(vecs, values, tol)
-    value_tol = 1e-8 * (1.0 + float(np.abs(values).max()))
-    for idx, _, mismatch in dependent:
-        if abs(mismatch) > value_tol:
-            raise ValueError(
-                f"operator {idx} is linearly dependent but its value "
-                f"{values[idx]:.9g} conflicts with the implied {values[idx] - mismatch:.9g}"
-            )
-
-    transform = np.stack(weights)
-    operators = tuple(
-        sum(transform[i, j] * mats[j] for j in range(len(mats)))
-        for i in range(len(weights))
-    )
-    return OrthonormalizedSet(
-        operators=operators,
-        values=np.array([float(w @ values) for w in weights]),
-        transform=transform,
-        kept=tuple(kept),
-        dropped=tuple(idx for idx, _, _ in dependent),
-    )
+    return kept, dependent
 
 
 def _independent_constraints(problem: SdpProblem, tol: float):
@@ -189,7 +128,7 @@ def _independent_constraints(problem: SdpProblem, tol: float):
     d = problem.dim
     rows = [_vec_h(a, d) for a, _ in problem.constraints]
     vals = np.array([b for _, b in problem.constraints], dtype=float)
-    _, kept, dependent = _gram_schmidt(rows, vals, tol)
+    kept, dependent = _gram_schmidt(rows, vals, tol)
     for idx, w, mismatch in dependent:
         if abs(mismatch) > 1e-8 * (1.0 + abs(vals[idx])):
             raise _InconsistentRows(idx, w / mismatch)
@@ -200,7 +139,6 @@ def _independent_constraints(problem: SdpProblem, tol: float):
 class _InconsistentRows(Exception):
     def __init__(self, index: int, certificate: np.ndarray):
         super().__init__(f"constraint {index} conflicts with earlier rows")
-        self.index = index
         self.certificate = certificate
 
 
@@ -468,13 +406,17 @@ class Phase1Result:
     ``t_star > 0`` proves infeasibility.  ``dual_z = 1/d - sum_i y_i A~_i``,
     rebuilt from ``y`` over the traceless rows, is the separating hyperplane:
     PSD, unit trace, in the span of the constraints, and it pairs with every
-    X meeting them to ``-t_star``.  ``x`` and ``dual_z`` are None unless optimal.
+    X meeting them to ``-t_star``.  ``dual_coefficients`` c expand it over the
+    caller's rows, ``dual_z = sum_i c_i A_i`` and ``c.b = -t_star``, so a
+    witness needs nothing else.  ``x``, ``dual_z`` and ``dual_coefficients``
+    are None unless optimal.
     """
 
     t_star: float
     x: np.ndarray | None
     solution: SdpSolution
     dual_z: np.ndarray | None = None
+    dual_coefficients: np.ndarray | None = None
 
 
 def phase1_min_t(
@@ -486,7 +428,8 @@ def phase1_min_t(
 
     The constraint set must fix tr(X); substituting Y = X + t*1 then removes
     the free variable and leaves a standard-form SDP with traceless constraint
-    operators, strictly feasible on both sides.
+    operators, strictly feasible on both sides.  Its status is
+    primal-infeasible only when dependent rows carry conflicting values.
     """
     d = int(dim)
     rows = [(matcore.hermitize(np.asarray(a, dtype=complex)), float(b)) for a, b in constraints]
@@ -500,9 +443,9 @@ def phase1_min_t(
         raise ValueError("constraints do not fix the trace of X")
     trace_value = float(coeff @ np.array([b for _, b in rows]))
 
-    tilde = []
-    for a, b in rows:
-        tr_a = float(np.trace(a).real)
+    traces = np.array([float(np.trace(a).real) for a, _ in rows])
+    tilde, used = [], []
+    for i, ((a, b), tr_a) in enumerate(zip(rows, traces)):
         ta = a - (tr_a / d) * np.eye(d)
         tb = b - tr_a * trace_value / d
         scale = 1.0 + float(np.abs(a).max())
@@ -525,6 +468,7 @@ def phase1_min_t(
                 return Phase1Result(t_star=math.inf, x=None, solution=sol)
             continue
         tilde.append((ta, tb))
+        used.append(i)
 
     problem = SdpProblem.build(d, np.eye(d, dtype=complex) / d, tilde)
     sol = solve(problem, options)
@@ -533,4 +477,10 @@ def phase1_min_t(
     t_star = sol.primal_objective - trace_value / d
     x = sol.x - t_star * np.eye(d)
     z = problem.objective - sum(y * a for y, (a, _) in zip(sol.y, problem.constraints))
-    return Phase1Result(t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol, dual_z=z)
+    # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand dual_z over the rows
+    y = np.zeros(len(rows))
+    y[used] = sol.y
+    c = (1.0 + float(y @ traces)) / d * coeff - y
+    return Phase1Result(
+        t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol, dual_z=z, dual_coefficients=c
+    )

@@ -80,6 +80,10 @@ class MomentMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"moment matrix must be 3x3, got {m.shape}")
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            entries = ", ".join(f"M[{k}][{l}] = {m[k, l]}" for k, l in bad)
+            raise ValueError(f"moment matrix has non-finite entries: {entries}")
         dev = float(np.abs(m - m.conj().T).max())
         if dev > tol:
             raise ValueError(f"moment matrix is not Hermitian: deviation {dev:.3e}")

@@ -107,6 +107,8 @@ class TestCheckCommand:
         assert report["status"] == "non-quantum"
         assert report["witness"]["value"] < 0
         assert report["witness"]["min_eigenvalue"] >= -1e-9
+        coefficients = report["witness"]["coefficients"]
+        assert list(coefficients) == ["I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3"]
 
     def test_boundary_exit_two(self, tmp_path, capsys):
         # a pure entangled symmetric state sits exactly on the j=1 boundary:
@@ -124,6 +126,19 @@ class TestCheckCommand:
         assert report["status"] == "boundary"
         assert abs(report["t_star"]) <= 1e-7
         assert "certificate_spectrum" in report
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"two_j": True, "M": [[0.25, 0, 0], [0, 0.25, 0], [0, 0, 0.25]]},
+            {"two_j": 2, "M": [[[True, 0], 0, 0], [0, 2 / 3, 0], [0, 0, 1 / 3]]},
+            {"two_j": 2, "coords": {"u": [0, 0, False], "v": [0.4, 0.3, 0.3]}},
+        ],
+    )
+    def test_boolean_values_exit_three(self, tmp_path, capsys, payload):
+        rc = cli.main(["check", "--input", write_json(tmp_path / "bool.json", payload)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_casimir_violation_exit_three(self, tmp_path, capsys):
         path = write_json(
@@ -304,6 +319,14 @@ class TestScanCommand:
         result.to_csv(path)
         rows, _ = read_scan_csv(path)
         assert all(r[3] is None for r in rows)
+
+    def test_unknown_set_name_exit_three(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        argv = ["scan", "--two-j", "4", "--u", "0,0,0", "--grid", "5", "--sets", "R,X", "--out", out]
+        assert cli.main(argv) == 3
+        assert "unknown set names ['X']" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="unknown set"):
+            scan_grid(4, np.zeros(3), resolution=5, sets=("R", "Q"))
 
     def test_parallel_scan_matches_serial(self):
         u = np.array([0.1, 0.2, 0.3])

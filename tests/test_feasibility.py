@@ -270,6 +270,12 @@ class TestWitnessSearch:
             values = feasibility.moment_values_in_witness_basis(m, w)
             assert w.evaluate(values) >= -1e-7
 
+    def test_conflicting_values_are_an_input_error(self):
+        # at j = 1/2 every L_k^2 is 1/4, so unequal diagonal moments conflict
+        m = MomentMatrix.from_matrix(1, np.diag([0.3, 0.25, 0.2]).astype(complex))
+        with pytest.raises(ValueError, match="conflict"):
+            feasibility.witness_search(m)
+
     def test_witness_matrix_consistent_with_coefficients(self):
         m = coords_matrix([0.1, 0.0, 0.4], [0.9, 0.2, -0.1], 6)
         w = feasibility.witness_search(m)
@@ -448,16 +454,25 @@ class TestOneSdpPerDecision:
         build, stage, status, expected = self.PATHS[path]
         m = build(two_j)
         calls = []
+        orthogonalizations = []
         real_solve = sdp.solve
+        real_gram_schmidt = sdp._gram_schmidt
 
         def counting_solve(problem, options=None):
             calls.append(problem.dim)
             return real_solve(problem, options)
 
+        def counting_gram_schmidt(vecs, values, tol):
+            orthogonalizations.append(len(vecs))
+            return real_gram_schmidt(vecs, values, tol)
+
         monkeypatch.setattr(sdp, "solve", counting_solve)
+        monkeypatch.setattr(sdp, "_gram_schmidt", counting_gram_schmidt)
         v = feasibility.classify(m)
         assert (v.stage, v.status) == (stage, status)
         assert len(calls) == expected
+        # at most one Gram-Schmidt per decision: the solver's, none for the witness
+        assert len(orthogonalizations) == expected
 
     @pytest.mark.parametrize("two_j", [4, 10, 30])
     def test_exact_reject_witness_is_phase1_dual(self, two_j):
@@ -476,6 +491,24 @@ class TestOneSdpPerDecision:
             rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
             assert np.abs(rebuilt - w.matrix).max() <= 1e-8
             assert [r.name for r in v.tests_run][-2:] == ["exact", "witness"]
+
+    @pytest.mark.parametrize("two_j", [4, 62])
+    def test_exact_test_direct_reject_carries_its_witness(self, two_j):
+        rng = np.random.default_rng(700 + two_j)
+        ops, _ = feasibility._moment_operator_set(two_j)
+        rot = random_so3(rng)
+        m = dicke_zero_moments(two_j, 0.1)
+        m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
+        v = feasibility.exact_test_direct(m)
+        assert (v.stage, v.status) == ("exact", STATUS_NON_QUANTUM)
+        w = v.witness
+        assert w.op_labels == feasibility._OP_LABELS
+        assert abs(w.value + v.t_star) <= 1e-6
+        assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+        assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+        rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
+        assert np.abs(rebuilt - w.matrix).max() <= 1e-8
+        assert [r.name for r in v.tests_run] == ["exact", "witness"]
 
 
 class TestSpinHalfRouting:

@@ -1,0 +1,38 @@
+"""The README's examples run as written: the library quick start executes and
+every moment-file example passes ``spinmoment check``."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from spinmoment import cli, feasibility
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def fenced_blocks(language, section):
+    """Code blocks of one language inside the README section with this heading."""
+    body = README.split(f"## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", body, flags=re.S)
+
+
+def test_library_quick_start_runs():
+    (block,) = fenced_blocks("python", "Library quick start")
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["verdict"].status == feasibility.STATUS_QUANTUM
+    assert names["verdict"].stage == "inner"
+    assert names["witness"].separates
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_moment_file_examples_check(tmp_path, capsys, index):
+    blocks = fenced_blocks("json", "Moment file format")
+    assert len(blocks) == 2
+    path = tmp_path / "moments.json"
+    path.write_text(blocks[index], encoding="utf-8")
+    assert cli.main(["check", "--input", str(path)]) == cli.EXIT_QUANTUM
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["status"] == feasibility.STATUS_QUANTUM

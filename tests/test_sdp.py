@@ -3,66 +3,35 @@ import pytest
 
 from spinmoment import feasibility, matcore, sdp, spinalg
 
-from conftest import highest_weight_state, random_hermitian
+from conftest import highest_weight_state, random_density, random_hermitian
 from sdp_oracle import bracket_optimum, random_bounded_sdp
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
-class TestOrthonormalize:
-    def test_identity_and_sigma_z(self):
-        out = sdp.orthonormalize([np.eye(2, dtype=complex), SIGMA_Z], [1.0, 0.4])
-        s = np.sqrt(2.0)
-        assert np.abs(out.operators[0] - np.eye(2) / s).max() < 1e-14
-        assert np.abs(out.operators[1] - SIGMA_Z / s).max() < 1e-14
-        assert np.allclose(out.values, [1.0 / s, 0.4 / s])
+class TestGramSchmidt:
+    def test_dependent_consistent_row_dropped(self):
+        ops = [np.eye(2, dtype=complex), SIGMA_Z, 2.0 * SIGMA_Z]
+        vecs = np.stack([sdp._vec_h(a, 2) for a in ops])
+        kept, dependent = sdp._gram_schmidt(vecs, np.array([1.0, 0.4, 0.8]), 1e-10)
+        assert kept == [0, 1]
+        ((idx, w, mismatch),) = dependent
+        assert idx == 2
+        assert np.abs(w @ vecs).max() < 1e-14
+        assert abs(mismatch) < 1e-14
 
-    def test_already_orthonormal_is_identity_transform(self):
-        basis = list(matcore.hermitian_basis(2))
-        vals = [0.3, 0.1, -0.2, 0.5]
-        out = sdp.orthonormalize(basis, vals)
-        assert np.abs(out.transform - np.eye(4)).max() < 1e-12
-        assert np.allclose(out.values, vals)
-
-    def test_pauli_products_gram_identity(self):
-        eye, x, y, z = (
+    def test_pauli_products_all_kept(self):
+        paulis = (
             np.eye(2, dtype=complex),
             np.array([[0, 1], [1, 0]], dtype=complex),
             np.array([[0, -1j], [1j, 0]], dtype=complex),
             SIGMA_Z,
         )
-        ops = [matcore.kron(a, b) for a in (eye, x, y, z) for b in (eye, x, y, z)]
-        out = sdp.orthonormalize(ops, np.zeros(16) + 0.1)
-        gram = np.array(
-            [[matcore.hs_inner(a, b) for b in out.operators] for a in out.operators]
-        )
-        assert np.abs(gram - np.eye(16)).max() < 1e-12
-        assert abs(np.trace(out.operators[0]) - np.sqrt(4.0)) < 1e-12
-        for op in out.operators[1:]:
-            assert abs(np.trace(op)) < 1e-12
-
-    def test_dependent_consistent_value_dropped(self):
-        ops = [np.eye(2, dtype=complex), SIGMA_Z, 2.0 * SIGMA_Z]
-        out = sdp.orthonormalize(ops, [1.0, 0.4, 0.8])
-        assert out.dropped == (2,)
-        assert len(out.operators) == 2
-
-    def test_dependent_inconsistent_value_rejected(self):
-        ops = [np.eye(2, dtype=complex), SIGMA_Z, 2.0 * SIGMA_Z]
-        with pytest.raises(ValueError, match="conflicts"):
-            sdp.orthonormalize(ops, [1.0, 0.4, 0.5])
-
-    def test_requires_identity_first(self):
-        with pytest.raises(ValueError, match="identity"):
-            sdp.orthonormalize([SIGMA_Z, np.eye(2, dtype=complex)], [0.0, 1.0])
-
-    def test_transform_reproduces_operators(self, rng):
-        ops = [np.eye(3, dtype=complex)] + [random_hermitian(rng, 3) for _ in range(4)]
-        vals = rng.standard_normal(5)
-        out = sdp.orthonormalize(ops, vals)
-        for i, s in enumerate(out.operators):
-            rebuilt = sum(out.transform[i, j] * ops[j] for j in range(5))
-            assert np.abs(s - rebuilt).max() < 1e-10
+        ops = [matcore.kron(a, b) for a in paulis for b in paulis]
+        vecs = np.stack([sdp._vec_h(a, 4) for a in ops])
+        kept, dependent = sdp._gram_schmidt(vecs, np.zeros(16) + 0.1, 1e-10)
+        assert kept == list(range(16))
+        assert dependent == []
 
 
 class TestSolveAnalytic:
@@ -143,6 +112,14 @@ class TestSolveAgainstOracle:
             assert abs(lower - sol.primal_objective) <= 1e-4
 
 
+def assert_dual_coefficients(p1, constraints):
+    """The dual coefficients rebuild dual_z over the rows and pair with b to -t*."""
+    c = p1.dual_coefficients
+    rebuilt = sum(ci * a for ci, (a, _) in zip(c, constraints))
+    assert np.abs(rebuilt - p1.dual_z).max() <= 1e-10
+    assert float(c @ np.array([b for _, b in constraints])) == pytest.approx(-p1.t_star, abs=1e-8)
+
+
 class TestPhase1:
     def test_strictly_feasible_full_pin(self):
         basis = matcore.hermitian_basis(3)
@@ -181,17 +158,36 @@ class TestPhase1:
         z = p1.dual_z
         assert np.trace(z).real == pytest.approx(1.0, abs=1e-9)
         assert matcore.min_eigenvalue(z) >= -1e-9
+        assert_dual_coefficients(p1, cons)
         # on a feasible input the dual pairs with the certificate to -t_star
         feasible = sdp.phase1_min_t([cons[0], (cons[1][0], 0.3)], 2)
         assert matcore.hs_inner(feasible.dual_z, feasible.x) == pytest.approx(
             -feasible.t_star, abs=1e-8
         )
 
+    def test_dual_coefficients_on_random_rows(self, rng):
+        # feasible values come from a state; the others are arbitrary, so t* > 0
+        for trial in range(6):
+            d = int(rng.integers(2, 5))
+            ops = [np.eye(d, dtype=complex)] + [random_hermitian(rng, d) for _ in range(3)]
+            if trial % 2:
+                values = [1.0, *rng.standard_normal(3) * 3.0]
+            else:
+                rho = random_density(rng, d)
+                values = [matcore.hs_inner(a, rho) for a in ops]
+            cons = list(zip(ops, values))
+            p1 = sdp.phase1_min_t(cons, d)
+            assert p1.solution.status == sdp.STATUS_OPTIMAL
+            assert (p1.t_star > 0) == bool(trial % 2)
+            assert_dual_coefficients(p1, cons)
+
     def test_trace_only_dual_is_maximally_mixed(self):
         # no traceless row reaches the solver, so the dual is the objective 1/d
-        p1 = sdp.phase1_min_t([(np.eye(3, dtype=complex), 1.0)], 3)
+        cons = [(np.eye(3, dtype=complex), 1.0)]
+        p1 = sdp.phase1_min_t(cons, 3)
         assert p1.t_star == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert np.abs(p1.dual_z - np.eye(3) / 3.0).max() < 1e-15
+        assert_dual_coefficients(p1, cons)
 
 
 class TestInfeasibilityDetection:

@@ -105,6 +105,10 @@ class TestMomentMatrix:
         with pytest.raises(ValueError, match=r"j\(j\+1\) = 2\.000e-09 exceeds the tolerance 1\.0e-09"):
             MomentMatrix.from_matrix(20, m)
 
+    def test_from_matrix_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match=r"non-finite entries: M\[0\]\[0\]"):
+            MomentMatrix.from_matrix(4, np.diag([np.nan, 1.0, 2.0]))
+
     def test_from_matrix_rejects_non_hermitian(self):
         m = (2.0 / 3.0) * np.eye(3, dtype=complex)
         m[0, 1] = 0.2
