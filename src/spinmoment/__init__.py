@@ -20,7 +20,6 @@ from .spinalg import (
     spin_operators,
     standard_form,
     validate_algebra,
-    validate_moments,
 )
 from .reduction import (
     ReductionOperators,

@@ -346,6 +346,32 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
             mism += 1
     checks.append(("first-moment", mism == 0, f"60 samples at j=3/2, {mism} mismatches"))
 
+    # Early rejects carry closed-form witnesses; each must separate like an SDP one.
+    failing = []
+    z_dev = 0.0
+    for two_j in (4, 30, 62):
+        j = two_j / 2.0
+        long_l = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
+        long_l += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + 0.5]))
+        coords = reduction.RenormalizedCoords(u=np.zeros(3), v=np.array([1.02, -0.01, -0.01]), two_j=two_j)
+        ops = feasibility._moment_operator_set(two_j)[0]
+        for stage, raw in (("chi", long_l), ("reconstruct", reduction.moments_from_coords(coords).matrix)):
+            rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            rot *= np.linalg.det(rot)
+            mm = MomentMatrix.from_matrix(two_j, rot @ raw @ rot.T)
+            verdict = feasibility.classify(mm)
+            w = verdict.witness
+            dev = max(-matcore.min_eigenvalue(w.matrix), abs(np.trace(w.matrix).real - 1.0))
+            z_dev = max(z_dev, dev)
+            ok = (verdict.stage, verdict.t_star) == (stage, None) and dev <= 1e-9
+            ok &= np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
+            ok &= w.value < 0 and w.value == w.evaluate(feasibility._moment_values(mm))
+            ok &= feasibility.witness_search(mm).value < 0
+            if not ok:
+                failing.append(f"{stage} at 2j = {two_j}")
+    detail = f"chi and reconstruct rejects at 2j in 4, 30, 62, max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
+    checks.append(("early-witness", not failing, detail + "".join(f"; {f} failed" for f in failing)))
+
     return checks
 
 

@@ -2,18 +2,19 @@
 
 The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
-tests bracket it from both sides.  Every witness is the dual of that one
-phase-1 program, expanded over the measured operators
-(``Phase1Result.dual_coefficients``); no separate hyperplane program is
-solved and no second basis is built, so each decision costs at most one SDP
-and one Gram-Schmidt.  Inside
-``classify`` the outer test is carried by the 4x4 chi check, which is
-congruent to it; ``outer_test`` remains the standalone definition of T_j.
+tests bracket it from both sides.  An exact reject's witness is the dual of
+that one phase-1 program, expanded over the measured operators
+(``Phase1Result.dual_coefficients``), so it is optimal: value = -t*.  An
+early reject (chi or reconstruct) reads a valid, not optimal, witness off the
+negative eigenvector its stage already computed (``_eigenvector_witness``),
+with no SDP.  ``witness_search`` still solves the phase-1 program for the
+optimal hyperplane.  Inside ``classify`` the outer test is carried by the 4x4
+chi check, which is congruent to it; ``outer_test`` remains the standalone
+definition of T_j.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -94,8 +95,8 @@ class _StageLog:
 
 
 @lru_cache(maxsize=None)
-def _moment_operator_set(two_j: int) -> tuple[tuple[np.ndarray, ...], spinalg.SpinOperatorTriple]:
-    """Operators whose expectation values a moment matrix prescribes.
+def _moment_operator_set(two_j: int) -> tuple[np.ndarray, spinalg.SpinOperatorTriple]:
+    """Operators whose expectation values a moment matrix prescribes, stacked.
 
     Order matches _OP_LABELS: identity, the six symmetrized products
     (L_k L_l + L_l L_k)/2 for k <= l, then the three bare spin operators.
@@ -107,7 +108,7 @@ def _moment_operator_set(two_j: int) -> tuple[tuple[np.ndarray, ...], spinalg.Sp
         for l in range(k, 3):
             ops.append((ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0)
     ops.extend(ls)
-    return tuple(ops), triple
+    return np.stack(ops), triple
 
 
 def _moment_values(m: MomentMatrix) -> np.ndarray:
@@ -138,11 +139,6 @@ def _verdict_from_phase1(
     log: _StageLog,
     band: float = BOUNDARY_BAND,
 ) -> Verdict:
-    if p1.solution.status == sdp.STATUS_FAILURE:
-        raise ArithmeticError(f"SDP solver failed: {p1.solution.message}")
-    if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
-        log.add(stage, "infeasible-constraints")
-        return Verdict(STATUS_NON_QUANTUM, stage, math.inf, None, None, log.done())
     t = p1.t_star
     detail = f"t_star = {t:.3e}, {p1.solution.iterations} iterations, gap {p1.solution.gap:.0e}"
     if t > band:
@@ -168,12 +164,96 @@ def _dual_witness(p1: sdp.Phase1Result, values: np.ndarray, labels) -> Witness:
     return Witness(p1.dual_z, float(c @ values), c, tuple(labels))
 
 
+def _solve_phase1(ops, values: np.ndarray, dim: int) -> sdp.Phase1Result:
+    """Solve the phase-1 program over labelled operators to optimality.
+
+    Conflicting values of linearly dependent operators are an input error
+    (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
+    """
+    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+    if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
+        raise ValueError(
+            "the moment values conflict: a linearly dependent operator's value "
+            f"differs from the value the others imply ({p1.solution.message})"
+        )
+    if p1.dual_z is None:
+        raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
+    return p1
+
+
+def _value_matrix(values: np.ndarray) -> np.ndarray:
+    """The raw 3x3 moment matrix carried by labelled values (inverse of _moment_values)."""
+    m = np.zeros((3, 3), dtype=complex)
+    pos = 1
+    for k in range(3):
+        for l in range(k, 3):
+            m[k, l] = m[l, k] = values[pos]
+            pos += 1
+    return m + 1j * spinalg._antisym_from_moments(values[7:])
+
+
+# Early-reject stage matrices as maps of a raw moment matrix; both are affine.
+_EARLY_STAGE_MAPS = {
+    "chi": lambda two_j, mat: spinalg.chi_matrix(
+        MomentMatrix(two_j, mat, spinalg.extract_first_moments(mat))
+    ),
+    "reconstruct": lambda two_j, mat: reduction._solve_pair_operator(two_j, mat)[0],
+}
+
+
+@lru_cache(maxsize=None)
+def _early_witness_system(stage: str, two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F(e_i), tr A_i) over _OP_LABELS for an early-reject stage.
+
+    F(e_i) is the stage matrix's image of unit value vector i; the identity's
+    value is always 1, so F(e_0) carries the map's constant.
+    """
+    stage_map = _EARLY_STAGE_MAPS[stage]
+    const = stage_map(two_j, np.zeros((3, 3), dtype=complex))
+    images = [const] + [
+        stage_map(two_j, _value_matrix(e)) - const for e in np.eye(len(_OP_LABELS))[1:]
+    ]
+    ops = _moment_operator_set(two_j)[0]
+    return np.stack(images), np.einsum("iaa->i", ops).real
+
+
+def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Witness:
+    """Closed-form witness for a chi or reconstruct reject, with no SDP.
+
+    Both stage matrices are affine in the labelled values b, X(b) =
+    sum_i b_i F(e_i).  With v the eigenvector of X(b) for its most negative
+    eigenvalue, c_i = v^dag F(e_i) v, Z = sum_i c_i A_i / sum_i c_i tr A_i and
+    value = c.b / sum_i c_i tr A_i = lambda_min / sum_i c_i tr A_i < 0.
+
+    Z >= 0, for each stage:
+
+    - chi: chi_ab = <A_a A_b> over {1, L1, L2, L3}, so with B = sum_a v_a A_a,
+      sum_i c_i A_i = sum_ab conj(v_a) v_b A_a A_b = B^dag B >= 0.  It lies in
+      span{1, S_kl, L_m} because L_k L_l = S_kl + (i/2) eps_klm L_m, which is
+      exactly how chi's lower block carries S_kl and L_m.
+    - reconstruct: the moments fix the pair marginal P(X) of every Hermitian X
+      and the reconstruction recovers it, so rho(b(X)) = P(X) and
+      sum_i c_i tr(A_i X) = v^dag P(X) v = tr(P^dag(|v><v|) X).  Hence
+      sum_i c_i A_i = P^dag(|v><v|), which is PSD because P is completely
+      positive.
+
+    In both cases sum_i c_i tr A_i = tr(sum_i c_i A_i) > 0, so Z has unit
+    trace.  The witness is valid but not optimal: its value is not -t*.
+    """
+    images, traces = _early_witness_system(stage, m.two_j)
+    ops = _moment_operator_set(m.two_j)[0]
+    v = matcore.hermitian_eig(matrix)[1][:, 0]
+    c = np.einsum("a,iab,b->i", v.conj(), images, v).real
+    c = c / float(c @ traces)
+    return Witness(np.tensordot(c, ops, axes=1), float(c @ _moment_values(m)), c, _OP_LABELS)
+
+
 def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str, band: float) -> Verdict:
     """Solve the phase-1 program over labelled operators; a reject carries its dual."""
     log = _StageLog()
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+    p1 = _solve_phase1(ops, values, dim)
     verdict = _verdict_from_phase1(p1, stage, log, band)
-    if verdict.status == STATUS_NON_QUANTUM and p1.dual_z is not None:
+    if verdict.status == STATUS_NON_QUANTUM:
         return _rejected(stage, _dual_witness(p1, values, labels), log, verdict.t_star)
     return verdict
 
@@ -307,7 +387,7 @@ def exact_test_extension(
     ops, basis3 = _extension_constraint_ops(two_j)
     values = np.array([matcore.hs_inner(e, rho) for e in basis3])
     log = _StageLog()
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), two_j + 1)
+    p1 = _solve_phase1(ops, values, two_j + 1)
     verdict = _verdict_from_phase1(p1, "extension", log, band)
     if verdict.certificate_state is not None:
         spin_state = verdict.certificate_state[::-1, ::-1].copy()
@@ -333,7 +413,7 @@ def witness_search(m: MomentMatrix) -> Witness:
     """
     ops, triple = _moment_operator_set(m.two_j)
     values = _moment_values(m)
-    return _witness_from_ops(list(ops), values, triple.dim, _OP_LABELS)
+    return _dual_witness(_solve_phase1(ops, values, triple.dim), values, _OP_LABELS)
 
 
 def witness_for_first_moments(ell: np.ndarray, two_j: int) -> Witness:
@@ -342,20 +422,7 @@ def witness_for_first_moments(ell: np.ndarray, two_j: int) -> Witness:
     triple = spinalg.spin_operators(two_j)
     ops = [np.eye(triple.dim, dtype=complex)] + triple.as_list()
     values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
-    return _witness_from_ops(ops, values, triple.dim, _FIRST_MOMENT_LABELS)
-
-
-def _witness_from_ops(ops, values, dim, labels) -> Witness:
-    """Solve the phase-1 program over the labelled operators and return its dual."""
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
-    if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
-        raise ValueError(
-            "the moment values conflict: a linearly dependent operator's value "
-            f"differs from the value the others imply ({p1.solution.message})"
-        )
-    if p1.dual_z is None:
-        raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
-    return _dual_witness(p1, values, labels)
+    return _dual_witness(_solve_phase1(ops, values, triple.dim), values, _FIRST_MOMENT_LABELS)
 
 
 def moment_values_in_witness_basis(m: MomentMatrix, witness: Witness) -> np.ndarray:
@@ -382,9 +449,11 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
     Order: structural validation (done on construction), the 4x4 expectation
     value matrix precheck (chi, quick reject), reconstruction positivity, the
     PPT inner test (quick accept), then the decisive phase-1 SDP
-    (``exact_test_direct``).  Every rejection carries a witness read off a
-    phase-1 dual, the exact stage's own when it rejected, so no path solves
-    more than one SDP.
+    (``exact_test_direct``).  Every rejection carries a witness.  A chi or
+    reconstruct reject builds it in closed form from the stage's negative
+    eigenvector and solves no SDP; its ``t_star`` is None and its value is
+    not -t*.  An exact reject carries the dual of the exact stage's own
+    program, value -t*.  So no path solves more than one SDP.
 
     There is no separate outer (tau) stage: chi = D tau D with
     D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
@@ -409,14 +478,14 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
     chi_min = matcore.min_eigenvalue(chi)
     if chi_min < -tol:
         log.add("chi", "reject", f"min eigenvalue {chi_min:.3e}")
-        return _rejected("chi", witness_search(m), log)
+        return _rejected("chi", _eigenvector_witness("chi", chi, m), log)
     log.add("chi", "pass", f"min eigenvalue {chi_min:.3e}")
 
     rho = reduction.reconstruct_rho(m)
     rho_min = matcore.min_eigenvalue(rho)
     if rho_min < -tol:
         log.add("reconstruct", "reject", f"min eigenvalue {rho_min:.3e}")
-        return _rejected("reconstruct", witness_search(m), log)
+        return _rejected("reconstruct", _eigenvector_witness("reconstruct", rho, m), log)
     log.add("reconstruct", "pass", f"min eigenvalue {rho_min:.3e}")
 
     if reduction.ppt_inner_test(rho, tol=tol):

@@ -165,6 +165,18 @@ def _reconstruction_system(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return a, offset, pinv
 
 
+def _solve_pair_operator(two_j: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares pair operator for a raw 3x3 moment matrix, and the
+    residual of its 9 equations; affine in the matrix and unchecked."""
+    a, offset, pinv = _reconstruction_system(two_j)
+    rhs = _moment_rhs(matrix) - offset
+    x = pinv @ rhs
+    basis = matcore.hermitian_basis(3)[1:]
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho += np.einsum("r,rkl->kl", x, basis)
+    return (rho + rho.conj().T) / 2.0, a @ x - rhs
+
+
 def reconstruct_rho(m: MomentMatrix, residual_tol: float = 1e-8) -> np.ndarray:
     """Reconstruct the unique symmetric two-qubit operator matching all moments.
 
@@ -172,10 +184,7 @@ def reconstruct_rho(m: MomentMatrix, residual_tol: float = 1e-8) -> np.ndarray:
     itself certifies that no quantum state produces these moments.
     """
     two_j = _require_j_ge_1(m.two_j)
-    a, offset, pinv = _reconstruction_system(two_j)
-    rhs = _moment_rhs(m.matrix) - offset
-    x = pinv @ rhs
-    resid = a @ x - rhs
+    rho, resid = _solve_pair_operator(two_j, m.matrix)
     worst = int(np.argmax(np.abs(resid)))
     if abs(resid[worst]) > residual_tol:
         k, l = _EQ_PAIRS[worst if worst < 3 else 3 + (worst - 3) // 2]
@@ -183,10 +192,7 @@ def reconstruct_rho(m: MomentMatrix, residual_tol: float = 1e-8) -> np.ndarray:
             f"moment matrix is inconsistent with any reduced state: residual "
             f"{resid[worst]:.3e} on the M[{k},{l}] condition"
         )
-    basis = matcore.hermitian_basis(3)[1:]
-    rho = np.eye(3, dtype=complex) / 3.0
-    rho += np.einsum("r,rkl->kl", x, basis)
-    return (rho + rho.conj().T) / 2.0
+    return rho
 
 
 def renormalized_coords(m: MomentMatrix) -> RenormalizedCoords:

@@ -187,11 +187,6 @@ def moment_matrix(rho: np.ndarray, triple: SpinOperatorTriple, psd_tol: float = 
     return MomentMatrix.from_matrix(triple.two_j, m)
 
 
-def validate_moments(two_j: int, matrix: np.ndarray, tol: float = CASIMIR_TOL) -> MomentMatrix:
-    """Structural validation of a raw 3x3 complex moment matrix."""
-    return MomentMatrix.from_matrix(two_j, matrix, tol=tol)
-
-
 def chi_matrix(m: MomentMatrix) -> np.ndarray:
     """4x4 expectation value matrix over the basis {1, L1, L2, L3}.
 

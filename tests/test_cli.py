@@ -402,6 +402,20 @@ class TestValidateCommand:
         assert rc == 1
         assert "[FAIL] witness-duality" in capsys.readouterr().out
 
+    def test_early_witness_suite_catches_flipped_sign(self, capsys, monkeypatch):
+        from spinmoment import feasibility
+
+        real = feasibility._eigenvector_witness
+
+        def flipped(*args):
+            w = real(*args)
+            return feasibility.Witness(-w.matrix, -w.value, -w.op_coefficients, w.op_labels)
+
+        monkeypatch.setattr(feasibility, "_eigenvector_witness", flipped)
+        rc = cli.main(["validate", "--j-max", "4"])
+        assert rc == 1
+        assert "[FAIL] early-witness" in capsys.readouterr().out
+
     def test_injected_fault_goes_red(self, capsys):
         rc = cli.main(["validate", "--j-max", "4", "--inject-fault"])
         captured = capsys.readouterr()

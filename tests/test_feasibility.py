@@ -439,10 +439,10 @@ class TestOneSdpPerDecision:
             ),
             "inner", STATUS_QUANTUM, 0,
         ),
-        "chi-reject": (long_first_moment_moments, "chi", STATUS_NON_QUANTUM, 1),
+        "chi-reject": (long_first_moment_moments, "chi", STATUS_NON_QUANTUM, 0),
         "reconstruct-reject": (
             lambda tj: coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], tj),
-            "reconstruct", STATUS_NON_QUANTUM, 1,
+            "reconstruct", STATUS_NON_QUANTUM, 0,
         ),
         "exact-accept": (dicke_mixture_moments, "exact", STATUS_QUANTUM, 1),
         "exact-reject": (lambda tj: dicke_zero_moments(tj, 0.1), "exact", STATUS_NON_QUANTUM, 1),
@@ -509,6 +509,58 @@ class TestOneSdpPerDecision:
         rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
         assert np.abs(rebuilt - w.matrix).max() <= 1e-8
         assert [r.name for r in v.tests_run] == ["exact", "witness"]
+
+
+class TestEarlyRejectWitness:
+    # (moments builder, stage it rejects at): v1 > 1 leaves chi PSD, but at
+    # 2j >= 30 the v = (1.2, -0.1, -0.1) point has <L2^2> < 0 and fails chi first
+    BUILDERS = (
+        (long_first_moment_moments, lambda tj: "chi"),
+        (
+            lambda tj: coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], tj),
+            lambda tj: "reconstruct" if tj <= 10 else "chi",
+        ),
+        (lambda tj: coords_matrix([0, 0, 0], [1.02, -0.01, -0.01], tj), lambda tj: "reconstruct"),
+    )
+
+    @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 30, 62])
+    def test_closed_form_witness_separates(self, two_j):
+        rng = np.random.default_rng(900 + two_j)
+        ops, _ = feasibility._moment_operator_set(two_j)
+        for build, stage_at in self.BUILDERS:
+            for _ in range(2):
+                rot = random_so3(rng)
+                m = build(two_j)
+                m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
+                v = feasibility.classify(m)
+                assert (v.stage, v.status, v.t_star) == (stage_at(two_j), STATUS_NON_QUANTUM, None)
+                w = v.witness
+                assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+                assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+                rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
+                assert np.abs(rebuilt - w.matrix).max() <= 1e-8
+                assert w.value < 0
+                assert w.value == w.evaluate(feasibility._moment_values(m))
+                assert feasibility.witness_search(m).value < 0
+
+
+class TestConflictingValues:
+    # at j = 1/2 every L_k^2 is 1/4, so unequal diagonal moments conflict
+    M = MomentMatrix.from_matrix(1, np.diag([0.3, 0.25, 0.2]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "decide", [feasibility.exact_test_direct, feasibility.witness_search, feasibility.classify]
+    )
+    def test_every_entry_point_raises(self, decide):
+        with pytest.raises(ValueError):
+            decide(self.M)
+
+    def test_direct_and_witness_give_the_same_error(self):
+        with pytest.raises(ValueError, match="conflict") as direct:
+            feasibility.exact_test_direct(self.M)
+        with pytest.raises(ValueError) as witness:
+            feasibility.witness_search(self.M)
+        assert str(direct.value) == str(witness.value)
 
 
 class TestSpinHalfRouting:
