@@ -6,9 +6,7 @@ from .matcore import (
     is_psd,
     kron,
     min_eigenvalue,
-    partial_trace,
     partial_transpose_b,
-    symmetric_isometry,
 )
 from .spinalg import (
     MomentMatrix,

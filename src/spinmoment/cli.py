@@ -322,18 +322,23 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
     # The witness comes from the direct program, t* from the independent extension program.
     worst = z_dev = 0.0
     tested = 0
-    for v in ((1.1, -0.05), (1.3, -0.2), (-0.4, 0.8)):
-        coords = reduction.RenormalizedCoords(
-            u=np.zeros(3), v=np.array([v[0], v[1], 1.0 - v[0] - v[1]]), two_j=4
-        )
-        mm = reduction.moments_from_coords(coords)
-        verdict = feasibility.exact_test_extension(reduction.reconstruct_rho(mm), 4)
-        if verdict.status == feasibility.STATUS_NON_QUANTUM:
-            w = feasibility.witness_search(mm)
-            worst = max(worst, abs(w.value + verdict.t_star))
-            z_dev = max(z_dev, -matcore.min_eigenvalue(w.matrix), abs(np.trace(w.matrix).real - 1.0))
-            tested += 1
-    detail = f"{tested} points, max |value + t*| = {worst:.2e}, max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
+    for two_j in (4, 30, 62):
+        for v in ((1.1, -0.05), (1.3, -0.2), (-0.4, 0.8)):
+            coords = reduction.RenormalizedCoords(
+                u=np.zeros(3), v=np.array([v[0], v[1], 1.0 - v[0] - v[1]]), two_j=two_j
+            )
+            mm = reduction.moments_from_coords(coords)
+            verdict = feasibility.exact_test_extension(reduction.reconstruct_rho(mm), two_j)
+            if verdict.status == feasibility.STATUS_NON_QUANTUM:
+                w = feasibility.witness_search(mm)
+                worst = max(worst, abs(w.value + verdict.t_star))
+                tr_dev = abs(np.trace(w.matrix).real - 1.0)
+                z_dev = max(z_dev, -matcore.min_eigenvalue(w.matrix), tr_dev)
+                tested += 1
+    detail = (
+        f"{tested} points at 2j in 4, 30, 62, max |value + t*| = {worst:.2e}, "
+        f"max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
+    )
     checks.append(("witness-duality", tested > 0 and worst < 1e-6 and z_dev <= 1e-9, detail))
 
     mism = 0

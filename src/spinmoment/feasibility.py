@@ -7,10 +7,10 @@ that one phase-1 program, expanded over the measured operators
 (``Phase1Result.dual_coefficients``), so it is optimal: value = -t*.  An
 early reject (chi or reconstruct) reads a valid, not optimal, witness off the
 negative eigenvector its stage already computed (``_eigenvector_witness``),
-with no SDP.  ``witness_search`` still solves the phase-1 program for the
-optimal hyperplane.  Inside ``classify`` the outer test is carried by the 4x4
-chi check, which is congruent to it; ``outer_test`` remains the standalone
-definition of T_j.
+with no SDP, and stands only when that witness separates.  ``witness_search``
+still solves the phase-1 program for the optimal hyperplane.  Inside
+``classify`` the outer test is carried by the 4x4 chi check, which is
+congruent to it; ``outer_test`` remains the standalone definition of T_j.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ STATUS_BOUNDARY = "boundary"
 
 _OP_LABELS = ("I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3")
 _FIRST_MOMENT_LABELS = ("I", "L1", "L2", "L3")
+_EXTENSION_LABELS = tuple(f"E{r}" for r in range(9))
 
 
 @dataclass(frozen=True)
@@ -339,46 +340,44 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int, band: float = BOUNDARY
 
 
 @lru_cache(maxsize=None)
-def _extension_constraint_ops(two_j: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Adjoint of the two-qubit marginal map against a Hermitian basis.
+def _extension_constraint_ops(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_r = P^dag(E_r) for the pair marginal P of a 2j-qubit symmetric state.
 
-    Each operator K_r acts on the (2j+1)-dimensional symmetric coordinates and
-    satisfies <K_r, W> = <E_r, marginal(V W V^dag)> for the orthonormal 3x3
-    basis E_r; the identity element makes the trace constraint explicit.
+    E_r = ``matcore.hermitian_basis(3)`` on the symmetric pair basis; K_r acts
+    on the spin basis and satisfies <K_r, W> = <E_r, P(W)> for every W.  With
+    n = 2j, splitting each Dicke state into pair and rest gives the entry
+    (a, b) of P(|D_n^k><D_n^l|) as delta_{k-a, l-b} C(n-2, k-a)
+    sqrt(C(2,a) C(2,b) / (C(n,k) C(n,l))).  With s = k - a this is
+    sqrt(g_a(s) g_b(s)) for the hypergeometric weights
+    g_a(s) = C(2,a) C(n-2,s) / C(n,s+a), each a ratio of two-term products.
+    Weight k sits at spin index n - k, so the K_r need no reordering and
+    take O(n) memory.  E_0 = 1/sqrt(3) makes the trace constraint explicit.
     """
     n = two_j
-    v = matcore.symmetric_isometry(n)
-    v2 = matcore.symmetric_isometry(2)
-    rest = 1 << (n - 2)
-    cols = v.reshape(4, rest, n + 1)
+    s = np.arange(n - 1.0)
+    g = np.stack([(n - s) * (n - s - 1), 2 * (s + 1) * (n - s - 1), (s + 1) * (s + 2)])
+    g /= n * (n - 1)
     basis3 = matcore.hermitian_basis(3)
-    ops = []
-    for e in basis3:
-        a4 = v2 @ e @ v2.conj().T
-        lifted = np.einsum("ab,brd->ard", a4, cols).reshape(4 * rest, n + 1)
-        k = v.conj().T @ lifted
-        ops.append((k + k.conj().T) / 2.0)
-    return tuple(ops), basis3
+    ops = np.zeros((9, n + 1, n + 1), dtype=complex)
+    top = n - np.arange(n - 1)
+    for a in range(3):
+        for b in range(3):
+            ops[:, top - a, top - b] += np.outer(basis3[:, a, b], np.sqrt(g[a] * g[b]))
+    return ops, basis3
 
 
-def exact_test_extension(
-    rho: np.ndarray,
-    two_j: int,
-    band: float = BOUNDARY_BAND,
-    cap: int = 12,
-) -> Verdict:
+def exact_test_extension(rho: np.ndarray, two_j: int, band: float = BOUNDARY_BAND) -> Verdict:
     """Membership of a symmetric two-qubit state in the extendible set.
 
     Searches for a 2j-qubit Bose-symmetric state whose pair marginal equals
-    rho, working entirely in the (2j+1)-dimensional symmetric coordinates.
-    The returned certificate is the extension, reordered to the spin basis.
+    rho, in the (2j+1)-dimensional spin basis: the phase-1 program constrains
+    <K_r, X> = <E_r, rho> over the closed-form marginal adjoints of
+    ``_extension_constraint_ops``.  The certificate is the extension itself;
+    a reject's witness is the program's dual over the labelled E_r, whose
+    coefficients give the 3x3 pair operator W = sum_r c_r E_r with
+    <W, rho> = -t*.  The SDP's ``dim_cap`` is the only size limit.
     """
     two_j = reduction._require_j_ge_1(two_j)
-    if two_j > cap:
-        raise ValueError(
-            f"2j = {two_j} exceeds the {cap}-qubit embedding cap; "
-            "use exact_test_direct on the corresponding moment matrix instead"
-        )
     rho = matcore.hermitize(np.asarray(rho, dtype=complex), tol=1e-10)
     if rho.shape != (3, 3):
         raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")
@@ -386,13 +385,7 @@ def exact_test_extension(
         raise ValueError("reduced state must have unit trace")
     ops, basis3 = _extension_constraint_ops(two_j)
     values = np.array([matcore.hs_inner(e, rho) for e in basis3])
-    log = _StageLog()
-    p1 = _solve_phase1(ops, values, two_j + 1)
-    verdict = _verdict_from_phase1(p1, "extension", log, band)
-    if verdict.certificate_state is not None:
-        spin_state = verdict.certificate_state[::-1, ::-1].copy()
-        verdict = replace(verdict, certificate_state=spin_state)
-    return verdict
+    return _phase1_verdict(ops, values, two_j + 1, _EXTENSION_LABELS, "extension", band)
 
 
 def outer_test(m: MomentMatrix, tol: float = matcore.PSD_TOL) -> bool:
@@ -443,6 +436,16 @@ def _validate_half_spin_structure(m: MomentMatrix, tol: float = 1e-9) -> None:
         )
 
 
+def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, tol: float, log: _StageLog):
+    """Eigen-test a chi or reconstruct matrix; below -tol, return its closed-form witness."""
+    lam = matcore.min_eigenvalue(matrix)
+    if lam >= -tol:
+        log.add(stage, "pass", f"min eigenvalue {lam:.3e}")
+        return None
+    log.add(stage, "reject", f"min eigenvalue {lam:.3e}")
+    return _eigenvector_witness(stage, matrix, m)
+
+
 def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDARY_BAND) -> Verdict:
     """Full decision pipeline with cheap early exits.
 
@@ -450,9 +453,13 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
     value matrix precheck (chi, quick reject), reconstruction positivity, the
     PPT inner test (quick accept), then the decisive phase-1 SDP
     (``exact_test_direct``).  Every rejection carries a witness.  A chi or
-    reconstruct reject builds it in closed form from the stage's negative
-    eigenvector and solves no SDP; its ``t_star`` is None and its value is
-    not -t*.  An exact reject carries the dual of the exact stage's own
+    reconstruct stage (at j = 1/2, the first-moment stage, with chi's
+    witness) builds it in closed form from the stage's negative eigenvector
+    and solves no SDP; its ``t_star`` is None and its value is not -t*.  Such
+    an early reject stands only when the witness value is below -band.  A
+    valid witness has value >= -t*, so the exact test would reject too;
+    otherwise the input is within the band of the boundary and the exact
+    stage decides.  An exact reject carries the dual of the exact stage's own
     program, value -t*.  So no path solves more than one SDP.
 
     There is no separate outer (tau) stage: chi = D tau D with
@@ -469,29 +476,23 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
         log.add("structure", "pass", "second moments forced at j=1/2")
         inner = first_moment_test(m.first_moments, m.two_j)
         log.records.extend(inner.tests_run)
-        if inner.status == STATUS_NON_QUANTUM:
-            witness = witness_for_first_moments(m.first_moments, m.two_j)
-            return _rejected("first-moment", witness, log)
-        return Verdict(inner.status, "first-moment", None, inner.certificate_state, None, log.done())
-
-    chi = spinalg.chi_matrix(m)
-    chi_min = matcore.min_eigenvalue(chi)
-    if chi_min < -tol:
-        log.add("chi", "reject", f"min eigenvalue {chi_min:.3e}")
-        return _rejected("chi", _eigenvector_witness("chi", chi, m), log)
-    log.add("chi", "pass", f"min eigenvalue {chi_min:.3e}")
-
-    rho = reduction.reconstruct_rho(m)
-    rho_min = matcore.min_eigenvalue(rho)
-    if rho_min < -tol:
-        log.add("reconstruct", "reject", f"min eigenvalue {rho_min:.3e}")
-        return _rejected("reconstruct", _eigenvector_witness("reconstruct", rho, m), log)
-    log.add("reconstruct", "pass", f"min eigenvalue {rho_min:.3e}")
-
-    if reduction.ppt_inner_test(rho, tol=tol):
-        log.add("inner", "accept", "reduced state is PPT, hence separable")
-        return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
-    log.add("inner", "undecided", "reduced state is entangled")
+        if inner.status != STATUS_NON_QUANTUM:
+            return Verdict(inner.status, "first-moment", None, inner.certificate_state, None, log.done())
+        witness = _eigenvector_witness("chi", spinalg.chi_matrix(m), m)
+    else:
+        witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, tol, log)
+        if witness is None:
+            rho = reduction.reconstruct_rho(m)
+            witness = _eigen_stage("reconstruct", rho, m, tol, log)
+        if witness is None:
+            if reduction.ppt_inner_test(rho, tol=tol):
+                log.add("inner", "accept", "reduced state is PPT, hence separable")
+                return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
+            log.add("inner", "undecided", "reduced state is entangled")
+    if witness is not None:
+        if witness.value < -band:
+            return _rejected(log.records[-1].name, witness, log)
+        log.add("witness", "inside band", f"value = {witness.value:.3e}; the exact stage decides")
 
     exact = exact_test_direct(m, band)
     log.records.extend(exact.tests_run)

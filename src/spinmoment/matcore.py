@@ -72,42 +72,6 @@ def partial_transpose_b(x: np.ndarray) -> np.ndarray:
     return x.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def partial_trace(x: np.ndarray, dims: tuple[int, int], keep: int | str) -> np.ndarray:
-    """Trace out one factor of a bipartite operator on C^dA (x) C^dB.
-
-    ``keep`` selects the surviving subsystem: 0/"A" or 1/"B".
-    """
-    da, db = int(dims[0]), int(dims[1])
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (da * db, da * db):
-        raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
-    t = x.reshape(da, db, da, db)
-    if keep in (0, "A", "a"):
-        return np.einsum("ikjk->ij", t)
-    if keep in (1, "B", "b"):
-        return np.einsum("kikj->ij", t)
-    raise ValueError(f"keep must be 0/'A' or 1/'B', got {keep!r}")
-
-
-def symmetric_isometry(n: int, cap: int = 12) -> np.ndarray:
-    """Isometry from C^(n+1) onto the permutation-symmetric subspace of n qubits.
-
-    Column m is the normalized sum of all computational basis vectors of
-    Hamming weight m, so V^dag V = I_(n+1).  ``cap`` bounds the 2^n memory.
-    """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the configured memory cap of {cap} qubits")
-    dim = 1 << n
-    v = np.zeros((dim, n + 1), dtype=complex)
-    weights = np.array([bin(i).count("1") for i in range(dim)])
-    for m in range(n + 1):
-        hits = weights == m
-        v[hits, m] = 1.0 / math.sqrt(int(hits.sum()))
-    return v
-
-
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis of d x d matrices, identity-first.
 

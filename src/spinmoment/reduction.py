@@ -27,6 +27,10 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Fundamental generators in the |1> = spin-up labeling.
 _QUBIT_GENERATORS = (_PAULI_X / 2.0, -_PAULI_Y / 2.0, -_PAULI_Z / 2.0)
 
+# Isometry from the symmetric pair basis into C^2 (x) C^2.
+_S = 1.0 / math.sqrt(2.0)
+_PAIR_ISOMETRY = np.array([[1, 0, 0], [0, _S, 0], [0, _S, 0], [0, 0, 1]], dtype=complex)
+
 
 def _require_j_ge_1(two_j: int) -> int:
     two_j = _check_two_j(two_j)
@@ -70,15 +74,10 @@ class RenormalizedCoords:
 
 
 @lru_cache(maxsize=None)
-def _symmetric_pair_isometry() -> np.ndarray:
-    return matcore.symmetric_isometry(2)
-
-
-@lru_cache(maxsize=None)
 def reduction_operators(two_j: int) -> ReductionOperators:
     """Build (and cache) the reduction operators for total spin j = two_j/2."""
     two_j = _require_j_ge_1(two_j)
-    v2 = _symmetric_pair_isometry()
+    v2 = _PAIR_ISOMETRY
     eye = np.eye(2, dtype=complex)
     q = _QUBIT_GENERATORS
     lam1 = tuple(
@@ -93,31 +92,6 @@ def reduction_operators(two_j: int) -> ReductionOperators:
             row.append(v2.conj().T @ op @ v2)
         lam2.append(tuple(row))
     return ReductionOperators(two_j=two_j, lam1=lam1, lam2=tuple(lam2))
-
-
-def spin_to_weight_basis(rho: np.ndarray) -> np.ndarray:
-    """Reorder a spin-basis operator (m descending) to Hamming-weight order."""
-    rho = np.asarray(rho, dtype=complex)
-    return rho[::-1, ::-1].copy()
-
-
-def embed_symmetric_state(w: np.ndarray, n: int, cap: int = 12) -> np.ndarray:
-    """Embed an operator given in symmetric coordinates into the n-qubit space."""
-    v = matcore.symmetric_isometry(n, cap=cap)
-    return v @ np.asarray(w, dtype=complex) @ v.conj().T
-
-
-def reduce_to_pair(omega: np.ndarray, n: int) -> np.ndarray:
-    """Two-qubit marginal of an n-qubit symmetric state, in the symmetric basis."""
-    if n < 2:
-        raise ValueError("need at least two qubits")
-    omega = np.asarray(omega, dtype=complex)
-    if n == 2:
-        pair = omega
-    else:
-        pair = matcore.partial_trace(omega, (4, 1 << (n - 2)), keep=0)
-    v2 = _symmetric_pair_isometry()
-    return v2.conj().T @ pair @ v2
 
 
 # Equation layout for the 9 real moment conditions: three diagonals, then
@@ -266,6 +240,9 @@ def ppt_inner_test(rho: np.ndarray, tol: float = matcore.PSD_TOL) -> bool:
         raise ValueError(f"expected a 3x3 symmetric-basis operator, got {rho.shape}")
     if matcore.min_eigenvalue(rho) < -tol:
         return False
-    v2 = _symmetric_pair_isometry()
-    embedded = v2 @ rho @ v2.conj().T
-    return matcore.is_psd(matcore.partial_transpose_b(embedded), tol=tol)
+    return matcore.is_psd(_partial_transpose(rho), tol=tol)
+
+
+def _partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Partial transpose of a symmetric-basis operator embedded in C^2 (x) C^2."""
+    return matcore.partial_transpose_b(_PAIR_ISOMETRY @ rho @ _PAIR_ISOMETRY.conj().T)

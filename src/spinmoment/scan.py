@@ -94,11 +94,10 @@ def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool, 
 def _slice_maps(two_j: int, u: np.ndarray):
     """(c0, d1, d2) for each of rho, PT(V rho V^dag) and tau, which are affine in
     (v1, v2) at fixed u: a cell's matrix is c0 + v1 d1 + v2 d2."""
-    iso = reduction._symmetric_pair_isometry()
     corners = []
     for v1, v2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
         rho = reduction.reconstruct_rho(_moments(two_j, u, v1, v2))
-        pt = matcore.hermitize(matcore.partial_transpose_b(iso @ rho @ iso.conj().T), tol=1e-10)
+        pt = matcore.hermitize(reduction._partial_transpose(rho), tol=1e-10)
         corners.append((rho, pt, reduction.tau(rho, two_j)))
     return [(c0, c1 - c0, c2 - c0) for c0, c1, c2 in zip(*corners)]
 

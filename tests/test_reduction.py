@@ -5,12 +5,8 @@ from spinmoment import matcore, reduction, spinalg
 from spinmoment.reduction import RenormalizedCoords
 from spinmoment.spinalg import MomentMatrix
 
+import symmetric_oracle
 from conftest import highest_weight_state, moments_of_pair_state, random_density
-
-
-def embed_spin_state(rho_spin, two_j):
-    w = reduction.spin_to_weight_basis(rho_spin)
-    return reduction.embed_symmetric_state(w, two_j)
 
 
 class TestReductionOperators:
@@ -23,8 +19,8 @@ class TestReductionOperators:
     def test_cross_check_against_moment_matrix(self, two_j):
         t = spinalg.spin_operators(two_j)
         m = spinalg.moment_matrix(highest_weight_state(two_j), t)
-        omega = embed_spin_state(highest_weight_state(two_j), two_j)
-        rho3 = reduction.reduce_to_pair(omega, two_j)
+        omega = symmetric_oracle.embed_spin_state(highest_weight_state(two_j), two_j)
+        rho3 = symmetric_oracle.pair_marginal(omega, two_j)
         ops = reduction.reduction_operators(two_j)
         for k in range(3):
             for l in range(3):
@@ -60,8 +56,8 @@ class TestLinearityConsistency:
         ops = reduction.reduction_operators(two_j)
         for _ in range(200):
             rho_spin = random_density(rng, two_j + 1)
-            omega = embed_spin_state(rho_spin, two_j)
-            rho3 = reduction.reduce_to_pair(omega, two_j)
+            omega = symmetric_oracle.embed_spin_state(rho_spin, two_j)
+            rho3 = symmetric_oracle.pair_marginal(omega, two_j)
             for k, l in ((0, 0), (0, 1), (1, 2), (2, 2)):
                 direct = np.trace(ls[k] @ ls[l] @ rho_spin)
                 reduced = np.trace(ops.lam2[k][l] @ rho3)
@@ -79,8 +75,8 @@ class TestReconstruct:
         assert np.abs(coords.u).max() < 1e-12
         assert np.allclose(coords.v, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
         if two_j == 4:
-            omega = embed_spin_state(np.eye(d, dtype=complex) / d, two_j)
-            direct = reduction.reduce_to_pair(omega, two_j)
+            omega = symmetric_oracle.embed_spin_state(np.eye(d, dtype=complex) / d, two_j)
+            direct = symmetric_oracle.pair_marginal(omega, two_j)
             assert np.abs(rho - direct).max() < 1e-10
 
     def test_j_independence_of_reconstruction(self):
@@ -110,7 +106,8 @@ class TestReconstruct:
             rho_spin = random_density(rng, two_j + 1)
             m = spinalg.moment_matrix(rho_spin, t)
             rec = reduction.reconstruct_rho(m)
-            direct = reduction.reduce_to_pair(embed_spin_state(rho_spin, two_j), two_j)
+            omega = symmetric_oracle.embed_spin_state(rho_spin, two_j)
+            direct = symmetric_oracle.pair_marginal(omega, two_j)
             assert np.abs(rec - direct).max() < 1e-8
 
     def test_rejects_casimir_violation(self):
@@ -242,7 +239,7 @@ class TestPptInnerTest:
         bell = np.zeros((3, 3), dtype=complex)
         bell[0, 0] = bell[2, 2] = bell[0, 2] = bell[2, 0] = 0.5
         assert not reduction.ppt_inner_test(bell)
-        v2 = matcore.symmetric_isometry(2)
+        v2 = symmetric_oracle.symmetric_isometry(2)
         gamma = matcore.partial_transpose_b(v2 @ bell @ v2.conj().T)
         vals, _ = matcore.hermitian_eig(gamma)
         assert vals[0] == pytest.approx(-0.5, abs=1e-12)
@@ -250,9 +247,16 @@ class TestPptInnerTest:
     def test_maximally_mixed_symmetric_is_ppt(self):
         rho = np.eye(3, dtype=complex) / 3.0
         assert reduction.ppt_inner_test(rho)
-        v2 = matcore.symmetric_isometry(2)
+        v2 = symmetric_oracle.symmetric_isometry(2)
         gamma = matcore.partial_transpose_b(v2 @ rho @ v2.conj().T)
         assert matcore.min_eigenvalue(gamma) > 1e-3
+
+    def test_shared_partial_transpose_matches_oracle_embedding(self, rng):
+        v2 = symmetric_oracle.symmetric_isometry(2)
+        for _ in range(5):
+            rho = random_density(rng, 3)
+            expected = matcore.partial_transpose_b(v2 @ rho @ v2.conj().T)
+            assert np.abs(reduction._partial_transpose(rho) - expected).max() < 1e-15
 
     def test_non_psd_input_fails(self):
         rho = np.diag([0.7, 0.5, -0.2]).astype(complex)
