@@ -29,7 +29,7 @@ from .reduction import (
     renormalized_coords,
     tau,
 )
-from .sdp import SdpProblem, SdpSolution, phase1_min_t, solve
+from .sdp import SdpSolution, phase1_min_t
 from .feasibility import (
     Verdict,
     Witness,

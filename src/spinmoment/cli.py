@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -44,6 +45,8 @@ def parse_spin(text: str) -> int:
         two_j = int(num)
     else:
         j = float(text)
+        if not math.isfinite(j):
+            raise MomentFileError(f"spin must be finite, got {text!r}")
         two_j = round(2 * j)
         if abs(2 * j - two_j) > 1e-9:
             raise MomentFileError(f"spin {text!r} is not an integer or half-integer")
@@ -211,7 +214,7 @@ def cmd_witness(args) -> int:
 
 def cmd_scan(args) -> int:
     try:
-        two_j = args.two_j if args.two_j else parse_spin(args.j)
+        two_j = args.two_j if args.two_j is not None else parse_spin(args.j)
         u = np.array([float(x) for x in args.u.split(",")])
         if u.shape != (3,):
             raise MomentFileError("--u needs three comma-separated numbers")
@@ -270,32 +273,25 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
         )
     )
 
+    # Phase-1 programs with known t*: <e00> = -1 at unit trace needs t* = 1,
+    # and the full pin at I/3 has t* = -1/3.
+    e00 = np.diag([1.0, 0.0]).astype(complex)
+    corner = [(np.eye(2, dtype=complex), 1.0), (e00, -1.0)]
+    basis = matcore.hermitian_basis(3)
+    pin = [(b, matcore.hs_inner(b, np.eye(3, dtype=complex) / 3.0)) for b in basis]
     analytic_ok = True
     detail = []
-    prob = sdp.SdpProblem.build(
-        2, np.eye(2, dtype=complex), [(np.diag([1.0, 0.0]).astype(complex), 1.0)]
-    )
-    sol = sdp.solve(prob)
-    analytic_ok &= sol.status == sdp.STATUS_OPTIMAL and abs(sol.primal_objective - 1.0) < 1e-7
-    detail.append(f"min tr: {sol.primal_objective:.9f}")
-    prob = sdp.SdpProblem.build(
-        2, np.diag([1.0, 2.0]).astype(complex), [(np.eye(2, dtype=complex), 1.0)]
-    )
-    sol = sdp.solve(prob)
-    analytic_ok &= sol.status == sdp.STATUS_OPTIMAL and abs(sol.primal_objective - 1.0) < 1e-7
-    detail.append(f"eig-min: {sol.primal_objective:.9f}")
-    basis = matcore.hermitian_basis(3)
-    constraints = [(b, matcore.hs_inner(b, np.eye(3, dtype=complex) / 3.0)) for b in basis]
-    p1 = sdp.phase1_min_t(constraints, 3)
-    analytic_ok &= abs(p1.t_star + 1.0 / 3.0) < 1e-6
-    detail.append(f"phase1(I/3): t* = {p1.t_star:.9f}")
+    programs = (("<e00> = -1", corner, 2, 1.0), ("pin I/3", pin, 3, -1.0 / 3.0))
+    for name, constraints, dim, expected in programs:
+        p1 = sdp.phase1_min_t(constraints, dim)
+        ok = p1.solution.status == sdp.STATUS_OPTIMAL and abs(p1.t_star - expected) < 1e-7
+        analytic_ok &= ok
+        detail.append(f"{name}: t* = {p1.t_star:.9f}")
     checks.append(("sdp-analytic", analytic_ok, "; ".join(detail)))
 
-    sol_a = sdp.solve(prob)
-    sol_b = sdp.solve(prob)
-    same = sol_a.iterations == sol_b.iterations and all(
-        a == b for a, b in zip(sol_a.iterate_log, sol_b.iterate_log)
-    )
+    sol_a = sdp.phase1_min_t(corner, 2).solution
+    sol_b = sdp.phase1_min_t(corner, 2).solution
+    same = sol_a.iterations == sol_b.iterations and sol_a.iterate_log == sol_b.iterate_log
     checks.append(("sdp-determinism", same, f"{sol_a.iterations} identical iterations"))
 
     violations = 0

@@ -375,7 +375,8 @@ def exact_test_extension(rho: np.ndarray, two_j: int, band: float = BOUNDARY_BAN
     ``_extension_constraint_ops``.  The certificate is the extension itself;
     a reject's witness is the program's dual over the labelled E_r, whose
     coefficients give the 3x3 pair operator W = sum_r c_r E_r with
-    <W, rho> = -t*.  The SDP's ``dim_cap`` is the only size limit.
+    <W, rho> = -t*.  The SDP cone cap ``sdp.DIM_CAP`` (2j <= 63) is the only
+    size limit.
     """
     two_j = reduction._require_j_ge_1(two_j)
     rho = matcore.hermitize(np.asarray(rho, dtype=complex), tol=1e-10)

@@ -11,6 +11,7 @@ and optionally to a simple SVG rendering.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -139,6 +140,9 @@ def scan_grid(
     if unknown:
         raise ValueError(f"unknown set names {unknown}: use a subset of R, S, T")
     want_s = "S" in names
+    for name, (lo, hi) in (("v1", v1_range), ("v2", v2_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} range ({lo}, {hi}) must be finite")
     v1s = np.linspace(v1_range[0], v1_range[1], resolution)
     v2s = np.linspace(v2_range[0], v2_range[1], resolution)
 

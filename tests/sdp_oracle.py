@@ -122,19 +122,30 @@ def bracket_optimum(ops, b, c, d, rng):
     return upper, lower, x, {"residual": resid, "lambda_min": lam_min}
 
 
-def random_bounded_sdp(rng, dim, extra_constraints):
-    """Random strictly feasible SDP with a trace constraint bounding the set."""
-    c = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    c = (c + c.conj().T) / 2.0
-    c /= np.linalg.norm(c)
+def random_phase1_dual(rng, dim, n_null):
+    """Random phase-1 program paired with its dual, a small bounded SDP.
+
+    x0 is a random unit-trace Hermitian matrix, PSD or not, and the N_k are
+    ``n_null`` random traceless Hermitian matrices.  The phase-1 rows are the
+    identity and a basis of the orthogonal complement of the N_k, with values
+    <A, x0>, so their solutions are x0 + span(N_k).  By duality their
+    min t s.t. X + t*1 >= 0 is minus the optimum of
+        min <Z, x0>  s.t.  Z >= 0, tr Z = 1, <N_k, Z> = 0,
+    which is returned as (c, ops, vals) in the form ``bracket_optimum`` takes.
+    Returns (rows, values, (c, ops, vals)).
+    """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    interior = g @ g.conj().T + 0.3 * np.eye(dim)
-    interior /= np.trace(interior).real
-    ops = [np.eye(dim, dtype=complex)]
-    vals = [1.0]
-    for _ in range(extra_constraints):
+    h = (g + g.conj().T) / 2.0
+    h -= np.trace(h).real / dim * np.eye(dim)
+    x0 = np.eye(dim) / dim + rng.uniform(0.1, 1.0) * h / np.linalg.norm(h)
+    nulls = []
+    for _ in range(n_null):
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a = (a + a.conj().T) / 2.0
-        ops.append(a)
-        vals.append(float(np.real(np.trace(a @ interior))))
-    return c, ops, np.array(vals)
+        nulls.append(a - np.trace(a).real / dim * np.eye(dim))
+    span = np.stack([_vec(a, dim) for a in nulls]).T if nulls else np.zeros((dim * dim, 0))
+    q, _ = np.linalg.qr(np.concatenate([span, np.eye(dim * dim)], axis=1))
+    rows = [np.eye(dim, dtype=complex)] + [_unvec(col, dim) for col in q[:, n_null:].T]
+    values = np.array([float(np.real(np.vdot(a, x0))) for a in rows])
+    dual = (x0, [np.eye(dim, dtype=complex)] + nulls, np.array([1.0] + [0.0] * n_null))
+    return rows, values, dual

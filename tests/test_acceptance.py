@@ -14,7 +14,7 @@ from spinmoment.reduction import RenormalizedCoords
 from spinmoment.scan import scan_grid
 
 from conftest import moments_of_pair_state, random_coords, random_density
-from sdp_oracle import bracket_optimum, random_bounded_sdp
+from sdp_oracle import bracket_optimum, random_phase1_dual
 
 BAND = 1e-7
 
@@ -267,31 +267,32 @@ def test_criterion_9_witness_duality():
 
 
 def test_criterion_10_sdp_oracle():
+    # phase-1 t* against the search oracle on the program's dual (t* = -optimum)
     t0 = time.perf_counter()
     rng = np.random.default_rng(1010)
     worst_err = 0.0
     worst_gap = 0.0
+    positive = 0
     for trial in range(50):
         d = int(rng.integers(2, 6))
-        c, ops, vals = random_bounded_sdp(rng, d, int(rng.integers(0, 4)))
-        sol = sdp.solve(sdp.SdpProblem.build(d, c, list(zip(ops, vals))))
+        rows, values, (c, ops, vals) = random_phase1_dual(rng, d, int(rng.integers(0, 4)))
+        p1 = sdp.phase1_min_t(list(zip(rows, values)), d)
+        sol = p1.solution
         assert sol.status == sdp.STATUS_OPTIMAL
         upper, lower, _, diag = bracket_optimum(
             ops, vals, c, d, np.random.default_rng(7000 + trial)
         )
         assert diag["residual"] < 1e-8
         assert diag["lambda_min"] > -1e-9
-        worst_err = max(
-            worst_err,
-            abs(upper - sol.primal_objective),
-            abs(lower - sol.primal_objective),
-        )
+        worst_err = max(worst_err, abs(upper + p1.t_star), abs(lower + p1.t_star))
         worst_gap = max(worst_gap, sol.gap / (1.0 + abs(sol.primal_objective)))
+        positive += p1.t_star > 0
     elapsed = time.perf_counter() - t0
-    ok = worst_err <= 1e-4 and worst_gap <= 1e-8
+    ok = worst_err <= 1e-4 and worst_gap <= 1e-8 and 0 < positive < 50
     report(
         10,
         ok,
-        f"50 random SDPs vs search oracle: max objective error {worst_err:.2e}, "
-        f"max relative gap {worst_gap:.2e}, {elapsed:.1f}s",
+        f"50 random phase-1 programs vs search oracle on their duals: "
+        f"max t* error {worst_err:.2e}, "
+        f"max relative gap {worst_gap:.2e}, t* > 0 on {positive}, {elapsed:.1f}s",
     )

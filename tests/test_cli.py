@@ -1,10 +1,14 @@
 import json
-import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinmoment
 from spinmoment import cli, sdp
 from spinmoment.cli import MomentFileError, load_moment_file, parse_spin
 from spinmoment.scan import read_scan_csv, scan_grid
@@ -164,13 +168,8 @@ class TestSolverFailure:
             argv = ["scan", "--two-j", "10", "--u", "0.1,0.2,0.3", "--grid", "9",
                     "--workers", "1", "--out", out]
 
-        def failing_solve(problem, options=None):
-            return sdp.SdpSolution(
-                status=sdp.STATUS_FAILURE, x=None, y=None, z=None,
-                primal_objective=math.nan, dual_objective=math.nan, gap=math.nan,
-                iterations=0, primal_residual=math.inf, dual_residual=math.inf,
-                mu=math.nan, message="forced failure",
-            )
+        def failing_solve(ops, b, dim):
+            return sdp.SdpSolution(status=sdp.STATUS_FAILURE, message="forced failure")
 
         monkeypatch.setattr(sdp, "solve", failing_solve)
         rc = cli.main(argv)
@@ -328,6 +327,27 @@ class TestScanCommand:
         with pytest.raises(ValueError, match="unknown set"):
             scan_grid(4, np.zeros(3), resolution=5, sets=("R", "Q"))
 
+    @pytest.mark.parametrize("spin", [("--two-j", "0"), ("--j", "inf"), ("--j", "1e400")])
+    def test_bad_spin_exit_three(self, tmp_path, spin):
+        # run as a user would, so an escaping exception shows as a traceback
+        src = str(Path(spinmoment.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["scan", *spin, "--u", "0,0,0", "--grid", "5", "--out", str(tmp_path / "x.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinmoment.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("bound", ["--v1-min", "--v2-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_range_exit_three(self, tmp_path, capsys, bound, value):
+        argv = ["scan", "--two-j", "4", "--u", "0,0,0", "--grid", "5", bound, value,
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bound[2:4]} range (")
+
     def test_parallel_scan_matches_serial(self):
         u = np.array([0.1, 0.2, 0.3])
         serial = scan_grid(4, u, resolution=9, workers=1)
@@ -401,6 +421,20 @@ class TestValidateCommand:
         rc = cli.main(["validate", "--j-max", "4"])
         assert rc == 1
         assert "[FAIL] witness-duality" in capsys.readouterr().out
+
+    def test_sdp_analytic_suite_catches_shifted_t_star(self, capsys, monkeypatch):
+        import dataclasses
+
+        real = sdp.phase1_min_t
+
+        def shifted(*args, **kwargs):
+            p1 = real(*args, **kwargs)
+            return dataclasses.replace(p1, t_star=p1.t_star + 1e-3)
+
+        monkeypatch.setattr(sdp, "phase1_min_t", shifted)
+        rc = cli.main(["validate", "--j-max", "4"])
+        assert rc == 1
+        assert "[FAIL] sdp-analytic" in capsys.readouterr().out
 
     def test_early_witness_suite_catches_flipped_sign(self, capsys, monkeypatch):
         from spinmoment import feasibility

@@ -1,8 +1,10 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinmoment
 from spinmoment import feasibility, matcore, reduction, sdp, spinalg
 from spinmoment.feasibility import (
     STATUS_BOUNDARY,
@@ -207,7 +209,7 @@ class TestExactTestExtension:
 
     def test_cap_points_to_direct_formulation(self):
         # the extension program has no qubit cap: it reproduces the direct t*
-        # at every 2j the solver allows, and stops only at the SDP's dim_cap
+        # at every 2j the solver allows, and stops only at the cone cap sdp.DIM_CAP
         rng = np.random.default_rng(613)
         for two_j in (4, 13, 30, 62):
             for raw in (dicke_mixture_moments(two_j), dicke_zero_moments(two_j, 0.1)):
@@ -493,9 +495,9 @@ class TestOneSdpPerDecision:
         real_solve = sdp.solve
         real_gram_schmidt = sdp._gram_schmidt
 
-        def counting_solve(problem, options=None):
-            calls.append(problem.dim)
-            return real_solve(problem, options)
+        def counting_solve(ops, b, dim):
+            calls.append(dim)
+            return real_solve(ops, b, dim)
 
         def counting_gram_schmidt(vecs, values, tol):
             orthogonalizations.append(len(vecs))
@@ -516,6 +518,19 @@ class TestOneSdpPerDecision:
         assert len(calls) == expected
         # at most one Gram-Schmidt per decision: the solver's, none for the witness
         assert len(orthogonalizations) == expected
+
+    def test_bench_tracer_sees_the_solve(self, monkeypatch):
+        # bench/run.py reads its sdp.solve.* metrics off these spans
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from tracing import Tracer
+
+        m = dicke_zero_moments(4, 0.1)
+        with Tracer(spinmoment) as tracer:
+            v = spinmoment.feasibility.classify(m)
+        assert (v.stage, v.status) == ("exact", STATUS_NON_QUANTUM)
+        (span,) = [s for s in tracer.spans if s.name == "sdp.solve"]
+        status, iterations = span.info
+        assert status == "optimal" and iterations > 0
 
     def test_spin_half_reject_solves_nothing(self, monkeypatch):
         m = np.eye(3, dtype=complex) / 4.0

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from spinmoment import feasibility, matcore, sdp, spinalg
 
 from conftest import highest_weight_state, random_density, random_hermitian
-from sdp_oracle import bracket_optimum, random_bounded_sdp
+from sdp_oracle import bracket_optimum, random_phase1_dual
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+E00 = np.diag([1.0, 0.0]).astype(complex)
 
 
 class TestGramSchmidt:
@@ -34,49 +37,57 @@ class TestGramSchmidt:
         assert dependent == []
 
 
+def highest_weight_program(two_j):
+    ops, triple = feasibility._moment_operator_set(two_j)
+    hw = spinalg.moment_matrix(highest_weight_state(two_j), triple)
+    return list(zip(ops, feasibility._moment_values(hw))), triple.dim
+
+
 class TestSolveAnalytic:
     def test_min_trace_with_pinned_corner(self):
-        prob = sdp.SdpProblem.build(
-            2, np.eye(2, dtype=complex), [(np.diag([1.0, 0.0]).astype(complex), 1.0)]
-        )
-        sol = sdp.solve(prob)
+        # phase-1 of <e00> = -1 at unit trace: <sigma_z / 2, Y> = -3/2 in Y = X + t*1
+        sol = sdp.solve(np.stack([SIGMA_Z / 2.0]), np.array([-1.5]), 2)
         assert sol.status == sdp.STATUS_OPTIMAL
-        assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
-        assert np.abs(sol.x - np.diag([1.0, 0.0])).max() < 1e-6
+        assert sol.primal_objective == pytest.approx(1.5, abs=1e-7)
+        assert np.abs(sol.x - np.diag([0.0, 3.0])).max() < 1e-6
+        assert np.abs(sol.z - E00).max() < 1e-6
+        p1 = sdp.phase1_min_t([(np.eye(2, dtype=complex), 1.0), (E00, -1.0)], 2)
+        assert p1.t_star == pytest.approx(1.0, abs=1e-7)
+        assert np.abs(p1.x - np.diag([-1.0, 2.0])).max() < 1e-6
 
-    def test_minimum_eigenvalue_form(self):
-        prob = sdp.SdpProblem.build(
-            2, np.diag([1.0, 2.0]).astype(complex), [(np.eye(2, dtype=complex), 1.0)]
-        )
-        sol = sdp.solve(prob)
-        assert sol.status == sdp.STATUS_OPTIMAL
-        assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
+    def test_minimum_eigenvalue_form(self, rng):
+        # a full pin leaves X = X0, so t* = -lambda_min(X0): -1/3 at I/3
+        basis = matcore.hermitian_basis(3)
+        u, _ = np.linalg.qr(random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3))
+        for x0 in (np.eye(3, dtype=complex) / 3.0, u @ np.diag([0.7, 0.5, -0.2]) @ u.conj().T):
+            p1 = sdp.phase1_min_t([(b, matcore.hs_inner(b, x0)) for b in basis], 3)
+            assert p1.solution.status == sdp.STATUS_OPTIMAL
+            assert p1.t_star == pytest.approx(-matcore.min_eigenvalue(x0), abs=1e-7)
+        assert p1.t_star > 0
 
     def test_solution_invariants_on_random_problems(self):
         rng = np.random.default_rng(5150)
+        programs = [highest_weight_program(4)]
         for trial in range(10):
             d = int(rng.integers(2, 6))
-            c, ops, vals = random_bounded_sdp(rng, d, int(rng.integers(0, 4)))
-            sol = sdp.solve(sdp.SdpProblem.build(d, c, list(zip(ops, vals))))
+            rows, values, _ = random_phase1_dual(rng, d, int(rng.integers(0, 4)))
+            programs.append((list(zip(rows, values)), d))
+        for constraints, d in programs:
+            p1 = sdp.phase1_min_t(constraints, d)
+            sol = p1.solution
             assert sol.status == sdp.STATUS_OPTIMAL
             assert sol.gap <= 1e-8 * (1.0 + abs(sol.primal_objective))
-            assert matcore.min_eigenvalue(sol.x) >= -1e-9
-            assert matcore.min_eigenvalue(sol.z) >= -1e-9
-            for a, b in zip(ops, vals):
-                assert abs(matcore.hs_inner(a, sol.x) - b) <= 1e-8 * (1 + abs(b))
-            # complementary slackness at the optimum
+            assert matcore.min_eigenvalue(p1.x) >= -p1.t_star - 1e-9
+            assert matcore.min_eigenvalue(p1.dual_z) >= -1e-9
+            for a, b in constraints:
+                assert abs(matcore.hs_inner(a, p1.x) - b) <= 1e-8 * (1 + abs(b))
+            # complementary slackness at the optimum: <X + t*1, Z> = 0
             assert abs(matcore.hs_inner(sol.x, sol.z)) <= 1e-7 * d
 
 
 class TestWeakDualityAndDeterminism:
-    def _phase1_style_problem(self):
-        ops, triple = feasibility._moment_operator_set(4)
-        hw = spinalg.moment_matrix(highest_weight_state(4), triple)
-        values = feasibility._moment_values(hw)
-        return list(zip(ops, values)), triple.dim
-
     def test_weak_duality_every_iteration(self):
-        constraints, dim = self._phase1_style_problem()
+        constraints, dim = highest_weight_program(4)
         p1 = sdp.phase1_min_t(constraints, dim)
         log = p1.solution.iterate_log
         assert len(log) >= 3
@@ -87,7 +98,7 @@ class TestWeakDualityAndDeterminism:
             assert pobj >= dobj - 1e-9
 
     def test_bit_identical_reruns(self):
-        constraints, dim = self._phase1_style_problem()
+        constraints, dim = highest_weight_program(4)
         a = sdp.phase1_min_t(constraints, dim)
         b = sdp.phase1_min_t(constraints, dim)
         assert a.t_star == b.t_star
@@ -98,18 +109,22 @@ class TestWeakDualityAndDeterminism:
 
 class TestSolveAgainstOracle:
     def test_agreement_small_problems(self):
+        # phase-1 t* against the search oracle on the program's dual
         rng = np.random.default_rng(777)
+        signs = set()
         for trial in range(8):
             d = int(rng.integers(2, 5))
-            c, ops, vals = random_bounded_sdp(rng, d, int(rng.integers(0, 4)))
-            sol = sdp.solve(sdp.SdpProblem.build(d, c, list(zip(ops, vals))))
-            assert sol.status == sdp.STATUS_OPTIMAL
+            rows, values, (c, ops, vals) = random_phase1_dual(rng, d, int(rng.integers(0, 4)))
+            p1 = sdp.phase1_min_t(list(zip(rows, values)), d)
+            assert p1.solution.status == sdp.STATUS_OPTIMAL
             upper, lower, _, diag = bracket_optimum(
                 ops, vals, c, d, np.random.default_rng(3000 + trial)
             )
             assert diag["residual"] < 1e-8
-            assert abs(upper - sol.primal_objective) <= 1e-4
-            assert abs(lower - sol.primal_objective) <= 1e-4
+            assert abs(upper + p1.t_star) <= 1e-4
+            assert abs(lower + p1.t_star) <= 1e-4
+            signs.add(bool(p1.t_star > 0))
+        assert signs == {False, True}
 
 
 def assert_dual_coefficients(p1, constraints):
@@ -191,41 +206,45 @@ class TestPhase1:
 
 
 class TestInfeasibilityDetection:
+    @staticmethod
+    def assert_conflict(p1):
+        assert p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE
+        assert p1.solution.iterations == 0
+        assert p1.t_star == math.inf
+        assert p1.x is None and p1.dual_z is None
+        assert "conflicts" in p1.solution.message
+
     def test_inconsistent_rows_reported_immediately(self):
-        e00 = np.diag([1.0, 0.0]).astype(complex)
-        prob = sdp.SdpProblem.build(2, np.eye(2, dtype=complex), [(e00, 1.0), (e00, 2.0)])
-        sol = sdp.solve(prob)
-        assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
-        assert sol.iterations == 0
+        eye = np.eye(2, dtype=complex)
+        self.assert_conflict(sdp.phase1_min_t([(eye, 1.0), (E00, 0.2), (2.0 * E00, 0.5)], 2))
+
+    def test_conflicting_trace_only_rows(self):
+        # a trace-only row has a zero traceless part: it conflicts through its value alone
+        eye = np.eye(2, dtype=complex)
+        self.assert_conflict(sdp.phase1_min_t([(eye, 1.0), (E00, 0.2), (2.0 * eye, 3.0)], 2))
 
     def test_consistent_but_cone_infeasible(self):
-        prob = sdp.SdpProblem.build(
-            2,
-            np.eye(2, dtype=complex),
-            [(np.eye(2, dtype=complex), 1.0), (np.diag([1.0, 0.0]).astype(complex), -1.0)],
-        )
-        sol = sdp.solve(prob)
-        assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
+        # no PSD point meets the rows: an optimal solve with t* > 0 and a separating dual
+        cons = [(np.eye(2, dtype=complex), 1.0), (E00, -1.0)]
+        p1 = sdp.phase1_min_t(cons, 2)
+        assert p1.solution.status == sdp.STATUS_OPTIMAL
+        assert p1.t_star > 1e-7
+        value = float(p1.dual_coefficients @ np.array([b for _, b in cons]))
+        assert value == pytest.approx(-p1.t_star, abs=1e-7)
+        assert np.trace(p1.dual_z).real == pytest.approx(1.0, abs=1e-9)
+        assert matcore.min_eigenvalue(p1.dual_z) >= -1e-9
 
-    def test_unbounded_objective(self):
-        prob = sdp.SdpProblem.build(
-            2, np.diag([-1.0, 0.0]).astype(complex), [(np.diag([0.0, 1.0]).astype(complex), 1.0)]
-        )
-        sol = sdp.solve(prob)
-        assert sol.status == sdp.STATUS_DUAL_INFEASIBLE
-
-    def test_failure_reports_residuals(self):
-        prob = sdp.SdpProblem.build(
-            2, np.eye(2, dtype=complex), [(np.diag([1.0, 0.0]).astype(complex), 1.0)]
-        )
-        sol = sdp.solve(prob, sdp.SdpOptions(max_iterations=1))
-        assert sol.status == sdp.STATUS_FAILURE
-        assert "res" in sol.message
+    def test_failure_reports_residuals(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+        p1 = sdp.phase1_min_t([(np.eye(2, dtype=complex), 1.0), (E00, -1.0)], 2)
+        assert p1.solution.status == sdp.STATUS_FAILURE
+        assert "res" in p1.solution.message
+        assert math.isnan(p1.t_star) and p1.x is None and p1.dual_z is None
 
     def test_dimension_cap_enforced(self):
-        d = 65
-        prob = sdp.SdpProblem.build(d, np.eye(d, dtype=complex), [(np.eye(d, dtype=complex), 1.0)])
+        d = sdp.DIM_CAP + 1
         with pytest.raises(ValueError, match="cap"):
-            sdp.solve(prob)
-        sol = sdp.solve(prob, sdp.SdpOptions(dim_cap=70))
-        assert sol.status == sdp.STATUS_OPTIMAL
+            sdp.phase1_min_t([(np.eye(d, dtype=complex), 1.0)], d)
+        d = sdp.DIM_CAP
+        p1 = sdp.phase1_min_t([(np.eye(d, dtype=complex), 1.0)], d)
+        assert p1.t_star == pytest.approx(-1.0 / d, abs=1e-15)
