@@ -20,7 +20,6 @@ from .spinalg import (
     validate_algebra,
 )
 from .reduction import (
-    ReductionOperators,
     RenormalizedCoords,
     moments_from_coords,
     ppt_inner_test,

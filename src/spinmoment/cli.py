@@ -151,7 +151,7 @@ def _witness_json(witness: feasibility.Witness) -> dict:
 def cmd_check(args) -> int:
     try:
         m, label = load_moment_file(args.input)
-        verdict = feasibility.classify(m, tol=args.tol)
+        verdict = feasibility.classify(m)
     except (MomentFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -229,7 +229,6 @@ def cmd_scan(args) -> int:
             v2_range=(args.v2_min, args.v2_max),
             resolution=args.grid,
             sets=sets,
-            tol=args.tol,
             workers=args.workers,
         )
         result.to_csv(args.out)
@@ -301,12 +300,8 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            ops = reduction.reduction_operators(two_j)
-            m = np.empty((3, 3), dtype=complex)
-            for k in range(3):
-                for l in range(3):
-                    m[k, l] = np.trace(ops.lam2[k][l] @ rho)
-            mm = MomentMatrix.from_matrix(two_j, m)
+            b = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
+            mm = MomentMatrix.from_matrix(two_j, np.tensordot(b, spinalg.CHI_PATTERN, axes=1)[1:, 1:])
             in_r = reduction.ppt_inner_test(rho)
             exact = feasibility.exact_test_direct(mm).accepted
             in_t = matcore.is_psd(reduction.tau(rho, two_j), tol=1e-7)
@@ -366,7 +361,7 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
             z_dev = max(z_dev, dev)
             ok = (verdict.stage, verdict.t_star) == (stage, None) and dev <= 1e-9
             ok &= np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
-            ok &= w.value < 0 and w.value == w.evaluate(feasibility._moment_values(mm))
+            ok &= w.value < 0 and w.value == w.evaluate(spinalg.moment_values(mm))
             ok &= feasibility.witness_search(mm).value < 0
             if not ok:
                 failing.append(f"{stage} at 2j = {two_j}")
@@ -399,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="classify a moment file")
     p.add_argument("--input", required=True, help="JSON moment file")
-    p.add_argument("--tol", type=float, default=matcore.PSD_TOL, help="PSD tolerance")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("witness", help="search for a separating hyperplane")
@@ -419,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v2-max", type=float, default=1.0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", help="optional SVG rendering path")
-    p.add_argument("--tol", type=float, default=matcore.PSD_TOL)
     p.add_argument("--workers", type=int, default=1, help="processes for the exact-test cells")
     p.set_defaults(func=cmd_scan)
 

@@ -7,7 +7,11 @@ that one phase-1 program, expanded over the measured operators
 (``Phase1Result.dual_coefficients``), so it is optimal: value = -t*.  An
 early reject (chi or reconstruct) reads a valid, not optimal, witness off the
 negative eigenvector its stage already computed (``_eigenvector_witness``),
-with no SDP, and stands only when that witness separates.  ``witness_search``
+with no SDP, and stands only when that witness separates.  Every program and
+witness works over the moment vector b of ``spinalg.moment_values``; the
+early stages are its linear stacks ``spinalg.CHI_PATTERN`` and
+``reduction._reconstruction_system``.  The SDP paths raise the cone-cap
+``ValueError`` before they build any spin-j operator.  ``witness_search``
 still solves the phase-1 program for the optimal hyperplane.  Inside
 ``classify`` the outer test is carried by the 4x4 chi check, which is
 congruent to it; ``outer_test`` remains the standalone definition of T_j.
@@ -30,8 +34,8 @@ STATUS_QUANTUM = "quantum"
 STATUS_NON_QUANTUM = "non-quantum"
 STATUS_BOUNDARY = "boundary"
 
-_OP_LABELS = ("I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3")
-_FIRST_MOMENT_LABELS = ("I", "L1", "L2", "L3")
+_FIRST_MOMENTS = [0, 7, 8, 9]  # I, L1, L2, L3 within MOMENT_LABELS
+_FIRST_MOMENT_LABELS = tuple(spinalg.MOMENT_LABELS[i] for i in _FIRST_MOMENTS)
 _EXTENSION_LABELS = tuple(f"E{r}" for r in range(9))
 
 
@@ -64,7 +68,12 @@ class Witness:
 
     def evaluate(self, values: np.ndarray) -> float:
         """Apply the hyperplane to the expectation values of the labelled operators."""
-        return float(np.asarray(values) @ self.op_coefficients)
+        values = np.asarray(values)
+        if values.shape != self.op_coefficients.shape:
+            raise ValueError(
+                f"expected {len(self.op_labels)} values over {self.op_labels}, got shape {values.shape}"
+            )
+        return float(values @ self.op_coefficients)
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,10 @@ class _StageLog:
 def _moment_operator_set(two_j: int) -> tuple[np.ndarray, spinalg.SpinOperatorTriple]:
     """Operators whose expectation values a moment matrix prescribes, stacked.
 
-    Order matches _OP_LABELS: identity, the six symmetrized products
-    (L_k L_l + L_l L_k)/2 for k <= l, then the three bare spin operators.
+    Order matches ``spinalg.MOMENT_LABELS``: identity, the six symmetrized
+    products (L_k L_l + L_l L_k)/2 for k <= l, then the three bare spin
+    operators.  Dense and unchecked against the SDP cap: the early-reject
+    witnesses need them at any 2j, the SDP paths go through ``_sdp_operator_set``.
     """
     triple = spinalg.spin_operators(two_j)
     ls = triple.as_list()
@@ -112,13 +123,11 @@ def _moment_operator_set(two_j: int) -> tuple[np.ndarray, spinalg.SpinOperatorTr
     return np.stack(ops), triple
 
 
-def _moment_values(m: MomentMatrix) -> np.ndarray:
-    vals = [1.0]
-    for k in range(3):
-        for l in range(k, 3):
-            vals.append(float(m.matrix[k, l].real))
-    vals.extend(float(x) for x in m.first_moments)
-    return np.array(vals)
+def _sdp_operator_set(two_j: int) -> np.ndarray:
+    """The operator stack of a phase-1 program: the cone-cap ``ValueError``
+    comes before any dense operator is built."""
+    sdp._check_dim(two_j + 1)
+    return _moment_operator_set(two_j)[0]
 
 
 def _clean_state(x: np.ndarray, floor: float) -> np.ndarray:
@@ -134,20 +143,15 @@ def _clean_state(x: np.ndarray, floor: float) -> np.ndarray:
     return (state + state.conj().T) / 2.0
 
 
-def _verdict_from_phase1(
-    p1: sdp.Phase1Result,
-    stage: str,
-    log: _StageLog,
-    band: float = BOUNDARY_BAND,
-) -> Verdict:
+def _verdict_from_phase1(p1: sdp.Phase1Result, stage: str, log: _StageLog) -> Verdict:
     t = p1.t_star
     detail = f"t_star = {t:.3e}, {p1.solution.iterations} iterations, gap {p1.solution.gap:.0e}"
-    if t > band:
+    if t > BOUNDARY_BAND:
         log.add(stage, "reject", detail)
         return Verdict(STATUS_NON_QUANTUM, stage, t, None, None, log.done())
     floor = 1e-9 if t <= 0 else t + 2e-9
     state = _clean_state(p1.x, floor)
-    if abs(t) <= band:
+    if abs(t) <= BOUNDARY_BAND:
         log.add(stage, "boundary", detail)
         return Verdict(STATUS_BOUNDARY, stage, t, state, None, log.done())
     log.add(stage, "accept", detail)
@@ -182,49 +186,20 @@ def _solve_phase1(ops, values: np.ndarray, dim: int) -> sdp.Phase1Result:
     return p1
 
 
-def _value_matrix(values: np.ndarray) -> np.ndarray:
-    """The raw 3x3 moment matrix carried by labelled values (inverse of _moment_values)."""
-    m = np.zeros((3, 3), dtype=complex)
-    pos = 1
-    for k in range(3):
-        for l in range(k, 3):
-            m[k, l] = m[l, k] = values[pos]
-            pos += 1
-    return m + 1j * spinalg._antisym_from_moments(values[7:])
-
-
-# Early-reject stage matrices as maps of a raw moment matrix; both are affine.
-_EARLY_STAGE_MAPS = {
-    "chi": lambda two_j, mat: spinalg.chi_matrix(
-        MomentMatrix(two_j, mat, spinalg.extract_first_moments(mat))
-    ),
-    "reconstruct": lambda two_j, mat: reduction._solve_pair_operator(two_j, mat)[0],
-}
-
-
-@lru_cache(maxsize=None)
-def _early_witness_system(stage: str, two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F(e_i), tr A_i) over _OP_LABELS for an early-reject stage.
-
-    F(e_i) is the stage matrix's image of unit value vector i; the identity's
-    value is always 1, so F(e_0) carries the map's constant.
-    """
-    stage_map = _EARLY_STAGE_MAPS[stage]
-    const = stage_map(two_j, np.zeros((3, 3), dtype=complex))
-    images = [const] + [
-        stage_map(two_j, _value_matrix(e)) - const for e in np.eye(len(_OP_LABELS))[1:]
-    ]
-    ops = _moment_operator_set(two_j)[0]
-    return np.stack(images), np.einsum("iaa->i", ops).real
+def _early_witness_system(stage: str, two_j: int) -> np.ndarray:
+    """The early-reject stage matrix as a linear stack over ``MOMENT_LABELS``:
+    chi = sum_i b_i C_i and rho_j = sum_i b_i R_i."""
+    return spinalg.CHI_PATTERN if stage == "chi" else reduction._reconstruction_system(two_j)
 
 
 def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Witness:
     """Closed-form witness for a chi or reconstruct reject, with no SDP.
 
-    Both stage matrices are affine in the labelled values b, X(b) =
-    sum_i b_i F(e_i).  With v the eigenvector of X(b) for its most negative
-    eigenvalue, c_i = v^dag F(e_i) v, Z = sum_i c_i A_i / sum_i c_i tr A_i and
-    value = c.b / sum_i c_i tr A_i = lambda_min / sum_i c_i tr A_i < 0.
+    Both stage matrices are linear in the labelled values b, X(b) =
+    sum_i b_i F_i with F = ``_early_witness_system``.  With v the eigenvector
+    of X(b) for its most negative eigenvalue, c_i = v^dag F_i v,
+    Z = sum_i c_i A_i / sum_i c_i tr A_i and value = c.b / sum_i c_i tr A_i =
+    lambda_min / sum_i c_i tr A_i < 0.
 
     Z >= 0, for each stage:
 
@@ -241,19 +216,19 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
     In both cases sum_i c_i tr A_i = tr(sum_i c_i A_i) > 0, so Z has unit
     trace.  The witness is valid but not optimal: its value is not -t*.
     """
-    images, traces = _early_witness_system(stage, m.two_j)
     ops = _moment_operator_set(m.two_j)[0]
     v = matcore.hermitian_eig(matrix)[1][:, 0]
-    c = np.einsum("a,iab,b->i", v.conj(), images, v).real
-    c = c / float(c @ traces)
-    return Witness(np.tensordot(c, ops, axes=1), float(c @ _moment_values(m)), c, _OP_LABELS)
+    c = np.einsum("a,iab,b->i", v.conj(), _early_witness_system(stage, m.two_j), v).real
+    c = c / float(c @ np.einsum("iaa->i", ops).real)
+    labels = spinalg.MOMENT_LABELS
+    return Witness(np.tensordot(c, ops, axes=1), float(c @ spinalg.moment_values(m)), c, labels)
 
 
-def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str, band: float) -> Verdict:
+def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str) -> Verdict:
     """Solve the phase-1 program over labelled operators; a reject carries its dual."""
     log = _StageLog()
     p1 = _solve_phase1(ops, values, dim)
-    verdict = _verdict_from_phase1(p1, stage, log, band)
+    verdict = _verdict_from_phase1(p1, stage, log)
     if verdict.status == STATUS_NON_QUANTUM:
         return _rejected(stage, _dual_witness(p1, values, labels), log, verdict.t_star)
     return verdict
@@ -314,7 +289,7 @@ def build_fixed_state(ell: np.ndarray, two_j: int) -> np.ndarray:
     return state
 
 
-def exact_test_direct(m: MomentMatrix, band: float = BOUNDARY_BAND) -> Verdict:
+def exact_test_direct(m: MomentMatrix) -> Verdict:
     """Decisive feasibility SDP over the spin-j state space.
 
     Constrains the identity, the symmetrized products and the bare spin
@@ -322,21 +297,20 @@ def exact_test_direct(m: MomentMatrix, band: float = BOUNDARY_BAND) -> Verdict:
     rho + t*1 >= 0; the moments are quantum iff t_star <= the boundary band.
     A reject carries the program's dual as its witness.
     """
-    ops, triple = _moment_operator_set(m.two_j)
-    return _phase1_verdict(ops, _moment_values(m), triple.dim, _OP_LABELS, "exact", band)
+    ops = _sdp_operator_set(m.two_j)
+    values = spinalg.moment_values(m)
+    return _phase1_verdict(ops, values, m.two_j + 1, spinalg.MOMENT_LABELS, "exact")
 
 
-def exact_test_first_moments(ell: np.ndarray, two_j: int, band: float = BOUNDARY_BAND) -> Verdict:
+def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
     """First-moment feasibility via the SDP route, second moments left free.
 
     Exists alongside the closed form as an independently checkable path.
     """
     two_j = spinalg._check_two_j(two_j)
-    triple = spinalg.spin_operators(two_j)
-    ell = np.asarray(ell, dtype=float)
-    ops = [np.eye(triple.dim, dtype=complex)] + triple.as_list()
-    values = np.concatenate([[1.0], ell])
-    return _phase1_verdict(ops, values, triple.dim, _FIRST_MOMENT_LABELS, "exact-first-moment", band)
+    ops = _sdp_operator_set(two_j)[_FIRST_MOMENTS]
+    values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
+    return _phase1_verdict(ops, values, two_j + 1, _FIRST_MOMENT_LABELS, "exact-first-moment")
 
 
 @lru_cache(maxsize=None)
@@ -366,7 +340,7 @@ def _extension_constraint_ops(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return ops, basis3
 
 
-def exact_test_extension(rho: np.ndarray, two_j: int, band: float = BOUNDARY_BAND) -> Verdict:
+def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     """Membership of a symmetric two-qubit state in the extendible set.
 
     Searches for a 2j-qubit Bose-symmetric state whose pair marginal equals
@@ -384,9 +358,10 @@ def exact_test_extension(rho: np.ndarray, two_j: int, band: float = BOUNDARY_BAN
         raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")
     if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
         raise ValueError("reduced state must have unit trace")
+    sdp._check_dim(two_j + 1)
     ops, basis3 = _extension_constraint_ops(two_j)
     values = np.array([matcore.hs_inner(e, rho) for e in basis3])
-    return _phase1_verdict(ops, values, two_j + 1, _EXTENSION_LABELS, "extension", band)
+    return _phase1_verdict(ops, values, two_j + 1, _EXTENSION_LABELS, "extension")
 
 
 def outer_test(m: MomentMatrix, tol: float = matcore.PSD_TOL) -> bool:
@@ -405,26 +380,17 @@ def witness_search(m: MomentMatrix) -> Witness:
     result has Z >= 0 and tr Z = 1 always, and value = -t_star < 0 exactly when
     the input lies outside the quantum set (up to solver accuracy).
     """
-    ops, triple = _moment_operator_set(m.two_j)
-    values = _moment_values(m)
-    return _dual_witness(_solve_phase1(ops, values, triple.dim), values, _OP_LABELS)
+    ops = _sdp_operator_set(m.two_j)
+    values = spinalg.moment_values(m)
+    return _dual_witness(_solve_phase1(ops, values, m.two_j + 1), values, spinalg.MOMENT_LABELS)
 
 
 def witness_for_first_moments(ell: np.ndarray, two_j: int) -> Witness:
     """Separating hyperplane over {1, L1, L2, L3} for a first-moment vector."""
     two_j = spinalg._check_two_j(two_j)
-    triple = spinalg.spin_operators(two_j)
-    ops = [np.eye(triple.dim, dtype=complex)] + triple.as_list()
+    ops = _sdp_operator_set(two_j)[_FIRST_MOMENTS]
     values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
-    return _dual_witness(_solve_phase1(ops, values, triple.dim), values, _FIRST_MOMENT_LABELS)
-
-
-def moment_values_in_witness_basis(m: MomentMatrix, witness: Witness) -> np.ndarray:
-    """Expectation values of the witness's operators prescribed by a moment matrix."""
-    values = _moment_values(m)
-    if values.shape != witness.op_coefficients.shape:
-        raise ValueError("witness and moment matrix use different operator sets")
-    return values
+    return _dual_witness(_solve_phase1(ops, values, two_j + 1), values, _FIRST_MOMENT_LABELS)
 
 
 def _validate_half_spin_structure(m: MomentMatrix, tol: float = 1e-9) -> None:
@@ -437,17 +403,17 @@ def _validate_half_spin_structure(m: MomentMatrix, tol: float = 1e-9) -> None:
         )
 
 
-def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, tol: float, log: _StageLog):
-    """Eigen-test a chi or reconstruct matrix; below -tol, return its closed-form witness."""
+def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, log: _StageLog):
+    """Eigen-test a chi or reconstruct matrix; below -PSD_TOL, return its closed-form witness."""
     lam = matcore.min_eigenvalue(matrix)
-    if lam >= -tol:
+    if lam >= -matcore.PSD_TOL:
         log.add(stage, "pass", f"min eigenvalue {lam:.3e}")
         return None
     log.add(stage, "reject", f"min eigenvalue {lam:.3e}")
     return _eigenvector_witness(stage, matrix, m)
 
 
-def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDARY_BAND) -> Verdict:
+def classify(m: MomentMatrix) -> Verdict:
     """Full decision pipeline with cheap early exits.
 
     Order: structural validation (done on construction), the 4x4 expectation
@@ -457,16 +423,16 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
     reconstruct stage (at j = 1/2, the first-moment stage, with chi's
     witness) builds it in closed form from the stage's negative eigenvector
     and solves no SDP; its ``t_star`` is None and its value is not -t*.  Such
-    an early reject stands only when the witness value is below -band.  A
-    valid witness has value >= -t*, so the exact test would reject too;
-    otherwise the input is within the band of the boundary and the exact
-    stage decides.  An exact reject carries the dual of the exact stage's own
+    an early reject stands only when the witness separates (value below
+    -BOUNDARY_BAND).  A valid witness has value >= -t*, so the exact test
+    would reject too; otherwise the input is within the band of the boundary
+    and the exact stage decides.  An exact reject carries the dual of the exact stage's own
     program, value -t*.  So no path solves more than one SDP.
 
     There is no separate outer (tau) stage: chi = D tau D with
     D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
     with y = D^-1 x and |y| <= |x|.  Hence lambda_min(tau) >=
-    min(0, lambda_min(chi)) >= -tol once chi has passed, and the outer test
+    min(0, lambda_min(chi)) >= -PSD_TOL once chi has passed, and the outer test
     could never reject here.
     """
     log = _StageLog()
@@ -481,20 +447,20 @@ def classify(m: MomentMatrix, tol: float = matcore.PSD_TOL, band: float = BOUNDA
             return Verdict(inner.status, "first-moment", None, inner.certificate_state, None, log.done())
         witness = _eigenvector_witness("chi", spinalg.chi_matrix(m), m)
     else:
-        witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, tol, log)
+        witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, log)
         if witness is None:
             rho = reduction.reconstruct_rho(m)
-            witness = _eigen_stage("reconstruct", rho, m, tol, log)
+            witness = _eigen_stage("reconstruct", rho, m, log)
         if witness is None:
-            if reduction.ppt_inner_test(rho, tol=tol):
+            if reduction.ppt_inner_test(rho):
                 log.add("inner", "accept", "reduced state is PPT, hence separable")
                 return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
             log.add("inner", "undecided", "reduced state is entangled")
     if witness is not None:
-        if witness.value < -band:
+        if witness.separates:
             return _rejected(log.records[-1].name, witness, log)
         log.add("witness", "inside band", f"value = {witness.value:.3e}; the exact stage decides")
 
-    exact = exact_test_direct(m, band)
+    exact = exact_test_direct(m)
     log.records.extend(exact.tests_run)
     return replace(exact, tests_run=log.done())

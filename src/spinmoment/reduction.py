@@ -2,6 +2,12 @@
 subspace, state reconstruction from moments, renormalized coordinates, the
 reduced expectation value matrix and the PPT inner test.
 
+Both directions are cached (10, 3, 3) stacks over the moment vector b of
+``spinalg.moment_values``: ``reduction_operators`` gives K with
+b_i = tr(K_i rho_j), and ``_reconstruction_system`` gives R with
+rho_j = sum_i b_i R_i.  ``tau`` is D^-1 chi(b) D^-1 for the b that K reads
+off its argument, with chi(b) = sum_i b_i ``spinalg.CHI_PATTERN``[i].
+
 Basis and sign conventions: the symmetric two-qubit basis is ordered
 (|00>, (|01>+|10>)/sqrt(2), |11>) with |1> the spin-up qubit level, so the
 highest-weight spin state <L3> = +j reduces to |11><11| and maps to u3 = +1.
@@ -18,7 +24,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import matcore
-from .spinalg import CASIMIR_TOL, MomentMatrix, _antisym_from_moments, _check_two_j
+from .spinalg import (
+    CASIMIR_TOL,
+    CHI_PATTERN,
+    MOMENT_LABELS,
+    MomentMatrix,
+    _UPPER,
+    _check_two_j,
+    moment_values,
+)
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -43,23 +57,6 @@ def _require_j_ge_1(two_j: int) -> int:
 
 
 @dataclass(frozen=True)
-class ReductionOperators:
-    """Operators on the symmetric two-qubit basis that carry all spin-j moments.
-
-    lam1[k] reproduces <L_k> and lam2[k][l] reproduces tr(L_k L_l rho) when
-    paired with the reduced state; lam2[k][l]^dag = lam2[l][k].
-    """
-
-    two_j: int
-    lam1: tuple[np.ndarray, ...]
-    lam2: tuple[tuple[np.ndarray, ...], ...]
-
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
-
-@dataclass(frozen=True)
 class RenormalizedCoords:
     """Spin-number-stabilized coordinates u_k = <L_k>/j and the rescaled
     diagonal second moments v_k with sum(v) = 1."""
@@ -74,81 +71,48 @@ class RenormalizedCoords:
 
 
 @lru_cache(maxsize=None)
-def reduction_operators(two_j: int) -> ReductionOperators:
-    """Build (and cache) the reduction operators for total spin j = two_j/2."""
+def reduction_operators(two_j: int) -> np.ndarray:
+    """The (10, 3, 3) stack K with b_i = tr(K_i rho_j) over ``MOMENT_LABELS``.
+
+    Each spin-j operator lifts to the sum of its qubit copies on 2j qubits:
+    L_k to 2j q_k (x) 1 on a pair, and the symmetrized product S_kl to
+    2j (q_k q_l + q_l q_k)/2 (x) 1 + 2j(2j-1) q_k (x) q_l, with
+    (q_k q_l + q_l q_k)/2 = delta_kl / 4 for qubits.  Compressed to the
+    symmetric pair basis, these pair with the reduced state (cached per spin).
+    """
     two_j = _require_j_ge_1(two_j)
     v2 = _PAIR_ISOMETRY
-    eye = np.eye(2, dtype=complex)
+    eye = np.eye(2)
     q = _QUBIT_GENERATORS
-    lam1 = tuple(
-        two_j * (v2.conj().T @ matcore.kron(qk, eye) @ v2) for qk in q
-    )
-    lam2 = []
-    for k in range(3):
-        row = []
-        for l in range(3):
-            op = two_j * matcore.kron(q[k] @ q[l], eye)
-            op += two_j * (two_j - 1) * matcore.kron(q[k], q[l])
-            row.append(v2.conj().T @ op @ v2)
-        lam2.append(tuple(row))
-    return ReductionOperators(two_j=two_j, lam1=lam1, lam2=tuple(lam2))
 
+    def pair(a, b):
+        return v2.conj().T @ matcore.kron(a, b) @ v2
 
-# Equation layout for the 9 real moment conditions: three diagonals, then
-# (re, im) of the three upper off-diagonal entries.
-_EQ_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
-def _moment_rhs(matrix: np.ndarray) -> np.ndarray:
-    rhs = np.empty(9)
-    rhs[0:3] = [matrix[k, k].real for k in range(3)]
-    pos = 3
-    for k, l in _EQ_PAIRS[3:]:
-        rhs[pos] = matrix[k, l].real
-        rhs[pos + 1] = matrix[k, l].imag
-        pos += 2
-    return rhs
+    ops = [np.eye(3, dtype=complex)]
+    for k, l in zip(*_UPPER):
+        ops.append(two_j * (k == l) / 4.0 * np.eye(3) + two_j * (two_j - 1) * pair(q[k], q[l]))
+    ops.extend(two_j * pair(qk, eye) for qk in q)
+    return np.stack(ops)
 
 
 @lru_cache(maxsize=None)
-def _reconstruction_system(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precompute the least-squares system mapping moments to the reduced state.
+def _reconstruction_system(two_j: int) -> np.ndarray:
+    """The (10, 3, 3) stack R with rho_j = sum_i b_i R_i over ``MOMENT_LABELS``.
 
     The state is parametrized as rho = I/3 + sum_r x_r G_r over the traceless
-    Hermitian basis, giving 9 real equations in 8 unknowns; the pseudoinverse
-    and the offset from the I/3 part are cached per spin number.
+    Hermitian basis, so tr rho = 1 holds by construction; the nine equations
+    tr(K_i rho) = b_i, i >= 1, fix the eight x_r by least squares (the
+    Casimir relation makes one of them redundant).  R_0 carries the I/3 part,
+    and R_i, i >= 1, are traceless.  Cached per spin number.
     """
-    ops = reduction_operators(two_j)
+    k = reduction_operators(two_j)[1:]
     basis = matcore.hermitian_basis(3)[1:]
-    a = np.empty((9, 8))
-    offset = np.empty(9)
-    for r in range(8):
-        probe = np.empty((3, 3), dtype=complex)
-        for k in range(3):
-            for l in range(k, 3):
-                probe[k, l] = np.trace(ops.lam2[k][l] @ basis[r])
-                probe[l, k] = np.conj(probe[k, l])
-        a[:, r] = _moment_rhs(probe)
-    probe = np.empty((3, 3), dtype=complex)
-    for k in range(3):
-        for l in range(k, 3):
-            probe[k, l] = np.trace(ops.lam2[k][l]) / 3.0
-            probe[l, k] = np.conj(probe[k, l])
-    offset = _moment_rhs(probe)
+    a = np.einsum("iab,rba->ir", k, basis).real
     pinv = np.linalg.pinv(a)
-    return a, offset, pinv
-
-
-def _solve_pair_operator(two_j: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares pair operator for a raw 3x3 moment matrix, and the
-    residual of its 9 equations; affine in the matrix and unchecked."""
-    a, offset, pinv = _reconstruction_system(two_j)
-    rhs = _moment_rhs(matrix) - offset
-    x = pinv @ rhs
-    basis = matcore.hermitian_basis(3)[1:]
-    rho = np.eye(3, dtype=complex) / 3.0
-    rho += np.einsum("r,rkl->kl", x, basis)
-    return (rho + rho.conj().T) / 2.0, a @ x - rhs
+    lin = np.einsum("ri,rab->iab", pinv, basis)
+    const = np.eye(3) / 3.0 - np.einsum("r,rab->ab", pinv @ np.einsum("iaa->i", k).real / 3.0, basis)
+    r = np.concatenate([const[None], lin])
+    return (r + r.conj().transpose(0, 2, 1)) / 2.0
 
 
 def reconstruct_rho(m: MomentMatrix, residual_tol: float = 1e-8) -> np.ndarray:
@@ -158,13 +122,14 @@ def reconstruct_rho(m: MomentMatrix, residual_tol: float = 1e-8) -> np.ndarray:
     itself certifies that no quantum state produces these moments.
     """
     two_j = _require_j_ge_1(m.two_j)
-    rho, resid = _solve_pair_operator(two_j, m.matrix)
+    b = moment_values(m)
+    rho = np.tensordot(b, _reconstruction_system(two_j), axes=1)
+    resid = np.einsum("iab,ba->i", reduction_operators(two_j), rho).real - b
     worst = int(np.argmax(np.abs(resid)))
     if abs(resid[worst]) > residual_tol:
-        k, l = _EQ_PAIRS[worst if worst < 3 else 3 + (worst - 3) // 2]
         raise ValueError(
             f"moment matrix is inconsistent with any reduced state: residual "
-            f"{resid[worst]:.3e} on the M[{k},{l}] condition"
+            f"{resid[worst]:.3e} on the {MOMENT_LABELS[worst]} value"
         )
     return rho
 
@@ -196,37 +161,25 @@ def moments_from_coords(
     vsum = float(v.sum())
     if abs(vsum - 1.0) > tol:
         raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
-    m = np.zeros((3, 3), dtype=complex)
-    np.fill_diagonal(m, v * (j * (j - 0.5)) + j / 2.0)
-    if offdiag_re is not None:
-        r12, r13, r23 = (float(t) for t in offdiag_re)
-        m[0, 1] += r12
-        m[1, 0] += r12
-        m[0, 2] += r13
-        m[2, 0] += r13
-        m[1, 2] += r23
-        m[2, 1] += r23
-    m += 1j * _antisym_from_moments(u * j)
-    return MomentMatrix.from_matrix(two_j, m, tol=tol)
+    d = v * (j * (j - 0.5)) + j / 2.0
+    r12, r13, r23 = (0.0, 0.0, 0.0) if offdiag_re is None else (float(t) for t in offdiag_re)
+    b = np.concatenate(([1.0, d[0], r12, r13, d[1], r23, d[2]], u * j))
+    return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:], tol=tol)
 
 
 def tau(rho: np.ndarray, two_j: int) -> np.ndarray:
     """Reduced expectation value matrix of order j for a symmetric two-qubit
-    operator; positive semidefinite whenever rho extends to 2j qubits."""
+    operator; positive semidefinite whenever rho extends to 2j qubits.
+
+    tau = D^-1 chi(b) D^-1 with b_i = tr(K_i rho) and D = diag(1, j, j, j).
+    """
     two_j = _require_j_ge_1(two_j)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError(f"expected a 3x3 symmetric-basis operator, got {rho.shape}")
-    ops = reduction_operators(two_j)
-    j = two_j / 2.0
-    t = np.empty((4, 4), dtype=complex)
-    t[0, 0] = np.trace(rho)
-    for k in range(3):
-        t[0, 1 + k] = np.trace(ops.lam1[k] @ rho) / j
-        for l in range(3):
-            t[1 + k, 1 + l] = np.trace(ops.lam2[k][l] @ rho) / (j * j)
-    t[1:, 0] = np.conj(t[0, 1:])
-    return (t + t.conj().T) / 2.0
+    b = np.einsum("iab,ba->i", reduction_operators(two_j), rho).real
+    d = np.array([1.0, 2.0 / two_j, 2.0 / two_j, 2.0 / two_j])
+    return np.tensordot(b, CHI_PATTERN, axes=1) * np.outer(d, d)
 
 
 def ppt_inner_test(rho: np.ndarray, tol: float = matcore.PSD_TOL) -> bool:

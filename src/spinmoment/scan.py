@@ -75,20 +75,20 @@ def _moments(two_j: int, u: np.ndarray, v1: float, v2: float):
     return reduction.moments_from_coords(coords)
 
 
-def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool, tol: float, band: float):
+def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool):
     """One cell from scratch: the per-cell reference for the batched scan."""
     m = _moments(two_j, u, v1, v2)
     rho = reduction.reconstruct_rho(m)
-    rho_psd = matcore.min_eigenvalue(rho) >= -tol
-    in_r = rho_psd and reduction.ppt_inner_test(rho, tol=tol)
-    in_t = rho_psd and matcore.is_psd(reduction.tau(rho, two_j), tol=tol)
+    rho_psd = matcore.min_eigenvalue(rho) >= -matcore.PSD_TOL
+    in_r = rho_psd and reduction.ppt_inner_test(rho)
+    in_t = rho_psd and matcore.is_psd(reduction.tau(rho, two_j))
     if not want_s:
         return in_r, -1, in_t
     if in_r:
         return in_r, 1, in_t
     if not in_t:
         return in_r, 0, in_t
-    verdict = feasibility.exact_test_direct(m, band=band)
+    verdict = feasibility.exact_test_direct(m)
     return in_r, 1 if verdict.accepted else 0, in_t
 
 
@@ -105,9 +105,9 @@ def _slice_maps(two_j: int, u: np.ndarray):
 
 def _exact_cell(args) -> tuple[bool, float]:
     """Exact test of one cell in T but not R; returns (accepted, seconds)."""
-    two_j, u, v1, v2, band = args
+    two_j, u, v1, v2 = args
     t0 = time.perf_counter()
-    accepted = feasibility.exact_test_direct(_moments(two_j, u, v1, v2), band=band).accepted
+    accepted = feasibility.exact_test_direct(_moments(two_j, u, v1, v2)).accepted
     return accepted, time.perf_counter() - t0
 
 
@@ -118,8 +118,6 @@ def scan_grid(
     v2_range=(-0.2, 1.0),
     resolution: int = 101,
     sets=("R", "S", "T"),
-    tol: float = matcore.PSD_TOL,
-    band: float = feasibility.BOUNDARY_BAND,
     workers: int = 1,
 ) -> ScanResult:
     """Classify a (v1, v2) grid at fixed u against the requested sets.
@@ -152,7 +150,7 @@ def scan_grid(
     in_t = np.zeros_like(in_r)
     for i1, v1 in enumerate(v1s):
         rho_psd, pt_psd, tau_psd = (
-            np.linalg.eigvalsh(c0 + v1 * d1 + v2s[:, None, None] * d2)[:, 0] >= -tol
+            np.linalg.eigvalsh(c0 + v1 * d1 + v2s[:, None, None] * d2)[:, 0] >= -matcore.PSD_TOL
             for c0, d1, d2 in maps
         )
         in_r[i1] = rho_psd & pt_psd
@@ -163,7 +161,7 @@ def scan_grid(
     if want_s:
         s[:] = in_r
         cells = np.argwhere(in_t & ~in_r)
-        jobs = [(two_j, u, float(v1s[i1]), float(v2s[i2]), band) for i1, i2 in cells]
+        jobs = [(two_j, u, float(v1s[i1]), float(v2s[i2])) for i1, i2 in cells]
         if workers <= 1 or not jobs:
             done = list(map(_exact_cell, jobs))
         else:

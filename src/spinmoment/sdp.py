@@ -288,6 +288,12 @@ class Phase1Result:
     dual_coefficients: np.ndarray | None = None
 
 
+def _check_dim(d: int) -> None:
+    """Raise the cone-cap ``ValueError``; callers run it before building operators."""
+    if d > DIM_CAP:
+        raise ValueError(f"cone dimension {d} exceeds the cap {DIM_CAP}")
+
+
 def phase1_min_t(constraints, dim: int) -> Phase1Result:
     """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i.
 
@@ -298,8 +304,7 @@ def phase1_min_t(constraints, dim: int) -> Phase1Result:
     values; a conflict is reported as primal-infeasible before any iteration.
     """
     d = int(dim)
-    if d > DIM_CAP:
-        raise ValueError(f"cone dimension {d} exceeds the cap {DIM_CAP}")
+    _check_dim(d)
     rows = [(matcore.hermitize(np.asarray(a, dtype=complex)), float(b)) for a, b in constraints]
     if not rows:
         raise ValueError("phase-1 needs at least the trace normalization constraint")

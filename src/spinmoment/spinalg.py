@@ -4,6 +4,12 @@ Conventions: L3 is diagonal with eigenvalues j, j-1, ..., -j (basis index 0 is
 the highest-weight vector), and L1, L2 come from ladder operators with
 <m+1|L+|m> = sqrt(j(j+1) - m(m+1)).  Spin numbers travel as the integer
 ``two_j`` to keep half-integer j exact.
+
+The one moment format is the vector b of ``moment_values``: the expectation
+values of the ten operators named by ``MOMENT_LABELS`` (the identity, the
+symmetrized products S_kl = (L_k L_l + L_l L_k)/2 for k <= l, and L1, L2, L3).
+Every cheap stage matrix is a fixed linear image of b; the chi matrix is
+sum_i b_i CHI_PATTERN[i].
 """
 
 from __future__ import annotations
@@ -19,6 +25,30 @@ CASIMIR_TOL = 1e-9
 
 # Levi-Civita cycles (k, l, m) with eps_klm = +1, zero-based.
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+MOMENT_LABELS = ("I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3")
+_UPPER = np.triu_indices(3)  # (k, l) of S11, S12, S13, S22, S23, S33
+
+
+def _chi_pattern() -> np.ndarray:
+    """C_i with chi = sum_i b_i C_i over the basis {1, L1, L2, L3}.
+
+    S_kl fills entries (k, l) and (l, k) of the lower block; L_m fills row and
+    column 0 and, since L_k L_l = S_kl + (i/2) eps_klm L_m, the imaginary
+    parts +-1/2 at (k, l) and (l, k) for cyclic (k, l, m).
+    """
+    c = np.zeros((len(MOMENT_LABELS), 4, 4), dtype=complex)
+    c[0, 0, 0] = 1.0
+    for i, (k, l) in enumerate(zip(*_UPPER), start=1):
+        c[i, 1 + k, 1 + l] = c[i, 1 + l, 1 + k] = 1.0
+    for k, l, m in _CYCLES:
+        c[7 + m, 0, 1 + m] = c[7 + m, 1 + m, 0] = 1.0
+        c[7 + m, 1 + k, 1 + l] = 0.5j
+        c[7 + m, 1 + l, 1 + k] = -0.5j
+    return c
+
+
+CHI_PATTERN = _chi_pattern()
 
 
 def _check_two_j(two_j: int) -> int:
@@ -187,18 +217,18 @@ def moment_matrix(rho: np.ndarray, triple: SpinOperatorTriple, psd_tol: float = 
     return MomentMatrix.from_matrix(triple.two_j, m)
 
 
+def moment_values(m: MomentMatrix) -> np.ndarray:
+    """The moment vector b over ``MOMENT_LABELS``: 1, Re(M_kl) for k <= l, l_m."""
+    return np.concatenate(([1.0], m.matrix.real[_UPPER], m.first_moments))
+
+
 def chi_matrix(m: MomentMatrix) -> np.ndarray:
     """4x4 expectation value matrix over the basis {1, L1, L2, L3}.
 
     Entry (0,0) is the normalization, row/column 0 carry the first moments and
     the lower-right block is M.  PSD for every moment matrix of a true state.
     """
-    chi = np.empty((4, 4), dtype=complex)
-    chi[0, 0] = 1.0
-    chi[0, 1:] = m.first_moments
-    chi[1:, 0] = m.first_moments
-    chi[1:, 1:] = m.matrix
-    return chi
+    return np.tensordot(moment_values(m), CHI_PATTERN, axes=1)
 
 
 def _antisym_from_moments(ell: np.ndarray) -> np.ndarray:

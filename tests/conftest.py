@@ -30,12 +30,13 @@ def random_so3(rng):
 
 def moments_of_pair_state(rho3, two_j):
     """Moment matrix prescribed by a symmetric two-qubit state at spin j."""
-    ops = reduction.reduction_operators(two_j)
-    m = np.empty((3, 3), dtype=complex)
-    for k in range(3):
-        for l in range(3):
-            m[k, l] = np.trace(ops.lam2[k][l] @ rho3)
-    return spinalg.MomentMatrix.from_matrix(two_j, m)
+    b = pair_values(rho3, two_j)
+    return spinalg.MomentMatrix.from_matrix(two_j, np.tensordot(b, spinalg.CHI_PATTERN, axes=1)[1:, 1:])
+
+
+def pair_values(rho3, two_j):
+    """The moment vector b_i = tr(K_i rho3) a symmetric two-qubit operator carries."""
+    return np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho3).real
 
 
 def highest_weight_state(two_j):

@@ -281,7 +281,7 @@ class TestScanCommand:
         picks = rng.choice(len(rows), size=max(1, len(rows) // 100 + 3), replace=False)
         for idx in picks:
             v1, v2, fr, fs, ft = rows[idx]
-            gr, gs, gt = _point_flags(two_j, u, v1, v2, True, 1e-8, 1e-7)
+            gr, gs, gt = _point_flags(two_j, u, v1, v2, True)
             assert (int(gr), int(gs), int(gt)) == (fr, fs, ft)
 
     def test_degenerate_point_at_full_polarization(self, tmp_path):
@@ -373,7 +373,7 @@ class TestScanCommand:
         result = scan_grid(two_j, u, resolution=n, sets=sets)
         for i1, v1 in enumerate(result.v1_values):
             for i2, v2 in enumerate(result.v2_values):
-                fr, fs, ft = _point_flags(two_j, u, float(v1), float(v2), "S" in sets, 1e-8, 1e-7)
+                fr, fs, ft = _point_flags(two_j, u, float(v1), float(v2), "S" in sets)
                 got = (result.in_r[i1, i2], result.in_s[i1, i2], result.in_t[i1, i2])
                 assert got == (int(fr), int(fs), int(ft)), (v1, v2)
 

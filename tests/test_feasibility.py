@@ -174,6 +174,37 @@ class TestExactTestDirect:
         assert feasibility.exact_test_direct(mm2).status == STATUS_NON_QUANTUM
 
 
+class TestCapBeforeOperators:
+    @pytest.mark.parametrize("two_j", [64, 1000])
+    def test_over_cap_raises_before_any_spin_operator(self, two_j, monkeypatch):
+        built = []
+        spin_operators = spinalg.spin_operators
+        monkeypatch.setattr(spinalg, "spin_operators", lambda tj: built.append(tj) or spin_operators(tj))
+        feasibility._moment_operator_set.cache_clear()
+        j = two_j / 2.0
+        m = MomentMatrix.from_matrix(two_j, np.diag([j * (j + 1) / 2, j * (j + 1) / 2, 0.0]).astype(complex))
+        ell = np.zeros(3)
+        calls = (
+            lambda: feasibility.exact_test_direct(m),
+            lambda: feasibility.witness_search(m),
+            lambda: feasibility.exact_test_first_moments(ell, two_j),
+            lambda: feasibility.witness_for_first_moments(ell, two_j),
+            lambda: feasibility.classify(m),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"cone dimension {two_j + 1} exceeds the cap"):
+                call()
+        assert built == []
+
+    def test_early_reject_keeps_its_dense_witness_over_the_cap(self):
+        two_j = 64
+        v = feasibility.classify(long_first_moment_moments(two_j))
+        assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
+        assert v.witness.matrix.shape == (two_j + 1, two_j + 1)
+        assert matcore.min_eigenvalue(v.witness.matrix) >= -1e-9
+        assert v.witness.separates
+
+
 class TestExactTestExtension:
     @pytest.mark.parametrize("two_j", [2, 5, 9, 12])
     def test_product_state_extends_with_product_extension(self, two_j):
@@ -306,14 +337,18 @@ class TestWitnessSearch:
         triple = spinalg.spin_operators(4)
         for _ in range(100):
             m = spinalg.moment_matrix(random_density(rng, 5), triple)
-            values = feasibility.moment_values_in_witness_basis(m, w)
-            assert w.evaluate(values) >= -1e-7
+            assert w.evaluate(spinalg.moment_values(m)) >= -1e-7
 
     def test_conflicting_values_are_an_input_error(self):
         # at j = 1/2 every L_k^2 is 1/4, so unequal diagonal moments conflict
         m = MomentMatrix.from_matrix(1, np.diag([0.3, 0.25, 0.2]).astype(complex))
         with pytest.raises(ValueError, match="conflict"):
             feasibility.witness_search(m)
+
+    def test_evaluate_rejects_values_of_another_operator_set(self):
+        w = feasibility.witness_search(coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], 4))
+        with pytest.raises(ValueError, match="expected 10 values"):
+            w.evaluate(np.ones(4))
 
     def test_witness_matrix_consistent_with_coefficients(self):
         m = coords_matrix([0.1, 0.0, 0.4], [0.9, 0.2, -0.1], 6)
@@ -575,7 +610,7 @@ class TestOneSdpPerDecision:
         v = feasibility.exact_test_direct(m)
         assert (v.stage, v.status) == ("exact", STATUS_NON_QUANTUM)
         w = v.witness
-        assert w.op_labels == feasibility._OP_LABELS
+        assert w.op_labels == spinalg.MOMENT_LABELS
         assert abs(w.value + v.t_star) <= 1e-6
         assert matcore.min_eigenvalue(w.matrix) >= -1e-9
         assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
@@ -613,7 +648,7 @@ class TestEarlyRejectWitness:
                 rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
                 assert np.abs(rebuilt - w.matrix).max() <= 1e-8
                 assert w.value < 0
-                assert w.value == w.evaluate(feasibility._moment_values(m))
+                assert w.value == w.evaluate(spinalg.moment_values(m))
                 assert feasibility.witness_search(m).value < 0
 
 

@@ -1,5 +1,6 @@
-"""The README's examples run as written: the library quick start executes and
-every moment-file example passes ``spinmoment check``."""
+"""The README's examples run as written: the library quick start executes,
+every moment-file example passes ``spinmoment check`` and the Notes pairing
+line evaluates a witness."""
 
 import json
 import re
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from spinmoment import cli, feasibility
+import numpy as np
+
+from spinmoment import cli, feasibility, reduction, spinalg
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -36,3 +39,16 @@ def test_moment_file_examples_check(tmp_path, capsys, index):
     assert cli.main(["check", "--input", str(path)]) == cli.EXIT_QUANTUM
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["status"] == feasibility.STATUS_QUANTUM
+
+
+def test_notes_pairing_line_runs():
+    notes = README.split("## Notes\n", 1)[1]
+    (line,) = re.findall(r"`(witness\.evaluate\([^`]*\))`", notes)
+    triple = spinalg.spin_operators(4)
+    quantum = spinalg.moment_matrix(np.eye(5, dtype=complex) / 5.0, triple)
+    coords = reduction.RenormalizedCoords(u=np.zeros(3), v=np.array([1.2, -0.1, -0.1]), two_j=4)
+    bad = reduction.moments_from_coords(coords)
+    witness = feasibility.witness_search(bad)
+    names = {"spinalg": spinalg, "witness": witness}
+    assert eval(line, {**names, "m": quantum}) >= -1e-9
+    assert eval(line, {**names, "m": bad}) == witness.value

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from spinmoment import matcore, reduction, spinalg
+from spinmoment import feasibility, matcore, reduction, spinalg
 from spinmoment.reduction import RenormalizedCoords
 from spinmoment.spinalg import MomentMatrix
 
 import symmetric_oracle
-from conftest import highest_weight_state, moments_of_pair_state, random_density
+from conftest import highest_weight_state, moments_of_pair_state, pair_values, random_density
 
 
 class TestReductionOperators:
     def test_lam1_z_spectrum_matches_spin_one(self):
         ops = reduction.reduction_operators(2)
-        vals = np.sort(matcore.hermitian_eigvals(ops.lam1[2]))[::-1]
+        vals = np.sort(matcore.hermitian_eigvals(ops[spinalg.MOMENT_LABELS.index("L3")]))[::-1]
         assert np.allclose(vals, [1.0, 0.0, -1.0], atol=1e-12)
 
     @pytest.mark.parametrize("two_j", [2, 3, 5])
@@ -22,25 +22,22 @@ class TestReductionOperators:
         omega = symmetric_oracle.embed_spin_state(highest_weight_state(two_j), two_j)
         rho3 = symmetric_oracle.pair_marginal(omega, two_j)
         ops = reduction.reduction_operators(two_j)
-        for k in range(3):
-            for l in range(3):
-                assert np.trace(ops.lam2[k][l] @ rho3) == pytest.approx(
-                    m.matrix[k, l], abs=1e-10
-                )
+        b = spinalg.moment_values(m)
+        for op, value in zip(ops, b):
+            assert np.trace(op @ rho3) == pytest.approx(value, abs=1e-10)
 
     @pytest.mark.parametrize("two_j", [2, 3, 4, 9])
     def test_casimir_transfers(self, two_j):
         ops = reduction.reduction_operators(two_j)
         j = two_j / 2.0
-        total = sum(ops.lam2[k][k] for k in range(3))
+        total = sum(ops[spinalg.MOMENT_LABELS.index(f"S{k}{k}")] for k in (1, 2, 3))
         assert np.abs(total - j * (j + 1.0) * np.eye(3)).max() < 1e-10
 
     def test_hermiticity_structure(self):
         ops = reduction.reduction_operators(5)
-        for k in range(3):
-            assert np.abs(ops.lam2[k][k] - ops.lam2[k][k].conj().T).max() < 1e-12
-            for l in range(3):
-                assert np.abs(ops.lam2[k][l].conj().T - ops.lam2[l][k]).max() < 1e-12
+        assert ops.shape == (len(spinalg.MOMENT_LABELS), 3, 3)
+        for op in ops:
+            assert np.abs(op - op.conj().T).max() < 1e-12
 
     def test_rejects_spin_half(self):
         with pytest.raises(ValueError, match="first-moment"):
@@ -53,15 +50,53 @@ class TestLinearityConsistency:
         rng = np.random.default_rng(two_j * 71)
         t = spinalg.spin_operators(two_j)
         ls = t.as_list()
-        ops = reduction.reduction_operators(two_j)
         for _ in range(200):
             rho_spin = random_density(rng, two_j + 1)
             omega = symmetric_oracle.embed_spin_state(rho_spin, two_j)
             rho3 = symmetric_oracle.pair_marginal(omega, two_j)
+            chi = np.tensordot(pair_values(rho3, two_j), spinalg.CHI_PATTERN, axes=1)
             for k, l in ((0, 0), (0, 1), (1, 2), (2, 2)):
                 direct = np.trace(ls[k] @ ls[l] @ rho_spin)
-                reduced = np.trace(ops.lam2[k][l] @ rho3)
+                reduced = chi[1 + k, 1 + l]
                 assert abs(direct - reduced) < 1e-9
+
+
+def spin_pair_marginal(rho_spin, two_j):
+    """Pair marginal of a spin-j state: the 2^n oracle up to n = 10, beyond it
+    the closed-form Dicke adjoints (checked against the oracle up to n = 12)."""
+    if two_j <= 10:
+        return symmetric_oracle.pair_marginal(symmetric_oracle.embed_spin_state(rho_spin, two_j), two_j)
+    ops, basis3 = feasibility._extension_constraint_ops(two_j)
+    return np.einsum("r,rab->ab", np.einsum("rab,ba->r", ops, rho_spin).real, basis3)
+
+
+class TestMomentStacks:
+    """chi, rho_j and tau_j as linear stacks over the moment vector b."""
+
+    @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 30])
+    def test_stacks_on_random_states(self, two_j):
+        rng = np.random.default_rng(two_j * 389)
+        t = spinalg.spin_operators(two_j)
+        basis = [np.eye(two_j + 1, dtype=complex)] + t.as_list()
+        j = two_j / 2.0
+        d_inv = np.diag([1.0, 1.0 / j, 1.0 / j, 1.0 / j])
+        for _ in range(5):
+            rho_spin = random_density(rng, two_j + 1)
+            m = spinalg.moment_matrix(rho_spin, t)
+            b = spinalg.moment_values(m)
+            chi_direct = np.array([[np.trace(x @ y @ rho_spin) for y in basis] for x in basis])
+            chi = np.tensordot(b, spinalg.CHI_PATTERN, axes=1)
+            assert np.abs(chi - spinalg.chi_matrix(m)).max() == 0.0
+            assert np.abs(chi - chi_direct).max() <= 1e-12 * j * j
+            rho3 = spin_pair_marginal(rho_spin, two_j)
+            rec = np.tensordot(b, reduction._reconstruction_system(two_j), axes=1)
+            assert np.abs(rec - reduction.reconstruct_rho(m)).max() == 0.0
+            assert np.abs(rec - rho3).max() <= 1e-9
+            assert np.abs(pair_values(rho3, two_j) - b).max() <= 1e-10 * j * j
+            assert np.abs(reduction.tau(rho3, two_j) - d_inv @ chi_direct @ d_inv).max() <= 1e-10
+            pair = random_density(rng, 3)
+            chi_k = np.tensordot(pair_values(pair, two_j), spinalg.CHI_PATTERN, axes=1)
+            assert np.abs(reduction.tau(pair, two_j) - d_inv @ chi_k @ d_inv).max() <= 1e-12
 
 
 class TestReconstruct:

@@ -40,7 +40,7 @@ class TestGramSchmidt:
 def highest_weight_program(two_j):
     ops, triple = feasibility._moment_operator_set(two_j)
     hw = spinalg.moment_matrix(highest_weight_state(two_j), triple)
-    return list(zip(ops, feasibility._moment_values(hw))), triple.dim
+    return list(zip(ops, spinalg.moment_values(hw))), triple.dim
 
 
 class TestSolveAnalytic:
@@ -155,7 +155,7 @@ class TestPhase1:
     def test_boundary_highest_weight_moments(self):
         ops, triple = feasibility._moment_operator_set(4)
         hw = spinalg.moment_matrix(highest_weight_state(4), triple)
-        values = feasibility._moment_values(hw)
+        values = spinalg.moment_values(hw)
         p1 = sdp.phase1_min_t(list(zip(ops, values)), triple.dim)
         assert abs(p1.t_star) <= 1e-7
 
