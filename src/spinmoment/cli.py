@@ -149,15 +149,8 @@ def _witness_json(witness: feasibility.Witness) -> dict:
 
 
 def cmd_check(args) -> int:
-    try:
-        m, label = load_moment_file(args.input)
-        verdict = feasibility.classify(m)
-    except (MomentFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    m, label = load_moment_file(args.input)
+    verdict = feasibility.classify(m)
     title = label or args.input
     print(f"moment check: {title}")
     print(f"  j = {_spin_label(m.two_j)} (two_j = {m.two_j})")
@@ -182,19 +175,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    try:
-        m, label = load_moment_file(args.input)
-        if m.two_j == 1:
-            feasibility._validate_half_spin_structure(m)
-            witness = feasibility.witness_for_first_moments(m.first_moments, m.two_j)
-        else:
-            witness = feasibility.witness_search(m)
-    except (MomentFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    m, label = load_moment_file(args.input)
+    if m.two_j == 1:
+        feasibility._validate_half_spin_structure(m)
+        witness = feasibility.witness_for_first_moments(m.first_moments, m.two_j)
+    else:
+        witness = feasibility.witness_search(m)
     title = label or args.input
     print(f"witness search: {title}")
     zvals, _ = matcore.hermitian_eig(witness.matrix)
@@ -213,33 +199,26 @@ def cmd_witness(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    try:
-        two_j = args.two_j if args.two_j is not None else parse_spin(args.j)
-        u = np.array([float(x) for x in args.u.split(",")])
-        if u.shape != (3,):
-            raise MomentFileError("--u needs three comma-separated numbers")
-        sets = tuple(s.strip().upper() for s in args.sets.split(",") if s.strip())
-        if float(np.linalg.norm(u)) > 1.0 + 1e-12:
-            print("warning: |u| > 1, all regions will be empty", file=sys.stderr)
-        t0 = time.perf_counter()
-        result = scan_grid(
-            two_j,
-            u,
-            v1_range=(args.v1_min, args.v1_max),
-            v2_range=(args.v2_min, args.v2_max),
-            resolution=args.grid,
-            sets=sets,
-            workers=args.workers,
-        )
-        result.to_csv(args.out)
-        if args.svg:
-            result.to_svg(args.svg)
-    except (MomentFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    two_j = args.two_j if args.two_j is not None else parse_spin(args.j)
+    u = np.array([float(x) for x in args.u.split(",")])
+    if u.shape != (3,):
+        raise MomentFileError("--u needs three comma-separated numbers")
+    sets = tuple(s.strip().upper() for s in args.sets.split(",") if s.strip())
+    if float(np.linalg.norm(u)) > 1.0 + 1e-12:
+        print("warning: |u| > 1, all regions will be empty", file=sys.stderr)
+    t0 = time.perf_counter()
+    result = scan_grid(
+        two_j,
+        u,
+        v1_range=(args.v1_min, args.v1_max),
+        v2_range=(args.v2_min, args.v2_max),
+        resolution=args.grid,
+        sets=sets,
+        workers=args.workers,
+    )
+    result.to_csv(args.out)
+    if args.svg:
+        result.to_svg(args.svg)
     elapsed = time.perf_counter() - t0
     areas = [f"area({name}) = {result.area(name)}" for name in ("R", "S", "T") if name in sets or name in "RT"]
     print(
@@ -350,7 +329,7 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
         long_l = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
         long_l += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + 0.5]))
         coords = reduction.RenormalizedCoords(u=np.zeros(3), v=np.array([1.02, -0.01, -0.01]), two_j=two_j)
-        ops = feasibility._moment_operator_set(two_j)[0]
+        ops = feasibility._moment_operator_set(two_j)
         for stage, raw in (("chi", long_l), ("reconstruct", reduction.moments_from_coords(coords).matrix)):
             rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             rot *= np.linalg.det(rot)
@@ -429,8 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; input errors exit 3 and solver failures exit 4."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

@@ -26,9 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import matcore, reduction, sdp, spinalg
+from .matcore import BOUNDARY_BAND
 from .spinalg import MomentMatrix
-
-BOUNDARY_BAND = 1e-7
 
 STATUS_QUANTUM = "quantum"
 STATUS_NON_QUANTUM = "non-quantum"
@@ -104,30 +103,31 @@ class _StageLog:
         return tuple(self.records)
 
 
-@lru_cache(maxsize=None)
-def _moment_operator_set(two_j: int) -> tuple[np.ndarray, spinalg.SpinOperatorTriple]:
+def _operator_stack(two_j: int) -> np.ndarray:
     """Operators whose expectation values a moment matrix prescribes, stacked.
 
     Order matches ``spinalg.MOMENT_LABELS``: identity, the six symmetrized
     products (L_k L_l + L_l L_k)/2 for k <= l, then the three bare spin
-    operators.  Dense and unchecked against the SDP cap: the early-reject
-    witnesses need them at any 2j, the SDP paths go through ``_sdp_operator_set``.
+    operators.
     """
-    triple = spinalg.spin_operators(two_j)
-    ls = triple.as_list()
-    ops = [np.eye(triple.dim, dtype=complex)]
-    for k in range(3):
-        for l in range(k, 3):
-            ops.append((ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0)
-    ops.extend(ls)
-    return np.stack(ops), triple
+    ls = spinalg.spin_operators(two_j).as_list()
+    products = [(ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0 for k, l in zip(*spinalg._UPPER)]
+    return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
 
 
+@lru_cache(maxsize=None)
 def _sdp_operator_set(two_j: int) -> np.ndarray:
-    """The operator stack of a phase-1 program: the cone-cap ``ValueError``
-    comes before any dense operator is built."""
+    """The operator stack of a phase-1 program, cached per spin: the cone-cap
+    ``ValueError`` comes before any dense operator is built."""
     sdp._check_dim(two_j + 1)
-    return _moment_operator_set(two_j)[0]
+    return _operator_stack(two_j)
+
+
+def _moment_operator_set(two_j: int) -> np.ndarray:
+    """The operator stack at any 2j, as the early-reject witnesses need it:
+    the cached one within the SDP cap, a fresh one above it, so that an early
+    reject there keeps no dense (2j+1)^2 operators alive."""
+    return _sdp_operator_set(two_j) if two_j < sdp.DIM_CAP else _operator_stack(two_j)
 
 
 def _clean_state(x: np.ndarray, floor: float) -> np.ndarray:
@@ -216,7 +216,7 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
     In both cases sum_i c_i tr A_i = tr(sum_i c_i A_i) > 0, so Z has unit
     trace.  The witness is valid but not optimal: its value is not -t*.
     """
-    ops = _moment_operator_set(m.two_j)[0]
+    ops = _moment_operator_set(m.two_j)
     v = matcore.hermitian_eig(matrix)[1][:, 0]
     c = np.einsum("a,iab,b->i", v.conj(), _early_witness_system(stage, m.two_j), v).real
     c = c / float(c @ np.einsum("iaa->i", ops).real)
@@ -234,11 +234,13 @@ def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str) -> Ve
     return verdict
 
 
-def first_moment_test(ell: np.ndarray, two_j: int, band: float = 1e-9) -> Verdict:
+def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     """Closed-form first-moment feasibility: quantum iff |l|^2 <= j^2.
 
-    When feasible the certificate mixes the top eigenstate of the spin
-    operator along l with the maximally mixed state.
+    Banded like ``exact_test_first_moments``, on that program's t* in closed
+    form, (|l|/j - 1)/(2j+1), which the stage detail reports; ``t_star``
+    stays None, as no SDP ran.  When feasible the certificate mixes the top
+    eigenstate of the spin operator along l with the maximally mixed state.
     """
     two_j = spinalg._check_two_j(two_j)
     ell = np.asarray(ell, dtype=float)
@@ -246,13 +248,15 @@ def first_moment_test(ell: np.ndarray, two_j: int, band: float = 1e-9) -> Verdic
         raise ValueError("first moments must be a real 3-vector")
     j = two_j / 2.0
     r = float(np.linalg.norm(ell))
+    t = (r / j - 1.0) / (two_j + 1)
+    detail = f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
     log = _StageLog()
-    if r > j * (1.0 + band):
-        log.add("first-moment", "reject", f"|l| = {r:.9g} > j = {j:.9g}")
+    if t > BOUNDARY_BAND:
+        log.add("first-moment", "reject", detail)
         return Verdict(STATUS_NON_QUANTUM, "first-moment", None, None, None, log.done())
-    status = STATUS_BOUNDARY if abs(r - j) <= band * j else STATUS_QUANTUM
+    status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     state = _first_moment_certificate(ell, two_j)
-    log.add("first-moment", "boundary" if status == STATUS_BOUNDARY else "accept", f"|l| = {r:.9g}")
+    log.add("first-moment", "boundary" if status == STATUS_BOUNDARY else "accept", detail)
     return Verdict(status, "first-moment", None, state, None, log.done())
 
 
@@ -364,13 +368,14 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     return _phase1_verdict(ops, values, two_j + 1, _EXTENSION_LABELS, "extension")
 
 
-def outer_test(m: MomentMatrix, tol: float = matcore.PSD_TOL) -> bool:
-    """Necessary condition: the reduced expectation value matrix must be PSD.
+def outer_test(m: MomentMatrix) -> bool:
+    """Necessary condition: the reduced expectation value matrix must be PSD
+    (to ``matcore.PSD_TOL``).
 
     False certifies that the moments are not quantum for this spin number.
     """
     rho = reduction.reconstruct_rho(m)
-    return matcore.is_psd(reduction.tau(rho, m.two_j), tol=tol)
+    return matcore.is_psd(reduction.tau(rho, m.two_j))
 
 
 def witness_search(m: MomentMatrix) -> Witness:
@@ -393,11 +398,12 @@ def witness_for_first_moments(ell: np.ndarray, two_j: int) -> Witness:
     return _dual_witness(_solve_phase1(ops, values, two_j + 1), values, _FIRST_MOMENT_LABELS)
 
 
-def _validate_half_spin_structure(m: MomentMatrix, tol: float = 1e-9) -> None:
-    """At j = 1/2 all second moments are forced: Re(M) must equal I/4."""
+def _validate_half_spin_structure(m: MomentMatrix) -> None:
+    """At j = 1/2 all second moments are forced: Re(M) must equal I/4
+    (to ``matcore.STRUCTURE_TOL``)."""
     forced = np.eye(3) / 4.0
     dev = float(np.abs(m.matrix.real - forced).max())
-    if dev > tol:
+    if dev > matcore.STRUCTURE_TOL:
         raise ValueError(
             f"second moments at j = 1/2 are forced to Re(M) = I/4; deviation {dev:.3e}"
         )

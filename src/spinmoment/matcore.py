@@ -1,4 +1,6 @@
-"""Dense complex / Hermitian linear algebra primitives shared by all modules."""
+"""Dense complex / Hermitian linear algebra primitives shared by all modules,
+and the one table of decision tolerances: only ``hermitize`` and ``is_psd``
+take a threshold argument, since each has two values in use."""
 
 from __future__ import annotations
 
@@ -6,8 +8,14 @@ import math
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
-PSD_TOL = 1e-8
+HERMITIAN_TOL = 1e-12  # max |A - A^dag| that ``hermitize`` symmetrizes away by default
+PSD_TOL = 1e-8  # lambda_min >= -PSD_TOL counts as positive semidefinite
+BOUNDARY_BAND = 1e-7  # |t*| within the band is "boundary"; a witness separates below -band
+CASIMIR_TOL = 1e-9  # Hermiticity, Casimir trace, Im(M) of M, times max(1, max |M_kl|); sum(v) = 1
+RESIDUAL_TOL = 1e-8  # moment-value residual of the reconstructed two-qubit state
+DEGENERACY_TOL = 1e-9  # eigenvalue ties in the standard form, times max(1, max |eigenvalue|)
+STRUCTURE_TOL = 1e-9  # max |Re(M) - I/4| at j = 1/2
+TRACE_TOL = 1e-9  # |tr rho - 1| of a spin state
 
 
 def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -32,23 +40,23 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(a) * b)))
 
 
-def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition H = U diag(w) U^dag of a Hermitian matrix (LAPACK).
 
     Eigenvalues are returned in ascending order; U's columns are the matching
     orthonormal eigenvectors.  A real symmetric input yields real eigenvectors.
     """
-    return np.linalg.eigh(hermitize(h, tol=tol))
+    return np.linalg.eigh(hermitize(h))
 
 
-def hermitian_eigvals(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigvals(h: np.ndarray) -> np.ndarray:
     """Eigenvalues only (ascending); skips eigenvector accumulation."""
-    return np.linalg.eigvalsh(hermitize(h, tol=tol))
+    return np.linalg.eigvalsh(hermitize(h))
 
 
-def min_eigenvalue(h: np.ndarray, tol: float = HERMITIAN_TOL) -> float:
+def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eigvals(h, tol=tol)[0])
+    return float(hermitian_eigvals(h)[0])
 
 
 def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import matcore
 from .spinalg import (
-    CASIMIR_TOL,
     CHI_PATTERN,
     MOMENT_LABELS,
     MomentMatrix,
@@ -115,18 +114,19 @@ def _reconstruction_system(two_j: int) -> np.ndarray:
     return (r + r.conj().transpose(0, 2, 1)) / 2.0
 
 
-def reconstruct_rho(m: MomentMatrix, residual_tol: float = 1e-8) -> np.ndarray:
+def reconstruct_rho(m: MomentMatrix) -> np.ndarray:
     """Reconstruct the unique symmetric two-qubit operator matching all moments.
 
     The result is Hermitian with trace 1 but may fail positivity, which by
-    itself certifies that no quantum state produces these moments.
+    itself certifies that no quantum state produces these moments.  A moment
+    value it misses by more than ``matcore.RESIDUAL_TOL`` is a ``ValueError``.
     """
     two_j = _require_j_ge_1(m.two_j)
     b = moment_values(m)
     rho = np.tensordot(b, _reconstruction_system(two_j), axes=1)
     resid = np.einsum("iab,ba->i", reduction_operators(two_j), rho).real - b
     worst = int(np.argmax(np.abs(resid)))
-    if abs(resid[worst]) > residual_tol:
+    if abs(resid[worst]) > matcore.RESIDUAL_TOL:
         raise ValueError(
             f"moment matrix is inconsistent with any reduced state: residual "
             f"{resid[worst]:.3e} on the {MOMENT_LABELS[worst]} value"
@@ -144,27 +144,24 @@ def renormalized_coords(m: MomentMatrix) -> RenormalizedCoords:
     return RenormalizedCoords(u=u, v=v, two_j=two_j)
 
 
-def moments_from_coords(
-    coords: RenormalizedCoords,
-    offdiag_re: np.ndarray | None = None,
-    tol: float = CASIMIR_TOL,
-) -> MomentMatrix:
+def moments_from_coords(coords: RenormalizedCoords, offdiag_re: np.ndarray | None = None) -> MomentMatrix:
     """Rebuild the moment matrix from renormalized coordinates.
 
     Off-diagonal real parts default to zero (the standard form); sum(v) must
-    equal 1, which is the Casimir identity in these coordinates.
+    equal 1 within the absolute ``matcore.CASIMIR_TOL``, since v is O(1): that
+    is the Casimir identity in these coordinates.
     """
     two_j = _require_j_ge_1(coords.two_j)
     j = two_j / 2.0
     u = np.asarray(coords.u, dtype=float)
     v = np.asarray(coords.v, dtype=float)
     vsum = float(v.sum())
-    if abs(vsum - 1.0) > tol:
+    if abs(vsum - 1.0) > matcore.CASIMIR_TOL:
         raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
     d = v * (j * (j - 0.5)) + j / 2.0
     r12, r13, r23 = (0.0, 0.0, 0.0) if offdiag_re is None else (float(t) for t in offdiag_re)
     b = np.concatenate(([1.0, d[0], r12, r13, d[1], r23, d[2]], u * j))
-    return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:], tol=tol)
+    return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:])
 
 
 def tau(rho: np.ndarray, two_j: int) -> np.ndarray:
@@ -182,8 +179,9 @@ def tau(rho: np.ndarray, two_j: int) -> np.ndarray:
     return np.tensordot(b, CHI_PATTERN, axes=1) * np.outer(d, d)
 
 
-def ppt_inner_test(rho: np.ndarray, tol: float = matcore.PSD_TOL) -> bool:
-    """Positivity of the partial transpose, embedded in the two-qubit space.
+def ppt_inner_test(rho: np.ndarray) -> bool:
+    """Positivity of rho and of its partial transpose, embedded in the
+    two-qubit space, both to ``matcore.PSD_TOL``.
 
     For symmetric two-qubit states this is equivalent to separability, so a
     pass certifies that the moments are quantum for every spin number.
@@ -191,9 +189,7 @@ def ppt_inner_test(rho: np.ndarray, tol: float = matcore.PSD_TOL) -> bool:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError(f"expected a 3x3 symmetric-basis operator, got {rho.shape}")
-    if matcore.min_eigenvalue(rho) < -tol:
-        return False
-    return matcore.is_psd(_partial_transpose(rho), tol=tol)
+    return matcore.is_psd(rho) and matcore.is_psd(_partial_transpose(rho))
 
 
 def _partial_transpose(rho: np.ndarray) -> np.ndarray:

@@ -179,7 +179,7 @@ def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
             primal_residual=pres, dual_residual=dres, mu=mu, iterate_log=log, message=message,
         )
 
-    for it in range(MAX_ITERATIONS):
+    for it in range(MAX_ITERATIONS + 1):  # the last pass only tests the final iterate
         rp = b - a_apply(x)
         rd = c - z - a_adjoint(y)
         rd = (rd + rd.conj().T) / 2.0
@@ -195,6 +195,13 @@ def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
             return snapshot(STATUS_OPTIMAL, it)
         if max(float(np.abs(y).max()), float(np.abs(x).max())) > _DIVERGENCE:
             return snapshot(STATUS_FAILURE, it, "iterate diverged")
+        if it == MAX_ITERATIONS:
+            return snapshot(
+                STATUS_FAILURE,
+                it,
+                f"no convergence after {it} iterations "
+                f"(gap {abs(pobj - dobj):.2e}, primal res {pres:.2e}, dual res {dres:.2e})",
+            )
 
         try:
             zinv = np.linalg.solve(z, eye)
@@ -249,20 +256,6 @@ def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
         y = y + ad * dy
         z = z + ad * dz
         z = (z + z.conj().T) / 2.0
-
-    rp = b - a_apply(x)
-    rd = c - z - a_adjoint(y)
-    pobj = matcore.hs_inner(c, x)
-    dobj = float(b @ y)
-    mu = matcore.hs_inner(x, z) / d
-    pres = float(np.abs(rp).max()) / b_scale
-    dres = float(np.abs(rd).max()) / c_scale
-    return snapshot(
-        STATUS_FAILURE,
-        MAX_ITERATIONS,
-        f"no convergence after {MAX_ITERATIONS} iterations "
-        f"(gap {abs(pobj - dobj):.2e}, primal res {pres:.2e}, dual res {dres:.2e})",
-    )
 
 
 @dataclass(frozen=True)

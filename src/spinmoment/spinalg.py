@@ -21,8 +21,6 @@ import numpy as np
 
 from . import matcore
 
-CASIMIR_TOL = 1e-9
-
 # Levi-Civita cycles (k, l, m) with eps_klm = +1, zero-based.
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -93,7 +91,8 @@ class MomentMatrix:
 
     ``matrix`` is Hermitian with real diagonal; tr Re(M) = j(j+1) by the
     Casimir identity, and Im(M_kl) = eps_klm * l_m / 2 encodes the first
-    moments.  Use ``from_matrix`` to validate raw input.
+    moments.  Use ``from_matrix`` to validate raw input; its Hermiticity and
+    Casimir checks are relative to max(1, max_kl |M_kl|).
     """
 
     two_j: int
@@ -105,7 +104,7 @@ class MomentMatrix:
         return self.two_j / 2.0
 
     @classmethod
-    def from_matrix(cls, two_j: int, matrix: np.ndarray, tol: float = CASIMIR_TOL) -> "MomentMatrix":
+    def from_matrix(cls, two_j: int, matrix: np.ndarray) -> "MomentMatrix":
         two_j = _check_two_j(two_j)
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
@@ -114,6 +113,7 @@ class MomentMatrix:
         if bad.size:
             entries = ", ".join(f"M[{k}][{l}] = {m[k, l]}" for k, l in bad)
             raise ValueError(f"moment matrix has non-finite entries: {entries}")
+        tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
         dev = float(np.abs(m - m.conj().T).max())
         if dev > tol:
             raise ValueError(f"moment matrix is not Hermitian: deviation {dev:.3e}")
@@ -126,7 +126,7 @@ class MomentMatrix:
                 f"Casimir violated: tr Re(M) - j(j+1) = {casimir - target:.3e} "
                 f"exceeds the tolerance {tol:.1e} (j(j+1) = {target:.9g})"
             )
-        ell = extract_first_moments(m, tol=tol)
+        ell = extract_first_moments(m)
         return cls(two_j=two_j, matrix=m, first_moments=ell)
 
 
@@ -172,15 +172,16 @@ def validate_algebra(triple: SpinOperatorTriple) -> AlgebraReport:
     )
 
 
-def extract_first_moments(m: np.ndarray, tol: float = CASIMIR_TOL) -> np.ndarray:
+def extract_first_moments(m: np.ndarray) -> np.ndarray:
     """First moments from the antisymmetric imaginary part of a 3x3 matrix.
 
-    Requires Im(M) antisymmetric within ``tol``; l_m = Im(M_kl) - Im(M_lk) for
-    cyclic (k, l, m).
+    Requires Im(M) antisymmetric within ``matcore.CASIMIR_TOL`` relative to
+    max(1, max_kl |M_kl|); l_m = Im(M_kl) - Im(M_lk) for cyclic (k, l, m).
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
+    tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
     im = m.imag
     for k in range(3):
         if abs(im[k, k]) > tol:
@@ -196,16 +197,16 @@ def extract_first_moments(m: np.ndarray, tol: float = CASIMIR_TOL) -> np.ndarray
     return ell
 
 
-def moment_matrix(rho: np.ndarray, triple: SpinOperatorTriple, psd_tol: float = matcore.PSD_TOL) -> MomentMatrix:
+def moment_matrix(rho: np.ndarray, triple: SpinOperatorTriple) -> MomentMatrix:
     """Moment matrix M_kl = tr(L_k L_l rho) of a density operator."""
     rho = matcore.hermitize(rho)
     d = triple.dim
     if rho.shape != (d, d):
         raise ValueError(f"state dimension {rho.shape} does not match 2j+1 = {d}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-9:
+    if abs(tr - 1.0) > matcore.TRACE_TOL:
         raise ValueError(f"state trace is {tr:.12g}, not 1")
-    if not matcore.is_psd(rho, tol=psd_tol):
+    if not matcore.is_psd(rho):
         raise ValueError("state is not positive semidefinite")
     ls = triple.as_list()
     m = np.empty((3, 3), dtype=complex)
@@ -240,19 +241,20 @@ def _antisym_from_moments(ell: np.ndarray) -> np.ndarray:
     return a
 
 
-def _closest_to_identity(vecs: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
+def _closest_to_identity(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Fix the basis inside degenerate eigenvalue blocks.
 
+    A block is a run within ``matcore.DEGENERACY_TOL`` * max(1, max |vals|).
     Within each block the eigenbasis is free up to an orthogonal mix; pick the
     one closest (Frobenius) to the identity columns via orthogonal Procrustes.
     Size-1 blocks reduce to a deterministic sign choice.
     """
     v = vecs.copy()
-    scale = max(1.0, float(np.abs(vals).max()))
+    tol = matcore.DEGENERACY_TOL * max(1.0, float(np.abs(vals).max()))
     start = 0
     while start < 3:
         end = start + 1
-        while end < 3 and abs(vals[end] - vals[start]) <= tol * scale:
+        while end < 3 and abs(vals[end] - vals[start]) <= tol:
             end += 1
         idx = list(range(start, end))
         if len(idx) == 1:
@@ -270,7 +272,7 @@ def _closest_to_identity(vecs: np.ndarray, vals: np.ndarray, tol: float) -> np.n
     return v
 
 
-def standard_form(m: MomentMatrix, degeneracy_tol: float = 1e-9) -> StandardForm:
+def standard_form(m: MomentMatrix) -> StandardForm:
     """Rotate M to the standard form: Re part diagonal, sorted descending.
 
     The rotation acts on the moment level only (covariance property); no spin-j
@@ -285,7 +287,7 @@ def standard_form(m: MomentMatrix, degeneracy_tol: float = 1e-9) -> StandardForm
     # descending eigenvalues
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    vecs = _closest_to_identity(vecs, vals, degeneracy_tol)
+    vecs = _closest_to_identity(vecs, vals)
     if np.linalg.det(vecs) < 0.0:
         flip = int(np.argmin(np.diag(vecs)))
         vecs[:, flip] = -vecs[:, flip]

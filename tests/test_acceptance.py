@@ -37,7 +37,7 @@ def sandwich_flags(pair_state_samples):
     for two_j in (2, 4, 10):
         rows = []
         for rho in pair_state_samples:
-            ppt = reduction.ppt_inner_test(rho, tol=1e-7)
+            ppt = matcore.is_psd(rho, tol=1e-7) and matcore.is_psd(reduction._partial_transpose(rho), tol=1e-7)
             m = moments_of_pair_state(rho, two_j)
             exact = feasibility.exact_test_direct(m).t_star <= BAND
             tau_ok = matcore.is_psd(reduction.tau(rho, two_j), tol=1e-7)

@@ -50,6 +50,28 @@ class TestFirstMomentTest:
         v = feasibility.first_moment_test(np.array([0.0, 0.0, 2.0 * 1.001]), 4)
         assert v.status == STATUS_NON_QUANTUM
 
+    @pytest.mark.parametrize("two_j", [1, 4, 62])
+    def test_just_outside_is_boundary_like_the_sdp(self, two_j):
+        j = two_j / 2.0
+        ell = np.array([0.0, 0.0, j * (1.0 + 1e-8)])
+        closed = feasibility.first_moment_test(ell, two_j)
+        via_sdp = feasibility.exact_test_first_moments(ell, two_j)
+        assert closed.status == via_sdp.status == STATUS_BOUNDARY
+        assert closed.t_star is None
+        t = 1e-8 / (two_j + 1)
+        assert f"t_star = {t:.3e}" in closed.tests_run[-1].detail
+        assert via_sdp.t_star == pytest.approx(t, abs=sdp.TOLERANCE)
+
+    @pytest.mark.parametrize("two_j", [2, 3, 4, 10])
+    def test_agrees_with_the_sdp_route(self, two_j):
+        rng = np.random.default_rng(212 + two_j)
+        j = two_j / 2.0
+        for _ in range(40):
+            direction = rng.standard_normal(3)
+            ell = direction / np.linalg.norm(direction) * rng.uniform(0.0, 1.3 * j)
+            closed = feasibility.first_moment_test(ell, two_j)
+            assert closed.status == feasibility.exact_test_first_moments(ell, two_j).status
+
     def test_tilted_direction_certificate_moments(self, rng):
         two_j = 5
         ell = np.array([0.9, -0.4, 0.7])
@@ -180,7 +202,7 @@ class TestCapBeforeOperators:
         built = []
         spin_operators = spinalg.spin_operators
         monkeypatch.setattr(spinalg, "spin_operators", lambda tj: built.append(tj) or spin_operators(tj))
-        feasibility._moment_operator_set.cache_clear()
+        feasibility._sdp_operator_set.cache_clear()
         j = two_j / 2.0
         m = MomentMatrix.from_matrix(two_j, np.diag([j * (j + 1) / 2, j * (j + 1) / 2, 0.0]).astype(complex))
         ell = np.zeros(3)
@@ -195,6 +217,15 @@ class TestCapBeforeOperators:
             with pytest.raises(ValueError, match=f"cone dimension {two_j + 1} exceeds the cap"):
                 call()
         assert built == []
+
+    def test_early_reject_over_the_cap_leaves_no_cached_operators(self):
+        two_j = 100
+        cached = feasibility._sdp_operator_set.cache_info().currsize
+        v = feasibility.classify(long_first_moment_moments(two_j))
+        assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
+        assert v.witness.separates
+        assert v.witness.matrix.shape == (two_j + 1, two_j + 1)
+        assert feasibility._sdp_operator_set.cache_info().currsize == cached
 
     def test_early_reject_keeps_its_dense_witness_over_the_cap(self):
         two_j = 64
@@ -353,7 +384,7 @@ class TestWitnessSearch:
     def test_witness_matrix_consistent_with_coefficients(self):
         m = coords_matrix([0.1, 0.0, 0.4], [0.9, 0.2, -0.1], 6)
         w = feasibility.witness_search(m)
-        ops, _ = feasibility._moment_operator_set(6)
+        ops = feasibility._moment_operator_set(6)
         rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
         assert np.abs(rebuilt - w.matrix).max() < 1e-8
 
@@ -579,13 +610,13 @@ class TestOneSdpPerDecision:
         assert w.separates
         assert matcore.min_eigenvalue(w.matrix) >= -1e-9
         assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
-        ops, _ = feasibility._moment_operator_set(1)
+        ops = feasibility._moment_operator_set(1)
         assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-12
 
     @pytest.mark.parametrize("two_j", [4, 10, 30])
     def test_exact_reject_witness_is_phase1_dual(self, two_j):
         rng = np.random.default_rng(500 + two_j)
-        ops, _ = feasibility._moment_operator_set(two_j)
+        ops = feasibility._moment_operator_set(two_j)
         for f in (0.05, 0.1, 0.15):
             rot = random_so3(rng)
             m = dicke_zero_moments(two_j, f)
@@ -603,7 +634,7 @@ class TestOneSdpPerDecision:
     @pytest.mark.parametrize("two_j", [4, 62])
     def test_exact_test_direct_reject_carries_its_witness(self, two_j):
         rng = np.random.default_rng(700 + two_j)
-        ops, _ = feasibility._moment_operator_set(two_j)
+        ops = feasibility._moment_operator_set(two_j)
         rot = random_so3(rng)
         m = dicke_zero_moments(two_j, 0.1)
         m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
@@ -634,7 +665,7 @@ class TestEarlyRejectWitness:
     @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 30, 62])
     def test_closed_form_witness_separates(self, two_j):
         rng = np.random.default_rng(900 + two_j)
-        ops, _ = feasibility._moment_operator_set(two_j)
+        ops = feasibility._moment_operator_set(two_j)
         for build, stage_at in self.BUILDERS:
             for _ in range(2):
                 rot = random_so3(rng)
@@ -671,7 +702,9 @@ class TestEarlyRejectWitness:
             assert v.witness.separates
         if eps == 1e-8:
             assert v.status == STATUS_BOUNDARY
-            assert ("witness", "inside band") in [(r.name, r.outcome) for r in v.tests_run]
+            # at j = 1/2 the first-moment stage's t* band decides; above, chi's witness is inside the band
+            decided_by = ("first-moment", "boundary") if two_j == 1 else ("witness", "inside band")
+            assert decided_by in [(r.name, r.outcome) for r in v.tests_run]
 
 
 class TestConflictingValues:

@@ -38,7 +38,7 @@ class TestGramSchmidt:
 
 
 def highest_weight_program(two_j):
-    ops, triple = feasibility._moment_operator_set(two_j)
+    ops, triple = feasibility._moment_operator_set(two_j), spinalg.spin_operators(two_j)
     hw = spinalg.moment_matrix(highest_weight_state(two_j), triple)
     return list(zip(ops, spinalg.moment_values(hw))), triple.dim
 
@@ -153,7 +153,7 @@ class TestPhase1:
         assert p1.t_star > 1e-7
 
     def test_boundary_highest_weight_moments(self):
-        ops, triple = feasibility._moment_operator_set(4)
+        ops, triple = feasibility._moment_operator_set(4), spinalg.spin_operators(4)
         hw = spinalg.moment_matrix(highest_weight_state(4), triple)
         values = spinalg.moment_values(hw)
         p1 = sdp.phase1_min_t(list(zip(ops, values)), triple.dim)
@@ -233,6 +233,22 @@ class TestInfeasibilityDetection:
         assert value == pytest.approx(-p1.t_star, abs=1e-7)
         assert np.trace(p1.dual_z).real == pytest.approx(1.0, abs=1e-9)
         assert matcore.min_eigenvalue(p1.dual_z) >= -1e-9
+
+    def test_final_iterate_gets_the_stop_test(self, monkeypatch):
+        # a solve that converges at iteration k stays optimal with k iterations
+        # allowed; with k - 1 it fails, having logged and tested every iterate
+        cons = [(np.eye(2, dtype=complex), 1.0), (E00, -1.0)]
+        ref = sdp.phase1_min_t(cons, 2).solution
+        k = ref.iterations
+        assert ref.status == sdp.STATUS_OPTIMAL and k >= 2
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", k)
+        sol = sdp.phase1_min_t(cons, 2).solution
+        assert (sol.status, sol.iterations, sol.iterate_log) == (sdp.STATUS_OPTIMAL, k, ref.iterate_log)
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", k - 1)
+        sol = sdp.phase1_min_t(cons, 2).solution
+        assert (sol.status, sol.iterations) == (sdp.STATUS_FAILURE, k - 1)
+        assert sol.iterate_log == ref.iterate_log[:k]
+        assert sol.message.startswith(f"no convergence after {k - 1} iterations")
 
     def test_failure_reports_residuals(self, monkeypatch):
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)

@@ -101,8 +101,8 @@ class TestMomentMatrix:
     def test_casimir_message_reports_residual(self):
         t = spinalg.spin_operators(20)
         m = spinalg.moment_matrix(np.eye(21, dtype=complex) / 21.0, t).matrix.copy()
-        m[0, 0] += 2e-9
-        with pytest.raises(ValueError, match=r"j\(j\+1\) = 2\.000e-09 exceeds the tolerance 1\.0e-09"):
+        m[0, 0] += 1e-7  # above CASIMIR_TOL * max |M_kl| = 1e-9 * 110/3
+        with pytest.raises(ValueError, match=r"j\(j\+1\) = 1\.000e-07 exceeds the tolerance 3\.7e-08"):
             MomentMatrix.from_matrix(20, m)
 
     def test_from_matrix_rejects_non_finite_entries(self):
@@ -114,6 +114,23 @@ class TestMomentMatrix:
         m[0, 1] = 0.2
         with pytest.raises(ValueError, match="Hermitian"):
             MomentMatrix.from_matrix(2, m)
+
+
+class TestRelativeTolerances:
+    @pytest.mark.parametrize("two_j", [20, 40, 62])
+    def test_noisy_moments_of_random_states_validate(self, two_j):
+        # 1e-10 relative noise on each entry: far above an absolute 1e-9 once
+        # the entries grow like j(j+1), far below CASIMIR_TOL relative to them
+        rng = np.random.default_rng(3000 + two_j)
+        t = spinalg.spin_operators(two_j)
+        for _ in range(50):
+            exact = spinalg.moment_matrix(random_density(rng, two_j + 1), t)
+            noise = rng.uniform(-1.0, 1.0, (3, 3)) + 1j * rng.uniform(-1.0, 1.0, (3, 3))
+            noisy = exact.matrix * (1.0 + 1e-10 * noise)
+            m = MomentMatrix.from_matrix(two_j, noisy)
+            assert np.abs(m.first_moments - exact.first_moments).max() <= 1e-6
+            ell = spinalg.extract_first_moments(noisy)
+            assert np.abs(ell - exact.first_moments).max() <= 1e-6
 
 
 class TestChiMatrix:
