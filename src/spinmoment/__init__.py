@@ -38,7 +38,6 @@ from .feasibility import (
     exact_test_extension,
     first_moment_test,
     outer_test,
-    witness_search,
 )
 from .scan import ScanResult, scan_grid
 

@@ -178,11 +178,15 @@ def cmd_witness(args) -> int:
     m, label = load_moment_file(args.input)
     if m.two_j == 1:
         feasibility._validate_half_spin_structure(m)
-        witness = feasibility.witness_for_first_moments(m.first_moments, m.two_j)
+        verdict = feasibility.first_moment_test(m.first_moments, m.two_j)
     else:
-        witness = feasibility.witness_search(m)
+        verdict = feasibility.exact_test_direct(m)
     title = label or args.input
     print(f"witness search: {title}")
+    witness = verdict.witness
+    if witness is None:
+        print(f"no witness exists: the input is {verdict.status} ({verdict.tests_run[0].detail})")
+        return 1
     zvals, _ = matcore.hermitian_eig(witness.matrix)
     print(f"  value c.b = {witness.value:.9g}")
     print(f"  Z spectrum: {np.array2string(zvals, precision=8)}")
@@ -191,11 +195,8 @@ def cmd_witness(args) -> int:
     for name, coeff in zip(witness.op_labels, witness.op_coefficients):
         print(f"    {name:<4} {coeff:+.9g}")
     print(json.dumps(_witness_json(witness)))
-    if witness.separates:
-        print("verdict: hyperplane separates the input from the quantum set")
-        return 0
-    print("no witness exists: the input is quantum (or on the boundary)")
-    return 1
+    print("verdict: hyperplane separates the input from the quantum set")
+    return 0
 
 
 def cmd_scan(args) -> int:
@@ -300,26 +301,47 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
             mm = reduction.moments_from_coords(coords)
             verdict = feasibility.exact_test_extension(reduction.reconstruct_rho(mm), two_j)
             if verdict.status == feasibility.STATUS_NON_QUANTUM:
-                w = feasibility.witness_search(mm)
+                tested += 1
+                w = feasibility.exact_test_direct(mm).witness
+                if w is None:
+                    worst = math.inf
+                    continue
                 worst = max(worst, abs(w.value + verdict.t_star))
                 tr_dev = abs(np.trace(w.matrix).real - 1.0)
                 z_dev = max(z_dev, -matcore.min_eigenvalue(w.matrix), tr_dev)
-                tested += 1
     detail = (
         f"{tested} points at 2j in 4, 30, 62, max |value + t*| = {worst:.2e}, "
         f"max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
     )
     checks.append(("witness-duality", tested > 0 and worst < 1e-6 and z_dev <= 1e-9, detail))
 
-    mism = 0
+    # The law |l| <= j against the SDP route; each closed-form reject witness
+    # must be the optimal one, value = -t* of that independent program.
+    mism = bad_witness = rejects = 0
+    worst = 0.0
+    ops = feasibility._moment_operator_set(3)
     for _ in range(60):
         ell = rng.standard_normal(3)
         ell *= rng.uniform(0.0, 2.3) / np.linalg.norm(ell)
         closed = float(np.linalg.norm(ell)) <= 1.5
-        via_sdp = feasibility.exact_test_first_moments(ell, 3).accepted
-        if abs(np.linalg.norm(ell) - 1.5) > 1e-6 and closed != via_sdp:
+        via_sdp = feasibility.exact_test_first_moments(ell, 3)
+        if abs(np.linalg.norm(ell) - 1.5) > 1e-6 and closed != via_sdp.accepted:
             mism += 1
-    checks.append(("first-moment", mism == 0, f"60 samples at j=3/2, {mism} mismatches"))
+        w = feasibility.first_moment_test(ell, 3).witness
+        if w is None:
+            continue
+        rejects += 1
+        gap = abs(w.value + via_sdp.t_star)
+        worst = max(worst, gap)
+        ok = gap <= 1e-6 and matcore.min_eigenvalue(w.matrix) >= -1e-9
+        ok &= abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+        ok &= np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
+        bad_witness += not ok
+    detail = (
+        f"60 samples at j=3/2, {mism} mismatches; {rejects} reject witnesses, "
+        f"{bad_witness} invalid, max |value + t*| = {worst:.2e}"
+    )
+    checks.append(("first-moment", mism == 0 and bad_witness == 0, detail))
 
     # Early rejects carry closed-form witnesses; each must separate like an SDP one.
     failing = []
@@ -341,7 +363,8 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
             ok = (verdict.stage, verdict.t_star) == (stage, None) and dev <= 1e-9
             ok &= np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
             ok &= w.value < 0 and w.value == w.evaluate(spinalg.moment_values(mm))
-            ok &= feasibility.witness_search(mm).value < 0
+            direct = feasibility.exact_test_direct(mm).witness
+            ok &= direct is not None and direct.value < 0
             if not ok:
                 failing.append(f"{stage} at 2j = {two_j}")
     detail = f"chi and reconstruct rejects at 2j in 4, 30, 62, max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"

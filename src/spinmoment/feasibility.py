@@ -2,19 +2,21 @@
 
 The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
-tests bracket it from both sides.  An exact reject's witness is the dual of
-that one phase-1 program, expanded over the measured operators
-(``Phase1Result.dual_coefficients``), so it is optimal: value = -t*.  An
-early reject (chi or reconstruct) reads a valid, not optimal, witness off the
-negative eigenvector its stage already computed (``_eigenvector_witness``),
-with no SDP, and stands only when that witness separates.  Every program and
-witness works over the moment vector b of ``spinalg.moment_values``; the
-early stages are its linear stacks ``spinalg.CHI_PATTERN`` and
-``reduction._reconstruction_system``.  The SDP paths raise the cone-cap
-``ValueError`` before they build any spin-j operator.  ``witness_search``
-still solves the phase-1 program for the optimal hyperplane.  Inside
-``classify`` the outer test is carried by the 4x4 chi check, which is
-congruent to it; ``outer_test`` remains the standalone definition of T_j.
+tests bracket it from both sides.  Every witness comes from the verdict that
+decided it.  An exact reject's witness is the dual of that one phase-1
+program, expanded over the measured operators
+(``Phase1Result.dual_coefficients``), so it is optimal: value = -t*.  A
+first-moment reject's witness is the optimal one in closed form,
+Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or reconstruct) reads a valid,
+not optimal, witness off the negative eigenvector its stage already computed
+(``_eigenvector_witness``), with no SDP, and stands only when that witness
+separates.  Every program and witness works over the moment vector b of
+``spinalg.moment_values``; the early stages are its linear stacks
+``spinalg.CHI_PATTERN`` and ``reduction._reconstruction_system``.  The SDP
+paths raise the cone-cap ``ValueError`` before they build any spin-j
+operator.  Inside ``classify`` the outer test is carried by the 4x4 chi
+check, which is congruent to it; ``outer_test`` remains the standalone
+definition of T_j.
 """
 
 from __future__ import annotations
@@ -143,47 +145,9 @@ def _clean_state(x: np.ndarray, floor: float) -> np.ndarray:
     return (state + state.conj().T) / 2.0
 
 
-def _verdict_from_phase1(p1: sdp.Phase1Result, stage: str, log: _StageLog) -> Verdict:
-    t = p1.t_star
-    detail = f"t_star = {t:.3e}, {p1.solution.iterations} iterations, gap {p1.solution.gap:.0e}"
-    if t > BOUNDARY_BAND:
-        log.add(stage, "reject", detail)
-        return Verdict(STATUS_NON_QUANTUM, stage, t, None, None, log.done())
-    floor = 1e-9 if t <= 0 else t + 2e-9
-    state = _clean_state(p1.x, floor)
-    if abs(t) <= BOUNDARY_BAND:
-        log.add(stage, "boundary", detail)
-        return Verdict(STATUS_BOUNDARY, stage, t, state, None, log.done())
-    log.add(stage, "accept", detail)
-    return Verdict(STATUS_QUANTUM, stage, t, state, None, log.done())
-
-
 def _rejected(stage: str, witness: Witness, log: _StageLog, t_star: float | None = None) -> Verdict:
     log.add("witness", "found", f"value = {witness.value:.3e}")
     return Verdict(STATUS_NON_QUANTUM, stage, t_star, None, witness, log.done())
-
-
-def _dual_witness(p1: sdp.Phase1Result, values: np.ndarray, labels) -> Witness:
-    """The optimal phase-1 dual as a witness over the labelled operators."""
-    c = p1.dual_coefficients
-    return Witness(p1.dual_z, float(c @ values), c, tuple(labels))
-
-
-def _solve_phase1(ops, values: np.ndarray, dim: int) -> sdp.Phase1Result:
-    """Solve the phase-1 program over labelled operators to optimality.
-
-    Conflicting values of linearly dependent operators are an input error
-    (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
-    """
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
-    if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
-        raise ValueError(
-            "the moment values conflict: a linearly dependent operator's value "
-            f"differs from the value the others imply ({p1.solution.message})"
-        )
-    if p1.dual_z is None:
-        raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
-    return p1
 
 
 def _early_witness_system(stage: str, two_j: int) -> np.ndarray:
@@ -225,13 +189,31 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
 
 
 def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str) -> Verdict:
-    """Solve the phase-1 program over labelled operators; a reject carries its dual."""
+    """Solve the phase-1 program over labelled operators to optimality; a
+    reject carries its dual as the witness, an accept its cleaned primal.
+
+    Conflicting values of linearly dependent operators are an input error
+    (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
+    """
     log = _StageLog()
-    p1 = _solve_phase1(ops, values, dim)
-    verdict = _verdict_from_phase1(p1, stage, log)
-    if verdict.status == STATUS_NON_QUANTUM:
-        return _rejected(stage, _dual_witness(p1, values, labels), log, verdict.t_star)
-    return verdict
+    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+    if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
+        raise ValueError(
+            "the moment values conflict: a linearly dependent operator's value "
+            f"differs from the value the others imply ({p1.solution.message})"
+        )
+    if p1.dual_z is None:
+        raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
+    t = p1.t_star
+    detail = f"t_star = {t:.3e}, {p1.solution.iterations} iterations, gap {p1.solution.gap:.0e}"
+    if t > BOUNDARY_BAND:
+        log.add(stage, "reject", detail)
+        c = p1.dual_coefficients
+        return _rejected(stage, Witness(p1.dual_z, float(c @ values), c, tuple(labels)), log, t)
+    state = _clean_state(p1.x, 1e-9 if t <= 0 else t + 2e-9)
+    status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
+    log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail)
+    return Verdict(status, stage, t, state, None, log.done())
 
 
 def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
@@ -239,42 +221,48 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
 
     Banded like ``exact_test_first_moments``, on that program's t* in closed
     form, (|l|/j - 1)/(2j+1), which the stage detail reports; ``t_star``
-    stays None, as no SDP ran.  When feasible the certificate mixes the top
-    eigenstate of the spin operator along l with the maximally mixed state.
+    stays None, as no SDP ran.  Both kinds of evidence come from l^.L, the
+    spin operator along l:
+
+    - a reject carries the optimal witness Z = (1 - l^.L/j)/(2j+1).  It is
+      PSD because spec(l^.L) = [-j, j] and has unit trace; over
+      ``spinalg.MOMENT_LABELS`` its coefficients are 1/(2j+1) on I,
+      -l^_k/(j(2j+1)) on L_k and 0 on each S_kl, and its value is
+      (1 - |l|/j)/(2j+1) = -t*;
+    - an accept's certificate mixes the top eigenstate of l^.L with the
+      maximally mixed state.
     """
     two_j = spinalg._check_two_j(two_j)
     ell = np.asarray(ell, dtype=float)
     if ell.shape != (3,):
         raise ValueError("first moments must be a real 3-vector")
     j = two_j / 2.0
+    d = two_j + 1
     r = float(np.linalg.norm(ell))
-    t = (r / j - 1.0) / (two_j + 1)
+    t = (r / j - 1.0) / d
     detail = f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
     log = _StageLog()
-    if t > BOUNDARY_BAND:
-        log.add("first-moment", "reject", detail)
-        return Verdict(STATUS_NON_QUANTUM, "first-moment", None, None, None, log.done())
+    if r == 0.0:
+        state = np.eye(d, dtype=complex) / d
+    else:
+        triple = spinalg.spin_operators(two_j)
+        n_hat = ell / r
+        l_n = n_hat[0] * triple.l1 + n_hat[1] * triple.l2 + n_hat[2] * triple.l3
+        if t > BOUNDARY_BAND:
+            log.add("first-moment", "reject", detail)
+            c = np.zeros(len(spinalg.MOMENT_LABELS))
+            c[_FIRST_MOMENTS] = np.concatenate([[1.0], -n_hat / j]) / d
+            value = float(c[_FIRST_MOMENTS] @ [1.0, *ell])
+            z = (np.eye(d) - l_n / j) / d
+            return _rejected("first-moment", Witness(z, value, c, spinalg.MOMENT_LABELS), log)
+        top = matcore.hermitian_eig(l_n)[1][:, -1]
+        weight = min(r, j) / j
+        state = weight * np.outer(top, top.conj())
+        state += (1.0 - weight) * np.eye(d) / d
+        state = (state + state.conj().T) / 2.0
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
-    state = _first_moment_certificate(ell, two_j)
     log.add("first-moment", "boundary" if status == STATUS_BOUNDARY else "accept", detail)
     return Verdict(status, "first-moment", None, state, None, log.done())
-
-
-def _first_moment_certificate(ell: np.ndarray, two_j: int) -> np.ndarray:
-    triple = spinalg.spin_operators(two_j)
-    d = triple.dim
-    j = two_j / 2.0
-    r = min(float(np.linalg.norm(ell)), j)
-    if r == 0.0:
-        return np.eye(d, dtype=complex) / d
-    n_hat = np.asarray(ell, dtype=float) / float(np.linalg.norm(ell))
-    l_n = n_hat[0] * triple.l1 + n_hat[1] * triple.l2 + n_hat[2] * triple.l3
-    _, vecs = matcore.hermitian_eig(l_n)
-    top = vecs[:, -1]
-    weight = r / j
-    state = weight * np.outer(top, top.conj())
-    state += (1.0 - weight) * np.eye(d) / d
-    return (state + state.conj().T) / 2.0
 
 
 def build_fixed_state(ell: np.ndarray, two_j: int) -> np.ndarray:
@@ -378,26 +366,6 @@ def outer_test(m: MomentMatrix) -> bool:
     return matcore.is_psd(reduction.tau(rho, m.two_j))
 
 
-def witness_search(m: MomentMatrix) -> Witness:
-    """Optimal separating hyperplane for a moment matrix.
-
-    Solves the phase-1 program once and reads the hyperplane off its dual; the
-    result has Z >= 0 and tr Z = 1 always, and value = -t_star < 0 exactly when
-    the input lies outside the quantum set (up to solver accuracy).
-    """
-    ops = _sdp_operator_set(m.two_j)
-    values = spinalg.moment_values(m)
-    return _dual_witness(_solve_phase1(ops, values, m.two_j + 1), values, spinalg.MOMENT_LABELS)
-
-
-def witness_for_first_moments(ell: np.ndarray, two_j: int) -> Witness:
-    """Separating hyperplane over {1, L1, L2, L3} for a first-moment vector."""
-    two_j = spinalg._check_two_j(two_j)
-    ops = _sdp_operator_set(two_j)[_FIRST_MOMENTS]
-    values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
-    return _dual_witness(_solve_phase1(ops, values, two_j + 1), values, _FIRST_MOMENT_LABELS)
-
-
 def _validate_half_spin_structure(m: MomentMatrix) -> None:
     """At j = 1/2 all second moments are forced: Re(M) must equal I/4
     (to ``matcore.STRUCTURE_TOL``)."""
@@ -426,14 +394,18 @@ def classify(m: MomentMatrix) -> Verdict:
     value matrix precheck (chi, quick reject), reconstruction positivity, the
     PPT inner test (quick accept), then the decisive phase-1 SDP
     (``exact_test_direct``).  Every rejection carries a witness.  A chi or
-    reconstruct stage (at j = 1/2, the first-moment stage, with chi's
-    witness) builds it in closed form from the stage's negative eigenvector
-    and solves no SDP; its ``t_star`` is None and its value is not -t*.  Such
-    an early reject stands only when the witness separates (value below
-    -BOUNDARY_BAND).  A valid witness has value >= -t*, so the exact test
-    would reject too; otherwise the input is within the band of the boundary
-    and the exact stage decides.  An exact reject carries the dual of the exact stage's own
-    program, value -t*.  So no path solves more than one SDP.
+    reconstruct stage builds it in closed form from the stage's negative
+    eigenvector and solves no SDP; its ``t_star`` is None and its value is
+    not -t*.  Such an early reject stands only when the witness separates
+    (value below -BOUNDARY_BAND).  A valid witness has value >= -t*, so the
+    exact test would reject too; otherwise the input is within the band of
+    the boundary and the exact stage decides.  An exact reject carries the
+    dual of the exact stage's own program, value -t*.  So no path solves
+    more than one SDP.
+
+    At j = 1/2 the second moments are forced, and the verdict is
+    ``first_moment_test``'s: a reject carries the optimal first-moment
+    witness, value -t* < -BOUNDARY_BAND, and no path solves an SDP.
 
     There is no separate outer (tau) stage: chi = D tau D with
     D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
@@ -447,24 +419,22 @@ def classify(m: MomentMatrix) -> Verdict:
     if m.two_j == 1:
         _validate_half_spin_structure(m)
         log.add("structure", "pass", "second moments forced at j=1/2")
-        inner = first_moment_test(m.first_moments, m.two_j)
-        log.records.extend(inner.tests_run)
-        if inner.status != STATUS_NON_QUANTUM:
-            return Verdict(inner.status, "first-moment", None, inner.certificate_state, None, log.done())
-        witness = _eigenvector_witness("chi", spinalg.chi_matrix(m), m)
+        first = first_moment_test(m.first_moments, m.two_j)
+        log.records.extend(first.tests_run)
+        return replace(first, tests_run=log.done())
+
+    witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, log)
+    if witness is None:
+        rho = reduction.reconstruct_rho(m)
+        witness = _eigen_stage("reconstruct", rho, m, log)
+    if witness is None:
+        if reduction.ppt_inner_test(rho):
+            log.add("inner", "accept", "reduced state is PPT, hence separable")
+            return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
+        log.add("inner", "undecided", "reduced state is entangled")
+    elif witness.separates:
+        return _rejected(log.records[-1].name, witness, log)
     else:
-        witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, log)
-        if witness is None:
-            rho = reduction.reconstruct_rho(m)
-            witness = _eigen_stage("reconstruct", rho, m, log)
-        if witness is None:
-            if reduction.ppt_inner_test(rho):
-                log.add("inner", "accept", "reduced state is PPT, hence separable")
-                return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
-            log.add("inner", "undecided", "reduced state is entangled")
-    if witness is not None:
-        if witness.separates:
-            return _rejected(log.records[-1].name, witness, log)
         log.add("witness", "inside band", f"value = {witness.value:.3e}; the exact stage decides")
 
     exact = exact_test_direct(m)

@@ -1,15 +1,30 @@
-"""Independent search oracle for small SDPs, used only by the test suite.
+"""Independent exact oracle for small SDPs, used only by the test suite.
 
-Two derivative-free searches bracket the optimum without touching the solver
-under test: a shrinking-radius random search over the factorized spectrahedron
-X = G G^dag (augmented Lagrangian outer loop handles the equality constraints)
-gives a feasible upper bound, and a compass search on the concave certified
-bound b.y + lambda_min(C - A^dag y) gives a lower bound.  numpy only.
+The programs are  min <C, X>  s.t.  <A_i, X> = b_i,  X >= 0,  with a handful
+of rows, the first of which is the trace: A_0 = 1, b_0 = 1.  Their dual is
+max b.y  s.t.  S(y) = C - sum_i y_i A_i >= 0.  A log-barrier path-following
+method brackets the optimum from both sides without touching the solver
+under test:
+
+- damped Newton steps on  b.y/mu + log det S(y)  follow the central path
+  down to ``MU_FINAL``; at every y, b.y + lambda_min(S(y)) is a certified
+  lower bound, because tr X = 1 on the feasible set;
+- the Newton step dy at the last centered point gives the primal estimate
+  X = mu S^-1 + mu S^-1 (sum_i dy_i A_i) S^-1, which meets every row exactly
+  in exact arithmetic; an affine projection with an eigenvalue floor polishes
+  it into a feasible point, whose objective is the upper bound.
+
+The bracket is about d * ``MU_FINAL`` wide.  Deterministic and numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+MU_FINAL = 1e-10  # barrier weight of the last centering
+MU_FACTOR = 0.1
+CENTERED = 1e-7  # Newton decrement at which a centering stops
+MAX_NEWTON = 60  # Newton steps per centering
 
 
 def _vec(a, d):
@@ -29,78 +44,43 @@ def _unvec(v, d):
     return x
 
 
-def dual_bound(ops, b, c, d, rng):
-    """Maximize the certified lower bound b.y + lambda_min(C - A^dag(y))."""
-    a = np.stack([_vec(op, d) for op in ops])
-    b = np.asarray(b, dtype=float)
-    cvec = _vec(c, d)
-    m = len(ops)
+def _newton(a, b, c, y, mu):
+    """Newton step dy, decrement and primal estimate X of b.y/mu + log det S(y).
 
-    def value(y):
-        return float(b @ y) + float(np.linalg.eigvalsh(_unvec(cvec - a.T @ y, d))[0])
-
-    y = np.zeros(m)
-    best = value(y)
-    radius = 1.0
-    while radius > 1e-11:
-        improved = False
-        dirs = list(np.eye(m))
-        extra = rng.standard_normal((2 * m, m))
-        dirs += [dv / np.linalg.norm(dv) for dv in extra]
-        for dvec in dirs:
-            for sign in (1.0, -1.0):
-                cand = y + sign * radius * dvec
-                val = value(cand)
-                if val > best + 1e-16:
-                    y, best = cand, val
-                    improved = True
-        radius = min(radius * 1.7, 2.0) if improved else radius * 0.5
-    return best, y
+    With S = L L^dag and A~_i = L^-1 A_i L^-dag the Hessian is
+    -tr(A~_i A~_j) and X = mu L^-dag (1 + sum_i dy_i A~_i) L^-1.
+    """
+    s = c - np.tensordot(y, a, axes=1)
+    linv = np.linalg.inv(np.linalg.cholesky(s))
+    at = linv @ a @ linv.conj().T
+    hess = np.einsum("iab,jba->ij", at, at).real
+    grad = b / mu - np.einsum("iaa->i", at).real
+    dy = np.linalg.solve(hess, grad)
+    x = mu * linv.conj().T @ (np.eye(len(s)) + np.tensordot(dy, at, axes=1)) @ linv
+    return dy, float(np.sqrt(max(dy @ hess @ dy, 0.0))), (x + x.conj().T) / 2.0
 
 
-def primal_search(ops, b, c, d, rng, outer_rounds=8):
-    """Random search over X = G G^dag with augmented Lagrangian constraints."""
-    a3 = np.stack(ops)
-    b = np.asarray(b, dtype=float)
-    n_par = 2 * d * d
+def dual_barrier(a, b, c):
+    """Follow the dual central path; return (y, X) at the last centering."""
+    y = np.zeros(len(a))
+    y[0] = np.linalg.eigvalsh(c)[0] - 1.0  # S(y) = C - y_0 1 has lambda_min = 1
+    mu = 1.0
+    while True:
+        for _ in range(MAX_NEWTON):
+            dy, decrement, x = _newton(a, b, c, y, mu)
+            if decrement <= CENTERED:
+                break
+            # a damped step stays inside the cone (self-concordance)
+            y = y + (1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)) * dy
+        if mu <= MU_FINAL:
+            return y, x
+        mu *= MU_FACTOR
 
-    def unpack(p):
-        return (p[: d * d] + 1j * p[d * d :]).reshape(d, d)
 
-    def moments(g):
-        x = g @ g.conj().T
-        return np.einsum("kij,ji->k", a3, x).real, x
-
-    p = rng.standard_normal(n_par) * 0.3
-    lam = np.zeros(len(ops))
-    rho = 10.0
-    for _ in range(outer_rounds):
-        def penalized(pv):
-            av, x = moments(unpack(pv))
-            r = av - b
-            return float(np.real(np.vdot(c, x))) + float(lam @ r) + 0.5 * rho * float(r @ r)
-
-        fp = penalized(p)
-        radius = 0.3
-        while radius > 3e-8:
-            improved = False
-            for _ in range(24):
-                cand = p + radius * rng.standard_normal(n_par)
-                fc = penalized(cand)
-                if fc < fp - 1e-15:
-                    p, fp = cand, fc
-                    improved = True
-            radius = min(radius * 1.5, 1.0) if improved else radius * 0.55
-        av, _ = moments(unpack(p))
-        resid = av - b
-        if np.abs(resid).max() < 1e-10:
-            break
-        lam = lam + rho * resid
-        rho *= 8.0
-
-    _, x = moments(unpack(p))
-    # polish: alternate exact affine projection with an eigenvalue floor
-    avec = np.stack([_vec(op, d) for op in ops])
+def _polish(a, b, x):
+    """Alternate exact affine projection with an eigenvalue floor."""
+    d = len(x)
+    avec = np.stack([_vec(op, d) for op in a])
     gram = avec @ avec.T
     xv = _vec(x, d)
     for _ in range(200):
@@ -109,16 +89,22 @@ def primal_search(ops, b, c, d, rng, outer_rounds=8):
         if w[0] >= -1e-11:
             break
         xv = _vec((u * np.maximum(w, 0.0)) @ u.conj().T, d)
-    x = _unvec(xv, d)
-    resid = float(np.abs(avec @ xv - b).max())
-    lam_min = float(np.linalg.eigvalsh(x)[0])
-    return float(np.real(np.vdot(c, x))), x, resid, lam_min
+    return _unvec(xv, d), float(np.abs(avec @ xv - b).max())
 
 
-def bracket_optimum(ops, b, c, d, rng):
+def bracket_optimum(ops, b, c):
     """Return (upper, lower, primal_x, diagnostics) bracketing the SDP optimum."""
-    upper, x, resid, lam_min = primal_search(ops, b, c, d, rng)
-    lower, _ = dual_bound(ops, b, c, d, rng)
+    a = np.stack(ops).astype(complex)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=complex)
+    d = len(c)
+    if np.abs(a[0] - np.eye(d)).max() > 0.0 or b[0] != 1.0:
+        raise ValueError("the first row must be the unit trace")
+    y, x = dual_barrier(a, b, c)
+    lower = float(b @ y) + float(np.linalg.eigvalsh(c - np.tensordot(y, a, axes=1))[0])
+    x, resid = _polish(a, b, x)
+    lam_min = float(np.linalg.eigvalsh(x)[0])
+    upper = float(np.real(np.vdot(c, x)))
     return upper, lower, x, {"residual": resid, "lambda_min": lam_min}
 
 

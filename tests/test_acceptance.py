@@ -238,7 +238,7 @@ def test_criterion_9_witness_duality():
         verdict = feasibility.exact_test_direct(m)
         if verdict.t_star <= BAND:
             continue
-        w = feasibility.witness_search(m)
+        w = verdict.witness
         witnesses.append(w)
         worst_gap = max(worst_gap, abs(w.value + verdict.t_star))
         worst_zmin = min(worst_zmin, matcore.min_eigenvalue(w.matrix))
@@ -267,7 +267,7 @@ def test_criterion_9_witness_duality():
 
 
 def test_criterion_10_sdp_oracle():
-    # phase-1 t* against the search oracle on the program's dual (t* = -optimum)
+    # phase-1 t* against the barrier oracle on the program's dual (t* = -optimum)
     t0 = time.perf_counter()
     rng = np.random.default_rng(1010)
     worst_err = 0.0
@@ -279,20 +279,18 @@ def test_criterion_10_sdp_oracle():
         p1 = sdp.phase1_min_t(list(zip(rows, values)), d)
         sol = p1.solution
         assert sol.status == sdp.STATUS_OPTIMAL
-        upper, lower, _, diag = bracket_optimum(
-            ops, vals, c, d, np.random.default_rng(7000 + trial)
-        )
+        upper, lower, _, diag = bracket_optimum(ops, vals, c)
         assert diag["residual"] < 1e-8
         assert diag["lambda_min"] > -1e-9
         worst_err = max(worst_err, abs(upper + p1.t_star), abs(lower + p1.t_star))
         worst_gap = max(worst_gap, sol.gap / (1.0 + abs(sol.primal_objective)))
         positive += p1.t_star > 0
     elapsed = time.perf_counter() - t0
-    ok = worst_err <= 1e-4 and worst_gap <= 1e-8 and 0 < positive < 50
+    ok = worst_err <= 1e-4 and worst_err <= 1e-7 and worst_gap <= 1e-8 and 0 < positive < 50
     report(
         10,
         ok,
-        f"50 random phase-1 programs vs search oracle on their duals: "
+        f"50 random phase-1 programs vs barrier oracle on their duals: "
         f"max t* error {worst_err:.2e}, "
         f"max relative gap {worst_gap:.2e}, t* > 0 on {positive}, {elapsed:.1f}s",
     )

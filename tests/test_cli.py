@@ -19,6 +19,14 @@ def write_json(path, payload):
     return str(path)
 
 
+def spin_half_file(tmp_path, ell):
+    """A j = 1/2 moment file: Re(M) = I/4 is forced, Im(M) carries l."""
+    m = [[[0.25, 0.0], [0.0, ell[2] / 2], [0.0, -ell[1] / 2]],
+         [[0.0, -ell[2] / 2], [0.25, 0.0], [0.0, ell[0] / 2]],
+         [[0.0, ell[1] / 2], [0.0, -ell[0] / 2], [0.25, 0.0]]]
+    return write_json(tmp_path / "half.json", {"two_j": 1, "M": m})
+
+
 def mixed_file(tmp_path, two_j=10):
     return write_json(
         tmp_path / "mixed.json",
@@ -114,6 +122,17 @@ class TestCheckCommand:
         coefficients = report["witness"]["coefficients"]
         assert list(coefficients) == ["I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3"]
 
+    def test_spin_half_reject_carries_first_moment_witness(self, tmp_path, capsys):
+        # |l| = 0.6 > j = 1/2: the optimal witness has value (1 - |l|/j)/(2j+1) = -0.1
+        rc = cli.main(["check", "--input", spin_half_file(tmp_path, [0.6, 0.0, 0.0])])
+        out = capsys.readouterr().out
+        assert rc == 1
+        report = json.loads(out.strip().splitlines()[-1])
+        assert (report["status"], report["stage"]) == ("non-quantum", "first-moment")
+        witness = report["witness"]
+        assert abs(witness["value"] + 0.1) <= 1e-12
+        assert all(witness["coefficients"][f"S{k}{l}"] == 0.0 for k in "123" for l in "123" if k <= l)
+
     def test_boundary_exit_two(self, tmp_path, capsys):
         # a pure entangled symmetric state sits exactly on the j=1 boundary:
         # its moments are M = diag(1, 0, 1) with no first moments
@@ -195,7 +214,29 @@ class TestWitnessCommand:
         rc = cli.main(["witness", "--input", mixed_file(tmp_path, 4)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "no witness exists" in out
+        assert "no witness exists" in out and "t_star" in out
+        # an accepted input prints no hyperplane
+        assert "Z spectrum" not in out
+
+    def test_spin_half_witness_solves_no_sdp(self, tmp_path, capsys, monkeypatch):
+        path = spin_half_file(tmp_path, [0.6, 0.0, 0.0])
+        assert cli.main(["check", "--input", path]) == 1
+        checked = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["witness"]
+        calls = []
+        real_solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda *args: calls.append(args) or real_solve(*args))
+        rc = cli.main(["witness", "--input", path])
+        out = capsys.readouterr().out
+        assert rc == 0 and calls == []
+        report = json.loads(out.strip().splitlines()[-2])
+        assert report["value"] == checked["value"]
+        assert report["coefficients"] == checked["coefficients"]
+
+    def test_spin_half_quantum_input_exit_one(self, tmp_path, capsys):
+        rc = cli.main(["witness", "--input", spin_half_file(tmp_path, [0.1, 0.2, 0.3])])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "no witness exists" in out and "t_star" in out
 
     def test_malformed_input_usage_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json", {"two_j": 2})
@@ -449,6 +490,25 @@ class TestValidateCommand:
         rc = cli.main(["validate", "--j-max", "4"])
         assert rc == 1
         assert "[FAIL] early-witness" in capsys.readouterr().out
+
+    def test_first_moment_suite_catches_flipped_sign(self, capsys, monkeypatch):
+        import dataclasses
+
+        from spinmoment import feasibility
+
+        real = feasibility.first_moment_test
+
+        def flipped(*args):
+            v = real(*args)
+            if v.witness is None:
+                return v
+            w = dataclasses.replace(v.witness, op_coefficients=-v.witness.op_coefficients)
+            return dataclasses.replace(v, witness=w)
+
+        monkeypatch.setattr(feasibility, "first_moment_test", flipped)
+        rc = cli.main(["validate", "--j-max", "4"])
+        assert rc == 1
+        assert "[FAIL] first-moment" in capsys.readouterr().out
 
     def test_injected_fault_goes_red(self, capsys):
         rc = cli.main(["validate", "--j-max", "4", "--inject-fault"])

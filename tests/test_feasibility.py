@@ -72,6 +72,27 @@ class TestFirstMomentTest:
             closed = feasibility.first_moment_test(ell, two_j)
             assert closed.status == feasibility.exact_test_first_moments(ell, two_j).status
 
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 10, 30, 62, 200])
+    def test_reject_carries_the_optimal_witness(self, two_j):
+        # Z = (1 - l^.L/j)/(2j+1): PSD, unit trace, 0 on each S_kl, value -t*
+        rng = np.random.default_rng(300 + two_j)
+        j = two_j / 2.0
+        ops = feasibility._moment_operator_set(two_j)
+        for _ in range(3):
+            direction = rng.standard_normal(3)
+            ell = direction / np.linalg.norm(direction) * j * rng.uniform(1.01, 1.5)
+            v = feasibility.first_moment_test(ell, two_j)
+            assert (v.status, v.t_star) == (STATUS_NON_QUANTUM, None)
+            w = v.witness
+            assert w.op_labels == spinalg.MOMENT_LABELS
+            assert np.all(w.op_coefficients[1:7] == 0.0)
+            assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+            assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+            assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
+            assert w.value == pytest.approx((1.0 - np.linalg.norm(ell) / j) / (two_j + 1), abs=1e-12)
+            if two_j <= 62:
+                assert abs(w.value + feasibility.exact_test_first_moments(ell, two_j).t_star) <= 1e-6
+
     def test_tilted_direction_certificate_moments(self, rng):
         two_j = 5
         ell = np.array([0.9, -0.4, 0.7])
@@ -208,9 +229,7 @@ class TestCapBeforeOperators:
         ell = np.zeros(3)
         calls = (
             lambda: feasibility.exact_test_direct(m),
-            lambda: feasibility.witness_search(m),
             lambda: feasibility.exact_test_first_moments(ell, two_j),
-            lambda: feasibility.witness_for_first_moments(ell, two_j),
             lambda: feasibility.classify(m),
         )
         for call in calls:
@@ -344,10 +363,11 @@ class TestOuterTest:
 
 
 class TestWitnessSearch:
+    # the witness of an exact reject is the phase-1 dual of exact_test_direct
     def test_detects_overconcentrated_moments(self):
         m = coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], 4)
-        t_star = feasibility.exact_test_direct(m).t_star
-        w = feasibility.witness_search(m)
+        v = feasibility.exact_test_direct(m)
+        t_star, w = v.t_star, v.witness
         assert w.value < 0.0
         assert w.separates
         assert abs(w.value + t_star) < 1e-6
@@ -357,14 +377,14 @@ class TestWitnessSearch:
     def test_no_witness_for_maximally_mixed(self):
         triple = spinalg.spin_operators(4)
         m = spinalg.moment_matrix(np.eye(5, dtype=complex) / 5.0, triple)
-        w = feasibility.witness_search(m)
-        assert w.value >= -1e-7
-        assert not w.separates
+        v = feasibility.exact_test_direct(m)
+        assert v.witness is None
+        assert v.t_star <= -1e-7
 
     def test_validity_sweep_over_random_quantum_points(self):
         rng = np.random.default_rng(99)
         m_bad = coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], 4)
-        w = feasibility.witness_search(m_bad)
+        w = feasibility.exact_test_direct(m_bad).witness
         triple = spinalg.spin_operators(4)
         for _ in range(100):
             m = spinalg.moment_matrix(random_density(rng, 5), triple)
@@ -374,16 +394,16 @@ class TestWitnessSearch:
         # at j = 1/2 every L_k^2 is 1/4, so unequal diagonal moments conflict
         m = MomentMatrix.from_matrix(1, np.diag([0.3, 0.25, 0.2]).astype(complex))
         with pytest.raises(ValueError, match="conflict"):
-            feasibility.witness_search(m)
+            feasibility.exact_test_direct(m)
 
     def test_evaluate_rejects_values_of_another_operator_set(self):
-        w = feasibility.witness_search(coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], 4))
+        w = feasibility.exact_test_direct(coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], 4)).witness
         with pytest.raises(ValueError, match="expected 10 values"):
             w.evaluate(np.ones(4))
 
     def test_witness_matrix_consistent_with_coefficients(self):
         m = coords_matrix([0.1, 0.0, 0.4], [0.9, 0.2, -0.1], 6)
-        w = feasibility.witness_search(m)
+        w = feasibility.exact_test_direct(m).witness
         ops = feasibility._moment_operator_set(6)
         rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
         assert np.abs(rebuilt - w.matrix).max() < 1e-8
@@ -599,8 +619,9 @@ class TestOneSdpPerDecision:
         assert status == "optimal" and iterations > 0
 
     def test_spin_half_reject_solves_nothing(self, monkeypatch):
+        ell = np.array([0.3, 0.0, 0.5])
         m = np.eye(3, dtype=complex) / 4.0
-        m += 1j * spinalg._antisym_from_moments(np.array([0.3, 0.0, 0.5]))
+        m += 1j * spinalg._antisym_from_moments(ell)
         m = MomentMatrix.from_matrix(1, m)
         calls, orthogonalizations = self.count_calls(monkeypatch)
         v = feasibility.classify(m)
@@ -608,6 +629,8 @@ class TestOneSdpPerDecision:
         assert calls == [] and orthogonalizations == []
         w = v.witness
         assert w.separates
+        # the optimal first-moment witness: value = -t* = -(|l|/j - 1)/(2j+1)
+        assert abs(w.value + (np.linalg.norm(ell) / 0.5 - 1.0) / 2.0) <= 1e-12
         assert matcore.min_eigenvalue(w.matrix) >= -1e-9
         assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
         ops = feasibility._moment_operator_set(1)
@@ -680,7 +703,7 @@ class TestEarlyRejectWitness:
                 assert np.abs(rebuilt - w.matrix).max() <= 1e-8
                 assert w.value < 0
                 assert w.value == w.evaluate(spinalg.moment_values(m))
-                assert feasibility.witness_search(m).value < 0
+                assert feasibility.exact_test_direct(m).witness.value < 0
 
 
     @pytest.mark.parametrize("two_j", [1, 4, 62])
@@ -711,19 +734,10 @@ class TestConflictingValues:
     # at j = 1/2 every L_k^2 is 1/4, so unequal diagonal moments conflict
     M = MomentMatrix.from_matrix(1, np.diag([0.3, 0.25, 0.2]).astype(complex))
 
-    @pytest.mark.parametrize(
-        "decide", [feasibility.exact_test_direct, feasibility.witness_search, feasibility.classify]
-    )
+    @pytest.mark.parametrize("decide", [feasibility.exact_test_direct, feasibility.classify])
     def test_every_entry_point_raises(self, decide):
         with pytest.raises(ValueError):
             decide(self.M)
-
-    def test_direct_and_witness_give_the_same_error(self):
-        with pytest.raises(ValueError, match="conflict") as direct:
-            feasibility.exact_test_direct(self.M)
-        with pytest.raises(ValueError) as witness:
-            feasibility.witness_search(self.M)
-        assert str(direct.value) == str(witness.value)
 
 
 class TestSpinHalfRouting:

@@ -48,7 +48,7 @@ def test_notes_pairing_line_runs():
     quantum = spinalg.moment_matrix(np.eye(5, dtype=complex) / 5.0, triple)
     coords = reduction.RenormalizedCoords(u=np.zeros(3), v=np.array([1.2, -0.1, -0.1]), two_j=4)
     bad = reduction.moments_from_coords(coords)
-    witness = feasibility.witness_search(bad)
+    witness = feasibility.exact_test_direct(bad).witness
     names = {"spinalg": spinalg, "witness": witness}
     assert eval(line, {**names, "m": quantum}) >= -1e-9
     assert eval(line, {**names, "m": bad}) == witness.value
