@@ -178,14 +178,20 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
       positive.
 
     In both cases sum_i c_i tr A_i = tr(sum_i c_i A_i) > 0, so Z has unit
-    trace.  The witness is valid but not optimal: its value is not -t*.
+    trace.  The witness is valid but not optimal: its value is not -t*.  A chi
+    Z needs only B^dag B and the closed-form tr A_i, not the operator stack.
     """
-    ops = _moment_operator_set(m.two_j)
     v = matcore.hermitian_eig(matrix)[1][:, 0]
     c = np.einsum("a,iab,b->i", v.conj(), _early_witness_system(stage, m.two_j), v).real
-    c = c / float(c @ np.einsum("iaa->i", ops).real)
-    labels = spinalg.MOMENT_LABELS
-    return Witness(np.tensordot(c, ops, axes=1), float(c @ spinalg.moment_values(m)), c, labels)
+    d, s = m.two_j + 1, m.two_j * (m.two_j + 2) / 12.0  # tr 1 = d, tr S_kk = j(j+1)d/3 = s d
+    norm = d * float(c[0] + s * c[[1, 4, 6]].sum())  # S_kl (k != l) and L_k are traceless
+    if stage == "chi":
+        b = v[0] * np.eye(d) + np.tensordot(v[1:], spinalg.spin_operators(m.two_j).as_list(), 1)
+        z = b.conj().T @ b
+    else:
+        z = np.tensordot(c, _moment_operator_set(m.two_j), axes=1)
+    c = c / norm
+    return Witness(z / norm, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
 
 
 def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str) -> Verdict:

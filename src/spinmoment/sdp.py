@@ -12,8 +12,10 @@ method: a symmetrized Newton direction and Mehrotra-style
 predictor-corrector steps.  The objective 1/d is positive definite, so
 Z = 1/d is strictly dual feasible, and Y0 + s*1 is strictly primal feasible
 for large s: no infeasibility ray can occur, and a solve ends optimal or in
-numerical failure.  The solver is dense, O(m d^3) per iteration with m <= 9
-rows, and the cone dimension is capped at ``DIM_CAP``.
+numerical failure.  An iteration costs O(m d^3) with m <= 9 rows, all of it
+in BLAS: one Cholesky factor each of X and Z, whose inverses give Z^-1 and
+the four step lengths, and matmuls over the flattened operator stack.  The
+cone dimension is capped at ``DIM_CAP``.
 """
 
 from __future__ import annotations
@@ -107,15 +109,26 @@ def _chol(a: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix lost positive definiteness")
 
 
-def _max_step(current: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with current + alpha * direction still PSD."""
-    l = _chol(current)
-    w = np.linalg.solve(l, direction)
-    w = np.linalg.solve(l, w.conj().T).conj().T
+def _max_step(inv_factor: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha with C + alpha * direction still PSD, given L^-1 for C = L L^dag."""
+    w = inv_factor @ direction @ inv_factor.conj().T
     lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2.0)[0])
     if lam >= -1e-14:
         return math.inf
     return -1.0 / lam
+
+
+def _contractions(ops: np.ndarray):
+    """tr(A_k X) for each k, sum_k y_k A_k and S_kl = Re tr(A_k X A_l Z^-1), exactly
+    symmetric, as BLAS products on one copy of the rows vec(A_k^T): tr(A_k X) = rows @ vec(X)."""
+    m = len(ops)
+    rows = ops.transpose(0, 2, 1).reshape(m, -1)
+
+    def schur(x: np.ndarray, zinv: np.ndarray) -> np.ndarray:
+        s = (rows @ ((x @ ops) @ zinv).reshape(m, -1).T).real
+        return (s + s.T) / 2.0
+
+    return (lambda x: (rows @ x.ravel()).real), (lambda y: np.tensordot(y, ops, axes=1)), schur
 
 
 def _min_norm_affine(ops: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
@@ -152,12 +165,7 @@ def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
         )
 
     eye = np.eye(d, dtype=complex)
-
-    def a_apply(xm: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,ji->k", ops, xm).real
-
-    def a_adjoint(yv: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", yv, ops)
+    a_apply, a_adjoint, schur_of = _contractions(ops)
 
     # Start: the min-norm affine solution shifted into the interior, and Z = 1/d.
     x = _min_norm_affine(ops, b, d)
@@ -204,21 +212,17 @@ def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
             )
 
         try:
-            zinv = np.linalg.solve(z, eye)
+            lx, lz = (np.linalg.inv(_chol(a)) for a in (x, z))
+            zinv = lz.conj().T @ lz
             zinv = (zinv + zinv.conj().T) / 2.0
-            xz_rd_zinv = x @ rd @ zinv
-            # Schur matrix S_kl = Re tr(A_k X A_l Z^-1), exactly symmetric.
-            xa = np.einsum("ab,kbc->kac", x, ops)
-            xaz = np.einsum("kac,cd->kad", xa, zinv)
-            schur = np.einsum("lab,kba->kl", ops, xaz).real
-            schur = (schur + schur.T) / 2.0
-            a_zinv = np.einsum("kij,ji->k", ops, zinv).real
-            a_xrdz = np.einsum("kij,ji->k", ops, xz_rd_zinv).real
+            schur = schur_of(x, zinv)
+            a_zinv = a_apply(zinv)
+            a_xrdz = a_apply(x @ rd @ zinv)
 
             def newton(sigma_mu: float, correction: np.ndarray | None):
                 rhs = b - sigma_mu * a_zinv + a_xrdz
                 if correction is not None:
-                    rhs = rhs + np.einsum("kij,ji->k", ops, correction @ zinv).real
+                    rhs = rhs + a_apply(correction @ zinv)
                 try:
                     dy = np.linalg.solve(schur, rhs)
                 except np.linalg.LinAlgError:
@@ -233,14 +237,14 @@ def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
                 return dx, dy, dz
 
             dx_a, dy_a, dz_a = newton(0.0, None)
-            ap_a = min(1.0, _max_step(x, dx_a))
-            ad_a = min(1.0, _max_step(z, dz_a))
+            ap_a = min(1.0, _max_step(lx, dx_a))
+            ad_a = min(1.0, _max_step(lz, dz_a))
             mu_aff = matcore.hs_inner(x + ap_a * dx_a, z + ad_a * dz_a) / d
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             dx, dy, dz = newton(sigma * mu, dx_a @ dz_a)
-            ap = min(1.0, STEP_FRACTION * _max_step(x, dx))
-            ad = min(1.0, STEP_FRACTION * _max_step(z, dz))
+            ap = min(1.0, STEP_FRACTION * _max_step(lx, dx))
+            ad = min(1.0, STEP_FRACTION * _max_step(lz, dz))
         except np.linalg.LinAlgError as exc:
             return snapshot(STATUS_FAILURE, it, f"linear algebra failure: {exc}")
 

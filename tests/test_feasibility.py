@@ -705,6 +705,32 @@ class TestEarlyRejectWitness:
                 assert w.value == w.evaluate(spinalg.moment_values(m))
                 assert feasibility.exact_test_direct(m).witness.value < 0
 
+    @pytest.mark.parametrize("two_j", [4, 62, 200])
+    def test_chi_witness_in_closed_form(self, two_j, monkeypatch):
+        rng = np.random.default_rng(950 + two_j)
+        rot = random_so3(rng)
+        m = long_first_moment_moments(two_j)
+        m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
+        chi = spinalg.chi_matrix(m)
+        # the oracle: c over the dense ten-operator stack, normalized by its traces
+        ops = feasibility._operator_stack(two_j)
+        vec = np.linalg.eigh(chi)[1][:, 0]
+        c = np.einsum("a,iab,b->i", vec.conj(), spinalg.CHI_PATTERN, vec).real
+        c = c / float(c @ np.einsum("iaa->i", ops).real)
+
+        def no_stack(two_j):
+            raise AssertionError("a chi witness built the operator stack")
+
+        monkeypatch.setattr(feasibility, "_moment_operator_set", no_stack)
+        monkeypatch.setattr(feasibility, "_operator_stack", no_stack)
+        v = feasibility.classify(m)
+        assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
+        w = v.witness
+        assert np.abs(w.op_coefficients - c).max() <= 1e-12 * np.abs(c).max()
+        assert abs(w.value - float(c @ spinalg.moment_values(m))) <= 1e-12
+        assert np.abs(np.tensordot(c, ops, axes=1) - w.matrix).max() <= 1e-12
+        assert w.separates
+
 
     @pytest.mark.parametrize("two_j", [1, 4, 62])
     @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-3])

@@ -107,6 +107,42 @@ class TestWeakDualityAndDeterminism:
         assert np.array_equal(a.x, b.x)
 
 
+class TestIterationKernels:
+    @pytest.mark.parametrize("d", [2, 11, 63])
+    def test_step_length_reaches_the_boundary(self, d):
+        rng = np.random.default_rng(3100 + d)
+        for _ in range(3):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            x = g @ g.conj().T / d + 0.1 * np.eye(d)
+            inv_factor = np.linalg.inv(sdp._chol(x))
+            direction = random_hermitian(rng, d)
+            alpha = sdp._max_step(inv_factor, direction)
+            assert 0.0 < alpha < math.inf
+            edge = np.linalg.eigvalsh(x + alpha * direction)
+            assert abs(edge[0]) <= 1e-9 * np.abs(edge).max()
+            # a PSD direction never leaves the cone
+            assert sdp._max_step(inv_factor, g @ g.conj().T) == math.inf
+
+    def test_flattened_contractions_match_their_definitions(self):
+        rng = np.random.default_rng(3200)
+        ops = feasibility._sdp_operator_set(62)
+        d = ops.shape[1]
+        a_apply, a_adjoint, schur = sdp._contractions(ops)
+        x, zinv = random_density(rng, d), random_density(rng, d)
+        y = rng.standard_normal(len(ops))
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        assert close(a_apply(x), np.einsum("kij,ji->k", ops, x).real)
+        assert close(a_adjoint(y), np.einsum("k,kij->ij", y, ops))
+        xaz = np.einsum("kac,cd->kad", np.einsum("ab,kbc->kac", x, ops), zinv)
+        want = np.einsum("lab,kba->kl", ops, xaz).real
+        got = schur(x, zinv)
+        assert close(got, (want + want.T) / 2.0)
+        assert np.array_equal(got, got.T)
+
+
 class TestSolveAgainstOracle:
     def test_agreement_small_problems(self):
         # phase-1 t* against the barrier oracle on the program's dual
