@@ -254,22 +254,20 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
 
     # Phase-1 programs with known t*: <e00> = -1 at unit trace needs t* = 1,
     # and the full pin at I/3 has t* = -1/3.
-    e00 = np.diag([1.0, 0.0]).astype(complex)
-    corner = [(np.eye(2, dtype=complex), 1.0), (e00, -1.0)]
+    corner = (np.stack([np.eye(2), np.diag([1.0, 0.0])]), np.array([1.0, -1.0]))
     basis = matcore.hermitian_basis(3)
-    pin = [(b, matcore.hs_inner(b, np.eye(3, dtype=complex) / 3.0)) for b in basis]
+    pin = (basis, np.array([matcore.hs_inner(b, np.eye(3, dtype=complex) / 3.0) for b in basis]))
     analytic_ok = True
     detail = []
-    programs = (("<e00> = -1", corner, 2, 1.0), ("pin I/3", pin, 3, -1.0 / 3.0))
-    for name, constraints, dim, expected in programs:
-        p1 = sdp.phase1_min_t(constraints, dim)
+    for name, program, expected in (("<e00> = -1", corner, 1.0), ("pin I/3", pin, -1.0 / 3.0)):
+        p1 = sdp.phase1_min_t(*program)
         ok = p1.solution.status == sdp.STATUS_OPTIMAL and abs(p1.t_star - expected) < 1e-7
         analytic_ok &= ok
         detail.append(f"{name}: t* = {p1.t_star:.9f}")
     checks.append(("sdp-analytic", analytic_ok, "; ".join(detail)))
 
-    sol_a = sdp.phase1_min_t(corner, 2).solution
-    sol_b = sdp.phase1_min_t(corner, 2).solution
+    sol_a = sdp.phase1_min_t(*corner).solution
+    sol_b = sdp.phase1_min_t(*corner).solution
     same = sol_a.iterations == sol_b.iterations and sol_a.iterate_log == sol_b.iterate_log
     checks.append(("sdp-determinism", same, f"{sol_a.iterations} identical iterations"))
 

@@ -194,7 +194,7 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
     return Witness(z / norm, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
 
 
-def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str) -> Verdict:
+def _phase1_verdict(ops: np.ndarray, values: np.ndarray, labels, stage: str) -> Verdict:
     """Solve the phase-1 program over labelled operators to optimality; a
     reject carries its dual as the witness, an accept its cleaned primal.
 
@@ -202,7 +202,7 @@ def _phase1_verdict(ops, values: np.ndarray, dim: int, labels, stage: str) -> Ve
     (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
     """
     log = _StageLog()
-    p1 = sdp.phase1_min_t(list(zip(ops, values)), dim)
+    p1 = sdp.phase1_min_t(ops, values)
     if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
         raise ValueError(
             "the moment values conflict: a linearly dependent operator's value "
@@ -297,7 +297,7 @@ def exact_test_direct(m: MomentMatrix) -> Verdict:
     """
     ops = _sdp_operator_set(m.two_j)
     values = spinalg.moment_values(m)
-    return _phase1_verdict(ops, values, m.two_j + 1, spinalg.MOMENT_LABELS, "exact")
+    return _phase1_verdict(ops, values, spinalg.MOMENT_LABELS, "exact")
 
 
 def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
@@ -308,7 +308,7 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
     two_j = spinalg._check_two_j(two_j)
     ops = _sdp_operator_set(two_j)[_FIRST_MOMENTS]
     values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
-    return _phase1_verdict(ops, values, two_j + 1, _FIRST_MOMENT_LABELS, "exact-first-moment")
+    return _phase1_verdict(ops, values, _FIRST_MOMENT_LABELS, "exact-first-moment")
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +359,7 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     sdp._check_dim(two_j + 1)
     ops, basis3 = _extension_constraint_ops(two_j)
     values = np.array([matcore.hs_inner(e, rho) for e in basis3])
-    return _phase1_verdict(ops, values, two_j + 1, _EXTENSION_LABELS, "extension")
+    return _phase1_verdict(ops, values, _EXTENSION_LABELS, "extension")
 
 
 def outer_test(m: MomentMatrix) -> bool:

@@ -119,14 +119,16 @@ def reconstruct_rho(m: MomentMatrix) -> np.ndarray:
 
     The result is Hermitian with trace 1 but may fail positivity, which by
     itself certifies that no quantum state produces these moments.  A moment
-    value it misses by more than ``matcore.RESIDUAL_TOL`` is a ``ValueError``.
+    value it misses by more than ``matcore.RESIDUAL_TOL`` times
+    max(1, max |b_i|) is a ``ValueError``: relative, like the Casimir check
+    of ``MomentMatrix``, since the values grow like j(j+1).
     """
     two_j = _require_j_ge_1(m.two_j)
     b = moment_values(m)
     rho = np.tensordot(b, _reconstruction_system(two_j), axes=1)
     resid = np.einsum("iab,ba->i", reduction_operators(two_j), rho).real - b
     worst = int(np.argmax(np.abs(resid)))
-    if abs(resid[worst]) > matcore.RESIDUAL_TOL:
+    if abs(resid[worst]) > matcore.RESIDUAL_TOL * max(1.0, float(np.abs(b).max())):
         raise ValueError(
             f"moment matrix is inconsistent with any reduced state: residual "
             f"{resid[worst]:.3e} on the {MOMENT_LABELS[worst]} value"

@@ -1,14 +1,19 @@
 """The phase-1 feasibility SDP over the Hermitian PSD cone.
 
-``phase1_min_t`` solves  min t  s.t.  X + t*1 >= 0,  <A_i, X> = b_i  for
-constraints that fix tr(X).  Its sign decides feasibility, and its dual
-solution, expanded over the caller's constraint operators, is the
+``phase1_min_t`` solves  min t  s.t.  X + t*1 >= 0,  <A_i, X> = b_i  for an
+(m, d, d) operator stack that fixes tr(X).  Its sign decides feasibility,
+and its dual solution, expanded over the caller's operators, is the
 separating hyperplane.
 
 Substituting Y = X + t*1 leaves the standard form  min tr(Y)/d  s.t.
-<A~_i, Y> = b~_i,  Y >= 0  with traceless, linearly independent A~_i,
-which ``solve`` handles with a primal-dual path-following interior point
-method: a symmetrized Newton direction and Mehrotra-style
+<R_k, Y> = b~_k,  Y >= 0.  One dependency pass over the traceless parts
+A~_i = A_i - (tr A_i / d) 1, flattened to (Re, Im) coordinates that keep
+tr(A~_i A~_l), factors A~ = U S V^T by a QR and an SVD of the m x m
+factor.  Singular values at or below ``DEPENDENCY_TOL`` max(1, s_max) mark
+dependencies, along which the values U^T b~ must vanish to ``CONFLICT_TOL``;
+the rest give the orthonormal rows R = S^-1 U^T A~.  ``solve`` runs a
+primal-dual path-following interior point method from the min-norm
+solution: a symmetrized Newton direction and Mehrotra-style
 predictor-corrector steps.  The objective 1/d is positive definite, so
 Z = 1/d is strictly dual feasible, and Y0 + s*1 is strictly primal feasible
 for large s: no infeasibility ray can occur, and a solve ends optimal or in
@@ -34,7 +39,8 @@ STATUS_FAILURE = "numerical-failure"
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-8  # relative gap and both residuals at an optimal return
 STEP_FRACTION = 0.98
-DEPENDENCY_TOL = 1e-10
+DEPENDENCY_TOL = 1e-10  # singular values of the traceless rows up to it, times max(1, s_max)
+CONFLICT_TOL = 1e-8  # largest |U_dep^T b~| along the dependencies, times 1 + max |b~_i|
 DIM_CAP = 64
 
 _DIVERGENCE = 1e12
@@ -55,47 +61,6 @@ class SdpSolution:
     mu: float = math.nan
     iterate_log: list[tuple[float, float, float, float, float]] = field(default_factory=list)
     message: str = ""
-
-
-def _vec_h(a: np.ndarray, d: int) -> np.ndarray:
-    """Inner-product-preserving real coordinates of a Hermitian matrix."""
-    iu = np.triu_indices(d, 1)
-    return np.concatenate(
-        [a.diagonal().real, math.sqrt(2.0) * a[iu].real, math.sqrt(2.0) * a[iu].imag]
-    )
-
-
-def _gram_schmidt(vecs, values: np.ndarray, tol: float):
-    """Re-orthogonalized Gram-Schmidt over the rows of ``vecs``.
-
-    Returns (kept, dependent): the rows kept span the same space as all of
-    ``vecs``.  Each row within ``tol`` of the span of the earlier rows is
-    listed in ``dependent`` as (index, w, mismatch): w is the row minus its
-    combination of earlier rows (so w @ vecs ~ 0) and mismatch = w @ values is
-    how far the row's value lies from the value the earlier rows imply.
-    """
-    m = len(vecs)
-    basis: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    kept: list[int] = []
-    dependent: list[tuple[int, np.ndarray, float]] = []
-    for idx, vec in enumerate(vecs):
-        w = np.zeros(m)
-        w[idx] = 1.0
-        r = vec.copy()
-        for _ in range(2):  # one reorthogonalization pass for stability
-            for svec, swt in zip(basis, weights):
-                coeff = float(r @ svec)
-                r -= coeff * svec
-                w -= coeff * swt
-        norm = float(np.linalg.norm(r))
-        if norm <= tol * max(1.0, float(np.linalg.norm(vec))):
-            dependent.append((idx, w, float(w @ values)))
-            continue
-        basis.append(r / norm)
-        weights.append(w / norm)
-        kept.append(idx)
-    return kept, dependent
 
 
 def _chol(a: np.ndarray) -> np.ndarray:
@@ -119,43 +84,36 @@ def _max_step(inv_factor: np.ndarray, direction: np.ndarray) -> float:
 
 
 def _contractions(ops: np.ndarray):
-    """tr(A_k X) for each k, sum_k y_k A_k and S_kl = Re tr(A_k X A_l Z^-1), exactly
-    symmetric, as BLAS products on one copy of the rows vec(A_k^T): tr(A_k X) = rows @ vec(X)."""
+    """tr(A_k X) for each k, sum_k y_k A_k, S_kl = Re tr(A_k X A_l Z^-1), exactly
+    symmetric, and the min-norm X = A^*(G^-1 b), G_kl = tr(A_k A_l), as BLAS products
+    on one copy of the rows vec(A_k^T): tr(A_k X) = rows @ vec(X)."""
     m = len(ops)
     rows = ops.transpose(0, 2, 1).reshape(m, -1)
+
+    def a_adjoint(y: np.ndarray) -> np.ndarray:
+        return np.tensordot(y, ops, axes=1)
 
     def schur(x: np.ndarray, zinv: np.ndarray) -> np.ndarray:
         s = (rows @ ((x @ ops) @ zinv).reshape(m, -1).T).real
         return (s + s.T) / 2.0
 
-    return (lambda x: (rows @ x.ravel()).real), (lambda y: np.tensordot(y, ops, axes=1)), schur
+    def min_norm(b: np.ndarray) -> np.ndarray:
+        return a_adjoint(np.linalg.solve((rows @ rows.conj().T).real, b))
+
+    return (lambda x: (rows @ x.ravel()).real), a_adjoint, schur, min_norm
 
 
-def _min_norm_affine(ops: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    rows = np.stack([_vec_h(a, d) for a in ops])
-    sol, *_ = np.linalg.lstsq(rows, b, rcond=None)
-    iu = np.triu_indices(d, 1)
-    x = np.zeros((d, d), dtype=complex)
-    x[np.arange(d), np.arange(d)] = sol[:d]
-    n_off = iu[0].size
-    re = sol[d : d + n_off] / math.sqrt(2.0)
-    im = sol[d + n_off :] / math.sqrt(2.0)
-    x[iu] = re + 1j * im
-    x += np.tril(x.conj().T, -1)
-    return x
-
-
-def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
+def solve(ops: np.ndarray, b: np.ndarray) -> SdpSolution:
     """Solve  min tr(Y)/d  s.t.  <A_i, Y> = b_i,  Y >= 0  by interior point.
 
-    ``ops`` stacks the traceless, linearly independent A_i that
-    ``phase1_min_t`` builds.  The returned status is ``optimal`` only when the
+    ``ops`` is the (m, d, d) stack of traceless, linearly independent A_i
+    that ``phase1_min_t`` builds (orthonormal there, though any independent
+    rows will do).  The returned status is ``optimal`` only when the
     relative duality gap and both feasibility residuals are below
     ``TOLERANCE``; anything else is numerical failure with the final
     residuals in the message.
     """
-    d = dim
-    m = len(b)
+    m, d = len(b), ops.shape[1]
     c = np.eye(d, dtype=complex) / d
     if m == 0:
         return SdpSolution(
@@ -165,10 +123,10 @@ def solve(ops: np.ndarray, b: np.ndarray, dim: int) -> SdpSolution:
         )
 
     eye = np.eye(d, dtype=complex)
-    a_apply, a_adjoint, schur_of = _contractions(ops)
+    a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
 
     # Start: the min-norm affine solution shifted into the interior, and Z = 1/d.
-    x = _min_norm_affine(ops, b, d)
+    x = min_norm(b)
     x = (x + x.conj().T) / 2.0
     lam = float(np.linalg.eigvalsh(x)[0])
     x += max(1.0, -1.5 * lam) * eye
@@ -270,9 +228,10 @@ class Phase1Result:
     ``t_star > 0`` proves infeasibility.  Dependent rows with conflicting
     values leave no X at all: the status is primal-infeasible and ``t_star``
     is +inf.  A numerical failure gives ``t_star`` nan.  ``dual_z = 1/d -
-    sum_i y_i A~_i``, rebuilt from ``y`` over the traceless rows, is the
-    separating hyperplane: PSD, unit trace, in the span of the constraints,
-    and it pairs with every X meeting them to ``-t_star``.
+    sum_k y_k R_k``, rebuilt from ``y`` over the orthonormal rows R that
+    ``solve`` saw, is the separating hyperplane: PSD, unit trace, in the
+    span of the constraints, and it pairs with every X meeting them to
+    ``-t_star``.
     ``dual_coefficients`` c expand it over the caller's rows, ``dual_z =
     sum_i c_i A_i`` and ``c.b = -t_star``, so a witness needs nothing else.
     ``x``, ``dual_z`` and ``dual_coefficients`` are None unless optimal.
@@ -291,51 +250,51 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"cone dimension {d} exceeds the cap {DIM_CAP}")
 
 
-def phase1_min_t(constraints, dim: int) -> Phase1Result:
-    """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i.
+def phase1_min_t(ops, values) -> Phase1Result:
+    """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the (m, d, d)
+    stack ``ops`` and the m ``values``; the rows must fix tr(X).
 
-    The constraint set must fix tr(X); substituting Y = X + t*1 then removes
-    the free variable and leaves the standard form of ``solve``.  One
-    Gram-Schmidt pass over the traceless parts A~_i drops dependent rows (a
-    trace-only row has A~_i = 0, so it is one of them) and checks their
-    values; a conflict is reported as primal-infeasible before any iteration.
+    A trace-only row has A~_i = 0, so the dependency pass drops it; values
+    that conflict along a dependency are primal-infeasible before any
+    iteration.
     """
-    d = int(dim)
+    m, d = np.shape(ops)[:2]
     _check_dim(d)
-    rows = [(matcore.hermitize(np.asarray(a, dtype=complex)), float(b)) for a, b in constraints]
-    if not rows:
+    if m == 0:
         raise ValueError("phase-1 needs at least the trace normalization constraint")
-    vecs = np.stack([_vec_h(a, d) for a, _ in rows])
-    target = _vec_h(np.eye(d, dtype=complex), d)
-    coeff, *_ = np.linalg.lstsq(vecs.T, target, rcond=None)
-    resid = float(np.linalg.norm(vecs.T @ coeff - target))
-    if resid > 1e-9 * math.sqrt(d):
+    ops = np.stack([matcore.hermitize(a) for a in ops])
+    flat = ops.reshape(m, -1)
+    # (Re, Im) coordinates keep the inner product: coords_k . coords_l = tr(A_k A_l)
+    coords = np.concatenate([flat.real, flat.imag], axis=1)
+    target = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    coeff, *_ = np.linalg.lstsq(coords.T, target, rcond=None)
+    if float(np.linalg.norm(coords.T @ coeff - target)) > 1e-9 * math.sqrt(d):
         raise ValueError("constraints do not fix the trace of X")
-    values = np.array([b for _, b in rows])
     trace_value = float(coeff @ values)
 
-    traces = np.array([float(np.trace(a).real) for a, _ in rows])
-    tilde = [a - (tr_a / d) * np.eye(d) for (a, _), tr_a in zip(rows, traces)]
+    # in place: A~_i = A_i - (tr A_i / d) 1 with values b~_i
+    traces = np.trace(ops, axis1=1, axis2=2).real
+    ops[:, np.arange(d), np.arange(d)] -= (traces / d)[:, None]
+    coords -= np.outer(traces / d, target)
     tilde_b = values - traces * trace_value / d
-    kept, dependent = _gram_schmidt([_vec_h(a, d) for a in tilde], tilde_b, DEPENDENCY_TOL)
-    for idx, _, mismatch in dependent:
-        if abs(mismatch) > 1e-8 * (1.0 + abs(tilde_b[idx])):
-            sol = SdpSolution(
-                STATUS_PRIMAL_INFEASIBLE,
-                message=f"constraint {idx} conflicts with the rows before it",
-            )
-            return Phase1Result(t_star=math.inf, x=None, solution=sol)
+    u, s, _ = np.linalg.svd(np.linalg.qr(coords.T, mode="r").T)  # A~ = R^T Q^T, R^T = U S V^T
+    s = np.concatenate([s, np.zeros(m - len(s))])
+    keep = s > DEPENDENCY_TOL * max(1.0, s[0])
+    mismatch = float(np.linalg.norm(u[:, ~keep].T @ tilde_b))
+    if mismatch > CONFLICT_TOL * (1.0 + float(np.abs(tilde_b).max())):
+        message = f"a dependency of the constraints conflicts with their values ({mismatch:.1e})"
+        return Phase1Result(math.inf, None, SdpSolution(STATUS_PRIMAL_INFEASIBLE, message=message))
 
-    ops = np.stack([tilde[i] for i in kept]) if kept else np.zeros((0, d, d), complex)
-    sol = solve(ops, tilde_b[kept], d)
+    w = u[:, keep].T / s[keep, None]
+    rows = np.tensordot(w, ops, axes=1)
+    sol = solve(rows, w @ tilde_b)
     if sol.status != STATUS_OPTIMAL:
         return Phase1Result(t_star=math.nan, x=None, solution=sol)
     t_star = sol.primal_objective - trace_value / d
     x = sol.x - t_star * np.eye(d)
-    z = np.eye(d, dtype=complex) / d - sum(y * a for y, a in zip(sol.y, ops))
+    z = np.eye(d, dtype=complex) / d - np.tensordot(sol.y, rows, axes=1)
     # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand dual_z over the rows
-    y = np.zeros(len(rows))
-    y[kept] = sol.y
+    y = w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
     c = (1.0 + float(y @ traces)) / d * coeff - y
     return Phase1Result(
         t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol, dual_z=z, dual_coefficients=c

@@ -276,7 +276,7 @@ def test_criterion_10_sdp_oracle():
     for trial in range(50):
         d = int(rng.integers(2, 6))
         rows, values, (c, ops, vals) = random_phase1_dual(rng, d, int(rng.integers(0, 4)))
-        p1 = sdp.phase1_min_t(list(zip(rows, values)), d)
+        p1 = sdp.phase1_min_t(rows, values)
         sol = p1.solution
         assert sol.status == sdp.STATUS_OPTIMAL
         upper, lower, _, diag = bracket_optimum(ops, vals, c)

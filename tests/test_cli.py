@@ -187,7 +187,7 @@ class TestSolverFailure:
             argv = ["scan", "--two-j", "10", "--u", "0.1,0.2,0.3", "--grid", "9",
                     "--workers", "1", "--out", out]
 
-        def failing_solve(ops, b, dim):
+        def failing_solve(ops, b):
             return sdp.SdpSolution(status=sdp.STATUS_FAILURE, message="forced failure")
 
         monkeypatch.setattr(sdp, "solve", failing_solve)

@@ -575,35 +575,35 @@ class TestOneSdpPerDecision:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """Record every sdp.solve and sdp._gram_schmidt call from here on."""
+        """Record every sdp.solve and sdp.phase1_min_t call from here on."""
         calls = []
-        orthogonalizations = []
+        programs = []
         real_solve = sdp.solve
-        real_gram_schmidt = sdp._gram_schmidt
+        real_phase1 = sdp.phase1_min_t
 
-        def counting_solve(ops, b, dim):
-            calls.append(dim)
-            return real_solve(ops, b, dim)
+        def counting_solve(ops, b):
+            calls.append(ops.shape[1])
+            return real_solve(ops, b)
 
-        def counting_gram_schmidt(vecs, values, tol):
-            orthogonalizations.append(len(vecs))
-            return real_gram_schmidt(vecs, values, tol)
+        def counting_phase1(ops, values):
+            programs.append(len(ops))
+            return real_phase1(ops, values)
 
         monkeypatch.setattr(sdp, "solve", counting_solve)
-        monkeypatch.setattr(sdp, "_gram_schmidt", counting_gram_schmidt)
-        return calls, orthogonalizations
+        monkeypatch.setattr(sdp, "phase1_min_t", counting_phase1)
+        return calls, programs
 
     @pytest.mark.parametrize("two_j", [4, 10])
     @pytest.mark.parametrize("path", list(PATHS))
     def test_solve_count(self, monkeypatch, two_j, path):
         build, stage, status, expected = self.PATHS[path]
         m = build(two_j)
-        calls, orthogonalizations = self.count_calls(monkeypatch)
+        calls, programs = self.count_calls(monkeypatch)
         v = feasibility.classify(m)
         assert (v.stage, v.status) == (stage, status)
         assert len(calls) == expected
-        # at most one Gram-Schmidt per decision: the solver's, none for the witness
-        assert len(orthogonalizations) == expected
+        # at most one phase-1 program per decision: the solver's, none for the witness
+        assert len(programs) == expected
 
     def test_bench_tracer_sees_the_solve(self, monkeypatch):
         # bench/run.py reads its sdp.solve.* metrics off these spans
@@ -623,10 +623,10 @@ class TestOneSdpPerDecision:
         m = np.eye(3, dtype=complex) / 4.0
         m += 1j * spinalg._antisym_from_moments(ell)
         m = MomentMatrix.from_matrix(1, m)
-        calls, orthogonalizations = self.count_calls(monkeypatch)
+        calls, programs = self.count_calls(monkeypatch)
         v = feasibility.classify(m)
         assert (v.stage, v.status, v.t_star) == ("first-moment", STATUS_NON_QUANTUM, None)
-        assert calls == [] and orthogonalizations == []
+        assert calls == [] and programs == []
         w = v.witness
         assert w.separates
         # the optimal first-moment witness: value = -t* = -(|l|/j - 1)/(2j+1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinmoment import matcore, spinalg
+from spinmoment import feasibility, matcore, reduction, spinalg
 from spinmoment.spinalg import MomentMatrix
 
 from conftest import highest_weight_state, random_density, random_so3
@@ -123,7 +123,7 @@ class TestRelativeTolerances:
         # the entries grow like j(j+1), far below CASIMIR_TOL relative to them
         rng = np.random.default_rng(3000 + two_j)
         t = spinalg.spin_operators(two_j)
-        for _ in range(50):
+        for trial in range(50):
             exact = spinalg.moment_matrix(random_density(rng, two_j + 1), t)
             noise = rng.uniform(-1.0, 1.0, (3, 3)) + 1j * rng.uniform(-1.0, 1.0, (3, 3))
             noisy = exact.matrix * (1.0 + 1e-10 * noise)
@@ -131,6 +131,37 @@ class TestRelativeTolerances:
             assert np.abs(m.first_moments - exact.first_moments).max() <= 1e-6
             ell = spinalg.extract_first_moments(noisy)
             assert np.abs(ell - exact.first_moments).max() <= 1e-6
+            # the moments that validate are decided, not refused by a later stage
+            assert feasibility.classify(m).status == feasibility.STATUS_QUANTUM
+            if trial < 3:
+                assert feasibility.exact_test_direct(m).status == feasibility.STATUS_QUANTUM
+
+    @pytest.mark.parametrize("two_j", [30, 62])
+    @pytest.mark.parametrize("fraction", [0.3, 0.9])
+    def test_casimir_error_within_tolerance_is_decided(self, two_j, fraction):
+        # the maximally mixed state with a Casimir error that from_matrix accepts
+        d = two_j + 1
+        exact = spinalg.moment_matrix(np.eye(d, dtype=complex) / d, spinalg.spin_operators(two_j))
+        tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(exact.matrix).max()))
+        m = MomentMatrix.from_matrix(two_j, exact.matrix + np.diag([fraction * tol, 0.0, 0.0]))
+        assert feasibility.classify(m).status == feasibility.STATUS_QUANTUM
+        assert feasibility.exact_test_direct(m).status == feasibility.STATUS_QUANTUM
+
+    @pytest.mark.parametrize("two_j", [20, 62])
+    def test_large_casimir_error_still_raises(self, two_j):
+        # 1e-6 j(j+1) is far beyond CASIMIR_TOL: from_matrix refuses it, and a
+        # MomentMatrix built directly around the check fails the reconstruction
+        j = two_j / 2.0
+        d = two_j + 1
+        exact = spinalg.moment_matrix(np.eye(d, dtype=complex) / d, spinalg.spin_operators(two_j))
+        bad = exact.matrix + np.diag([1e-6 * j * (j + 1.0), 0.0, 0.0])
+        with pytest.raises(ValueError, match="Casimir"):
+            MomentMatrix.from_matrix(two_j, bad)
+        m = MomentMatrix(two_j=two_j, matrix=bad, first_moments=exact.first_moments)
+        with pytest.raises(ValueError, match="inconsistent with any reduced state"):
+            reduction.reconstruct_rho(m)
+        with pytest.raises(ValueError, match="inconsistent with any reduced state"):
+            feasibility.classify(m)
 
 
 class TestChiMatrix:
