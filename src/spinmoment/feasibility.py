@@ -13,10 +13,10 @@ not optimal, witness off the negative eigenvector its stage already computed
 separates.  Every program and witness works over the moment vector b of
 ``spinalg.moment_values``; the early stages are its linear stacks
 ``spinalg.CHI_PATTERN`` and ``reduction._reconstruction_system``.  The SDP
-paths raise the cone-cap ``ValueError`` before they build any spin-j
-operator.  Inside ``classify`` the outer test is carried by the 4x4 chi
-check, which is congruent to it; ``outer_test`` remains the standalone
-definition of T_j.
+paths alone use the ten-operator stack ``_moment_operator_set``, and raise
+the cone-cap ``ValueError`` before they build any spin-j operator.  Inside
+``classify`` the outer test is carried by the 4x4 chi check, which is
+congruent to it; ``outer_test`` remains the standalone definition of T_j.
 """
 
 from __future__ import annotations
@@ -105,31 +105,45 @@ class _StageLog:
         return tuple(self.records)
 
 
-def _operator_stack(two_j: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _moment_operator_set(two_j: int) -> np.ndarray:
     """Operators whose expectation values a moment matrix prescribes, stacked.
 
     Order matches ``spinalg.MOMENT_LABELS``: identity, the six symmetrized
     products (L_k L_l + L_l L_k)/2 for k <= l, then the three bare spin
-    operators.
+    operators.  Only the phase-1 programs need it, so it is cached per spin
+    and raises the cone-cap ``ValueError`` before it builds any operator.
     """
+    sdp._check_dim(two_j + 1)
     ls = spinalg.spin_operators(two_j).as_list()
     products = [(ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0 for k, l in zip(*spinalg._UPPER)]
     return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
 
 
-@lru_cache(maxsize=None)
-def _sdp_operator_set(two_j: int) -> np.ndarray:
-    """The operator stack of a phase-1 program, cached per spin: the cone-cap
-    ``ValueError`` comes before any dense operator is built."""
-    sdp._check_dim(two_j + 1)
-    return _operator_stack(two_j)
+def _pair_adjoint(w: np.ndarray, two_j: int) -> np.ndarray:
+    """P^dag(w) for the pair marginal P of a 2j-qubit symmetric state.
 
-
-def _moment_operator_set(two_j: int) -> np.ndarray:
-    """The operator stack at any 2j, as the early-reject witnesses need it:
-    the cached one within the SDP cap, a fresh one above it, so that an early
-    reject there keeps no dense (2j+1)^2 operators alive."""
-    return _sdp_operator_set(two_j) if two_j < sdp.DIM_CAP else _operator_stack(two_j)
+    w is a (..., 3, 3) stack on the symmetric pair basis; P^dag(w) acts on
+    the spin basis and satisfies <P^dag(w), X> = <w, P(X)> for every X.  With
+    n = 2j, splitting each Dicke state into pair and rest gives the entry
+    (a, b) of P(|D_n^k><D_n^l|) as delta_{k-a, l-b} C(n-2, k-a)
+    sqrt(C(2,a) C(2,b) / (C(n,k) C(n,l))).  With s = k - a this is
+    sqrt(g_a(s) g_b(s)) for the hypergeometric weights
+    g_a(s) = C(2,a) C(n-2,s) / C(n,s+a), each a ratio of two-term products.
+    Weight k sits at spin index n - k, so P^dag(w) is a band on diagonals
+    -2..2 built in O(n) operations, with no reordering.
+    """
+    n = two_j
+    s = np.arange(n - 1.0)
+    g = np.stack([(n - s) * (n - s - 1), 2 * (s + 1) * (n - s - 1), (s + 1) * (s + 2)])
+    g /= n * (n - 1)
+    w = np.asarray(w, dtype=complex)
+    out = np.zeros((*w.shape[:-2], n + 1, n + 1), dtype=complex)
+    top = n - np.arange(n - 1)
+    for a in range(3):
+        for b in range(3):
+            out[..., top - a, top - b] += w[..., a, b, None] * np.sqrt(g[a] * g[b])
+    return out
 
 
 def _clean_state(x: np.ndarray, floor: float) -> np.ndarray:
@@ -150,17 +164,13 @@ def _rejected(stage: str, witness: Witness, log: _StageLog, t_star: float | None
     return Verdict(STATUS_NON_QUANTUM, stage, t_star, None, witness, log.done())
 
 
-def _early_witness_system(stage: str, two_j: int) -> np.ndarray:
-    """The early-reject stage matrix as a linear stack over ``MOMENT_LABELS``:
-    chi = sum_i b_i C_i and rho_j = sum_i b_i R_i."""
-    return spinalg.CHI_PATTERN if stage == "chi" else reduction._reconstruction_system(two_j)
-
-
 def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Witness:
     """Closed-form witness for a chi or reconstruct reject, with no SDP.
 
     Both stage matrices are linear in the labelled values b, X(b) =
-    sum_i b_i F_i with F = ``_early_witness_system``.  With v the eigenvector
+    sum_i b_i F_i over a fixed stack F: chi = sum_i b_i C_i with
+    C = ``spinalg.CHI_PATTERN`` and rho_j = sum_i b_i R_i with
+    R = ``reduction._reconstruction_system``.  With v the eigenvector
     of X(b) for its most negative eigenvalue, c_i = v^dag F_i v,
     Z = sum_i c_i A_i / sum_i c_i tr A_i and value = c.b / sum_i c_i tr A_i =
     lambda_min / sum_i c_i tr A_i < 0.
@@ -178,20 +188,24 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
       positive.
 
     In both cases sum_i c_i tr A_i = tr(sum_i c_i A_i) > 0, so Z has unit
-    trace.  The witness is valid but not optimal: its value is not -t*.  A chi
-    Z needs only B^dag B and the closed-form tr A_i, not the operator stack.
+    trace.  The witness is valid but not optimal: its value is not -t*.  Z is
+    B^dag B or ``_pair_adjoint``(|v><v|), and its trace comes from the
+    closed-form tr A_i, so neither stage builds the operator stack.
     """
     v = matcore.hermitian_eig(matrix)[1][:, 0]
-    c = np.einsum("a,iab,b->i", v.conj(), _early_witness_system(stage, m.two_j), v).real
     d, s = m.two_j + 1, m.two_j * (m.two_j + 2) / 12.0  # tr 1 = d, tr S_kk = j(j+1)d/3 = s d
-    norm = d * float(c[0] + s * c[[1, 4, 6]].sum())  # S_kl (k != l) and L_k are traceless
     if stage == "chi":
+        f = spinalg.CHI_PATTERN
         b = v[0] * np.eye(d) + np.tensordot(v[1:], spinalg.spin_operators(m.two_j).as_list(), 1)
         z = b.conj().T @ b
     else:
-        z = np.tensordot(c, _moment_operator_set(m.two_j), axes=1)
+        f = reduction._reconstruction_system(m.two_j)
+        z = _pair_adjoint(np.outer(v, v.conj()), m.two_j)
+    c = np.einsum("a,iab,b->i", v.conj(), f, v).real
+    norm = d * float(c[0] + s * c[[1, 4, 6]].sum())  # S_kl (k != l) and L_k are traceless
+    z /= norm
     c = c / norm
-    return Witness(z / norm, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
+    return Witness(z, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
 
 
 def _phase1_verdict(ops: np.ndarray, values: np.ndarray, labels, stage: str) -> Verdict:
@@ -295,7 +309,7 @@ def exact_test_direct(m: MomentMatrix) -> Verdict:
     rho + t*1 >= 0; the moments are quantum iff t_star <= the boundary band.
     A reject carries the program's dual as its witness.
     """
-    ops = _sdp_operator_set(m.two_j)
+    ops = _moment_operator_set(m.two_j)
     values = spinalg.moment_values(m)
     return _phase1_verdict(ops, values, spinalg.MOMENT_LABELS, "exact")
 
@@ -306,36 +320,9 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
     Exists alongside the closed form as an independently checkable path.
     """
     two_j = spinalg._check_two_j(two_j)
-    ops = _sdp_operator_set(two_j)[_FIRST_MOMENTS]
+    ops = _moment_operator_set(two_j)[_FIRST_MOMENTS]
     values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
     return _phase1_verdict(ops, values, _FIRST_MOMENT_LABELS, "exact-first-moment")
-
-
-@lru_cache(maxsize=None)
-def _extension_constraint_ops(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """K_r = P^dag(E_r) for the pair marginal P of a 2j-qubit symmetric state.
-
-    E_r = ``matcore.hermitian_basis(3)`` on the symmetric pair basis; K_r acts
-    on the spin basis and satisfies <K_r, W> = <E_r, P(W)> for every W.  With
-    n = 2j, splitting each Dicke state into pair and rest gives the entry
-    (a, b) of P(|D_n^k><D_n^l|) as delta_{k-a, l-b} C(n-2, k-a)
-    sqrt(C(2,a) C(2,b) / (C(n,k) C(n,l))).  With s = k - a this is
-    sqrt(g_a(s) g_b(s)) for the hypergeometric weights
-    g_a(s) = C(2,a) C(n-2,s) / C(n,s+a), each a ratio of two-term products.
-    Weight k sits at spin index n - k, so the K_r need no reordering and
-    take O(n) memory.  E_0 = 1/sqrt(3) makes the trace constraint explicit.
-    """
-    n = two_j
-    s = np.arange(n - 1.0)
-    g = np.stack([(n - s) * (n - s - 1), 2 * (s + 1) * (n - s - 1), (s + 1) * (s + 2)])
-    g /= n * (n - 1)
-    basis3 = matcore.hermitian_basis(3)
-    ops = np.zeros((9, n + 1, n + 1), dtype=complex)
-    top = n - np.arange(n - 1)
-    for a in range(3):
-        for b in range(3):
-            ops[:, top - a, top - b] += np.outer(basis3[:, a, b], np.sqrt(g[a] * g[b]))
-    return ops, basis3
 
 
 def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
@@ -343,8 +330,10 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
 
     Searches for a 2j-qubit Bose-symmetric state whose pair marginal equals
     rho, in the (2j+1)-dimensional spin basis: the phase-1 program constrains
-    <K_r, X> = <E_r, rho> over the closed-form marginal adjoints of
-    ``_extension_constraint_ops``.  The certificate is the extension itself;
+    <K_r, X> = <E_r, rho> over the closed-form marginal adjoints
+    K_r = ``_pair_adjoint``(E_r) of E_r = ``matcore.hermitian_basis(3)``, whose
+    E_0 = 1/sqrt(3) makes the trace constraint explicit.  The certificate is
+    the extension itself;
     a reject's witness is the program's dual over the labelled E_r, whose
     coefficients give the 3x3 pair operator W = sum_r c_r E_r with
     <W, rho> = -t*.  The SDP cone cap ``sdp.DIM_CAP`` (2j <= 63) is the only
@@ -357,9 +346,9 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
         raise ValueError("reduced state must have unit trace")
     sdp._check_dim(two_j + 1)
-    ops, basis3 = _extension_constraint_ops(two_j)
+    basis3 = matcore.hermitian_basis(3)
     values = np.array([matcore.hs_inner(e, rho) for e in basis3])
-    return _phase1_verdict(ops, values, _EXTENSION_LABELS, "extension")
+    return _phase1_verdict(_pair_adjoint(basis3, two_j), values, _EXTENSION_LABELS, "extension")
 
 
 def outer_test(m: MomentMatrix) -> bool:

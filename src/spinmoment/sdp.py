@@ -10,14 +10,15 @@ Substituting Y = X + t*1 leaves the standard form  min tr(Y)/d  s.t.
 A~_i = A_i - (tr A_i / d) 1, flattened to (Re, Im) coordinates that keep
 tr(A~_i A~_l), factors A~ = U S V^T by a QR and an SVD of the m x m
 factor.  Singular values at or below ``DEPENDENCY_TOL`` max(1, s_max) mark
-dependencies, along which the values U^T b~ must vanish to ``CONFLICT_TOL``;
-the rest give the orthonormal rows R = S^-1 U^T A~.  ``solve`` runs a
-primal-dual path-following interior point method from the min-norm
-solution: a symmetrized Newton direction and Mehrotra-style
-predictor-corrector steps.  The objective 1/d is positive definite, so
-Z = 1/d is strictly dual feasible, and Y0 + s*1 is strictly primal feasible
-for large s: no infeasibility ray can occur, and a solve ends optimal or in
-numerical failure.  An iteration costs O(m d^3) with m <= 9 rows, all of it
+dependencies N.  The rows fix tr(X) when the traces tr A_i have a component
+along N above ``CONFLICT_TOL`` |tr A|, and along N the values U^T b~ must
+vanish to ``CONFLICT_TOL``; the rest give the orthonormal rows
+R = S^-1 U^T A~.  ``solve`` runs a primal-dual path-following interior
+point method from the min-norm solution: a symmetrized Newton direction
+and Mehrotra-style predictor-corrector steps.  The objective 1/d is
+positive definite, so Z = 1/d is strictly dual feasible, and Y0 + s*1 is
+strictly primal feasible for large s: no infeasibility ray can occur, and
+a solve ends optimal or in numerical failure.  An iteration costs O(m d^3) with m <= 9 rows, all of it
 in BLAS: one Cholesky factor each of X and Z, whose inverses give Z^-1 and
 the four step lengths, and matmuls over the flattened operator stack.  The
 cone dimension is capped at ``DIM_CAP``.
@@ -40,7 +41,8 @@ MAX_ITERATIONS = 200
 TOLERANCE = 1e-8  # relative gap and both residuals at an optimal return
 STEP_FRACTION = 0.98
 DEPENDENCY_TOL = 1e-10  # singular values of the traceless rows up to it, times max(1, s_max)
-CONFLICT_TOL = 1e-8  # largest |U_dep^T b~| along the dependencies, times 1 + max |b~_i|
+CONFLICT_TOL = 1e-8  # largest |U_dep^T b~| along the dependencies, times 1 + max |b~_i|;
+# smallest |U_dep^T tr A| that fixes the trace, times |tr A|
 DIM_CAP = 64
 
 _DIVERGENCE = 1e12
@@ -262,25 +264,29 @@ def phase1_min_t(ops, values) -> Phase1Result:
     _check_dim(d)
     if m == 0:
         raise ValueError("phase-1 needs at least the trace normalization constraint")
+    if np.shape(values) != (m,):
+        raise ValueError(f"expected {m} values, one per operator, got shape {np.shape(values)}")
     ops = np.stack([matcore.hermitize(a) for a in ops])
-    flat = ops.reshape(m, -1)
-    # (Re, Im) coordinates keep the inner product: coords_k . coords_l = tr(A_k A_l)
-    coords = np.concatenate([flat.real, flat.imag], axis=1)
-    target = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
-    coeff, *_ = np.linalg.lstsq(coords.T, target, rcond=None)
-    if float(np.linalg.norm(coords.T @ coeff - target)) > 1e-9 * math.sqrt(d):
-        raise ValueError("constraints do not fix the trace of X")
-    trace_value = float(coeff @ values)
-
-    # in place: A~_i = A_i - (tr A_i / d) 1 with values b~_i
+    # in place: A~_i = A_i - (tr A_i / d) 1
     traces = np.trace(ops, axis1=1, axis2=2).real
     ops[:, np.arange(d), np.arange(d)] -= (traces / d)[:, None]
-    coords -= np.outer(traces / d, target)
-    tilde_b = values - traces * trace_value / d
+    flat = ops.reshape(m, -1)
+    # (Re, Im) coordinates keep the inner product: coords_k . coords_l = tr(A~_k A~_l)
+    coords = np.concatenate([flat.real, flat.imag], axis=1)
     u, s, _ = np.linalg.svd(np.linalg.qr(coords.T, mode="r").T)  # A~ = R^T Q^T, R^T = U S V^T
     s = np.concatenate([s, np.zeros(m - len(s))])
     keep = s > DEPENDENCY_TOL * max(1.0, s[0])
-    mismatch = float(np.linalg.norm(u[:, ~keep].T @ tilde_b))
+    # sum_i coeff_i A_i = 1 needs coeff in the null space N of A~^T and coeff . tr A = d;
+    # the min-norm such coeff lies along N N^T tr A, which must not vanish
+    null = u[:, ~keep]
+    null_traces = null.T @ traces
+    fit = float(np.linalg.norm(null_traces))
+    if fit <= CONFLICT_TOL * float(np.linalg.norm(traces)):
+        raise ValueError("constraints do not fix the trace of X")
+    coeff = d * (null @ null_traces) / fit**2
+    trace_value = float(coeff @ values)
+    tilde_b = values - traces * trace_value / d
+    mismatch = float(np.linalg.norm(null.T @ tilde_b))
     if mismatch > CONFLICT_TOL * (1.0 + float(np.abs(tilde_b).max())):
         message = f"a dependency of the constraints conflicts with their values ({mismatch:.1e})"
         return Phase1Result(math.inf, None, SdpSolution(STATUS_PRIMAL_INFEASIBLE, message=message))

@@ -39,6 +39,14 @@ def pair_values(rho3, two_j):
     return np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho3).real
 
 
+def moment_operators(two_j):
+    """The dense (10, 2j+1, 2j+1) stack over ``spinalg.MOMENT_LABELS`` at any 2j:
+    the oracle for witnesses that never build it, above the SDP cap too."""
+    ls = spinalg.spin_operators(two_j).as_list()
+    products = [(ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0 for k, l in zip(*spinalg._UPPER)]
+    return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
+
+
 def highest_weight_state(two_j):
     d = two_j + 1
     rho = np.zeros((d, d), dtype=complex)

@@ -17,6 +17,7 @@ from spinmoment.spinalg import MomentMatrix
 import symmetric_oracle
 from conftest import (
     highest_weight_state,
+    moment_operators,
     moments_of_pair_state,
     random_coords,
     random_density,
@@ -77,7 +78,7 @@ class TestFirstMomentTest:
         # Z = (1 - l^.L/j)/(2j+1): PSD, unit trace, 0 on each S_kl, value -t*
         rng = np.random.default_rng(300 + two_j)
         j = two_j / 2.0
-        ops = feasibility._moment_operator_set(two_j)
+        ops = moment_operators(two_j)
         for _ in range(3):
             direction = rng.standard_normal(3)
             ell = direction / np.linalg.norm(direction) * j * rng.uniform(1.01, 1.5)
@@ -223,7 +224,7 @@ class TestCapBeforeOperators:
         built = []
         spin_operators = spinalg.spin_operators
         monkeypatch.setattr(spinalg, "spin_operators", lambda tj: built.append(tj) or spin_operators(tj))
-        feasibility._sdp_operator_set.cache_clear()
+        feasibility._moment_operator_set.cache_clear()
         j = two_j / 2.0
         m = MomentMatrix.from_matrix(two_j, np.diag([j * (j + 1) / 2, j * (j + 1) / 2, 0.0]).astype(complex))
         ell = np.zeros(3)
@@ -239,12 +240,12 @@ class TestCapBeforeOperators:
 
     def test_early_reject_over_the_cap_leaves_no_cached_operators(self):
         two_j = 100
-        cached = feasibility._sdp_operator_set.cache_info().currsize
+        cached = feasibility._moment_operator_set.cache_info().currsize
         v = feasibility.classify(long_first_moment_moments(two_j))
         assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
         assert v.witness.separates
         assert v.witness.matrix.shape == (two_j + 1, two_j + 1)
-        assert feasibility._sdp_operator_set.cache_info().currsize == cached
+        assert feasibility._moment_operator_set.cache_info().currsize == cached
 
     def test_early_reject_keeps_its_dense_witness_over_the_cap(self):
         two_j = 64
@@ -305,7 +306,8 @@ class TestExactTestExtension:
 
     @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 12])
     def test_closed_form_ops_match_oracle(self, two_j):
-        ops, basis3 = feasibility._extension_constraint_ops(two_j)
+        basis3 = matcore.hermitian_basis(3)
+        ops = feasibility._pair_adjoint(basis3, two_j)
         assert ops.shape == (9, two_j + 1, two_j + 1)
         for k, e in zip(ops, basis3):
             assert np.abs(k - symmetric_oracle.marginal_adjoint(e, two_j)).max() <= 1e-12
@@ -324,7 +326,8 @@ class TestExactTestExtension:
     @pytest.mark.parametrize("two_j", [4, 30, 62])
     def test_reject_carries_pair_witness(self, two_j):
         rng = np.random.default_rng(900 + two_j)
-        ops, basis3 = feasibility._extension_constraint_ops(two_j)
+        basis3 = matcore.hermitian_basis(3)
+        ops = feasibility._pair_adjoint(basis3, two_j)
         for f in (0.05, 0.1):
             rot = random_so3(rng)
             m = MomentMatrix.from_matrix(two_j, rot @ dicke_zero_moments(two_j, f).matrix @ rot.T)
@@ -713,7 +716,7 @@ class TestEarlyRejectWitness:
         m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
         chi = spinalg.chi_matrix(m)
         # the oracle: c over the dense ten-operator stack, normalized by its traces
-        ops = feasibility._operator_stack(two_j)
+        ops = moment_operators(two_j)
         vec = np.linalg.eigh(chi)[1][:, 0]
         c = np.einsum("a,iab,b->i", vec.conj(), spinalg.CHI_PATTERN, vec).real
         c = c / float(c @ np.einsum("iaa->i", ops).real)
@@ -722,7 +725,6 @@ class TestEarlyRejectWitness:
             raise AssertionError("a chi witness built the operator stack")
 
         monkeypatch.setattr(feasibility, "_moment_operator_set", no_stack)
-        monkeypatch.setattr(feasibility, "_operator_stack", no_stack)
         v = feasibility.classify(m)
         assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
         w = v.witness
@@ -730,6 +732,43 @@ class TestEarlyRejectWitness:
         assert abs(w.value - float(c @ spinalg.moment_values(m))) <= 1e-12
         assert np.abs(np.tensordot(c, ops, axes=1) - w.matrix).max() <= 1e-12
         assert w.separates
+
+    @pytest.mark.parametrize("two_j", [4, 62, 200])
+    def test_reconstruct_witness_in_closed_form(self, two_j, monkeypatch):
+        rng = np.random.default_rng(970 + two_j)
+        rot = random_so3(rng)
+        m = coords_matrix([0, 0, 0], [1.005, -0.0025, -0.0025], two_j)
+        m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
+        rho = reduction.reconstruct_rho(m)
+        # the oracle: c_i = v^dag R_i v over the dense ten-operator stack, normalized by its traces
+        ops = moment_operators(two_j)
+        vec = np.linalg.eigh(rho)[1][:, 0]
+        c = np.einsum("a,iab,b->i", vec.conj(), reduction._reconstruction_system(two_j), vec).real
+        c = c / float(c @ np.einsum("iaa->i", ops).real)
+
+        def no_stack(two_j):
+            raise AssertionError("a reconstruct witness built the operator stack")
+
+        monkeypatch.setattr(feasibility, "_moment_operator_set", no_stack)
+        v = feasibility.classify(m)
+        assert (v.stage, v.status) == ("reconstruct", STATUS_NON_QUANTUM)
+        w = v.witness
+        assert np.abs(w.op_coefficients - c).max() <= 1e-12 * np.abs(c).max()
+        assert abs(w.value - float(c @ spinalg.moment_values(m))) <= 1e-12
+        assert np.abs(np.tensordot(c, ops, axes=1) - w.matrix).max() <= 1e-12
+        assert w.separates
+
+    def test_reconstruct_reject_over_the_cap(self):
+        two_j = 400
+        cached = feasibility._moment_operator_set.cache_info()
+        v = feasibility.classify(coords_matrix([0, 0, 0], [1.005, -0.0025, -0.0025], two_j))
+        assert (v.stage, v.status, v.t_star) == ("reconstruct", STATUS_NON_QUANTUM, None)
+        w = v.witness
+        assert w.value == pytest.approx(-1.87e-5, rel=1e-2)
+        assert w.separates
+        assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+        assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+        assert feasibility._moment_operator_set.cache_info() == cached
 
 
     @pytest.mark.parametrize("two_j", [1, 4, 62])

@@ -66,7 +66,8 @@ def spin_pair_marginal(rho_spin, two_j):
     the closed-form Dicke adjoints (checked against the oracle up to n = 12)."""
     if two_j <= 10:
         return symmetric_oracle.pair_marginal(symmetric_oracle.embed_spin_state(rho_spin, two_j), two_j)
-    ops, basis3 = feasibility._extension_constraint_ops(two_j)
+    basis3 = matcore.hermitian_basis(3)
+    ops = feasibility._pair_adjoint(basis3, two_j)
     return np.einsum("r,rab->ab", np.einsum("rab,ba->r", ops, rho_spin).real, basis3)
 
 

@@ -170,7 +170,7 @@ class TestIterationKernels:
 
     def test_flattened_contractions_match_their_definitions(self):
         rng = np.random.default_rng(3200)
-        ops = feasibility._sdp_operator_set(62)
+        ops = feasibility._moment_operator_set(62)
         d = ops.shape[1]
         a_apply, a_adjoint, schur, min_norm = sdp._contractions(ops)
         x, zinv = random_density(rng, d), random_density(rng, d)
@@ -255,6 +255,10 @@ class TestPhase1:
             sdp.phase1_min_t(np.zeros((0, 2, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="Hermitian"):
             sdp.phase1_min_t(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), np.array([1.0, 0.0]))
+        ops = np.stack([np.eye(2, dtype=complex), SIGMA_Z])
+        for values in (np.ones(1), np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ValueError, match="expected 2 values"):
+                sdp.phase1_min_t(ops, values)
 
     def test_dual_solution_is_unit_trace_psd(self):
         ops, values = corner_program(-0.2)
