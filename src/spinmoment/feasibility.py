@@ -2,15 +2,19 @@
 
 The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
-tests bracket it from both sides.  Every witness comes from the verdict that
-decided it.  An exact reject's witness is the dual of that one phase-1
-program, expanded over the measured operators
+tests bracket it from both sides.  Every piece of evidence comes from the
+computation that decided it.  An SDP accept's certificate is the phase-1
+primal X itself: X + t*·1 is the solver's positive definite iterate, so X
+needs no cleaning.  An exact reject's witness is the dual of that one
+phase-1 program, expanded over the measured operators
 (``Phase1Result.dual_coefficients``), so it is optimal: value = -t*.  A
 first-moment reject's witness is the optimal one in closed form,
 Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or reconstruct) reads a valid,
 not optimal, witness off the negative eigenvector its stage already computed
 (``_eigenvector_witness``), with no SDP, and stands only when that witness
-separates.  Every program and witness works over the moment vector b of
+separates.  Both early witnesses are one pair lift P^dag of a 3x3 operator
+(``_pair_adjoint``), like the extension program's operators.  Every program
+and witness works over the moment vector b of
 ``spinalg.moment_values``; the early stages are its linear stacks
 ``spinalg.CHI_PATTERN`` and ``reduction._reconstruction_system``.  The SDP
 paths alone use the ten-operator stack ``_moment_operator_set``, and raise
@@ -146,34 +150,24 @@ def _pair_adjoint(w: np.ndarray, two_j: int) -> np.ndarray:
     return out
 
 
-def _clean_state(x: np.ndarray, floor: float) -> np.ndarray:
-    """Clip eigenvalue dust in (-floor, 0) to zero and renormalize the trace."""
-    vals, vecs = matcore.hermitian_eig(x)
-    clipped = np.where((vals > -floor) & (vals < 0.0), 0.0, vals)
-    if clipped.min() < 0.0:
-        return x
-    state = (vecs * clipped) @ vecs.conj().T
-    tr = float(np.trace(state).real)
-    if tr > 0.0:
-        state = state / tr
-    return (state + state.conj().T) / 2.0
-
-
 def _rejected(stage: str, witness: Witness, log: _StageLog, t_star: float | None = None) -> Verdict:
     log.add("witness", "found", f"value = {witness.value:.3e}")
     return Verdict(STATUS_NON_QUANTUM, stage, t_star, None, witness, log.done())
 
 
-def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Witness:
+def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
     """Closed-form witness for a chi or reconstruct reject, with no SDP.
 
     Both stage matrices are linear in the labelled values b, X(b) =
     sum_i b_i F_i over a fixed stack F: chi = sum_i b_i C_i with
     C = ``spinalg.CHI_PATTERN`` and rho_j = sum_i b_i R_i with
-    R = ``reduction._reconstruction_system``.  With v the eigenvector
-    of X(b) for its most negative eigenvalue, c_i = v^dag F_i v,
-    Z = sum_i c_i A_i / sum_i c_i tr A_i and value = c.b / sum_i c_i tr A_i =
-    lambda_min / sum_i c_i tr A_i < 0.
+    R = ``reduction._reconstruction_system``.  With v the eigenvector of X(b)
+    for its most negative eigenvalue, c_i = v^dag F_i v.  Every measured
+    operator is a pair lift, A_i = P^dag(K_i) with K =
+    ``reduction.reduction_operators``, because b_i = tr(K_i P(X)) for the
+    pair marginal P(X) of any X.  So sum_i c_i A_i = P^dag(sum_i c_i K_i) for
+    both stages, Z is that matrix over its trace, and value = c.b / tr =
+    lambda_min / tr < 0.
 
     Z >= 0, for each stage:
 
@@ -187,22 +181,14 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
       sum_i c_i A_i = P^dag(|v><v|), which is PSD because P is completely
       positive.
 
-    In both cases sum_i c_i tr A_i = tr(sum_i c_i A_i) > 0, so Z has unit
-    trace.  The witness is valid but not optimal: its value is not -t*.  Z is
-    B^dag B or ``_pair_adjoint``(|v><v|), and its trace comes from the
-    closed-form tr A_i, so neither stage builds the operator stack.
+    In both cases Z is PSD and nonzero, so its trace is positive.  The witness
+    is valid but not optimal: its value is not -t*.  ``_pair_adjoint`` builds
+    Z as a band, so neither stage builds a spin matrix or the operator stack.
     """
-    v = matcore.hermitian_eig(matrix)[1][:, 0]
-    d, s = m.two_j + 1, m.two_j * (m.two_j + 2) / 12.0  # tr 1 = d, tr S_kk = j(j+1)d/3 = s d
-    if stage == "chi":
-        f = spinalg.CHI_PATTERN
-        b = v[0] * np.eye(d) + np.tensordot(v[1:], spinalg.spin_operators(m.two_j).as_list(), 1)
-        z = b.conj().T @ b
-    else:
-        f = reduction._reconstruction_system(m.two_j)
-        z = _pair_adjoint(np.outer(v, v.conj()), m.two_j)
+    f = spinalg.CHI_PATTERN if stage == "chi" else reduction._reconstruction_system(m.two_j)
     c = np.einsum("a,iab,b->i", v.conj(), f, v).real
-    norm = d * float(c[0] + s * c[[1, 4, 6]].sum())  # S_kl (k != l) and L_k are traceless
+    z = _pair_adjoint(np.tensordot(c, reduction.reduction_operators(m.two_j), 1), m.two_j)
+    norm = float(np.trace(z).real)
     z /= norm
     c = c / norm
     return Witness(z, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
@@ -210,7 +196,13 @@ def _eigenvector_witness(stage: str, matrix: np.ndarray, m: MomentMatrix) -> Wit
 
 def _phase1_verdict(ops: np.ndarray, values: np.ndarray, labels, stage: str) -> Verdict:
     """Solve the phase-1 program over labelled operators to optimality; a
-    reject carries its dual as the witness, an accept its cleaned primal.
+    reject carries its dual as the witness, an accept its primal X.
+
+    X = Y - t*·1 for the solver's positive definite iterate Y, so
+    lambda_min(X) >= -t*: at least |t*| on a quantum verdict, at least
+    -BOUNDARY_BAND on a boundary one.  tr X is the fitted trace to rounding,
+    since t* is defined from tr Y, and X meets the moments to the solver's
+    residual, so the certificate needs no post-processing.
 
     Conflicting values of linearly dependent operators are an input error
     (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
@@ -230,10 +222,9 @@ def _phase1_verdict(ops: np.ndarray, values: np.ndarray, labels, stage: str) -> 
         log.add(stage, "reject", detail)
         c = p1.dual_coefficients
         return _rejected(stage, Witness(p1.dual_z, float(c @ values), c, tuple(labels)), log, t)
-    state = _clean_state(p1.x, 1e-9 if t <= 0 else t + 2e-9)
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail)
-    return Verdict(status, stage, t, state, None, log.done())
+    return Verdict(status, stage, t, p1.x, None, log.done())
 
 
 def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
@@ -373,13 +364,15 @@ def _validate_half_spin_structure(m: MomentMatrix) -> None:
 
 
 def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, log: _StageLog):
-    """Eigen-test a chi or reconstruct matrix; below -PSD_TOL, return its closed-form witness."""
-    lam = matcore.min_eigenvalue(matrix)
+    """Eigen-test a chi or reconstruct matrix; below -PSD_TOL, return the
+    closed-form witness of the same eigensolve's lowest eigenvector."""
+    vals, vecs = matcore.hermitian_eig(matrix)
+    lam = float(vals[0])
     if lam >= -matcore.PSD_TOL:
         log.add(stage, "pass", f"min eigenvalue {lam:.3e}")
         return None
     log.add(stage, "reject", f"min eigenvalue {lam:.3e}")
-    return _eigenvector_witness(stage, matrix, m)
+    return _eigenvector_witness(stage, vecs[:, 0], m)
 
 
 def classify(m: MomentMatrix) -> Verdict:

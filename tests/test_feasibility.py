@@ -183,6 +183,32 @@ class TestExactTestDirect:
         check = spinalg.moment_matrix(state, triple)
         assert np.abs(check.matrix - m.matrix).max() < 1e-7
 
+    @pytest.mark.parametrize("two_j", [6, 30, 62])
+    def test_certificate_is_the_phase1_primal(self, two_j):
+        # X = Y - t*·1 for the solver's positive definite Y: lambda_min(X) >= -t*
+        rng = np.random.default_rng(1500 + two_j)
+        ops = feasibility._moment_operator_set(two_j)
+        d = two_j + 1
+        dicke = dicke_mixture_moments(two_j, 1e-3)
+        for m in (spinalg.moment_matrix(random_density(rng, d), spinalg.spin_operators(two_j)), dicke):
+            v = feasibility.exact_test_direct(m)
+            assert v.status == STATUS_QUANTUM
+            x = v.certificate_state
+            assert np.array_equal(x, sdp.phase1_min_t(ops, spinalg.moment_values(m)).x)
+            assert matcore.min_eigenvalue(x) >= abs(v.t_star) - 1e-12
+            assert abs(np.trace(x).real - 1.0) <= 1e-12
+        # rotated highest-weight inputs sit on the boundary: X still meets every moment
+        edge = spinalg.moment_matrix(highest_weight_state(two_j), spinalg.spin_operators(two_j))
+        for _ in range(2):
+            rot = random_so3(rng)
+            m = MomentMatrix.from_matrix(two_j, rot @ edge.matrix @ rot.T)
+            v = feasibility.exact_test_direct(m)
+            assert v.status == STATUS_BOUNDARY
+            b = spinalg.moment_values(m)
+            got = np.einsum("kij,ji->k", ops, v.certificate_state).real
+            assert np.all(np.abs(got - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))
+            assert matcore.min_eigenvalue(v.certificate_state) >= -v.t_star - 1e-12
+
     def test_agrees_with_first_moment_law_on_noncommittal_sweep(self):
         # second moments of the coherent/mixed interpolation keep the Casimir
         # budget for any polarization, so the exact test reduces to |l| <= j
@@ -551,11 +577,21 @@ def dicke_mixture_moments(two_j, eps=0.01):
     return spinalg.moment_matrix(rho, triple)
 
 
-def long_first_moment_moments(two_j):
+def long_first_moment_moments(two_j, excess=0.5):
     j = two_j / 2.0
     m = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
-    m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + 0.5]))
+    m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + excess]))
     return MomentMatrix.from_matrix(two_j, m)
+
+
+def forbid_dense_spin_matrices(monkeypatch, stage):
+    """Make building the operator stack or any dense spin matrix fail the test."""
+
+    def refuse(two_j):
+        raise AssertionError(f"a {stage} witness built a dense spin-j operator")
+
+    monkeypatch.setattr(feasibility, "_moment_operator_set", refuse)
+    monkeypatch.setattr(spinalg, "spin_operators", refuse)
 
 
 class TestOneSdpPerDecision:
@@ -708,11 +744,12 @@ class TestEarlyRejectWitness:
                 assert w.value == w.evaluate(spinalg.moment_values(m))
                 assert feasibility.exact_test_direct(m).witness.value < 0
 
-    @pytest.mark.parametrize("two_j", [4, 62, 200])
+    @pytest.mark.parametrize("two_j", [4, 62, 200, 400])
     def test_chi_witness_in_closed_form(self, two_j, monkeypatch):
         rng = np.random.default_rng(950 + two_j)
         rot = random_so3(rng)
-        m = long_first_moment_moments(two_j)
+        # at 2j = 400, l3 = j + 1/2 gives a witness inside the band, so l3 = j + 10 there
+        m = long_first_moment_moments(two_j, 10.0 if two_j == 400 else 0.5)
         m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
         chi = spinalg.chi_matrix(m)
         # the oracle: c over the dense ten-operator stack, normalized by its traces
@@ -720,11 +757,7 @@ class TestEarlyRejectWitness:
         vec = np.linalg.eigh(chi)[1][:, 0]
         c = np.einsum("a,iab,b->i", vec.conj(), spinalg.CHI_PATTERN, vec).real
         c = c / float(c @ np.einsum("iaa->i", ops).real)
-
-        def no_stack(two_j):
-            raise AssertionError("a chi witness built the operator stack")
-
-        monkeypatch.setattr(feasibility, "_moment_operator_set", no_stack)
+        forbid_dense_spin_matrices(monkeypatch, "chi")
         v = feasibility.classify(m)
         assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
         w = v.witness
@@ -733,7 +766,7 @@ class TestEarlyRejectWitness:
         assert np.abs(np.tensordot(c, ops, axes=1) - w.matrix).max() <= 1e-12
         assert w.separates
 
-    @pytest.mark.parametrize("two_j", [4, 62, 200])
+    @pytest.mark.parametrize("two_j", [4, 62, 200, 400])
     def test_reconstruct_witness_in_closed_form(self, two_j, monkeypatch):
         rng = np.random.default_rng(970 + two_j)
         rot = random_so3(rng)
@@ -745,11 +778,7 @@ class TestEarlyRejectWitness:
         vec = np.linalg.eigh(rho)[1][:, 0]
         c = np.einsum("a,iab,b->i", vec.conj(), reduction._reconstruction_system(two_j), vec).real
         c = c / float(c @ np.einsum("iaa->i", ops).real)
-
-        def no_stack(two_j):
-            raise AssertionError("a reconstruct witness built the operator stack")
-
-        monkeypatch.setattr(feasibility, "_moment_operator_set", no_stack)
+        forbid_dense_spin_matrices(monkeypatch, "reconstruct")
         v = feasibility.classify(m)
         assert (v.stage, v.status) == ("reconstruct", STATUS_NON_QUANTUM)
         w = v.witness
