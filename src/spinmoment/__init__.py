@@ -34,6 +34,7 @@ from .feasibility import (
     Witness,
     build_fixed_state,
     classify,
+    exact_test_batch,
     exact_test_direct,
     exact_test_extension,
     first_moment_test,

@@ -233,44 +233,47 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, bool, str]] = []
+def _corner_program():
+    """The phase-1 program <e00> = -1 at unit trace, whose t* is 1."""
+    return np.stack([np.eye(2), np.diag([1.0, 0.0])]), np.array([1.0, -1.0])
 
+
+def _check_spin_algebra(j_max: int, inject_fault: bool) -> tuple[str, bool, str]:
     worst_comm = worst_cas = 0.0
     for two_j in range(1, j_max + 1):
         report = spinalg.validate_algebra(spinalg.spin_operators(two_j))
         worst_comm = max(worst_comm, report.commutator_residual)
         worst_cas = max(worst_cas, report.casimir_residual)
     limit = 1e-30 if inject_fault else 1e-10
-    checks.append(
-        (
-            "spin-algebra",
-            worst_comm < limit and worst_cas < limit,
-            f"two_j <= {j_max}: commutator {worst_comm:.2e}, Casimir {worst_cas:.2e}"
-            + (" [fault injected: limit 1e-30]" if inject_fault else ""),
-        )
-    )
+    detail = f"two_j <= {j_max}: commutator {worst_comm:.2e}, Casimir {worst_cas:.2e}"
+    if inject_fault:
+        detail += " [fault injected: limit 1e-30]"
+    return "spin-algebra", worst_comm < limit and worst_cas < limit, detail
 
-    # Phase-1 programs with known t*: <e00> = -1 at unit trace needs t* = 1,
-    # and the full pin at I/3 has t* = -1/3.
-    corner = (np.stack([np.eye(2), np.diag([1.0, 0.0])]), np.array([1.0, -1.0]))
+
+def _check_sdp_analytic() -> tuple[str, bool, str]:
+    # programs with known t*: the corner's is 1, and the full pin at I/3 has t* = -1/3
     basis = matcore.hermitian_basis(3)
     pin = (basis, np.array([matcore.hs_inner(b, np.eye(3, dtype=complex) / 3.0) for b in basis]))
     analytic_ok = True
     detail = []
-    for name, program, expected in (("<e00> = -1", corner, 1.0), ("pin I/3", pin, -1.0 / 3.0)):
+    programs = (("<e00> = -1", _corner_program(), 1.0), ("pin I/3", pin, -1.0 / 3.0))
+    for name, program, expected in programs:
         p1 = sdp.phase1_min_t(*program)
         ok = p1.solution.status == sdp.STATUS_OPTIMAL and abs(p1.t_star - expected) < 1e-7
         analytic_ok &= ok
         detail.append(f"{name}: t* = {p1.t_star:.9f}")
-    checks.append(("sdp-analytic", analytic_ok, "; ".join(detail)))
+    return "sdp-analytic", analytic_ok, "; ".join(detail)
 
-    sol_a = sdp.phase1_min_t(*corner).solution
-    sol_b = sdp.phase1_min_t(*corner).solution
+
+def _check_sdp_determinism() -> tuple[str, bool, str]:
+    sol_a = sdp.phase1_min_t(*_corner_program()).solution
+    sol_b = sdp.phase1_min_t(*_corner_program()).solution
     same = sol_a.iterations == sol_b.iterations and sol_a.iterate_log == sol_b.iterate_log
-    checks.append(("sdp-determinism", same, f"{sol_a.iterations} identical iterations"))
+    return "sdp-determinism", same, f"{sol_a.iterations} identical iterations"
 
+
+def _check_sandwich(rng: np.random.Generator) -> tuple[str, bool, str]:
     violations = 0
     total = 0
     for two_j in (2, 4):
@@ -286,8 +289,10 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
             total += 1
             if (in_r and not exact) or (exact and not in_t):
                 violations += 1
-    checks.append(("sandwich", violations == 0, f"{total} samples, {violations} violations"))
+    return "sandwich", violations == 0, f"{total} samples, {violations} violations"
 
+
+def _check_witness_duality() -> tuple[str, bool, str]:
     # The witness comes from the direct program, t* from the independent extension program.
     worst = z_dev = 0.0
     tested = 0
@@ -311,8 +316,10 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
         f"{tested} points at 2j in 4, 30, 62, max |value + t*| = {worst:.2e}, "
         f"max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
     )
-    checks.append(("witness-duality", tested > 0 and worst < 1e-6 and z_dev <= 1e-9, detail))
+    return "witness-duality", tested > 0 and worst < 1e-6 and z_dev <= 1e-9, detail
 
+
+def _check_first_moment(rng: np.random.Generator) -> tuple[str, bool, str]:
     # The law |l| <= j against the SDP route; each closed-form reject witness
     # must be the optimal one, value = -t* of that independent program.
     mism = bad_witness = rejects = 0
@@ -339,8 +346,10 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
         f"60 samples at j=3/2, {mism} mismatches; {rejects} reject witnesses, "
         f"{bad_witness} invalid, max |value + t*| = {worst:.2e}"
     )
-    checks.append(("first-moment", mism == 0 and bad_witness == 0, detail))
+    return "first-moment", mism == 0 and bad_witness == 0, detail
 
+
+def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
     # Early rejects carry closed-form witnesses; each must separate like an SDP one.
     failing = []
     z_dev = 0.0
@@ -366,9 +375,21 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
             if not ok:
                 failing.append(f"{stage} at 2j = {two_j}")
     detail = f"chi and reconstruct rejects at 2j in 4, 30, 62, max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
-    checks.append(("early-witness", not failing, detail + "".join(f"; {f} failed" for f in failing)))
+    return "early-witness", not failing, detail + "".join(f"; {f} failed" for f in failing)
 
-    return checks
+
+def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str, bool, str]]:
+    """Every suite in order; the sampling suites draw from one generator in turn."""
+    rng = np.random.default_rng(seed)
+    return [
+        _check_spin_algebra(j_max, inject_fault),
+        _check_sdp_analytic(),
+        _check_sdp_determinism(),
+        _check_sandwich(rng),
+        _check_witness_duality(),
+        _check_first_moment(rng),
+        _check_early_witness(rng),
+    ]
 
 
 def cmd_validate(args) -> int:

@@ -18,7 +18,10 @@ and witness works over the moment vector b of
 ``spinalg.moment_values``; the early stages are its linear stacks
 ``spinalg.CHI_PATTERN`` and ``reduction._reconstruction_system``.  The SDP
 paths alone use the ten-operator stack ``_moment_operator_set``, and raise
-the cone-cap ``ValueError`` before they build any spin-j operator.  Inside
+the cone-cap ``ValueError`` before they build any spin-j operator.  As that
+stack depends on the spin only, ``exact_test_batch`` decides many inputs at
+one spin with one batched phase-1 solve, each verdict read by the same
+``_read_phase1`` as a single exact test's.  Inside
 ``classify`` the outer test is carried by the 4x4 chi check, which is
 congruent to it; ``outer_test`` remains the standalone definition of T_j.
 """
@@ -26,6 +29,7 @@ congruent to it; ``outer_test`` remains the standalone definition of T_j.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -96,9 +100,10 @@ class Verdict:
 
 
 class _StageLog:
-    def __init__(self) -> None:
+    def __init__(self, spent: float = 0.0) -> None:
+        """``spent``: seconds the first stage took before the log was opened."""
         self.records: list[StageRecord] = []
-        self._t0 = time.perf_counter()
+        self._t0 = time.perf_counter() - spent
 
     def add(self, name: str, outcome: str, detail: str = "") -> None:
         now = time.perf_counter()
@@ -195,8 +200,16 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
 
 
 def _phase1_verdict(ops: np.ndarray, values: np.ndarray, labels, stage: str) -> Verdict:
-    """Solve the phase-1 program over labelled operators to optimality; a
-    reject carries its dual as the witness, an accept its primal X.
+    """Solve the phase-1 program over labelled operators and read its verdict."""
+    log = _StageLog()
+    return _read_phase1(sdp.phase1_min_t(ops, values), values, labels, stage, log)
+
+
+def _read_phase1(
+    p1: sdp.Phase1Result, values: np.ndarray, labels, stage: str, log: _StageLog
+) -> Verdict:
+    """The verdict of a phase-1 program solved to optimality: a reject carries
+    its dual as the witness, an accept its primal X.
 
     X = Y - t*·1 for the solver's positive definite iterate Y, so
     lambda_min(X) >= -t*: at least |t*| on a quantum verdict, at least
@@ -207,8 +220,6 @@ def _phase1_verdict(ops: np.ndarray, values: np.ndarray, labels, stage: str) -> 
     Conflicting values of linearly dependent operators are an input error
     (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
     """
-    log = _StageLog()
-    p1 = sdp.phase1_min_t(ops, values)
     if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
         raise ValueError(
             "the moment values conflict: a linearly dependent operator's value "
@@ -303,6 +314,30 @@ def exact_test_direct(m: MomentMatrix) -> Verdict:
     ops = _moment_operator_set(m.two_j)
     values = spinalg.moment_values(m)
     return _phase1_verdict(ops, values, spinalg.MOMENT_LABELS, "exact")
+
+
+def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
+    """``exact_test_direct`` on many moment matrices at one spin, from one
+    batched phase-1 solve over the shared operator stack.
+
+    Each verdict is read as a single one would be, and its exact stage is
+    timed at its share of the batch's seconds.  Conflicting values raise
+    ``ValueError`` and a failed solve ``ArithmeticError``, as for one input.
+    """
+    if not ms:
+        return []
+    two_j = ms[0].two_j
+    if any(m.two_j != two_j for m in ms):
+        raise ValueError("a batch of exact tests needs one spin number")
+    ops = _moment_operator_set(two_j)
+    t0 = time.perf_counter()
+    values = np.stack([spinalg.moment_values(m) for m in ms])
+    solved = sdp.phase1_min_t(ops, values)
+    share = (time.perf_counter() - t0) / len(ms)
+    return [
+        _read_phase1(p1, v, spinalg.MOMENT_LABELS, "exact", _StageLog(share))
+        for p1, v in zip(solved, values)
+    ]
 
 
 def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:

@@ -4,8 +4,10 @@ Every grid point fixes v3 = 1 - v1 - v2 (the Casimir constraint) and is
 classified against the inner PPT set R, the exact extendible set S_j and the
 outer reduced-expectation-value set T_j.  R and T come from stacked 4x4
 eigenvalue tests, a grid row at a time; the SDP runs only on cells in T but
-not R, which is sound because the three sets are nested.  Output goes to CSV
-and optionally to a simple SVG rendering.
+not R, which is sound because the three sets are nested.  Those cells share
+one operator stack and differ only in their moment values, so they are
+decided together by one batched phase-1 solve (``feasibility.exact_test_batch``).
+Output goes to CSV and optionally to a simple SVG rendering.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ _CSV_HEADER = ("v1", "v2", "in_R", "in_Sj", "in_Tj")
 class ScanResult:
     """Grid membership flags; ``in_s`` is -1 where the exact set was skipped.
 
-    ``point_seconds`` holds each cell's share of the batched R/T time plus
-    the seconds of its own exact test, if it ran one."""
+    ``point_seconds`` holds each cell's share of the batched R/T time plus,
+    on a cell that needed the SDP, its share of the batched exact solve that
+    decided it: every cell of one batch gets the same share."""
 
     two_j: int
     u: np.ndarray
@@ -103,12 +106,13 @@ def _slice_maps(two_j: int, u: np.ndarray):
     return [(c0, c1 - c0, c2 - c0) for c0, c1, c2 in zip(*corners)]
 
 
-def _exact_cell(args) -> tuple[bool, float]:
-    """Exact test of one cell in T but not R; returns (accepted, seconds)."""
-    two_j, u, v1, v2 = args
+def _exact_cells(args) -> tuple[list[bool], float]:
+    """Exact tests of cells in T but not R from one batched phase-1 solve;
+    returns (accepted per cell, seconds)."""
+    two_j, u, points = args
     t0 = time.perf_counter()
-    accepted = feasibility.exact_test_direct(_moments(two_j, u, v1, v2)).accepted
-    return accepted, time.perf_counter() - t0
+    verdicts = feasibility.exact_test_batch([_moments(two_j, u, v1, v2) for v1, v2 in points])
+    return [v.accepted for v in verdicts], time.perf_counter() - t0
 
 
 def scan_grid(
@@ -124,8 +128,10 @@ def scan_grid(
 
     R and T come from the affine maps of ``_slice_maps`` (T through tau, as
     chi = D tau D would scale the tolerance edge by up to j^2).  S is skipped
-    unless requested; only its cells in T but not R run the SDP, in ``workers``
-    processes when ``workers`` > 1, with results collected in cell order.
+    unless requested; only its cells in T but not R run the SDP, all in one
+    batched solve.  ``workers`` > 1 splits those cells into that many
+    contiguous chunks, one batched solve per process, with results collected
+    in cell order.
     """
     two_j = reduction._require_j_ge_1(two_j)
     if resolution < 2 or resolution > 1024:
@@ -161,36 +167,21 @@ def scan_grid(
     if want_s:
         s[:] = in_r
         cells = np.argwhere(in_t & ~in_r)
-        jobs = [(two_j, u, float(v1s[i1]), float(v2s[i2])) for i1, i2 in cells]
-        if workers <= 1 or not jobs:
-            done = list(map(_exact_cell, jobs))
+        points = [(float(v1s[i1]), float(v2s[i2])) for i1, i2 in cells]
+        edges = np.linspace(0, len(points), min(max(workers, 1), len(points)) + 1).astype(int)
+        spans = list(zip(edges[:-1], edges[1:]))
+        jobs = [(two_j, u, points[a:b]) for a, b in spans]
+        if len(jobs) <= 1:
+            done = list(map(_exact_cells, jobs))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(_exact_cell, jobs))
-        for (i1, i2), (accepted, seconds) in zip(cells, done):
-            s[i1, i2] = accepted
-            secs[i1, i2] += seconds
+            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+                done = list(pool.map(_exact_cells, jobs))
+        for (a, b), (accepted, seconds) in zip(spans, done):
+            chunk = tuple(cells[a:b].T)
+            s[chunk] = accepted
+            secs[chunk] += seconds / (b - a)
 
     return ScanResult(two_j, u, v1s, v2s, in_r.astype(np.int8), s, in_t.astype(np.int8), secs)
-
-
-def read_scan_csv(path: str):
-    """Read back a scan CSV: returns (rows, header) with numeric fields parsed.
-
-    Each row is (v1, v2, in_r, in_s, in_t) with in_s None when it was skipped.
-    """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        for rec in reader:
-            v1, v2, fr, fs, ft = rec
-            rows.append(
-                (float(v1), float(v2), int(fr), None if fs == "" else int(fs), int(ft))
-            )
-    return rows, header
 
 
 def write_scan_svg(result: ScanResult, path: str, size: int = 640, margin: int = 60) -> None:

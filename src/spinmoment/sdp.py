@@ -3,7 +3,8 @@
 ``phase1_min_t`` solves  min t  s.t.  X + t*1 >= 0,  <A_i, X> = b_i  for an
 (m, d, d) operator stack that fixes tr(X).  Its sign decides feasibility,
 and its dual solution, expanded over the caller's operators, is the
-separating hyperplane.
+separating hyperplane.  Given a (k, m) array of values it solves k such
+programs over the one stack at once.
 
 Substituting Y = X + t*1 leaves the standard form  min tr(Y)/d  s.t.
 <R_k, Y> = b~_k,  Y >= 0.  One dependency pass over the traceless parts
@@ -13,17 +14,33 @@ factor.  Singular values at or below ``DEPENDENCY_TOL`` max(1, s_max) mark
 dependencies N.  The rows fix tr(X) when the traces tr A_i have a component
 along N above ``CONFLICT_TOL`` |tr A|, and along N the values U^T b~ must
 vanish to ``CONFLICT_TOL``; the rest give the orthonormal rows
-R = S^-1 U^T A~.  ``solve`` runs a primal-dual path-following interior
-point method from the min-norm solution: a symmetrized Newton direction
-and Mehrotra-style predictor-corrector steps.  The objective 1/d is
-positive definite, so Z = 1/d is strictly dual feasible, and Y0 + s*1 is
-strictly primal feasible for large s: no infeasibility ray can occur, and
-a solve ends optimal or in numerical failure.  An iteration costs O(m d^3) with m <= 9 rows, all of it
-in BLAS: one Cholesky factor each of X and Z, whose inverses give Z^-1 and
-the four step lengths, and matmuls over the flattened operator stack.  The
-cone dimension is capped at ``DIM_CAP``.
-"""
+R = S^-1 U^T A~.  The pass depends on the operators only, so a batch of
+programs shares it, and only the conflict test and b~ are per program.
 
+``solve`` runs a primal-dual path-following interior point method from the
+min-norm solution: a symmetrized Newton direction and Mehrotra-style
+predictor-corrector steps.  The objective 1/d is positive definite, so
+Z = 1/d is strictly dual feasible, and Y0 + s*1 is strictly primal
+feasible for large s: no infeasibility ray can occur, and a solve ends
+optimal or in numerical failure.  An iteration costs O(m d^3) with m <= 9
+rows, all of it in BLAS: one Cholesky factor each of X and Z, whose
+inverses give Z^-1 and the four step lengths, and matmuls over the
+flattened operator stack.
+
+The kernel ``_path_following`` carries a leading batch axis: the iterates
+of k programs over one row stack are (k, d, d) arrays, so one pass of numpy
+calls advances them all, and at small d the per-call overhead is paid once
+per iteration instead of once per program.  The batch is masked, not
+synchronized.  Each program has its own step lengths and its own stopping,
+divergence and stall tests, log and failure message, and a program that
+stops leaves the active set.  If a stacked Cholesky factor, Schur solve or
+eigensolve raises, only then does each program run alone (the Cholesky
+through ``_chol``'s jitter loop), and a program that still fails stops with
+its own message while its neighbours go on.  ``solve`` is the k = 1 call.
+``phase1_min_t`` hands the kernel chunks of programs whose (k, m, d, d)
+stacks hold at most ``BATCH_ENTRIES`` entries, so a batch of any size runs
+in bounded memory.  The cone dimension is capped at ``DIM_CAP``.
+"""
 from __future__ import annotations
 
 import math
@@ -44,6 +61,7 @@ DEPENDENCY_TOL = 1e-10  # singular values of the traceless rows up to it, times 
 CONFLICT_TOL = 1e-8  # largest |U_dep^T b~| along the dependencies, times 1 + max |b~_i|;
 # smallest |U_dep^T tr A| that fixes the trace, times |tr A|
 DIM_CAP = 64
+BATCH_ENTRIES = 1 << 18  # complex entries of one (k, m, d, d) kernel stack: 4 MB
 
 _DIVERGENCE = 1e12
 
@@ -76,33 +94,218 @@ def _chol(a: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix lost positive definiteness")
 
 
-def _max_step(inv_factor: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with C + alpha * direction still PSD, given L^-1 for C = L L^dag."""
-    w = inv_factor @ direction @ inv_factor.conj().T
-    lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2.0)[0])
-    if lam >= -1e-14:
-        return math.inf
-    return -1.0 / lam
+def _each(fn, args, failed: dict[int, str], fallback, blank):
+    """``fn(*args)`` over the leading batch axis of ``args``.
+
+    If the stacked call raises, each program runs ``fallback`` on its own
+    slices instead; one whose fallback raises too is recorded in ``failed``
+    (batch position -> message) and gets ``blank`` of its slices, so that its
+    neighbours go on unaffected.
+    """
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for i, parts in enumerate(zip(*args)):
+        try:
+            out.append(fallback(*parts))
+        except np.linalg.LinAlgError as exc:
+            failed.setdefault(i, f"linear algebra failure: {exc}")
+            out.append(blank(*parts))
+    return np.stack(out)
+
+
+def _lowest_eigenvalue(w: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(w)[..., 0]
+
+
+def _max_step(inv_factor: np.ndarray, direction: np.ndarray, failed=None) -> np.ndarray:
+    """Largest alpha with C + alpha * direction still PSD, given L^-1 for C = L L^dag,
+    per matrix of a stack; ``failed`` as in ``_each``."""
+    w = _herm(inv_factor @ direction @ _adjoint(inv_factor))
+    if failed is None:
+        lam = _lowest_eigenvalue(w)
+    else:
+        lam = _each(_lowest_eigenvalue, (w,), failed, _lowest_eigenvalue, lambda _: 0.0)
+    return np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + _adjoint(a)) / 2.0
 
 
 def _contractions(ops: np.ndarray):
     """tr(A_k X) for each k, sum_k y_k A_k, S_kl = Re tr(A_k X A_l Z^-1), exactly
     symmetric, and the min-norm X = A^*(G^-1 b), G_kl = tr(A_k A_l), as BLAS products
-    on one copy of the rows vec(A_k^T): tr(A_k X) = rows @ vec(X)."""
-    m = len(ops)
+    on one copy of the rows vec(A_k^T): tr(A_k X) = vec(X) . rows_k.  Each takes
+    a single program or a stack of them along a leading batch axis."""
+    m, d = ops.shape[:2]
     rows = ops.transpose(0, 2, 1).reshape(m, -1)
+    flat = ops.reshape(m, -1)
+
+    def a_apply(x: np.ndarray) -> np.ndarray:
+        return (x.reshape(*x.shape[:-2], d * d) @ rows.T).real
 
     def a_adjoint(y: np.ndarray) -> np.ndarray:
-        return np.tensordot(y, ops, axes=1)
+        return (y @ flat).reshape(*y.shape[:-1], d, d)
 
     def schur(x: np.ndarray, zinv: np.ndarray) -> np.ndarray:
-        s = (rows @ ((x @ ops) @ zinv).reshape(m, -1).T).real
-        return (s + s.T) / 2.0
+        xaz = (x[..., None, :, :] @ ops) @ zinv[..., None, :, :]
+        s = (xaz.reshape(-1, d * d) @ rows.T).real.reshape(*x.shape[:-2], m, m)
+        return (s + s.swapaxes(-1, -2)) / 2.0
 
     def min_norm(b: np.ndarray) -> np.ndarray:
-        return a_adjoint(np.linalg.solve((rows @ rows.conj().T).real, b))
+        return a_adjoint(np.linalg.solve((rows @ rows.conj().T).real, b[..., None])[..., 0])
 
-    return (lambda x: (rows @ x.ravel()).real), a_adjoint, schur, min_norm
+    return a_apply, a_adjoint, schur, min_norm
+
+
+def _ridge_solve(schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(schur, rhs)
+    except np.linalg.LinAlgError:
+        ridge = 1e-12 * (1.0 + float(np.trace(schur)) / len(rhs))
+        return np.linalg.solve(schur + ridge * np.eye(len(rhs)), rhs)
+
+
+def _path_following(ops: np.ndarray, b: np.ndarray) -> list[SdpSolution]:
+    """The interior point of ``solve`` on k programs at once: rows (m, d, d), b (k, m).
+
+    Iterates are (k, d, d) stacks, and every program keeps its own step
+    lengths, stopping, divergence and stall tests, log and failure message.
+    A program that stops leaves the active set, so the arrays shrink with it.
+    """
+    k, m = b.shape
+    d = ops.shape[1]
+    eye = np.eye(d, dtype=complex)
+    c = eye / d
+    if m == 0:
+        return [
+            SdpSolution(
+                STATUS_OPTIMAL, np.zeros((d, d), dtype=complex), np.zeros(0), c.copy(),
+                primal_objective=0.0, dual_objective=0.0, gap=0.0,
+                primal_residual=0.0, dual_residual=0.0, mu=0.0,
+            )
+            for _ in range(k)
+        ]
+
+    a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
+
+    # Start: the min-norm affine solution shifted into the interior, and Z = 1/d.
+    x = _herm(min_norm(b))
+    x += np.maximum(1.0, -1.5 * _lowest_eigenvalue(x))[:, None, None] * eye
+    z = np.repeat(c[None], k, axis=0)
+    y = np.zeros((k, m))
+
+    b_scale = 1.0 + np.abs(b).max(axis=1)
+    c_scale = 1.0 + 1.0 / d
+    logs: list[list[tuple[float, float, float, float, float]]] = [[] for _ in range(k)]
+    out: list[SdpSolution | None] = [None] * k  # every program is finished by the end
+    stalls = [0] * k
+    active = np.arange(k)  # the program behind each row of the stacks
+
+    def finish(i: int, status: str, message: str = "") -> None:
+        pobj, dobj, mu, pres, dres, _ = stats[i]
+        out[active[i]] = SdpSolution(
+            status, x[i].copy(), y[i].copy(), z[i].copy(),
+            primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj), iterations=it,
+            primal_residual=pres, dual_residual=dres, mu=mu, iterate_log=logs[active[i]],
+            message=message,
+        )
+        going[i] = False
+
+    for it in range(MAX_ITERATIONS + 1):  # the last pass only tests the final iterate
+        rd = _herm(c - z - a_adjoint(y))
+        mu = np.einsum("kab,kab->k", x.conj(), z).real / d
+        stats = list(zip(*(a.tolist() for a in (
+            x.diagonal(0, 1, 2).real.sum(axis=1) / d,
+            (b * y).sum(axis=1),
+            mu,
+            np.abs(b - a_apply(x)).max(axis=1) / b_scale,
+            np.abs(rd).max(axis=(1, 2)) / c_scale,
+            np.maximum(np.abs(y).max(axis=1), np.abs(x).max(axis=(1, 2))),
+        ))))
+        going = np.ones(len(active), dtype=bool)
+        for i, (pobj, dobj, mu_i, pres, dres, size) in enumerate(stats):
+            logs[active[i]].append((pobj, dobj, mu_i, pres, dres))
+            gap = abs(pobj - dobj)
+            if gap / (1.0 + abs(pobj)) <= TOLERANCE and pres <= TOLERANCE and dres <= TOLERANCE:
+                finish(i, STATUS_OPTIMAL)
+            elif size > _DIVERGENCE:
+                finish(i, STATUS_FAILURE, "iterate diverged")
+            elif it == MAX_ITERATIONS:
+                finish(i, STATUS_FAILURE, (
+                    f"no convergence after {it} iterations "
+                    f"(gap {gap:.2e}, primal res {pres:.2e}, dual res {dres:.2e})"
+                ))
+        if not going.all():
+            if not going.any():
+                break
+            active, b, b_scale, x, y, z, rd, mu = (
+                a[going] for a in (active, b, b_scale, x, y, z, rd, mu)
+            )
+            stats = [row for row, g in zip(stats, going) if g]
+            going = going[going]
+
+        # X and Z are factored, inverted and step-tested in one stack of 2n matrices
+        n = len(active)
+        failed: dict[int, str] = {}  # stack position -> message; program i % n
+        factors = _each(np.linalg.cholesky, (np.concatenate([x, z]),), failed, _chol, lambda _: eye)
+        inv_factors = np.linalg.inv(factors)
+        lz = inv_factors[n:]
+        zinv = _herm(_adjoint(lz) @ lz)
+        schur = schur_of(x, zinv)
+        a_zinv = a_apply(zinv)
+        a_xrdz = a_apply(x @ rd @ zinv)
+
+        def newton(sigma_mu: np.ndarray, correction: np.ndarray | None):
+            rhs = b - sigma_mu[:, None] * a_zinv + a_xrdz
+            if correction is not None:
+                rhs = rhs + a_apply(correction @ zinv)
+            dy = _each(
+                lambda s, r: np.linalg.solve(s, r[..., None])[..., 0], (schur, rhs), failed,
+                _ridge_solve, lambda s, r: np.zeros_like(r),
+            )
+            dz = _herm(rd - a_adjoint(dy))
+            dx = sigma_mu[:, None, None] * zinv - x - x @ dz @ zinv
+            if correction is not None:
+                dx = dx - correction @ zinv
+            return _herm(dx), dy, dz
+
+        def steps(dx: np.ndarray, dz: np.ndarray, fraction: float):
+            alpha = _max_step(inv_factors, np.concatenate([dx, dz]), failed)
+            return np.minimum(1.0, fraction * alpha[:n]), np.minimum(1.0, fraction * alpha[n:])
+
+        dx_a, dy_a, dz_a = newton(np.zeros(n), None)
+        ap_a, ad_a = steps(dx_a, dz_a, 1.0)
+        mu_aff = np.einsum(
+            "kab,kab->k", (x + ap_a[:, None, None] * dx_a).conj(), z + ad_a[:, None, None] * dz_a
+        ).real / d
+        sigma = np.minimum(1.0, np.maximum(0.0, mu_aff / mu)) ** 3  # mu = tr(XZ)/d > 0
+
+        dx, dy, dz = newton(sigma * mu, dx_a @ dz_a)
+        ap, ad = steps(dx, dz, STEP_FRACTION)
+        for i, message in failed.items():
+            if going[i % n]:
+                finish(i % n, STATUS_FAILURE, message)
+        for i, (p, ap_i, ad_i) in enumerate(zip(active.tolist(), ap.tolist(), ad.tolist())):
+            stalls[p] = stalls[p] + 1 if ap_i < 1e-10 and ad_i < 1e-10 else 0
+            if stalls[p] >= 5 and going[i]:
+                finish(i, STATUS_FAILURE, "step sizes collapsed")
+
+        x = _herm(x + ap[:, None, None] * dx)
+        y = y + ad[:, None] * dy
+        z = _herm(z + ad[:, None, None] * dz)
+        if not going.all():
+            if not going.any():
+                break
+            active, b, b_scale, x, y, z = (a[going] for a in (active, b, b_scale, x, y, z))
+    return out
 
 
 def solve(ops: np.ndarray, b: np.ndarray) -> SdpSolution:
@@ -113,113 +316,10 @@ def solve(ops: np.ndarray, b: np.ndarray) -> SdpSolution:
     rows will do).  The returned status is ``optimal`` only when the
     relative duality gap and both feasibility residuals are below
     ``TOLERANCE``; anything else is numerical failure with the final
-    residuals in the message.
+    residuals in the message.  This is the one-program call of the batched
+    kernel ``_path_following``.
     """
-    m, d = len(b), ops.shape[1]
-    c = np.eye(d, dtype=complex) / d
-    if m == 0:
-        return SdpSolution(
-            STATUS_OPTIMAL, np.zeros((d, d), dtype=complex), np.zeros(0), c.copy(),
-            primal_objective=0.0, dual_objective=0.0, gap=0.0,
-            primal_residual=0.0, dual_residual=0.0, mu=0.0,
-        )
-
-    eye = np.eye(d, dtype=complex)
-    a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
-
-    # Start: the min-norm affine solution shifted into the interior, and Z = 1/d.
-    x = min_norm(b)
-    x = (x + x.conj().T) / 2.0
-    lam = float(np.linalg.eigvalsh(x)[0])
-    x += max(1.0, -1.5 * lam) * eye
-    z = c.copy()
-    y = np.zeros(m)
-
-    b_scale = 1.0 + float(np.abs(b).max())
-    c_scale = 1.0 + 1.0 / d
-    log: list[tuple[float, float, float, float, float]] = []
-    stalls = 0
-
-    def snapshot(status: str, it: int, message: str = "") -> SdpSolution:
-        return SdpSolution(
-            status, x.copy(), y.copy(), z.copy(),
-            primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj), iterations=it,
-            primal_residual=pres, dual_residual=dres, mu=mu, iterate_log=log, message=message,
-        )
-
-    for it in range(MAX_ITERATIONS + 1):  # the last pass only tests the final iterate
-        rp = b - a_apply(x)
-        rd = c - z - a_adjoint(y)
-        rd = (rd + rd.conj().T) / 2.0
-        pobj = matcore.hs_inner(c, x)
-        dobj = float(b @ y)
-        mu = matcore.hs_inner(x, z) / d
-        pres = float(np.abs(rp).max()) / b_scale
-        dres = float(np.abs(rd).max()) / c_scale
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
-        log.append((pobj, dobj, mu, pres, dres))
-
-        if relgap <= TOLERANCE and pres <= TOLERANCE and dres <= TOLERANCE:
-            return snapshot(STATUS_OPTIMAL, it)
-        if max(float(np.abs(y).max()), float(np.abs(x).max())) > _DIVERGENCE:
-            return snapshot(STATUS_FAILURE, it, "iterate diverged")
-        if it == MAX_ITERATIONS:
-            return snapshot(
-                STATUS_FAILURE,
-                it,
-                f"no convergence after {it} iterations "
-                f"(gap {abs(pobj - dobj):.2e}, primal res {pres:.2e}, dual res {dres:.2e})",
-            )
-
-        try:
-            lx, lz = (np.linalg.inv(_chol(a)) for a in (x, z))
-            zinv = lz.conj().T @ lz
-            zinv = (zinv + zinv.conj().T) / 2.0
-            schur = schur_of(x, zinv)
-            a_zinv = a_apply(zinv)
-            a_xrdz = a_apply(x @ rd @ zinv)
-
-            def newton(sigma_mu: float, correction: np.ndarray | None):
-                rhs = b - sigma_mu * a_zinv + a_xrdz
-                if correction is not None:
-                    rhs = rhs + a_apply(correction @ zinv)
-                try:
-                    dy = np.linalg.solve(schur, rhs)
-                except np.linalg.LinAlgError:
-                    ridge = 1e-12 * (1.0 + float(np.trace(schur)) / m)
-                    dy = np.linalg.solve(schur + ridge * np.eye(m), rhs)
-                dz = rd - a_adjoint(dy)
-                dz = (dz + dz.conj().T) / 2.0
-                dx = sigma_mu * zinv - x - x @ dz @ zinv
-                if correction is not None:
-                    dx = dx - correction @ zinv
-                dx = (dx + dx.conj().T) / 2.0
-                return dx, dy, dz
-
-            dx_a, dy_a, dz_a = newton(0.0, None)
-            ap_a = min(1.0, _max_step(lx, dx_a))
-            ad_a = min(1.0, _max_step(lz, dz_a))
-            mu_aff = matcore.hs_inner(x + ap_a * dx_a, z + ad_a * dz_a) / d
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
-
-            dx, dy, dz = newton(sigma * mu, dx_a @ dz_a)
-            ap = min(1.0, STEP_FRACTION * _max_step(lx, dx))
-            ad = min(1.0, STEP_FRACTION * _max_step(lz, dz))
-        except np.linalg.LinAlgError as exc:
-            return snapshot(STATUS_FAILURE, it, f"linear algebra failure: {exc}")
-
-        if ap < 1e-10 and ad < 1e-10:
-            stalls += 1
-            if stalls >= 5:
-                return snapshot(STATUS_FAILURE, it, "step sizes collapsed")
-        else:
-            stalls = 0
-
-        x = x + ap * dx
-        x = (x + x.conj().T) / 2.0
-        y = y + ad * dy
-        z = z + ad * dz
-        z = (z + z.conj().T) / 2.0
+    return _path_following(ops, np.asarray(b, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -252,20 +352,23 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"cone dimension {d} exceeds the cap {DIM_CAP}")
 
 
-def phase1_min_t(ops, values) -> Phase1Result:
+def phase1_min_t(ops, values):
     """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the (m, d, d)
     stack ``ops`` and the m ``values``; the rows must fix tr(X).
 
+    With a (k, m) array of values, the k programs share one dependency pass
+    and one batched solve, and a list of k results comes back in their order.
     A trace-only row has A~_i = 0, so the dependency pass drops it; values
-    that conflict along a dependency are primal-infeasible before any
-    iteration.
+    that conflict along a dependency make their own program primal-infeasible
+    before any iteration.
     """
     m, d = np.shape(ops)[:2]
     _check_dim(d)
     if m == 0:
         raise ValueError("phase-1 needs at least the trace normalization constraint")
-    if np.shape(values) != (m,):
-        raise ValueError(f"expected {m} values, one per operator, got shape {np.shape(values)}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != m:
+        raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
     ops = np.stack([matcore.hermitize(a) for a in ops])
     # in place: A~_i = A_i - (tr A_i / d) 1
     traces = np.trace(ops, axis1=1, axis2=2).real
@@ -284,24 +387,41 @@ def phase1_min_t(ops, values) -> Phase1Result:
     if fit <= CONFLICT_TOL * float(np.linalg.norm(traces)):
         raise ValueError("constraints do not fix the trace of X")
     coeff = d * (null @ null_traces) / fit**2
-    trace_value = float(coeff @ values)
-    tilde_b = values - traces * trace_value / d
-    mismatch = float(np.linalg.norm(null.T @ tilde_b))
-    if mismatch > CONFLICT_TOL * (1.0 + float(np.abs(tilde_b).max())):
-        message = f"a dependency of the constraints conflicts with their values ({mismatch:.1e})"
-        return Phase1Result(math.inf, None, SdpSolution(STATUS_PRIMAL_INFEASIBLE, message=message))
+    batch = np.atleast_2d(values)
+    trace_values = batch @ coeff
+    tilde_b = batch - np.outer(trace_values, traces) / d
+    mismatch = np.linalg.norm(tilde_b @ null, axis=1)
+    conflict = mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1))
 
     w = u[:, keep].T / s[keep, None]
     rows = np.tensordot(w, ops, axes=1)
-    sol = solve(rows, w @ tilde_b)
-    if sol.status != STATUS_OPTIMAL:
-        return Phase1Result(t_star=math.nan, x=None, solution=sol)
-    t_star = sol.primal_objective - trace_value / d
-    x = sol.x - t_star * np.eye(d)
-    z = np.eye(d, dtype=complex) / d - np.tensordot(sol.y, rows, axes=1)
-    # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand dual_z over the rows
-    y = w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
-    c = (1.0 + float(y @ traces)) / d * coeff - y
-    return Phase1Result(
-        t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol, dual_z=z, dual_coefficients=c
-    )
+    rhs = tilde_b[~conflict] @ w.T
+    if values.ndim == 1:
+        solutions = iter([solve(rows, rhs[0])] if len(rhs) else [])
+    else:
+        # chunks keep each (k, m, d, d) stack of the kernel within BATCH_ENTRIES
+        step = max(1, BATCH_ENTRIES // max(1, len(rows) * d * d))
+        solutions = (
+            sol for i in range(0, len(rhs), step) for sol in _path_following(rows, rhs[i : i + step])
+        )
+
+    def result(trace_value: float, mismatch: float, conflicting: bool) -> Phase1Result:
+        if conflicting:
+            message = f"a dependency of the constraints conflicts with their values ({mismatch:.1e})"
+            infeasible = SdpSolution(STATUS_PRIMAL_INFEASIBLE, message=message)
+            return Phase1Result(math.inf, None, infeasible)
+        sol = next(solutions)
+        if sol.status != STATUS_OPTIMAL:
+            return Phase1Result(t_star=math.nan, x=None, solution=sol)
+        t_star = sol.primal_objective - trace_value / d
+        x = sol.x - t_star * np.eye(d)
+        z = np.eye(d, dtype=complex) / d - np.tensordot(sol.y, rows, axes=1)
+        # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand dual_z over the rows
+        y = w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
+        c = (1.0 + float(y @ traces)) / d * coeff - y
+        return Phase1Result(
+            t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol, dual_z=z, dual_coefficients=c
+        )
+
+    results = [result(*args) for args in zip(trace_values.tolist(), mismatch.tolist(), conflict)]
+    return results if values.ndim == 2 else results[0]

@@ -11,7 +11,9 @@ import pytest
 import spinmoment
 from spinmoment import cli, sdp
 from spinmoment.cli import MomentFileError, load_moment_file, parse_spin
-from spinmoment.scan import read_scan_csv, scan_grid
+from spinmoment.scan import scan_grid
+
+from scan_csv import read_scan_csv
 
 
 def write_json(path, payload):
@@ -181,20 +183,19 @@ class TestSolverFailure:
         m = [[[3, 0], [0, 0], [0, 0]], [[0, 0], [3, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
         path = write_json(tmp_path / "dicke.json", {"two_j": 4, "M": m})
         argv = [command, "--input", path]
+        out = tmp_path / "scan.csv"
         if command == "scan":
             # the paper-figure slice has cells only the S test (an SDP) decides
-            out = str(tmp_path / "scan.csv")
             argv = ["scan", "--two-j", "10", "--u", "0.1,0.2,0.3", "--grid", "9",
-                    "--workers", "1", "--out", out]
+                    "--workers", "1", "--out", str(out)]
 
-        def failing_solve(ops, b):
-            return sdp.SdpSolution(status=sdp.STATUS_FAILURE, message="forced failure")
-
-        monkeypatch.setattr(sdp, "solve", failing_solve)
+        # a real non-convergence: no program reaches the tolerance in one iteration
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
         rc = cli.main(argv)
         err = capsys.readouterr().err
         assert rc == cli.EXIT_SOLVER_FAILURE == 4
-        assert err.startswith("error: ") and "forced failure" in err
+        assert err.startswith("error: ") and "no convergence after 1 iterations" in err
+        assert not out.exists()
 
 
 class TestWitnessCommand:
@@ -446,7 +447,7 @@ class TestValidateCommand:
         assert "[FAIL]" not in out
         assert "spin-algebra" in out
 
-    def test_witness_duality_checks_extension_formulation(self, capsys, monkeypatch):
+    def test_witness_duality_checks_extension_formulation(self, monkeypatch):
         # the witness must agree with t* of the independent extension program
         import dataclasses
 
@@ -459,11 +460,10 @@ class TestValidateCommand:
             return dataclasses.replace(v, t_star=v.t_star + 1e-3)
 
         monkeypatch.setattr(feasibility, "exact_test_extension", shifted)
-        rc = cli.main(["validate", "--j-max", "4"])
-        assert rc == 1
-        assert "[FAIL] witness-duality" in capsys.readouterr().out
+        name, ok, _ = cli._check_witness_duality()
+        assert (name, ok) == ("witness-duality", False)
 
-    def test_sdp_analytic_suite_catches_shifted_t_star(self, capsys, monkeypatch):
+    def test_sdp_analytic_suite_catches_shifted_t_star(self, monkeypatch):
         import dataclasses
 
         real = sdp.phase1_min_t
@@ -473,11 +473,10 @@ class TestValidateCommand:
             return dataclasses.replace(p1, t_star=p1.t_star + 1e-3)
 
         monkeypatch.setattr(sdp, "phase1_min_t", shifted)
-        rc = cli.main(["validate", "--j-max", "4"])
-        assert rc == 1
-        assert "[FAIL] sdp-analytic" in capsys.readouterr().out
+        name, ok, _ = cli._check_sdp_analytic()
+        assert (name, ok) == ("sdp-analytic", False)
 
-    def test_early_witness_suite_catches_flipped_sign(self, capsys, monkeypatch):
+    def test_early_witness_suite_catches_flipped_sign(self, monkeypatch):
         from spinmoment import feasibility
 
         real = feasibility._eigenvector_witness
@@ -487,11 +486,11 @@ class TestValidateCommand:
             return feasibility.Witness(-w.matrix, -w.value, -w.op_coefficients, w.op_labels)
 
         monkeypatch.setattr(feasibility, "_eigenvector_witness", flipped)
-        rc = cli.main(["validate", "--j-max", "4"])
-        assert rc == 1
-        assert "[FAIL] early-witness" in capsys.readouterr().out
+        name, ok, detail = cli._check_early_witness(np.random.default_rng(2024))
+        assert (name, ok) == ("early-witness", False)
+        assert "chi at 2j = 4 failed" in detail
 
-    def test_first_moment_suite_catches_flipped_sign(self, capsys, monkeypatch):
+    def test_first_moment_suite_catches_flipped_sign(self, monkeypatch):
         import dataclasses
 
         from spinmoment import feasibility
@@ -506,9 +505,8 @@ class TestValidateCommand:
             return dataclasses.replace(v, witness=w)
 
         monkeypatch.setattr(feasibility, "first_moment_test", flipped)
-        rc = cli.main(["validate", "--j-max", "4"])
-        assert rc == 1
-        assert "[FAIL] first-moment" in capsys.readouterr().out
+        name, ok, _ = cli._check_first_moment(np.random.default_rng(2024))
+        assert (name, ok) == ("first-moment", False)
 
     def test_injected_fault_goes_red(self, capsys):
         rc = cli.main(["validate", "--j-max", "4", "--inject-fault"])

@@ -244,6 +244,44 @@ class TestExactTestDirect:
         assert feasibility.exact_test_direct(mm2).status == STATUS_NON_QUANTUM
 
 
+class TestExactTestBatch:
+    @staticmethod
+    def figure_cells():
+        """The moment matrices of the scan-figure cells in T but not R (15x15 grid)."""
+        from spinmoment import scan
+
+        u = np.array([0.1, 0.2, 0.3])
+        res = scan.scan_grid(10, u, resolution=15, sets=("R", "T"))
+        cells = np.argwhere((res.in_t == 1) & (res.in_r == 0))
+        return [scan._moments(10, u, float(res.v1_values[a]), float(res.v2_values[b])) for a, b in cells]
+
+    def test_matches_one_at_a_time_on_the_figure_cells(self):
+        ms = self.figure_cells()
+        batch = feasibility.exact_test_batch(ms)
+        assert len(batch) == len(ms) > 20
+        assert {v.status for v in batch} == {STATUS_QUANTUM, STATUS_NON_QUANTUM}
+        for got, m in zip(batch, ms):
+            want = feasibility.exact_test_direct(m)
+            assert (got.status, got.stage) == (want.status, want.stage)
+            assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
+            assert [r.name for r in got.tests_run] == [r.name for r in want.tests_run]
+            if want.witness is not None:
+                assert abs(got.witness.value - want.witness.value) <= 1e-9 * abs(want.witness.value)
+        again = feasibility.exact_test_batch(ms)
+        assert [v.t_star for v in again] == [v.t_star for v in batch]
+
+    def test_one_spin_per_batch(self):
+        assert feasibility.exact_test_batch([]) == []
+        ms = [coords_matrix([0, 0, 0], [1 / 3, 1 / 3, 1 / 3], two_j) for two_j in (4, 6)]
+        with pytest.raises(ValueError, match="one spin"):
+            feasibility.exact_test_batch(ms)
+
+    def test_conflicting_values_raise_as_alone(self):
+        good = MomentMatrix.from_matrix(1, np.eye(3, dtype=complex) / 4.0)
+        with pytest.raises(ValueError, match="conflict"):
+            feasibility.exact_test_batch([good, TestConflictingValues.M])
+
+
 class TestCapBeforeOperators:
     @pytest.mark.parametrize("two_j", [64, 1000])
     def test_over_cap_raises_before_any_spin_operator(self, two_j, monkeypatch):

@@ -297,6 +297,117 @@ class TestPhase1:
         assert_dual_coefficients(p1, ops, values)
 
 
+def mixed_batch(rng):
+    """One stack with a dependent row (the last repeats the second, doubled) and
+    three value rows: a quantum accept, a cone-infeasible reject and a conflict."""
+    d = 3
+    h1, h2 = random_hermitian(rng, d), random_hermitian(rng, d)
+    ops = np.stack([np.eye(d, dtype=complex), h1, h2, 2.0 * h1])
+    rho = random_density(rng, d)
+    accept = np.array([matcore.hs_inner(a, rho) for a in ops])
+    far = 3.0 * np.abs(np.linalg.eigvalsh(h1)).max()  # no state reaches <h1> = far
+    reject = np.array([1.0, far, 0.1, 2.0 * far])
+    conflict = accept + np.array([0.0, 0.0, 0.0, 0.3])
+    return ops, np.stack([accept, reject, conflict])
+
+
+def assert_same_result(got, want):
+    assert got.solution.status == want.solution.status
+    if want.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
+        assert got.t_star == want.t_star == math.inf
+        assert got.x is None and got.dual_coefficients is None
+        return
+    assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
+    assert np.abs(got.dual_coefficients - want.dual_coefficients).max() <= 1e-8
+    assert np.abs(got.x - want.x).max() <= 1e-8
+
+
+class TestBatchedPhase1:
+    def test_each_program_matches_its_own_solve(self, rng):
+        ops, values = mixed_batch(rng)
+        batch = sdp.phase1_min_t(ops, values)
+        assert isinstance(batch, list) and len(batch) == 3
+        for got, v in zip(batch, values):
+            assert_same_result(got, sdp.phase1_min_t(ops, v))
+        accept, reject, conflict = batch
+        assert accept.t_star < -1e-7 < 1e-7 < reject.t_star
+        assert conflict.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE
+        assert conflict.solution.iterations == 0 and "conflicts" in conflict.solution.message
+
+    def test_permuting_the_batch_permutes_the_results(self, rng):
+        ops, values = mixed_batch(rng)
+        values = np.concatenate([values, values[:2] * [1.0, 0.9, 1.1, 0.9]])
+        batch = sdp.phase1_min_t(ops, values)
+        order = [3, 0, 4, 2, 1]
+        permuted = sdp.phase1_min_t(ops, values[order])
+        for got, i in zip(permuted, order):
+            want = batch[i]
+            assert got.solution.status == want.solution.status
+            assert got.solution.iterations == want.solution.iterations
+            if math.isfinite(want.t_star):
+                assert abs(got.t_star - want.t_star) <= 1e-12 * abs(want.t_star)
+
+    def test_chunked_batch_matches_one_kernel_call(self, rng, monkeypatch):
+        # two rows of 3x3 reach the kernel: 18 entries per program, so chunks of 2
+        ops, values = mixed_batch(rng)
+        values = np.concatenate([values, values[:2] * [1.0, 0.9, 1.1, 0.9]])
+        whole = sdp.phase1_min_t(ops, values)
+        monkeypatch.setattr(sdp, "BATCH_ENTRIES", 40)
+        for got, want in zip(sdp.phase1_min_t(ops, values), whole, strict=True):
+            assert_same_result(got, want)
+
+    def test_programs_stop_on_their_own(self, monkeypatch):
+        # with the iteration cap at the quicker program's count, it stays optimal
+        # while its neighbour fails, each with its own log and message
+        ops, quick = corner_program(-1.0)
+        slow = corner_program(0.3)[1]
+        refs = [sdp.phase1_min_t(ops, v).solution for v in (quick, slow)]
+        assert refs[0].iterations < refs[1].iterations
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", refs[0].iterations)
+        got = [p.solution for p in sdp.phase1_min_t(ops, np.stack([quick, slow]))]
+        assert got[0].status == sdp.STATUS_OPTIMAL
+        assert got[0].iterations == refs[0].iterations
+        assert len(got[0].iterate_log) == refs[0].iterations + 1
+        assert got[1].status == sdp.STATUS_FAILURE
+        assert got[1].message.startswith(f"no convergence after {refs[0].iterations} iterations")
+        assert len(got[1].iterate_log) == refs[0].iterations + 1
+
+    def test_a_failed_program_leaves_its_neighbours(self, monkeypatch):
+        # every stacked Cholesky raises, so each matrix takes the _chol path, in the
+        # order X_0, X_1, Z_0, Z_1; program 1's X fails there in iteration 1
+        ops, quick = corner_program(-1.0)
+        values = np.stack([quick, corner_program(0.3)[1]])
+        refs = sdp.phase1_min_t(ops, values)
+        real_cholesky, real_chol = np.linalg.cholesky, sdp._chol
+        calls = []
+
+        def stacked_raises(a):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("forced")
+            return real_cholesky(a)
+
+        def chol(a):
+            calls.append(len(calls))
+            if calls[-1] == 5:
+                raise np.linalg.LinAlgError("matrix lost positive definiteness")
+            return real_chol(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", stacked_raises)
+        monkeypatch.setattr(sdp, "_chol", chol)
+        ok, failed = sdp.phase1_min_t(ops, values)
+        assert (failed.solution.status, failed.solution.iterations) == (sdp.STATUS_FAILURE, 1)
+        assert failed.solution.message == "linear algebra failure: matrix lost positive definiteness"
+        assert failed.solution.iterate_log == refs[1].solution.iterate_log[:2]
+        assert_same_result(ok, refs[0])
+        assert ok.solution.iterations == refs[0].solution.iterations
+
+    def test_batch_shape_is_checked(self):
+        ops = np.stack([np.eye(2, dtype=complex), SIGMA_Z])
+        for values in (np.ones((3, 1)), np.ones((2, 3)), np.ones((1, 1, 2))):
+            with pytest.raises(ValueError, match="expected 2 values"):
+                sdp.phase1_min_t(ops, values)
+
+
 class TestInfeasibilityDetection:
     @staticmethod
     def assert_conflict(p1):
