@@ -38,7 +38,6 @@ from .feasibility import (
     exact_test_direct,
     exact_test_extension,
     first_moment_test,
-    outer_test,
 )
 from .scan import ScanResult, scan_grid
 

@@ -160,6 +160,7 @@ def cmd_check(args) -> int:
         "status": verdict.status,
         "stage": verdict.stage,
         "t_star": verdict.t_star,
+        "t_star_kind": verdict.t_star_kind,
     }
     if verdict.witness is not None:
         report["witness"] = _witness_json(verdict.witness)

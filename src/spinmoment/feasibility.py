@@ -4,12 +4,18 @@ The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
 tests bracket it from both sides.  Every piece of evidence comes from the
 computation that decided it.  An SDP accept's certificate is the phase-1
-primal X itself: X + t*·1 is the solver's positive definite iterate, so X
+primal X itself: X + t_p·1 is the solver's positive definite iterate, so X
 needs no cleaning.  An exact reject's witness is the dual of that one
 phase-1 program, expanded over the measured operators
-(``Phase1Result.dual_coefficients``), so it is optimal: value = -t*.  A
-first-moment reject's witness is the optimal one in closed form,
-Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or reconstruct) reads a valid,
+(``Phase1Result.dual_coefficients``), with value -t_d.  ``exact_test_direct``
+solves to the optimum, where t_p and t_d meet t* and the witness is
+optimal.  ``classify``'s exact stage and ``exact_test_batch`` need only the
+verdict, so they stop at the first iterate whose primal bound t_p or dual
+bound t_d clears the boundary band, and report that certified bound as
+``t_star``; a t* in or near the band still runs to the optimum.  At 2j = 2
+the pair marginal is the state itself, so the reconstruct stage decides and
+the reversed rho_j is the certificate.  A first-moment reject's witness is
+the optimal one in closed form, Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or reconstruct) reads a valid,
 not optimal, witness off the negative eigenvector its stage already computed
 (``_eigenvector_witness``), with no SDP, and stands only when that witness
 separates.  Both early witnesses are one pair lift P^dag of a 3x3 operator
@@ -21,9 +27,8 @@ paths alone use the ten-operator stack ``_moment_operator_set``, and raise
 the cone-cap ``ValueError`` before they build any spin-j operator.  As that
 stack depends on the spin only, ``exact_test_batch`` decides many inputs at
 one spin with one batched phase-1 solve, each verdict read by the same
-``_read_phase1`` as a single exact test's.  Inside
-``classify`` the outer test is carried by the 4x4 chi check, which is
-congruent to it; ``outer_test`` remains the standalone definition of T_j.
+``_read_phase1`` as a single exact test's.  The outer test (tau >= 0, the
+set T_j) is carried by the 4x4 chi check, which is congruent to it.
 """
 
 from __future__ import annotations
@@ -87,12 +92,23 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A decision with its evidence.
+
+    ``t_star`` is set where the phase-1 value t* or a certified bound on it
+    is known: on the SDP stages, and on a spin-1 reconstruct accept, where
+    t* = -lambda_min(rho_j) in closed form.  ``t_star_kind`` says which
+    value it is: "optimum", or the certified "primal bound" (t* <= t_star <
+    -BOUNDARY_BAND) or "dual bound" (t* >= t_star > BOUNDARY_BAND) at which
+    ``classify``'s exact stage stopped.
+    """
+
     status: str
     stage: str
     t_star: float | None
     certificate_state: np.ndarray | None
     witness: Witness | None
     tests_run: tuple[StageRecord, ...]
+    t_star_kind: str | None = None
 
     @property
     def accepted(self) -> bool:
@@ -155,9 +171,9 @@ def _pair_adjoint(w: np.ndarray, two_j: int) -> np.ndarray:
     return out
 
 
-def _rejected(stage: str, witness: Witness, log: _StageLog, t_star: float | None = None) -> Verdict:
+def _rejected(stage: str, witness: Witness, log: _StageLog, t_star=None, kind=None) -> Verdict:
     log.add("witness", "found", f"value = {witness.value:.3e}")
-    return Verdict(STATUS_NON_QUANTUM, stage, t_star, None, witness, log.done())
+    return Verdict(STATUS_NON_QUANTUM, stage, t_star, None, witness, log.done(), kind)
 
 
 def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
@@ -199,23 +215,30 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
     return Witness(z, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
 
 
-def _phase1_verdict(ops: np.ndarray, values: np.ndarray, labels, stage: str) -> Verdict:
+def _phase1_verdict(
+    ops: np.ndarray, values: np.ndarray, labels, stage: str, decide: bool = False
+) -> Verdict:
     """Solve the phase-1 program over labelled operators and read its verdict."""
     log = _StageLog()
-    return _read_phase1(sdp.phase1_min_t(ops, values), values, labels, stage, log)
+    return _read_phase1(sdp.phase1_min_t(ops, values, decide=decide), values, labels, stage, log)
+
+
+_BOUND_KINDS = {sdp.STATUS_PRIMAL_BOUND: "primal bound", sdp.STATUS_DUAL_BOUND: "dual bound"}
 
 
 def _read_phase1(
     p1: sdp.Phase1Result, values: np.ndarray, labels, stage: str, log: _StageLog
 ) -> Verdict:
-    """The verdict of a phase-1 program solved to optimality: a reject carries
-    its dual as the witness, an accept its primal X.
+    """The verdict of a phase-1 program: a reject carries its dual as the
+    witness, an accept its primal X.
 
-    X = Y - t*·1 for the solver's positive definite iterate Y, so
-    lambda_min(X) >= -t*: at least |t*| on a quantum verdict, at least
+    X = Y - t_p·1 for the solver's positive definite iterate Y, so
+    lambda_min(X) >= -t_p: at least |t*| on a quantum verdict, at least
     -BOUNDARY_BAND on a boundary one.  tr X is the fitted trace to rounding,
-    since t* is defined from tr Y, and X meets the moments to the solver's
-    residual, so the certificate needs no post-processing.
+    since t_p is defined from tr Y, and X meets the moments to the solver's
+    residual, so the certificate needs no post-processing.  The witness's
+    value is -t_d.  At the optimum t_star = t_p and t_d agrees to the gap; a
+    decided solve's t_star is the bound that decided it (``Verdict``).
 
     Conflicting values of linearly dependent operators are an input error
     (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
@@ -227,15 +250,17 @@ def _read_phase1(
         )
     if p1.dual_z is None:
         raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
-    t = p1.t_star
-    detail = f"t_star = {t:.3e}, {p1.solution.iterations} iterations, gap {p1.solution.gap:.0e}"
+    t, sol = p1.t_star, p1.solution
+    kind = _BOUND_KINDS.get(sol.status, "optimum")
+    detail = f"t_star = {t:.3e}, {sol.iterations} iterations, gap {sol.gap:.0e}, {kind}"
     if t > BOUNDARY_BAND:
         log.add(stage, "reject", detail)
         c = p1.dual_coefficients
-        return _rejected(stage, Witness(p1.dual_z, float(c @ values), c, tuple(labels)), log, t)
+        witness = Witness(p1.dual_z, float(c @ values), c, tuple(labels))
+        return _rejected(stage, witness, log, t, kind)
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail)
-    return Verdict(status, stage, t, p1.x, None, log.done())
+    return Verdict(status, stage, t, p1.x, None, log.done(), kind)
 
 
 def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
@@ -303,26 +328,29 @@ def build_fixed_state(ell: np.ndarray, two_j: int) -> np.ndarray:
     return state
 
 
-def exact_test_direct(m: MomentMatrix) -> Verdict:
+def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     """Decisive feasibility SDP over the spin-j state space.
 
     Constrains the identity, the symmetrized products and the bare spin
     operators to the values prescribed by M, then minimizes t with
     rho + t*1 >= 0; the moments are quantum iff t_star <= the boundary band.
-    A reject carries the program's dual as its witness.
+    A reject carries the program's dual as its witness, of value -t*.  With
+    ``decide`` (``classify``'s exact stage) the solve stops once a certified
+    bound on t* clears the band, and ``t_star`` is that bound.
     """
     ops = _moment_operator_set(m.two_j)
     values = spinalg.moment_values(m)
-    return _phase1_verdict(ops, values, spinalg.MOMENT_LABELS, "exact")
+    return _phase1_verdict(ops, values, spinalg.MOMENT_LABELS, "exact", decide)
 
 
 def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
-    """``exact_test_direct`` on many moment matrices at one spin, from one
-    batched phase-1 solve over the shared operator stack.
+    """``exact_test_direct(m, decide=True)`` on many moment matrices at one
+    spin, from one batched phase-1 solve over the shared operator stack.
 
-    Each verdict is read as a single one would be, and its exact stage is
-    timed at its share of the batch's seconds.  Conflicting values raise
-    ``ValueError`` and a failed solve ``ArithmeticError``, as for one input.
+    Each program stops on its own bound or optimum, each verdict is read as
+    a single one would be, and its exact stage is timed at its share of the
+    batch's seconds.  Conflicting values raise ``ValueError`` and a failed
+    solve ``ArithmeticError``, as for one input.
     """
     if not ms:
         return []
@@ -332,7 +360,7 @@ def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
     ops = _moment_operator_set(two_j)
     t0 = time.perf_counter()
     values = np.stack([spinalg.moment_values(m) for m in ms])
-    solved = sdp.phase1_min_t(ops, values)
+    solved = sdp.phase1_min_t(ops, values, decide=True)
     share = (time.perf_counter() - t0) / len(ms)
     return [
         _read_phase1(p1, v, spinalg.MOMENT_LABELS, "exact", _StageLog(share))
@@ -377,16 +405,6 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     return _phase1_verdict(_pair_adjoint(basis3, two_j), values, _EXTENSION_LABELS, "extension")
 
 
-def outer_test(m: MomentMatrix) -> bool:
-    """Necessary condition: the reduced expectation value matrix must be PSD
-    (to ``matcore.PSD_TOL``).
-
-    False certifies that the moments are not quantum for this spin number.
-    """
-    rho = reduction.reconstruct_rho(m)
-    return matcore.is_psd(reduction.tau(rho, m.two_j))
-
-
 def _validate_half_spin_structure(m: MomentMatrix) -> None:
     """At j = 1/2 all second moments are forced: Re(M) must equal I/4
     (to ``matcore.STRUCTURE_TOL``)."""
@@ -399,15 +417,16 @@ def _validate_half_spin_structure(m: MomentMatrix) -> None:
 
 
 def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, log: _StageLog):
-    """Eigen-test a chi or reconstruct matrix; below -PSD_TOL, return the
-    closed-form witness of the same eigensolve's lowest eigenvector."""
+    """Eigen-test a chi or reconstruct matrix: (lambda_min, witness).  Below
+    -PSD_TOL the witness is the closed form of the same eigensolve's lowest
+    eigenvector, else None."""
     vals, vecs = matcore.hermitian_eig(matrix)
     lam = float(vals[0])
     if lam >= -matcore.PSD_TOL:
         log.add(stage, "pass", f"min eigenvalue {lam:.3e}")
-        return None
+        return lam, None
     log.add(stage, "reject", f"min eigenvalue {lam:.3e}")
-    return _eigenvector_witness(stage, vecs[:, 0], m)
+    return lam, _eigenvector_witness(stage, vecs[:, 0], m)
 
 
 def classify(m: MomentMatrix) -> Verdict:
@@ -416,15 +435,25 @@ def classify(m: MomentMatrix) -> Verdict:
     Order: structural validation (done on construction), the 4x4 expectation
     value matrix precheck (chi, quick reject), reconstruction positivity, the
     PPT inner test (quick accept), then the decisive phase-1 SDP
-    (``exact_test_direct``).  Every rejection carries a witness.  A chi or
-    reconstruct stage builds it in closed form from the stage's negative
-    eigenvector and solves no SDP; its ``t_star`` is None and its value is
-    not -t*.  Such an early reject stands only when the witness separates
+    (``exact_test_direct(m, decide=True)``).  Every rejection carries a
+    witness.  A chi or reconstruct stage builds it in closed form from the
+    stage's negative eigenvector and solves no SDP; its ``t_star`` is None
+    and its value is not -t*.  Such an early reject stands only when the witness separates
     (value below -BOUNDARY_BAND).  A valid witness has value >= -t*, so the
     exact test would reject too; otherwise the input is within the band of
-    the boundary and the exact stage decides.  An exact reject carries the
-    dual of the exact stage's own program, value -t*.  So no path solves
-    more than one SDP.
+    the boundary and the exact stage decides.  The exact stage stops once a
+    certified bound on t* clears the band: its ``t_star`` is then that bound
+    (``Verdict.t_star_kind``), an accept's certificate is the primal iterate
+    and a reject's witness the dual one, value -t_star.  So no path solves
+    more than one SDP, and none runs past its verdict.
+
+    At 2j = 2 the pair marginal is the state itself, in reversed order, so
+    S_1 = {rho_j >= 0} and t* = -lambda_min(rho_j): a passing reconstruct
+    stage accepts with that ``t_star`` and the certificate
+    ``rho_j[::-1, ::-1]``.  Its status is boundary when |t*| is within the
+    band and rho_j is not PPT, the statuses the inner and exact stages would
+    give.  No path at 2j = 2 solves an SDP except an early reject whose
+    witness is inside the band.
 
     At j = 1/2 the second moments are forced, and the verdict is
     ``first_moment_test``'s: a reject carries the optimal first-moment
@@ -446,10 +475,16 @@ def classify(m: MomentMatrix) -> Verdict:
         log.records.extend(first.tests_run)
         return replace(first, tests_run=log.done())
 
-    witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, log)
+    _, witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, log)
     if witness is None:
         rho = reduction.reconstruct_rho(m)
-        witness = _eigen_stage("reconstruct", rho, m, log)
+        lam, witness = _eigen_stage("reconstruct", rho, m, log)
+    if witness is None and m.two_j == 2:
+        # a PPT rho_j is separable, so quantum even within the band, as at the inner stage
+        quantum = lam > BOUNDARY_BAND or reduction.ppt_inner_test(rho)
+        log.records[-1] = replace(log.records[-1], outcome="accept" if quantum else "boundary")
+        status = STATUS_QUANTUM if quantum else STATUS_BOUNDARY
+        return Verdict(status, "reconstruct", -lam, rho[::-1, ::-1].copy(), None, log.done(), "optimum")
     if witness is None:
         if reduction.ppt_inner_test(rho):
             log.add("inner", "accept", "reduced state is PPT, hence separable")
@@ -460,6 +495,6 @@ def classify(m: MomentMatrix) -> Verdict:
     else:
         log.add("witness", "inside band", f"value = {witness.value:.3e}; the exact stage decides")
 
-    exact = exact_test_direct(m)
+    exact = exact_test_direct(m, decide=True)
     log.records.extend(exact.tests_run)
     return replace(exact, tests_run=log.done())

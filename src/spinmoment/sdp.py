@@ -22,10 +22,19 @@ min-norm solution: a symmetrized Newton direction and Mehrotra-style
 predictor-corrector steps.  The objective 1/d is positive definite, so
 Z = 1/d is strictly dual feasible, and Y0 + s*1 is strictly primal
 feasible for large s: no infeasibility ray can occur, and a solve ends
-optimal or in numerical failure.  An iteration costs O(m d^3) with m <= 9
-rows, all of it in BLAS: one Cholesky factor each of X and Z, whose
-inverses give Z^-1 and the four step lengths, and matmuls over the
-flattened operator stack.
+optimal or in numerical failure.  Both residuals start at zero, and a
+Newton step keeps them there to rounding, so every iterate is a primal point
+Y >= 0 and a dual point (y, Z >= 0) at once.  With s = (fitted trace)/d, its
+objectives bound t* from both sides: t_p = tr(Y)/d - s >= t* >= t_d =
+b~.y - s.  ``phase1_min_t(..., decide=True)`` uses that: a program whose
+residuals pass ``TOLERANCE`` stops as soon as t_p < -``BOUNDARY_BAND``
+(status primal-bound: X = Y - t_p·1 certifies feasibility) or t_d >
+``BOUNDARY_BAND`` (status dual-bound: the rebuilt dual is a witness of
+value -t_d), and ``t_star`` is that bound.  A t* inside the band, or close
+to it, clears neither bound first, so it still runs to the optimality test.
+An iteration costs O(m d^3) with m <= 9 rows, all of it in BLAS: one
+Cholesky factor each of X and Z, whose inverses give Z^-1 and the four step
+lengths, and matmuls over the flattened operator stack.
 
 The kernel ``_path_following`` carries a leading batch axis: the iterates
 of k programs over one row stack are (k, d, d) arrays, so one pass of numpy
@@ -53,6 +62,8 @@ from . import matcore
 STATUS_OPTIMAL = "optimal"
 STATUS_PRIMAL_INFEASIBLE = "primal-infeasible-certificate"
 STATUS_FAILURE = "numerical-failure"
+STATUS_PRIMAL_BOUND = "primal-bound"  # stopped once t_p < -BOUNDARY_BAND
+STATUS_DUAL_BOUND = "dual-bound"  # stopped once t_d > BOUNDARY_BAND
 
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-8  # relative gap and both residuals at an optimal return
@@ -173,14 +184,16 @@ def _ridge_solve(schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(schur + ridge * np.eye(len(rhs)), rhs)
 
 
-def _path_following(ops: np.ndarray, b: np.ndarray) -> list[SdpSolution]:
+def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolution]:
     """The interior point of ``solve`` on k programs at once: rows (m, d, d), b (k, m).
 
     Iterates are (k, d, d) stacks, and every program keeps its own step
     lengths, stopping, divergence and stall tests, log and failure message.
     A program that stops leaves the active set, so the arrays shrink with it.
+    ``shift``, k trace shifts s or None, adds ``solve``'s bound stops.
     """
     k, m = b.shape
+    shift = np.full(k, math.nan) if shift is None else np.asarray(shift, dtype=float)
     d = ops.shape[1]
     eye = np.eye(d, dtype=complex)
     c = eye / d
@@ -234,8 +247,13 @@ def _path_following(ops: np.ndarray, b: np.ndarray) -> list[SdpSolution]:
         for i, (pobj, dobj, mu_i, pres, dres, size) in enumerate(stats):
             logs[active[i]].append((pobj, dobj, mu_i, pres, dres))
             gap = abs(pobj - dobj)
-            if gap / (1.0 + abs(pobj)) <= TOLERANCE and pres <= TOLERANCE and dres <= TOLERANCE:
+            feasible = pres <= TOLERANCE and dres <= TOLERANCE
+            if feasible and gap / (1.0 + abs(pobj)) <= TOLERANCE:
                 finish(i, STATUS_OPTIMAL)
+            elif feasible and pobj - shift[i] < -matcore.BOUNDARY_BAND:
+                finish(i, STATUS_PRIMAL_BOUND)
+            elif feasible and dobj - shift[i] > matcore.BOUNDARY_BAND:
+                finish(i, STATUS_DUAL_BOUND)
             elif size > _DIVERGENCE:
                 finish(i, STATUS_FAILURE, "iterate diverged")
             elif it == MAX_ITERATIONS:
@@ -246,8 +264,8 @@ def _path_following(ops: np.ndarray, b: np.ndarray) -> list[SdpSolution]:
         if not going.all():
             if not going.any():
                 break
-            active, b, b_scale, x, y, z, rd, mu = (
-                a[going] for a in (active, b, b_scale, x, y, z, rd, mu)
+            active, b, b_scale, shift, x, y, z, rd, mu = (
+                a[going] for a in (active, b, b_scale, shift, x, y, z, rd, mu)
             )
             stats = [row for row, g in zip(stats, going) if g]
             going = going[going]
@@ -304,22 +322,28 @@ def _path_following(ops: np.ndarray, b: np.ndarray) -> list[SdpSolution]:
         if not going.all():
             if not going.any():
                 break
-            active, b, b_scale, x, y, z = (a[going] for a in (active, b, b_scale, x, y, z))
+            active, b, b_scale, shift, x, y, z = (
+                a[going] for a in (active, b, b_scale, shift, x, y, z)
+            )
     return out
 
 
-def solve(ops: np.ndarray, b: np.ndarray) -> SdpSolution:
+def solve(ops: np.ndarray, b: np.ndarray, *, shift: float | None = None) -> SdpSolution:
     """Solve  min tr(Y)/d  s.t.  <A_i, Y> = b_i,  Y >= 0  by interior point.
 
     ``ops`` is the (m, d, d) stack of traceless, linearly independent A_i
     that ``phase1_min_t`` builds (orthonormal there, though any independent
     rows will do).  The returned status is ``optimal`` only when the
     relative duality gap and both feasibility residuals are below
-    ``TOLERANCE``; anything else is numerical failure with the final
-    residuals in the message.  This is the one-program call of the batched
-    kernel ``_path_following``.
+    ``TOLERANCE``.  Given the trace shift s = (fitted trace)/d as ``shift``,
+    a solve whose residuals pass also stops early, with status
+    ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or ``dual-bound``
+    once b.y - s > BOUNDARY_BAND.  Anything else is numerical failure with
+    the final residuals in the message.  This is the one-program call of the
+    batched kernel ``_path_following``.
     """
-    return _path_following(ops, np.asarray(b, dtype=float)[None])[0]
+    shifts = None if shift is None else [shift]
+    return _path_following(ops, np.asarray(b, dtype=float)[None], shifts)[0]
 
 
 @dataclass(frozen=True)
@@ -329,14 +353,23 @@ class Phase1Result:
     ``t_star <= 0`` certifies a PSD point ``x`` satisfying the constraints;
     ``t_star > 0`` proves infeasibility.  Dependent rows with conflicting
     values leave no X at all: the status is primal-infeasible and ``t_star``
-    is +inf.  A numerical failure gives ``t_star`` nan.  ``dual_z = 1/d -
-    sum_k y_k R_k``, rebuilt from ``y`` over the orthonormal rows R that
-    ``solve`` saw, is the separating hyperplane: PSD, unit trace, in the
-    span of the constraints, and it pairs with every X meeting them to
-    ``-t_star``.
-    ``dual_coefficients`` c expand it over the caller's rows, ``dual_z =
-    sum_i c_i A_i`` and ``c.b = -t_star``, so a witness needs nothing else.
-    ``x``, ``dual_z`` and ``dual_coefficients`` are None unless optimal.
+    is +inf.  A numerical failure gives ``t_star`` nan.
+
+    ``x = Y - t_p·1`` for the final primal iterate Y > 0, so lambda_min(x) >=
+    -t_p with t_p = tr(Y)/d - (fitted trace)/d.  ``dual_z = 1/d - sum_k y_k
+    R_k``, rebuilt from ``y`` over the orthonormal rows R that ``solve``
+    saw, is the separating hyperplane: PSD, unit trace, in the span of the
+    constraints, and it pairs with every X meeting them to -t_d, t_d = b~.y
+    - (fitted trace)/d.  ``dual_coefficients`` c expand it over the caller's
+    rows, ``dual_z = sum_i c_i A_i`` and ``c.b = -t_d``, so a witness needs
+    nothing else.
+
+    ``t_star`` is the optimum t_p of an optimal solve, where t_d agrees to
+    the gap.  A ``decide`` solve may stop earlier on a certified bound
+    instead, named by ``solution.status``: t_p (primal-bound, an upper bound
+    below -BOUNDARY_BAND) or t_d (dual-bound, a lower bound above
+    BOUNDARY_BAND).  ``x``, ``dual_z`` and ``dual_coefficients`` are None
+    unless the solve is optimal or decided.
     """
 
     t_star: float
@@ -352,7 +385,7 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"cone dimension {d} exceeds the cap {DIM_CAP}")
 
 
-def phase1_min_t(ops, values):
+def phase1_min_t(ops, values, *, decide: bool = False):
     """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the (m, d, d)
     stack ``ops`` and the m ``values``; the rows must fix tr(X).
 
@@ -360,7 +393,9 @@ def phase1_min_t(ops, values):
     and one batched solve, and a list of k results comes back in their order.
     A trace-only row has A~_i = 0, so the dependency pass drops it; values
     that conflict along a dependency make their own program primal-infeasible
-    before any iteration.
+    before any iteration.  With ``decide``, each program stops as soon as a
+    certified bound puts t* outside the boundary band (see ``Phase1Result``):
+    for callers that need the sign of t* only, not its value.
     """
     m, d = np.shape(ops)[:2]
     _check_dim(d)
@@ -396,13 +431,17 @@ def phase1_min_t(ops, values):
     w = u[:, keep].T / s[keep, None]
     rows = np.tensordot(w, ops, axes=1)
     rhs = tilde_b[~conflict] @ w.T
+    shifts = trace_values[~conflict] / d if decide else np.full(len(rhs), math.nan)
     if values.ndim == 1:
-        solutions = iter([solve(rows, rhs[0])] if len(rhs) else [])
+        shift = float(shifts[0]) if decide and len(rhs) else None
+        solutions = iter([solve(rows, rhs[0], shift=shift)] if len(rhs) else [])
     else:
         # chunks keep each (k, m, d, d) stack of the kernel within BATCH_ENTRIES
         step = max(1, BATCH_ENTRIES // max(1, len(rows) * d * d))
         solutions = (
-            sol for i in range(0, len(rhs), step) for sol in _path_following(rows, rhs[i : i + step])
+            sol
+            for i in range(0, len(rhs), step)
+            for sol in _path_following(rows, rhs[i : i + step], shifts[i : i + step])
         )
 
     def result(trace_value: float, mismatch: float, conflicting: bool) -> Phase1Result:
@@ -411,10 +450,11 @@ def phase1_min_t(ops, values):
             infeasible = SdpSolution(STATUS_PRIMAL_INFEASIBLE, message=message)
             return Phase1Result(math.inf, None, infeasible)
         sol = next(solutions)
-        if sol.status != STATUS_OPTIMAL:
+        if sol.status not in (STATUS_OPTIMAL, STATUS_PRIMAL_BOUND, STATUS_DUAL_BOUND):
             return Phase1Result(t_star=math.nan, x=None, solution=sol)
-        t_star = sol.primal_objective - trace_value / d
-        x = sol.x - t_star * np.eye(d)
+        t_primal = sol.primal_objective - trace_value / d
+        t_star = sol.dual_objective - trace_value / d if sol.status == STATUS_DUAL_BOUND else t_primal
+        x = sol.x - t_primal * np.eye(d)
         z = np.eye(d, dtype=complex) / d - np.tensordot(sol.y, rows, axes=1)
         # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand dual_z over the rows
         y = w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i

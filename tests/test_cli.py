@@ -108,6 +108,7 @@ class TestCheckCommand:
         report = json.loads(out.strip().splitlines()[-1])
         assert report["status"] == "quantum"
         assert report["stage"] == "inner"
+        assert report["t_star"] is None and report["t_star_kind"] is None
 
     def test_non_quantum_exit_one_with_witness(self, tmp_path, capsys):
         path = write_json(
@@ -123,6 +124,21 @@ class TestCheckCommand:
         assert report["witness"]["min_eigenvalue"] >= -1e-9
         coefficients = report["witness"]["coefficients"]
         assert list(coefficients) == ["I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3"]
+
+    def test_exact_stage_reports_its_bound(self, tmp_path, capsys):
+        # <L3^2> = 0 with <L1^2> != <L2^2> at 2j = 4: only the exact stage rejects,
+        # and it stops at the dual bound that clears the band
+        c = 6.0  # j(j+1)
+        m = [[[0.6 * c, 0], [0, 0], [0, 0]], [[0, 0], [0.4 * c, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+        rc = cli.main(["check", "--input", write_json(tmp_path / "zero.json", {"two_j": 4, "M": m})])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        report = json.loads(lines[-1])
+        assert (report["stage"], report["t_star_kind"]) == ("exact", "dual bound")
+        assert report["t_star"] > 1e-7
+        assert abs(report["witness"]["value"] + report["t_star"]) <= 1e-12
+        (row,) = [line for line in lines if line.split()[:1] == ["exact"]]
+        assert row.endswith(", dual bound")
 
     def test_spin_half_reject_carries_first_moment_witness(self, tmp_path, capsys):
         # |l| = 0.6 > j = 1/2: the optimal witness has value (1 - |l|/j)/(2j+1) = -0.1
@@ -150,6 +166,7 @@ class TestCheckCommand:
         report = json.loads(out.strip().splitlines()[-1])
         assert report["status"] == "boundary"
         assert abs(report["t_star"]) <= 1e-7
+        assert report["t_star_kind"] == "optimum"
         assert "certificate_spectrum" in report
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from spinmoment.reduction import RenormalizedCoords
 from spinmoment.spinalg import MomentMatrix
 
 import symmetric_oracle
+from outer_set import outer_test
 from conftest import (
     highest_weight_state,
     moment_operators,
@@ -244,6 +245,12 @@ class TestExactTestDirect:
         assert feasibility.exact_test_direct(mm2).status == STATUS_NON_QUANTUM
 
 
+def iterations(verdict) -> int:
+    """The SDP iteration count in the exact stage's detail."""
+    (record,) = [r for r in verdict.tests_run if r.name == "exact"]
+    return int(re.match(r"t_star = \S+, (\d+) iterations", record.detail).group(1))
+
+
 class TestExactTestBatch:
     @staticmethod
     def figure_cells():
@@ -256,17 +263,23 @@ class TestExactTestBatch:
         return [scan._moments(10, u, float(res.v1_values[a]), float(res.v2_values[b])) for a, b in cells]
 
     def test_matches_one_at_a_time_on_the_figure_cells(self):
+        # the batch decides: each cell stops where its own decided solve stops,
+        # with the verdict of the optimum
         ms = self.figure_cells()
         batch = feasibility.exact_test_batch(ms)
         assert len(batch) == len(ms) > 20
         assert {v.status for v in batch} == {STATUS_QUANTUM, STATUS_NON_QUANTUM}
         for got, m in zip(batch, ms):
-            want = feasibility.exact_test_direct(m)
+            want = feasibility.exact_test_direct(m, decide=True)
             assert (got.status, got.stage) == (want.status, want.stage)
+            assert got.status == feasibility.exact_test_direct(m).status
+            assert got.t_star_kind == want.t_star_kind
             assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
             assert [r.name for r in got.tests_run] == [r.name for r in want.tests_run]
+            assert iterations(got) == iterations(want)
             if want.witness is not None:
                 assert abs(got.witness.value - want.witness.value) <= 1e-9 * abs(want.witness.value)
+        assert {v.t_star_kind for v in batch} >= {"primal bound", "dual bound"}
         again = feasibility.exact_test_batch(ms)
         assert [v.t_star for v in again] == [v.t_star for v in batch]
 
@@ -414,19 +427,19 @@ class TestOuterTest:
     def test_highest_weight_true_on_boundary(self):
         triple = spinalg.spin_operators(8)
         m = spinalg.moment_matrix(highest_weight_state(8), triple)
-        assert feasibility.outer_test(m)
+        assert outer_test(m)
 
     def test_maximally_mixed_true(self):
         triple = spinalg.spin_operators(4)
         m = spinalg.moment_matrix(np.eye(5, dtype=complex) / 5.0, triple)
-        assert feasibility.outer_test(m)
+        assert outer_test(m)
 
     def test_non_psd_reconstruction_fails_tau(self):
         # v2 < -1/3 drives <L2^2> negative, so tau picks up a negative minor
         m = coords_matrix([0, 0, 0], [2.0, -0.5, -0.5], 4)
         rho = reduction.reconstruct_rho(m)
         assert matcore.min_eigenvalue(rho) < -1e-6  # per-instance premise
-        assert not feasibility.outer_test(m)
+        assert not outer_test(m)
 
 
 class TestWitnessSearch:
@@ -504,15 +517,19 @@ class TestClassify:
         m = moments_of_pair_state(rho, 2)
         v = feasibility.classify(m)
         assert v.status in (STATUS_QUANTUM, STATUS_BOUNDARY)
-        assert v.stage == "exact"
+        # at j = 1 the pair marginal is the state itself, so the reconstruct
+        # stage decides: t* = -lambda_min(rho_j), and the certificate is rho_j
+        # in the reversed (spin) order
+        assert v.stage == "reconstruct"
         names = [r.name for r in v.tests_run]
-        assert "inner" in names
+        assert names == ["validate", "chi", "reconstruct"]
         # the tau test is implied by the chi stage, so classify never runs it
         assert "outer" not in names
-        # the exact stage reports the SDP's iteration count and final gap
-        assert re.fullmatch(
-            r"t_star = \S+, \d+ iterations, gap \S+", v.tests_run[-1].detail
-        )
+        assert v.t_star == pytest.approx(-matcore.min_eigenvalue(rho), abs=1e-12)
+        assert abs(v.t_star - feasibility.exact_test_direct(m).t_star) <= 1e-7
+        assert np.abs(v.certificate_state - rho[::-1, ::-1]).max() <= 1e-12
+        check = spinalg.moment_matrix(v.certificate_state, spinalg.spin_operators(2))
+        assert np.abs(check.matrix - m.matrix).max() <= 1e-12
 
     def test_tau_rejection_with_witness(self):
         # entangled state whose moments violate the 4x4 conditions at large j
@@ -520,7 +537,7 @@ class TestClassify:
         bell[0, 0] = bell[2, 2] = bell[0, 2] = bell[2, 0] = 0.5
         rho = 0.97 * bell + 0.03 * np.eye(3) / 3.0
         m = moments_of_pair_state(rho, 12)
-        assert not feasibility.outer_test(m)
+        assert not outer_test(m)
         v = feasibility.classify(m)
         assert v.status == STATUS_NON_QUANTUM
         # chi and tau test the same condition (congruent matrices), so the
@@ -652,19 +669,20 @@ class TestOneSdpPerDecision:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """Record every sdp.solve and sdp.phase1_min_t call from here on."""
+        """Record every sdp.solve and sdp.phase1_min_t call from here on, with
+        whether it stops at a decided bound."""
         calls = []
         programs = []
         real_solve = sdp.solve
         real_phase1 = sdp.phase1_min_t
 
-        def counting_solve(ops, b):
-            calls.append(ops.shape[1])
-            return real_solve(ops, b)
+        def counting_solve(ops, b, *, shift=None):
+            calls.append((ops.shape[1], shift is not None))
+            return real_solve(ops, b, shift=shift)
 
-        def counting_phase1(ops, values):
-            programs.append(len(ops))
-            return real_phase1(ops, values)
+        def counting_phase1(ops, values, *, decide=False):
+            programs.append((len(ops), decide))
+            return real_phase1(ops, values, decide=decide)
 
         monkeypatch.setattr(sdp, "solve", counting_solve)
         monkeypatch.setattr(sdp, "phase1_min_t", counting_phase1)
@@ -681,6 +699,27 @@ class TestOneSdpPerDecision:
         assert len(calls) == expected
         # at most one phase-1 program per decision: the solver's, none for the witness
         assert len(programs) == expected
+        # classify's exact stage stops at a decided bound
+        assert all(decided for _, decided in calls + programs)
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_spin_one_solves_nothing(self, monkeypatch, path):
+        # at 2j = 2 the pair marginal is the state: every path ends by the
+        # reconstruct stage, with the status of the exact test
+        build = self.PATHS[path][0]
+        m = build(2)
+        want = feasibility.exact_test_direct(m)
+        calls, programs = self.count_calls(monkeypatch)
+        v = feasibility.classify(m)
+        assert calls == [] and programs == []
+        assert v.stage in ("chi", "reconstruct")
+        assert v.status == want.status
+        if v.accepted:
+            assert v.stage == "reconstruct"
+            assert abs(v.t_star - want.t_star) <= 1e-7
+            got = np.einsum("kij,ji->k", feasibility._moment_operator_set(2), v.certificate_state).real
+            assert np.abs(got - spinalg.moment_values(m)).max() <= 1e-12
+            assert matcore.min_eigenvalue(v.certificate_state) == pytest.approx(-v.t_star, abs=1e-15)
 
     def test_bench_tracer_sees_the_solve(self, monkeypatch):
         # bench/run.py reads its sdp.solve.* metrics off these spans
@@ -693,7 +732,8 @@ class TestOneSdpPerDecision:
         assert (v.stage, v.status) == ("exact", STATUS_NON_QUANTUM)
         (span,) = [s for s in tracer.spans if s.name == "sdp.solve"]
         status, iterations = span.info
-        assert status == "optimal" and iterations > 0
+        # the exact stage stops once its dual bound clears the band
+        assert status == sdp.STATUS_DUAL_BOUND and iterations > 0
 
     def test_spin_half_reject_solves_nothing(self, monkeypatch):
         ell = np.array([0.3, 0.0, 0.5])
@@ -748,6 +788,92 @@ class TestOneSdpPerDecision:
         rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
         assert np.abs(rebuilt - w.matrix).max() <= 1e-8
         assert [r.name for r in v.tests_run] == ["exact", "witness"]
+
+
+def rotated(m, rng):
+    rot = random_so3(rng)
+    return MomentMatrix.from_matrix(m.two_j, rot @ m.matrix @ rot.T)
+
+
+class TestDecidedStop:
+    """classify's exact stage stops at the first iterate whose primal or dual
+    bound on t* clears the boundary band; exact_test_direct runs to the optimum."""
+
+    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (optimum|primal bound|dual bound)"
+
+    @staticmethod
+    def families(two_j):
+        """Rotated Dicke + eps I/d (exact accepts) and Dicke-zero (exact rejects)."""
+        rng = np.random.default_rng(900 + two_j)
+        ms = [dicke_mixture_moments(two_j, eps) for eps in (0.005, 0.02)]
+        ms += [dicke_zero_moments(two_j, f) for f in (0.05, 0.15)]
+        return [rotated(m, rng) for m in ms]
+
+    @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
+    def test_verdict_and_evidence_against_the_optimum(self, two_j):
+        ops = feasibility._moment_operator_set(two_j)
+        for m in self.families(two_j):
+            got = feasibility.classify(m)
+            want = feasibility.exact_test_direct(m)
+            assert (got.status, got.stage) == (want.status, want.stage)
+            assert want.t_star_kind == "optimum"
+            (record,) = [r for r in got.tests_run if r.name == "exact"]
+            assert re.fullmatch(self.DETAIL, record.detail)
+            assert record.detail.endswith(got.t_star_kind)
+            b = spinalg.moment_values(m)
+            if got.status == STATUS_NON_QUANTUM:
+                # t_d <= t*: the witness is the dual iterate, value exactly -t_d
+                assert got.t_star_kind == "dual bound"
+                assert matcore.BOUNDARY_BAND < got.t_star <= want.t_star + 1e-9
+                w = got.witness
+                assert abs(w.value + got.t_star) <= 1e-12
+                assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+                assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+                assert np.abs(np.tensordot(w.op_coefficients, ops, 1) - w.matrix).max() <= 1e-8
+            else:
+                # t_p >= t*: the certificate is the primal iterate shifted by t_p
+                assert got.status == STATUS_QUANTUM and got.t_star_kind == "primal bound"
+                assert want.t_star - 1e-9 <= got.t_star < -matcore.BOUNDARY_BAND
+                x = got.certificate_state
+                assert matcore.min_eigenvalue(x) >= -got.t_star - 1e-12
+                assert abs(np.trace(x).real - 1.0) <= 1e-12
+                moments = np.einsum("kij,ji->k", ops, x).real
+                assert np.all(np.abs(moments - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))
+
+    def test_fewer_iterations_at_the_cap(self):
+        for m in self.families(62):
+            assert iterations(feasibility.classify(m)) < iterations(feasibility.exact_test_direct(m))
+
+    @pytest.mark.parametrize("two_j", [6, 30])
+    def test_boundary_input_runs_to_the_optimum(self, two_j):
+        rng = np.random.default_rng(1700 + two_j)
+        edge = spinalg.moment_matrix(highest_weight_state(two_j), spinalg.spin_operators(two_j))
+        m = rotated(edge, rng)
+        got = feasibility.exact_test_direct(m, decide=True)
+        want = feasibility.exact_test_direct(m)
+        assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind) == (
+            STATUS_BOUNDARY, "optimum"
+        )
+        assert got.t_star == want.t_star
+        assert np.array_equal(got.certificate_state, want.certificate_state)
+
+    def test_batched_and_single_stop_together(self):
+        ms = [m for two_j in (10,) for m in self.families(two_j)]
+        ms += [dicke_mixture_moments(10, 0.2), coords_matrix([0, 0, 0], [0.9, 0.05, 0.05], 10)]
+        ops = feasibility._moment_operator_set(10)
+        values = np.stack([spinalg.moment_values(m) for m in ms])
+        batch = sdp.phase1_min_t(ops, values, decide=True)
+        for got, v in zip(batch, values, strict=True):
+            single = sdp.phase1_min_t(ops, v, decide=True)
+            assert got.solution.status == single.solution.status
+            assert got.solution.iterations == single.solution.iterations
+            assert abs(got.t_star - single.t_star) <= 1e-9 * abs(single.t_star)
+            again = sdp.phase1_min_t(ops, v, decide=True)
+            assert again.t_star == single.t_star and again.solution.iterate_log == single.solution.iterate_log
+        assert {p.solution.status for p in batch} == {sdp.STATUS_PRIMAL_BOUND, sdp.STATUS_DUAL_BOUND}
+        rerun = sdp.phase1_min_t(ops, values, decide=True)
+        assert [p.t_star for p in rerun] == [p.t_star for p in batch]
+        assert all(np.array_equal(a.x, b.x) for a, b in zip(rerun, batch))
 
 
 class TestEarlyRejectWitness:

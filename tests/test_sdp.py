@@ -25,9 +25,9 @@ def record_solver_rows(monkeypatch):
     seen = []
     real_solve = sdp.solve
 
-    def recording(ops, b):
+    def recording(ops, b, **kwargs):
         seen.append(ops)
-        return real_solve(ops, b)
+        return real_solve(ops, b, **kwargs)
 
     monkeypatch.setattr(sdp, "solve", recording)
     return seen
@@ -453,6 +453,31 @@ class TestInfeasibilityDetection:
         assert (sol.status, sol.iterations) == (sdp.STATUS_FAILURE, k - 1)
         assert sol.iterate_log == ref.iterate_log[:k]
         assert sol.message.startswith(f"no convergence after {k - 1} iterations")
+
+    @pytest.mark.parametrize("e00", [-1.0, 0.3])
+    def test_decided_run_is_the_optimal_run_cut_short(self, e00):
+        # a decided solve takes the optimal solve's iterates and stops at the first
+        # one whose bound clears the band: t_d for the reject, t_p for the accept
+        program = corner_program(e00)
+        ref = sdp.phase1_min_t(*program)
+        p1 = sdp.phase1_min_t(*program, decide=True)
+        sol = p1.solution
+        assert sol.iterations < ref.solution.iterations
+        assert sol.iterate_log == ref.solution.iterate_log[: sol.iterations + 1]
+        shift = 1.0 / 2  # the fitted trace over d
+        pobj, dobj = sol.iterate_log[-1][:2]
+        if e00 < 0:
+            assert sol.status == sdp.STATUS_DUAL_BOUND
+            assert p1.t_star == dobj - shift
+            assert 1e-7 < p1.t_star <= ref.t_star + 1e-9
+            assert float(p1.dual_coefficients @ program[1]) == pytest.approx(-p1.t_star, abs=1e-15)
+            assert all(l[1] - shift <= 1e-7 for l in sol.iterate_log[:-1])
+        else:
+            assert sol.status == sdp.STATUS_PRIMAL_BOUND
+            assert p1.t_star == pobj - shift
+            assert ref.t_star - 1e-9 <= p1.t_star < -1e-7
+            assert matcore.min_eigenvalue(p1.x) >= -p1.t_star - 1e-12
+            assert all(l[0] - shift >= -1e-7 for l in sol.iterate_log[:-1])
 
     def test_failure_reports_residuals(self, monkeypatch):
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
