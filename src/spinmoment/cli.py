@@ -352,15 +352,16 @@ def _check_first_moment(rng: np.random.Generator) -> tuple[str, bool, str]:
 
 def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
     # Early rejects carry closed-form witnesses; each must separate like an SDP one.
+    # The chi input keeps l = 0, so the first-moment stage passes it: <L1^2> = -e < 0.
     failing = []
     z_dev = 0.0
     for two_j in (4, 30, 62):
         j = two_j / 2.0
-        long_l = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
-        long_l += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + 0.5]))
+        e = 0.1 * j * (j + 1.0)
+        negative = np.diag([-e, (j * (j + 1.0) + e) / 2.0, (j * (j + 1.0) + e) / 2.0]).astype(complex)
         coords = reduction.RenormalizedCoords(u=np.zeros(3), v=np.array([1.02, -0.01, -0.01]), two_j=two_j)
         ops = feasibility._moment_operator_set(two_j)
-        for stage, raw in (("chi", long_l), ("reconstruct", reduction.moments_from_coords(coords).matrix)):
+        for stage, raw in (("chi", negative), ("reconstruct", reduction.moments_from_coords(coords).matrix)):
             rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             rot *= np.linalg.det(rot)
             mm = MomentMatrix.from_matrix(two_j, rot @ raw @ rot.T)

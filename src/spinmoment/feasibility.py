@@ -14,17 +14,20 @@ verdict, so they stop at the first iterate whose primal bound t_p or dual
 bound t_d clears the boundary band, and report that certified bound as
 ``t_star``; a t* in or near the band still runs to the optimum.  At 2j = 2
 the pair marginal is the state itself, so the reconstruct stage decides and
-the reversed rho_j is the certificate.  A first-moment reject's witness is
-the optimal one in closed form, Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or reconstruct) reads a valid,
-not optimal, witness off the negative eigenvector its stage already computed
-(``_eigenvector_witness``), with no SDP, and stands only when that witness
-separates.  Both early witnesses are one pair lift P^dag of a 3x3 operator
+the reversed rho_j is the certificate.  ``classify`` compares |l| with j
+first, at every spin, and a first-moment reject's witness is the optimal one
+in closed form, Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or
+reconstruct) reads a valid, not optimal, witness off the negative
+eigenvector its stage already computed (``_eigenvector_witness``), with no
+SDP, and stands only when that witness separates.  Above j = 1/2 all three
+closed-form witnesses are one pair lift P^dag of a 3x3 operator
 (``_pair_adjoint``), like the extension program's operators.  Every program
 and witness works over the moment vector b of
 ``spinalg.moment_values``; the early stages are its linear stacks
 ``spinalg.CHI_PATTERN`` and ``reduction._reconstruction_system``.  The SDP
-paths alone use the ten-operator stack ``_moment_operator_set``, and raise
-the cone-cap ``ValueError`` before they build any spin-j operator.  As that
+paths alone use the ten-operator stack ``_moment_operator_set`` and its
+dependency pass ``_moment_program``, each cached per spin, and raise the
+cone-cap ``ValueError`` before they build any spin-j operator.  As that
 stack depends on the spin only, ``exact_test_batch`` decides many inputs at
 one spin with one batched phase-1 solve, each verdict read by the same
 ``_read_phase1`` as a single exact test's.  The outer test (tau >= 0, the
@@ -145,6 +148,14 @@ def _moment_operator_set(two_j: int) -> np.ndarray:
     return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
 
 
+@lru_cache(maxsize=None)
+def _moment_program(two_j: int) -> sdp.Phase1Program:
+    """The dependency pass over ``_moment_operator_set(two_j)``, cached beside it, so
+    that the exact tests at one spin run it once; the stack raises the cone-cap
+    ``ValueError`` first, so nothing is cached above the cap."""
+    return sdp.phase1_program(_moment_operator_set(two_j))
+
+
 def _pair_adjoint(w: np.ndarray, two_j: int) -> np.ndarray:
     """P^dag(w) for the pair marginal P of a 2j-qubit symmetric state.
 
@@ -215,10 +226,9 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
     return Witness(z, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
 
 
-def _phase1_verdict(
-    ops: np.ndarray, values: np.ndarray, labels, stage: str, decide: bool = False
-) -> Verdict:
-    """Solve the phase-1 program over labelled operators and read its verdict."""
+def _phase1_verdict(ops, values: np.ndarray, labels, stage: str, decide: bool = False) -> Verdict:
+    """Solve the phase-1 program over labelled operators (or their
+    ``sdp.phase1_program``) and read its verdict."""
     log = _StageLog()
     return _read_phase1(sdp.phase1_min_t(ops, values, decide=decide), values, labels, stage, log)
 
@@ -263,21 +273,46 @@ def _read_phase1(
     return Verdict(status, stage, t, p1.x, None, log.done(), kind)
 
 
+def _first_moment_bound(ell: np.ndarray, two_j: int) -> tuple[float, str]:
+    """t* of ``exact_test_first_moments`` in closed form, (|l|/j - 1)/(2j+1), and
+    the first-moment stage's detail."""
+    j = two_j / 2.0
+    r = float(np.linalg.norm(ell))
+    t = (r / j - 1.0) / (two_j + 1)
+    return t, f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
+
+
+def _first_moment_witness(ell: np.ndarray, two_j: int) -> Witness:
+    """The optimal first-moment witness Z = (1 - l^.L/j)/(2j+1) for |l| > j.
+
+    It is PSD because spec(l^.L) = [-j, j] and has unit trace; over
+    ``spinalg.MOMENT_LABELS`` its coefficients are 1/(2j+1) on I,
+    -l^_k/(j(2j+1)) on L_k and 0 on each S_kl, and its value is
+    (1 - |l|/j)/(2j+1) = -t*.  Above j = 1/2 every measured operator is a
+    pair lift, so Z = P^dag(sum_i c_i K_i) is built as a band by
+    ``_pair_adjoint``, like the chi and reconstruct witnesses, with no spin
+    matrix.  At j = 1/2 there is no pair, and Z is the 2x2 sum_i c_i A_i.
+    """
+    j, d = two_j / 2.0, two_j + 1
+    n_hat = ell / float(np.linalg.norm(ell))
+    c = np.zeros(len(spinalg.MOMENT_LABELS))
+    c[_FIRST_MOMENTS] = np.concatenate([[1.0], -n_hat / j]) / d
+    if two_j == 1:
+        z = np.tensordot(c, _moment_operator_set(1), 1)
+    else:
+        z = _pair_adjoint(np.tensordot(c, reduction.reduction_operators(two_j), 1), two_j)
+    return Witness(z, float(c[_FIRST_MOMENTS] @ [1.0, *ell]), c, spinalg.MOMENT_LABELS)
+
+
 def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     """Closed-form first-moment feasibility: quantum iff |l|^2 <= j^2.
 
     Banded like ``exact_test_first_moments``, on that program's t* in closed
     form, (|l|/j - 1)/(2j+1), which the stage detail reports; ``t_star``
-    stays None, as no SDP ran.  Both kinds of evidence come from l^.L, the
-    spin operator along l:
-
-    - a reject carries the optimal witness Z = (1 - l^.L/j)/(2j+1).  It is
-      PSD because spec(l^.L) = [-j, j] and has unit trace; over
-      ``spinalg.MOMENT_LABELS`` its coefficients are 1/(2j+1) on I,
-      -l^_k/(j(2j+1)) on L_k and 0 on each S_kl, and its value is
-      (1 - |l|/j)/(2j+1) = -t*;
-    - an accept's certificate mixes the top eigenstate of l^.L with the
-      maximally mixed state.
+    stays None, as no SDP ran.  A reject carries the optimal witness
+    ``_first_moment_witness``, Z = (1 - l^.L/j)/(2j+1); an accept's
+    certificate mixes the top eigenstate of l^.L, the spin operator along l,
+    with the maximally mixed state.
     """
     two_j = spinalg._check_two_j(two_j)
     ell = np.asarray(ell, dtype=float)
@@ -286,22 +321,17 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     j = two_j / 2.0
     d = two_j + 1
     r = float(np.linalg.norm(ell))
-    t = (r / j - 1.0) / d
-    detail = f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
+    t, detail = _first_moment_bound(ell, two_j)
     log = _StageLog()
+    if t > BOUNDARY_BAND:
+        log.add("first-moment", "reject", detail)
+        return _rejected("first-moment", _first_moment_witness(ell, two_j), log)
     if r == 0.0:
         state = np.eye(d, dtype=complex) / d
     else:
         triple = spinalg.spin_operators(two_j)
         n_hat = ell / r
         l_n = n_hat[0] * triple.l1 + n_hat[1] * triple.l2 + n_hat[2] * triple.l3
-        if t > BOUNDARY_BAND:
-            log.add("first-moment", "reject", detail)
-            c = np.zeros(len(spinalg.MOMENT_LABELS))
-            c[_FIRST_MOMENTS] = np.concatenate([[1.0], -n_hat / j]) / d
-            value = float(c[_FIRST_MOMENTS] @ [1.0, *ell])
-            z = (np.eye(d) - l_n / j) / d
-            return _rejected("first-moment", Witness(z, value, c, spinalg.MOMENT_LABELS), log)
         top = matcore.hermitian_eig(l_n)[1][:, -1]
         weight = min(r, j) / j
         state = weight * np.outer(top, top.conj())
@@ -338,9 +368,8 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     ``decide`` (``classify``'s exact stage) the solve stops once a certified
     bound on t* clears the band, and ``t_star`` is that bound.
     """
-    ops = _moment_operator_set(m.two_j)
     values = spinalg.moment_values(m)
-    return _phase1_verdict(ops, values, spinalg.MOMENT_LABELS, "exact", decide)
+    return _phase1_verdict(_moment_program(m.two_j), values, spinalg.MOMENT_LABELS, "exact", decide)
 
 
 def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
@@ -357,10 +386,10 @@ def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
     two_j = ms[0].two_j
     if any(m.two_j != two_j for m in ms):
         raise ValueError("a batch of exact tests needs one spin number")
-    ops = _moment_operator_set(two_j)
+    program = _moment_program(two_j)
     t0 = time.perf_counter()
     values = np.stack([spinalg.moment_values(m) for m in ms])
-    solved = sdp.phase1_min_t(ops, values, decide=True)
+    solved = sdp.phase1_min_t(program, values, decide=True)
     share = (time.perf_counter() - t0) / len(ms)
     return [
         _read_phase1(p1, v, spinalg.MOMENT_LABELS, "exact", _StageLog(share))
@@ -432,11 +461,15 @@ def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, log: _StageLog
 def classify(m: MomentMatrix) -> Verdict:
     """Full decision pipeline with cheap early exits.
 
-    Order: structural validation (done on construction), the 4x4 expectation
-    value matrix precheck (chi, quick reject), reconstruction positivity, the
-    PPT inner test (quick accept), then the decisive phase-1 SDP
+    Order: structural validation (done on construction), the first-moment
+    law |l| <= j (quick reject, at every j), the 4x4 expectation value
+    matrix precheck (chi, quick reject), reconstruction positivity, the PPT
+    inner test (quick accept), then the decisive phase-1 SDP
     (``exact_test_direct(m, decide=True)``).  Every rejection carries a
-    witness.  A chi or reconstruct stage builds it in closed form from the
+    witness.  The first-moment stage is banded on its closed-form t*, like
+    ``first_moment_test``, and a reject carries the optimal witness
+    ``_first_moment_witness`` with ``t_star`` None, so first moments longer
+    than j are answered with no SDP at any spin, above the cone cap too.  A chi or reconstruct stage builds it in closed form from the
     stage's negative eigenvector and solves no SDP; its ``t_star`` is None
     and its value is not -t*.  Such an early reject stands only when the witness separates
     (value below -BOUNDARY_BAND).  A valid witness has value >= -t*, so the
@@ -474,6 +507,12 @@ def classify(m: MomentMatrix) -> Verdict:
         first = first_moment_test(m.first_moments, m.two_j)
         log.records.extend(first.tests_run)
         return replace(first, tests_run=log.done())
+
+    t, detail = _first_moment_bound(m.first_moments, m.two_j)
+    if t > BOUNDARY_BAND:
+        log.add("first-moment", "reject", detail)
+        return _rejected("first-moment", _first_moment_witness(m.first_moments, m.two_j), log)
+    log.add("first-moment", "pass", detail)
 
     _, witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, log)
     if witness is None:

@@ -14,19 +14,27 @@ factor.  Singular values at or below ``DEPENDENCY_TOL`` max(1, s_max) mark
 dependencies N.  The rows fix tr(X) when the traces tr A_i have a component
 along N above ``CONFLICT_TOL`` |tr A|, and along N the values U^T b~ must
 vanish to ``CONFLICT_TOL``; the rest give the orthonormal rows
-R = S^-1 U^T A~.  The pass depends on the operators only, so a batch of
-programs shares it, and only the conflict test and b~ are per program.
+R = S^-1 U^T A~.  The pass depends on the operators only: ``phase1_program``
+returns it as a frozen ``Phase1Program``, which ``phase1_min_t`` takes in
+place of the stack, so callers that solve over one stack many times run it
+once, and a batch of programs shares it.  Only the conflict test and b~ are
+per program.
 
-``solve`` runs a primal-dual path-following interior point method from the
-min-norm solution: a symmetrized Newton direction and Mehrotra-style
-predictor-corrector steps.  The objective 1/d is positive definite, so
-Z = 1/d is strictly dual feasible, and Y0 + s*1 is strictly primal
-feasible for large s: no infeasibility ray can occur, and a solve ends
-optimal or in numerical failure.  Both residuals start at zero, and a
-Newton step keeps them there to rounding, so every iterate is a primal point
-Y >= 0 and a dual point (y, Z >= 0) at once.  With s = (fitted trace)/d, its
-objectives bound t* from both sides: t_p = tr(Y)/d - s >= t* >= t_d =
-b~.y - s.  ``phase1_min_t(..., decide=True)`` uses that: a program whose
+``solve`` runs a primal-dual path-following interior point method: a
+symmetrized Newton direction and Mehrotra-style predictor-corrector steps.
+It starts at the program's own scale, from the min-norm solution X_mn of
+the rows lifted into the cone, Y0 = X_mn + 1.5 |lambda_min(X_mn)| 1 (1/d,
+the objective's scale, when X_mn = 0), with Z0 = 1/d and y0 = 0.  The
+objective 1/d is positive definite, so Z = 1/d is strictly dual feasible,
+and X_mn + s*1 is strictly primal feasible for every s > |lambda_min|: no
+infeasibility ray can occur, and a solve ends optimal or in numerical
+failure.  Both residuals start at zero, and a Newton step keeps them there
+to rounding, so every iterate is a primal point Y >= 0 and a dual point
+(y, Z >= 0) at once.  With s = (fitted trace)/d, its objectives bound t*
+from both sides: t_p = tr(Y)/d - s >= t* >= t_d = b~.y - s.  An optimal
+return has both residuals within ``TOLERANCE`` and a gap t_p - t_d <=
+``TOLERANCE`` max(1, |tr(Y)/d|), so its t_p is that close to t*.
+``phase1_min_t(..., decide=True)`` uses the bounds: a program whose
 residuals pass ``TOLERANCE`` stops as soon as t_p < -``BOUNDARY_BAND``
 (status primal-bound: X = Y - t_p·1 certifies feasibility) or t_d >
 ``BOUNDARY_BAND`` (status dual-bound: the rebuilt dual is a witness of
@@ -66,7 +74,7 @@ STATUS_PRIMAL_BOUND = "primal-bound"  # stopped once t_p < -BOUNDARY_BAND
 STATUS_DUAL_BOUND = "dual-bound"  # stopped once t_d > BOUNDARY_BAND
 
 MAX_ITERATIONS = 200
-TOLERANCE = 1e-8  # relative gap and both residuals at an optimal return
+TOLERANCE = 1e-8  # both residuals, and the gap over max(1, |objective|), at an optimal return
 STEP_FRACTION = 0.98
 DEPENDENCY_TOL = 1e-10  # singular values of the traceless rows up to it, times max(1, s_max)
 CONFLICT_TOL = 1e-8  # largest |U_dep^T b~| along the dependencies, times 1 + max |b~_i|;
@@ -209,9 +217,11 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
 
     a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
 
-    # Start: the min-norm affine solution shifted into the interior, and Z = 1/d.
+    # Start: the min-norm affine solution shifted into the interior at its own
+    # scale, 1.5 |lambda_min|, or 1/d if it is zero; and Z = 1/d.
     x = _herm(min_norm(b))
-    x += np.maximum(1.0, -1.5 * _lowest_eigenvalue(x))[:, None, None] * eye
+    lift = 1.5 * np.abs(_lowest_eigenvalue(x))
+    x += np.where(lift > 0.0, lift, 1.0 / d)[:, None, None] * eye
     z = np.repeat(c[None], k, axis=0)
     y = np.zeros((k, m))
 
@@ -248,7 +258,7 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
             logs[active[i]].append((pobj, dobj, mu_i, pres, dres))
             gap = abs(pobj - dobj)
             feasible = pres <= TOLERANCE and dres <= TOLERANCE
-            if feasible and gap / (1.0 + abs(pobj)) <= TOLERANCE:
+            if feasible and gap <= TOLERANCE * max(1.0, abs(pobj)):
                 finish(i, STATUS_OPTIMAL)
             elif feasible and pobj - shift[i] < -matcore.BOUNDARY_BAND:
                 finish(i, STATUS_PRIMAL_BOUND)
@@ -333,9 +343,9 @@ def solve(ops: np.ndarray, b: np.ndarray, *, shift: float | None = None) -> SdpS
 
     ``ops`` is the (m, d, d) stack of traceless, linearly independent A_i
     that ``phase1_min_t`` builds (orthonormal there, though any independent
-    rows will do).  The returned status is ``optimal`` only when the
-    relative duality gap and both feasibility residuals are below
-    ``TOLERANCE``.  Given the trace shift s = (fitted trace)/d as ``shift``,
+    rows will do).  The returned status is ``optimal`` only when both
+    feasibility residuals and the duality gap over max(1, |tr(Y)/d|) are
+    within ``TOLERANCE``.  Given the trace shift s = (fitted trace)/d as ``shift``,
     a solve whose residuals pass also stops early, with status
     ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or ``dual-bound``
     once b.y - s > BOUNDARY_BAND.  Anything else is numerical failure with
@@ -385,25 +395,28 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"cone dimension {d} exceeds the cap {DIM_CAP}")
 
 
-def phase1_min_t(ops, values, *, decide: bool = False):
-    """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the (m, d, d)
-    stack ``ops`` and the m ``values``; the rows must fix tr(X).
+@dataclass(frozen=True)
+class Phase1Program:
+    """The dependency pass over an (m, d, d) operator stack, which ``phase1_min_t``
+    needs from the operators alone: the r orthonormal traceless rows
+    R = W A~ (``rows``, (r, d, d)) with W (``w``, (r, m)), the coefficients
+    ``coeff`` with sum_i coeff_i A_i = 1, the traces tr A_i, and the (m, m - r)
+    dependencies ``null`` along which the values must agree."""
 
-    With a (k, m) array of values, the k programs share one dependency pass
-    and one batched solve, and a list of k results comes back in their order.
-    A trace-only row has A~_i = 0, so the dependency pass drops it; values
-    that conflict along a dependency make their own program primal-infeasible
-    before any iteration.  With ``decide``, each program stops as soon as a
-    certified bound puts t* outside the boundary band (see ``Phase1Result``):
-    for callers that need the sign of t* only, not its value.
-    """
+    rows: np.ndarray
+    w: np.ndarray
+    coeff: np.ndarray
+    traces: np.ndarray
+    null: np.ndarray
+
+
+def phase1_program(ops) -> Phase1Program:
+    """Run the dependency pass over the (m, d, d) stack ``ops`` once, for any
+    number of ``phase1_min_t`` calls over it; the rows must fix tr(X)."""
     m, d = np.shape(ops)[:2]
     _check_dim(d)
     if m == 0:
         raise ValueError("phase-1 needs at least the trace normalization constraint")
-    values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != m:
-        raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
     ops = np.stack([matcore.hermitize(a) for a in ops])
     # in place: A~_i = A_i - (tr A_i / d) 1
     traces = np.trace(ops, axis1=1, axis2=2).real
@@ -421,15 +434,39 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     fit = float(np.linalg.norm(null_traces))
     if fit <= CONFLICT_TOL * float(np.linalg.norm(traces)):
         raise ValueError("constraints do not fix the trace of X")
-    coeff = d * (null @ null_traces) / fit**2
+    w = u[:, keep].T / s[keep, None]
+    return Phase1Program(
+        rows=np.tensordot(w, ops, axes=1), w=w, coeff=d * (null @ null_traces) / fit**2,
+        traces=traces, null=null,
+    )
+
+
+def phase1_min_t(ops, values, *, decide: bool = False):
+    """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the (m, d, d)
+    stack ``ops`` and the m ``values``; the rows must fix tr(X).
+
+    ``ops`` may also be the ``phase1_program`` of the stack, which skips the
+    dependency pass: callers that solve many times over one stack run it once.
+    With a (k, m) array of values, the k programs share one dependency pass
+    and one batched solve, and a list of k results comes back in their order.
+    A trace-only row has A~_i = 0, so the dependency pass drops it; values
+    that conflict along a dependency make their own program primal-infeasible
+    before any iteration.  With ``decide``, each program stops as soon as a
+    certified bound puts t* outside the boundary band (see ``Phase1Result``):
+    for callers that need the sign of t* only, not its value.
+    """
+    program = ops if isinstance(ops, Phase1Program) else phase1_program(ops)
+    rows, w, coeff, traces = program.rows, program.w, program.coeff, program.traces
+    m, d = len(traces), rows.shape[1]
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != m:
+        raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
     batch = np.atleast_2d(values)
     trace_values = batch @ coeff
     tilde_b = batch - np.outer(trace_values, traces) / d
-    mismatch = np.linalg.norm(tilde_b @ null, axis=1)
+    mismatch = np.linalg.norm(tilde_b @ program.null, axis=1)
     conflict = mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1))
 
-    w = u[:, keep].T / s[keep, None]
-    rows = np.tensordot(w, ops, axes=1)
     rhs = tilde_b[~conflict] @ w.T
     shifts = trace_values[~conflict] / d if decide else np.full(len(rhs), math.nan)
     if values.ndim == 1:

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -302,31 +305,37 @@ class TestCapBeforeOperators:
         spin_operators = spinalg.spin_operators
         monkeypatch.setattr(spinalg, "spin_operators", lambda tj: built.append(tj) or spin_operators(tj))
         feasibility._moment_operator_set.cache_clear()
+        feasibility._moment_program.cache_clear()
         j = two_j / 2.0
         m = MomentMatrix.from_matrix(two_j, np.diag([j * (j + 1) / 2, j * (j + 1) / 2, 0.0]).astype(complex))
         ell = np.zeros(3)
         calls = (
             lambda: feasibility.exact_test_direct(m),
             lambda: feasibility.exact_test_first_moments(ell, two_j),
+            lambda: feasibility.exact_test_batch([m]),
             lambda: feasibility.classify(m),
         )
         for call in calls:
             with pytest.raises(ValueError, match=f"cone dimension {two_j + 1} exceeds the cap"):
                 call()
         assert built == []
+        assert feasibility._moment_program.cache_info().currsize == 0
 
     def test_early_reject_over_the_cap_leaves_no_cached_operators(self):
         two_j = 100
         cached = feasibility._moment_operator_set.cache_info().currsize
-        v = feasibility.classify(long_first_moment_moments(two_j))
-        assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
-        assert v.witness.separates
-        assert v.witness.matrix.shape == (two_j + 1, two_j + 1)
+        programs = feasibility._moment_program.cache_info().currsize
+        for build, stage in ((negative_variance_moments, "chi"), (long_first_moment_moments, "first-moment")):
+            v = feasibility.classify(build(two_j))
+            assert (v.stage, v.status) == (stage, STATUS_NON_QUANTUM)
+            assert v.witness.separates
+            assert v.witness.matrix.shape == (two_j + 1, two_j + 1)
         assert feasibility._moment_operator_set.cache_info().currsize == cached
+        assert feasibility._moment_program.cache_info().currsize == programs
 
     def test_early_reject_keeps_its_dense_witness_over_the_cap(self):
         two_j = 64
-        v = feasibility.classify(long_first_moment_moments(two_j))
+        v = feasibility.classify(negative_variance_moments(two_j))
         assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
         assert v.witness.matrix.shape == (two_j + 1, two_j + 1)
         assert matcore.min_eigenvalue(v.witness.matrix) >= -1e-9
@@ -496,14 +505,10 @@ class TestClassify:
         v = feasibility.classify(m)
         assert v.status == STATUS_QUANTUM
         assert v.stage == "inner"
-        assert [r.name for r in v.tests_run] == ["validate", "chi", "reconstruct", "inner"]
+        assert [r.name for r in v.tests_run] == ["validate", "first-moment", "chi", "reconstruct", "inner"]
 
     def test_chi_violation_rejected_before_reconstruction(self):
-        j = 2.0
-        ell = np.array([0.0, 0.0, j + 0.5])
-        m = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
-        m += 1j * spinalg._antisym_from_moments(ell)
-        v = feasibility.classify(MomentMatrix.from_matrix(4, m))
+        v = feasibility.classify(negative_variance_moments(4))
         assert v.status == STATUS_NON_QUANTUM
         assert v.stage == "chi"
         assert v.witness is not None and v.witness.value < 0
@@ -522,7 +527,7 @@ class TestClassify:
         # in the reversed (spin) order
         assert v.stage == "reconstruct"
         names = [r.name for r in v.tests_run]
-        assert names == ["validate", "chi", "reconstruct"]
+        assert names == ["validate", "first-moment", "chi", "reconstruct"]
         # the tau test is implied by the chi stage, so classify never runs it
         assert "outer" not in names
         assert v.t_star == pytest.approx(-matcore.min_eigenvalue(rho), abs=1e-12)
@@ -633,10 +638,19 @@ def dicke_mixture_moments(two_j, eps=0.01):
 
 
 def long_first_moment_moments(two_j, excess=0.5):
+    """|l| = j + excess > j: the first-moment stage rejects at every 2j."""
     j = two_j / 2.0
     m = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
     m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + excess]))
     return MomentMatrix.from_matrix(two_j, m)
+
+
+def negative_variance_moments(two_j, frac=0.1):
+    """l = 0 and <L1^2> = -e < 0 with e = frac j(j+1): the first moments pass,
+    chi rejects, and its witness separates at every 2j."""
+    casimir = two_j / 2.0 * (two_j / 2.0 + 1.0)
+    e = frac * casimir
+    return MomentMatrix.from_matrix(two_j, np.diag([-e, (casimir + e) / 2, (casimir + e) / 2]).astype(complex))
 
 
 def forbid_dense_spin_matrices(monkeypatch, stage):
@@ -658,7 +672,8 @@ class TestOneSdpPerDecision:
             ),
             "inner", STATUS_QUANTUM, 0,
         ),
-        "chi-reject": (long_first_moment_moments, "chi", STATUS_NON_QUANTUM, 0),
+        "first-moment-reject": (long_first_moment_moments, "first-moment", STATUS_NON_QUANTUM, 0),
+        "chi-reject": (negative_variance_moments, "chi", STATUS_NON_QUANTUM, 0),
         "reconstruct-reject": (
             lambda tj: coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], tj),
             "reconstruct", STATUS_NON_QUANTUM, 0,
@@ -681,7 +696,7 @@ class TestOneSdpPerDecision:
             return real_solve(ops, b, shift=shift)
 
         def counting_phase1(ops, values, *, decide=False):
-            programs.append((len(ops), decide))
+            programs.append((ops, decide))
             return real_phase1(ops, values, decide=decide)
 
         monkeypatch.setattr(sdp, "solve", counting_solve)
@@ -699,20 +714,21 @@ class TestOneSdpPerDecision:
         assert len(calls) == expected
         # at most one phase-1 program per decision: the solver's, none for the witness
         assert len(programs) == expected
-        # classify's exact stage stops at a decided bound
+        # classify's exact stage stops at a decided bound, over the per-spin program
         assert all(decided for _, decided in calls + programs)
+        assert all(ops is feasibility._moment_program(two_j) for ops, _ in programs)
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_spin_one_solves_nothing(self, monkeypatch, path):
         # at 2j = 2 the pair marginal is the state: every path ends by the
-        # reconstruct stage, with the status of the exact test
+        # reconstruct stage at the latest, with the status of the exact test
         build = self.PATHS[path][0]
         m = build(2)
         want = feasibility.exact_test_direct(m)
         calls, programs = self.count_calls(monkeypatch)
         v = feasibility.classify(m)
         assert calls == [] and programs == []
-        assert v.stage in ("chi", "reconstruct")
+        assert v.stage in ("first-moment", "chi", "reconstruct")
         assert v.status == want.status
         if v.accepted:
             assert v.stage == "reconstruct"
@@ -844,6 +860,18 @@ class TestDecidedStop:
         for m in self.families(62):
             assert iterations(feasibility.classify(m)) < iterations(feasibility.exact_test_direct(m))
 
+    def test_iterations_at_the_cap(self, monkeypatch):
+        # the interior point starts at the program's own scale: on the seed-1
+        # verdicts-cap inputs the decided solves average at most 4.2 iterations
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs
+
+        items = inputs.make_inputs(1, (62,), {"dicke": 3, "v-over-1": 3, "dicke-zero": 3})
+        verdicts = [feasibility.classify(MomentMatrix.from_matrix(it.two_j, it.matrix)) for it in items]
+        counts = [iterations(v) for v in verdicts if v.stage == "exact"]
+        assert len(counts) == 6
+        assert np.mean(counts) <= 4.2
+
     @pytest.mark.parametrize("two_j", [6, 30])
     def test_boundary_input_runs_to_the_optimum(self, two_j):
         rng = np.random.default_rng(1700 + two_j)
@@ -876,11 +904,91 @@ class TestDecidedStop:
         assert all(np.array_equal(a.x, b.x) for a, b in zip(rerun, batch))
 
 
+class TestFirstMomentStage:
+    """classify compares |l| with j first at every spin: a reject carries the
+    optimal first-moment witness, built as a band, and solves no SDP."""
+
+    CASES = [(62, 0.5), (400, 10.0), (400, 0.5), (1000, 0.5), (1000, 10.0)]
+
+    @pytest.mark.parametrize("two_j, excess", CASES)
+    def test_rejects_long_first_moments_at_every_spin(self, monkeypatch, two_j, excess):
+        rng = np.random.default_rng(2600 + two_j)
+        m = rotated(long_first_moment_moments(two_j, excess), rng)
+        d, j = two_j + 1, two_j / 2.0
+        oracle = moment_operators(two_j) if two_j <= 400 else None
+        calls, programs = TestOneSdpPerDecision.count_calls(monkeypatch)
+        forbid_dense_spin_matrices(monkeypatch, "first-moment")
+        v = feasibility.classify(m)
+        monkeypatch.undo()
+        assert calls == [] and programs == []
+        assert (v.stage, v.status, v.t_star) == ("first-moment", STATUS_NON_QUANTUM, None)
+        assert [(r.name, r.outcome) for r in v.tests_run] == [
+            ("validate", "pass"), ("first-moment", "reject"), ("witness", "found")
+        ]
+        w = v.witness
+        assert w.separates
+        assert w.value == pytest.approx((1.0 - (j + excess) / j) / d, abs=1e-12)
+        assert w.value == w.evaluate(spinalg.moment_values(m))
+        assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
+        assert np.all(w.op_coefficients[1:7] == 0.0)
+        if oracle is not None:
+            assert np.abs(np.tensordot(w.op_coefficients, oracle, axes=1) - w.matrix).max() <= 1e-12
+            assert matcore.min_eigenvalue(w.matrix) >= -1e-9
+        if two_j <= 62:
+            want = feasibility.exact_test_first_moments(m.first_moments, two_j)
+            assert abs(w.value + want.t_star) <= 1e-7
+
+    @pytest.mark.parametrize("two_j", [2, 3, 4, 10])
+    def test_matches_the_closed_form_test(self, two_j):
+        # the same witness as first_moment_test's, and the same verdict as the
+        # SDP route whenever the stage rejects
+        rng = np.random.default_rng(2700 + two_j)
+        j = two_j / 2.0
+        for _ in range(5):
+            m = rotated(long_first_moment_moments(two_j, rng.uniform(0.05, 1.0) * j), rng)
+            v = feasibility.classify(m)
+            closed = feasibility.first_moment_test(m.first_moments, two_j)
+            assert (v.stage, v.status) == ("first-moment", closed.status) == ("first-moment", STATUS_NON_QUANTUM)
+            assert np.array_equal(v.witness.op_coefficients, closed.witness.op_coefficients)
+            assert np.array_equal(v.witness.matrix, closed.witness.matrix)
+            assert feasibility.exact_test_direct(m).status == STATUS_NON_QUANTUM
+
+    def test_passing_inputs_record_the_stage(self):
+        v = feasibility.classify(negative_variance_moments(10))
+        assert [r.name for r in v.tests_run] == ["validate", "first-moment", "chi", "witness"]
+        record = v.tests_run[1]
+        assert (record.name, record.outcome) == ("first-moment", "pass")
+        assert record.detail == "|l| = 0, j = 5, t_star = -9.091e-02"
+
+    def test_reject_at_two_j_1000_is_small_in_a_fresh_process(self):
+        # the witness is a band lift: no spin matrix or operator stack is built
+        code = """
+import resource, sys
+import numpy as np
+from spinmoment import feasibility, spinalg
+two_j, j = 1000, 500.0
+m = np.diag([j / 2, j / 2, j * j]).astype(complex)
+m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + 0.5]))
+m = spinalg.MomentMatrix.from_matrix(two_j, m)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+v = feasibility.classify(m)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert v.stage == "first-moment" and v.witness.separates
+print((after - before) / 1024.0)
+"""
+        src = str(Path(spinmoment.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert float(done.stdout) < 20.0
+
+
 class TestEarlyRejectWitness:
     # (moments builder, stage it rejects at): v1 > 1 leaves chi PSD, but at
     # 2j >= 30 the v = (1.2, -0.1, -0.1) point has <L2^2> < 0 and fails chi first
     BUILDERS = (
-        (long_first_moment_moments, lambda tj: "chi"),
+        (negative_variance_moments, lambda tj: "chi"),
         (
             lambda tj: coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], tj),
             lambda tj: "reconstruct" if tj <= 10 else "chi",
@@ -912,8 +1020,7 @@ class TestEarlyRejectWitness:
     def test_chi_witness_in_closed_form(self, two_j, monkeypatch):
         rng = np.random.default_rng(950 + two_j)
         rot = random_so3(rng)
-        # at 2j = 400, l3 = j + 1/2 gives a witness inside the band, so l3 = j + 10 there
-        m = long_first_moment_moments(two_j, 10.0 if two_j == 400 else 0.5)
+        m = negative_variance_moments(two_j)
         m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
         chi = spinalg.chi_matrix(m)
         # the oracle: c over the dense ten-operator stack, normalized by its traces

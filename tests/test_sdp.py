@@ -358,9 +358,10 @@ class TestBatchedPhase1:
 
     def test_programs_stop_on_their_own(self, monkeypatch):
         # with the iteration cap at the quicker program's count, it stays optimal
-        # while its neighbour fails, each with its own log and message
-        ops, quick = corner_program(-1.0)
-        slow = corner_program(0.3)[1]
+        # while its neighbour fails, each with its own log and message; the
+        # accept <e00> = 0.3 converges in fewer iterations than the reject -1.0
+        ops, quick = corner_program(0.3)
+        slow = corner_program(-1.0)[1]
         refs = [sdp.phase1_min_t(ops, v).solution for v in (quick, slow)]
         assert refs[0].iterations < refs[1].iterations
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", refs[0].iterations)
@@ -406,6 +407,60 @@ class TestBatchedPhase1:
         for values in (np.ones((3, 1)), np.ones((2, 3)), np.ones((1, 1, 2))):
             with pytest.raises(ValueError, match="expected 2 values"):
                 sdp.phase1_min_t(ops, values)
+
+
+def assert_bit_identical(got, want):
+    assert got.solution.status == want.solution.status
+    assert got.solution.iterate_log == want.solution.iterate_log
+    assert got.t_star == want.t_star or (math.isnan(got.t_star) and math.isnan(want.t_star))
+    for a, b in ((got.x, want.x), (got.dual_z, want.dual_z), (got.dual_coefficients, want.dual_coefficients)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+class TestPreparedProgram:
+    """``phase1_program`` runs the dependency pass once; ``phase1_min_t`` given it
+    skips the pass and solves exactly as over the bare stack."""
+
+    @staticmethod
+    def programs(rng):
+        """An accept, a reject and a conflict; then the 2j = 10 moment stack at a
+        random state, the highest weight (boundary) and <L3^2> = 0 (reject)."""
+        yield mixed_batch(rng)
+        ops, edge = highest_weight_program(10)
+        inside = spinalg.moment_values(spinalg.moment_matrix(random_density(rng, 11), spinalg.spin_operators(10)))
+        casimir = 30.0
+        flat = np.array([1.0, 0.6 * casimir, 0.0, 0.0, 0.4 * casimir, 0.0, 0.0, 0.0, 0.0, 0.0])
+        yield ops, np.stack([inside, edge, flat])
+
+    @pytest.mark.parametrize("decide", [False, True])
+    def test_bit_identical_to_the_bare_stack(self, rng, decide):
+        for ops, values in self.programs(rng):
+            program = sdp.phase1_program(ops)
+            batch = sdp.phase1_min_t(program, values, decide=decide)
+            for got, want in zip(batch, sdp.phase1_min_t(ops, values, decide=decide), strict=True):
+                assert_bit_identical(got, want)
+            for v in values:
+                single = sdp.phase1_min_t(program, v, decide=decide)
+                assert_bit_identical(single, sdp.phase1_min_t(ops, v, decide=decide))
+
+    def test_holds_the_dependency_pass(self):
+        ops = np.stack([np.eye(2, dtype=complex), SIGMA_Z, 2.0 * SIGMA_Z])
+        program = sdp.phase1_program(ops)
+        assert program.rows.shape == (1, 2, 2) and program.null.shape == (3, 2)
+        assert np.abs(np.tensordot(program.coeff, ops, axes=1) - np.eye(2)).max() <= 1e-12
+        assert np.array_equal(program.traces, [2.0, 0.0, 0.0])
+        assert np.abs(np.tensordot(program.w, ops, axes=1) - program.rows).max() <= 1e-12
+
+    def test_malformed_programs_fail_at_the_pass(self):
+        with pytest.raises(ValueError, match="cap"):
+            sdp.phase1_program(np.eye(sdp.DIM_CAP + 1, dtype=complex)[None])
+        with pytest.raises(ValueError, match="at least the trace"):
+            sdp.phase1_program(np.zeros((0, 2, 2), dtype=complex))
+        with pytest.raises(ValueError, match="do not fix the trace"):
+            sdp.phase1_program(SIGMA_Z[None])
+        program = sdp.phase1_program(np.stack([np.eye(2, dtype=complex), SIGMA_Z]))
+        with pytest.raises(ValueError, match="expected 2 values"):
+            sdp.phase1_min_t(program, np.ones(3))
 
 
 class TestInfeasibilityDetection:
