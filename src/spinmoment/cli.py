@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import feasibility, matcore, reduction, sdp, spinalg
+from . import feasibility, matcore, reduction, scan, sdp, spinalg
 from .scan import scan_grid
 from .spinalg import MomentMatrix
 
@@ -380,6 +380,24 @@ def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
     return "early-witness", not failing, detail + "".join(f"; {f} failed" for f in failing)
 
 
+def _check_scan_oracle() -> tuple[str, bool, str]:
+    # The scan's R/T flags come from one LDL mask per affine slice map; the
+    # per-cell reference rebuilds each cell's state and takes its eigenvalues.
+    # On u = (0, 0, 1) the only member cell, v = (0, 0, 1), is a pure state.
+    cells = mismatches = members = 0
+    for two_j, u in ((10, (0.1, 0.2, 0.3)), (10, (0.0, 0.0, 1.0))):
+        u = np.array(u)
+        result = scan_grid(two_j, u, resolution=13, sets=("R", "T"))
+        for i1, v1 in enumerate(result.v1_values):
+            for i2, v2 in enumerate(result.v2_values):
+                in_r, _, in_t = scan._point_flags(two_j, u, float(v1), float(v2), False)
+                cells += 1
+                members += bool(in_t)
+                mismatches += (result.in_r[i1, i2], result.in_t[i1, i2]) != (in_r, in_t)
+    detail = f"{cells} cells on the figure and u = (0, 0, 1) slices, {members} in T, {mismatches} differ"
+    return "scan-oracle", mismatches == 0 and members > 0, detail
+
+
 def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str, bool, str]]:
     """Every suite in order; the sampling suites draw from one generator in turn."""
     rng = np.random.default_rng(seed)
@@ -391,6 +409,7 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
         _check_witness_duality(),
         _check_first_moment(rng),
         _check_early_witness(rng),
+        _check_scan_oracle(),
     ]
 
 

@@ -311,8 +311,8 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     form, (|l|/j - 1)/(2j+1), which the stage detail reports; ``t_star``
     stays None, as no SDP ran.  A reject carries the optimal witness
     ``_first_moment_witness``, Z = (1 - l^.L/j)/(2j+1); an accept's
-    certificate mixes the top eigenstate of l^.L, the spin operator along l,
-    with the maximally mixed state.
+    certificate mixes the top eigenstate of l^.L, the spin coherent state
+    along l (``spinalg.coherent_state``), with the maximally mixed state.
     """
     two_j = spinalg._check_two_j(two_j)
     ell = np.asarray(ell, dtype=float)
@@ -329,14 +329,12 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     if r == 0.0:
         state = np.eye(d, dtype=complex) / d
     else:
-        triple = spinalg.spin_operators(two_j)
-        n_hat = ell / r
-        l_n = n_hat[0] * triple.l1 + n_hat[1] * triple.l2 + n_hat[2] * triple.l3
-        top = matcore.hermitian_eig(l_n)[1][:, -1]
         weight = min(r, j) / j
-        state = weight * np.outer(top, top.conj())
-        state += (1.0 - weight) * np.eye(d) / d
-        state = (state + state.conj().T) / 2.0
+        top = spinalg.coherent_state(ell, two_j)
+        state = np.outer(top, top.conj())
+        state += state.conj().T  # in place, so that the state is exactly Hermitian
+        state *= weight / 2.0
+        state[np.arange(d), np.arange(d)] += (1.0 - weight) / d
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add("first-moment", "boundary" if status == STATUS_BOUNDARY else "accept", detail)
     return Verdict(status, "first-moment", None, state, None, log.done())

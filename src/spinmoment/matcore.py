@@ -1,6 +1,7 @@
 """Dense complex / Hermitian linear algebra primitives shared by all modules,
 and the one table of decision tolerances: only ``hermitize`` and ``is_psd``
-take a threshold argument, since each has two values in use."""
+take a threshold argument, since each has two values in use; ``psd_mask``,
+the stacked positivity test, reads ``PSD_TOL`` itself."""
 
 from __future__ import annotations
 
@@ -62,6 +63,30 @@ def min_eigenvalue(h: np.ndarray) -> float:
 def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff the minimum eigenvalue is >= -tol."""
     return min_eigenvalue(h) >= -tol
+
+
+def psd_mask(stack: np.ndarray) -> np.ndarray:
+    """lambda_min >= -PSD_TOL for every matrix of a (..., n, n) Hermitian stack.
+
+    An LDL^dag factorization of stack + PSD_TOL*1, one pivot at a time, each
+    step vectorized over the whole stack: the shifted matrix is positive
+    definite iff every pivot is positive (Sylvester).  A matrix whose pivot is
+    <= 0 is marked and its pivot replaced by 1, so the rest of the stack runs
+    on with finite entries.  No eigenvalues are formed, so a stack of many
+    small matrices costs a few array operations per pivot.
+    """
+    a = np.array(stack, dtype=complex)
+    n = a.shape[-1]
+    a[..., np.arange(n), np.arange(n)] += PSD_TOL
+    ok = np.ones(a.shape[:-2], dtype=bool)
+    for k in range(n):
+        pivot = a[..., k, k].real
+        positive = pivot > 0.0
+        ok &= positive
+        col = a[..., k + 1 :, k] / np.where(positive, pivot, 1.0)[..., None]
+        # Schur complement: A[k+1:, k+1:] -= A[k+1:, k] A[k, k+1:] / pivot
+        a[..., k + 1 :, k + 1 :] -= col[..., :, None] * a[..., None, k, k + 1 :]
+    return ok
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,25 +2,27 @@
 
 Every grid point fixes v3 = 1 - v1 - v2 (the Casimir constraint) and is
 classified against the inner PPT set R, the exact extendible set S_j and the
-outer reduced-expectation-value set T_j.  R and T come from stacked 4x4
-eigenvalue tests, a grid row at a time; the SDP runs only on cells in T but
-not R, which is sound because the three sets are nested.  Those cells share
-one operator stack and differ only in their moment values, so they are
-decided together by one batched phase-1 solve (``feasibility.exact_test_batch``).
-Output goes to CSV and optionally to a simple SVG rendering.
+outer reduced-expectation-value set T_j.  rho, its partial transpose and tau
+are affine in (v1, v2), so R and T come from one positivity mask
+(``matcore.psd_mask``, an LDL^dag vectorized over the stack) per map, on
+blocks of whole grid rows that hold at most ``sdp.BATCH_ENTRIES`` entries.
+The SDP runs only on cells in T but not R, which is sound because the three
+sets are nested.  Those cells share one operator stack and differ only in
+their moment values, so they are decided by batched phase-1 solves
+(``feasibility.exact_test_batch``), one kernel chunk at a time, of which only
+the flags are kept.  Output goes to CSV and optionally to a simple SVG
+rendering.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import feasibility, matcore, reduction
+from . import feasibility, matcore, reduction, sdp
 
 SVG_COLORS = {"R": "#1b5e90", "S": "#5aa9d6", "T": "#c6e3f2"}
 _CSV_HEADER = ("v1", "v2", "in_R", "in_Sj", "in_Tj")
@@ -53,6 +55,8 @@ class ScanResult:
         return int((flags == 1).sum())
 
     def to_csv(self, path: str) -> None:
+        import csv
+
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_HEADER)
@@ -106,13 +110,19 @@ def _slice_maps(two_j: int, u: np.ndarray):
     return [(c0, c1 - c0, c2 - c0) for c0, c1, c2 in zip(*corners)]
 
 
-def _exact_cells(args) -> tuple[list[bool], float]:
-    """Exact tests of cells in T but not R from one batched phase-1 solve;
-    returns (accepted per cell, seconds)."""
+def _exact_cells(args) -> tuple[list[bool], list[float]]:
+    """Exact tests of cells in T but not R, fed to ``exact_test_batch`` one
+    kernel chunk at a time so that only the flags outlive a chunk; returns
+    (accepted, seconds) per cell, each cell timed at its chunk's share."""
     two_j, u, points = args
-    t0 = time.perf_counter()
-    verdicts = feasibility.exact_test_batch([_moments(two_j, u, v1, v2) for v1, v2 in points])
-    return [v.accepted for v in verdicts], time.perf_counter() - t0
+    step = sdp.batch_size(feasibility._moment_program(two_j).rows.size)
+    accepted, seconds = [], []
+    for a in range(0, len(points), step):
+        t0 = time.perf_counter()
+        chunk = [_moments(two_j, u, v1, v2) for v1, v2 in points[a : a + step]]
+        accepted += [v.accepted for v in feasibility.exact_test_batch(chunk)]
+        seconds += [(time.perf_counter() - t0) / len(chunk)] * len(chunk)
+    return accepted, seconds
 
 
 def scan_grid(
@@ -128,10 +138,10 @@ def scan_grid(
 
     R and T come from the affine maps of ``_slice_maps`` (T through tau, as
     chi = D tau D would scale the tolerance edge by up to j^2).  S is skipped
-    unless requested; only its cells in T but not R run the SDP, all in one
-    batched solve.  ``workers`` > 1 splits those cells into that many
-    contiguous chunks, one batched solve per process, with results collected
-    in cell order.
+    unless requested; only its cells in T but not R run the SDP, in batched
+    solves.  ``workers`` > 1 splits those cells into that many contiguous
+    spans, each decided in its own process, with results collected in cell
+    order.
     """
     two_j = reduction._require_j_ge_1(two_j)
     if resolution < 2 or resolution > 1024:
@@ -154,13 +164,15 @@ def scan_grid(
     maps = _slice_maps(two_j, u)
     in_r = np.zeros((resolution, resolution), dtype=bool)
     in_t = np.zeros_like(in_r)
-    for i1, v1 in enumerate(v1s):
+    # blocks of whole rows whose three stacks together hold at most BATCH_ENTRIES entries
+    step = sdp.batch_size(resolution * sum(c0.size for c0, _, _ in maps))
+    for a in range(0, resolution, step):
+        v1 = v1s[a : a + step, None, None, None]
         rho_psd, pt_psd, tau_psd = (
-            np.linalg.eigvalsh(c0 + v1 * d1 + v2s[:, None, None] * d2)[:, 0] >= -matcore.PSD_TOL
-            for c0, d1, d2 in maps
+            matcore.psd_mask(c0 + v1 * d1 + v2s[:, None, None] * d2) for c0, d1, d2 in maps
         )
-        in_r[i1] = rho_psd & pt_psd
-        in_t[i1] = rho_psd & tau_psd
+        in_r[a : a + step] = rho_psd & pt_psd
+        in_t[a : a + step] = rho_psd & tau_psd
     secs = np.full(in_r.shape, (time.perf_counter() - t0) / in_r.size)
 
     s = np.full(in_r.shape, -1, dtype=np.int8)
@@ -174,12 +186,14 @@ def scan_grid(
         if len(jobs) <= 1:
             done = list(map(_exact_cells, jobs))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 done = list(pool.map(_exact_cells, jobs))
         for (a, b), (accepted, seconds) in zip(spans, done):
             chunk = tuple(cells[a:b].T)
             s[chunk] = accepted
-            secs[chunk] += seconds / (b - a)
+            secs[chunk] += seconds
 
     return ScanResult(two_j, u, v1s, v2s, in_r.astype(np.int8), s, in_t.astype(np.int8), secs)
 

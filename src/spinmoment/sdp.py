@@ -410,6 +410,12 @@ class Phase1Program:
     null: np.ndarray
 
 
+def batch_size(entries: int) -> int:
+    """How many items of ``entries`` complex entries each fit in one block of
+    ``BATCH_ENTRIES`` (at least one): the chunk length of every batched stack."""
+    return max(1, BATCH_ENTRIES // max(1, entries))
+
+
 def phase1_program(ops) -> Phase1Program:
     """Run the dependency pass over the (m, d, d) stack ``ops`` once, for any
     number of ``phase1_min_t`` calls over it; the rows must fix tr(X)."""
@@ -473,8 +479,7 @@ def phase1_min_t(ops, values, *, decide: bool = False):
         shift = float(shifts[0]) if decide and len(rhs) else None
         solutions = iter([solve(rows, rhs[0], shift=shift)] if len(rhs) else [])
     else:
-        # chunks keep each (k, m, d, d) stack of the kernel within BATCH_ENTRIES
-        step = max(1, BATCH_ENTRIES // max(1, len(rows) * d * d))
+        step = batch_size(rows.size)  # each (k, r, d, d) stack of the kernel
         solutions = (
             sol
             for i in range(0, len(rhs), step)

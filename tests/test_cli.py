@@ -423,6 +423,7 @@ class TestScanCommand:
             (6, (0.0, 0.0, 1.0), 7, ("R", "S", "T")),
             (10, (0.1, 0.2, 0.3), 15, ("R", "S", "T")),
             (62, (0.3, -0.2, 0.1), 15, ("R", "T")),
+            (62, (0.3, -0.2, 0.1), 31, ("R", "T")),
         ],
     )
     def test_every_cell_matches_point_oracle(self, two_j, u, n, sets):
@@ -435,6 +436,37 @@ class TestScanCommand:
                 fr, fs, ft = _point_flags(two_j, u, float(v1), float(v2), "S" in sets)
                 got = (result.in_r[i1, i2], result.in_s[i1, i2], result.in_t[i1, i2])
                 assert got == (int(fr), int(fs), int(ft)), (v1, v2)
+
+    def test_blocks_smaller_than_a_row_keep_the_flags(self, monkeypatch):
+        # a budget below one grid row gives one-row R/T blocks and one-cell exact batches
+        u = np.array([0.1, 0.2, 0.3])
+        whole = scan_grid(10, u, resolution=9)
+        monkeypatch.setattr(sdp, "BATCH_ENTRIES", 8)
+        assert sdp.batch_size(9 * 41) == 1
+        blocked = scan_grid(10, u, resolution=9)
+        assert (blocked.in_s == 0).any() and (blocked.in_s[blocked.in_r == 0] == 1).any()
+        for name in ("in_r", "in_s", "in_t"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+    def test_random_slices_match_per_row_eigenvalue_tests(self):
+        # the per-row eigvalsh scan the LDL mask replaced, over the same affine maps
+        from spinmoment import matcore
+        from spinmoment.scan import _slice_maps
+
+        rng = np.random.default_rng(1903)
+        for _ in range(10):
+            two_j = int(rng.integers(2, 64))
+            u = rng.uniform(-0.4, 0.4, 3)
+            result = scan_grid(two_j, u, resolution=51, sets=("R", "T"))
+            maps = _slice_maps(two_j, u)
+            for i1, v1 in enumerate(result.v1_values):
+                rho_psd, pt_psd, tau_psd = (
+                    np.linalg.eigvalsh(c0 + v1 * d1 + result.v2_values[:, None, None] * d2)[:, 0]
+                    >= -matcore.PSD_TOL
+                    for c0, d1, d2 in maps
+                )
+                assert np.array_equal(result.in_r[i1], rho_psd & pt_psd), (two_j, u, v1)
+                assert np.array_equal(result.in_t[i1], rho_psd & tau_psd), (two_j, u, v1)
 
     def test_warns_on_long_u(self, tmp_path, capsys):
         rc = cli.main(
@@ -506,6 +538,20 @@ class TestValidateCommand:
         name, ok, detail = cli._check_early_witness(np.random.default_rng(2024))
         assert (name, ok) == ("early-witness", False)
         assert "chi at 2j = 4 failed" in detail
+
+    def test_scan_oracle_suite_catches_a_wrong_mask(self, monkeypatch):
+        from spinmoment import matcore
+
+        real = matcore.psd_mask
+        name, ok, detail = cli._check_scan_oracle()
+        assert (name, ok) == ("scan-oracle", True)
+        assert detail.startswith("338 cells") and detail.endswith(", 0 differ")
+        # a mask shifted the wrong way, lambda_min >= +PSD_TOL, drops the pure state
+        # at v = (0, 0, 1) on the u = (0, 0, 1) slice
+        shift = 2.0 * matcore.PSD_TOL
+        monkeypatch.setattr(matcore, "psd_mask", lambda stack: real(stack - shift * np.eye(stack.shape[-1])))
+        name, ok, _ = cli._check_scan_oracle()
+        assert (name, ok) == ("scan-oracle", False)
 
     def test_first_moment_suite_catches_flipped_sign(self, monkeypatch):
         import dataclasses

@@ -110,6 +110,35 @@ class TestFirstMomentTest:
             )
 
 
+class TestCoherentState:
+    @pytest.mark.parametrize("two_j", range(1, 21))
+    def test_equals_the_top_eigenvector(self, two_j):
+        rng = np.random.default_rng(700 + two_j)
+        triple = spinalg.spin_operators(two_j)
+        poles = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), np.array([1e-9, 0.0, -1.0])]
+        for direction in poles + list(rng.standard_normal((6, 3))):
+            n_hat = direction / np.linalg.norm(direction)
+            l_n = n_hat[0] * triple.l1 + n_hat[1] * triple.l2 + n_hat[2] * triple.l3
+            top = matcore.hermitian_eig(l_n)[1][:, -1]
+            state = spinalg.coherent_state(direction, two_j)
+            assert np.abs(np.outer(state, state.conj()) - np.outer(top, top.conj())).max() <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [1, 7, 62, 1000])
+    def test_certificate_reproduces_the_first_moments(self, two_j):
+        rng = np.random.default_rng(800 + two_j)
+        j = two_j / 2.0
+        triple = spinalg.spin_operators(two_j)
+        for ell in [np.array([0.0, 0.0, -j]), *(rng.standard_normal((3, 3)))]:
+            ell = ell / np.linalg.norm(ell) * j * rng.uniform(0.2, 1.0)
+            v = feasibility.first_moment_test(ell, two_j)
+            assert v.accepted
+            state = v.certificate_state
+            assert np.array_equal(state, state.conj().T)
+            assert abs(np.trace(state).real - 1.0) <= 1e-12
+            moments = [matcore.hs_inner(state, lk) for lk in triple.as_list()]
+            assert np.abs(np.array(moments) - ell).max() <= 1e-12 * j
+
+
 class TestBuildFixedState:
     def test_zero_moments(self):
         state = feasibility.build_fixed_state(np.zeros(3), 4)

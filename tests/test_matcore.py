@@ -64,6 +64,44 @@ class TestPsd:
         assert matcore.is_psd(np.diag([1.0, -1e-9]).astype(complex), tol=1e-8)
 
 
+def _hermitian_stack(rng, n, spectra):
+    """U diag(lambda) U^dag for each row of ``spectra`` and a random unitary U."""
+    g = rng.standard_normal((len(spectra), n, n)) + 1j * rng.standard_normal((len(spectra), n, n))
+    u, _ = np.linalg.qr(g)
+    h = u @ (spectra[:, :, None] * u.conj().transpose(0, 2, 1))
+    return (h + h.conj().transpose(0, 2, 1)) / 2.0
+
+
+class TestPsdMask:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_eigenvalue_test(self, n, seed):
+        rng = np.random.default_rng(seed)
+        tol = matcore.PSD_TOL
+        general = rng.uniform(-1.0, 1.0, (8, n))
+        singular = rng.uniform(0.0, 1.0, (4, n))
+        singular[:, rng.integers(n)] = 0.0
+        inside = rng.uniform(0.1, 1.0, (4, n))
+        inside[:, 0] = -tol * (1.0 - 1e-3)
+        outside = rng.uniform(0.1, 1.0, (4, n))
+        outside[:, 0] = -tol * (1.0 + 1e-3)
+        spectra = np.concatenate([general, singular, inside, outside])
+        stack = _hermitian_stack(rng, n, spectra).reshape(4, 5, n, n)
+        before = stack.copy()
+        mask = matcore.psd_mask(stack)
+        assert np.array_equal(stack, before)
+        assert mask.shape == (4, 5)
+        assert np.array_equal(mask, np.linalg.eigvalsh(stack)[..., 0] >= -tol)
+        assert np.array_equal(mask.reshape(-1)[-8:], [True] * 4 + [False] * 4)
+        assert mask.reshape(-1)[8:12].all()
+
+    def test_empty_and_indefinite_pivots(self):
+        # a zero or negative leading pivot marks only its own matrix
+        stack = np.array([np.diag([-1.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]], np.eye(2)], dtype=complex)
+        assert matcore.psd_mask(stack).tolist() == [False, False, True]
+        assert matcore.psd_mask(np.zeros((0, 3, 3))).shape == (0,)
+
+
 class TestKron:
     def test_identities(self):
         eye2 = np.eye(2, dtype=complex)
