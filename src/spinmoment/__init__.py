@@ -11,12 +11,10 @@ from .matcore import (
 from .spinalg import (
     MomentMatrix,
     SpinOperatorTriple,
-    StandardForm,
     chi_matrix,
     extract_first_moments,
     moment_matrix,
     spin_operators,
-    standard_form,
     validate_algebra,
 )
 from .reduction import (

@@ -226,13 +226,6 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
     return Witness(z, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
 
 
-def _phase1_verdict(ops, values: np.ndarray, labels, stage: str, decide: bool = False) -> Verdict:
-    """Solve the phase-1 program over labelled operators (or their
-    ``sdp.phase1_program``) and read its verdict."""
-    log = _StageLog()
-    return _read_phase1(sdp.phase1_min_t(ops, values, decide=decide), values, labels, stage, log)
-
-
 _BOUND_KINDS = {sdp.STATUS_PRIMAL_BOUND: "primal bound", sdp.STATUS_DUAL_BOUND: "dual bound"}
 
 
@@ -318,6 +311,7 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     ell = np.asarray(ell, dtype=float)
     if ell.shape != (3,):
         raise ValueError("first moments must be a real 3-vector")
+    spinalg._check_finite("first moments", "l", ell)
     j = two_j / 2.0
     d = two_j + 1
     r = float(np.linalg.norm(ell))
@@ -367,7 +361,8 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     bound on t* clears the band, and ``t_star`` is that bound.
     """
     values = spinalg.moment_values(m)
-    return _phase1_verdict(_moment_program(m.two_j), values, spinalg.MOMENT_LABELS, "exact", decide)
+    p1 = sdp.phase1_min_t(_moment_program(m.two_j), values, decide=decide)
+    return _read_phase1(p1, values, spinalg.MOMENT_LABELS, "exact", _StageLog())
 
 
 def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
@@ -401,9 +396,10 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
     Exists alongside the closed form as an independently checkable path.
     """
     two_j = spinalg._check_two_j(two_j)
-    ops = _moment_operator_set(two_j)[_FIRST_MOMENTS]
     values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
-    return _phase1_verdict(ops, values, _FIRST_MOMENT_LABELS, "exact-first-moment")
+    spinalg._check_finite("first moments", "l", values[1:])
+    p1 = sdp.phase1_min_t(_moment_operator_set(two_j)[_FIRST_MOMENTS], values)
+    return _read_phase1(p1, values, _FIRST_MOMENT_LABELS, "exact-first-moment", _StageLog())
 
 
 def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
@@ -421,7 +417,9 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     size limit.
     """
     two_j = reduction._require_j_ge_1(two_j)
-    rho = matcore.hermitize(np.asarray(rho, dtype=complex), tol=1e-10)
+    rho = np.asarray(rho, dtype=complex)
+    spinalg._check_finite("reduced state", "rho", rho)
+    rho = matcore.hermitize(rho, tol=1e-10)
     if rho.shape != (3, 3):
         raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")
     if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
@@ -429,7 +427,8 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     sdp._check_dim(two_j + 1)
     basis3 = matcore.hermitian_basis(3)
     values = np.array([matcore.hs_inner(e, rho) for e in basis3])
-    return _phase1_verdict(_pair_adjoint(basis3, two_j), values, _EXTENSION_LABELS, "extension")
+    p1 = sdp.phase1_min_t(_pair_adjoint(basis3, two_j), values)
+    return _read_phase1(p1, values, _EXTENSION_LABELS, "extension", _StageLog())
 
 
 def _validate_half_spin_structure(m: MomentMatrix) -> None:
@@ -516,14 +515,15 @@ def classify(m: MomentMatrix) -> Verdict:
     if witness is None:
         rho = reduction.reconstruct_rho(m)
         lam, witness = _eigen_stage("reconstruct", rho, m, log)
-    if witness is None and m.two_j == 2:
-        # a PPT rho_j is separable, so quantum even within the band, as at the inner stage
-        quantum = lam > BOUNDARY_BAND or reduction.ppt_inner_test(rho)
-        log.records[-1] = replace(log.records[-1], outcome="accept" if quantum else "boundary")
-        status = STATUS_QUANTUM if quantum else STATUS_BOUNDARY
-        return Verdict(status, "reconstruct", -lam, rho[::-1, ::-1].copy(), None, log.done(), "optimum")
     if witness is None:
-        if reduction.ppt_inner_test(rho):
+        # the reconstruct stage passed rho_j >= 0, so PPT needs only the partial transpose
+        if m.two_j == 2:
+            # a PPT rho_j is separable, so quantum even within the band, as at the inner stage
+            quantum = lam > BOUNDARY_BAND or matcore.is_psd(reduction._partial_transpose(rho))
+            log.records[-1] = replace(log.records[-1], outcome="accept" if quantum else "boundary")
+            status = STATUS_QUANTUM if quantum else STATUS_BOUNDARY
+            return Verdict(status, "reconstruct", -lam, rho[::-1, ::-1].copy(), None, log.done(), "optimum")
+        if matcore.is_psd(reduction._partial_transpose(rho)):
             log.add("inner", "accept", "reduced state is PPT, hence separable")
             return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
         log.add("inner", "undecided", "reduced state is entangled")

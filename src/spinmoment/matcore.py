@@ -14,7 +14,6 @@ PSD_TOL = 1e-8  # lambda_min >= -PSD_TOL counts as positive semidefinite
 BOUNDARY_BAND = 1e-7  # |t*| within the band is "boundary"; a witness separates below -band
 CASIMIR_TOL = 1e-9  # Hermiticity, Casimir trace, Im(M) of M, times max(1, max |M_kl|); sum(v) = 1
 RESIDUAL_TOL = 1e-8  # moment-value residual of the reconstructed state, times max(1, max |b_i|)
-DEGENERACY_TOL = 1e-9  # eigenvalue ties in the standard form, times max(1, max |eigenvalue|)
 STRUCTURE_TOL = 1e-9  # max |Re(M) - I/4| at j = 1/2
 TRACE_TOL = 1e-9  # |tr rho - 1| of a spin state
 

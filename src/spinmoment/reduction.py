@@ -64,10 +64,6 @@ class RenormalizedCoords:
     v: np.ndarray
     two_j: int
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
 
 @lru_cache(maxsize=None)
 def reduction_operators(two_j: int) -> np.ndarray:
@@ -149,7 +145,7 @@ def renormalized_coords(m: MomentMatrix) -> RenormalizedCoords:
 def moments_from_coords(coords: RenormalizedCoords, offdiag_re: np.ndarray | None = None) -> MomentMatrix:
     """Rebuild the moment matrix from renormalized coordinates.
 
-    Off-diagonal real parts default to zero (the standard form); sum(v) must
+    Off-diagonal real parts default to zero (Re(M) diagonal); sum(v) must
     equal 1 within the absolute ``matcore.CASIMIR_TOL``, since v is O(1): that
     is the Casimir identity in these coordinates.
     """

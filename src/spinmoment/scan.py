@@ -45,10 +45,6 @@ class ScanResult:
     in_t: np.ndarray
     point_seconds: np.ndarray
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
     def area(self, which: str) -> int:
         """Number of member cells of one of the sets R, S, T."""
         flags = {"R": self.in_r, "S": self.in_s, "T": self.in_t}[which.upper()]
@@ -74,7 +70,60 @@ class ScanResult:
                     )
 
     def to_svg(self, path: str, size: int = 640, margin: int = 60) -> None:
-        write_scan_svg(self, path, size=size, margin=margin)
+        """Render the nested regions as filled grid cells (SVG 1.1, no dependencies).
+
+        Cell fills use the innermost membership: R inside S inside T.  Cells are
+        emitted row-major with ids c-<i1>-<i2> so the drawing can be checked
+        against the CSV flags.
+        """
+        n1 = len(self.v1_values)
+        n2 = len(self.v2_values)
+        cw = size / n1
+        ch = size / n2
+        lines = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{size + 2 * margin}" height="{size + 2 * margin}">',
+            f'<rect x="{margin}" y="{margin}" width="{size}" height="{size}" '
+            'fill="white" stroke="black" stroke-width="1"/>',
+        ]
+        for i1 in range(n1):
+            for i2 in range(n2):
+                if self.in_r[i1, i2] == 1:
+                    fill = SVG_COLORS["R"]
+                elif self.in_s[i1, i2] == 1:
+                    fill = SVG_COLORS["S"]
+                elif self.in_t[i1, i2] == 1:
+                    fill = SVG_COLORS["T"]
+                else:
+                    continue
+                x = margin + i1 * cw
+                y = margin + size - (i2 + 1) * ch
+                lines.append(
+                    f'<rect id="c-{i1}-{i2}" x="{x:.3f}" y="{y:.3f}" '
+                    f'width="{cw:.3f}" height="{ch:.3f}" fill="{fill}"/>'
+                )
+        j_label = f"{self.two_j // 2}" if self.two_j % 2 == 0 else f"{self.two_j}/2"
+        u_label = ", ".join(f"{x:g}" for x in self.u)
+        lines.append(
+            f'<text x="{margin}" y="{margin - 20}" font-size="16">'
+            f"moment regions at j = {j_label}, u = ({u_label})</text>"
+        )
+        lines.append(
+            f'<text x="{margin + size / 2}" y="{size + 2 * margin - 15}" '
+            f'font-size="14" text-anchor="middle">v1</text>'
+        )
+        lines.append(
+            f'<text x="15" y="{margin + size / 2}" font-size="14" '
+            f'transform="rotate(-90 15 {margin + size / 2})" text-anchor="middle">v2</text>'
+        )
+        for i, (name, color) in enumerate(SVG_COLORS.items()):
+            x = margin + size - 150 + i * 50
+            lines.append(f'<rect x="{x}" y="{margin - 32}" width="14" height="14" fill="{color}"/>')
+            lines.append(f'<text x="{x + 18}" y="{margin - 20}" font-size="13">{name}</text>')
+        lines.append("</svg>")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _moments(two_j: int, u: np.ndarray, v1: float, v2: float):
@@ -196,60 +245,3 @@ def scan_grid(
             secs[chunk] += seconds
 
     return ScanResult(two_j, u, v1s, v2s, in_r.astype(np.int8), s, in_t.astype(np.int8), secs)
-
-
-def write_scan_svg(result: ScanResult, path: str, size: int = 640, margin: int = 60) -> None:
-    """Render the nested regions as filled grid cells (SVG 1.1, no dependencies).
-
-    Cell fills use the innermost membership: R inside S inside T.  Cells are
-    emitted row-major with ids c-<i1>-<i2> so the drawing can be checked
-    against the CSV flags.
-    """
-    n1 = len(result.v1_values)
-    n2 = len(result.v2_values)
-    cw = size / n1
-    ch = size / n2
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size + 2 * margin}" height="{size + 2 * margin}">',
-        f'<rect x="{margin}" y="{margin}" width="{size}" height="{size}" '
-        'fill="white" stroke="black" stroke-width="1"/>',
-    ]
-    for i1 in range(n1):
-        for i2 in range(n2):
-            if result.in_r[i1, i2] == 1:
-                fill = SVG_COLORS["R"]
-            elif result.in_s[i1, i2] == 1:
-                fill = SVG_COLORS["S"]
-            elif result.in_t[i1, i2] == 1:
-                fill = SVG_COLORS["T"]
-            else:
-                continue
-            x = margin + i1 * cw
-            y = margin + size - (i2 + 1) * ch
-            lines.append(
-                f'<rect id="c-{i1}-{i2}" x="{x:.3f}" y="{y:.3f}" '
-                f'width="{cw:.3f}" height="{ch:.3f}" fill="{fill}"/>'
-            )
-    j_label = f"{result.two_j // 2}" if result.two_j % 2 == 0 else f"{result.two_j}/2"
-    u_label = ", ".join(f"{x:g}" for x in result.u)
-    lines.append(
-        f'<text x="{margin}" y="{margin - 20}" font-size="16">'
-        f"moment regions at j = {j_label}, u = ({u_label})</text>"
-    )
-    lines.append(
-        f'<text x="{margin + size / 2}" y="{size + 2 * margin - 15}" '
-        f'font-size="14" text-anchor="middle">v1</text>'
-    )
-    lines.append(
-        f'<text x="15" y="{margin + size / 2}" font-size="14" '
-        f'transform="rotate(-90 15 {margin + size / 2})" text-anchor="middle">v2</text>'
-    )
-    for i, (name, color) in enumerate(SVG_COLORS.items()):
-        x = margin + size - 150 + i * 50
-        lines.append(f'<rect x="{x}" y="{margin - 32}" width="14" height="14" fill="{color}"/>')
-        lines.append(f'<text x="{x + 18}" y="{margin - 20}" font-size="13">{name}</text>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

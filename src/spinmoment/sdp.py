@@ -139,14 +139,11 @@ def _lowest_eigenvalue(w: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(w)[..., 0]
 
 
-def _max_step(inv_factor: np.ndarray, direction: np.ndarray, failed=None) -> np.ndarray:
+def _max_step(inv_factor: np.ndarray, direction: np.ndarray, failed: dict[int, str]) -> np.ndarray:
     """Largest alpha with C + alpha * direction still PSD, given L^-1 for C = L L^dag,
     per matrix of a stack; ``failed`` as in ``_each``."""
     w = _herm(inv_factor @ direction @ _adjoint(inv_factor))
-    if failed is None:
-        lam = _lowest_eigenvalue(w)
-    else:
-        lam = _each(_lowest_eigenvalue, (w,), failed, _lowest_eigenvalue, lambda _: 0.0)
+    lam = _each(_lowest_eigenvalue, (w,), failed, _lowest_eigenvalue, lambda _: 0.0)
     return np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
 
 

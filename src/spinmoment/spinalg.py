@@ -56,6 +56,14 @@ def _check_two_j(two_j: int) -> int:
     return two_j
 
 
+def _check_finite(what: str, symbol: str, a: np.ndarray) -> None:
+    """Raise a ``ValueError`` that names every non-finite entry of ``a``."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        entries = (symbol + "".join(f"[{i}]" for i in idx) + f" = {a[tuple(idx)]}" for idx in bad)
+        raise ValueError(f"{what} has non-finite entries: {', '.join(entries)}")
+
+
 @dataclass(frozen=True)
 class SpinOperatorTriple:
     """The three spin matrices L1, L2, L3 for total spin j = two_j / 2."""
@@ -99,20 +107,13 @@ class MomentMatrix:
     matrix: np.ndarray
     first_moments: np.ndarray = field(repr=False)
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
     @classmethod
     def from_matrix(cls, two_j: int, matrix: np.ndarray) -> "MomentMatrix":
         two_j = _check_two_j(two_j)
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"moment matrix must be 3x3, got {m.shape}")
-        bad = np.argwhere(~np.isfinite(m))
-        if bad.size:
-            entries = ", ".join(f"M[{k}][{l}] = {m[k, l]}" for k, l in bad)
-            raise ValueError(f"moment matrix has non-finite entries: {entries}")
+        _check_finite("moment matrix", "M", m)
         tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
         dev = float(np.abs(m - m.conj().T).max())
         if dev > tol:
@@ -128,15 +129,6 @@ class MomentMatrix:
             )
         ell = extract_first_moments(m)
         return cls(two_j=two_j, matrix=m, first_moments=ell)
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """Rotation R (det +1) with R Re(M) R^T diagonal, descending."""
-
-    rotation: np.ndarray
-    diagonal: np.ndarray
-    first_moments: np.ndarray
 
 
 def spin_operators(two_j: int) -> SpinOperatorTriple:
@@ -260,67 +252,3 @@ def chi_matrix(m: MomentMatrix) -> np.ndarray:
     the lower-right block is M.  PSD for every moment matrix of a true state.
     """
     return np.tensordot(moment_values(m), CHI_PATTERN, axes=1)
-
-
-def _antisym_from_moments(ell: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix A with A_kl = eps_klm * l_m / 2."""
-    a = np.zeros((3, 3))
-    a[0, 1], a[1, 0] = ell[2] / 2.0, -ell[2] / 2.0
-    a[1, 2], a[2, 1] = ell[0] / 2.0, -ell[0] / 2.0
-    a[2, 0], a[0, 2] = ell[1] / 2.0, -ell[1] / 2.0
-    return a
-
-
-def _closest_to_identity(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Fix the basis inside degenerate eigenvalue blocks.
-
-    A block is a run within ``matcore.DEGENERACY_TOL`` * max(1, max |vals|).
-    Within each block the eigenbasis is free up to an orthogonal mix; pick the
-    one closest (Frobenius) to the identity columns via orthogonal Procrustes.
-    Size-1 blocks reduce to a deterministic sign choice.
-    """
-    v = vecs.copy()
-    tol = matcore.DEGENERACY_TOL * max(1.0, float(np.abs(vals).max()))
-    start = 0
-    while start < 3:
-        end = start + 1
-        while end < 3 and abs(vals[end] - vals[start]) <= tol:
-            end += 1
-        idx = list(range(start, end))
-        if len(idx) == 1:
-            col = v[:, start]
-            s = col[start]
-            if s == 0.0:
-                s = col[int(np.argmax(np.abs(col)))]
-            if s < 0.0:
-                v[:, start] = -col
-        else:
-            g = v[np.ix_(idx, idx)].T
-            u, _, wt = np.linalg.svd(g)
-            v[:, idx] = v[:, idx] @ (u @ wt)
-        start = end
-    return v
-
-
-def standard_form(m: MomentMatrix) -> StandardForm:
-    """Rotate M to the standard form: Re part diagonal, sorted descending.
-
-    The rotation acts on the moment level only (covariance property); no spin-j
-    rotation matrix is ever materialized.  Ties inside degenerate eigenvalue
-    blocks are broken toward the identity, and one column sign is flipped if
-    needed so that det R = +1.
-    """
-    re = m.matrix.real.copy()
-    re = (re + re.T) / 2.0
-    vals, vecs = matcore.hermitian_eig(re.astype(complex))
-    vecs = vecs.real
-    # descending eigenvalues
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    vecs = _closest_to_identity(vecs, vals)
-    if np.linalg.det(vecs) < 0.0:
-        flip = int(np.argmin(np.diag(vecs)))
-        vecs[:, flip] = -vecs[:, flip]
-    r = vecs.T
-    ell = r @ m.first_moments
-    return StandardForm(rotation=r, diagonal=vals, first_moments=ell)

@@ -28,6 +28,12 @@ def random_so3(rng):
     )
 
 
+def first_moment_part(ell):
+    """i A(l) with A_kl = eps_klm l_m / 2: the imaginary part of M that carries
+    the first moments, read off the L rows of ``spinalg.CHI_PATTERN``."""
+    return np.tensordot(np.asarray(ell, dtype=float), spinalg.CHI_PATTERN[7:, 1:, 1:], 1)
+
+
 def moments_of_pair_state(rho3, two_j):
     """Moment matrix prescribed by a symmetric two-qubit state at spin j."""
     b = pair_values(rho3, two_j)

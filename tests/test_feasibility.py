@@ -20,6 +20,7 @@ from spinmoment.spinalg import MomentMatrix
 import symmetric_oracle
 from outer_set import outer_test
 from conftest import (
+    first_moment_part,
     highest_weight_state,
     moment_operators,
     moments_of_pair_state,
@@ -258,7 +259,7 @@ class TestExactTestDirect:
                     w * j * j + (1 - w) * iso,
                 ]
             ).astype(complex)
-            m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, r]))
+            m += first_moment_part(np.array([0.0, 0.0, r]))
             mm = MomentMatrix.from_matrix(two_j, m)
             sdp_says = feasibility.exact_test_direct(mm).accepted
             closed_form = feasibility.first_moment_test(
@@ -268,11 +269,11 @@ class TestExactTestDirect:
 
     def test_works_at_spin_half(self):
         m = np.eye(3, dtype=complex) / 4.0
-        m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, 0.3]))
+        m += first_moment_part(np.array([0.0, 0.0, 0.3]))
         mm = MomentMatrix.from_matrix(1, m)
         assert feasibility.exact_test_direct(mm).status == STATUS_QUANTUM
         m2 = np.eye(3, dtype=complex) / 4.0
-        m2 += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, 0.51]))
+        m2 += first_moment_part(np.array([0.0, 0.0, 0.51]))
         mm2 = MomentMatrix.from_matrix(1, m2)
         assert feasibility.exact_test_direct(mm2).status == STATUS_NON_QUANTUM
 
@@ -670,7 +671,7 @@ def long_first_moment_moments(two_j, excess=0.5):
     """|l| = j + excess > j: the first-moment stage rejects at every 2j."""
     j = two_j / 2.0
     m = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
-    m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + excess]))
+    m += first_moment_part(np.array([0.0, 0.0, j + excess]))
     return MomentMatrix.from_matrix(two_j, m)
 
 
@@ -783,7 +784,7 @@ class TestOneSdpPerDecision:
     def test_spin_half_reject_solves_nothing(self, monkeypatch):
         ell = np.array([0.3, 0.0, 0.5])
         m = np.eye(3, dtype=complex) / 4.0
-        m += 1j * spinalg._antisym_from_moments(ell)
+        m += first_moment_part(ell)
         m = MomentMatrix.from_matrix(1, m)
         calls, programs = self.count_calls(monkeypatch)
         v = feasibility.classify(m)
@@ -997,7 +998,7 @@ import numpy as np
 from spinmoment import feasibility, spinalg
 two_j, j = 1000, 500.0
 m = np.diag([j / 2, j / 2, j * j]).astype(complex)
-m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, j + 0.5]))
+m += np.tensordot([0.0, 0.0, j + 0.5], spinalg.CHI_PATTERN[7:, 1:, 1:], 1)
 m = spinalg.MomentMatrix.from_matrix(two_j, m)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 v = feasibility.classify(m)
@@ -1111,7 +1112,7 @@ class TestEarlyRejectWitness:
         else:
             off = (j * (j + 1.0) - l3**2) / 2.0
             m = np.diag([off, off, l3**2]).astype(complex)
-        m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, l3]))
+        m += first_moment_part(np.array([0.0, 0.0, l3]))
         m = MomentMatrix.from_matrix(two_j, m)
         v = feasibility.classify(m)
         assert v.status == feasibility.exact_test_direct(m).status
@@ -1134,6 +1135,37 @@ class TestConflictingValues:
             decide(self.M)
 
 
+class TestNonFiniteInput:
+    """The raw-array entry points name a non-finite entry instead of returning
+    a NaN certificate or witness or failing inside LAPACK."""
+
+    @pytest.mark.parametrize(
+        "ell, named",
+        [([np.nan, 0.0, 0.0], r"l\[0\] = nan"), ([0.1, 0.2, -np.inf], r"l\[2\] = -inf")],
+        ids=["nan", "-inf"],
+    )
+    def test_first_moment_test(self, ell, named):
+        with pytest.raises(ValueError, match=f"first moments has non-finite entries: {named}"):
+            feasibility.first_moment_test(np.array(ell), 3)
+
+    @pytest.mark.parametrize(
+        "ell, named",
+        [([np.nan, 0.0, 0.0], r"l\[0\] = nan"), ([0.0, np.inf, 0.0], r"l\[1\] = inf")],
+        ids=["nan", "inf"],
+    )
+    def test_exact_test_first_moments(self, ell, named):
+        with pytest.raises(ValueError, match=f"first moments has non-finite entries: {named}"):
+            feasibility.exact_test_first_moments(np.array(ell), 3)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)], ids=["diagonal", "off-diagonal"])
+    def test_exact_test_extension(self, entry):
+        rho = np.eye(3, dtype=complex) / 3.0
+        rho[entry] = np.nan
+        named = rf"rho\[{entry[0]}\]\[{entry[1]}\] = \(?nan"
+        with pytest.raises(ValueError, match=f"reduced state has non-finite entries: {named}"):
+            feasibility.exact_test_extension(rho, 4)
+
+
 class TestSpinHalfRouting:
     def test_forced_moments_validated(self):
         m = np.eye(3, dtype=complex) / 4.0
@@ -1150,7 +1182,7 @@ class TestSpinHalfRouting:
 
     def test_long_first_moments_rejected_with_witness(self):
         m = np.eye(3, dtype=complex) / 4.0
-        m += 1j * spinalg._antisym_from_moments(np.array([0.0, 0.0, 0.6]))
+        m += first_moment_part(np.array([0.0, 0.0, 0.6]))
         mm = MomentMatrix.from_matrix(1, m)
         v = feasibility.classify(mm)
         assert v.status == STATUS_NON_QUANTUM

@@ -1,8 +1,10 @@
 """The README's examples run as written: the library quick start executes,
-every moment-file example passes ``spinmoment check`` and the Notes pairing
-line evaluates a witness."""
+every moment-file example passes ``spinmoment check``, the Notes pairing
+line evaluates a witness and every module attribute it names exists."""
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 
 import numpy as np
 
+import spinmoment
 from spinmoment import cli, feasibility, reduction, spinalg
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -52,3 +55,23 @@ def test_notes_pairing_line_runs():
     names = {"spinalg": spinalg, "witness": witness}
     assert eval(line, {**names, "m": quantum}) >= -1e-9
     assert eval(line, {**names, "m": bad}) == witness.value
+
+
+def test_named_module_attributes_exist():
+    """Every backticked `module.name` outside code blocks, for a module of the
+    package, resolves, so that no deleted name lingers in the docs."""
+    modules = [info.name for info in pkgutil.iter_modules(spinmoment.__path__)]
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    pattern = re.compile(rf"({'|'.join(modules)})((?:\.\w+)+)")
+    named = {m.group(0) for span in re.findall(r"`([^`]+)`", prose) if (m := pattern.match(span))}
+    assert "sdp.DIM_CAP" in named
+    missing = []
+    for name in sorted(named):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"spinmoment.{module}")
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

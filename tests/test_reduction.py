@@ -185,7 +185,7 @@ class TestRenormalizedCoords:
             m2 = reduction.moments_from_coords(c, offdiag_re=re_off)
             assert np.abs(m2.matrix - m.matrix).max() < 1e-10
 
-    def test_standard_form_round_trip_without_offdiagonals(self):
+    def test_coords_round_trip_without_offdiagonals(self):
         c = RenormalizedCoords(u=np.array([0.2, 0.1, -0.3]), v=np.array([0.4, 0.35, 0.25]), two_j=6)
         m = reduction.moments_from_coords(c)
         c2 = reduction.renormalized_coords(m)

@@ -161,12 +161,12 @@ class TestIterationKernels:
             x = g @ g.conj().T / d + 0.1 * np.eye(d)
             inv_factor = np.linalg.inv(sdp._chol(x))
             direction = random_hermitian(rng, d)
-            alpha = sdp._max_step(inv_factor, direction)
+            alpha = sdp._max_step(inv_factor, direction, {})
             assert 0.0 < alpha < math.inf
             edge = np.linalg.eigvalsh(x + alpha * direction)
             assert abs(edge[0]) <= 1e-9 * np.abs(edge).max()
             # a PSD direction never leaves the cone
-            assert sdp._max_step(inv_factor, g @ g.conj().T) == math.inf
+            assert sdp._max_step(inv_factor, g @ g.conj().T, {}) == math.inf
 
     def test_flattened_contractions_match_their_definitions(self):
         rng = np.random.default_rng(3200)

@@ -1,10 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spinmoment import feasibility, matcore, reduction, spinalg
 from spinmoment.spinalg import MomentMatrix
 
-from conftest import highest_weight_state, random_density, random_so3
+from conftest import first_moment_part, highest_weight_state, random_density, random_so3
 
 
 class TestSpinOperators:
@@ -181,7 +185,7 @@ class TestChiMatrix:
         j = 2.0
         ell = np.array([0.0, 0.0, j + 0.5])
         m = np.diag([j / 2.0, j / 2.0, j * j]).astype(complex)
-        m += 1j * spinalg._antisym_from_moments(ell)
+        m += first_moment_part(ell)
         mm = MomentMatrix.from_matrix(4, m)
         assert matcore.min_eigenvalue(spinalg.chi_matrix(mm)) < -1e-6
 
@@ -212,56 +216,37 @@ class TestCovariance:
             assert np.abs(m_rot - r @ m.matrix @ r.T).max() < 1e-9
 
 
-class TestStandardForm:
-    def test_already_diagonal_descending(self):
-        m = np.diag([2.0, 1.5, 0.25]).astype(complex)  # trace 3.75 = j(j+1) at j=3/2
-        mm = MomentMatrix.from_matrix(3, m)
-        sf = spinalg.standard_form(mm)
-        assert np.abs(sf.rotation - np.eye(3)).max() < 1e-12
-        assert np.allclose(sf.diagonal, [2.0, 1.5, 0.25])
+def load_bench_inputs():
+    """``bench/inputs.py``, the seeded verdict input families, as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
 
-    def test_recovers_conjugated_diagonal(self, rng):
-        diag = np.array([2.0, 1.2, 0.55])  # sums to 3.75
-        for _ in range(10):
+
+class TestRotationCovariance:
+    """A global rotation R acts on the moments as M -> R M R^T and leaves the
+    question unchanged, so every verdict and every optimum t* must be too."""
+
+    @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
+    def test_rotated_inputs_get_the_same_verdict(self, two_j):
+        inputs = load_bench_inputs()
+        rng = np.random.default_rng(7000 + two_j)
+        items = inputs.make_inputs(two_j, (two_j,), {family: 3 for family in inputs.FAMILIES})
+        assert {item.family for item in items} == set(inputs.FAMILIES)
+        for item in items:
             r = random_so3(rng)
-            ell = rng.standard_normal(3) * 0.2
-            m = r.T @ np.diag(diag) @ r + 1j * spinalg._antisym_from_moments(ell)
-            mm = MomentMatrix.from_matrix(3, m)
-            sf = spinalg.standard_form(mm)
-            assert np.allclose(np.sort(sf.diagonal)[::-1], diag, atol=1e-9)
-            recon = sf.rotation @ mm.matrix @ sf.rotation.T
-            rebuilt = np.diag(sf.diagonal) + 1j * spinalg._antisym_from_moments(
-                sf.first_moments
-            )
-            assert np.abs(recon - rebuilt).max() < 1e-9
-
-    def test_isotropic_tie_break_is_identity(self):
-        mm = MomentMatrix.from_matrix(4, 2.0 * np.eye(3))
-        sf = spinalg.standard_form(mm)
-        assert np.abs(sf.rotation - np.eye(3)).max() < 1e-10
-        assert np.allclose(sf.diagonal, [2.0, 2.0, 2.0])
-
-    def test_idempotent(self, rng):
-        for _ in range(10):
-            r = random_so3(rng)
-            diag = np.array([3.1, 2.0, 0.9])  # j = 2 trace 6
-            ell = rng.standard_normal(3) * 0.3
-            m = r.T @ np.diag(diag) @ r + 1j * spinalg._antisym_from_moments(ell)
-            sf = spinalg.standard_form(MomentMatrix.from_matrix(4, m))
-            rebuilt = np.diag(sf.diagonal) + 1j * spinalg._antisym_from_moments(
-                sf.first_moments
-            )
-            sf2 = spinalg.standard_form(MomentMatrix.from_matrix(4, rebuilt))
-            assert np.abs(sf2.rotation - np.eye(3)).max() < 1e-9
-
-    def test_rotation_is_special_orthogonal(self, rng):
-        for _ in range(10):
-            r = random_so3(rng)
-            diag = np.array([3.0, 2.0, 1.0])
-            m = r.T @ np.diag(diag) @ r
-            sf = spinalg.standard_form(MomentMatrix.from_matrix(4, m))
-            assert np.abs(sf.rotation @ sf.rotation.T - np.eye(3)).max() < 1e-12
-            assert np.linalg.det(sf.rotation) == pytest.approx(1.0, abs=1e-12)
+            m = MomentMatrix.from_matrix(two_j, item.matrix)
+            rotated = MomentMatrix.from_matrix(two_j, r @ item.matrix @ r.T)
+            assert np.abs(rotated.first_moments - r @ m.first_moments).max() < 1e-9
+            a, b = feasibility.classify(m), feasibility.classify(rotated)
+            assert (a.status, a.stage, a.t_star_kind) == (b.status, b.stage, b.t_star_kind)
+            assert a.status == item.expect
+            if a.t_star is not None:
+                assert abs(a.t_star - b.t_star) < 1e-7
+            t, t_rotated = (feasibility.exact_test_direct(x).t_star for x in (m, rotated))
+            assert abs(t - t_rotated) < 1e-7
 
 
 class TestExtractFirstMoments:
@@ -275,6 +260,10 @@ class TestExtractFirstMoments:
         sym = rng.standard_normal((3, 3))
         sym = sym + sym.T
         assert np.abs(spinalg.extract_first_moments(sym.astype(complex))).max() == 0.0
+
+    def test_round_trip_of_the_first_moment_part(self, rng):
+        ell = rng.standard_normal(3)
+        assert np.abs(spinalg.extract_first_moments(first_moment_part(ell)) - ell).max() < 1e-15
 
     def test_antisymmetry_bookkeeping(self):
         m = np.zeros((3, 3), dtype=complex)

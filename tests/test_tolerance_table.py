@@ -1,10 +1,13 @@
 """Decision tolerances live in one table of ``matcore`` constants: no public
 function or method of the package takes a tolerance parameter, except the two
-primitives whose callers use two values each."""
+primitives whose callers use two values each, and every constant of the table
+is read by the package."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import spinmoment
 
@@ -48,3 +51,25 @@ def test_the_walk_sees_the_allowed_thresholds():
     for qualname in ALLOWED:
         assert "tol" in inspect.signature(walked[qualname]).parameters
     assert "spinmoment.spinalg.MomentMatrix.from_matrix" in walked
+
+
+def test_every_table_constant_is_read():
+    """A constant of ``matcore``'s table that no package code reads is dead:
+    only its definition would name it."""
+    package = Path(spinmoment.__file__).parent
+    table = {
+        target.id
+        for node in ast.parse((package / "matcore.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    assert "PSD_TOL" in table
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert table - read == set()
