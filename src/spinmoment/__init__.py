@@ -23,14 +23,12 @@ from .reduction import (
     ppt_inner_test,
     reconstruct_rho,
     reduction_operators,
-    renormalized_coords,
     tau,
 )
 from .sdp import SdpSolution, phase1_min_t
 from .feasibility import (
     Verdict,
     Witness,
-    build_fixed_state,
     classify,
     exact_test_batch,
     exact_test_direct,

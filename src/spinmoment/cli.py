@@ -293,31 +293,41 @@ def _check_sandwich(rng: np.random.Generator) -> tuple[str, bool, str]:
     return "sandwich", violations == 0, f"{total} samples, {violations} violations"
 
 
-def _check_witness_duality() -> tuple[str, bool, str]:
-    # The witness comes from the direct program, t* from the independent extension program.
+def _dense_moment_operators(two_j: int) -> np.ndarray:
+    """The ten measured operators as products of ``spin_operators``, built apart
+    from the pair lifts the decisions use."""
+    ls = spinalg.spin_operators(two_j).as_list()
+    products = [(ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0 for k, l in zip(*spinalg._UPPER)]
+    return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
+
+
+def _check_witness_duality(rng: np.random.Generator) -> tuple[str, bool, str]:
+    # The witness comes from the pair-lift stack, t* from the same program over the
+    # dense products, on rotated inputs with l != 0, so every operator takes part.
     worst = z_dev = 0.0
     tested = 0
     for two_j in (4, 30, 62):
-        for v in ((1.1, -0.05), (1.3, -0.2), (-0.4, 0.8)):
-            coords = reduction.RenormalizedCoords(
-                u=np.zeros(3), v=np.array([v[0], v[1], 1.0 - v[0] - v[1]]), two_j=two_j
-            )
-            mm = reduction.moments_from_coords(coords)
-            verdict = feasibility.exact_test_extension(reduction.reconstruct_rho(mm), two_j)
-            if verdict.status == feasibility.STATUS_NON_QUANTUM:
+        dense = _dense_moment_operators(two_j)
+        for v1, v2 in ((1.1, -0.05), (1.3, -0.2), (-0.4, 0.8)):
+            coords = reduction.RenormalizedCoords(np.array([0.2, -0.1, 0.3]), np.array([v1, v2, 1 - v1 - v2]), two_j)
+            rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            rot *= np.linalg.det(rot)
+            mm = MomentMatrix.from_matrix(two_j, rot @ reduction.moments_from_coords(coords).matrix @ rot.T)
+            partner = sdp.phase1_min_t(dense, spinalg.moment_values(mm))
+            if partner.t_star > matcore.BOUNDARY_BAND:
                 tested += 1
                 w = feasibility.exact_test_direct(mm).witness
                 if w is None:
                     worst = math.inf
                     continue
-                worst = max(worst, abs(w.value + verdict.t_star))
-                tr_dev = abs(np.trace(w.matrix).real - 1.0)
-                z_dev = max(z_dev, -matcore.min_eigenvalue(w.matrix), tr_dev)
+                worst = max(worst, abs(w.value + partner.t_star))
+                expansion = np.abs(np.tensordot(w.op_coefficients, dense, axes=1) - w.matrix).max()
+                z_dev = max(z_dev, -matcore.min_eigenvalue(w.matrix), abs(np.trace(w.matrix).real - 1.0), expansion)
     detail = (
         f"{tested} points at 2j in 4, 30, 62, max |value + t*| = {worst:.2e}, "
-        f"max(-min eig Z, |tr Z - 1|) = {z_dev:.1e}"
+        f"max(-min eig Z, |tr Z - 1|, |Z - sum c_i A_i|) = {z_dev:.1e}"
     )
-    return "witness-duality", tested > 0 and worst < 1e-6 and z_dev <= 1e-9, detail
+    return "witness-duality", tested == 9 and worst < 1e-6 and z_dev <= 1e-9, detail
 
 
 def _check_first_moment(rng: np.random.Generator) -> tuple[str, bool, str]:
@@ -325,7 +335,7 @@ def _check_first_moment(rng: np.random.Generator) -> tuple[str, bool, str]:
     # must be the optimal one, value = -t* of that independent program.
     mism = bad_witness = rejects = 0
     worst = 0.0
-    ops = feasibility._moment_operator_set(3)
+    ops = _dense_moment_operators(3)
     for _ in range(60):
         ell = rng.standard_normal(3)
         ell *= rng.uniform(0.0, 2.3) / np.linalg.norm(ell)
@@ -360,7 +370,7 @@ def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
         e = 0.1 * j * (j + 1.0)
         negative = np.diag([-e, (j * (j + 1.0) + e) / 2.0, (j * (j + 1.0) + e) / 2.0]).astype(complex)
         coords = reduction.RenormalizedCoords(u=np.zeros(3), v=np.array([1.02, -0.01, -0.01]), two_j=two_j)
-        ops = feasibility._moment_operator_set(two_j)
+        ops = _dense_moment_operators(two_j)
         for stage, raw in (("chi", negative), ("reconstruct", reduction.moments_from_coords(coords).matrix)):
             rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             rot *= np.linalg.det(rot)
@@ -406,7 +416,7 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
         _check_sdp_analytic(),
         _check_sdp_determinism(),
         _check_sandwich(rng),
-        _check_witness_duality(),
+        _check_witness_duality(rng),
         _check_first_moment(rng),
         _check_early_witness(rng),
         _check_scan_oracle(),

@@ -19,15 +19,16 @@ first, at every spin, and a first-moment reject's witness is the optimal one
 in closed form, Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or
 reconstruct) reads a valid, not optimal, witness off the negative
 eigenvector its stage already computed (``_eigenvector_witness``), with no
-SDP, and stands only when that witness separates.  Above j = 1/2 all three
-closed-form witnesses are one pair lift P^dag of a 3x3 operator
-(``_pair_adjoint``), like the extension program's operators.  Every program
-and witness works over the moment vector b of
+SDP, and stands only when that witness separates.  Every measured operator
+is a pair lift P^dag(K_i) (``_lift``), so the operator stack and all three
+closed-form witnesses are bands with no spin matrix, and the extension
+program over a pair state rho is the direct program on b = K·rho.  Every
+program and witness works over the moment vector b of
 ``spinalg.moment_values``; the early stages are its linear stacks
 ``spinalg.CHI_PATTERN`` and ``reduction._reconstruction_system``.  The SDP
-paths alone use the ten-operator stack ``_moment_operator_set`` and its
-dependency pass ``_moment_program``, each cached per spin, and raise the
-cone-cap ``ValueError`` before they build any spin-j operator.  As that
+paths alone use the stack ``_moment_operator_set`` and its dependency pass
+``_moment_program``, each cached per spin, and raise the cone-cap
+``ValueError`` before they build the operator stack.  As that
 stack depends on the spin only, ``exact_test_batch`` decides many inputs at
 one spin with one batched phase-1 solve, each verdict read by the same
 ``_read_phase1`` as a single exact test's.  The outer test (tau >= 0, the
@@ -53,7 +54,6 @@ STATUS_BOUNDARY = "boundary"
 
 _FIRST_MOMENTS = [0, 7, 8, 9]  # I, L1, L2, L3 within MOMENT_LABELS
 _FIRST_MOMENT_LABELS = tuple(spinalg.MOMENT_LABELS[i] for i in _FIRST_MOMENTS)
-_EXTENSION_LABELS = tuple(f"E{r}" for r in range(9))
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,11 @@ def _moment_operator_set(two_j: int) -> np.ndarray:
 
     Order matches ``spinalg.MOMENT_LABELS``: identity, the six symmetrized
     products (L_k L_l + L_l L_k)/2 for k <= l, then the three bare spin
-    operators.  Only the phase-1 programs need it, so it is cached per spin
-    and raises the cone-cap ``ValueError`` before it builds any operator.
+    operators, each lifted by ``_lift``.  Only the phase-1 programs need it,
+    so it is cached per spin and raises the cone-cap ``ValueError`` first.
     """
     sdp._check_dim(two_j + 1)
-    ls = spinalg.spin_operators(two_j).as_list()
-    products = [(ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0 for k, l in zip(*spinalg._UPPER)]
-    return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
+    return _lift(np.eye(len(spinalg.MOMENT_LABELS)), two_j)
 
 
 @lru_cache(maxsize=None)
@@ -154,6 +152,21 @@ def _moment_program(two_j: int) -> sdp.Phase1Program:
     that the exact tests at one spin run it once; the stack raises the cone-cap
     ``ValueError`` first, so nothing is cached above the cap."""
     return sdp.phase1_program(_moment_operator_set(two_j))
+
+
+def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
+    """sum_i c_i A_i over the operators A_i of ``spinalg.MOMENT_LABELS``, for a (..., 10) c.
+
+    Above j = 1/2 each A_i is the pair lift P^dag(K_i), K =
+    ``reduction.reduction_operators``, as b_i = tr(K_i P(X)) for the pair
+    marginal P(X) of any X, so the sum is the band ``_pair_adjoint``(sum_i
+    c_i K_i).  At j = 1/2, S_kl = delta_kl/4 and L_k = sigma_k/2.
+    """
+    if two_j == 1:
+        s = [np.eye(2) * (k == l) / 4.0 for k, l in zip(*spinalg._UPPER)]
+        ls = [p / 2.0 for p in (reduction._PAULI_X, reduction._PAULI_Y, reduction._PAULI_Z)]
+        return np.tensordot(c, np.stack([np.eye(2), *s, *ls]), 1)
+    return _pair_adjoint(np.tensordot(c, reduction.reduction_operators(two_j), 1), two_j)
 
 
 def _pair_adjoint(w: np.ndarray, two_j: int) -> np.ndarray:
@@ -194,11 +207,8 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
     sum_i b_i F_i over a fixed stack F: chi = sum_i b_i C_i with
     C = ``spinalg.CHI_PATTERN`` and rho_j = sum_i b_i R_i with
     R = ``reduction._reconstruction_system``.  With v the eigenvector of X(b)
-    for its most negative eigenvalue, c_i = v^dag F_i v.  Every measured
-    operator is a pair lift, A_i = P^dag(K_i) with K =
-    ``reduction.reduction_operators``, because b_i = tr(K_i P(X)) for the
-    pair marginal P(X) of any X.  So sum_i c_i A_i = P^dag(sum_i c_i K_i) for
-    both stages, Z is that matrix over its trace, and value = c.b / tr =
+    for its most negative eigenvalue, c_i = v^dag F_i v, Z is
+    ``_lift``(c) = sum_i c_i A_i over its trace, and value = c.b / tr =
     lambda_min / tr < 0.
 
     Z >= 0, for each stage:
@@ -214,12 +224,12 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
       positive.
 
     In both cases Z is PSD and nonzero, so its trace is positive.  The witness
-    is valid but not optimal: its value is not -t*.  ``_pair_adjoint`` builds
-    Z as a band, so neither stage builds a spin matrix or the operator stack.
+    is valid but not optimal: its value is not -t*.  ``_lift`` builds Z as a
+    band, so neither stage builds a spin matrix or the operator stack.
     """
     f = spinalg.CHI_PATTERN if stage == "chi" else reduction._reconstruction_system(m.two_j)
     c = np.einsum("a,iab,b->i", v.conj(), f, v).real
-    z = _pair_adjoint(np.tensordot(c, reduction.reduction_operators(m.two_j), 1), m.two_j)
+    z = _lift(c, m.two_j)
     norm = float(np.trace(z).real)
     z /= norm
     c = c / norm
@@ -281,20 +291,23 @@ def _first_moment_witness(ell: np.ndarray, two_j: int) -> Witness:
     It is PSD because spec(l^.L) = [-j, j] and has unit trace; over
     ``spinalg.MOMENT_LABELS`` its coefficients are 1/(2j+1) on I,
     -l^_k/(j(2j+1)) on L_k and 0 on each S_kl, and its value is
-    (1 - |l|/j)/(2j+1) = -t*.  Above j = 1/2 every measured operator is a
-    pair lift, so Z = P^dag(sum_i c_i K_i) is built as a band by
-    ``_pair_adjoint``, like the chi and reconstruct witnesses, with no spin
-    matrix.  At j = 1/2 there is no pair, and Z is the 2x2 sum_i c_i A_i.
+    (1 - |l|/j)/(2j+1) = -t*.  Z is built by ``_lift``, like the chi and
+    reconstruct witnesses: above j = 1/2 as a band, with no spin matrix.
     """
     j, d = two_j / 2.0, two_j + 1
     n_hat = ell / float(np.linalg.norm(ell))
     c = np.zeros(len(spinalg.MOMENT_LABELS))
     c[_FIRST_MOMENTS] = np.concatenate([[1.0], -n_hat / j]) / d
-    if two_j == 1:
-        z = np.tensordot(c, _moment_operator_set(1), 1)
-    else:
-        z = _pair_adjoint(np.tensordot(c, reduction.reduction_operators(two_j), 1), two_j)
-    return Witness(z, float(c[_FIRST_MOMENTS] @ [1.0, *ell]), c, spinalg.MOMENT_LABELS)
+    return Witness(_lift(c, two_j), float(c[_FIRST_MOMENTS] @ [1.0, *ell]), c, spinalg.MOMENT_LABELS)
+
+
+def _first_moment_vector(ell) -> np.ndarray:
+    """``ell`` as a finite real 3-vector, or a ``ValueError``."""
+    ell = np.asarray(ell, dtype=float)
+    if ell.shape != (3,):
+        raise ValueError("first moments must be a real 3-vector")
+    spinalg._check_finite("first moments", "l", ell)
+    return ell
 
 
 def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
@@ -308,10 +321,7 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     along l (``spinalg.coherent_state``), with the maximally mixed state.
     """
     two_j = spinalg._check_two_j(two_j)
-    ell = np.asarray(ell, dtype=float)
-    if ell.shape != (3,):
-        raise ValueError("first moments must be a real 3-vector")
-    spinalg._check_finite("first moments", "l", ell)
+    ell = _first_moment_vector(ell)
     j = two_j / 2.0
     d = two_j + 1
     r = float(np.linalg.norm(ell))
@@ -332,22 +342,6 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add("first-moment", "boundary" if status == STATUS_BOUNDARY else "accept", detail)
     return Verdict(status, "first-moment", None, state, None, log.done())
-
-
-def build_fixed_state(ell: np.ndarray, two_j: int) -> np.ndarray:
-    """The trace-1 operator with the prescribed first moments and no open part.
-
-    PSD exactly when |l| <= (j+1)/3; beyond that the orthogonal open part is
-    needed to compensate, even though the moments may still be quantum.
-    """
-    two_j = spinalg._check_two_j(two_j)
-    triple = spinalg.spin_operators(two_j)
-    ell = np.asarray(ell, dtype=float)
-    d = triple.dim
-    state = np.eye(d, dtype=complex) / d
-    for lk, comp in zip(triple.as_list(), ell):
-        state += (comp / matcore.hs_inner(lk, lk)) * lk
-    return state
 
 
 def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
@@ -396,8 +390,7 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
     Exists alongside the closed form as an independently checkable path.
     """
     two_j = spinalg._check_two_j(two_j)
-    values = np.concatenate([[1.0], np.asarray(ell, dtype=float)])
-    spinalg._check_finite("first moments", "l", values[1:])
+    values = np.concatenate([[1.0], _first_moment_vector(ell)])
     p1 = sdp.phase1_min_t(_moment_operator_set(two_j)[_FIRST_MOMENTS], values)
     return _read_phase1(p1, values, _FIRST_MOMENT_LABELS, "exact-first-moment", _StageLog())
 
@@ -406,15 +399,14 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     """Membership of a symmetric two-qubit state in the extendible set.
 
     Searches for a 2j-qubit Bose-symmetric state whose pair marginal equals
-    rho, in the (2j+1)-dimensional spin basis: the phase-1 program constrains
-    <K_r, X> = <E_r, rho> over the closed-form marginal adjoints
-    K_r = ``_pair_adjoint``(E_r) of E_r = ``matcore.hermitian_basis(3)``, whose
-    E_0 = 1/sqrt(3) makes the trace constraint explicit.  The certificate is
-    the extension itself;
-    a reject's witness is the program's dual over the labelled E_r, whose
-    coefficients give the 3x3 pair operator W = sum_r c_r E_r with
-    <W, rho> = -t*.  The SDP cone cap ``sdp.DIM_CAP`` (2j <= 63) is the only
-    size limit.
+    rho, in the (2j+1)-dimensional spin basis.  As every measured operator is
+    a pair lift A_i = P^dag(K_i), that is the direct program on the moment
+    vector b_i = tr(K_i rho), K = ``reduction.reduction_operators``, over
+    the same cached ``_moment_program``.  The certificate is the extension
+    itself; a reject's witness is the program's dual over
+    ``spinalg.MOMENT_LABELS``, whose coefficients give the 3x3 pair operator
+    W = sum_i c_i K_i with <W, rho> = value = -t*.  The SDP cone cap
+    ``sdp.DIM_CAP`` (2j <= 63) is the only size limit.
     """
     two_j = reduction._require_j_ge_1(two_j)
     rho = np.asarray(rho, dtype=complex)
@@ -424,11 +416,9 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
         raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")
     if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
         raise ValueError("reduced state must have unit trace")
-    sdp._check_dim(two_j + 1)
-    basis3 = matcore.hermitian_basis(3)
-    values = np.array([matcore.hs_inner(e, rho) for e in basis3])
-    p1 = sdp.phase1_min_t(_pair_adjoint(basis3, two_j), values)
-    return _read_phase1(p1, values, _EXTENSION_LABELS, "extension", _StageLog())
+    values = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
+    p1 = sdp.phase1_min_t(_moment_program(two_j), values)
+    return _read_phase1(p1, values, spinalg.MOMENT_LABELS, "extension", _StageLog())
 
 
 def _validate_half_spin_structure(m: MomentMatrix) -> None:

@@ -5,8 +5,8 @@ reduced expectation value matrix and the PPT inner test.
 Both directions are cached (10, 3, 3) stacks over the moment vector b of
 ``spinalg.moment_values``: ``reduction_operators`` gives K with
 b_i = tr(K_i rho_j), and ``_reconstruction_system`` gives R with
-rho_j = sum_i b_i R_i.  ``tau`` is D^-1 chi(b) D^-1 for the b that K reads
-off its argument, with chi(b) = sum_i b_i ``spinalg.CHI_PATTERN``[i].
+rho_j = sum_i b_i R_i.  ``tau`` is sum_i b_i ``_tau_system``[i] for the b
+that K reads off its argument.
 
 Basis and sign conventions: the symmetric two-qubit basis is ordered
 (|00>, (|01>+|10>)/sqrt(2), |11>) with |1> the spin-up qubit level, so the
@@ -132,14 +132,13 @@ def reconstruct_rho(m: MomentMatrix) -> np.ndarray:
     return rho
 
 
-def renormalized_coords(m: MomentMatrix) -> RenormalizedCoords:
-    """Renormalized coordinates of a moment matrix (needs j >= 1)."""
-    two_j = _require_j_ge_1(m.two_j)
+def _coords_values(two_j: int, u, v, offdiag_re=None) -> np.ndarray:
+    """The moment vector b of renormalized coordinates: l = j u, <L_k^2> =
+    j(j - 1/2) v_k + j/2 and Re(M_kl), k < l, from ``offdiag_re`` (default 0)."""
     j = two_j / 2.0
-    u = m.first_moments / j
-    diag = np.real(np.diag(m.matrix))
-    v = diag / (j * (j - 0.5)) - 1.0 / (two_j - 1.0)
-    return RenormalizedCoords(u=u, v=v, two_j=two_j)
+    d = np.asarray(v, dtype=float) * (j * (j - 0.5)) + j / 2.0
+    r12, r13, r23 = (0.0, 0.0, 0.0) if offdiag_re is None else (float(t) for t in offdiag_re)
+    return np.concatenate(([1.0, d[0], r12, r13, d[1], r23, d[2]], np.asarray(u, dtype=float) * j))
 
 
 def moments_from_coords(coords: RenormalizedCoords, offdiag_re: np.ndarray | None = None) -> MomentMatrix:
@@ -150,15 +149,10 @@ def moments_from_coords(coords: RenormalizedCoords, offdiag_re: np.ndarray | Non
     is the Casimir identity in these coordinates.
     """
     two_j = _require_j_ge_1(coords.two_j)
-    j = two_j / 2.0
-    u = np.asarray(coords.u, dtype=float)
-    v = np.asarray(coords.v, dtype=float)
-    vsum = float(v.sum())
+    vsum = float(np.sum(coords.v))
     if abs(vsum - 1.0) > matcore.CASIMIR_TOL:
         raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
-    d = v * (j * (j - 0.5)) + j / 2.0
-    r12, r13, r23 = (0.0, 0.0, 0.0) if offdiag_re is None else (float(t) for t in offdiag_re)
-    b = np.concatenate(([1.0, d[0], r12, r13, d[1], r23, d[2]], u * j))
+    b = _coords_values(two_j, coords.u, coords.v, offdiag_re)
     return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:])
 
 
@@ -173,8 +167,13 @@ def tau(rho: np.ndarray, two_j: int) -> np.ndarray:
     if rho.shape != (3, 3):
         raise ValueError(f"expected a 3x3 symmetric-basis operator, got {rho.shape}")
     b = np.einsum("iab,ba->i", reduction_operators(two_j), rho).real
+    return np.tensordot(b, _tau_system(two_j), axes=1)
+
+
+def _tau_system(two_j: int) -> np.ndarray:
+    """D^-1 C_i D^-1 for C = ``spinalg.CHI_PATTERN``, the (10, 4, 4) stack of tau."""
     d = np.array([1.0, 2.0 / two_j, 2.0 / two_j, 2.0 / two_j])
-    return np.tensordot(b, CHI_PATTERN, axes=1) * np.outer(d, d)
+    return CHI_PATTERN * np.outer(d, d)
 
 
 def ppt_inner_test(rho: np.ndarray) -> bool:

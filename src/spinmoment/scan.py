@@ -3,9 +3,10 @@
 Every grid point fixes v3 = 1 - v1 - v2 (the Casimir constraint) and is
 classified against the inner PPT set R, the exact extendible set S_j and the
 outer reduced-expectation-value set T_j.  rho, its partial transpose and tau
-are affine in (v1, v2), so R and T come from one positivity mask
-(``matcore.psd_mask``, an LDL^dag vectorized over the stack) per map, on
-blocks of whole grid rows that hold at most ``sdp.BATCH_ENTRIES`` entries.
+are linear in the moment vector b, which is affine in (v1, v2), so R and T
+come from one positivity mask (``matcore.psd_mask``, an LDL^dag vectorized
+over the stack) per map, on blocks of whole grid rows that hold at most
+``sdp.BATCH_ENTRIES`` entries.
 The SDP runs only on cells in T but not R, which is sound because the three
 sets are nested.  Those cells share one operator stack and differ only in
 their moment values, so they are decided by batched phase-1 solves
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import feasibility, matcore, reduction, sdp
+from . import feasibility, matcore, reduction, sdp, spinalg
 
 SVG_COLORS = {"R": "#1b5e90", "S": "#5aa9d6", "T": "#c6e3f2"}
 _CSV_HEADER = ("v1", "v2", "in_R", "in_Sj", "in_Tj")
@@ -150,13 +151,13 @@ def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool):
 
 def _slice_maps(two_j: int, u: np.ndarray):
     """(c0, d1, d2) for each of rho, PT(V rho V^dag) and tau, which are affine in
-    (v1, v2) at fixed u: a cell's matrix is c0 + v1 d1 + v2 d2."""
-    corners = []
-    for v1, v2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
-        rho = reduction.reconstruct_rho(_moments(two_j, u, v1, v2))
-        pt = matcore.hermitize(reduction._partial_transpose(rho), tol=1e-10)
-        corners.append((rho, pt, reduction.tau(rho, two_j)))
-    return [(c0, c1 - c0, c2 - c0) for c0, c1, c2 in zip(*corners)]
+    (v1, v2) at fixed u: a cell's matrix is c0 + v1 d1 + v2 d2, from b at the corners
+    (v1, v2) = (0, 0), (1, 0), (0, 1), where v = (0, 0, 1), (1, 0, 0), (0, 1, 0)."""
+    b0, b1, b2 = (reduction._coords_values(two_j, u, v) for v in np.eye(3)[[2, 0, 1]])
+    basis = (b0, b1 - b0, b2 - b0)
+    rho = [np.tensordot(b, reduction._reconstruction_system(two_j), 1) for b in basis]
+    pt = [matcore.hermitize(reduction._partial_transpose(r), tol=1e-10) for r in rho]
+    return [rho, pt, [np.tensordot(b, reduction._tau_system(two_j), 1) for b in basis]]
 
 
 def _exact_cells(args) -> tuple[list[bool], list[float]]:
@@ -198,6 +199,7 @@ def scan_grid(
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("u must be a real 3-vector")
+    spinalg._check_finite("first moments", "u", u)
     names = {str(x).upper() for x in sets}
     unknown = sorted(names - {"R", "S", "T"})
     if unknown:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinmoment import reduction, spinalg
+from spinmoment import matcore, reduction, spinalg
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -51,6 +51,33 @@ def moment_operators(two_j):
     ls = spinalg.spin_operators(two_j).as_list()
     products = [(ls[k] @ ls[l] + ls[l] @ ls[k]) / 2.0 for k, l in zip(*spinalg._UPPER)]
     return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
+
+
+def build_fixed_state(ell, two_j):
+    """The trace-1 operator with the prescribed first moments and no open part.
+
+    PSD exactly when |l| <= (j+1)/3; beyond that the orthogonal open part is
+    needed to compensate, even though the moments may still be quantum.
+    """
+    two_j = spinalg._check_two_j(two_j)
+    triple = spinalg.spin_operators(two_j)
+    ell = np.asarray(ell, dtype=float)
+    d = triple.dim
+    state = np.eye(d, dtype=complex) / d
+    for lk, comp in zip(triple.as_list(), ell):
+        state += (comp / matcore.hs_inner(lk, lk)) * lk
+    return state
+
+
+def renormalized_coords(m):
+    """Renormalized coordinates of a moment matrix (needs j >= 1): the inverse
+    of ``reduction.moments_from_coords`` on its diagonal."""
+    two_j = reduction._require_j_ge_1(m.two_j)
+    j = two_j / 2.0
+    u = m.first_moments / j
+    diag = np.real(np.diag(m.matrix))
+    v = diag / (j * (j - 0.5)) - 1.0 / (two_j - 1.0)
+    return reduction.RenormalizedCoords(u=u, v=v, two_j=two_j)
 
 
 def highest_weight_state(two_j):

@@ -9,11 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from spinmoment import feasibility, matcore, reduction, sdp, spinalg
-from spinmoment.reduction import RenormalizedCoords
+from spinmoment import cli, feasibility, matcore, reduction, sdp, spinalg
 from spinmoment.scan import scan_grid
 
-from conftest import moments_of_pair_state, random_coords, random_density
+import symmetric_oracle
+from conftest import (
+    build_fixed_state,
+    moment_operators,
+    moments_of_pair_state,
+    random_coords,
+    random_density,
+    random_so3,
+)
 from sdp_oracle import bracket_optimum, random_phase1_dual
 
 BAND = 1e-7
@@ -99,7 +106,7 @@ def test_criterion_3_fixed_state_threshold():
     direction = np.array([0.0, 0.0, 1.0])
 
     def psd_at(r):
-        state = feasibility.build_fixed_state(r * direction, two_j)
+        state = build_fixed_state(r * direction, two_j)
         return matcore.min_eigenvalue(state) > 0.0
 
     lo, hi = 0.5, 1.5
@@ -196,33 +203,84 @@ def test_criterion_7_convergence_trend(figure_scan):
     )
 
 
-def test_criterion_8_formulation_equivalence():
-    t0 = time.perf_counter()
+def extension_partner(two_j):
+    """The 9-operator extension program of the 2j-qubit oracle, and the map from
+    a moment vector b to its values.
+
+    Its operators are K_r = P^dag(E_r) over E = ``matcore.hermitian_basis(3)``,
+    built on 2j qubits by ``symmetric_oracle.marginal_adjoint``.  Each dense
+    moment operator A_i (``conftest.moment_operators``) lies in their span,
+    A_i = sum_r T_ir K_r, so b = T e for the values e_r = <E_r, rho_j>, and
+    e = T^+ b.  Nothing of it comes from the package's pair lifts or its
+    reconstruction.
+    """
+    ops = np.stack([symmetric_oracle.marginal_adjoint(e, two_j) for e in matcore.hermitian_basis(3)])
+    gram = np.einsum("rab,sba->rs", ops, ops).real
+    t = np.linalg.solve(gram, np.einsum("rab,iba->ri", ops, moment_operators(two_j)).real).T
+    return sdp.phase1_program(ops), np.linalg.pinv(t)
+
+
+def formulation_gaps(spins=(2, 3, 4, 5, 6), per_spin=200):
+    """Criterion 8's comparison of ``exact_test_direct`` with the independent
+    extension program on seeded inputs, each rotated by a seeded SO(3) R:
+    (disagreements, compared, skipped, max |t*_direct - t*_extension|)."""
     rng = np.random.default_rng(88)
-    disagreements = 0
-    compared = 0
-    skipped = 0
-    for two_j in (2, 3, 4, 5, 6):
-        for _ in range(200):
+    rotations = np.random.default_rng(8800)
+    disagreements = compared = skipped = 0
+    worst = 0.0
+    for two_j in spins:
+        program, values_of = extension_partner(two_j)
+        for _ in range(per_spin):
             coords = random_coords(rng, two_j)
-            m = reduction.moments_from_coords(coords)
+            rot = random_so3(rotations)
+            m = spinalg.MomentMatrix.from_matrix(two_j, rot @ reduction.moments_from_coords(coords).matrix @ rot.T)
             direct = feasibility.exact_test_direct(m)
-            rho = reduction.reconstruct_rho(m)
-            ext = feasibility.exact_test_extension(rho, two_j)
+            ext = sdp.phase1_min_t(program, values_of @ spinalg.moment_values(m))
             if abs(direct.t_star) <= BAND or abs(ext.t_star) <= BAND:
                 skipped += 1
                 continue
             compared += 1
-            if direct.accepted != ext.accepted:
+            worst = max(worst, abs(direct.t_star - ext.t_star))
+            if direct.accepted != (ext.t_star < -BAND):
                 disagreements += 1
+    return disagreements, compared, skipped, worst
+
+
+def test_criterion_8_formulation_equivalence():
+    t0 = time.perf_counter()
+    disagreements, compared, skipped, worst = formulation_gaps()
     elapsed = time.perf_counter() - t0
-    ok = disagreements == 0
+    ok = disagreements == 0 and compared + skipped == 1000 and worst <= 1e-8
     report(
         8,
         ok,
-        f"direct vs extension on 1000 moment matrices: {disagreements} "
-        f"disagreements ({compared} compared, {skipped} in band), {elapsed:.1f}s",
+        f"direct vs the 2j-qubit extension program on 1000 rotated moment matrices: "
+        f"{disagreements} disagreements ({compared} compared, {skipped} in band), "
+        f"max |delta t*| = {worst:.1e}, {elapsed:.1f}s",
     )
+
+
+@pytest.mark.parametrize("label", ["S12", "L1"])
+def test_formulation_checks_catch_a_scaled_operator(label, monkeypatch):
+    # criterion 8 and validate's witness-duality must see a decision stack
+    # whose S12 or L1 is scaled by 0.9, which the covariant verdicts can hide
+    real = feasibility._moment_operator_set
+    row = spinalg.MOMENT_LABELS.index(label)
+
+    def mutant(two_j):
+        ops = real(two_j).copy()
+        ops[row] *= 0.9
+        return ops
+
+    feasibility._moment_program.cache_clear()
+    monkeypatch.setattr(feasibility, "_moment_operator_set", mutant)
+    try:
+        *_, worst = formulation_gaps(spins=(4, 6), per_spin=20)
+        name, ok, _ = cli._check_witness_duality(np.random.default_rng(2024))
+    finally:
+        feasibility._moment_program.cache_clear()
+    assert worst > 1e-8
+    assert (name, ok) == ("witness-duality", False)
 
 
 def test_criterion_9_witness_duality():

@@ -468,6 +468,14 @@ class TestScanCommand:
                 assert np.array_equal(result.in_r[i1], rho_psd & pt_psd), (two_j, u, v1)
                 assert np.array_equal(result.in_t[i1], rho_psd & tau_psd), (two_j, u, v1)
 
+    @pytest.mark.parametrize("u, named", [("nan,0,0", r"u\[0\] = nan"), ("0,inf,0", r"u\[1\] = inf")])
+    def test_non_finite_u_is_an_input_error(self, u, named, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        rc = cli.main(["scan", "--two-j", "4", "--u", u, "--grid", "3", "--sets", "R,T", "--out", str(out)])
+        assert rc == 3
+        assert re.search(f"error: first moments has non-finite entries: {named}", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_warns_on_long_u(self, tmp_path, capsys):
         rc = cli.main(
             [
@@ -497,19 +505,19 @@ class TestValidateCommand:
         assert "spin-algebra" in out
 
     def test_witness_duality_checks_extension_formulation(self, monkeypatch):
-        # the witness must agree with t* of the independent extension program
-        import dataclasses
+        # the witness must agree with t* of the program over the independent
+        # dense spin products; a partner with S12 scaled by 0.9 disagrees
+        real = cli._dense_moment_operators
 
-        from spinmoment import feasibility
+        def scaled(two_j):
+            ops = real(two_j)
+            ops[2] *= 0.9
+            return ops
 
-        real = feasibility.exact_test_extension
-
-        def shifted(*args, **kwargs):
-            v = real(*args, **kwargs)
-            return dataclasses.replace(v, t_star=v.t_star + 1e-3)
-
-        monkeypatch.setattr(feasibility, "exact_test_extension", shifted)
-        name, ok, _ = cli._check_witness_duality()
+        name, ok, _ = cli._check_witness_duality(np.random.default_rng(2024))
+        assert (name, ok) == ("witness-duality", True)
+        monkeypatch.setattr(cli, "_dense_moment_operators", scaled)
+        name, ok, _ = cli._check_witness_duality(np.random.default_rng(2024))
         assert (name, ok) == ("witness-duality", False)
 
     def test_sdp_analytic_suite_catches_shifted_t_star(self, monkeypatch):

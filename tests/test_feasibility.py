@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,13 @@ from spinmoment.feasibility import (
     STATUS_QUANTUM,
 )
 from spinmoment.reduction import RenormalizedCoords
+from spinmoment.scan import scan_grid
 from spinmoment.spinalg import MomentMatrix
 
 import symmetric_oracle
 from outer_set import outer_test
 from conftest import (
+    build_fixed_state,
     first_moment_part,
     highest_weight_state,
     moment_operators,
@@ -142,13 +145,13 @@ class TestCoherentState:
 
 class TestBuildFixedState:
     def test_zero_moments(self):
-        state = feasibility.build_fixed_state(np.zeros(3), 4)
+        state = build_fixed_state(np.zeros(3), 4)
         assert np.abs(state - np.eye(5) / 5.0).max() < 1e-14
 
     def test_first_moments_reproduced(self, rng):
         two_j = 7
         ell = rng.standard_normal(3)
-        state = feasibility.build_fixed_state(ell, two_j)
+        state = build_fixed_state(ell, two_j)
         triple = spinalg.spin_operators(two_j)
         assert np.trace(state).real == pytest.approx(1.0, abs=1e-12)
         for lk, target in zip(triple.as_list(), ell):
@@ -156,11 +159,11 @@ class TestBuildFixedState:
 
     def test_boundary_of_positivity_at_j2(self):
         # PSD threshold sits at |l| = (j+1)/3 = 1 for j = 2
-        state = feasibility.build_fixed_state(np.array([0.0, 0.0, 1.0]), 4)
+        state = build_fixed_state(np.array([0.0, 0.0, 1.0]), 4)
         assert matcore.min_eigenvalue(state) == pytest.approx(0.0, abs=1e-9)
 
     def test_open_part_needed_beyond_threshold(self):
-        state = feasibility.build_fixed_state(np.array([0.0, 0.0, 1.5]), 4)
+        state = build_fixed_state(np.array([0.0, 0.0, 1.5]), 4)
         assert matcore.min_eigenvalue(state) < -1e-3
         assert feasibility.first_moment_test(np.array([0.0, 0.0, 1.5]), 4).status == STATUS_QUANTUM
 
@@ -331,9 +334,11 @@ class TestExactTestBatch:
 class TestCapBeforeOperators:
     @pytest.mark.parametrize("two_j", [64, 1000])
     def test_over_cap_raises_before_any_spin_operator(self, two_j, monkeypatch):
+        # every operator is a pair lift: the stack must check the cap before it lifts
         built = []
-        spin_operators = spinalg.spin_operators
-        monkeypatch.setattr(spinalg, "spin_operators", lambda tj: built.append(tj) or spin_operators(tj))
+        lift, pair_adjoint = feasibility._lift, feasibility._pair_adjoint
+        monkeypatch.setattr(feasibility, "_lift", lambda c, tj: built.append(tj) or lift(c, tj))
+        monkeypatch.setattr(feasibility, "_pair_adjoint", lambda w, tj: built.append(tj) or pair_adjoint(w, tj))
         feasibility._moment_operator_set.cache_clear()
         feasibility._moment_program.cache_clear()
         j = two_j / 2.0
@@ -406,17 +411,20 @@ class TestExactTestExtension:
             assert feasibility.exact_test_extension(rho, two_j).accepted
 
     def test_cap_points_to_direct_formulation(self):
-        # the extension program has no qubit cap: it reproduces the direct t*
-        # at every 2j the solver allows, and stops only at the cone cap sdp.DIM_CAP
+        # the extension program has no qubit cap: it reproduces t* of the phase-1
+        # program over the dense spin products at every 2j the solver allows,
+        # and stops only at the cone cap sdp.DIM_CAP
         rng = np.random.default_rng(613)
         for two_j in (4, 13, 30, 62):
+            dense = moment_operators(two_j)
             for raw in (dicke_mixture_moments(two_j), dicke_zero_moments(two_j, 0.1)):
                 rot = random_so3(rng)
                 m = MomentMatrix.from_matrix(two_j, rot @ raw.matrix @ rot.T)
                 ext = feasibility.exact_test_extension(reduction.reconstruct_rho(m), two_j)
-                direct = feasibility.exact_test_direct(m)
-                assert ext.status == direct.status
-                assert abs(ext.t_star - direct.t_star) <= 1e-8
+                want = sdp.phase1_min_t(dense, spinalg.moment_values(m)).t_star
+                assert abs(want) > 1e-6
+                assert ext.accepted == (want < 0.0)
+                assert abs(ext.t_star - want) <= 1e-8
         with pytest.raises(ValueError, match="cone dimension 65 exceeds"):
             feasibility.exact_test_extension(np.eye(3, dtype=complex) / 3.0, 64)
 
@@ -442,8 +450,7 @@ class TestExactTestExtension:
     @pytest.mark.parametrize("two_j", [4, 30, 62])
     def test_reject_carries_pair_witness(self, two_j):
         rng = np.random.default_rng(900 + two_j)
-        basis3 = matcore.hermitian_basis(3)
-        ops = feasibility._pair_adjoint(basis3, two_j)
+        ops = moment_operators(two_j)
         for f in (0.05, 0.1):
             rot = random_so3(rng)
             m = MomentMatrix.from_matrix(two_j, rot @ dicke_zero_moments(two_j, f).matrix @ rot.T)
@@ -451,13 +458,13 @@ class TestExactTestExtension:
             v = feasibility.exact_test_extension(rho, two_j)
             assert (v.stage, v.status) == ("extension", STATUS_NON_QUANTUM)
             w = v.witness
-            assert w.op_labels == feasibility._EXTENSION_LABELS
+            assert w.op_labels == spinalg.MOMENT_LABELS
             assert matcore.min_eigenvalue(w.matrix) >= -1e-9
             assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
             assert abs(w.value + v.t_star) <= 1e-6
             assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
-            # the same coefficients over E_r are the pair operator W, <W, rho> = value
-            pair = np.tensordot(w.op_coefficients, basis3, axes=1)
+            # the same coefficients over K_i are the pair operator W, <W, rho> = value
+            pair = np.tensordot(w.op_coefficients, reduction.reduction_operators(two_j), axes=1)
             assert matcore.hs_inner(pair, rho) == pytest.approx(w.value, abs=1e-12)
             assert [r.name for r in v.tests_run] == ["extension", "witness"]
 
@@ -523,7 +530,7 @@ class TestWitnessSearch:
     def test_witness_matrix_consistent_with_coefficients(self):
         m = coords_matrix([0.1, 0.0, 0.4], [0.9, 0.2, -0.1], 6)
         w = feasibility.exact_test_direct(m).witness
-        ops = feasibility._moment_operator_set(6)
+        ops = moment_operators(6)
         rebuilt = sum(c * op for c, op in zip(w.op_coefficients, ops))
         assert np.abs(rebuilt - w.matrix).max() < 1e-8
 
@@ -763,7 +770,7 @@ class TestOneSdpPerDecision:
         if v.accepted:
             assert v.stage == "reconstruct"
             assert abs(v.t_star - want.t_star) <= 1e-7
-            got = np.einsum("kij,ji->k", feasibility._moment_operator_set(2), v.certificate_state).real
+            got = np.einsum("kij,ji->k", moment_operators(2), v.certificate_state).real
             assert np.abs(got - spinalg.moment_values(m)).max() <= 1e-12
             assert matcore.min_eigenvalue(v.certificate_state) == pytest.approx(-v.t_star, abs=1e-15)
 
@@ -796,13 +803,13 @@ class TestOneSdpPerDecision:
         assert abs(w.value + (np.linalg.norm(ell) / 0.5 - 1.0) / 2.0) <= 1e-12
         assert matcore.min_eigenvalue(w.matrix) >= -1e-9
         assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
-        ops = feasibility._moment_operator_set(1)
+        ops = moment_operators(1)
         assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-12
 
     @pytest.mark.parametrize("two_j", [4, 10, 30])
     def test_exact_reject_witness_is_phase1_dual(self, two_j):
         rng = np.random.default_rng(500 + two_j)
-        ops = feasibility._moment_operator_set(two_j)
+        ops = moment_operators(two_j)
         for f in (0.05, 0.1, 0.15):
             rot = random_so3(rng)
             m = dicke_zero_moments(two_j, f)
@@ -820,7 +827,7 @@ class TestOneSdpPerDecision:
     @pytest.mark.parametrize("two_j", [4, 62])
     def test_exact_test_direct_reject_carries_its_witness(self, two_j):
         rng = np.random.default_rng(700 + two_j)
-        ops = feasibility._moment_operator_set(two_j)
+        ops = moment_operators(two_j)
         rot = random_so3(rng)
         m = dicke_zero_moments(two_j, 0.1)
         m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
@@ -857,7 +864,7 @@ class TestDecidedStop:
 
     @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
     def test_verdict_and_evidence_against_the_optimum(self, two_j):
-        ops = feasibility._moment_operator_set(two_j)
+        ops = moment_operators(two_j)
         for m in self.families(two_j):
             got = feasibility.classify(m)
             want = feasibility.exact_test_direct(m)
@@ -1029,7 +1036,7 @@ class TestEarlyRejectWitness:
     @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 30, 62])
     def test_closed_form_witness_separates(self, two_j):
         rng = np.random.default_rng(900 + two_j)
-        ops = feasibility._moment_operator_set(two_j)
+        ops = moment_operators(two_j)
         for build, stage_at in self.BUILDERS:
             for _ in range(2):
                 rot = random_so3(rng)
@@ -1157,6 +1164,18 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=f"first moments has non-finite entries: {named}"):
             feasibility.exact_test_first_moments(np.array(ell), 3)
 
+    @pytest.mark.parametrize(
+        "u, named",
+        [([np.nan, 0.0, 0.0], r"u\[0\] = nan"), ([0.0, 0.0, np.inf], r"u\[2\] = inf")],
+        ids=["nan", "inf"],
+    )
+    def test_scan_grid(self, u, named):
+        # checked before any arithmetic: no RuntimeWarning, no empty regions
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"first moments has non-finite entries: {named}"):
+                scan_grid(10, np.array(u), resolution=5)
+
     @pytest.mark.parametrize("entry", [(0, 0), (1, 2)], ids=["diagonal", "off-diagonal"])
     def test_exact_test_extension(self, entry):
         rho = np.eye(3, dtype=complex) / 3.0
@@ -1164,6 +1183,52 @@ class TestNonFiniteInput:
         named = rf"rho\[{entry[0]}\]\[{entry[1]}\] = \(?nan"
         with pytest.raises(ValueError, match=f"reduced state has non-finite entries: {named}"):
             feasibility.exact_test_extension(rho, 4)
+
+
+class TestFirstMomentShape:
+    @pytest.mark.parametrize("entry", [feasibility.first_moment_test, feasibility.exact_test_first_moments])
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (4,)])
+    def test_first_moments_must_be_a_3_vector(self, entry, shape):
+        with pytest.raises(ValueError, match="first moments must be a real 3-vector"):
+            entry(np.full(shape, 0.1), 3)
+
+
+class TestPairLiftStack:
+    """Every measured operator is built as a pair lift, with no spin matrix;
+    the dense spin products of ``conftest.moment_operators`` are the partner."""
+
+    def test_stack_matches_dense_spin_products(self):
+        for two_j in range(1, 64):
+            got, want = feasibility._moment_operator_set(two_j), moment_operators(two_j)
+            scale = np.abs(want).max(axis=(1, 2))
+            assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale), two_j
+
+    def test_decision_paths_build_no_spin_operators(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs
+
+        spins = (4, 10, 30, 62)
+        items = inputs.make_inputs(21, spins, {family: 1 for family in inputs.FAMILIES})
+        pair = random_density(np.random.default_rng(2100), 3)
+
+        def refuse(two_j):
+            raise AssertionError("a decision path built the dense spin operators")
+
+        monkeypatch.setattr(spinalg, "spin_operators", refuse)
+        feasibility._moment_operator_set.cache_clear()
+        feasibility._moment_program.cache_clear()
+        for two_j in spins:
+            at = [it for it in items if it.two_j == two_j]
+            ms = [MomentMatrix.from_matrix(two_j, it.matrix) for it in at]
+            assert {it.family for it in at} == set(inputs.FAMILIES)
+            assert [feasibility.classify(m).status for m in ms] == [it.expect for it in at]
+            assert [v.status for v in feasibility.exact_test_batch(ms)] == [it.expect for it in at]
+            assert [feasibility.exact_test_direct(m).status for m in ms] == [it.expect for it in at]
+            ext = feasibility.exact_test_extension(pair, two_j)
+            assert ext.status == feasibility.exact_test_direct(moments_of_pair_state(pair, two_j)).status
+        result = scan_grid(10, np.array([0.1, 0.2, 0.3]), resolution=21)
+        assert ((result.in_t == 1) & (result.in_r == 0)).any()
+        assert result.area("R") <= result.area("S") <= result.area("T")
 
 
 class TestSpinHalfRouting:

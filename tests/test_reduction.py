@@ -6,7 +6,13 @@ from spinmoment.reduction import RenormalizedCoords
 from spinmoment.spinalg import MomentMatrix
 
 import symmetric_oracle
-from conftest import highest_weight_state, moments_of_pair_state, pair_values, random_density
+from conftest import (
+    highest_weight_state,
+    moments_of_pair_state,
+    pair_values,
+    random_density,
+    renormalized_coords,
+)
 
 
 class TestReductionOperators:
@@ -107,7 +113,7 @@ class TestReconstruct:
         d = two_j + 1
         m = spinalg.moment_matrix(np.eye(d, dtype=complex) / d, t)
         rho = reduction.reconstruct_rho(m)
-        coords = reduction.renormalized_coords(m)
+        coords = renormalized_coords(m)
         assert np.abs(coords.u).max() < 1e-12
         assert np.allclose(coords.v, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
         if two_j == 4:
@@ -167,7 +173,7 @@ class TestRenormalizedCoords:
     def test_highest_weight(self):
         t = spinalg.spin_operators(5)
         m = spinalg.moment_matrix(highest_weight_state(5), t)
-        c = reduction.renormalized_coords(m)
+        c = renormalized_coords(m)
         assert np.allclose(c.u, [0, 0, 1], atol=1e-12)
         assert np.allclose(c.v, [0, 0, 1], atol=1e-12)
 
@@ -175,7 +181,7 @@ class TestRenormalizedCoords:
         for two_j in (2, 3, 8):
             t = spinalg.spin_operators(two_j)
             m = spinalg.moment_matrix(random_density(rng, two_j + 1), t)
-            c = reduction.renormalized_coords(m)
+            c = renormalized_coords(m)
             assert c.v.sum() == pytest.approx(1.0, abs=1e-9)
             re_off = (
                 m.matrix[0, 1].real,
@@ -188,7 +194,7 @@ class TestRenormalizedCoords:
     def test_coords_round_trip_without_offdiagonals(self):
         c = RenormalizedCoords(u=np.array([0.2, 0.1, -0.3]), v=np.array([0.4, 0.35, 0.25]), two_j=6)
         m = reduction.moments_from_coords(c)
-        c2 = reduction.renormalized_coords(m)
+        c2 = renormalized_coords(m)
         assert np.abs(c2.u - c.u).max() < 1e-12
         assert np.abs(c2.v - c.v).max() < 1e-12
 
@@ -201,7 +207,7 @@ class TestRenormalizedCoords:
         t = spinalg.spin_operators(1)
         m = spinalg.moment_matrix(np.eye(2, dtype=complex) / 2.0, t)
         with pytest.raises(ValueError, match="first-moment"):
-            reduction.renormalized_coords(m)
+            renormalized_coords(m)
 
 
 class TestTau:
