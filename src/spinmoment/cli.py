@@ -409,18 +409,26 @@ def _check_scan_oracle() -> tuple[str, bool, str]:
 
 
 def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str, bool, str]]:
-    """Every suite in order; the sampling suites draw from one generator in turn."""
+    """Every suite in order; the sampling suites draw from one generator in turn.
+    A suite that raises fails with the exception as its detail, and the rest run on."""
     rng = np.random.default_rng(seed)
-    return [
-        _check_spin_algebra(j_max, inject_fault),
-        _check_sdp_analytic(),
-        _check_sdp_determinism(),
-        _check_sandwich(rng),
-        _check_witness_duality(rng),
-        _check_first_moment(rng),
-        _check_early_witness(rng),
-        _check_scan_oracle(),
-    ]
+    suites = (
+        ("spin-algebra", lambda: _check_spin_algebra(j_max, inject_fault)),
+        ("sdp-analytic", _check_sdp_analytic),
+        ("sdp-determinism", _check_sdp_determinism),
+        ("sandwich", lambda: _check_sandwich(rng)),
+        ("witness-duality", lambda: _check_witness_duality(rng)),
+        ("first-moment", lambda: _check_first_moment(rng)),
+        ("early-witness", lambda: _check_early_witness(rng)),
+        ("scan-oracle", _check_scan_oracle),
+    )
+    checks = []
+    for name, suite in suites:
+        try:
+            checks.append(suite())
+        except Exception as exc:  # a raise fails this suite only
+            checks.append((name, False, f"raised {type(exc).__name__}: {exc}"))
+    return checks
 
 
 def cmd_validate(args) -> int:

@@ -11,8 +11,9 @@ phase-1 program, expanded over the measured operators
 solves to the optimum, where t_p and t_d meet t* and the witness is
 optimal.  ``classify``'s exact stage and ``exact_test_batch`` need only the
 verdict, so they stop at the first iterate whose primal bound t_p or dual
-bound t_d clears the boundary band, and report that certified bound as
-``t_star``; a t* in or near the band still runs to the optimum.  At 2j = 2
+bound t_d clears the boundary band, or at the solver's dual look-ahead
+point, and report that certified bound as ``t_star``; a t* in or near the
+band still runs to the optimum.  At 2j = 2
 the pair marginal is the state itself, so the reconstruct stage decides and
 the reversed rho_j is the certificate.  ``classify`` compares |l| with j
 first, at every spin, and a first-moment reject's witness is the optimal one
@@ -373,11 +374,16 @@ def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
     two_j = ms[0].two_j
     if any(m.two_j != two_j for m in ms):
         raise ValueError("a batch of exact tests needs one spin number")
+    return _exact_values_batch(two_j, np.stack([spinalg.moment_values(m) for m in ms]))
+
+
+def _exact_values_batch(two_j: int, values: np.ndarray) -> list[Verdict]:
+    """``exact_test_batch`` on the (k, 10) moment values b of k inputs at spin
+    ``two_j``: for callers that have b without a ``MomentMatrix``."""
     program = _moment_program(two_j)
     t0 = time.perf_counter()
-    values = np.stack([spinalg.moment_values(m) for m in ms])
     solved = sdp.phase1_min_t(program, values, decide=True)
-    share = (time.perf_counter() - t0) / len(ms)
+    share = (time.perf_counter() - t0) / len(values)
     return [
         _read_phase1(p1, v, spinalg.MOMENT_LABELS, "exact", _StageLog(share))
         for p1, v in zip(solved, values)

@@ -10,9 +10,9 @@ over the stack) per map, on blocks of whole grid rows that hold at most
 The SDP runs only on cells in T but not R, which is sound because the three
 sets are nested.  Those cells share one operator stack and differ only in
 their moment values, so they are decided by batched phase-1 solves
-(``feasibility.exact_test_batch``), one kernel chunk at a time, of which only
-the flags are kept.  Output goes to CSV and optionally to a simple SVG
-rendering.
+(the values form of ``feasibility.exact_test_batch``), one kernel chunk at a
+time, of which only the flags are kept.  Output goes to CSV and optionally
+to a simple SVG rendering.
 """
 
 from __future__ import annotations
@@ -161,16 +161,19 @@ def _slice_maps(two_j: int, u: np.ndarray):
 
 
 def _exact_cells(args) -> tuple[list[bool], list[float]]:
-    """Exact tests of cells in T but not R, fed to ``exact_test_batch`` one
+    """Exact tests of cells in T but not R, fed to the batched exact test one
     kernel chunk at a time so that only the flags outlive a chunk; returns
-    (accepted, seconds) per cell, each cell timed at its chunk's share."""
+    (accepted, seconds) per cell, each cell timed at its chunk's share.  Each
+    cell's moment values come straight from its coordinates."""
     two_j, u, points = args
     step = sdp.batch_size(feasibility._moment_program(two_j).rows.size)
     accepted, seconds = [], []
     for a in range(0, len(points), step):
         t0 = time.perf_counter()
-        chunk = [_moments(two_j, u, v1, v2) for v1, v2 in points[a : a + step]]
-        accepted += [v.accepted for v in feasibility.exact_test_batch(chunk)]
+        chunk = np.stack([
+            reduction._coords_values(two_j, u, (v1, v2, 1.0 - v1 - v2)) for v1, v2 in points[a : a + step]
+        ])
+        accepted += [v.accepted for v in feasibility._exact_values_batch(two_j, chunk)]
         seconds += [(time.perf_counter() - t0) / len(chunk)] * len(chunk)
     return accepted, seconds
 

@@ -28,21 +28,35 @@ the objective's scale, when X_mn = 0), with Z0 = 1/d and y0 = 0.  The
 objective 1/d is positive definite, so Z = 1/d is strictly dual feasible,
 and X_mn + s*1 is strictly primal feasible for every s > |lambda_min|: no
 infeasibility ray can occur, and a solve ends optimal or in numerical
-failure.  Both residuals start at zero, and a Newton step keeps them there
-to rounding, so every iterate is a primal point Y >= 0 and a dual point
-(y, Z >= 0) at once.  With s = (fitted trace)/d, its objectives bound t*
-from both sides: t_p = tr(Y)/d - s >= t* >= t_d = b~.y - s.  An optimal
-return has both residuals within ``TOLERANCE`` and a gap t_p - t_d <=
-``TOLERANCE`` max(1, |tr(Y)/d|), so its t_p is that close to t*.
-``phase1_min_t(..., decide=True)`` uses the bounds: a program whose
-residuals pass ``TOLERANCE`` stops as soon as t_p < -``BOUNDARY_BAND``
+failure.  The dual slack is never stepped: Z = C - A^*(y), C = 1/d, is
+recomputed from y after every update, so the dual residual is zero by
+construction (``SdpSolution.dual_residual`` measures its rounding once, on
+the returned (y, Z)).  The primal residual starts at zero and a Newton step
+keeps it there to rounding, so every iterate is a primal point Y >= 0 and a
+dual point (y, Z >= 0) at once.  With s = (fitted trace)/d, its objectives
+bound t* from both sides: t_p = tr(Y)/d - s >= t* >= t_d = b~.y - s.  An
+optimal return has the primal residual within ``TOLERANCE`` and a gap
+t_p - t_d <= ``TOLERANCE`` max(1, |tr(Y)/d|), so its t_p is that close to t*.
+``phase1_min_t(..., decide=True)`` uses the bounds: a program whose primal
+residual passes ``TOLERANCE`` stops as soon as t_p < -``BOUNDARY_BAND``
 (status primal-bound: X = Y - t_p·1 certifies feasibility) or t_d >
 ``BOUNDARY_BAND`` (status dual-bound: the rebuilt dual is a witness of
-value -t_d), and ``t_star`` is that bound.  A t* inside the band, or close
-to it, clears neither bound first, so it still runs to the optimality test.
-An iteration costs O(m d^3) with m <= 9 rows, all of it in BLAS: one
-Cholesky factor each of X and Z, whose inverses give Z^-1 and the four step
-lengths, and matmuls over the flattened operator stack.
+value -t_d), and ``t_star`` is that bound.  It also looks one step ahead
+on the dual side.  Where the full predictor point y1 = y + dy already has
+b~.y1 - s > ``BOUNDARY_BAND``, one Cholesky factor of Z1 - lam·1, with
+Z1 = C - A^*(y1), need = (1 - b~.y1/(s + band))/d < 0 and lam =
+``_LOOKAHEAD_SHIFT`` need, strictly between need and 0, decides it: if the
+factor exists, y = y1/(1 - d lam) is a dual point whose slack
+(Z1 - lam·1)/(1 - d lam) is PSD with unit trace, and whose bound t_d stays
+above the band.  The program then stops at that point with status
+dual-bound, before the step lengths, the corrector and the update.  The
+primal side has no such look-ahead: the full primal step overshoots, so it
+would rarely certify.  A t* inside the band, or close to it, clears
+neither bound first, so it still runs to the optimality test.  An
+iteration costs O(m d^3) with m <= 9 rows, all of it in BLAS: one Cholesky
+factor each of X and Z, whose inverses give Z^-1 and the four step lengths
+(two for the predictor, two for the corrector), and matmuls over the
+flattened operator stack.
 
 The kernel ``_path_following`` carries a leading batch axis: the iterates
 of k programs over one row stack are (k, d, d) arrays, so one pass of numpy
@@ -83,6 +97,10 @@ DIM_CAP = 64
 BATCH_ENTRIES = 1 << 18  # complex entries of one (k, m, d, d) kernel stack: 4 MB
 
 _DIVERGENCE = 1e12
+# lam / need of the dual look-ahead: lam just above need factors whenever
+# lambda_min(Z1) > need, that is whenever the rescaled y1 can clear the band at
+# all, and its bound keeps about a thousandth of the margin b.y1 - s - band
+_LOOKAHEAD_SHIFT = 0.999
 
 
 @dataclass
@@ -195,7 +213,8 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
     Iterates are (k, d, d) stacks, and every program keeps its own step
     lengths, stopping, divergence and stall tests, log and failure message.
     A program that stops leaves the active set, so the arrays shrink with it.
-    ``shift``, k trace shifts s or None, adds ``solve``'s bound stops.
+    ``shift``, k trace shifts s or None, adds ``solve``'s bound stops and the
+    dual look-ahead.
     """
     k, m = b.shape
     shift = np.full(k, math.nan) if shift is None else np.asarray(shift, dtype=float)
@@ -213,9 +232,10 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
         ]
 
     a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
+    band = matcore.BOUNDARY_BAND
 
     # Start: the min-norm affine solution shifted into the interior at its own
-    # scale, 1.5 |lambda_min|, or 1/d if it is zero; and Z = 1/d.
+    # scale, 1.5 |lambda_min|, or 1/d if it is zero; and y = 0, so Z = 1/d.
     x = _herm(min_norm(b))
     lift = 1.5 * np.abs(_lowest_eigenvalue(x))
     x += np.where(lift > 0.0, lift, 1.0 / d)[:, None, None] * eye
@@ -223,56 +243,55 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
     y = np.zeros((k, m))
 
     b_scale = 1.0 + np.abs(b).max(axis=1)
-    c_scale = 1.0 + 1.0 / d
-    logs: list[list[tuple[float, float, float, float, float]]] = [[] for _ in range(k)]
+    logs: list[list[tuple[float, float, float, float]]] = [[] for _ in range(k)]
     out: list[SdpSolution | None] = [None] * k  # every program is finished by the end
     stalls = [0] * k
     active = np.arange(k)  # the program behind each row of the stacks
 
-    def finish(i: int, status: str, message: str = "") -> None:
-        pobj, dobj, mu, pres, dres, _ = stats[i]
+    def finish(i: int, status: str, message: str = "", iterations: int | None = None) -> None:
+        pobj, dobj, mu, pres, _ = stats[i]
+        # Z = C - A^*(y) by construction: the residual measures its rounding
+        dres = float(np.abs(c - z[i] - a_adjoint(y[i])).max()) / (1.0 + 1.0 / d)
         out[active[i]] = SdpSolution(
             status, x[i].copy(), y[i].copy(), z[i].copy(),
-            primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj), iterations=it,
+            primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
+            iterations=it if iterations is None else iterations,
             primal_residual=pres, dual_residual=dres, mu=mu, iterate_log=logs[active[i]],
             message=message,
         )
         going[i] = False
 
     for it in range(MAX_ITERATIONS + 1):  # the last pass only tests the final iterate
-        rd = _herm(c - z - a_adjoint(y))
         mu = np.einsum("kab,kab->k", x.conj(), z).real / d
         stats = list(zip(*(a.tolist() for a in (
             x.diagonal(0, 1, 2).real.sum(axis=1) / d,
             (b * y).sum(axis=1),
             mu,
             np.abs(b - a_apply(x)).max(axis=1) / b_scale,
-            np.abs(rd).max(axis=(1, 2)) / c_scale,
             np.maximum(np.abs(y).max(axis=1), np.abs(x).max(axis=(1, 2))),
         ))))
         going = np.ones(len(active), dtype=bool)
-        for i, (pobj, dobj, mu_i, pres, dres, size) in enumerate(stats):
-            logs[active[i]].append((pobj, dobj, mu_i, pres, dres))
+        for i, (pobj, dobj, mu_i, pres, size) in enumerate(stats):
+            logs[active[i]].append((pobj, dobj, mu_i, pres))
             gap = abs(pobj - dobj)
-            feasible = pres <= TOLERANCE and dres <= TOLERANCE
+            feasible = pres <= TOLERANCE
             if feasible and gap <= TOLERANCE * max(1.0, abs(pobj)):
                 finish(i, STATUS_OPTIMAL)
-            elif feasible and pobj - shift[i] < -matcore.BOUNDARY_BAND:
+            elif feasible and pobj - shift[i] < -band:
                 finish(i, STATUS_PRIMAL_BOUND)
-            elif feasible and dobj - shift[i] > matcore.BOUNDARY_BAND:
+            elif feasible and dobj - shift[i] > band:
                 finish(i, STATUS_DUAL_BOUND)
             elif size > _DIVERGENCE:
                 finish(i, STATUS_FAILURE, "iterate diverged")
             elif it == MAX_ITERATIONS:
                 finish(i, STATUS_FAILURE, (
-                    f"no convergence after {it} iterations "
-                    f"(gap {gap:.2e}, primal res {pres:.2e}, dual res {dres:.2e})"
+                    f"no convergence after {it} iterations (gap {gap:.2e}, primal res {pres:.2e})"
                 ))
         if not going.all():
             if not going.any():
                 break
-            active, b, b_scale, shift, x, y, z, rd, mu = (
-                a[going] for a in (active, b, b_scale, shift, x, y, z, rd, mu)
+            active, b, b_scale, shift, x, y, z, mu = (
+                a[going] for a in (active, b, b_scale, shift, x, y, z, mu)
             )
             stats = [row for row, g in zip(stats, going) if g]
             going = going[going]
@@ -286,17 +305,16 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
         zinv = _herm(_adjoint(lz) @ lz)
         schur = schur_of(x, zinv)
         a_zinv = a_apply(zinv)
-        a_xrdz = a_apply(x @ rd @ zinv)
 
         def newton(sigma_mu: np.ndarray, correction: np.ndarray | None):
-            rhs = b - sigma_mu[:, None] * a_zinv + a_xrdz
+            rhs = b - sigma_mu[:, None] * a_zinv
             if correction is not None:
                 rhs = rhs + a_apply(correction @ zinv)
             dy = _each(
                 lambda s, r: np.linalg.solve(s, r[..., None])[..., 0], (schur, rhs), failed,
                 _ridge_solve, lambda s, r: np.zeros_like(r),
             )
-            dz = _herm(rd - a_adjoint(dy))
+            dz = -a_adjoint(dy)  # Z stays on its affine space C - A^*(y)
             dx = sigma_mu[:, None, None] * zinv - x - x @ dz @ zinv
             if correction is not None:
                 dx = dx - correction @ zinv
@@ -307,6 +325,48 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
             return np.minimum(1.0, fraction * alpha[:n]), np.minimum(1.0, fraction * alpha[n:])
 
         dx_a, dy_a, dz_a = newton(np.zeros(n), None)
+        for i, message in failed.items():  # a failed factor or predictor ends its program here
+            if going[i % n]:
+                finish(i % n, STATUS_FAILURE, message)
+        failed.clear()
+
+        # Dual look-ahead: once the full predictor point y1 = y + dy_a bounds t*
+        # above the band, one Cholesky factor of Z1 - lam·1, Z1 = C - A^*(y1),
+        # certifies the dual point y1/(1 - d lam): its slack (Z1 - lam·1)/(1 - d lam)
+        # is PSD with unit trace, and for need < lam < 0 its bound b.y1/(1 - d lam) - s
+        # still clears the band.
+        y1 = y + dy_a
+        dobj1 = (b * y1).sum(axis=1)
+        ahead = going & (dobj1 - shift > band) & (shift + band > 0.0)
+        if ahead.any():
+            at = np.flatnonzero(ahead)
+            need = (1.0 - dobj1[at] / (shift[at] + band)) / d  # < 0: the bound is the band there
+            lam = _LOOKAHEAD_SHIFT * need
+            shifted = _herm(c - a_adjoint(y1[at])) - lam[:, None, None] * eye
+            misses: dict[int, str] = {}  # the positions whose factorization fails
+            _each(np.linalg.cholesky, (shifted,), misses, np.linalg.cholesky, lambda a: a)
+            for j, i in enumerate(at.tolist()):
+                scale = 1.0 - d * lam[j]
+                y_i = y1[i] / scale
+                dobj = float(b[i] @ y_i)
+                if j in misses or not dobj - shift[i] > band:
+                    continue
+                y[i], z[i] = y_i, shifted[j] / scale
+                pobj, _, _, pres, size = stats[i]
+                stats[i] = (pobj, dobj, float(np.vdot(x[i], z[i]).real) / d, pres, size)
+                logs[active[i]].append(stats[i][:4])
+                finish(i, STATUS_DUAL_BOUND, iterations=it + 1)
+        if not going.all():  # the predictor's failures and certified programs leave here
+            if not going.any():
+                break
+            active, b, b_scale, shift, x, y, z, mu, zinv, schur, a_zinv, dx_a, dz_a = (
+                a[going] for a in (active, b, b_scale, shift, x, y, z, mu, zinv, schur, a_zinv, dx_a, dz_a)
+            )
+            inv_factors = inv_factors[np.concatenate([going, going])]
+            stats = [row for row, g in zip(stats, going) if g]
+            going = going[going]
+            n = len(active)
+
         ap_a, ad_a = steps(dx_a, dz_a, 1.0)
         mu_aff = np.einsum(
             "kab,kab->k", (x + ap_a[:, None, None] * dx_a).conj(), z + ad_a[:, None, None] * dz_a
@@ -325,7 +385,7 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
 
         x = _herm(x + ap[:, None, None] * dx)
         y = y + ad[:, None] * dy
-        z = _herm(z + ad[:, None, None] * dz)
+        z = _herm(c - a_adjoint(y))
         if not going.all():
             if not going.any():
                 break
@@ -342,12 +402,15 @@ def solve(ops: np.ndarray, b: np.ndarray, *, shift: float | None = None) -> SdpS
     that ``phase1_min_t`` builds (orthonormal there, though any independent
     rows will do).  The returned status is ``optimal`` only when both
     feasibility residuals and the duality gap over max(1, |tr(Y)/d|) are
-    within ``TOLERANCE``.  Given the trace shift s = (fitted trace)/d as ``shift``,
-    a solve whose residuals pass also stops early, with status
-    ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or ``dual-bound``
-    once b.y - s > BOUNDARY_BAND.  Anything else is numerical failure with
-    the final residuals in the message.  This is the one-program call of the
-    batched kernel ``_path_following``.
+    within ``TOLERANCE``; the dual slack is C - A^*(y) by construction, so
+    only the primal residual is tested.  Given the trace shift s = (fitted
+    trace)/d as ``shift``, a solve whose primal residual passes also stops
+    early, with status ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or
+    ``dual-bound`` once b.y - s > BOUNDARY_BAND; a dual-bound solve may also
+    stop at the rescaled full predictor point, once one Cholesky factor
+    certifies it (the module's dual look-ahead).  Anything else is numerical
+    failure with the final residuals in the message.  This is the
+    one-program call of the batched kernel ``_path_following``.
     """
     shifts = None if shift is None else [shift]
     return _path_following(ops, np.asarray(b, dtype=float)[None], shifts)[0]
@@ -375,8 +438,11 @@ class Phase1Result:
     the gap.  A ``decide`` solve may stop earlier on a certified bound
     instead, named by ``solution.status``: t_p (primal-bound, an upper bound
     below -BOUNDARY_BAND) or t_d (dual-bound, a lower bound above
-    BOUNDARY_BAND).  ``x``, ``dual_z`` and ``dual_coefficients`` are None
-    unless the solve is optimal or decided.
+    BOUNDARY_BAND).  A dual-bound's y may be the dual look-ahead point, the
+    full predictor point rescaled so that its slack is PSD with unit trace:
+    its t_d clears the band by about a thousandth of the predictor's margin,
+    so it decides the sign but may sit well below t*.  ``x``, ``dual_z`` and
+    ``dual_coefficients`` are None unless the solve is optimal or decided.
     """
 
     t_star: float

@@ -579,6 +579,21 @@ class TestValidateCommand:
         name, ok, _ = cli._check_first_moment(np.random.default_rng(2024))
         assert (name, ok) == ("first-moment", False)
 
+    def test_a_raising_suite_fails_alone(self, capsys, monkeypatch):
+        # a suite whose solve raises prints its own [FAIL] line; the others still
+        # run and validate exits 1, not with an input or solver error code
+        def raises():
+            raise ArithmeticError("phase-1 SDP did not converge: forced")
+
+        monkeypatch.setattr(cli, "_check_sdp_analytic", raises)
+        rc = cli.main(["validate", "--j-max", "4"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "[FAIL] sdp-analytic: raised ArithmeticError: phase-1 SDP did not converge: forced" in captured.out
+        assert captured.out.count("[ ok ]") == 7
+        assert "ran 8 suites" in captured.out
+        assert "failing: sdp-analytic" in captured.err
+
     def test_injected_fault_goes_red(self, capsys):
         rc = cli.main(["validate", "--j-max", "4", "--inject-fault"])
         captured = capsys.readouterr()

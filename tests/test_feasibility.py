@@ -319,6 +319,25 @@ class TestExactTestBatch:
         again = feasibility.exact_test_batch(ms)
         assert [v.t_star for v in again] == [v.t_star for v in batch]
 
+    def test_scan_cells_take_the_values_from_their_coordinates(self, monkeypatch):
+        # the scan's exact cells build no moment matrix, and their flags are the
+        # per-cell oracle's, which still builds one
+        from spinmoment import scan
+
+        u = np.array([0.1, 0.2, 0.3])
+        res = scan.scan_grid(10, u, resolution=15, sets=("R", "T"))
+        cells = np.argwhere((res.in_t == 1) & (res.in_r == 0))
+        points = [(float(res.v1_values[a]), float(res.v2_values[b])) for a, b in cells]
+        want = [scan._point_flags(10, u, v1, v2, True)[1] == 1 for v1, v2 in points]
+
+        def no_matrix(*args):
+            raise AssertionError("a moment matrix was built")
+
+        monkeypatch.setattr(MomentMatrix, "from_matrix", no_matrix)
+        accepted, seconds = scan._exact_cells((10, u, points))
+        assert accepted == want and len(seconds) == len(points)
+        assert 0 < sum(want) < len(want)
+
     def test_one_spin_per_batch(self):
         assert feasibility.exact_test_batch([]) == []
         ms = [coords_matrix([0, 0, 0], [1 / 3, 1 / 3, 1 / 3], two_j) for two_j in (4, 6)]
@@ -892,6 +911,28 @@ class TestDecidedStop:
                 assert abs(np.trace(x).real - 1.0) <= 1e-12
                 moments = np.einsum("kij,ji->k", ops, x).real
                 assert np.all(np.abs(moments - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))
+
+    def test_rejects_end_at_the_dual_look_ahead(self, monkeypatch):
+        # a reject whose full predictor step already certifies a bound above the
+        # band skips that iteration's step lengths and corrector: over the rejects
+        # of these families, two step-length tests per iteration come to at most
+        # 30 calls (50 when each reject waits for an iterate to clear the band); the
+        # accepts are untouched at 50
+        calls = {STATUS_QUANTUM: 0, STATUS_NON_QUANTUM: 0}
+        real = sdp._max_step
+        status = None
+
+        def counting(*args):
+            calls[status] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sdp, "_max_step", counting)
+        for two_j in (4, 10, 30, 62):
+            ms = self.families(two_j)
+            for status, group in ((STATUS_QUANTUM, ms[:2]), (STATUS_NON_QUANTUM, ms[2:])):
+                assert all(feasibility.classify(m).status == status for m in group)
+        assert calls[STATUS_NON_QUANTUM] <= 30
+        assert calls[STATUS_QUANTUM] <= 50
 
     def test_fewer_iterations_at_the_cap(self):
         for m in self.families(62):

@@ -137,11 +137,12 @@ class TestWeakDualityAndDeterminism:
         p1 = sdp.phase1_min_t(*highest_weight_program(4))
         log = p1.solution.iterate_log
         assert len(log) >= 3
-        for pobj, dobj, _, pres, dres in log:
-            # feasible-start path: both iterates stay feasible throughout
+        for pobj, dobj, _, pres in log:
+            # feasible-start path: the primal iterate stays feasible throughout
             assert pres <= 1e-9
-            assert dres <= 1e-9
             assert pobj >= dobj - 1e-9
+        # the dual slack is C - A^*(y) by construction, so its residual is rounding
+        assert p1.solution.dual_residual <= 1e-14
 
     def test_bit_identical_reruns(self):
         a = sdp.phase1_min_t(*highest_weight_program(4))
@@ -512,22 +513,26 @@ class TestInfeasibilityDetection:
     @pytest.mark.parametrize("e00", [-1.0, 0.3])
     def test_decided_run_is_the_optimal_run_cut_short(self, e00):
         # a decided solve takes the optimal solve's iterates and stops at the first
-        # one whose bound clears the band: t_d for the reject, t_p for the accept
+        # bound that clears the band: for the reject, t_d of the dual look-ahead
+        # point beyond the last iterate; for the accept, t_p of an iterate
         program = corner_program(e00)
         ref = sdp.phase1_min_t(*program)
         p1 = sdp.phase1_min_t(*program, decide=True)
         sol = p1.solution
         assert sol.iterations < ref.solution.iterations
-        assert sol.iterate_log == ref.solution.iterate_log[: sol.iterations + 1]
         shift = 1.0 / 2  # the fitted trace over d
         pobj, dobj = sol.iterate_log[-1][:2]
         if e00 < 0:
+            assert sol.iterate_log[:-1] == ref.solution.iterate_log[: sol.iterations]
+            # the look-ahead moves the dual point only
+            assert pobj == sol.iterate_log[-2][0]
             assert sol.status == sdp.STATUS_DUAL_BOUND
             assert p1.t_star == dobj - shift
             assert 1e-7 < p1.t_star <= ref.t_star + 1e-9
             assert float(p1.dual_coefficients @ program[1]) == pytest.approx(-p1.t_star, abs=1e-15)
             assert all(l[1] - shift <= 1e-7 for l in sol.iterate_log[:-1])
         else:
+            assert sol.iterate_log == ref.solution.iterate_log[: sol.iterations + 1]
             assert sol.status == sdp.STATUS_PRIMAL_BOUND
             assert p1.t_star == pobj - shift
             assert ref.t_star - 1e-9 <= p1.t_star < -1e-7
