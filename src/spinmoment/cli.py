@@ -165,7 +165,7 @@ def cmd_check(args) -> int:
     if verdict.witness is not None:
         report["witness"] = _witness_json(verdict.witness)
     if verdict.certificate_state is not None:
-        vals, _ = matcore.hermitian_eig(verdict.certificate_state)
+        vals = matcore.hermitian_eigvals(verdict.certificate_state)
         report["certificate_spectrum"] = [float(x) for x in vals]
     print(json.dumps(report))
     return {
@@ -177,18 +177,15 @@ def cmd_check(args) -> int:
 
 def cmd_witness(args) -> int:
     m, label = load_moment_file(args.input)
-    if m.two_j == 1:
-        feasibility._validate_half_spin_structure(m)
-        verdict = feasibility.first_moment_test(m.first_moments, m.two_j)
-    else:
-        verdict = feasibility.exact_test_direct(m)
+    # at j = 1/2 classify checks the forced second moments and decides in closed form
+    verdict = feasibility.classify(m) if m.two_j == 1 else feasibility.exact_test_direct(m)
     title = label or args.input
     print(f"witness search: {title}")
     witness = verdict.witness
     if witness is None:
-        print(f"no witness exists: the input is {verdict.status} ({verdict.tests_run[0].detail})")
+        print(f"no witness exists: the input is {verdict.status} ({verdict.tests_run[-1].detail})")
         return 1
-    zvals, _ = matcore.hermitian_eig(witness.matrix)
+    zvals = matcore.hermitian_eigvals(witness.matrix)
     print(f"  value c.b = {witness.value:.9g}")
     print(f"  Z spectrum: {np.array2string(zvals, precision=8)}")
     print(f"  tr Z = {float(np.trace(witness.matrix).real):.12g}")
@@ -473,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v2-max", type=float, default=1.0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", help="optional SVG rendering path")
-    p.add_argument("--workers", type=int, default=1, help="processes for the exact-test cells")
+    p.add_argument("--workers", type=int, default=1, help="exact-test processes, at most the CPU count")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("validate", help="run the self-validation suites")

@@ -2,38 +2,23 @@
 
 The decisive machinery is the phase-1 SDP over the spin-j state space; the
 cheap inner (PPT / separability) and outer (reduced expectation value matrix)
-tests bracket it from both sides.  Every piece of evidence comes from the
-computation that decided it.  An SDP accept's certificate is the phase-1
-primal X itself: X + t_p·1 is the solver's positive definite iterate, so X
-needs no cleaning.  An exact reject's witness is the dual of that one
-phase-1 program, expanded over the measured operators
-(``Phase1Result.dual_coefficients``), with value -t_d.  ``exact_test_direct``
-solves to the optimum, where t_p and t_d meet t* and the witness is
-optimal.  ``classify``'s exact stage and ``exact_test_batch`` need only the
-verdict, so they stop at the first iterate whose primal bound t_p or dual
-bound t_d clears the boundary band, or at the solver's dual look-ahead
-point, and report that certified bound as ``t_star``; a t* in or near the
-band still runs to the optimum.  At 2j = 2
-the pair marginal is the state itself, so the reconstruct stage decides and
-the reversed rho_j is the certificate.  ``classify`` compares |l| with j
-first, at every spin, and a first-moment reject's witness is the optimal one
-in closed form, Z = (1 - l^.L/j)/(2j+1).  An early reject (chi or
-reconstruct) reads a valid, not optimal, witness off the negative
-eigenvector its stage already computed (``_eigenvector_witness``), with no
-SDP, and stands only when that witness separates.  Every measured operator
-is a pair lift P^dag(K_i) (``_lift``), so the operator stack and all three
-closed-form witnesses are bands with no spin matrix, and the extension
-program over a pair state rho is the direct program on b = K·rho.  Every
-program and witness works over the moment vector b of
-``spinalg.moment_values``; the early stages are its linear stacks
-``spinalg.CHI_PATTERN`` and ``reduction._reconstruction_system``.  The SDP
-paths alone use the stack ``_moment_operator_set`` and its dependency pass
-``_moment_program``, each cached per spin, and raise the cone-cap
-``ValueError`` before they build the operator stack.  As that
-stack depends on the spin only, ``exact_test_batch`` decides many inputs at
-one spin with one batched phase-1 solve, each verdict read by the same
-``_read_phase1`` as a single exact test's.  The outer test (tau >= 0, the
-set T_j) is carried by the 4x4 chi check, which is congruent to it.
+tests bracket it from both sides, in the stage order of ``classify``.  Every
+piece of evidence comes from the computation that decided it.  Every phase-1
+decision, single or batched, is solved, timed and read by one function,
+``_phase1_verdicts``: an accept's certificate is the phase-1 primal X, a
+reject's witness the program's dual over the measured operators
+(``_read_phase1``).  Every measured operator is a pair lift P^dag(K_i)
+(``_lift``), so the operator stack and all three closed-form witnesses are
+bands with no spin matrix, and the extension program over a pair state rho
+is the direct program on b = K·rho.  Every program and witness works over
+the moment vector b of ``spinalg.moment_values``; the early stages are its
+linear stacks ``spinalg.CHI_PATTERN`` and
+``reduction._reconstruction_system``.  The SDP paths alone use the stack
+``_moment_operator_set`` and its dependency pass ``_moment_program``, each
+cached per spin, and raise the cone-cap ``ValueError`` before they build
+the operator stack.  As that stack depends on the spin only,
+``exact_test_batch`` decides many inputs at one spin with one batched
+phase-1 solve.
 """
 
 from __future__ import annotations
@@ -277,15 +262,6 @@ def _read_phase1(
     return Verdict(status, stage, t, p1.x, None, log.done(), kind)
 
 
-def _first_moment_bound(ell: np.ndarray, two_j: int) -> tuple[float, str]:
-    """t* of ``exact_test_first_moments`` in closed form, (|l|/j - 1)/(2j+1), and
-    the first-moment stage's detail."""
-    j = two_j / 2.0
-    r = float(np.linalg.norm(ell))
-    t = (r / j - 1.0) / (two_j + 1)
-    return t, f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
-
-
 def _first_moment_witness(ell: np.ndarray, two_j: int) -> Witness:
     """The optimal first-moment witness Z = (1 - l^.L/j)/(2j+1) for |l| > j.
 
@@ -311,26 +287,27 @@ def _first_moment_vector(ell) -> np.ndarray:
     return ell
 
 
-def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
-    """Closed-form first-moment feasibility: quantum iff |l|^2 <= j^2.
-
-    Banded like ``exact_test_first_moments``, on that program's t* in closed
-    form, (|l|/j - 1)/(2j+1), which the stage detail reports; ``t_star``
-    stays None, as no SDP ran.  A reject carries the optimal witness
-    ``_first_moment_witness``, Z = (1 - l^.L/j)/(2j+1); an accept's
-    certificate mixes the top eigenstate of l^.L, the spin coherent state
-    along l (``spinalg.coherent_state``), with the maximally mixed state.
+def _first_moment_stage(ell: np.ndarray, two_j: int, log: _StageLog, final: bool) -> Verdict | None:
+    """The first-moment law |l| <= j, banded on the t* of
+    ``exact_test_first_moments`` in closed form, (|l|/j - 1)/(2j+1), which
+    the stage detail reports; ``t_star`` stays None, as no SDP runs.  A
+    reject carries the optimal witness ``_first_moment_witness``.  A passing
+    stage returns None unless it is ``final``: then it accepts (or is
+    boundary) with a certificate that mixes the top eigenstate of l^.L, the
+    spin coherent state along l (``spinalg.coherent_state``), with the
+    maximally mixed state.
     """
-    two_j = spinalg._check_two_j(two_j)
-    ell = _first_moment_vector(ell)
     j = two_j / 2.0
     d = two_j + 1
     r = float(np.linalg.norm(ell))
-    t, detail = _first_moment_bound(ell, two_j)
-    log = _StageLog()
+    t = (r / j - 1.0) / d
+    detail = f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
     if t > BOUNDARY_BAND:
         log.add("first-moment", "reject", detail)
         return _rejected("first-moment", _first_moment_witness(ell, two_j), log)
+    if not final:
+        log.add("first-moment", "pass", detail)
+        return None
     if r == 0.0:
         state = np.eye(d, dtype=complex) / d
     else:
@@ -345,6 +322,31 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     return Verdict(status, "first-moment", None, state, None, log.done())
 
 
+def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
+    """Closed-form first-moment feasibility: quantum iff |l|^2 <= j^2.
+
+    The first-moment stage of ``classify`` run as the final stage
+    (``_first_moment_stage``): a reject carries the optimal witness
+    Z = (1 - l^.L/j)/(2j+1), an accept a certificate state.
+    """
+    two_j = spinalg._check_two_j(two_j)
+    return _first_moment_stage(_first_moment_vector(ell), two_j, _StageLog(), final=True)
+
+
+def _phase1_verdicts(stage: str, program, values: np.ndarray, labels=spinalg.MOMENT_LABELS, *, decide=False):
+    """Solve the phase-1 ``program`` (an operator stack or its
+    ``sdp.Phase1Program``) on (m,) ``values``, or on (k, m) values as one
+    batched solve, and read each result with ``_read_phase1``: one verdict,
+    or a list of k.  Each verdict's stage is timed from the start of the
+    solve, at its share of the solve's seconds."""
+    t0 = time.perf_counter()
+    solved = sdp.phase1_min_t(program, values, decide=decide)
+    share = (time.perf_counter() - t0) / len(np.atleast_2d(values))
+    if values.ndim == 1:
+        return _read_phase1(solved, values, labels, stage, _StageLog(share))
+    return [_read_phase1(p1, v, labels, stage, _StageLog(share)) for p1, v in zip(solved, values)]
+
+
 def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     """Decisive feasibility SDP over the spin-j state space.
 
@@ -356,38 +358,25 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     bound on t* clears the band, and ``t_star`` is that bound.
     """
     values = spinalg.moment_values(m)
-    p1 = sdp.phase1_min_t(_moment_program(m.two_j), values, decide=decide)
-    return _read_phase1(p1, values, spinalg.MOMENT_LABELS, "exact", _StageLog())
+    return _phase1_verdicts("exact", _moment_program(m.two_j), values, decide=decide)
 
 
 def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
     """``exact_test_direct(m, decide=True)`` on many moment matrices at one
     spin, from one batched phase-1 solve over the shared operator stack.
 
-    Each program stops on its own bound or optimum, each verdict is read as
-    a single one would be, and its exact stage is timed at its share of the
-    batch's seconds.  Conflicting values raise ``ValueError`` and a failed
-    solve ``ArithmeticError``, as for one input.
+    Each program stops on its own bound or optimum and each verdict is read
+    as a single one would be (``_phase1_verdicts``).  Conflicting values
+    raise ``ValueError`` and a failed solve ``ArithmeticError``, as for one
+    input.
     """
     if not ms:
         return []
     two_j = ms[0].two_j
     if any(m.two_j != two_j for m in ms):
         raise ValueError("a batch of exact tests needs one spin number")
-    return _exact_values_batch(two_j, np.stack([spinalg.moment_values(m) for m in ms]))
-
-
-def _exact_values_batch(two_j: int, values: np.ndarray) -> list[Verdict]:
-    """``exact_test_batch`` on the (k, 10) moment values b of k inputs at spin
-    ``two_j``: for callers that have b without a ``MomentMatrix``."""
-    program = _moment_program(two_j)
-    t0 = time.perf_counter()
-    solved = sdp.phase1_min_t(program, values, decide=True)
-    share = (time.perf_counter() - t0) / len(values)
-    return [
-        _read_phase1(p1, v, spinalg.MOMENT_LABELS, "exact", _StageLog(share))
-        for p1, v in zip(solved, values)
-    ]
+    values = np.stack([spinalg.moment_values(m) for m in ms])
+    return _phase1_verdicts("exact", _moment_program(two_j), values, decide=True)
 
 
 def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
@@ -397,8 +386,8 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
     """
     two_j = spinalg._check_two_j(two_j)
     values = np.concatenate([[1.0], _first_moment_vector(ell)])
-    p1 = sdp.phase1_min_t(_moment_operator_set(two_j)[_FIRST_MOMENTS], values)
-    return _read_phase1(p1, values, _FIRST_MOMENT_LABELS, "exact-first-moment", _StageLog())
+    ops = _moment_operator_set(two_j)[_FIRST_MOMENTS]
+    return _phase1_verdicts("exact-first-moment", ops, values, _FIRST_MOMENT_LABELS)
 
 
 def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
@@ -423,8 +412,7 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
         raise ValueError("reduced state must have unit trace")
     values = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
-    p1 = sdp.phase1_min_t(_moment_program(two_j), values)
-    return _read_phase1(p1, values, spinalg.MOMENT_LABELS, "extension", _StageLog())
+    return _phase1_verdicts("extension", _moment_program(two_j), values)
 
 
 def _validate_half_spin_structure(m: MomentMatrix) -> None:
@@ -459,13 +447,14 @@ def classify(m: MomentMatrix) -> Verdict:
     matrix precheck (chi, quick reject), reconstruction positivity, the PPT
     inner test (quick accept), then the decisive phase-1 SDP
     (``exact_test_direct(m, decide=True)``).  Every rejection carries a
-    witness.  The first-moment stage is banded on its closed-form t*, like
-    ``first_moment_test``, and a reject carries the optimal witness
-    ``_first_moment_witness`` with ``t_star`` None, so first moments longer
-    than j are answered with no SDP at any spin, above the cone cap too.  A chi or reconstruct stage builds it in closed form from the
-    stage's negative eigenvector and solves no SDP; its ``t_star`` is None
-    and its value is not -t*.  Such an early reject stands only when the witness separates
-    (value below -BOUNDARY_BAND).  A valid witness has value >= -t*, so the
+    witness.  The first-moment stage (``_first_moment_stage``, which is
+    ``first_moment_test`` too) is banded on its closed-form t*, and a reject
+    carries the optimal witness with ``t_star`` None, so first moments
+    longer than j are answered with no SDP at any spin, above the cone cap
+    too.  A chi or reconstruct stage builds its witness in closed form from
+    the stage's negative eigenvector and solves no SDP; its ``t_star`` is
+    None and its value is not -t*.  Such an early reject stands only when
+    the witness separates (value below -BOUNDARY_BAND).  A valid witness has value >= -t*, so the
     exact test would reject too; otherwise the input is within the band of
     the boundary and the exact stage decides.  The exact stage stops once a
     certified bound on t* clears the band: its ``t_star`` is then that bound
@@ -481,9 +470,9 @@ def classify(m: MomentMatrix) -> Verdict:
     give.  No path at 2j = 2 solves an SDP except an early reject whose
     witness is inside the band.
 
-    At j = 1/2 the second moments are forced, and the verdict is
-    ``first_moment_test``'s: a reject carries the optimal first-moment
-    witness, value -t* < -BOUNDARY_BAND, and no path solves an SDP.
+    At j = 1/2 the second moments are forced to Re(M) = I/4, which a
+    structure stage checks, and the first-moment stage is the last: it
+    decides as ``first_moment_test`` does, and no path solves an SDP.
 
     There is no separate outer (tau) stage: chi = D tau D with
     D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
@@ -497,15 +486,9 @@ def classify(m: MomentMatrix) -> Verdict:
     if m.two_j == 1:
         _validate_half_spin_structure(m)
         log.add("structure", "pass", "second moments forced at j=1/2")
-        first = first_moment_test(m.first_moments, m.two_j)
-        log.records.extend(first.tests_run)
-        return replace(first, tests_run=log.done())
-
-    t, detail = _first_moment_bound(m.first_moments, m.two_j)
-    if t > BOUNDARY_BAND:
-        log.add("first-moment", "reject", detail)
-        return _rejected("first-moment", _first_moment_witness(m.first_moments, m.two_j), log)
-    log.add("first-moment", "pass", detail)
+    first = _first_moment_stage(m.first_moments, m.two_j, log, final=m.two_j == 1)
+    if first is not None:
+        return first
 
     _, witness = _eigen_stage("chi", spinalg.chi_matrix(m), m, log)
     if witness is None:

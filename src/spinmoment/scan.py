@@ -10,14 +10,15 @@ over the stack) per map, on blocks of whole grid rows that hold at most
 The SDP runs only on cells in T but not R, which is sound because the three
 sets are nested.  Those cells share one operator stack and differ only in
 their moment values, so they are decided by batched phase-1 solves
-(the values form of ``feasibility.exact_test_batch``), one kernel chunk at a
-time, of which only the flags are kept.  Output goes to CSV and optionally
-to a simple SVG rendering.
+(as in ``feasibility.exact_test_batch``, fed the values b directly), one
+kernel chunk at a time, of which only the flags are kept.  Output goes to
+CSV and optionally to a simple SVG rendering.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ import numpy as np
 from . import feasibility, matcore, reduction, sdp, spinalg
 
 SVG_COLORS = {"R": "#1b5e90", "S": "#5aa9d6", "T": "#c6e3f2"}
+_SVG_SIZE = 640  # side of the plotted square, in pixels
+_SVG_MARGIN = 60
 _CSV_HEADER = ("v1", "v2", "in_R", "in_Sj", "in_Tj")
 
 
@@ -70,13 +73,14 @@ class ScanResult:
                         ]
                     )
 
-    def to_svg(self, path: str, size: int = 640, margin: int = 60) -> None:
+    def to_svg(self, path: str) -> None:
         """Render the nested regions as filled grid cells (SVG 1.1, no dependencies).
 
         Cell fills use the innermost membership: R inside S inside T.  Cells are
         emitted row-major with ids c-<i1>-<i2> so the drawing can be checked
         against the CSV flags.
         """
+        size, margin = _SVG_SIZE, _SVG_MARGIN
         n1 = len(self.v1_values)
         n2 = len(self.v2_values)
         cw = size / n1
@@ -166,14 +170,15 @@ def _exact_cells(args) -> tuple[list[bool], list[float]]:
     (accepted, seconds) per cell, each cell timed at its chunk's share.  Each
     cell's moment values come straight from its coordinates."""
     two_j, u, points = args
-    step = sdp.batch_size(feasibility._moment_program(two_j).rows.size)
+    program = feasibility._moment_program(two_j)
+    step = sdp.batch_size(program.rows.size)
     accepted, seconds = [], []
     for a in range(0, len(points), step):
         t0 = time.perf_counter()
         chunk = np.stack([
             reduction._coords_values(two_j, u, (v1, v2, 1.0 - v1 - v2)) for v1, v2 in points[a : a + step]
         ])
-        accepted += [v.accepted for v in feasibility._exact_values_batch(two_j, chunk)]
+        accepted += [v.accepted for v in feasibility._phase1_verdicts("exact", program, chunk, decide=True)]
         seconds += [(time.perf_counter() - t0) / len(chunk)] * len(chunk)
     return accepted, seconds
 
@@ -193,10 +198,12 @@ def scan_grid(
     chi = D tau D would scale the tolerance edge by up to j^2).  S is skipped
     unless requested; only its cells in T but not R run the SDP, in batched
     solves.  ``workers`` > 1 splits those cells into that many contiguous
-    spans, each decided in its own process, with results collected in cell
-    order.
+    spans, at most one per CPU and per cell, each decided in its own process,
+    with results collected in cell order.
     """
     two_j = reduction._require_j_ge_1(two_j)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if resolution < 2 or resolution > 1024:
         raise ValueError("resolution must be between 2 and 1024")
     u = np.asarray(u, dtype=float)
@@ -234,7 +241,7 @@ def scan_grid(
         s[:] = in_r
         cells = np.argwhere(in_t & ~in_r)
         points = [(float(v1s[i1]), float(v2s[i2])) for i1, i2 in cells]
-        edges = np.linspace(0, len(points), min(max(workers, 1), len(points)) + 1).astype(int)
+        edges = np.linspace(0, len(points), min(workers, os.cpu_count() or 1, len(points)) + 1).astype(int)
         spans = list(zip(edges[:-1], edges[1:]))
         jobs = [(two_j, u, points[a:b]) for a, b in spans]
         if len(jobs) <= 1:

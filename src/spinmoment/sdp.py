@@ -41,22 +41,13 @@ t_p - t_d <= ``TOLERANCE`` max(1, |tr(Y)/d|), so its t_p is that close to t*.
 residual passes ``TOLERANCE`` stops as soon as t_p < -``BOUNDARY_BAND``
 (status primal-bound: X = Y - t_p·1 certifies feasibility) or t_d >
 ``BOUNDARY_BAND`` (status dual-bound: the rebuilt dual is a witness of
-value -t_d), and ``t_star`` is that bound.  It also looks one step ahead
-on the dual side.  Where the full predictor point y1 = y + dy already has
-b~.y1 - s > ``BOUNDARY_BAND``, one Cholesky factor of Z1 - lam·1, with
-Z1 = C - A^*(y1), need = (1 - b~.y1/(s + band))/d < 0 and lam =
-``_LOOKAHEAD_SHIFT`` need, strictly between need and 0, decides it: if the
-factor exists, y = y1/(1 - d lam) is a dual point whose slack
-(Z1 - lam·1)/(1 - d lam) is PSD with unit trace, and whose bound t_d stays
-above the band.  The program then stops at that point with status
-dual-bound, before the step lengths, the corrector and the update.  The
-primal side has no such look-ahead: the full primal step overshoots, so it
-would rarely certify.  A t* inside the band, or close to it, clears
-neither bound first, so it still runs to the optimality test.  An
-iteration costs O(m d^3) with m <= 9 rows, all of it in BLAS: one Cholesky
-factor each of X and Z, whose inverses give Z^-1 and the four step lengths
-(two for the predictor, two for the corrector), and matmuls over the
-flattened operator stack.
+value -t_d), and ``t_star`` is that bound; a dual-bound program may also
+stop one step early, at the dual look-ahead point of ``_path_following``.
+A t* inside the band, or close to it, clears neither bound first, so it
+still runs to the optimality test.  An iteration costs O(m d^3) with
+m <= 9 rows, all of it in BLAS: one Cholesky factor each of X and Z, whose
+inverses give Z^-1 and the four step lengths (two for the predictor, two
+for the corrector), and matmuls over the flattened operator stack.
 
 The kernel ``_path_following`` carries a leading batch axis: the iterates
 of k programs over one row stack are (k, d, d) arrays, so one pass of numpy
@@ -116,7 +107,7 @@ class SdpSolution:
     primal_residual: float = math.inf
     dual_residual: float = math.inf
     mu: float = math.nan
-    iterate_log: list[tuple[float, float, float, float, float]] = field(default_factory=list)
+    iterate_log: list[tuple[float, float, float, float]] = field(default_factory=list)  # (pobj, dobj, mu, pres)
     message: str = ""
 
 
@@ -331,10 +322,13 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
         failed.clear()
 
         # Dual look-ahead: once the full predictor point y1 = y + dy_a bounds t*
-        # above the band, one Cholesky factor of Z1 - lam·1, Z1 = C - A^*(y1),
-        # certifies the dual point y1/(1 - d lam): its slack (Z1 - lam·1)/(1 - d lam)
-        # is PSD with unit trace, and for need < lam < 0 its bound b.y1/(1 - d lam) - s
-        # still clears the band.
+        # above the band, b.y1 - s > band, one Cholesky factor of Z1 - lam·1,
+        # Z1 = C - A^*(y1), lam = _LOOKAHEAD_SHIFT need, certifies the dual point
+        # y1/(1 - d lam): its slack (Z1 - lam·1)/(1 - d lam) is PSD with unit trace,
+        # and for need < lam < 0 its bound b.y1/(1 - d lam) - s still clears the
+        # band.  The program then stops there with status dual-bound, before the
+        # step lengths, the corrector and the update.  The primal side has no such
+        # look-ahead: the full primal step overshoots, so it would rarely certify.
         y1 = y + dy_a
         dobj1 = (b * y1).sum(axis=1)
         ahead = going & (dobj1 - shift > band) & (shift + band > 0.0)
@@ -406,9 +400,8 @@ def solve(ops: np.ndarray, b: np.ndarray, *, shift: float | None = None) -> SdpS
     only the primal residual is tested.  Given the trace shift s = (fitted
     trace)/d as ``shift``, a solve whose primal residual passes also stops
     early, with status ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or
-    ``dual-bound`` once b.y - s > BOUNDARY_BAND; a dual-bound solve may also
-    stop at the rescaled full predictor point, once one Cholesky factor
-    certifies it (the module's dual look-ahead).  Anything else is numerical
+    ``dual-bound`` once b.y - s > BOUNDARY_BAND or at the dual look-ahead
+    point of ``_path_following``.  Anything else is numerical
     failure with the final residuals in the message.  This is the
     one-program call of the batched kernel ``_path_following``.
     """
@@ -438,10 +431,8 @@ class Phase1Result:
     the gap.  A ``decide`` solve may stop earlier on a certified bound
     instead, named by ``solution.status``: t_p (primal-bound, an upper bound
     below -BOUNDARY_BAND) or t_d (dual-bound, a lower bound above
-    BOUNDARY_BAND).  A dual-bound's y may be the dual look-ahead point, the
-    full predictor point rescaled so that its slack is PSD with unit trace:
-    its t_d clears the band by about a thousandth of the predictor's margin,
-    so it decides the sign but may sit well below t*.  ``x``, ``dual_z`` and
+    BOUNDARY_BAND).  At the dual look-ahead point of ``_path_following`` t_d
+    decides the sign but may sit well below t*.  ``x``, ``dual_z`` and
     ``dual_coefficients`` are None unless the solve is optimal or decided.
     """
 

@@ -250,6 +250,12 @@ class TestWitnessCommand:
         assert report["value"] == checked["value"]
         assert report["coefficients"] == checked["coefficients"]
 
+    def test_spin_half_structure_violation_exit_three(self, tmp_path, capsys):
+        m = [[0.3, 0, 0], [0, 0.25, 0], [0, 0, 0.2]]
+        rc = cli.main(["witness", "--input", write_json(tmp_path / "half.json", {"two_j": 1, "M": m})])
+        assert rc == 3
+        assert "forced to Re(M) = I/4" in capsys.readouterr().err
+
     def test_spin_half_quantum_input_exit_one(self, tmp_path, capsys):
         rc = cli.main(["witness", "--input", spin_half_file(tmp_path, [0.1, 0.2, 0.3])])
         out = capsys.readouterr().out
@@ -406,6 +412,41 @@ class TestScanCommand:
                 "--out", str(tmp_path / "x.csv")]
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith(f"error: {bound[2:4]} range (")
+
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        # a fake pool records its size and runs the spans inline, so that no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        u = np.array([0.1, 0.2, 0.3])
+        serial = scan_grid(10, u, resolution=15)
+        capped = scan_grid(10, u, resolution=15, workers=5000)
+        assert sizes == [3]
+        assert np.array_equal(serial.in_s, capped.in_s)
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_exit_three(self, tmp_path, capsys, workers):
+        out = tmp_path / "x.csv"
+        argv = ["scan", "--two-j", "4", "--u", "0,0,0", "--grid", "5", "--workers", workers, "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: workers must be at least 1, got {workers}")
+        assert not out.exists()
 
     def test_parallel_scan_matches_serial(self):
         u = np.array([0.1, 0.2, 0.3])

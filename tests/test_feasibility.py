@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -867,6 +868,48 @@ def rotated(m, rng):
     return MomentMatrix.from_matrix(m.two_j, rot @ m.matrix @ rot.T)
 
 
+class TestStageSeconds:
+    """A phase-1 stage is timed with its solve, and no stage is counted twice."""
+
+    @staticmethod
+    def calls(m):
+        rho = reduction.reconstruct_rho(m)
+        return {
+            "classify": (lambda: [feasibility.classify(m)], "exact"),
+            "direct": (lambda: [feasibility.exact_test_direct(m)], "exact"),
+            "batch": (lambda: feasibility.exact_test_batch([m, dicke_zero_moments(m.two_j, 0.1)]), "exact"),
+            "extension": (lambda: [feasibility.exact_test_extension(rho, m.two_j)], "extension"),
+            "first-moments": (
+                lambda: [feasibility.exact_test_first_moments(m.first_moments, m.two_j)], "exact-first-moment"
+            ),
+        }
+
+    @pytest.mark.parametrize("entry", ["classify", "direct", "batch", "extension", "first-moments"])
+    def test_the_stage_holds_its_solve(self, monkeypatch, entry):
+        m = dicke_mixture_moments(30)
+        call, stage = self.calls(m)[entry]
+        spent = []
+        real = sdp.phase1_min_t
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(sdp, "phase1_min_t", timed)
+        t0 = time.perf_counter()
+        verdicts = call()
+        wall = time.perf_counter() - t0
+        assert len(spent) == 1
+        records = [r for v in verdicts for r in v.tests_run]
+        assert sum(r.seconds for r in records if r.name == stage) >= 0.5 * spent[0]
+        assert sum(r.seconds for r in records) <= wall
+        if entry == "classify":
+            assert verdicts[0].stage == "exact"
+
+
 class TestDecidedStop:
     """classify's exact stage stops at the first iterate whose primal or dual
     bound on t* clears the boundary band; exact_test_direct runs to the optimum."""
@@ -1294,3 +1337,27 @@ class TestSpinHalfRouting:
         assert v.status == STATUS_NON_QUANTUM
         assert v.witness is not None
         assert v.witness.value < 0
+
+    @pytest.mark.parametrize("ell", [[0.1, 0.2, 0.3], [0.0, 0.0, 0.5], [0.0, 0.6, 0.0]])
+    def test_classify_runs_the_first_moment_stage_itself(self, monkeypatch, ell):
+        # the stage after the structure check is first_moment_test's, run by classify
+        # itself: same verdict, evidence and stage rows, with no call to it
+        mm = MomentMatrix.from_matrix(1, np.eye(3, dtype=complex) / 4.0 + first_moment_part(np.array(ell)))
+        want = feasibility.first_moment_test(mm.first_moments, 1)
+
+        def forbidden(*args):
+            raise AssertionError("classify called first_moment_test")
+
+        monkeypatch.setattr(feasibility, "first_moment_test", forbidden)
+        v = feasibility.classify(mm)
+        assert (v.status, v.stage, v.t_star, v.t_star_kind) == (want.status, want.stage, None, None)
+        rows = [(r.name, r.outcome, r.detail) for r in v.tests_run]
+        assert rows == [("validate", "pass", ""), ("structure", "pass", "second moments forced at j=1/2")] + [
+            (r.name, r.outcome, r.detail) for r in want.tests_run
+        ]
+        if want.witness is None:
+            assert v.witness is None and np.array_equal(v.certificate_state, want.certificate_state)
+        else:
+            assert v.certificate_state is None
+            assert np.array_equal(v.witness.matrix, want.witness.matrix)
+            assert np.array_equal(v.witness.op_coefficients, want.witness.op_coefficients)
