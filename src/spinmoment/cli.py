@@ -298,6 +298,19 @@ def _dense_moment_operators(two_j: int) -> np.ndarray:
     return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
 
 
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """A random SO(3) matrix: the Q of a Gaussian matrix, its sign fixed to det +1."""
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return rot * np.linalg.det(rot)
+
+
+def _witness_deviations(w: feasibility.Witness, ops: np.ndarray) -> tuple[float, float, float]:
+    """-lambda_min(Z), |tr Z - 1| and max |sum_i c_i A_i - Z| of a witness over ``ops``."""
+    z = w.matrix
+    expansion = float(np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - z).max())
+    return -matcore.min_eigenvalue(z), abs(np.trace(z).real - 1.0), expansion
+
+
 def _check_witness_duality(rng: np.random.Generator) -> tuple[str, bool, str]:
     # The witness comes from the pair-lift stack, t* from the same program over the
     # dense products, on rotated inputs with l != 0, so every operator takes part.
@@ -307,8 +320,7 @@ def _check_witness_duality(rng: np.random.Generator) -> tuple[str, bool, str]:
         dense = _dense_moment_operators(two_j)
         for v1, v2 in ((1.1, -0.05), (1.3, -0.2), (-0.4, 0.8)):
             coords = reduction.RenormalizedCoords(np.array([0.2, -0.1, 0.3]), np.array([v1, v2, 1 - v1 - v2]), two_j)
-            rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            rot *= np.linalg.det(rot)
+            rot = _random_rotation(rng)
             mm = MomentMatrix.from_matrix(two_j, rot @ reduction.moments_from_coords(coords).matrix @ rot.T)
             partner = sdp.phase1_min_t(dense, spinalg.moment_values(mm))
             if partner.t_star > matcore.BOUNDARY_BAND:
@@ -318,8 +330,7 @@ def _check_witness_duality(rng: np.random.Generator) -> tuple[str, bool, str]:
                     worst = math.inf
                     continue
                 worst = max(worst, abs(w.value + partner.t_star))
-                expansion = np.abs(np.tensordot(w.op_coefficients, dense, axes=1) - w.matrix).max()
-                z_dev = max(z_dev, -matcore.min_eigenvalue(w.matrix), abs(np.trace(w.matrix).real - 1.0), expansion)
+                z_dev = max(z_dev, *_witness_deviations(w, dense))
     detail = (
         f"{tested} points at 2j in 4, 30, 62, max |value + t*| = {worst:.2e}, "
         f"max(-min eig Z, |tr Z - 1|, |Z - sum c_i A_i|) = {z_dev:.1e}"
@@ -346,10 +357,8 @@ def _check_first_moment(rng: np.random.Generator) -> tuple[str, bool, str]:
         rejects += 1
         gap = abs(w.value + via_sdp.t_star)
         worst = max(worst, gap)
-        ok = gap <= 1e-6 and matcore.min_eigenvalue(w.matrix) >= -1e-9
-        ok &= abs(np.trace(w.matrix).real - 1.0) <= 1e-9
-        ok &= np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
-        bad_witness += not ok
+        negativity, trace_dev, expansion = _witness_deviations(w, ops)
+        bad_witness += not (gap <= 1e-6 and negativity <= 1e-9 and trace_dev <= 1e-9 and expansion <= 1e-8)
     detail = (
         f"60 samples at j=3/2, {mism} mismatches; {rejects} reject witnesses, "
         f"{bad_witness} invalid, max |value + t*| = {worst:.2e}"
@@ -369,15 +378,14 @@ def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
         coords = reduction.RenormalizedCoords(u=np.zeros(3), v=np.array([1.02, -0.01, -0.01]), two_j=two_j)
         ops = _dense_moment_operators(two_j)
         for stage, raw in (("chi", negative), ("reconstruct", reduction.moments_from_coords(coords).matrix)):
-            rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            rot *= np.linalg.det(rot)
+            rot = _random_rotation(rng)
             mm = MomentMatrix.from_matrix(two_j, rot @ raw @ rot.T)
             verdict = feasibility.classify(mm)
             w = verdict.witness
-            dev = max(-matcore.min_eigenvalue(w.matrix), abs(np.trace(w.matrix).real - 1.0))
-            z_dev = max(z_dev, dev)
-            ok = (verdict.stage, verdict.t_star) == (stage, None) and dev <= 1e-9
-            ok &= np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
+            negativity, trace_dev, expansion = _witness_deviations(w, ops)
+            z_dev = max(z_dev, negativity, trace_dev)
+            ok = (verdict.stage, verdict.t_star) == (stage, None) and max(negativity, trace_dev) <= 1e-9
+            ok &= expansion <= 1e-8
             ok &= w.value < 0 and w.value == w.evaluate(spinalg.moment_values(mm))
             direct = feasibility.exact_test_direct(mm).witness
             ok &= direct is not None and direct.value < 0

@@ -239,14 +239,9 @@ def _read_phase1(
     value is -t_d.  At the optimum t_star = t_p and t_d agrees to the gap; a
     decided solve's t_star is the bound that decided it (``Verdict``).
 
-    Conflicting values of linearly dependent operators are an input error
-    (``ValueError``); any other non-optimal solve is an ``ArithmeticError``.
+    A solve that is neither optimal nor decided is an ``ArithmeticError``
+    (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
     """
-    if p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
-        raise ValueError(
-            "the moment values conflict: a linearly dependent operator's value "
-            f"differs from the value the others imply ({p1.solution.message})"
-        )
     if p1.dual_z is None:
         raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
     t, sol = p1.t_star, p1.solution
@@ -283,7 +278,7 @@ def _first_moment_vector(ell) -> np.ndarray:
     ell = np.asarray(ell, dtype=float)
     if ell.shape != (3,):
         raise ValueError("first moments must be a real 3-vector")
-    spinalg._check_finite("first moments", "l", ell)
+    matcore._check_finite("first moments", "l", ell)
     return ell
 
 
@@ -405,7 +400,7 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     """
     two_j = reduction._require_j_ge_1(two_j)
     rho = np.asarray(rho, dtype=complex)
-    spinalg._check_finite("reduced state", "rho", rho)
+    matcore._check_finite("reduced state", "rho", rho)
     rho = matcore.hermitize(rho, tol=1e-10)
     if rho.shape != (3, 3):
         raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")

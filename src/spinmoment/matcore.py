@@ -35,6 +35,14 @@ def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def _check_finite(what: str, symbol: str, a: np.ndarray) -> None:
+    """Raise a ``ValueError`` that names every non-finite entry of ``a``."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        entries = (symbol + "".join(f"[{i}]" for i in idx) + f" = {a[tuple(idx)]}" for idx in bad)
+        raise ValueError(f"{what} has non-finite entries: {', '.join(entries)}")
+
+
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Hilbert-Schmidt inner product tr(A^dag B), real part."""
     return float(np.real(np.sum(np.conj(a) * b)))

@@ -132,19 +132,18 @@ def reconstruct_rho(m: MomentMatrix) -> np.ndarray:
     return rho
 
 
-def _coords_values(two_j: int, u, v, offdiag_re=None) -> np.ndarray:
+def _coords_values(two_j: int, u, v) -> np.ndarray:
     """The moment vector b of renormalized coordinates: l = j u, <L_k^2> =
-    j(j - 1/2) v_k + j/2 and Re(M_kl), k < l, from ``offdiag_re`` (default 0)."""
+    j(j - 1/2) v_k + j/2 and Re(M_kl) = 0, k < l."""
     j = two_j / 2.0
     d = np.asarray(v, dtype=float) * (j * (j - 0.5)) + j / 2.0
-    r12, r13, r23 = (0.0, 0.0, 0.0) if offdiag_re is None else (float(t) for t in offdiag_re)
-    return np.concatenate(([1.0, d[0], r12, r13, d[1], r23, d[2]], np.asarray(u, dtype=float) * j))
+    return np.concatenate(([1.0, d[0], 0.0, 0.0, d[1], 0.0, d[2]], np.asarray(u, dtype=float) * j))
 
 
-def moments_from_coords(coords: RenormalizedCoords, offdiag_re: np.ndarray | None = None) -> MomentMatrix:
+def moments_from_coords(coords: RenormalizedCoords) -> MomentMatrix:
     """Rebuild the moment matrix from renormalized coordinates.
 
-    Off-diagonal real parts default to zero (Re(M) diagonal); sum(v) must
+    Re(M) is diagonal, as in the frame the coordinates are taken in; sum(v) must
     equal 1 within the absolute ``matcore.CASIMIR_TOL``, since v is O(1): that
     is the Casimir identity in these coordinates.
     """
@@ -152,7 +151,7 @@ def moments_from_coords(coords: RenormalizedCoords, offdiag_re: np.ndarray | Non
     vsum = float(np.sum(coords.v))
     if abs(vsum - 1.0) > matcore.CASIMIR_TOL:
         raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
-    b = _coords_values(two_j, coords.u, coords.v, offdiag_re)
+    b = _coords_values(two_j, coords.u, coords.v)
     return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:])
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import feasibility, matcore, reduction, sdp, spinalg
+from . import feasibility, matcore, reduction, sdp
 
 SVG_COLORS = {"R": "#1b5e90", "S": "#5aa9d6", "T": "#c6e3f2"}
 _SVG_SIZE = 640  # side of the plotted square, in pixels
@@ -209,7 +209,7 @@ def scan_grid(
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("u must be a real 3-vector")
-    spinalg._check_finite("first moments", "u", u)
+    matcore._check_finite("first moments", "u", u)
     names = {str(x).upper() for x in sets}
     unknown = sorted(names - {"R", "S", "T"})
     if unknown:

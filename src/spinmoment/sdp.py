@@ -13,12 +13,12 @@ tr(A~_i A~_l), factors A~ = U S V^T by a QR and an SVD of the m x m
 factor.  Singular values at or below ``DEPENDENCY_TOL`` max(1, s_max) mark
 dependencies N.  The rows fix tr(X) when the traces tr A_i have a component
 along N above ``CONFLICT_TOL`` |tr A|, and along N the values U^T b~ must
-vanish to ``CONFLICT_TOL``; the rest give the orthonormal rows
-R = S^-1 U^T A~.  The pass depends on the operators only: ``phase1_program``
-returns it as a frozen ``Phase1Program``, which ``phase1_min_t`` takes in
-place of the stack, so callers that solve over one stack many times run it
-once, and a batch of programs shares it.  Only the conflict test and b~ are
-per program.
+vanish to ``CONFLICT_TOL``: values that conflict there are a ``ValueError``
+before any solve.  The rest give the orthonormal rows R = S^-1 U^T A~.  The
+pass depends on the operators only: ``phase1_program`` returns it as a
+frozen ``Phase1Program``, which ``phase1_min_t`` takes in place of the
+stack, so callers that solve over one stack many times run it once, and a
+batch of programs shares it.  Only the conflict test and b~ are per program.
 
 ``solve`` runs a primal-dual path-following interior point method: a
 symmetrized Newton direction and Mehrotra-style predictor-corrector steps.
@@ -55,13 +55,14 @@ calls advances them all, and at small d the per-call overhead is paid once
 per iteration instead of once per program.  The batch is masked, not
 synchronized.  Each program has its own step lengths and its own stopping,
 divergence and stall tests, log and failure message, and a program that
-stops leaves the active set.  If a stacked Cholesky factor, Schur solve or
-eigensolve raises, only then does each program run alone (the Cholesky
-through ``_chol``'s jitter loop), and a program that still fails stops with
-its own message while its neighbours go on.  ``solve`` is the k = 1 call.
-``phase1_min_t`` hands the kernel chunks of programs whose (k, m, d, d)
-stacks hold at most ``BATCH_ENTRIES`` entries, so a batch of any size runs
-in bounded memory.  The cone dimension is capped at ``DIM_CAP``.
+stops leaves the active set with its last logged point as its result.  If a
+stacked Cholesky factor, Schur solve or eigensolve raises, only then does
+each program run alone (the Cholesky through ``_chol``'s jitter loop), and
+a program that still fails stops with its own message while its neighbours
+go on.  ``solve`` is the k = 1 call.  ``phase1_min_t`` hands the kernel
+chunks of programs whose (k, m, d, d) stacks hold at most ``BATCH_ENTRIES``
+entries, so a batch of any size runs in bounded memory.  The cone dimension
+is capped at ``DIM_CAP``.
 """
 from __future__ import annotations
 
@@ -73,7 +74,6 @@ import numpy as np
 from . import matcore
 
 STATUS_OPTIMAL = "optimal"
-STATUS_PRIMAL_INFEASIBLE = "primal-infeasible-certificate"
 STATUS_FAILURE = "numerical-failure"
 STATUS_PRIMAL_BOUND = "primal-bound"  # stopped once t_p < -BOUNDARY_BAND
 STATUS_DUAL_BOUND = "dual-bound"  # stopped once t_d > BOUNDARY_BAND
@@ -203,7 +203,10 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
 
     Iterates are (k, d, d) stacks, and every program keeps its own step
     lengths, stopping, divergence and stall tests, log and failure message.
-    A program that stops leaves the active set, so the arrays shrink with it.
+    ``finish`` ends a program at its iterate and its last log row, so its
+    objectives, mu and primal residual are that row's and ``iterations`` is
+    len(iterate_log) - 1.  The program leaves the active set at the next
+    compaction, after the stop tests or the predictor, so the arrays shrink.
     ``shift``, k trace shifts s or None, adds ``solve``'s bound stops and the
     dual look-ahead.
     """
@@ -212,12 +215,12 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
     d = ops.shape[1]
     eye = np.eye(d, dtype=complex)
     c = eye / d
-    if m == 0:
+    if m == 0:  # Y = 0 and Z = 1/d are optimal: one logged point
         return [
             SdpSolution(
                 STATUS_OPTIMAL, np.zeros((d, d), dtype=complex), np.zeros(0), c.copy(),
                 primal_objective=0.0, dual_objective=0.0, gap=0.0,
-                primal_residual=0.0, dual_residual=0.0, mu=0.0,
+                primal_residual=0.0, dual_residual=0.0, mu=0.0, iterate_log=[(0.0, 0.0, 0.0, 0.0)],
             )
             for _ in range(k)
         ]
@@ -238,32 +241,34 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
     out: list[SdpSolution | None] = [None] * k  # every program is finished by the end
     stalls = [0] * k
     active = np.arange(k)  # the program behind each row of the stacks
+    going = np.ones(k, dtype=bool)  # cleared by finish, until the next compaction
 
-    def finish(i: int, status: str, message: str = "", iterations: int | None = None) -> None:
-        pobj, dobj, mu, pres, _ = stats[i]
+    def finish(i: int, status: str, message: str = "") -> None:
+        log = logs[active[i]]
+        pobj, dobj, mu, pres = log[-1]
         # Z = C - A^*(y) by construction: the residual measures its rounding
         dres = float(np.abs(c - z[i] - a_adjoint(y[i])).max()) / (1.0 + 1.0 / d)
         out[active[i]] = SdpSolution(
             status, x[i].copy(), y[i].copy(), z[i].copy(),
-            primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
-            iterations=it if iterations is None else iterations,
-            primal_residual=pres, dual_residual=dres, mu=mu, iterate_log=logs[active[i]],
-            message=message,
+            primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj), iterations=len(log) - 1,
+            primal_residual=pres, dual_residual=dres, mu=mu, iterate_log=log, message=message,
         )
         going[i] = False
 
     for it in range(MAX_ITERATIONS + 1):  # the last pass only tests the final iterate
         mu = np.einsum("kab,kab->k", x.conj(), z).real / d
-        stats = list(zip(*(a.tolist() for a in (
+        points = zip(*(a.tolist() for a in (
             x.diagonal(0, 1, 2).real.sum(axis=1) / d,
             (b * y).sum(axis=1),
             mu,
             np.abs(b - a_apply(x)).max(axis=1) / b_scale,
-            np.maximum(np.abs(y).max(axis=1), np.abs(x).max(axis=(1, 2))),
-        ))))
-        going = np.ones(len(active), dtype=bool)
-        for i, (pobj, dobj, mu_i, pres, size) in enumerate(stats):
-            logs[active[i]].append((pobj, dobj, mu_i, pres))
+        )))
+        sizes = np.maximum(np.abs(y).max(axis=1), np.abs(x).max(axis=(1, 2))).tolist()
+        for i, point in enumerate(points):
+            if not going[i]:  # stopped after the last corrector
+                continue
+            logs[active[i]].append(point)
+            pobj, dobj, _, pres = point
             gap = abs(pobj - dobj)
             feasible = pres <= TOLERANCE
             if feasible and gap <= TOLERANCE * max(1.0, abs(pobj)):
@@ -272,7 +277,7 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
                 finish(i, STATUS_PRIMAL_BOUND)
             elif feasible and dobj - shift[i] > band:
                 finish(i, STATUS_DUAL_BOUND)
-            elif size > _DIVERGENCE:
+            elif sizes[i] > _DIVERGENCE:
                 finish(i, STATUS_FAILURE, "iterate diverged")
             elif it == MAX_ITERATIONS:
                 finish(i, STATUS_FAILURE, (
@@ -284,7 +289,6 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
             active, b, b_scale, shift, x, y, z, mu = (
                 a[going] for a in (active, b, b_scale, shift, x, y, z, mu)
             )
-            stats = [row for row, g in zip(stats, going) if g]
             going = going[going]
 
         # X and Z are factored, inverted and step-tested in one stack of 2n matrices
@@ -346,10 +350,10 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
                 if j in misses or not dobj - shift[i] > band:
                     continue
                 y[i], z[i] = y_i, shifted[j] / scale
-                pobj, _, _, pres, size = stats[i]
-                stats[i] = (pobj, dobj, float(np.vdot(x[i], z[i]).real) / d, pres, size)
-                logs[active[i]].append(stats[i][:4])
-                finish(i, STATUS_DUAL_BOUND, iterations=it + 1)
+                log = logs[active[i]]
+                pobj, _, _, pres = log[-1]
+                log.append((pobj, dobj, float(np.vdot(x[i], z[i]).real) / d, pres))
+                finish(i, STATUS_DUAL_BOUND)
         if not going.all():  # the predictor's failures and certified programs leave here
             if not going.any():
                 break
@@ -357,7 +361,6 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
                 a[going] for a in (active, b, b_scale, shift, x, y, z, mu, zinv, schur, a_zinv, dx_a, dz_a)
             )
             inv_factors = inv_factors[np.concatenate([going, going])]
-            stats = [row for row, g in zip(stats, going) if g]
             going = going[going]
             n = len(active)
 
@@ -377,15 +380,10 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
             if stalls[p] >= 5 and going[i]:
                 finish(i, STATUS_FAILURE, "step sizes collapsed")
 
+        # a program that failed or stalled here leaves at the next compaction
         x = _herm(x + ap[:, None, None] * dx)
         y = y + ad[:, None] * dy
         z = _herm(c - a_adjoint(y))
-        if not going.all():
-            if not going.any():
-                break
-            active, b, b_scale, shift, x, y, z = (
-                a[going] for a in (active, b, b_scale, shift, x, y, z)
-            )
     return out
 
 
@@ -414,18 +412,18 @@ class Phase1Result:
     """Outcome of the min-t feasibility program.
 
     ``t_star <= 0`` certifies a PSD point ``x`` satisfying the constraints;
-    ``t_star > 0`` proves infeasibility.  Dependent rows with conflicting
-    values leave no X at all: the status is primal-infeasible and ``t_star``
-    is +inf.  A numerical failure gives ``t_star`` nan.
+    ``t_star > 0`` proves infeasibility.  A numerical failure gives
+    ``t_star`` nan.  (Dependent rows with conflicting values leave no X at
+    all; ``phase1_min_t`` raises them as a ``ValueError``.)
 
     ``x = Y - t_p·1`` for the final primal iterate Y > 0, so lambda_min(x) >=
-    -t_p with t_p = tr(Y)/d - (fitted trace)/d.  ``dual_z = 1/d - sum_k y_k
-    R_k``, rebuilt from ``y`` over the orthonormal rows R that ``solve``
-    saw, is the separating hyperplane: PSD, unit trace, in the span of the
-    constraints, and it pairs with every X meeting them to -t_d, t_d = b~.y
-    - (fitted trace)/d.  ``dual_coefficients`` c expand it over the caller's
-    rows, ``dual_z = sum_i c_i A_i`` and ``c.b = -t_d``, so a witness needs
-    nothing else.
+    -t_p with t_p = tr(Y)/d - (fitted trace)/d.  ``dual_z`` is the solver's
+    own slack ``solution.z`` = 1/d - sum_k y_k R_k over the orthonormal rows
+    R that ``solve`` saw, and the separating hyperplane: PSD, unit trace, in
+    the span of the constraints, and it pairs with every X meeting them to
+    -t_d, t_d = b~.y - (fitted trace)/d.  ``dual_coefficients`` c expand it
+    over the caller's rows, ``dual_z = sum_i c_i A_i`` and ``c.b = -t_d``, so
+    a witness needs nothing else.
 
     ``t_star`` is the optimum t_p of an optimal solve, where t_d agrees to
     the gap.  A ``decide`` solve may stop earlier on a certified bound
@@ -477,6 +475,7 @@ def phase1_program(ops) -> Phase1Program:
     _check_dim(d)
     if m == 0:
         raise ValueError("phase-1 needs at least the trace normalization constraint")
+    matcore._check_finite("phase-1 operators", "A", np.asarray(ops))
     ops = np.stack([matcore.hermitize(a) for a in ops])
     # in place: A~_i = A_i - (tr A_i / d) 1
     traces = np.trace(ops, axis1=1, axis2=2).real
@@ -509,11 +508,12 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     dependency pass: callers that solve many times over one stack run it once.
     With a (k, m) array of values, the k programs share one dependency pass
     and one batched solve, and a list of k results comes back in their order.
-    A trace-only row has A~_i = 0, so the dependency pass drops it; values
-    that conflict along a dependency make their own program primal-infeasible
-    before any iteration.  With ``decide``, each program stops as soon as a
-    certified bound puts t* outside the boundary band (see ``Phase1Result``):
-    for callers that need the sign of t* only, not its value.
+    A trace-only row has A~_i = 0, so the dependency pass drops it.  Values
+    that conflict along a dependency, in any program of a batch, raise a
+    ``ValueError`` before any solve, as do non-finite values.  With
+    ``decide``, each program stops as soon as a certified bound puts t*
+    outside the boundary band (see ``Phase1Result``): for callers that need
+    the sign of t* only, not its value.
     """
     program = ops if isinstance(ops, Phase1Program) else phase1_program(ops)
     rows, w, coeff, traces = program.rows, program.w, program.coeff, program.traces
@@ -521,43 +521,39 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[-1] != m:
         raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
+    matcore._check_finite("phase-1 values", "b", values)
     batch = np.atleast_2d(values)
     trace_values = batch @ coeff
     tilde_b = batch - np.outer(trace_values, traces) / d
     mismatch = np.linalg.norm(tilde_b @ program.null, axis=1)
-    conflict = mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1))
-
-    rhs = tilde_b[~conflict] @ w.T
-    shifts = trace_values[~conflict] / d if decide else np.full(len(rhs), math.nan)
-    if values.ndim == 1:
-        shift = float(shifts[0]) if decide and len(rhs) else None
-        solutions = iter([solve(rows, rhs[0], shift=shift)] if len(rhs) else [])
-    else:
-        step = batch_size(rows.size)  # each (k, r, d, d) stack of the kernel
-        solutions = (
-            sol
-            for i in range(0, len(rhs), step)
-            for sol in _path_following(rows, rhs[i : i + step], shifts[i : i + step])
+    conflict = np.flatnonzero(mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1)))
+    if conflict.size:
+        where = f" of program {conflict[0]}" if values.ndim == 2 else ""
+        raise ValueError(
+            f"the values{where} conflict: a linearly dependent operator's value differs "
+            f"from the value the others imply ({mismatch[conflict[0]]:.1e})"
         )
 
-    def result(trace_value: float, mismatch: float, conflicting: bool) -> Phase1Result:
-        if conflicting:
-            message = f"a dependency of the constraints conflicts with their values ({mismatch:.1e})"
-            infeasible = SdpSolution(STATUS_PRIMAL_INFEASIBLE, message=message)
-            return Phase1Result(math.inf, None, infeasible)
-        sol = next(solutions)
+    rhs = tilde_b @ w.T
+    shifts = trace_values / d if decide else np.full(len(rhs), math.nan)
+    if values.ndim == 1:
+        solutions = [solve(rows, rhs[0], shift=float(shifts[0]) if decide else None)]
+    else:
+        step = batch_size(rows.size)  # each (k, r, d, d) stack of the kernel
+        solutions = [
+            sol for i in range(0, len(rhs), step)
+            for sol in _path_following(rows, rhs[i : i + step], shifts[i : i + step])
+        ]
+
+    def result(trace_value: float, sol: SdpSolution) -> Phase1Result:
         if sol.status not in (STATUS_OPTIMAL, STATUS_PRIMAL_BOUND, STATUS_DUAL_BOUND):
             return Phase1Result(t_star=math.nan, x=None, solution=sol)
         t_primal = sol.primal_objective - trace_value / d
         t_star = sol.dual_objective - trace_value / d if sol.status == STATUS_DUAL_BOUND else t_primal
-        x = sol.x - t_primal * np.eye(d)
-        z = np.eye(d, dtype=complex) / d - np.tensordot(sol.y, rows, axes=1)
-        # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand dual_z over the rows
+        # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand sol.z over the rows
         y = w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
         c = (1.0 + float(y @ traces)) / d * coeff - y
-        return Phase1Result(
-            t_star=t_star, x=(x + x.conj().T) / 2.0, solution=sol, dual_z=z, dual_coefficients=c
-        )
+        return Phase1Result(t_star, sol.x - t_primal * np.eye(d), sol, dual_z=sol.z, dual_coefficients=c)
 
-    results = [result(*args) for args in zip(trace_values.tolist(), mismatch.tolist(), conflict)]
+    results = [result(*args) for args in zip(trace_values.tolist(), solutions)]
     return results if values.ndim == 2 else results[0]

@@ -56,14 +56,6 @@ def _check_two_j(two_j: int) -> int:
     return two_j
 
 
-def _check_finite(what: str, symbol: str, a: np.ndarray) -> None:
-    """Raise a ``ValueError`` that names every non-finite entry of ``a``."""
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        entries = (symbol + "".join(f"[{i}]" for i in idx) + f" = {a[tuple(idx)]}" for idx in bad)
-        raise ValueError(f"{what} has non-finite entries: {', '.join(entries)}")
-
-
 @dataclass(frozen=True)
 class SpinOperatorTriple:
     """The three spin matrices L1, L2, L3 for total spin j = two_j / 2."""
@@ -113,7 +105,7 @@ class MomentMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"moment matrix must be 3x3, got {m.shape}")
-        _check_finite("moment matrix", "M", m)
+        matcore._check_finite("moment matrix", "M", m)
         tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
         dev = float(np.abs(m - m.conj().T).max())
         if dev > tol:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,24 +301,28 @@ class TestPhase1:
 
 def mixed_batch(rng):
     """One stack with a dependent row (the last repeats the second, doubled) and
-    three value rows: a quantum accept, a cone-infeasible reject and a conflict."""
+    three consistent value rows: two quantum accepts and a cone-infeasible reject."""
     d = 3
     h1, h2 = random_hermitian(rng, d), random_hermitian(rng, d)
     ops = np.stack([np.eye(d, dtype=complex), h1, h2, 2.0 * h1])
-    rho = random_density(rng, d)
-    accept = np.array([matcore.hs_inner(a, rho) for a in ops])
+    accept, other = (np.einsum("iab,ba->i", ops, random_density(rng, d)).real for _ in range(2))
     far = 3.0 * np.abs(np.linalg.eigvalsh(h1)).max()  # no state reaches <h1> = far
     reject = np.array([1.0, far, 0.1, 2.0 * far])
-    conflict = accept + np.array([0.0, 0.0, 0.0, 0.3])
-    return ops, np.stack([accept, reject, conflict])
+    return ops, np.stack([accept, reject, other])
+
+
+def spy_on_the_kernel(monkeypatch):
+    """Record every call of sdp.solve and sdp._path_following from here on."""
+    calls = []
+    for name in ("solve", "_path_following"):
+        real = getattr(sdp, name)
+        spy = lambda *args, _real=real, _name=name, **kwargs: calls.append(_name) or _real(*args, **kwargs)
+        monkeypatch.setattr(sdp, name, spy)
+    return calls
 
 
 def assert_same_result(got, want):
     assert got.solution.status == want.solution.status
-    if want.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE:
-        assert got.t_star == want.t_star == math.inf
-        assert got.x is None and got.dual_coefficients is None
-        return
     assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
     assert np.abs(got.dual_coefficients - want.dual_coefficients).max() <= 1e-8
     assert np.abs(got.x - want.x).max() <= 1e-8
@@ -330,10 +335,21 @@ class TestBatchedPhase1:
         assert isinstance(batch, list) and len(batch) == 3
         for got, v in zip(batch, values):
             assert_same_result(got, sdp.phase1_min_t(ops, v))
-        accept, reject, conflict = batch
-        assert accept.t_star < -1e-7 < 1e-7 < reject.t_star
-        assert conflict.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE
-        assert conflict.solution.iterations == 0 and "conflicts" in conflict.solution.message
+        accept, reject, other = batch
+        assert max(accept.t_star, other.t_star) < -1e-7 < 1e-7 < reject.t_star
+
+    @pytest.mark.parametrize("decide", [False, True])
+    def test_a_conflict_raises_before_any_solve(self, rng, monkeypatch, decide):
+        # the last row repeats the second, doubled: a value off by 0.3 conflicts,
+        # alone or anywhere in a batch
+        ops, values = mixed_batch(rng)
+        conflict = values[0] + np.array([0.0, 0.0, 0.0, 0.3])
+        calls = spy_on_the_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="conflict"):
+            sdp.phase1_min_t(ops, conflict, decide=decide)
+        with pytest.raises(ValueError, match="values of program 1 conflict"):
+            sdp.phase1_min_t(ops, np.stack([values[0], conflict, values[1]]), decide=decide)
+        assert calls == []
 
     def test_permuting_the_batch_permutes_the_results(self, rng):
         ops, values = mixed_batch(rng)
@@ -424,7 +440,7 @@ class TestPreparedProgram:
 
     @staticmethod
     def programs(rng):
-        """An accept, a reject and a conflict; then the 2j = 10 moment stack at a
+        """Two accepts and a reject; then the 2j = 10 moment stack at a
         random state, the highest weight (boundary) and <L3^2> = 0 (reject)."""
         yield mixed_batch(rng)
         ops, edge = highest_weight_program(10)
@@ -466,22 +482,22 @@ class TestPreparedProgram:
 
 class TestInfeasibilityDetection:
     @staticmethod
-    def assert_conflict(p1):
-        assert p1.solution.status == sdp.STATUS_PRIMAL_INFEASIBLE
-        assert p1.solution.iterations == 0
-        assert p1.t_star == math.inf
-        assert p1.x is None and p1.dual_z is None
-        assert "conflicts" in p1.solution.message
+    def assert_conflict(monkeypatch, ops, values):
+        # an input error, raised before any iteration, alone and in a batch
+        calls = spy_on_the_kernel(monkeypatch)
+        for batch in (values, np.stack([values, values])):
+            with pytest.raises(ValueError, match="conflict"):
+                sdp.phase1_min_t(ops, batch)
+        assert calls == []
 
-    def test_inconsistent_rows_reported_immediately(self):
+    def test_inconsistent_rows_reported_immediately(self, monkeypatch):
         ops = np.stack([np.eye(2, dtype=complex), E00, 2.0 * E00])
-        self.assert_conflict(sdp.phase1_min_t(ops, np.array([1.0, 0.2, 0.5])))
+        self.assert_conflict(monkeypatch, ops, np.array([1.0, 0.2, 0.5]))
 
-    def test_conflicting_trace_only_rows(self):
+    def test_conflicting_trace_only_rows(self, monkeypatch):
         # a trace-only row has a zero traceless part: it conflicts through its value alone
         eye = np.eye(2, dtype=complex)
-        ops = np.stack([eye, E00, 2.0 * eye])
-        self.assert_conflict(sdp.phase1_min_t(ops, np.array([1.0, 0.2, 3.0])))
+        self.assert_conflict(monkeypatch, np.stack([eye, E00, 2.0 * eye]), np.array([1.0, 0.2, 3.0]))
 
     def test_consistent_but_cone_infeasible(self):
         # no PSD point meets the rows: an optimal solve with t* > 0 and a separating dual
@@ -553,3 +569,143 @@ class TestInfeasibilityDetection:
         d = sdp.DIM_CAP
         p1 = sdp.phase1_min_t(np.eye(d, dtype=complex)[None], np.array([1.0]))
         assert p1.t_star == pytest.approx(-1.0 / d, abs=1e-15)
+
+
+def force_cholesky_failure(monkeypatch):
+    """Every Cholesky factor raises, stacked and through _chol's jitter loop."""
+
+    def raises(a):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", raises)
+    monkeypatch.setattr(sdp, "_chol", raises)
+
+
+def fail_the_first_corrector(monkeypatch):
+    """The corrector's step test of iteration 0 (the second _max_step call) fails
+    for program 0, after the predictor has passed."""
+    real, calls = sdp._max_step, []
+
+    def max_step(inv_factor, direction, failed):
+        calls.append(None)
+        if len(calls) == 2:
+            failed.setdefault(0, "linear algebra failure: forced")
+        return real(inv_factor, direction, failed)
+
+    monkeypatch.setattr(sdp, "_max_step", max_step)
+
+
+def collapse_the_steps(monkeypatch, calls: int | None = None):
+    """Step lengths near 1e-12 for program 0, in the first ``calls`` _max_step calls
+    (two per iteration) or in all: the stall test ends it after five iterations."""
+    real, seen = sdp._max_step, []
+
+    def max_step(inv_factor, direction, failed):
+        alpha = real(inv_factor, direction, failed)
+        seen.append(None)
+        if calls is None or len(seen) <= calls:
+            alpha[[0, len(alpha) // 2]] = 1e-12  # X and Z of the first program in the stack
+        return alpha
+
+    monkeypatch.setattr(sdp, "_max_step", max_step)
+
+
+def assert_last_logged_point(p1):
+    """A result is the last row of its iterate log, and its dual is the kernel's Z."""
+    sol = p1.solution
+    pobj, dobj, mu, pres = sol.iterate_log[-1]
+    assert sol.iterations == len(sol.iterate_log) - 1
+    assert (sol.primal_objective, sol.dual_objective, sol.mu, sol.primal_residual) == (pobj, dobj, mu, pres)
+    assert sol.gap == abs(pobj - dobj)
+    assert p1.dual_z is (None if p1.x is None else sol.z)
+
+
+class TestKernelExits:
+    """Every way ``_path_following`` can end a program."""
+
+    EXITS = {
+        # name: (setup, <e00> of corner_program or None for a trace-only row, decide,
+        #        status, message prefix, iterations or None)
+        "optimal": (None, -1.0, False, sdp.STATUS_OPTIMAL, "", None),
+        "trace-only": (None, None, False, sdp.STATUS_OPTIMAL, "", 0),
+        "primal bound": (None, 0.3, True, sdp.STATUS_PRIMAL_BOUND, "", None),
+        "dual bound at an iterate": (None, -0.2, True, sdp.STATUS_DUAL_BOUND, "", None),
+        "dual bound at the look-ahead": (None, -1.0, True, sdp.STATUS_DUAL_BOUND, "", None),
+        "iteration cap": (
+            lambda mp: mp.setattr(sdp, "MAX_ITERATIONS", 1), -1.0, False, sdp.STATUS_FAILURE,
+            "no convergence after 1 iterations", 1,
+        ),
+        "diverged": (
+            lambda mp: mp.setattr(sdp, "_DIVERGENCE", 0.0), -1.0, False, sdp.STATUS_FAILURE,
+            "iterate diverged", 0,
+        ),
+        "failed factor": (
+            force_cholesky_failure, -1.0, False, sdp.STATUS_FAILURE, "linear algebra failure: forced", 0,
+        ),
+        "failed corrector": (
+            fail_the_first_corrector, -1.0, False, sdp.STATUS_FAILURE, "linear algebra failure: forced", 0,
+        ),
+        "stall": (collapse_the_steps, -1.0, False, sdp.STATUS_FAILURE, "step sizes collapsed", 4),
+    }
+
+    @pytest.mark.parametrize("name", list(EXITS))
+    def test_each_exit_is_its_last_logged_point(self, monkeypatch, name):
+        setup, e00, decide, status, message, iterations = self.EXITS[name]
+        if setup is not None:
+            setup(monkeypatch)
+        program = (np.eye(2, dtype=complex)[None], np.array([1.0])) if e00 is None else corner_program(e00)
+        p1 = sdp.phase1_min_t(*program, decide=decide)
+        assert p1.solution.status == status
+        assert p1.solution.message.startswith(message) and bool(message) == bool(p1.solution.message)
+        assert iterations is None or p1.solution.iterations == iterations
+        assert_last_logged_point(p1)
+        log = p1.solution.iterate_log
+        if name.startswith("dual bound"):
+            # the look-ahead moves the dual point only, so its row keeps the primal objective
+            assert (log[-1][0] == log[-2][0]) == name.endswith("look-ahead")
+
+    def test_a_stalled_program_leaves_its_neighbour(self, monkeypatch):
+        ops, values = corner_program(-1.0)
+        values = np.stack([values, corner_program(0.3)[1]])
+        solo = sdp.phase1_min_t(ops, values[1])
+        collapse_the_steps(monkeypatch, calls=10)  # program 0 stalls in iteration 4
+        stalled, neighbour = sdp.phase1_min_t(ops, values)
+        sol = stalled.solution
+        assert (sol.status, sol.message) == (sdp.STATUS_FAILURE, "step sizes collapsed")
+        assert sol.iterations == len(sol.iterate_log) - 1 == 4
+        assert_same_result(neighbour, solo)
+        assert_last_logged_point(neighbour)
+
+
+class TestNonFiniteInput:
+    """Non-finite values and operators are named before any kernel call, with no warning."""
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ([1.0, np.nan], r"b\[1\] = nan"),
+            ([np.inf, 0.2], r"b\[0\] = inf"),
+            ([[1.0, 0.2], [1.0, -np.inf]], r"b\[1\]\[1\] = -inf"),
+            ([[np.nan, 0.2], [1.0, 0.2]], r"b\[0\]\[0\] = nan"),
+        ],
+    )
+    def test_values(self, monkeypatch, values, named):
+        calls = spy_on_the_kernel(monkeypatch)
+        ops = corner_program(0.0)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for program in (ops, sdp.phase1_program(ops)):
+                with pytest.raises(ValueError, match=r"phase-1 values has non-finite entries: " + named):
+                    sdp.phase1_min_t(program, np.array(values))
+        assert calls == []
+
+    def test_operator(self, monkeypatch):
+        calls = spy_on_the_kernel(monkeypatch)
+        ops = corner_program(0.0)[0]
+        ops[1, 0, 1] = np.nan
+        named = r"phase-1 operators has non-finite entries: A\[1\]\[0\]\[1\] = \(nan\+0j\)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                sdp.phase1_min_t(ops, np.array([1.0, 0.2]))
+        assert calls == []
