@@ -395,6 +395,27 @@ def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
     return "early-witness", not failing, detail + "".join(f"; {f} failed" for f in failing)
 
 
+def _check_real_frame(rng: np.random.Generator) -> tuple[str, bool, str]:
+    # Inputs with a principal axis of Re(M) perpendicular to l solve the real program
+    # in their real frame; t* must match the complex program over the dense products.
+    # The three have l = 0, l along a principal axis, and a degenerate pair with any l.
+    worst = 0.0
+    framed = 0
+    shapes = (((0.0, 0.0, 0.0), (1.1, -0.05, -0.05)), ((0.0, 0.0, 0.6), (0.2, 0.3, 0.5)), ((0.3, -0.2, 0.4), (0.25, 0.25, 0.5)))
+    for two_j in (4, 30, 62):
+        dense = _dense_moment_operators(two_j)
+        for u, v in shapes:
+            coords = reduction.RenormalizedCoords(np.array(u), np.array(v), two_j)
+            rot = _random_rotation(rng)
+            mm = MomentMatrix.from_matrix(two_j, rot @ reduction.moments_from_coords(coords).matrix @ rot.T)
+            verdict = feasibility.exact_test_direct(mm)
+            framed += "real frame" in verdict.tests_run[0].detail
+            partner = sdp.phase1_min_t(dense, spinalg.moment_values(mm))
+            worst = max(worst, abs(verdict.t_star - partner.t_star))
+    detail = f"{framed} of 9 inputs at 2j in 4, 30, 62 in a real frame, max |t* - t*(complex)| = {worst:.1e}"
+    return "real-frame", framed == 9 and worst <= 1e-8, detail
+
+
 def _check_scan_oracle() -> tuple[str, bool, str]:
     # The scan's R/T flags come from one LDL mask per affine slice map; the
     # per-cell reference rebuilds each cell's state and takes its eigenvalues.
@@ -426,6 +447,7 @@ def _run_validation(j_max: int, seed: int, inject_fault: bool) -> list[tuple[str
         ("first-moment", lambda: _check_first_moment(rng)),
         ("early-witness", lambda: _check_early_witness(rng)),
         ("scan-oracle", _check_scan_oracle),
+        ("real-frame", lambda: _check_real_frame(rng)),
     )
     checks = []
     for name, suite in suites:

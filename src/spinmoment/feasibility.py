@@ -14,15 +14,23 @@ is the direct program on b = K·rho.  Every program and witness works over
 the moment vector b of ``spinalg.moment_values``; the early stages are its
 linear stacks ``spinalg.CHI_PATTERN`` and
 ``reduction._reconstruction_system``.  The SDP paths alone use the stack
-``_moment_operator_set`` and its dependency pass ``_moment_program``, each
-cached per spin, and raise the cone-cap ``ValueError`` before they build
-the operator stack.  As that stack depends on the spin only,
-``exact_test_batch`` decides many inputs at one spin with one batched
-phase-1 solve.
+``_moment_operator_set`` and its dependency passes ``_moment_program``,
+``_real_moment_program`` and ``_first_moment_program``, each cached per
+spin, and raise the cone-cap ``ValueError`` before they build the operator
+stack.  As that stack depends on the spin only, ``exact_test_batch``
+decides many inputs at one spin with one batched phase-1 solve.
+
+The direct program runs in real arithmetic when the input has a real frame;
+``exact_test_direct`` states the rule and why it is exact.
+
+Every witness over ``spinalg.MOMENT_LABELS`` is canonical: its
+coefficients are orthogonal to the Casimir vector r (``_canonical``), along
+which sum_i r_i A_i = 0, so the projection leaves Z alone.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -40,6 +48,8 @@ STATUS_BOUNDARY = "boundary"
 
 _FIRST_MOMENTS = [0, 7, 8, 9]  # I, L1, L2, L3 within MOMENT_LABELS
 _FIRST_MOMENT_LABELS = tuple(spinalg.MOMENT_LABELS[i] for i in _FIRST_MOMENTS)
+_IMAGINARY = [2, 5, 8]  # S12, S23, L2: imaginary antisymmetric in the J_z basis
+_REAL = [0, 1, 3, 4, 6, 7, 9]  # the seven real symmetric operators
 
 
 @dataclass(frozen=True)
@@ -140,6 +150,134 @@ def _moment_program(two_j: int) -> sdp.Phase1Program:
     return sdp.phase1_program(_moment_operator_set(two_j))
 
 
+@lru_cache(maxsize=None)
+def _real_moment_program(two_j: int) -> sdp.Phase1Program:
+    """The dependency pass over the seven real operators of the stack, as a float64
+    stack, so that their program runs in real arithmetic: the real frame's program."""
+    return sdp.phase1_program(_moment_operator_set(two_j)[_REAL].real)
+
+
+@lru_cache(maxsize=None)
+def _first_moment_program(two_j: int) -> sdp.Phase1Program:
+    """The dependency pass over I, L1, L2, L3: ``exact_test_first_moments``'s program,
+    complex, as the closed form's independent partner."""
+    return sdp.phase1_program(_moment_operator_set(two_j)[_FIRST_MOMENTS])
+
+
+def _canonical(c: np.ndarray, two_j: int) -> np.ndarray:
+    """Witness coefficients c over ``spinalg.MOMENT_LABELS`` projected off the
+    Casimir vector r, sum_i r_i A_i = S11 + S22 + S33 - j(j+1) 1 = 0: Z is
+    unchanged, and r.b is the input's Casimir residual, so the value moves only
+    within ``matcore.CASIMIR_TOL``."""
+    j = two_j / 2.0
+    r = np.array([-j * (j + 1.0), 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    return c - (c @ r) / (r @ r) * r
+
+
+# Re chi(b) = sum_i b_i _CHI_REAL[i] over the basis {1, L1, L2, L3}; the blocks of
+# different i are disjoint, so b_i = <_CHI_READ[i], Re chi(b)>
+_CHI_REAL = spinalg.CHI_PATTERN.real.reshape(len(spinalg.MOMENT_LABELS), 16)
+_CHI_READ = _CHI_REAL / (_CHI_REAL**2).sum(axis=1, keepdims=True)
+
+
+# A frame whose x and z axes are principal axes keeps the input's other symmetries
+# (pi turns about those axes, rotations about l) aligned with the basis: the
+# iterates then carry couplings of rounding size, which shrink into subnormal
+# numbers and slow the BLAS and LAPACK calls about threefold at 2j = 62.  Every
+# frame is turned about its y axis by 1 rad, which keeps the frame real and moves
+# those symmetry axes off the basis axes.
+_TURN_ABOUT_Y = np.array([[math.cos(1.0), 0.0, math.sin(1.0)], [0.0, 1.0, 0.0], [-math.sin(1.0), 0.0, math.cos(1.0)]])
+
+
+def _real_frame(b: np.ndarray, two_j: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The real frame (R, T(R)) of the moment vector b, or None.
+
+    R is the (3, 3) rotation whose second row is the new y axis, and T(R)
+    the (10, 10) map b -> b' of the moment vector under it, read off
+    Re chi(b') = Q Re chi(b) Q^T with Q = diag(1, R).  A y axis is a
+    principal axis of Re(M) perpendicular to l or, when a pair of principal
+    axes is degenerate (``eigh`` returns any basis of their plane), the
+    direction in that plane perpendicular to l.  Both kinds are among the
+    directions e = (p_b u_a - p_a u_b)/|(p_a, p_b)|, p = u^T l, in the planes
+    of the pairs (u_a, u_b) of principal axes (u_a when p_a = p_b = 0).  Each
+    has e.l = 0, and with x the in-plane normal to e, e^T S x =
+    p_a p_b (w_a - w_b)/(p_a^2 + p_b^2): the candidate with the smallest
+    such coupling, over j(j+1), is completed to rows (x, e, u_c), turned
+    about the new y axis by ``_TURN_ABOUT_Y``.  It is the frame if its
+    imaginary values max(|b'_S12|, |b'_S23|)/j(j+1) and |b'_L2|/j are
+    within ``matcore.FRAME_TOL``.
+    """
+    j = two_j / 2.0
+    casimir = j * (j + 1.0)
+    w, u = np.linalg.eigh((_CHI_REAL.T @ b).reshape(4, 4)[1:, 1:])
+    p = u.T @ b[7:]
+    pairs = p * p + p[[1, 2, 0]] ** 2
+    coupling = np.abs(p * p[[1, 2, 0]] * (w - w[[1, 2, 0]])) / np.where(pairs > 0.0, pairs, 1.0)
+    a = int(np.argmin(coupling))
+    if coupling[a] > matcore.FRAME_TOL * casimir:
+        return None
+    first, second, third = u[:, a], u[:, (a + 1) % 3], u[:, (a + 2) % 3]
+    e = first if pairs[a] == 0.0 else (p[(a + 1) % 3] * first - p[a] * second) / math.sqrt(pairs[a])
+    q = np.eye(4)
+    x = [e[1] * third[2] - e[2] * third[1], e[2] * third[0] - e[0] * third[2], e[0] * third[1] - e[1] * third[0]]
+    q[1:, 1:] = rot = _TURN_ABOUT_Y @ np.array([x, e, third])
+    t = _CHI_READ @ np.einsum("ak,bl->abkl", q, q).reshape(16, 16) @ _CHI_REAL.T
+    if (np.abs(t[_IMAGINARY] @ b) / [casimir, casimir, j]).max() > matcore.FRAME_TOL:
+        return None
+    return rot, t
+
+
+def _real_frames(batch: np.ndarray, two_j: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The real frame of every row of a (k, 10) batch, or None once a row has none."""
+    frames = []
+    for b in batch:
+        frame = _real_frame(b, two_j)
+        if frame is None:
+            return None
+        frames.append(frame)
+    return frames
+
+
+def _euler_zyz(rot: np.ndarray) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) with R = Rz(alpha) Ry(beta) Rz(gamma).
+
+    alpha comes from column 3, R_k3 = sin(beta) (cos alpha, sin alpha, ...),
+    and gamma from the upper 2x2 block, which holds (1 + cos beta) and
+    (1 - cos beta) times the rotations by alpha + gamma and alpha - gamma:
+    the first for cos beta >= 0, the second below.  So both stay accurate at
+    the gimbal points, where alpha alone is undefined: at beta = 0 (R =
+    Rz(alpha + gamma)) and beta = pi (R = Rz(alpha - gamma) Ry(pi)) any alpha
+    serves, and gamma follows from it.
+    """
+    beta = math.atan2(math.hypot(rot[0, 2], rot[1, 2]), rot[2, 2])
+    alpha = math.atan2(rot[1, 2], rot[0, 2])
+    if rot[2, 2] >= 0.0:
+        gamma = math.atan2(rot[1, 0] - rot[0, 1], rot[0, 0] + rot[1, 1]) - alpha
+    else:
+        gamma = alpha - math.atan2(-rot[1, 0] - rot[0, 1], rot[1, 1] - rot[0, 0])
+    return alpha, beta, gamma
+
+
+@lru_cache(maxsize=None)
+def _l2_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition of the lifted L2, cached per spin for ``_spin_rotation``."""
+    return np.linalg.eigh(_lift(np.eye(len(spinalg.MOMENT_LABELS))[8], two_j))
+
+
+def _spin_rotation(rot: np.ndarray, two_j: int) -> np.ndarray:
+    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3).
+
+    V = exp(-i alpha L3) exp(-i beta L2) exp(-i gamma L3) over the ZYZ angles
+    of ``_euler_zyz``: L3 is diagonal and L2's eigenbasis is cached, so V costs
+    one d x d matmul.  No spin matrix is built.
+    """
+    alpha, beta, gamma = _euler_zyz(rot)
+    w, u = _l2_eigen(two_j)
+    m = two_j / 2.0 - np.arange(two_j + 1)  # the diagonal of L3
+    v = (u * np.exp(-1j * beta * w)) @ u.conj().T
+    return np.exp(-1j * alpha * m)[:, None] * v * np.exp(-1j * gamma * m)
+
+
 def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
     """sum_i c_i A_i over the operators A_i of ``spinalg.MOMENT_LABELS``, for a (..., 10) c.
 
@@ -218,7 +356,7 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
     z = _lift(c, m.two_j)
     norm = float(np.trace(z).real)
     z /= norm
-    c = c / norm
+    c = _canonical(c / norm, m.two_j)
     return Witness(z, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
 
 
@@ -226,10 +364,10 @@ _BOUND_KINDS = {sdp.STATUS_PRIMAL_BOUND: "primal bound", sdp.STATUS_DUAL_BOUND: 
 
 
 def _read_phase1(
-    p1: sdp.Phase1Result, values: np.ndarray, labels, stage: str, log: _StageLog
+    p1: sdp.Phase1Result, values: np.ndarray, labels, stage: str, log: _StageLog, frame=None
 ) -> Verdict:
     """The verdict of a phase-1 program: a reject carries its dual as the
-    witness, an accept its primal X.
+    witness, an accept its primal X, both in the frame of ``values``.
 
     X = Y - t_p·1 for the solver's positive definite iterate Y, so
     lambda_min(X) >= -t_p: at least |t*| on a quantum verdict, at least
@@ -239,38 +377,60 @@ def _read_phase1(
     value is -t_d.  At the optimum t_star = t_p and t_d agrees to the gap; a
     decided solve's t_star is the bound that decided it (``Verdict``).
 
+    A solve in the real ``frame`` (R, T) of ``_real_frame`` ran the real program on b' = T b.  Its coefficients c'
+    over the seven real labels map back as c = T^T c', and its Z' and X' as
+    V^dag Z' V = sum_i c_i A_i and V^dag X' V, V = D^j(R)
+    (``_spin_rotation``); the stage detail then says "real frame" before the
+    kind.  Coefficients over ``spinalg.MOMENT_LABELS`` are made canonical
+    (``_canonical``).
+
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
     """
     if p1.dual_z is None:
         raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
     t, sol = p1.t_star, p1.solution
+    two_j = len(p1.x) - 1
     kind = _BOUND_KINDS.get(sol.status, "optimum")
-    detail = f"t_star = {t:.3e}, {sol.iterations} iterations, gap {sol.gap:.0e}, {kind}"
-    if t > BOUNDARY_BAND:
+    where = "" if frame is None else "real frame, "
+    detail = f"t_star = {t:.3e}, {sol.iterations} iterations, gap {sol.gap:.0e}, {where}{kind}"
+    rejected = t > BOUNDARY_BAND
+    evidence = p1.dual_z if rejected else p1.x
+    if frame is not None:
+        v = _spin_rotation(frame[0], two_j)
+        evidence = v.conj().T @ evidence @ v
+        evidence = (evidence + evidence.conj().T) / 2.0
+    if rejected:
+        c = p1.dual_coefficients if frame is None else frame[1][_REAL].T @ p1.dual_coefficients
+        if len(labels) == len(spinalg.MOMENT_LABELS):
+            c = _canonical(c, two_j)
         log.add(stage, "reject", detail)
-        c = p1.dual_coefficients
-        witness = Witness(p1.dual_z, float(c @ values), c, tuple(labels))
-        return _rejected(stage, witness, log, t, kind)
+        return _rejected(stage, Witness(evidence, float(c @ values), c, tuple(labels)), log, t, kind)
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail)
-    return Verdict(status, stage, t, p1.x, None, log.done(), kind)
+    return Verdict(status, stage, t, evidence, None, log.done(), kind)
 
 
-def _first_moment_witness(ell: np.ndarray, two_j: int) -> Witness:
-    """The optimal first-moment witness Z = (1 - l^.L/j)/(2j+1) for |l| > j.
+def _first_moment_witness(b: np.ndarray, two_j: int) -> Witness:
+    """The optimal first-moment witness Z = (1 - l^.L/j)/(2j+1) for |l| > j,
+    l = b[7:].
 
     It is PSD because spec(l^.L) = [-j, j] and has unit trace; over
     ``spinalg.MOMENT_LABELS`` its coefficients are 1/(2j+1) on I,
-    -l^_k/(j(2j+1)) on L_k and 0 on each S_kl, and its value is
-    (1 - |l|/j)/(2j+1) = -t*.  Z is built by ``_lift``, like the chi and
-    reconstruct witnesses: above j = 1/2 as a band, with no spin matrix.
+    -l^_k/(j(2j+1)) on L_k and 0 on each S_kl, made canonical, which moves
+    an equal share of the I coefficient onto S11, S22 and S33.  Its value
+    c.b is (1 - |l|/j)/(2j+1) = -t* up to the Casimir residual of b.  Z is
+    built by ``_lift``, like the chi and reconstruct witnesses: above j = 1/2
+    as a band, with no spin matrix.
     """
     j, d = two_j / 2.0, two_j + 1
+    ell = b[7:]
     n_hat = ell / float(np.linalg.norm(ell))
     c = np.zeros(len(spinalg.MOMENT_LABELS))
     c[_FIRST_MOMENTS] = np.concatenate([[1.0], -n_hat / j]) / d
-    return Witness(_lift(c, two_j), float(c[_FIRST_MOMENTS] @ [1.0, *ell]), c, spinalg.MOMENT_LABELS)
+    z = _lift(c, two_j)
+    c = _canonical(c, two_j)
+    return Witness(z, float(c @ b), c, spinalg.MOMENT_LABELS)
 
 
 def _first_moment_vector(ell) -> np.ndarray:
@@ -282,8 +442,8 @@ def _first_moment_vector(ell) -> np.ndarray:
     return ell
 
 
-def _first_moment_stage(ell: np.ndarray, two_j: int, log: _StageLog, final: bool) -> Verdict | None:
-    """The first-moment law |l| <= j, banded on the t* of
+def _first_moment_stage(b: np.ndarray, two_j: int, log: _StageLog, final: bool) -> Verdict | None:
+    """The first-moment law |l| <= j on the moment vector b, l = b[7:], banded on the t* of
     ``exact_test_first_moments`` in closed form, (|l|/j - 1)/(2j+1), which
     the stage detail reports; ``t_star`` stays None, as no SDP runs.  A
     reject carries the optimal witness ``_first_moment_witness``.  A passing
@@ -294,12 +454,13 @@ def _first_moment_stage(ell: np.ndarray, two_j: int, log: _StageLog, final: bool
     """
     j = two_j / 2.0
     d = two_j + 1
+    ell = b[7:]
     r = float(np.linalg.norm(ell))
     t = (r / j - 1.0) / d
     detail = f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
     if t > BOUNDARY_BAND:
         log.add("first-moment", "reject", detail)
-        return _rejected("first-moment", _first_moment_witness(ell, two_j), log)
+        return _rejected("first-moment", _first_moment_witness(b, two_j), log)
     if not final:
         log.add("first-moment", "pass", detail)
         return None
@@ -322,24 +483,45 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
 
     The first-moment stage of ``classify`` run as the final stage
     (``_first_moment_stage``): a reject carries the optimal witness
-    Z = (1 - l^.L/j)/(2j+1), an accept a certificate state.
+    Z = (1 - l^.L/j)/(2j+1), an accept a certificate state.  The witness's
+    value pairs its coefficients with l and the isotropic second moments
+    S_kl = delta_kl j(j+1)/3, the ones that meet the Casimir exactly.
     """
     two_j = spinalg._check_two_j(two_j)
-    return _first_moment_stage(_first_moment_vector(ell), two_j, _StageLog(), final=True)
+    j = two_j / 2.0
+    b = np.zeros(len(spinalg.MOMENT_LABELS))
+    b[0], b[[1, 4, 6]], b[7:] = 1.0, j * (j + 1.0) / 3.0, _first_moment_vector(ell)
+    return _first_moment_stage(b, two_j, _StageLog(), final=True)
 
 
-def _phase1_verdicts(stage: str, program, values: np.ndarray, labels=spinalg.MOMENT_LABELS, *, decide=False):
-    """Solve the phase-1 ``program`` (an operator stack or its
-    ``sdp.Phase1Program``) on (m,) ``values``, or on (k, m) values as one
-    batched solve, and read each result with ``_read_phase1``: one verdict,
-    or a list of k.  Each verdict's stage is timed from the start of the
-    solve, at its share of the solve's seconds."""
+def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, labels=spinalg.MOMENT_LABELS, *, decide=False):
+    """Solve the phase-1 program over ``labels`` at spin two_j on (m,)
+    ``values``, or on (k, m) values as one batched solve, and read each result
+    with ``_read_phase1``: one verdict, or a list of k.
+
+    Over ``spinalg.MOMENT_LABELS`` the call runs the real program in the real
+    frames of its inputs (``exact_test_direct``) when every input has one, and the
+    complex ``_moment_program`` otherwise; the frames are looked for in input
+    order, up to the first input without one.  Over the first moments it runs
+    ``_first_moment_program``.  Each verdict's stage is timed from the start
+    of the call, at its share of the seconds up to the end of the solve."""
     t0 = time.perf_counter()
-    solved = sdp.phase1_min_t(program, values, decide=decide)
-    share = (time.perf_counter() - t0) / len(np.atleast_2d(values))
+    batch = np.atleast_2d(values)
+    frames = _real_frames(batch, two_j) if labels is spinalg.MOMENT_LABELS else None
+    if frames is not None:
+        program = _real_moment_program(two_j)
+        rotated = np.stack([t[_REAL] @ b for (_, t), b in zip(frames, batch)])
+        values_solved = rotated if values.ndim == 2 else rotated[0]
+    else:
+        program = _moment_program(two_j) if labels is spinalg.MOMENT_LABELS else _first_moment_program(two_j)
+        frames, values_solved = [None] * len(batch), values
+    solved = sdp.phase1_min_t(program, values_solved, decide=decide)
+    share = (time.perf_counter() - t0) / len(batch)
     if values.ndim == 1:
-        return _read_phase1(solved, values, labels, stage, _StageLog(share))
-    return [_read_phase1(p1, v, labels, stage, _StageLog(share)) for p1, v in zip(solved, values)]
+        return _read_phase1(solved, values, labels, stage, _StageLog(share), frames[0])
+    return [
+        _read_phase1(p1, v, labels, stage, _StageLog(share), f) for p1, v, f in zip(solved, values, frames)
+    ]
 
 
 def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
@@ -351,9 +533,30 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     A reject carries the program's dual as its witness, of value -t*.  With
     ``decide`` (``classify``'s exact stage) the solve stops once a certified
     bound on t* clears the band, and ``t_star`` is that bound.
+
+    The real frame.  In the J_z basis three of the ten operators, S12, S23
+    and L2, are imaginary antisymmetric, and the other seven real symmetric.
+    When some principal axis e of Re(M) is perpendicular to l, the rotation
+    R that takes e to the y axis zeroes the three imaginary values:
+    S' = R S R^T has no (1, 2) or (2, 3) entry, and (R l)_2 = e.l = 0.  The
+    rotated program is then invariant under complex conjugation: with X
+    feasible, Re X is feasible too, and X + t·1 >= 0 gives Re X + t·1 >= 0,
+    so t* is unchanged when X is restricted to real symmetric matrices, on
+    which the three imaginary constraints hold identically.  A real dual is
+    a complex dual with zero coefficients on the imaginary labels.  So the
+    program over the seven real operators, solved in float64, decides
+    exactly, and its evidence maps back to the input's frame (``_read_phase1``:
+    V^dag X' V and V^dag Z' V with V = D^j(R), coefficients T(R)^T c').  Such
+    a frame exists when l = 0, when l lies along a principal axis (coherent,
+    Dicke, squeezed and thermal states), and when Re(M) has a degenerate
+    pair of eigenvalues; ``_real_frame`` finds it, to ``matcore.FRAME_TOL``.
+    Every entry point of the direct program (this one, ``exact_test_batch``,
+    ``exact_test_extension``, the scan and ``classify``) goes through
+    ``_phase1_verdicts``, which takes the real frame when every input of
+    the call has one; the stage detail then says "real frame".
     """
     values = spinalg.moment_values(m)
-    return _phase1_verdicts("exact", _moment_program(m.two_j), values, decide=decide)
+    return _phase1_verdicts("exact", m.two_j, values, decide=decide)
 
 
 def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
@@ -371,7 +574,7 @@ def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
     if any(m.two_j != two_j for m in ms):
         raise ValueError("a batch of exact tests needs one spin number")
     values = np.stack([spinalg.moment_values(m) for m in ms])
-    return _phase1_verdicts("exact", _moment_program(two_j), values, decide=True)
+    return _phase1_verdicts("exact", two_j, values, decide=True)
 
 
 def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
@@ -381,8 +584,7 @@ def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
     """
     two_j = spinalg._check_two_j(two_j)
     values = np.concatenate([[1.0], _first_moment_vector(ell)])
-    ops = _moment_operator_set(two_j)[_FIRST_MOMENTS]
-    return _phase1_verdicts("exact-first-moment", ops, values, _FIRST_MOMENT_LABELS)
+    return _phase1_verdicts("exact-first-moment", two_j, values, _FIRST_MOMENT_LABELS)
 
 
 def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
@@ -407,7 +609,7 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
         raise ValueError("reduced state must have unit trace")
     values = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
-    return _phase1_verdicts("extension", _moment_program(two_j), values)
+    return _phase1_verdicts("extension", two_j, values)
 
 
 def _validate_half_spin_structure(m: MomentMatrix) -> None:
@@ -441,7 +643,8 @@ def classify(m: MomentMatrix) -> Verdict:
     law |l| <= j (quick reject, at every j), the 4x4 expectation value
     matrix precheck (chi, quick reject), reconstruction positivity, the PPT
     inner test (quick accept), then the decisive phase-1 SDP
-    (``exact_test_direct(m, decide=True)``).  Every rejection carries a
+    (``exact_test_direct(m, decide=True)``, in real arithmetic when the input
+    has a real frame: the rule and why it is exact are stated there).  Every rejection carries a
     witness.  The first-moment stage (``_first_moment_stage``, which is
     ``first_moment_test`` too) is banded on its closed-form t*, and a reject
     carries the optimal witness with ``t_star`` None, so first moments
@@ -481,7 +684,7 @@ def classify(m: MomentMatrix) -> Verdict:
     if m.two_j == 1:
         _validate_half_spin_structure(m)
         log.add("structure", "pass", "second moments forced at j=1/2")
-    first = _first_moment_stage(m.first_moments, m.two_j, log, final=m.two_j == 1)
+    first = _first_moment_stage(spinalg.moment_values(m), m.two_j, log, final=m.two_j == 1)
     if first is not None:
         return first
 

@@ -16,6 +16,7 @@ CASIMIR_TOL = 1e-9  # Hermiticity, Casimir trace, Im(M) of M, times max(1, max |
 RESIDUAL_TOL = 1e-8  # moment-value residual of the reconstructed state, times max(1, max |b_i|)
 STRUCTURE_TOL = 1e-9  # max |Re(M) - I/4| at j = 1/2
 TRACE_TOL = 1e-9  # |tr rho - 1| of a spin state
+FRAME_TOL = 1e-12  # largest |S12|, |S23| over j(j+1) and |L2| over j in a real frame
 
 
 def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:

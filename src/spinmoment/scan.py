@@ -178,7 +178,7 @@ def _exact_cells(args) -> tuple[list[bool], list[float]]:
         chunk = np.stack([
             reduction._coords_values(two_j, u, (v1, v2, 1.0 - v1 - v2)) for v1, v2 in points[a : a + step]
         ])
-        accepted += [v.accepted for v in feasibility._phase1_verdicts("exact", program, chunk, decide=True)]
+        accepted += [v.accepted for v in feasibility._phase1_verdicts("exact", two_j, chunk, decide=True)]
         seconds += [(time.perf_counter() - t0) / len(chunk)] * len(chunk)
     return accepted, seconds
 

@@ -4,17 +4,21 @@
 (m, d, d) operator stack that fixes tr(X).  Its sign decides feasibility,
 and its dual solution, expanded over the caller's operators, is the
 separating hyperplane.  Given a (k, m) array of values it solves k such
-programs over the one stack at once.
+programs over the one stack at once.  The arithmetic follows the stack: a
+real (float64) stack of symmetric operators is a program over real
+symmetric X, and its rows, iterates, factors, Schur matrix and step-length
+eigensolves all stay real, at about a quarter of the complex flops; a
+complex stack runs in complex arithmetic.
 
 Substituting Y = X + t*1 leaves the standard form  min tr(Y)/d  s.t.
 <R_k, Y> = b~_k,  Y >= 0.  One dependency pass over the traceless parts
 A~_i = A_i - (tr A_i / d) 1, flattened to (Re, Im) coordinates that keep
-tr(A~_i A~_l), factors A~ = U S V^T by a QR and an SVD of the m x m
-factor.  Singular values at or below ``DEPENDENCY_TOL`` max(1, s_max) mark
-dependencies N.  The rows fix tr(X) when the traces tr A_i have a component
-along N above ``CONFLICT_TOL`` |tr A|, and along N the values U^T b~ must
-vanish to ``CONFLICT_TOL``: values that conflict there are a ``ValueError``
-before any solve.  The rest give the orthonormal rows R = S^-1 U^T A~.  The
+tr(A~_i A~_l) (the real part alone for a real stack), factors A~ = U S V^T
+by a QR and an SVD of the m x m factor.  Singular values at or below
+``DEPENDENCY_TOL`` max(1, s_max) mark dependencies N.  The rows fix tr(X)
+when the traces tr A_i have a component along N above ``CONFLICT_TOL``
+|tr A|, and along N the values U^T b~ must vanish to ``CONFLICT_TOL``:
+values that conflict there are a ``ValueError`` before any solve.  The rest give the orthonormal rows R = S^-1 U^T A~.  The
 pass depends on the operators only: ``phase1_program`` returns it as a
 frozen ``Phase1Program``, which ``phase1_min_t`` takes in place of the
 stack, so callers that solve over one stack many times run it once, and a
@@ -213,12 +217,12 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
     k, m = b.shape
     shift = np.full(k, math.nan) if shift is None else np.asarray(shift, dtype=float)
     d = ops.shape[1]
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=ops.dtype)  # real rows keep every iterate real
     c = eye / d
     if m == 0:  # Y = 0 and Z = 1/d are optimal: one logged point
         return [
             SdpSolution(
-                STATUS_OPTIMAL, np.zeros((d, d), dtype=complex), np.zeros(0), c.copy(),
+                STATUS_OPTIMAL, np.zeros((d, d), dtype=ops.dtype), np.zeros(0), c.copy(),
                 primal_objective=0.0, dual_objective=0.0, gap=0.0,
                 primal_residual=0.0, dual_residual=0.0, mu=0.0, iterate_log=[(0.0, 0.0, 0.0, 0.0)],
             )
@@ -475,14 +479,16 @@ def phase1_program(ops) -> Phase1Program:
     _check_dim(d)
     if m == 0:
         raise ValueError("phase-1 needs at least the trace normalization constraint")
-    matcore._check_finite("phase-1 operators", "A", np.asarray(ops))
-    ops = np.stack([matcore.hermitize(a) for a in ops])
+    ops = np.asarray(ops)
+    matcore._check_finite("phase-1 operators", "A", ops)
+    stack = np.stack([matcore.hermitize(a) for a in ops])
+    ops = stack if np.iscomplexobj(ops) else stack.real.copy()
     # in place: A~_i = A_i - (tr A_i / d) 1
     traces = np.trace(ops, axis1=1, axis2=2).real
     ops[:, np.arange(d), np.arange(d)] -= (traces / d)[:, None]
     flat = ops.reshape(m, -1)
     # (Re, Im) coordinates keep the inner product: coords_k . coords_l = tr(A~_k A~_l)
-    coords = np.concatenate([flat.real, flat.imag], axis=1)
+    coords = np.concatenate([flat.real, flat.imag], axis=1) if np.iscomplexobj(flat) else flat
     u, s, _ = np.linalg.svd(np.linalg.qr(coords.T, mode="r").T)  # A~ = R^T Q^T, R^T = U S V^T
     s = np.concatenate([s, np.zeros(m - len(s))])
     keep = s > DEPENDENCY_TOL * max(1.0, s[0])

@@ -53,6 +53,19 @@ def moment_operators(two_j):
     return np.stack([np.eye(two_j + 1, dtype=complex), *products, *ls])
 
 
+def casimir_vector(two_j):
+    """r over ``spinalg.MOMENT_LABELS`` with sum_i r_i A_i = S11 + S22 + S33 - j(j+1) 1 = 0."""
+    j = two_j / 2.0
+    return np.array([-j * (j + 1.0), 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+
+
+def canonical(c, two_j):
+    """Witness coefficients projected off the Casimir vector, as every witness over
+    the ten moment operators reports them: the same Z, as sum_i r_i A_i = 0."""
+    r = casimir_vector(two_j)
+    return c - (c @ r) / (r @ r) * r
+
+
 def build_fixed_state(ell, two_j):
     """The trace-1 operator with the prescribed first moments and no open part.
 

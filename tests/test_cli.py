@@ -149,7 +149,11 @@ class TestCheckCommand:
         assert (report["status"], report["stage"]) == ("non-quantum", "first-moment")
         witness = report["witness"]
         assert abs(witness["value"] + 0.1) <= 1e-12
-        assert all(witness["coefficients"][f"S{k}{l}"] == 0.0 for k in "123" for l in "123" if k <= l)
+        # the closed form has no S_kl part; made canonical, S11 = S22 = S33 and c.r = 0
+        c = witness["coefficients"]
+        assert c["S12"] == c["S13"] == c["S23"] == 0.0
+        assert c["S11"] == c["S22"] == c["S33"]
+        assert abs(c["S11"] + c["S22"] + c["S33"] - 0.75 * c["I"]) <= 1e-15
 
     def test_boundary_exit_two(self, tmp_path, capsys):
         # a pure entangled symmetric state sits exactly on the j=1 boundary:
@@ -602,6 +606,28 @@ class TestValidateCommand:
         name, ok, _ = cli._check_scan_oracle()
         assert (name, ok) == ("scan-oracle", False)
 
+    def test_real_frame_suite_catches_a_scaled_operator(self, monkeypatch):
+        # the real program with its L1 row scaled by 0.9 misses the complex t*
+        from spinmoment import feasibility
+
+        name, ok, detail = cli._check_real_frame(np.random.default_rng(2024))
+        assert (name, ok) == ("real-frame", True)
+        assert detail.startswith("9 of 9 inputs")
+        real = feasibility._moment_operator_set
+
+        def mutant(two_j):
+            ops = real(two_j).copy()
+            ops[7] *= 0.9
+            return ops
+
+        feasibility._real_moment_program.cache_clear()
+        monkeypatch.setattr(feasibility, "_moment_operator_set", mutant)
+        try:
+            name, ok, _ = cli._check_real_frame(np.random.default_rng(2024))
+        finally:
+            feasibility._real_moment_program.cache_clear()
+        assert (name, ok) == ("real-frame", False)
+
     def test_first_moment_suite_catches_flipped_sign(self, monkeypatch):
         import dataclasses
 
@@ -631,8 +657,8 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert rc == 1
         assert "[FAIL] sdp-analytic: raised ArithmeticError: phase-1 SDP did not converge: forced" in captured.out
-        assert captured.out.count("[ ok ]") == 7
-        assert "ran 8 suites" in captured.out
+        assert captured.out.count("[ ok ]") == 8
+        assert "ran 9 suites" in captured.out
         assert "failing: sdp-analytic" in captured.err
 
     def test_injected_fault_goes_red(self, capsys):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinmoment
 from spinmoment import feasibility, matcore, reduction, sdp, spinalg
@@ -24,6 +26,8 @@ import symmetric_oracle
 from outer_set import outer_test
 from conftest import (
     build_fixed_state,
+    canonical,
+    casimir_vector,
     first_moment_part,
     highest_weight_state,
     moment_operators,
@@ -84,7 +88,8 @@ class TestFirstMomentTest:
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 10, 30, 62, 200])
     def test_reject_carries_the_optimal_witness(self, two_j):
-        # Z = (1 - l^.L/j)/(2j+1): PSD, unit trace, 0 on each S_kl, value -t*
+        # Z = (1 - l^.L/j)/(2j+1): PSD, unit trace, value -t*; its coefficients,
+        # 1/(2j+1) on I and -l^/(j(2j+1)) on L, reported canonical
         rng = np.random.default_rng(300 + two_j)
         j = two_j / 2.0
         ops = moment_operators(two_j)
@@ -95,7 +100,9 @@ class TestFirstMomentTest:
             assert (v.status, v.t_star) == (STATUS_NON_QUANTUM, None)
             w = v.witness
             assert w.op_labels == spinalg.MOMENT_LABELS
-            assert np.all(w.op_coefficients[1:7] == 0.0)
+            closed = np.zeros(10)
+            closed[[0, 7, 8, 9]] = np.concatenate([[1.0], -ell / np.linalg.norm(ell) / j]) / (two_j + 1)
+            assert np.abs(w.op_coefficients - canonical(closed, two_j)).max() <= 1e-15 * np.abs(closed).max()
             assert matcore.min_eigenvalue(w.matrix) >= -1e-9
             assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
             assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
@@ -223,7 +230,9 @@ class TestExactTestDirect:
 
     @pytest.mark.parametrize("two_j", [6, 30, 62])
     def test_certificate_is_the_phase1_primal(self, two_j):
-        # X = Y - t*·1 for the solver's positive definite Y: lambda_min(X) >= -t*
+        # X = Y - t*·1 for the solver's positive definite Y: lambda_min(X) >= -t*;
+        # the random state has no real frame and solves the complex program, the
+        # Dicke mixture the real one, whose X' comes back as V^dag X' V
         rng = np.random.default_rng(1500 + two_j)
         ops = feasibility._moment_operator_set(two_j)
         d = two_j + 1
@@ -232,7 +241,18 @@ class TestExactTestDirect:
             v = feasibility.exact_test_direct(m)
             assert v.status == STATUS_QUANTUM
             x = v.certificate_state
-            assert np.array_equal(x, sdp.phase1_min_t(ops, spinalg.moment_values(m)).x)
+            b = spinalg.moment_values(m)
+            frame = feasibility._real_frame(b, two_j)
+            assert (frame is not None) == (m is dicke)
+            if frame is None:
+                want = sdp.phase1_min_t(ops, b).x
+            else:
+                rot3, t = frame
+                rotated = sdp.phase1_min_t(feasibility._real_moment_program(two_j), (t @ b)[[0, 1, 3, 4, 6, 7, 9]]).x
+                rot = feasibility._spin_rotation(rot3, two_j)
+                want = rot.conj().T @ rotated @ rot
+                want = (want + want.conj().T) / 2.0
+            assert np.array_equal(x, want)
             assert matcore.min_eigenvalue(x) >= abs(v.t_star) - 1e-12
             assert abs(np.trace(x).real - 1.0) <= 1e-12
         # rotated highest-weight inputs sit on the boundary: X still meets every moment
@@ -773,7 +793,8 @@ class TestOneSdpPerDecision:
         assert len(programs) == expected
         # classify's exact stage stops at a decided bound, over the per-spin program
         assert all(decided for _, decided in calls + programs)
-        assert all(ops is feasibility._moment_program(two_j) for ops, _ in programs)
+        # both exact inputs have a real frame: the program is the real one
+        assert all(ops is feasibility._real_moment_program(two_j) for ops, _ in programs)
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_spin_one_solves_nothing(self, monkeypatch, path):
@@ -914,7 +935,7 @@ class TestDecidedStop:
     """classify's exact stage stops at the first iterate whose primal or dual
     bound on t* clears the boundary band; exact_test_direct runs to the optimum."""
 
-    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (optimum|primal bound|dual bound)"
+    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (real frame, )?(optimum|primal bound|dual bound)"
 
     @staticmethod
     def families(two_j):
@@ -1051,7 +1072,9 @@ class TestFirstMomentStage:
         assert w.value == pytest.approx((1.0 - (j + excess) / j) / d, abs=1e-12)
         assert w.value == w.evaluate(spinalg.moment_values(m))
         assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
-        assert np.all(w.op_coefficients[1:7] == 0.0)
+        closed = np.zeros(10)
+        closed[[0, 7, 8, 9]] = np.concatenate([[1.0], -m.first_moments / np.linalg.norm(m.first_moments) / j]) / d
+        assert np.abs(w.op_coefficients - canonical(closed, two_j)).max() <= 1e-15 * np.abs(closed).max()
         if oracle is not None:
             assert np.abs(np.tensordot(w.op_coefficients, oracle, axes=1) - w.matrix).max() <= 1e-12
             assert matcore.min_eigenvalue(w.matrix) >= -1e-9
@@ -1148,7 +1171,7 @@ class TestEarlyRejectWitness:
         ops = moment_operators(two_j)
         vec = np.linalg.eigh(chi)[1][:, 0]
         c = np.einsum("a,iab,b->i", vec.conj(), spinalg.CHI_PATTERN, vec).real
-        c = c / float(c @ np.einsum("iaa->i", ops).real)
+        c = canonical(c / float(c @ np.einsum("iaa->i", ops).real), two_j)
         forbid_dense_spin_matrices(monkeypatch, "chi")
         v = feasibility.classify(m)
         assert (v.stage, v.status) == ("chi", STATUS_NON_QUANTUM)
@@ -1169,7 +1192,7 @@ class TestEarlyRejectWitness:
         ops = moment_operators(two_j)
         vec = np.linalg.eigh(rho)[1][:, 0]
         c = np.einsum("a,iab,b->i", vec.conj(), reduction._reconstruction_system(two_j), vec).real
-        c = c / float(c @ np.einsum("iaa->i", ops).real)
+        c = canonical(c / float(c @ np.einsum("iaa->i", ops).real), two_j)
         forbid_dense_spin_matrices(monkeypatch, "reconstruct")
         v = feasibility.classify(m)
         assert (v.stage, v.status) == ("reconstruct", STATUS_NON_QUANTUM)
@@ -1361,3 +1384,138 @@ class TestSpinHalfRouting:
             assert v.certificate_state is None
             assert np.array_equal(v.witness.matrix, want.witness.matrix)
             assert np.array_equal(v.witness.op_coefficients, want.witness.op_coefficients)
+
+
+def frame_moments(two_j, construction, rng):
+    """A moment matrix with a real frame, under a random rotation: l = 0; l along
+    a principal axis of Re(M); or a degenerate pair of Re(M) with any l.  The
+    values are spread over both verdicts."""
+    j = two_j / 2.0
+    casimir = j * (j + 1.0)
+    v = rng.dirichlet(np.ones(3)) * 1.4 - 0.4 / 3.0  # sum(v) = 1, some v_k < 0 or > 1
+    ell = np.zeros(3)
+    if construction == "axis":
+        ell[2] = rng.uniform(-1.05, 1.05) * j
+    elif construction == "pair":
+        v[1] = v[0] = (1.0 - v[2]) / 2.0
+        ell = rng.standard_normal(3)
+        ell *= rng.uniform(0.0, 1.05) * j / np.linalg.norm(ell)
+    m = np.diag(v * casimir).astype(complex) + first_moment_part(ell)
+    return rotated(MomentMatrix.from_matrix(two_j, m), rng)
+
+
+def complex_verdict(m, decide=True):
+    """The verdict of the complex program over all ten operators, read as
+    ``exact_test_direct`` reads its own."""
+    b = spinalg.moment_values(m)
+    p1 = sdp.phase1_min_t(feasibility._moment_program(m.two_j), b, decide=decide)
+    return feasibility._read_phase1(p1, b, spinalg.MOMENT_LABELS, "exact", feasibility._StageLog())
+
+
+def bench_evidence():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import evidence
+    finally:
+        sys.path.pop(0)
+    return evidence
+
+
+class TestRealFrame:
+    """Inputs with a principal axis of Re(M) perpendicular to l solve the real
+    program in the frame where that axis is y, with the same verdict as the
+    complex program and evidence stated in the input's frame."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        two_j=st.integers(2, 63),
+        construction=st.sampled_from(["zero", "axis", "pair"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_verdict_as_the_complex_program(self, two_j, construction, seed):
+        rng = np.random.default_rng(seed)
+        m = frame_moments(two_j, construction, rng)
+        b = spinalg.moment_values(m)
+        assert feasibility._real_frame(b, two_j) is not None
+        got = feasibility.exact_test_direct(m, decide=True)
+        want = complex_verdict(m)
+        assert "real frame" in got.tests_run[0].detail
+        assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind)
+        assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
+        assert iterations(got) == iterations(want)
+        evidence = bench_evidence()
+        if got.status == STATUS_QUANTUM:
+            assert evidence.check_certificate(got.certificate_state, two_j, b) is None
+        elif got.status == STATUS_NON_QUANTUM:
+            assert evidence.check_witness(got.witness, two_j, b) is None
+
+    def test_generic_inputs_have_no_frame(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs
+
+        rng = np.random.default_rng(2800)
+        ms = [
+            MomentMatrix.from_matrix(it.two_j, it.matrix)
+            for seed in (1, 2, 3)
+            for it in inputs.make_inputs(seed, (4, 10, 30, 62), {"coherent": 2, "v-over-1": 2})
+        ]
+        ms += [spinalg.moment_matrix(random_density(rng, tj + 1), spinalg.spin_operators(tj)) for tj in (4, 10, 30, 62)]
+        for m in ms:
+            assert feasibility._real_frame(spinalg.moment_values(m), m.two_j) is None
+        for m in ms[-4:]:
+            assert "real frame" not in feasibility.exact_test_direct(m).tests_run[0].detail
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 10, 63])
+    def test_spin_rotation_represents_the_rotation(self, two_j):
+        rng = np.random.default_rng(2900 + two_j)
+        ls = moment_operators(two_j)[7:]
+        half_turns = [np.diag(s) for s in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])]
+        for rot in [np.eye(3), *half_turns, *(random_so3(rng) for _ in range(4))]:
+            v = feasibility._spin_rotation(rot, two_j)
+            assert np.abs(v.conj().T @ v - np.eye(two_j + 1)).max() <= 1e-12
+            got = v.conj().T @ ls @ v
+            assert np.abs(got - np.tensordot(rot, ls, 1)).max() <= 1e-9 * two_j
+
+    @staticmethod
+    def witnesses(two_j, rng):
+        """A witness of every stage, the exact one from the real-frame and the
+        complex program, and the extension program's."""
+        found = [
+            (feasibility.classify(rotated(long_first_moment_moments(two_j), rng)), "first-moment"),
+            (feasibility.classify(rotated(negative_variance_moments(two_j), rng)), "chi"),
+            (feasibility.classify(rotated(coords_matrix([0, 0, 0], [1.02, -0.01, -0.01], two_j), rng)), "reconstruct"),
+            (feasibility.exact_test_direct(rotated(dicke_zero_moments(two_j, 0.1), rng)), "exact"),
+            (feasibility.exact_test_direct(coords_matrix([0.2, -0.1, 0.3], [1.1, -0.04, -0.06], two_j)), "exact"),
+        ]
+        for verdict, stage in found:
+            assert (verdict.stage, verdict.status) == (stage, STATUS_NON_QUANTUM)
+        assert ["real frame" in v.tests_run[0].detail for v, _ in found[3:]] == [True, False]
+        bell = np.zeros((3, 3), dtype=complex)
+        bell[[0, 0, 2, 2], [0, 2, 0, 2]] = 0.5
+        extension = feasibility.exact_test_extension(bell, two_j)
+        assert extension.status == STATUS_NON_QUANTUM
+        return [v.witness for v, _ in found] + [extension.witness]
+
+    @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
+    def test_witness_coefficients_are_canonical(self, two_j):
+        # c.r = 0 for the Casimir vector r, and Z = sum_i c_i A_i as before
+        rng = np.random.default_rng(3000 + two_j)
+        r = casimir_vector(two_j)
+        ops = moment_operators(two_j)
+        for w in self.witnesses(two_j, rng):
+            c = w.op_coefficients
+            assert abs(c @ r) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(r)
+            assert np.abs(feasibility._lift(c, two_j) - w.matrix).max() <= 1e-12
+            assert np.abs(np.tensordot(c, ops, 1) - w.matrix).max() <= 1e-12 * max(1.0, two_j)
+
+    @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
+    def test_frame_and_complex_witnesses_agree(self, two_j):
+        rng = np.random.default_rng(3100 + two_j)
+        for f in (0.05, 0.1, 0.15):
+            m = rotated(dicke_zero_moments(two_j, f), rng)
+            for decide in (False, True):
+                got, want = feasibility.exact_test_direct(m, decide=decide), complex_verdict(m, decide)
+                assert "real frame" in got.tests_run[0].detail
+                c, c_want = got.witness.op_coefficients, want.witness.op_coefficients
+                assert np.linalg.norm(c - c_want) <= 1e-9 * np.linalg.norm(c_want)
+                assert np.abs(got.witness.matrix - want.witness.matrix).max() <= 1e-9

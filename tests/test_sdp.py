@@ -709,3 +709,78 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match=named):
                 sdp.phase1_min_t(ops, np.array([1.0, 0.2]))
         assert calls == []
+
+
+class TestRealArithmetic:
+    """A float64 stack of symmetric operators runs in real arithmetic and solves
+    the same program as the stack cast to complex: the path is the same, only
+    the arithmetic is cheaper."""
+
+    @staticmethod
+    def random_real_program(rng):
+        d = int(rng.integers(2, 12))
+        m = int(rng.integers(1, min(8, d * (d + 1) // 2)))  # with the identity, independent rows
+        g = rng.standard_normal((m, d, d))
+        ops = np.concatenate([np.eye(d)[None], (g + g.transpose(0, 2, 1)) / 2.0])
+        x = rng.standard_normal((d, d))
+        x = x @ x.T / np.trace(x @ x.T)
+        # moments of a state, pushed out of the state space on some programs
+        values = np.einsum("kij,ji->k", ops, x) + np.concatenate([[0.0], rng.normal(scale=0.3, size=m)])
+        return ops, values
+
+    @staticmethod
+    def assert_same_solve(real, cast):
+        assert real.solution.status == cast.solution.status
+        assert real.solution.iterations == cast.solution.iterations
+        assert abs(real.t_star - cast.t_star) <= 1e-12 * max(1.0, abs(cast.t_star))
+
+    @pytest.mark.parametrize("decide", [False, True])
+    def test_random_real_programs(self, decide):
+        rng = np.random.default_rng(2500)
+        for _ in range(20):
+            ops, values = self.random_real_program(rng)
+            program = sdp.phase1_program(ops)
+            assert program.rows.dtype == np.float64
+            real = sdp.phase1_min_t(program, values, decide=decide)
+            cast = sdp.phase1_min_t(ops.astype(complex), values, decide=decide)
+            assert real.x.dtype == real.dual_z.dtype == real.solution.z.dtype == np.float64
+            assert cast.x.dtype == np.complex128
+            self.assert_same_solve(real, cast)
+
+    def test_the_iterates_stay_real(self, monkeypatch):
+        # every stack the kernel factors, inverts or step-tests is float64
+        rng = np.random.default_rng(2501)
+        ops, values = self.random_real_program(rng)
+        dtypes = set()
+        real_cholesky, real_max_step = np.linalg.cholesky, sdp._max_step
+
+        def cholesky(a):
+            dtypes.add(a.dtype)
+            return real_cholesky(a)
+
+        def max_step(inv_factor, direction, failed):
+            dtypes.update((inv_factor.dtype, direction.dtype))
+            return real_max_step(inv_factor, direction, failed)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(sdp, "_max_step", max_step)
+        sdp.phase1_min_t(ops, values)
+        assert dtypes == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
+    def test_the_real_moment_program(self, two_j):
+        # the seven real moment operators, at a real-frame input of each verdict
+        real_labels = [0, 1, 3, 4, 6, 7, 9]
+        ops = feasibility._moment_operator_set(two_j)[real_labels].real
+        j = two_j / 2.0
+        casimir = j * (j + 1.0)
+        dicke = np.array([1.0, 0.45 * casimir, 0.0, 0.0, 0.45 * casimir, 0.0, 0.1 * casimir, 0.0, 0.0, 0.2])
+        flat = np.array([1.0, 0.6 * casimir, 0.0, 0.0, 0.4 * casimir, 0.0, 0.0, 0.0, 0.0, 0.0])
+        values = np.stack([dicke, flat])[:, real_labels]
+        for decide in (False, True):
+            batch = sdp.phase1_min_t(ops, values, decide=decide)
+            cast = sdp.phase1_min_t(ops.astype(complex), values, decide=decide)
+            assert [p.t_star < 0 for p in batch] == [True, False]
+            for real, want in zip(batch, cast, strict=True):
+                assert real.x.dtype == np.float64
+                self.assert_same_solve(real, want)
