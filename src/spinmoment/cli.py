@@ -161,6 +161,7 @@ def cmd_check(args) -> int:
         "stage": verdict.stage,
         "t_star": verdict.t_star,
         "t_star_kind": verdict.t_star_kind,
+        "frame": next((r.frame for r in verdict.tests_run if r.frame is not None), None),
     }
     if verdict.witness is not None:
         report["witness"] = _witness_json(verdict.witness)
@@ -339,23 +340,25 @@ def _check_witness_duality(rng: np.random.Generator) -> tuple[str, bool, str]:
 
 
 def _check_first_moment(rng: np.random.Generator) -> tuple[str, bool, str]:
-    # The law |l| <= j against the SDP route; each closed-form reject witness
-    # must be the optimal one, value = -t* of that independent program.
+    # The law |l| <= j against the phase-1 program over the dense I, L1, L2, L3;
+    # each closed-form reject witness must be the optimal one, value = -t* of
+    # that independent program.
     mism = bad_witness = rejects = 0
     worst = 0.0
     ops = _dense_moment_operators(3)
+    program = sdp.phase1_program(ops[[0, 7, 8, 9]])
     for _ in range(60):
         ell = rng.standard_normal(3)
         ell *= rng.uniform(0.0, 2.3) / np.linalg.norm(ell)
         closed = float(np.linalg.norm(ell)) <= 1.5
-        via_sdp = feasibility.exact_test_first_moments(ell, 3)
-        if abs(np.linalg.norm(ell) - 1.5) > 1e-6 and closed != via_sdp.accepted:
+        t_star = sdp.phase1_min_t(program, np.concatenate([[1.0], ell])).t_star
+        if abs(np.linalg.norm(ell) - 1.5) > 1e-6 and closed != (t_star <= matcore.BOUNDARY_BAND):
             mism += 1
         w = feasibility.first_moment_test(ell, 3).witness
         if w is None:
             continue
         rejects += 1
-        gap = abs(w.value + via_sdp.t_star)
+        gap = abs(w.value + t_star)
         worst = max(worst, gap)
         negativity, trace_dev, expansion = _witness_deviations(w, ops)
         bad_witness += not (gap <= 1e-6 and negativity <= 1e-9 and trace_dev <= 1e-9 and expansion <= 1e-8)
@@ -396,24 +399,33 @@ def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
 
 
 def _check_real_frame(rng: np.random.Generator) -> tuple[str, bool, str]:
-    # Inputs with a principal axis of Re(M) perpendicular to l solve the real program
-    # in their real frame; t* must match the complex program over the dense products.
-    # The three have l = 0, l along a principal axis, and a degenerate pair with any l.
+    # Each kind of frame, on rotated inputs built to have it, must be the kind the
+    # exact test takes, with t* of the complex program over the dense products.
+    # The real kind has a degenerate pair of Re(M) with l off its axes; parity has
+    # l along a principal axis, four-block l = 0, axial l along a degenerate pair's axis.
     worst = 0.0
-    framed = 0
-    shapes = (((0.0, 0.0, 0.0), (1.1, -0.05, -0.05)), ((0.0, 0.0, 0.6), (0.2, 0.3, 0.5)), ((0.3, -0.2, 0.4), (0.25, 0.25, 0.5)))
+    taken = 0
+    shapes = (
+        ("real", (0.3, -0.2, 0.4), (0.25, 0.25, 0.5)),
+        ("parity", (0.0, 0.0, 0.6), (0.2, 0.3, 0.5)),
+        ("four-block", (0.0, 0.0, 0.0), (1.1, -0.04, -0.06)),
+        ("axial", (0.0, 0.0, 0.5), (0.35, 0.35, 0.3)),
+    )
     for two_j in (4, 30, 62):
         dense = _dense_moment_operators(two_j)
-        for u, v in shapes:
+        for kind, u, v in shapes:
             coords = reduction.RenormalizedCoords(np.array(u), np.array(v), two_j)
             rot = _random_rotation(rng)
             mm = MomentMatrix.from_matrix(two_j, rot @ reduction.moments_from_coords(coords).matrix @ rot.T)
             verdict = feasibility.exact_test_direct(mm)
-            framed += "real frame" in verdict.tests_run[0].detail
+            taken += verdict.tests_run[0].frame == kind
             partner = sdp.phase1_min_t(dense, spinalg.moment_values(mm))
             worst = max(worst, abs(verdict.t_star - partner.t_star))
-    detail = f"{framed} of 9 inputs at 2j in 4, 30, 62 in a real frame, max |t* - t*(complex)| = {worst:.1e}"
-    return "real-frame", framed == 9 and worst <= 1e-8, detail
+    detail = (
+        f"{taken} of 12 inputs at 2j in 4, 30, 62 took their frame (real, parity, four-block, axial), "
+        f"max |t* - t*(complex)| = {worst:.1e}"
+    )
+    return "real-frame", taken == 12 and worst <= 1e-8, detail
 
 
 def _check_scan_oracle() -> tuple[str, bool, str]:

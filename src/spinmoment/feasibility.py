@@ -14,14 +14,14 @@ is the direct program on b = K·rho.  Every program and witness works over
 the moment vector b of ``spinalg.moment_values``; the early stages are its
 linear stacks ``spinalg.CHI_PATTERN`` and
 ``reduction._reconstruction_system``.  The SDP paths alone use the stack
-``_moment_operator_set`` and its dependency passes ``_moment_program``,
-``_real_moment_program`` and ``_first_moment_program``, each cached per
-spin, and raise the cone-cap ``ValueError`` before they build the operator
-stack.  As that stack depends on the spin only, ``exact_test_batch``
-decides many inputs at one spin with one batched phase-1 solve.
+``_moment_operator_set`` and its dependency passes ``_moment_program`` and
+``_frame_program``, each cached per spin, and raise the cone-cap
+``ValueError`` before they build the operator stack.  As that stack depends
+on the spin only, ``exact_test_batch`` decides many inputs at one spin with
+one batched phase-1 solve.
 
-The direct program runs in real arithmetic when the input has a real frame;
-``exact_test_direct`` states the rule and why it is exact.
+The direct program runs in real arithmetic, and in blocks, when the input
+has a frame; ``exact_test_direct`` states the rule and why it is exact.
 
 Every witness over ``spinalg.MOMENT_LABELS`` is canonical: its
 coefficients are orthogonal to the Casimir vector r (``_canonical``), along
@@ -35,6 +35,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,17 +48,23 @@ STATUS_NON_QUANTUM = "non-quantum"
 STATUS_BOUNDARY = "boundary"
 
 _FIRST_MOMENTS = [0, 7, 8, 9]  # I, L1, L2, L3 within MOMENT_LABELS
-_FIRST_MOMENT_LABELS = tuple(spinalg.MOMENT_LABELS[i] for i in _FIRST_MOMENTS)
-_IMAGINARY = [2, 5, 8]  # S12, S23, L2: imaginary antisymmetric in the J_z basis
-_REAL = [0, 1, 3, 4, 6, 7, 9]  # the seven real symmetric operators
+# The operators each kind of frame keeps (``exact_test_direct``): the seven real
+# symmetric ones in a real frame, and in the others those its symmetry fixes, less
+# S11 and S22 in an axial frame, where on diagonal X both are (j(j+1) I - S33)/2
+_KEPT = {"real": [0, 1, 3, 4, 6, 7, 9], "parity": [0, 1, 4, 6, 9], "four-block": [0, 1, 4, 6], "axial": [0, 6, 9]}
 
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One stage of a decision; ``frame`` is the kind of frame a phase-1 stage
+    solved in ("real", "parity", "four-block" or "axial"), None for the complex
+    program and for every other stage."""
+
     name: str
     outcome: str
     seconds: float
     detail: str = ""
+    frame: str | None = None
 
 
 @dataclass(frozen=True)
@@ -120,9 +127,9 @@ class _StageLog:
         self.records: list[StageRecord] = []
         self._t0 = time.perf_counter() - spent
 
-    def add(self, name: str, outcome: str, detail: str = "") -> None:
+    def add(self, name: str, outcome: str, detail: str = "", frame: str | None = None) -> None:
         now = time.perf_counter()
-        self.records.append(StageRecord(name, outcome, now - self._t0, detail))
+        self.records.append(StageRecord(name, outcome, now - self._t0, detail, frame))
         self._t0 = now
 
     def done(self) -> tuple[StageRecord, ...]:
@@ -151,17 +158,45 @@ def _moment_program(two_j: int) -> sdp.Phase1Program:
 
 
 @lru_cache(maxsize=None)
-def _real_moment_program(two_j: int) -> sdp.Phase1Program:
-    """The dependency pass over the seven real operators of the stack, as a float64
-    stack, so that their program runs in real arithmetic: the real frame's program."""
-    return sdp.phase1_program(_moment_operator_set(two_j)[_REAL].real)
+def _frame_blocks(kind: str, two_j: int) -> tuple[np.ndarray, ...]:
+    """The blocks of a frame of this kind, as real orthonormal (d, d_b) bases
+    over the J_z basis, whose index a holds m = j - a: one block in a real
+    frame; the two parities of a (the pi turn about z) in a parity frame; d
+    blocks of one level in an axial frame; and in a four-block frame, at
+    integer j, the parities of a of (|m> + |-m>)/sqrt2 with |0>, and of
+    (|m> - |-m>)/sqrt2, m > 0 (the pi turns about z and x)."""
+    eye = np.eye(two_j + 1)
+    if kind == "real":
+        return (eye,)
+    if kind == "axial":
+        return tuple(eye[:, [a]] for a in range(two_j + 1))
+    if kind == "parity":
+        return eye[:, ::2], eye[:, 1::2]
+    half = np.arange(two_j // 2)  # the levels m > 0
+    plus = (eye[:, half] + eye[:, two_j - half]) / math.sqrt(2.0)
+    minus = (eye[:, half] - eye[:, two_j - half]) / math.sqrt(2.0)
+    zero = eye[:, [two_j // 2]]
+    even, odd = half % 2 == 0, half % 2 == 1
+    if two_j // 2 % 2 == 0:
+        blocks = np.hstack([plus[:, even], zero]), minus[:, even], plus[:, odd], minus[:, odd]
+    else:
+        blocks = plus[:, even], minus[:, even], np.hstack([plus[:, odd], zero]), minus[:, odd]
+    return tuple(q for q in blocks if q.shape[1])  # at 2j = 2 one is empty
 
 
 @lru_cache(maxsize=None)
-def _first_moment_program(two_j: int) -> sdp.Phase1Program:
-    """The dependency pass over I, L1, L2, L3: ``exact_test_first_moments``'s program,
-    complex, as the closed form's independent partner."""
-    return sdp.phase1_program(_moment_operator_set(two_j)[_FIRST_MOMENTS])
+def _frame_basis(kind: str, two_j: int) -> np.ndarray:
+    """The bases of ``_frame_blocks`` side by side: the (d, d) orthogonal Q."""
+    return np.hstack(_frame_blocks(kind, two_j))
+
+
+@lru_cache(maxsize=None)
+def _frame_program(kind: str, two_j: int) -> sdp.Phase1Program:
+    """The dependency pass over the operators a frame of this kind keeps, as
+    float64 blocks (``_frame_blocks``): the program ``_phase1_verdicts`` runs in
+    that frame, cached per spin beside ``_moment_program``."""
+    ops = _moment_operator_set(two_j)[_KEPT[kind]].real
+    return sdp.phase1_program(tuple(q.T @ ops @ q for q in _frame_blocks(kind, two_j)))
 
 
 def _canonical(c: np.ndarray, two_j: int) -> np.ndarray:
@@ -180,61 +215,103 @@ _CHI_REAL = spinalg.CHI_PATTERN.real.reshape(len(spinalg.MOMENT_LABELS), 16)
 _CHI_READ = _CHI_REAL / (_CHI_REAL**2).sum(axis=1, keepdims=True)
 
 
-# A frame whose x and z axes are principal axes keeps the input's other symmetries
-# (pi turns about those axes, rotations about l) aligned with the basis: the
-# iterates then carry couplings of rounding size, which shrink into subnormal
-# numbers and slow the BLAS and LAPACK calls about threefold at 2j = 62.  Every
-# frame is turned about its y axis by 1 rad, which keeps the frame real and moves
-# those symmetry axes off the basis axes.
-_TURN_ABOUT_Y = np.array([[math.cos(1.0), 0.0, math.sin(1.0)], [0.0, 1.0, 0.0], [-math.sin(1.0), 0.0, math.cos(1.0)]])
+class Frame(NamedTuple):
+    """A frame of a moment vector b: its ``kind``, the rotation R (rows: the
+    new axes) and the (10, 10) map T(R): b -> b' of the moment vector."""
+
+    kind: str
+    rotation: np.ndarray
+    moments: np.ndarray
 
 
-def _real_frame(b: np.ndarray, two_j: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The real frame (R, T(R)) of the moment vector b, or None.
+def _moment_map(rot: np.ndarray) -> np.ndarray:
+    """T(R), read off Re chi(b') = Q Re chi(b) Q^T with Q = diag(1, R)."""
+    q = np.eye(4)
+    q[1:, 1:] = rot
+    return _CHI_READ @ np.einsum("ak,bl->abkl", q, q).reshape(16, 16) @ _CHI_REAL.T
 
-    R is the (3, 3) rotation whose second row is the new y axis, and T(R)
-    the (10, 10) map b -> b' of the moment vector under it, read off
-    Re chi(b') = Q Re chi(b) Q^T with Q = diag(1, R).  A y axis is a
-    principal axis of Re(M) perpendicular to l or, when a pair of principal
-    axes is degenerate (``eigh`` returns any basis of their plane), the
-    direction in that plane perpendicular to l.  Both kinds are among the
-    directions e = (p_b u_a - p_a u_b)/|(p_a, p_b)|, p = u^T l, in the planes
-    of the pairs (u_a, u_b) of principal axes (u_a when p_a = p_b = 0).  Each
-    has e.l = 0, and with x the in-plane normal to e, e^T S x =
-    p_a p_b (w_a - w_b)/(p_a^2 + p_b^2): the candidate with the smallest
-    such coupling, over j(j+1), is completed to rows (x, e, u_c), turned
-    about the new y axis by ``_TURN_ABOUT_Y``.  It is the frame if its
-    imaginary values max(|b'_S12|, |b'_S23|)/j(j+1) and |b'_L2|/j are
-    within ``matcore.FRAME_TOL``.
+
+def _broken(kind: str, moments: np.ndarray, two_j: int) -> float:
+    """The largest of the values that vanish in a frame of this kind, each over
+    its scale: S12 and S23 over j(j+1) and L2 over j in a real frame; S13 and L1
+    too in the block kinds, L3 in a four-block frame and S11 - S22 in an axial one."""
+    j = two_j / 2.0
+    s, ell = [moments[2], moments[5]], [moments[8]]
+    if kind != "real":
+        s.append(moments[3])
+        ell.append(moments[7])
+    if kind == "four-block":
+        ell.append(moments[9])
+    if kind == "axial":
+        s.append(moments[1] - moments[4])
+    return max(max(map(abs, s)) / (j * (j + 1.0)), max(map(abs, ell)) / j)
+
+
+def _real_frame(b: np.ndarray, two_j: int) -> Frame | None:
+    """The most symmetric frame of the moment vector b (``exact_test_direct``), or None.
+
+    The principal frame comes first.  For l = 0 (|l|/j within
+    ``matcore.FRAME_TOL``) its axes are the principal axes of Re(M), z the one
+    apart from the closer pair of principal values; otherwise z is along l,
+    and x and y are the principal axes of Re(M) within the plane perpendicular
+    to l.  It is axial if the vanishing values of ``_broken`` are within
+    ``matcore.FRAME_TOL``, and else four-block (l = 0 at integer j) or parity.
+
+    Otherwise the real frame: its y axis is a principal axis of Re(M)
+    perpendicular to l or, when a pair of principal axes is degenerate
+    (``eigh`` returns any basis of their plane), the direction in that plane
+    perpendicular to l.  Both kinds are among the directions
+    e = (p_b u_a - p_a u_b)/|(p_a, p_b)|, p = u^T l, in the planes of the
+    pairs (u_a, u_b) of principal axes (u_a when p_a = p_b = 0).  Each has
+    e.l = 0, and with x the in-plane normal to e, e^T S x =
+    p_a p_b (w_a - w_b)/(p_a^2 + p_b^2): the candidate with the smallest such
+    coupling, over j(j+1), is completed to rows (x, e, u_c).  It is the frame
+    if its values S12, S23 and L2 are within ``matcore.FRAME_TOL`` as well.
     """
     j = two_j / 2.0
-    casimir = j * (j + 1.0)
-    w, u = np.linalg.eigh((_CHI_REAL.T @ b).reshape(4, 4)[1:, 1:])
-    p = u.T @ b[7:]
+    s = (_CHI_REAL.T @ b).reshape(4, 4)[1:, 1:]
+    w, u = np.linalg.eigh(s)
+    ell = b[7:]
+    r = float(np.linalg.norm(ell))
+    if r > matcore.FRAME_TOL * j:
+        plane = np.linalg.svd(ell[None])[2][1:]  # orthonormal rows perpendicular to l
+        rot = np.vstack([np.linalg.eigh(plane @ s @ plane.T)[1].T @ plane, ell / r])
+        kinds = ("axial", "parity")
+    else:
+        rot = u.T if w[1] - w[0] <= w[2] - w[1] else u.T[[1, 2, 0]]
+        kinds = ("axial", "four-block" if two_j % 2 == 0 else "parity")
+    if np.linalg.det(rot) < 0.0:
+        rot = rot * [[-1.0], [1.0], [1.0]]
+    t = _moment_map(rot)
+    for kind in kinds:
+        if _broken(kind, t @ b, two_j) <= matcore.FRAME_TOL:
+            return Frame(kind, rot, t)
+
+    p = u.T @ ell
     pairs = p * p + p[[1, 2, 0]] ** 2
     coupling = np.abs(p * p[[1, 2, 0]] * (w - w[[1, 2, 0]])) / np.where(pairs > 0.0, pairs, 1.0)
     a = int(np.argmin(coupling))
-    if coupling[a] > matcore.FRAME_TOL * casimir:
+    if coupling[a] > matcore.FRAME_TOL * j * (j + 1.0):
         return None
     first, second, third = u[:, a], u[:, (a + 1) % 3], u[:, (a + 2) % 3]
     e = first if pairs[a] == 0.0 else (p[(a + 1) % 3] * first - p[a] * second) / math.sqrt(pairs[a])
-    q = np.eye(4)
-    x = [e[1] * third[2] - e[2] * third[1], e[2] * third[0] - e[0] * third[2], e[0] * third[1] - e[1] * third[0]]
-    q[1:, 1:] = rot = _TURN_ABOUT_Y @ np.array([x, e, third])
-    t = _CHI_READ @ np.einsum("ak,bl->abkl", q, q).reshape(16, 16) @ _CHI_REAL.T
-    if (np.abs(t[_IMAGINARY] @ b) / [casimir, casimir, j]).max() > matcore.FRAME_TOL:
-        return None
-    return rot, t
+    rot = np.array([np.cross(e, third), e, third])
+    t = _moment_map(rot)
+    return Frame("real", rot, t) if _broken("real", t @ b, two_j) <= matcore.FRAME_TOL else None
 
 
-def _real_frames(batch: np.ndarray, two_j: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The real frame of every row of a (k, 10) batch, or None once a row has none."""
+def _real_frames(batch: np.ndarray, two_j: int) -> list[Frame] | None:
+    """The frame of every row of a (k, 10) batch, or None once a row has none.
+    Rows of different kinds all take the real program, each in its own frame,
+    in which the values S12, S23 and L2 vanish as in every kind's."""
     frames = []
     for b in batch:
         frame = _real_frame(b, two_j)
         if frame is None:
             return None
         frames.append(frame)
+    if len({f.kind for f in frames}) > 1:
+        frames = [f._replace(kind="real") for f in frames]
     return frames
 
 
@@ -363,9 +440,7 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
 _BOUND_KINDS = {sdp.STATUS_PRIMAL_BOUND: "primal bound", sdp.STATUS_DUAL_BOUND: "dual bound"}
 
 
-def _read_phase1(
-    p1: sdp.Phase1Result, values: np.ndarray, labels, stage: str, log: _StageLog, frame=None
-) -> Verdict:
+def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _StageLog, frame=None) -> Verdict:
     """The verdict of a phase-1 program: a reject carries its dual as the
     witness, an accept its primal X, both in the frame of ``values``.
 
@@ -377,12 +452,13 @@ def _read_phase1(
     value is -t_d.  At the optimum t_star = t_p and t_d agrees to the gap; a
     decided solve's t_star is the bound that decided it (``Verdict``).
 
-    A solve in the real ``frame`` (R, T) of ``_real_frame`` ran the real program on b' = T b.  Its coefficients c'
-    over the seven real labels map back as c = T^T c', and its Z' and X' as
-    V^dag Z' V = sum_i c_i A_i and V^dag X' V, V = D^j(R)
-    (``_spin_rotation``); the stage detail then says "real frame" before the
-    kind.  Coefficients over ``spinalg.MOMENT_LABELS`` are made canonical
-    (``_canonical``).
+    A solve in a ``Frame`` (kind, R, T) of ``_real_frame`` ran its kind's
+    program on b' = T b over the kept labels.  Its coefficients c' map back as
+    c = T^T c', and its Z' and X', direct sums of blocks, as W^dag Z' W and
+    W^dag X' W, W = Q^T V, with Q the blocks' bases side by side and V =
+    D^j(R) (``_spin_rotation``); the stage record then names the kind, and
+    its detail says "real frame" and the kind of blocks before the kind of
+    t_star.  The coefficients are made canonical (``_canonical``).
 
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
@@ -392,22 +468,23 @@ def _read_phase1(
     t, sol = p1.t_star, p1.solution
     two_j = len(p1.x) - 1
     kind = _BOUND_KINDS.get(sol.status, "optimum")
-    where = "" if frame is None else "real frame, "
+    name = None if frame is None else frame.kind
+    where = {None: "", "real": "real frame, "}.get(name, f"real frame, {name}, ")
     detail = f"t_star = {t:.3e}, {sol.iterations} iterations, gap {sol.gap:.0e}, {where}{kind}"
     rejected = t > BOUNDARY_BAND
     evidence = p1.dual_z if rejected else p1.x
+    c = p1.dual_coefficients
     if frame is not None:
-        v = _spin_rotation(frame[0], two_j)
-        evidence = v.conj().T @ evidence @ v
+        w = _frame_basis(name, two_j).T @ _spin_rotation(frame.rotation, two_j)
+        evidence = w.conj().T @ evidence @ w
         evidence = (evidence + evidence.conj().T) / 2.0
+        c = frame.moments[_KEPT[name]].T @ c
     if rejected:
-        c = p1.dual_coefficients if frame is None else frame[1][_REAL].T @ p1.dual_coefficients
-        if len(labels) == len(spinalg.MOMENT_LABELS):
-            c = _canonical(c, two_j)
-        log.add(stage, "reject", detail)
-        return _rejected(stage, Witness(evidence, float(c @ values), c, tuple(labels)), log, t, kind)
+        c = _canonical(c, two_j)
+        log.add(stage, "reject", detail, name)
+        return _rejected(stage, Witness(evidence, float(c @ values), c, spinalg.MOMENT_LABELS), log, t, kind)
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
-    log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail)
+    log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail, name)
     return Verdict(status, stage, t, evidence, None, log.done(), kind)
 
 
@@ -494,34 +571,34 @@ def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
     return _first_moment_stage(b, two_j, _StageLog(), final=True)
 
 
-def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, labels=spinalg.MOMENT_LABELS, *, decide=False):
-    """Solve the phase-1 program over ``labels`` at spin two_j on (m,)
-    ``values``, or on (k, m) values as one batched solve, and read each result
-    with ``_read_phase1``: one verdict, or a list of k.
+def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False):
+    """Solve the direct program at spin two_j on (10,) ``values``, or on (k, 10)
+    values as one batched solve, and read each result with ``_read_phase1``:
+    one verdict, or a list of k.
 
-    Over ``spinalg.MOMENT_LABELS`` the call runs the real program in the real
-    frames of its inputs (``exact_test_direct``) when every input has one, and the
-    complex ``_moment_program`` otherwise; the frames are looked for in input
-    order, up to the first input without one.  Over the first moments it runs
-    ``_first_moment_program``.  Each verdict's stage is timed from the start
-    of the call, at its share of the seconds up to the end of the solve."""
+    The call runs in the frames of its inputs (``exact_test_direct``) when
+    every input has one, over the program of their one kind
+    (``_frame_program``), or over the real program when their kinds differ;
+    the frames are looked for in input order, up to the first input without
+    one, and otherwise the call runs the complex ``_moment_program``.  Each
+    verdict's stage is timed from the start of the call, at its share of the
+    seconds up to the end of the solve."""
     t0 = time.perf_counter()
     batch = np.atleast_2d(values)
-    frames = _real_frames(batch, two_j) if labels is spinalg.MOMENT_LABELS else None
+    frames = _real_frames(batch, two_j)
     if frames is not None:
-        program = _real_moment_program(two_j)
-        rotated = np.stack([t[_REAL] @ b for (_, t), b in zip(frames, batch)])
+        kept = _KEPT[frames[0].kind]
+        program = _frame_program(frames[0].kind, two_j)
+        rotated = np.stack([f.moments[kept] @ b for f, b in zip(frames, batch)])
         values_solved = rotated if values.ndim == 2 else rotated[0]
     else:
-        program = _moment_program(two_j) if labels is spinalg.MOMENT_LABELS else _first_moment_program(two_j)
+        program = _moment_program(two_j)
         frames, values_solved = [None] * len(batch), values
     solved = sdp.phase1_min_t(program, values_solved, decide=decide)
     share = (time.perf_counter() - t0) / len(batch)
     if values.ndim == 1:
-        return _read_phase1(solved, values, labels, stage, _StageLog(share), frames[0])
-    return [
-        _read_phase1(p1, v, labels, stage, _StageLog(share), f) for p1, v, f in zip(solved, values, frames)
-    ]
+        return _read_phase1(solved, values, stage, _StageLog(share), frames[0])
+    return [_read_phase1(p1, v, stage, _StageLog(share), f) for p1, v, f in zip(solved, values, frames)]
 
 
 def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
@@ -534,26 +611,50 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     ``decide`` (``classify``'s exact stage) the solve stops once a certified
     bound on t* clears the band, and ``t_star`` is that bound.
 
-    The real frame.  In the J_z basis three of the ten operators, S12, S23
-    and L2, are imaginary antisymmetric, and the other seven real symmetric.
-    When some principal axis e of Re(M) is perpendicular to l, the rotation
-    R that takes e to the y axis zeroes the three imaginary values:
-    S' = R S R^T has no (1, 2) or (2, 3) entry, and (R l)_2 = e.l = 0.  The
-    rotated program is then invariant under complex conjugation: with X
-    feasible, Re X is feasible too, and X + t·1 >= 0 gives Re X + t·1 >= 0,
-    so t* is unchanged when X is restricted to real symmetric matrices, on
-    which the three imaginary constraints hold identically.  A real dual is
-    a complex dual with zero coefficients on the imaginary labels.  So the
-    program over the seven real operators, solved in float64, decides
-    exactly, and its evidence maps back to the input's frame (``_read_phase1``:
-    V^dag X' V and V^dag Z' V with V = D^j(R), coefficients T(R)^T c').  Such
-    a frame exists when l = 0, when l lies along a principal axis (coherent,
-    Dicke, squeezed and thermal states), and when Re(M) has a degenerate
-    pair of eigenvalues; ``_real_frame`` finds it, to ``matcore.FRAME_TOL``.
-    Every entry point of the direct program (this one, ``exact_test_batch``,
-    ``exact_test_extension``, the scan and ``classify``) goes through
-    ``_phase1_verdicts``, which takes the real frame when every input of
-    the call has one; the stage detail then says "real frame".
+    Frames and blocks.  One rule, twirling (Gatermann and Parrilo, J. Pure
+    Appl. Algebra 192, 95 (2004)), makes every frame exact.  Let G be a group
+    of unitary and antiunitary maps g of the spin space that fix every
+    measured operator whose value is nonzero and keep the span of those with
+    value zero.  If X is feasible with X + t·1 >= 0, so is every g X g^dag,
+    and so is their average over G, with the same t.  So t* is unchanged when
+    X is restricted to the matrices that commute with G; there every operator
+    that G moves pairs to zero with X, and the program over the operators G
+    fixes decides exactly.  Its dual is a dual of the full program with zero
+    coefficients on the dropped operators.  The interior point keeps every
+    iterate in that subspace, so the blocked program follows the full one in
+    exact arithmetic, iteration for iteration: its start (the min-norm
+    solution of the rows, which lies in the span of the fixed operators,
+    shifted along 1, with Z = 1/d and y = 0) commutes with G, and from such a
+    point the Newton system of a G-invariant program has a unique solution,
+    which G therefore fixes.
+
+    In the J_z basis S12, S23 and L2 are imaginary antisymmetric and the
+    other seven real symmetric, and I, S11, S22, S33 and L3 couple m only to
+    m and m ± 2.  ``_real_frame`` finds the frame with the largest G, to
+    ``matcore.FRAME_TOL``, and its rotation R:
+
+    - real: a principal axis of Re(M) perpendicular to l, turned to y, so
+      that S12, S23 and L2 vanish; G = {1, complex conjugation}, so X is
+      real symmetric: one block over the seven real operators;
+    - parity: l along a principal axis, turned to z, so that S13 and L1
+      vanish too; G adds the pi turn exp(-i pi L3), so X also splits by the
+      parity of j - m: two blocks over I, S11, S22, S33 and L3 (coherent,
+      Dicke, squeezed and thermal states);
+    - four-block: l = 0 at integer j, so that L3 vanishes too; G adds the pi
+      turn about x, which maps |m> to |-m> and commutes with the first: four
+      blocks of about d/4 over I, S11, S22 and S33, in the bases
+      (|m> ± |-m>)/sqrt2 of ``_frame_blocks``.  At half-integer j the two
+      turns anticommute, and l = 0 takes the parity kind;
+    - axial: l along z (or l = 0) and a degenerate pair of Re(M) across it,
+      so that S11 - S22 vanishes too; G is every rotation about z, so X is
+      diagonal: d blocks of one over I, S33 and L3.
+
+    The blocked program is solved in float64, and its evidence maps back to
+    the input's frame (``_read_phase1``).  Every entry point of the direct
+    program (this one, ``exact_test_batch``, ``exact_test_extension``, the
+    scan and ``classify``) goes through ``_phase1_verdicts``, which takes a
+    kind when every input of the call has it; the stage record's ``frame``
+    then names it, and its detail says "real frame" and the kind of blocks.
     """
     values = spinalg.moment_values(m)
     return _phase1_verdicts("exact", m.two_j, values, decide=decide)
@@ -575,16 +676,6 @@ def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
         raise ValueError("a batch of exact tests needs one spin number")
     values = np.stack([spinalg.moment_values(m) for m in ms])
     return _phase1_verdicts("exact", two_j, values, decide=True)
-
-
-def exact_test_first_moments(ell: np.ndarray, two_j: int) -> Verdict:
-    """First-moment feasibility via the SDP route, second moments left free.
-
-    Exists alongside the closed form as an independently checkable path.
-    """
-    two_j = spinalg._check_two_j(two_j)
-    values = np.concatenate([[1.0], _first_moment_vector(ell)])
-    return _phase1_verdicts("exact-first-moment", two_j, values, _FIRST_MOMENT_LABELS)
 
 
 def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
@@ -643,8 +734,8 @@ def classify(m: MomentMatrix) -> Verdict:
     law |l| <= j (quick reject, at every j), the 4x4 expectation value
     matrix precheck (chi, quick reject), reconstruction positivity, the PPT
     inner test (quick accept), then the decisive phase-1 SDP
-    (``exact_test_direct(m, decide=True)``, in real arithmetic when the input
-    has a real frame: the rule and why it is exact are stated there).  Every rejection carries a
+    (``exact_test_direct(m, decide=True)``, in real arithmetic and in blocks
+    when the input has a frame: the rule and why it is exact are stated there).  Every rejection carries a
     witness.  The first-moment stage (``_first_moment_stage``, which is
     ``first_moment_test`` too) is banded on its closed-form t*, and a reject
     carries the optimal witness with ``t_star`` None, so first moments

@@ -67,11 +67,24 @@ go on.  ``solve`` is the k = 1 call.  ``phase1_min_t`` hands the kernel
 chunks of programs whose (k, m, d, d) stacks hold at most ``BATCH_ENTRIES``
 entries, so a batch of any size runs in bounded memory.  The cone dimension
 is capped at ``DIM_CAP``.
+
+A program may also come in blocks: a tuple of (m, d_b, d_b) stacks, whose
+operators are the direct sums A_i = sum_b A_i^b and whose X is block-diagonal,
+d = sum d_b.  The blocks share t, y and the trace row; the dependency pass
+runs on them side by side, A(X), the Schur matrix, tr X and mu are sums over
+them, Z = 1/d - A^*(y) is a direct sum too, and each step length is the
+minimum over the blocks.  The kernel holds the blocks of one program as one
+(n, D, D) stack, each zero-padded to the largest size D (``Blocks``), so
+every numpy and LAPACK call serves all blocks, on the batch axis as before.
+A solve returns X and Z as the dense direct sums.  An iteration then costs
+O(m n D^3) instead of O(m d^3); a one-block program runs exactly as the
+plain stack.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +133,7 @@ def _chol(a: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(12):
         try:
-            return np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
+            return np.linalg.cholesky(a + jitter * np.eye(a.shape[-1]))
         except np.linalg.LinAlgError:
             jitter = 1e-14 * scale if jitter == 0.0 else jitter * 10.0
     raise np.linalg.LinAlgError("matrix lost positive definiteness")
@@ -148,16 +161,28 @@ def _each(fn, args, failed: dict[int, str], fallback, blank):
     return np.stack(out)
 
 
+class Blocks(NamedTuple):
+    """The rows of a program in blocks: the (m, n, D, D) stack of its n blocks,
+    each zero-padded from its size d_b to the largest, D, and the n sizes."""
+
+    stack: np.ndarray
+    sizes: tuple[int, ...]
+
+
 def _lowest_eigenvalue(w: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(w)[..., 0]
 
 
 def _max_step(inv_factor: np.ndarray, direction: np.ndarray, failed: dict[int, str]) -> np.ndarray:
     """Largest alpha with C + alpha * direction still PSD, given L^-1 for C = L L^dag,
-    per matrix of a stack; ``failed`` as in ``_each``."""
+    per matrix of a stack, or per (n, D, D) program in blocks, whose alpha is the
+    smallest over its blocks; ``failed`` as in ``_each``.  A padded block's
+    direction is zero on its padding and its L^-1 the identity there, which
+    adds eigenvalues 0 and so leaves alpha alone."""
     w = _herm(inv_factor @ direction @ _adjoint(inv_factor))
-    lam = _each(_lowest_eigenvalue, (w,), failed, _lowest_eigenvalue, lambda _: 0.0)
-    return np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
+    lam = _each(_lowest_eigenvalue, (w,), failed, _lowest_eigenvalue, lambda w: np.zeros(w.shape[:-2]))
+    alpha = np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
+    return alpha if alpha.ndim < 2 else alpha.min(axis=1)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -172,20 +197,26 @@ def _contractions(ops: np.ndarray):
     """tr(A_k X) for each k, sum_k y_k A_k, S_kl = Re tr(A_k X A_l Z^-1), exactly
     symmetric, and the min-norm X = A^*(G^-1 b), G_kl = tr(A_k A_l), as BLAS products
     on one copy of the rows vec(A_k^T): tr(A_k X) = vec(X) . rows_k.  Each takes
-    a single program or a stack of them along a leading batch axis."""
-    m, d = ops.shape[:2]
-    rows = ops.transpose(0, 2, 1).reshape(m, -1)
+    a single program or a stack of them along a leading batch axis.  ``ops`` is
+    an (m, d, d) stack, or the (m, n, D, D) stack of a program in n blocks, whose
+    iterates carry the block axis after the batch axis and whose contractions
+    sum over it."""
+    m = len(ops)
+    rows = ops.swapaxes(-1, -2).reshape(m, -1)
     flat = ops.reshape(m, -1)
+    shape = ops.shape[1:]  # one program's iterate
 
     def a_apply(x: np.ndarray) -> np.ndarray:
-        return (x.reshape(*x.shape[:-2], d * d) @ rows.T).real
+        return (x.reshape(*x.shape[: x.ndim - len(shape)], flat.shape[1]) @ rows.T).real
 
     def a_adjoint(y: np.ndarray) -> np.ndarray:
-        return (y @ flat).reshape(*y.shape[:-1], d, d)
+        return (y @ flat).reshape(*y.shape[:-1], *shape)
 
     def schur(x: np.ndarray, zinv: np.ndarray) -> np.ndarray:
-        xaz = (x[..., None, :, :] @ ops) @ zinv[..., None, :, :]
-        s = (xaz.reshape(-1, d * d) @ rows.T).real.reshape(*x.shape[:-2], m, m)
+        at = x.ndim - len(shape)  # the operator axis goes after the batch axes
+        lift = (*[slice(None)] * at, None)
+        xaz = (x[lift] @ ops) @ zinv[lift]
+        s = (xaz.reshape(-1, flat.shape[1]) @ rows.T).real.reshape(*x.shape[:at], m, m)
         return (s + s.swapaxes(-1, -2)) / 2.0
 
     def min_norm(b: np.ndarray) -> np.ndarray:
@@ -202,7 +233,7 @@ def _ridge_solve(schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(schur + ridge * np.eye(len(rhs)), rhs)
 
 
-def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolution]:
+def _path_following(ops, b: np.ndarray, shift=None) -> list[SdpSolution]:
     """The interior point of ``solve`` on k programs at once: rows (m, d, d), b (k, m).
 
     Iterates are (k, d, d) stacks, and every program keeps its own step
@@ -213,16 +244,31 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
     compaction, after the stop tests or the predictor, so the arrays shrink.
     ``shift``, k trace shifts s or None, adds ``solve``'s bound stops and the
     dual look-ahead.
+
+    Rows in ``Blocks`` make the iterates (k, n, D, D) stacks, zero on each
+    block's padding: the identity and C = 1/d are the blocks' masks, and only
+    the factorizations see the padding, which ``pad`` turns into an identity
+    block there and takes out of Z^-1 again.
     """
     k, m = b.shape
     shift = np.full(k, math.nan) if shift is None else np.asarray(shift, dtype=float)
-    d = ops.shape[1]
-    eye = np.eye(d, dtype=ops.dtype)  # real rows keep every iterate real
+    if isinstance(ops, Blocks):
+        ops, dims = ops
+        inside = np.arange(ops.shape[-1]) < np.array(dims)[:, None]  # (n, D): the unpadded levels
+        eye = np.zeros(ops.shape[1:], dtype=ops.dtype)
+        eye[:, np.arange(ops.shape[-1]), np.arange(ops.shape[-1])] = inside
+        pad = None if inside.all() else np.eye(ops.shape[-1]) - eye
+        entry = np.nonzero(inside[:, :, None] & inside[:, None, :])  # each unpadded entry of the blocks,
+        at = np.cumsum([0, *dims[:-1]])[entry[0]]
+        placed = (at + entry[1], at + entry[2])  # and where it sits in the (d, d) direct sum
+    else:
+        dims, eye, pad = ops.shape[1:2], np.eye(ops.shape[1], dtype=ops.dtype), None  # real rows keep every iterate real
+    d = sum(dims)
     c = eye / d
     if m == 0:  # Y = 0 and Z = 1/d are optimal: one logged point
         return [
             SdpSolution(
-                STATUS_OPTIMAL, np.zeros((d, d), dtype=ops.dtype), np.zeros(0), c.copy(),
+                STATUS_OPTIMAL, np.zeros((d, d), dtype=ops.dtype), np.zeros(0), np.eye(d, dtype=ops.dtype) / d,
                 primal_objective=0.0, dual_objective=0.0, gap=0.0,
                 primal_residual=0.0, dual_residual=0.0, mu=0.0, iterate_log=[(0.0, 0.0, 0.0, 0.0)],
             )
@@ -232,11 +278,33 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
     a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
     band = matcore.BOUNDARY_BAND
 
+    def per(s: np.ndarray) -> np.ndarray:  # one value per program, over its (blocks of) iterates
+        return s.reshape(-1, *[1] * eye.ndim)
+
+    def each_program(a: np.ndarray) -> np.ndarray:  # a stack with its blocks side by side
+        return a.reshape(len(a), -1, a.shape[-1])
+
+    def factor(a: np.ndarray, failed: dict[int, str], fallback) -> np.ndarray:
+        """Cholesky factors of a stack; a padded block gets the identity on its padding."""
+        a = a if pad is None else a + pad
+        return _each(np.linalg.cholesky, (a,), failed, fallback, lambda a: np.broadcast_to(np.eye(a.shape[-1]), a.shape))
+
+    def direct_sum(a: np.ndarray) -> np.ndarray:  # one program's blocks as its (d, d) matrix
+        if a.ndim == 2:
+            return a.copy()
+        out = np.zeros((d, d), dtype=a.dtype)
+        out[placed] = a[entry]
+        return out
+
     # Start: the min-norm affine solution shifted into the interior at its own
     # scale, 1.5 |lambda_min|, or 1/d if it is zero; and y = 0, so Z = 1/d.
     x = _herm(min_norm(b))
-    lift = 1.5 * np.abs(_lowest_eigenvalue(x))
-    x += np.where(lift > 0.0, lift, 1.0 / d)[:, None, None] * eye
+    if pad is None:
+        lowest = _lowest_eigenvalue(x)
+    else:  # the padding's eigenvalues are set above every block's
+        lowest = _lowest_eigenvalue(x + (1.0 + ops.shape[-1] * np.abs(x).max()) * pad)
+    lift = 1.5 * np.abs(lowest if lowest.ndim == 1 else lowest.min(axis=1))
+    x += per(np.where(lift > 0.0, lift, 1.0 / d)) * eye
     z = np.repeat(c[None], k, axis=0)
     y = np.zeros((k, m))
 
@@ -253,21 +321,21 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
         # Z = C - A^*(y) by construction: the residual measures its rounding
         dres = float(np.abs(c - z[i] - a_adjoint(y[i])).max()) / (1.0 + 1.0 / d)
         out[active[i]] = SdpSolution(
-            status, x[i].copy(), y[i].copy(), z[i].copy(),
+            status, direct_sum(x[i]), y[i].copy(), direct_sum(z[i]),
             primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj), iterations=len(log) - 1,
             primal_residual=pres, dual_residual=dres, mu=mu, iterate_log=log, message=message,
         )
         going[i] = False
 
     for it in range(MAX_ITERATIONS + 1):  # the last pass only tests the final iterate
-        mu = np.einsum("kab,kab->k", x.conj(), z).real / d
+        mu = np.einsum("kab,kab->k", each_program(x).conj(), each_program(z)).real / d
         points = zip(*(a.tolist() for a in (
-            x.diagonal(0, 1, 2).real.sum(axis=1) / d,
+            x.diagonal(0, -2, -1).real.reshape(len(x), -1).sum(axis=1) / d,
             (b * y).sum(axis=1),
             mu,
             np.abs(b - a_apply(x)).max(axis=1) / b_scale,
         )))
-        sizes = np.maximum(np.abs(y).max(axis=1), np.abs(x).max(axis=(1, 2))).tolist()
+        sizes = np.maximum(np.abs(y).max(axis=1), np.abs(each_program(x)).max(axis=(1, 2))).tolist()
         for i, point in enumerate(points):
             if not going[i]:  # stopped after the last corrector
                 continue
@@ -298,10 +366,11 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
         # X and Z are factored, inverted and step-tested in one stack of 2n matrices
         n = len(active)
         failed: dict[int, str] = {}  # stack position -> message; program i % n
-        factors = _each(np.linalg.cholesky, (np.concatenate([x, z]),), failed, _chol, lambda _: eye)
-        inv_factors = np.linalg.inv(factors)
+        inv_factors = np.linalg.inv(factor(np.concatenate([x, z]), failed, _chol))
         lz = inv_factors[n:]
         zinv = _herm(_adjoint(lz) @ lz)
+        if pad is not None:
+            zinv -= pad
         schur = schur_of(x, zinv)
         a_zinv = a_apply(zinv)
 
@@ -314,7 +383,7 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
                 _ridge_solve, lambda s, r: np.zeros_like(r),
             )
             dz = -a_adjoint(dy)  # Z stays on its affine space C - A^*(y)
-            dx = sigma_mu[:, None, None] * zinv - x - x @ dz @ zinv
+            dx = per(sigma_mu) * zinv - x - x @ dz @ zinv
             if correction is not None:
                 dx = dx - correction @ zinv
             return _herm(dx), dy, dz
@@ -344,9 +413,9 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
             at = np.flatnonzero(ahead)
             need = (1.0 - dobj1[at] / (shift[at] + band)) / d  # < 0: the bound is the band there
             lam = _LOOKAHEAD_SHIFT * need
-            shifted = _herm(c - a_adjoint(y1[at])) - lam[:, None, None] * eye
+            shifted = _herm(c - a_adjoint(y1[at])) - per(lam) * eye
             misses: dict[int, str] = {}  # the positions whose factorization fails
-            _each(np.linalg.cholesky, (shifted,), misses, np.linalg.cholesky, lambda a: a)
+            factor(shifted, misses, np.linalg.cholesky)
             for j, i in enumerate(at.tolist()):
                 scale = 1.0 - d * lam[j]
                 y_i = y1[i] / scale
@@ -370,7 +439,7 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
 
         ap_a, ad_a = steps(dx_a, dz_a, 1.0)
         mu_aff = np.einsum(
-            "kab,kab->k", (x + ap_a[:, None, None] * dx_a).conj(), z + ad_a[:, None, None] * dz_a
+            "kab,kab->k", each_program(x + per(ap_a) * dx_a).conj(), each_program(z + per(ad_a) * dz_a)
         ).real / d
         sigma = np.minimum(1.0, np.maximum(0.0, mu_aff / mu)) ** 3  # mu = tr(XZ)/d > 0
 
@@ -385,7 +454,7 @@ def _path_following(ops: np.ndarray, b: np.ndarray, shift=None) -> list[SdpSolut
                 finish(i, STATUS_FAILURE, "step sizes collapsed")
 
         # a program that failed or stalled here leaves at the next compaction
-        x = _herm(x + ap[:, None, None] * dx)
+        x = _herm(x + per(ap) * dx)
         y = y + ad[:, None] * dy
         z = _herm(c - a_adjoint(y))
     return out
@@ -455,11 +524,12 @@ def _check_dim(d: int) -> None:
 class Phase1Program:
     """The dependency pass over an (m, d, d) operator stack, which ``phase1_min_t``
     needs from the operators alone: the r orthonormal traceless rows
-    R = W A~ (``rows``, (r, d, d)) with W (``w``, (r, m)), the coefficients
+    R = W A~ (``rows``, (r, d, d), or ``Blocks`` for a program in blocks)
+    with W (``w``, (r, m)), the coefficients
     ``coeff`` with sum_i coeff_i A_i = 1, the traces tr A_i, and the (m, m - r)
     dependencies ``null`` along which the values must agree."""
 
-    rows: np.ndarray
+    rows: np.ndarray | Blocks
     w: np.ndarray
     coeff: np.ndarray
     traces: np.ndarray
@@ -474,19 +544,33 @@ def batch_size(entries: int) -> int:
 
 def phase1_program(ops) -> Phase1Program:
     """Run the dependency pass over the (m, d, d) stack ``ops`` once, for any
-    number of ``phase1_min_t`` calls over it; the rows must fix tr(X)."""
-    m, d = np.shape(ops)[:2]
+    number of ``phase1_min_t`` calls over it; the rows must fix tr(X).
+
+    ``ops`` may also be a tuple of (m, d_b, d_b) stacks, the blocks of a
+    block-diagonal program: operator i is the direct sum of the blocks' i-th
+    matrices, d = sum d_b, and X is block-diagonal too.  The pass then runs
+    on the blocks side by side, as tr(A_i A_l) is a sum over them, and the
+    rows come as ``Blocks``."""
+    blocks = tuple(ops) if isinstance(ops, tuple) and np.ndim(ops[0]) == 3 else (ops,)
+    m = np.shape(blocks[0])[0]
+    dims = [np.shape(blk)[-1] for blk in blocks]
+    d = sum(dims)
     _check_dim(d)
     if m == 0:
         raise ValueError("phase-1 needs at least the trace normalization constraint")
-    ops = np.asarray(ops)
-    matcore._check_finite("phase-1 operators", "A", ops)
-    stack = np.stack([matcore.hermitize(a) for a in ops])
-    ops = stack if np.iscomplexobj(ops) else stack.real.copy()
+    stacks = []
+    for blk in blocks:
+        blk = np.asarray(blk)
+        matcore._check_finite("phase-1 operators", "A", blk)
+        stack = np.stack([matcore.hermitize(a) for a in blk])
+        stacks.append(stack if np.iscomplexobj(blk) else stack.real.copy())
     # in place: A~_i = A_i - (tr A_i / d) 1
-    traces = np.trace(ops, axis1=1, axis2=2).real
-    ops[:, np.arange(d), np.arange(d)] -= (traces / d)[:, None]
-    flat = ops.reshape(m, -1)
+    traces = np.trace(stacks[0], axis1=1, axis2=2).real
+    for stack in stacks[1:]:
+        traces = traces + np.trace(stack, axis1=1, axis2=2).real
+    for stack in stacks:
+        stack[:, np.arange(stack.shape[-1]), np.arange(stack.shape[-1])] -= (traces / d)[:, None]
+    flat = np.concatenate([stack.reshape(m, -1) for stack in stacks], axis=1)
     # (Re, Im) coordinates keep the inner product: coords_k . coords_l = tr(A~_k A~_l)
     coords = np.concatenate([flat.real, flat.imag], axis=1) if np.iscomplexobj(flat) else flat
     u, s, _ = np.linalg.svd(np.linalg.qr(coords.T, mode="r").T)  # A~ = R^T Q^T, R^T = U S V^T
@@ -500,10 +584,14 @@ def phase1_program(ops) -> Phase1Program:
     if fit <= CONFLICT_TOL * float(np.linalg.norm(traces)):
         raise ValueError("constraints do not fix the trace of X")
     w = u[:, keep].T / s[keep, None]
-    return Phase1Program(
-        rows=np.tensordot(w, ops, axes=1), w=w, coeff=d * (null @ null_traces) / fit**2,
-        traces=traces, null=null,
-    )
+    if len(stacks) == 1:
+        rows = np.tensordot(w, stacks[0], axes=1)
+    else:  # each block zero-padded to the largest
+        rows = np.zeros((len(w), len(stacks), max(dims), max(dims)), dtype=flat.dtype)
+        for i, stack in enumerate(stacks):
+            rows[:, i, : dims[i], : dims[i]] = np.tensordot(w, stack, axes=1)
+        rows = Blocks(rows, tuple(dims))
+    return Phase1Program(rows=rows, w=w, coeff=d * (null @ null_traces) / fit**2, traces=traces, null=null)
 
 
 def phase1_min_t(ops, values, *, decide: bool = False):
@@ -523,7 +611,8 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     """
     program = ops if isinstance(ops, Phase1Program) else phase1_program(ops)
     rows, w, coeff, traces = program.rows, program.w, program.coeff, program.traces
-    m, d = len(traces), rows.shape[1]
+    stack = rows.stack if isinstance(rows, Blocks) else rows
+    m, d = len(traces), sum(rows.sizes) if isinstance(rows, Blocks) else stack.shape[1]
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[-1] != m:
         raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
@@ -545,7 +634,7 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     if values.ndim == 1:
         solutions = [solve(rows, rhs[0], shift=float(shifts[0]) if decide else None)]
     else:
-        step = batch_size(rows.size)  # each (k, r, d, d) stack of the kernel
+        step = batch_size(stack.size)  # each (k, r, d, d) stack of the kernel
         solutions = [
             sol for i in range(0, len(rhs), step)
             for sol in _path_following(rows, rhs[i : i + step], shifts[i : i + step])

@@ -21,6 +21,7 @@ from conftest import (
     random_density,
     random_so3,
 )
+from first_moment_sdp import exact_test_first_moments
 from sdp_oracle import bracket_optimum, random_phase1_dual
 
 BAND = 1e-7
@@ -87,7 +88,7 @@ def test_criterion_2_first_moment_law():
                 skipped += 1
                 continue
             closed_form = r * r <= j * j
-            via_sdp = feasibility.exact_test_first_moments(ell, two_j).accepted
+            via_sdp = exact_test_first_moments(ell, two_j).accepted
             total += 1
             if closed_form != via_sdp:
                 mismatches += 1

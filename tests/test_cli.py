@@ -140,6 +140,34 @@ class TestCheckCommand:
         (row,) = [line for line in lines if line.split()[:1] == ["exact"]]
         assert row.endswith(", dual bound")
 
+    @staticmethod
+    def dicke_file(tmp_path, two_j, m, eps):
+        """|j, m> mixed with eps * I/d, axial about z: an exact accept for small |m|."""
+        j = two_j / 2.0
+        c = j * (j + 1.0)
+        l3, l3sq = (1.0 - eps) * m, (1.0 - eps) * m * m + eps * c / 3.0
+        side = (c - l3sq) / 2.0
+        rows = [[[side, 0], [0, l3 / 2], [0, 0]], [[0, -l3 / 2], [side, 0], [0, 0]], [[0, 0], [0, 0], [l3sq, 0]]]
+        return write_json(tmp_path / "dicke.json", {"two_j": two_j, "M": rows})
+
+    def test_check_reports_the_frame(self, tmp_path, capsys):
+        # l = 0 with distinct principal values is four-block, the Dicke input axial,
+        # and a generic input's exact stage runs the complex program
+        c = 6.0
+        zero = [[[0.6 * c, 0], [0, 0], [0, 0]], [[0, 0], [0.4 * c, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+        generic = {"two_j": 10, "coords": {"u": [0.1, 0.2, 0.3], "v": [0.4, 0.6, 0.0]}}
+        for path, frame, status in (
+            (write_json(tmp_path / "zero.json", {"two_j": 4, "M": zero}), "four-block", "non-quantum"),
+            (self.dicke_file(tmp_path, 30, 3, 0.01), "axial", "quantum"),
+            (write_json(tmp_path / "generic.json", generic), None, "non-quantum"),
+        ):
+            cli.main(["check", "--input", path])
+            lines = capsys.readouterr().out.strip().splitlines()
+            report = json.loads(lines[-1])
+            assert (report["stage"], report["status"], report["frame"]) == ("exact", status, frame)
+            (row,) = [line for line in lines if line.split()[:1] == ["exact"]]
+            assert (f"real frame, {frame}, " in row) == (frame is not None)
+
     def test_spin_half_reject_carries_first_moment_witness(self, tmp_path, capsys):
         # |l| = 0.6 > j = 1/2: the optimal witness has value (1 - |l|/j)/(2j+1) = -0.1
         rc = cli.main(["check", "--input", spin_half_file(tmp_path, [0.6, 0.0, 0.0])])
@@ -612,7 +640,7 @@ class TestValidateCommand:
 
         name, ok, detail = cli._check_real_frame(np.random.default_rng(2024))
         assert (name, ok) == ("real-frame", True)
-        assert detail.startswith("9 of 9 inputs")
+        assert detail.startswith("12 of 12 inputs")
         real = feasibility._moment_operator_set
 
         def mutant(two_j):
@@ -620,13 +648,49 @@ class TestValidateCommand:
             ops[7] *= 0.9
             return ops
 
-        feasibility._real_moment_program.cache_clear()
+        feasibility._frame_program.cache_clear()
         monkeypatch.setattr(feasibility, "_moment_operator_set", mutant)
         try:
             name, ok, _ = cli._check_real_frame(np.random.default_rng(2024))
         finally:
-            feasibility._real_moment_program.cache_clear()
+            feasibility._frame_program.cache_clear()
         assert (name, ok) == ("real-frame", False)
+
+    def test_real_frame_suite_catches_a_scaled_block_operator(self, monkeypatch):
+        # L3 scaled by 0.9: the real, parity and axial programs keep it and miss the
+        # complex t*, the four-block one drops it; S33, which every kind keeps in the
+        # Casimir dependency, scaled by 0.9 makes the inputs' values conflict
+        from spinmoment import feasibility
+
+        real, solve = feasibility._moment_operator_set, feasibility._phase1_verdicts
+        seen = []
+
+        def recording(stage, two_j, values, **kwargs):
+            verdict = solve(stage, two_j, values, **kwargs)
+            want = sdp.phase1_min_t(cli._dense_moment_operators(two_j), values).t_star
+            seen.append((verdict.tests_run[0].frame, abs(verdict.t_star - want) > 1e-8))
+            return verdict
+
+        monkeypatch.setattr(feasibility, "_phase1_verdicts", recording)
+        for label in (9, 6):
+            def mutant(two_j, label=label):
+                ops = real(two_j).copy()
+                ops[label] *= 0.9
+                return ops
+
+            feasibility._frame_program.cache_clear()
+            monkeypatch.setattr(feasibility, "_moment_operator_set", mutant)
+            try:
+                if label == 9:
+                    name, ok, detail = cli._check_real_frame(np.random.default_rng(2024))
+                    assert (name, ok) == ("real-frame", False)
+                    assert detail.startswith("12 of 12 inputs")
+                    assert {frame for frame, missed in seen if missed} == {"real", "parity", "axial"}
+                else:
+                    with pytest.raises(ValueError, match="conflict"):
+                        cli._check_real_frame(np.random.default_rng(2024))
+            finally:
+                feasibility._frame_program.cache_clear()
 
     def test_first_moment_suite_catches_flipped_sign(self, monkeypatch):
         import dataclasses

@@ -23,6 +23,7 @@ from spinmoment.scan import scan_grid
 from spinmoment.spinalg import MomentMatrix
 
 import symmetric_oracle
+from first_moment_sdp import exact_test_first_moments
 from outer_set import outer_test
 from conftest import (
     build_fixed_state,
@@ -69,7 +70,7 @@ class TestFirstMomentTest:
         j = two_j / 2.0
         ell = np.array([0.0, 0.0, j * (1.0 + 1e-8)])
         closed = feasibility.first_moment_test(ell, two_j)
-        via_sdp = feasibility.exact_test_first_moments(ell, two_j)
+        via_sdp = exact_test_first_moments(ell, two_j)
         assert closed.status == via_sdp.status == STATUS_BOUNDARY
         assert closed.t_star is None
         t = 1e-8 / (two_j + 1)
@@ -84,7 +85,7 @@ class TestFirstMomentTest:
             direction = rng.standard_normal(3)
             ell = direction / np.linalg.norm(direction) * rng.uniform(0.0, 1.3 * j)
             closed = feasibility.first_moment_test(ell, two_j)
-            assert closed.status == feasibility.exact_test_first_moments(ell, two_j).status
+            assert closed.status == exact_test_first_moments(ell, two_j).status
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 10, 30, 62, 200])
     def test_reject_carries_the_optimal_witness(self, two_j):
@@ -108,7 +109,7 @@ class TestFirstMomentTest:
             assert np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - w.matrix).max() <= 1e-8
             assert w.value == pytest.approx((1.0 - np.linalg.norm(ell) / j) / (two_j + 1), abs=1e-12)
             if two_j <= 62:
-                assert abs(w.value + feasibility.exact_test_first_moments(ell, two_j).t_star) <= 1e-6
+                assert abs(w.value + exact_test_first_moments(ell, two_j).t_star) <= 1e-6
 
     def test_tilted_direction_certificate_moments(self, rng):
         two_j = 5
@@ -231,8 +232,8 @@ class TestExactTestDirect:
     @pytest.mark.parametrize("two_j", [6, 30, 62])
     def test_certificate_is_the_phase1_primal(self, two_j):
         # X = Y - t*·1 for the solver's positive definite Y: lambda_min(X) >= -t*;
-        # the random state has no real frame and solves the complex program, the
-        # Dicke mixture the real one, whose X' comes back as V^dag X' V
+        # the random state has no frame and solves the complex program, the
+        # Dicke mixture the axial one, whose blocks X' come back as W^dag X' W
         rng = np.random.default_rng(1500 + two_j)
         ops = feasibility._moment_operator_set(two_j)
         d = two_j + 1
@@ -247,10 +248,10 @@ class TestExactTestDirect:
             if frame is None:
                 want = sdp.phase1_min_t(ops, b).x
             else:
-                rot3, t = frame
-                rotated = sdp.phase1_min_t(feasibility._real_moment_program(two_j), (t @ b)[[0, 1, 3, 4, 6, 7, 9]]).x
-                rot = feasibility._spin_rotation(rot3, two_j)
-                want = rot.conj().T @ rotated @ rot
+                kind, rot3, t = frame
+                blocked = sdp.phase1_min_t(feasibility._frame_program(kind, two_j), (t @ b)[feasibility._KEPT[kind]]).x
+                rot = feasibility._frame_basis(kind, two_j).T @ feasibility._spin_rotation(rot3, two_j)
+                want = rot.conj().T @ blocked @ rot
                 want = (want + want.conj().T) / 2.0
             assert np.array_equal(x, want)
             assert matcore.min_eigenvalue(x) >= abs(v.t_star) - 1e-12
@@ -386,7 +387,7 @@ class TestCapBeforeOperators:
         ell = np.zeros(3)
         calls = (
             lambda: feasibility.exact_test_direct(m),
-            lambda: feasibility.exact_test_first_moments(ell, two_j),
+            lambda: exact_test_first_moments(ell, two_j),
             lambda: feasibility.exact_test_batch([m]),
             lambda: feasibility.classify(m),
         )
@@ -769,7 +770,7 @@ class TestOneSdpPerDecision:
         real_phase1 = sdp.phase1_min_t
 
         def counting_solve(ops, b, *, shift=None):
-            calls.append((ops.shape[1], shift is not None))
+            calls.append((ops, shift is not None))
             return real_solve(ops, b, shift=shift)
 
         def counting_phase1(ops, values, *, decide=False):
@@ -793,8 +794,9 @@ class TestOneSdpPerDecision:
         assert len(programs) == expected
         # classify's exact stage stops at a decided bound, over the per-spin program
         assert all(decided for _, decided in calls + programs)
-        # both exact inputs have a real frame: the program is the real one
-        assert all(ops is feasibility._real_moment_program(two_j) for ops, _ in programs)
+        # both exact inputs have a frame with blocks: the program is their kind's
+        kind = {"exact-accept": "axial", "exact-reject": "four-block"}.get(path)
+        assert all(ops is feasibility._frame_program(kind, two_j) for ops, _ in programs)
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_spin_one_solves_nothing(self, monkeypatch, path):
@@ -901,7 +903,7 @@ class TestStageSeconds:
             "batch": (lambda: feasibility.exact_test_batch([m, dicke_zero_moments(m.two_j, 0.1)]), "exact"),
             "extension": (lambda: [feasibility.exact_test_extension(rho, m.two_j)], "extension"),
             "first-moments": (
-                lambda: [feasibility.exact_test_first_moments(m.first_moments, m.two_j)], "exact-first-moment"
+                lambda: [exact_test_first_moments(m.first_moments, m.two_j)], "exact-first-moment"
             ),
         }
 
@@ -935,7 +937,7 @@ class TestDecidedStop:
     """classify's exact stage stops at the first iterate whose primal or dual
     bound on t* clears the boundary band; exact_test_direct runs to the optimum."""
 
-    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (real frame, )?(optimum|primal bound|dual bound)"
+    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (real frame, ((parity|four-block|axial), )?)?(optimum|primal bound|dual bound)"
 
     @staticmethod
     def families(two_j):
@@ -956,6 +958,7 @@ class TestDecidedStop:
             (record,) = [r for r in got.tests_run if r.name == "exact"]
             assert re.fullmatch(self.DETAIL, record.detail)
             assert record.detail.endswith(got.t_star_kind)
+            assert record.frame == ("axial" if got.status == STATUS_QUANTUM else "four-block")
             b = spinalg.moment_values(m)
             if got.status == STATUS_NON_QUANTUM:
                 # t_d <= t*: the witness is the dual iterate, value exactly -t_d
@@ -1079,7 +1082,7 @@ class TestFirstMomentStage:
             assert np.abs(np.tensordot(w.op_coefficients, oracle, axes=1) - w.matrix).max() <= 1e-12
             assert matcore.min_eigenvalue(w.matrix) >= -1e-9
         if two_j <= 62:
-            want = feasibility.exact_test_first_moments(m.first_moments, two_j)
+            want = exact_test_first_moments(m.first_moments, two_j)
             assert abs(w.value + want.t_star) <= 1e-7
 
     @pytest.mark.parametrize("two_j", [2, 3, 4, 10])
@@ -1269,7 +1272,7 @@ class TestNonFiniteInput:
     )
     def test_exact_test_first_moments(self, ell, named):
         with pytest.raises(ValueError, match=f"first moments has non-finite entries: {named}"):
-            feasibility.exact_test_first_moments(np.array(ell), 3)
+            exact_test_first_moments(np.array(ell), 3)
 
     @pytest.mark.parametrize(
         "u, named",
@@ -1293,7 +1296,7 @@ class TestNonFiniteInput:
 
 
 class TestFirstMomentShape:
-    @pytest.mark.parametrize("entry", [feasibility.first_moment_test, feasibility.exact_test_first_moments])
+    @pytest.mark.parametrize("entry", [feasibility.first_moment_test, exact_test_first_moments])
     @pytest.mark.parametrize("shape", [(2,), (1, 3), (4,)])
     def test_first_moments_must_be_a_3_vector(self, entry, shape):
         with pytest.raises(ValueError, match="first moments must be a real 3-vector"):
@@ -1409,7 +1412,7 @@ def complex_verdict(m, decide=True):
     ``exact_test_direct`` reads its own."""
     b = spinalg.moment_values(m)
     p1 = sdp.phase1_min_t(feasibility._moment_program(m.two_j), b, decide=decide)
-    return feasibility._read_phase1(p1, b, spinalg.MOMENT_LABELS, "exact", feasibility._StageLog())
+    return feasibility._read_phase1(p1, b, "exact", feasibility._StageLog())
 
 
 def bench_evidence():
@@ -1519,3 +1522,98 @@ class TestRealFrame:
                 c, c_want = got.witness.op_coefficients, want.witness.op_coefficients
                 assert np.linalg.norm(c - c_want) <= 1e-9 * np.linalg.norm(c_want)
                 assert np.abs(got.witness.matrix - want.witness.matrix).max() <= 1e-9
+
+
+def axial_moments(two_j, rng):
+    """Re(M) with a degenerate pair and l along the third principal axis (or
+    l = 0), under a random rotation: the axial kind."""
+    j = two_j / 2.0
+    v = rng.dirichlet(np.ones(3)) * 1.4 - 0.4 / 3.0
+    v[1] = v[0] = (1.0 - v[2]) / 2.0
+    ell = np.array([0.0, 0.0, rng.uniform(-1.05, 1.05) * j * rng.integers(0, 2)])
+    m = np.diag(v * j * (j + 1.0)).astype(complex) + first_moment_part(ell)
+    return rotated(MomentMatrix.from_matrix(two_j, m), rng)
+
+
+class TestBlockFrames:
+    """Symmetric inputs solve their frame's program in blocks: the same verdict,
+    iteration count and t* as the complex program over all ten operators, and
+    evidence that passes the bench checker in the input's frame."""
+
+    @staticmethod
+    def kind_of(construction, two_j):
+        """The kind each construction of ``frame_moments`` is built to have."""
+        return {
+            "zero": "four-block" if two_j % 2 == 0 else "parity",
+            "axis": "parity",
+            "pair": "real",
+            "axial": "axial",
+        }[construction]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        two_j=st.integers(2, 63),
+        construction=st.sampled_from(["zero", "axis", "pair", "axial"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_verdict_is_the_complex_one(self, two_j, construction, seed):
+        rng = np.random.default_rng(seed)
+        m = axial_moments(two_j, rng) if construction == "axial" else frame_moments(two_j, construction, rng)
+        b = spinalg.moment_values(m)
+        got = feasibility.exact_test_direct(m, decide=True)
+        want = complex_verdict(m)
+        assert got.tests_run[0].frame == self.kind_of(construction, two_j)
+        assert want.tests_run[0].frame is None
+        assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind)
+        assert iterations(got) == iterations(want)
+        assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
+        evidence = bench_evidence()
+        if got.status == STATUS_QUANTUM:
+            assert evidence.check_certificate(got.certificate_state, two_j, b) is None
+        elif got.status == STATUS_NON_QUANTUM:
+            assert evidence.check_witness(got.witness, two_j, b) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(two_j=st.integers(2, 63), seed=st.integers(0, 2**32 - 1))
+    def test_generic_states_take_no_frame(self, two_j, seed):
+        rng = np.random.default_rng(seed)
+        m = spinalg.moment_matrix(random_density(rng, two_j + 1), spinalg.spin_operators(two_j))
+        assert feasibility._real_frame(spinalg.moment_values(m), two_j) is None
+        assert feasibility.exact_test_direct(m, decide=True).tests_run[0].frame is None
+
+    def test_generic_bench_inputs_take_no_frame(self, monkeypatch):
+        # the inputs of TestRealFrame.test_generic_inputs_have_no_frame that reach the exact stage
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs
+
+        ms = [
+            MomentMatrix.from_matrix(it.two_j, it.matrix)
+            for seed in (1, 2, 3)
+            for it in inputs.make_inputs(seed, (4, 10, 30, 62), {"coherent": 2, "v-over-1": 2})
+        ]
+        for m in ms:
+            records = feasibility.exact_test_direct(m, decide=True).tests_run
+            assert [r.frame for r in records] == [None] * len(records)
+
+    @pytest.mark.parametrize("two_j", [2, 3, 4, 31, 62, 63])
+    def test_blocks_split_the_space(self, two_j):
+        # each kind's bases are orthonormal, cover C^d, and every kept operator is
+        # block-diagonal on them; the four-block kind holds four blocks of about d/4
+        ops = feasibility._moment_operator_set(two_j)
+        d = two_j + 1
+        for kind in ("real", "parity", "four-block", "axial"):
+            if kind == "four-block" and two_j % 2:
+                continue
+            blocks = feasibility._frame_blocks(kind, two_j)
+            q = feasibility._frame_basis(kind, two_j)
+            assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-15
+            inside = np.zeros((d, d), dtype=bool)
+            at = 0
+            for block in blocks:
+                inside[at : at + block.shape[1], at : at + block.shape[1]] = True
+                at += block.shape[1]
+            kept = q.T @ ops[feasibility._KEPT[kind]].real @ q
+            assert np.abs(kept[:, ~inside]).max(initial=0.0) <= 1e-15 * np.abs(kept).max()
+            if kind == "four-block":
+                assert len(blocks) == (3 if two_j == 2 else 4)
+                assert max(b.shape[1] for b in blocks) - min(b.shape[1] for b in blocks) <= 1

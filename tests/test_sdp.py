@@ -784,3 +784,79 @@ class TestRealArithmetic:
             for real, want in zip(batch, cast, strict=True):
                 assert real.x.dtype == np.float64
                 self.assert_same_solve(real, want)
+
+
+class TestBlocks:
+    """A program in blocks solves as its dense direct sum: the same status,
+    iterations and t*, and X and Z as direct sums of the blocks."""
+
+    @staticmethod
+    def random_blocks(rng, sizes, m, dtype=float):
+        """m random symmetric (or Hermitian) operators in blocks of ``sizes``,
+        the identity first, and values from a state, pushed out on some programs."""
+        blocks = []
+        for n in sizes:
+            g = rng.standard_normal((m - 1, n, n))
+            if dtype is complex:
+                g = g + 1j * rng.standard_normal((m - 1, n, n))
+            blocks.append(np.concatenate([np.eye(n, dtype=dtype)[None], (g + np.conj(g.transpose(0, 2, 1))) / 2.0]))
+        dense = np.zeros((m, sum(sizes), sum(sizes)), dtype=dtype)
+        at = 0
+        for n, blk in zip(sizes, blocks):
+            dense[:, at : at + n, at : at + n] = blk
+            at += n
+        x = random_density(rng, sum(sizes))
+        x = x.real if dtype is float else x
+        values = np.stack([
+            np.einsum("kij,ji->k", dense, x).real + np.concatenate([[0.0], rng.normal(scale=s, size=m - 1)])
+            for s in (0.0, 0.3, 0.6)
+        ])
+        return tuple(blocks), dense, values
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (4, 3, 3, 3), (1, 1, 1, 1, 1), (2, 5), (6,)])
+    @pytest.mark.parametrize("decide", [False, True])
+    def test_blocks_match_the_direct_sum(self, sizes, decide):
+        rng = np.random.default_rng(4000 + sum(sizes))
+        for dtype in (float, complex):
+            blocks, dense, values = self.random_blocks(rng, sizes, 4, dtype)
+            program = sdp.phase1_program(blocks)
+            assert isinstance(program.rows, sdp.Blocks) == (len(sizes) > 1)
+            got = sdp.phase1_min_t(program, values, decide=decide)
+            want = sdp.phase1_min_t(dense, values, decide=decide)
+            for g, w, v in zip(got, want, values, strict=True):
+                assert g.solution.status == w.solution.status
+                assert g.solution.iterations == w.solution.iterations
+                assert abs(g.t_star - w.t_star) <= 1e-9 * max(1.0, abs(w.t_star))
+                assert np.abs(g.dual_coefficients - w.dual_coefficients).max() <= 1e-7
+                # X and Z are block-diagonal, and Z = sum_i c_i A_i over the direct sums
+                off = np.ones_like(dense[0], dtype=bool)
+                at = 0
+                for n in sizes:
+                    off[at : at + n, at : at + n] = False
+                    at += n
+                assert not g.x[off].any() and not g.dual_z[off].any()
+                assert np.abs(np.tensordot(g.dual_coefficients, dense, 1) - g.dual_z).max() <= 1e-12
+                single = sdp.phase1_min_t(program, v, decide=decide)
+                assert (single.solution.status, single.solution.iterations) == (g.solution.status, g.solution.iterations)
+                assert abs(single.t_star - g.t_star) <= 1e-9 * max(1.0, abs(g.t_star))
+
+    def test_padding_leaves_no_trace(self, monkeypatch):
+        # blocks of two sizes are padded to one: the padding is the identity in
+        # every factor the kernel takes, and zero in every iterate it keeps
+        rng = np.random.default_rng(4100)
+        blocks, dense, values = self.random_blocks(rng, (4, 2, 2), 3)
+        program = sdp.phase1_program(blocks)
+        assert program.rows.stack.shape[1:] == (3, 4, 4) and program.rows.sizes == (4, 2, 2)
+        seen = []
+        real = sdp._max_step
+
+        def spy(inv_factor, direction, failed):
+            seen.append((inv_factor[:, 1:, 2:, 2:].copy(), direction[:, 1:, 2:, 2:].copy()))
+            return real(inv_factor, direction, failed)
+
+        monkeypatch.setattr(sdp, "_max_step", spy)
+        sdp.phase1_min_t(program, values)
+        assert seen
+        for inv_factor, direction in seen:
+            assert np.array_equal(inv_factor, np.broadcast_to(np.eye(2), inv_factor.shape))
+            assert not direction.any()
