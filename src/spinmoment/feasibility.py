@@ -694,12 +694,13 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
     two_j = reduction._require_j_ge_1(two_j)
     rho = np.asarray(rho, dtype=complex)
     matcore._check_finite("reduced state", "rho", rho)
-    rho = matcore.hermitize(rho, tol=1e-10)
-    if rho.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")
-    if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
-        raise ValueError("reduced state must have unit trace")
-    values = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
+    with matcore._no_overflow("reduced state"):
+        rho = matcore.hermitize(rho, tol=1e-10)
+        if rho.shape != (3, 3):
+            raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")
+        if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
+            raise ValueError("reduced state must have unit trace")
+        values = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
     return _phase1_verdicts("extension", two_j, values)
 
 

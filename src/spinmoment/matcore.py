@@ -6,6 +6,7 @@ the stacked positivity test, reads ``PSD_TOL`` itself."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -17,6 +18,17 @@ RESIDUAL_TOL = 1e-8  # moment-value residual of the reconstructed state, times m
 STRUCTURE_TOL = 1e-9  # max |Re(M) - I/4| at j = 1/2
 TRACE_TOL = 1e-9  # |tr rho - 1| of a spin state
 FRAME_TOL = 1e-12  # largest value that vanishes in a frame, S_kl over j(j+1) and L_k over j (feasibility._broken)
+
+
+@contextmanager
+def _no_overflow(what: str):
+    """Raise a float overflow in the block, from finite outside input near the
+    float max, as a ``ValueError`` about ``what``, with no numpy warning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} is too large for float64 arithmetic: {exc}") from None
 
 
 def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:

@@ -171,7 +171,7 @@ def _exact_cells(args) -> tuple[list[bool], list[float]]:
     cell's moment values come straight from its coordinates."""
     two_j, u, points = args
     program = feasibility._moment_program(two_j)
-    step = sdp.batch_size(program.rows.size)
+    step = sdp.batch_size(program.rows.stack.size)
     accepted, seconds = [], []
     for a in range(0, len(points), step):
         t0 = time.perf_counter()

@@ -1,28 +1,32 @@
 """The phase-1 feasibility SDP over the Hermitian PSD cone.
 
-``phase1_min_t`` solves  min t  s.t.  X + t*1 >= 0,  <A_i, X> = b_i  for an
-(m, d, d) operator stack that fixes tr(X).  Its sign decides feasibility,
-and its dual solution, expanded over the caller's operators, is the
-separating hyperplane.  Given a (k, m) array of values it solves k such
-programs over the one stack at once.  The arithmetic follows the stack: a
-real (float64) stack of symmetric operators is a program over real
-symmetric X, and its rows, iterates, factors, Schur matrix and step-length
-eigensolves all stay real, at about a quarter of the complex flops; a
-complex stack runs in complex arithmetic.
+``phase1_min_t`` solves  min t  s.t.  X + t*1 >= 0,  <A_i, X> = b_i  for m
+operators that fix tr(X).  Its sign decides feasibility, and its dual
+solution, expanded over the caller's operators, is the separating
+hyperplane.  Given a (k, m) array of values it solves k such programs over
+the one set of operators at once.  Every program comes in blocks: a tuple
+of (m, d_b, d_b) stacks, whose operators are the direct sums
+A_i = sum_b A_i^b and whose X is block-diagonal, d = sum d_b.  A single
+(m, d, d) stack is one block.  The arithmetic follows the operators: real
+(float64) symmetric ones make a program over real symmetric X, and its
+rows, iterates, factors, Schur matrix and step-length eigensolves all stay
+real, at about a quarter of the complex flops; complex ones run in complex
+arithmetic.
 
 Substituting Y = X + t*1 leaves the standard form  min tr(Y)/d  s.t.
 <R_k, Y> = b~_k,  Y >= 0.  One dependency pass over the traceless parts
-A~_i = A_i - (tr A_i / d) 1, flattened to (Re, Im) coordinates that keep
-tr(A~_i A~_l) (the real part alone for a real stack), factors A~ = U S V^T
-by a QR and an SVD of the m x m factor.  Singular values at or below
-``DEPENDENCY_TOL`` max(1, s_max) mark dependencies N.  The rows fix tr(X)
-when the traces tr A_i have a component along N above ``CONFLICT_TOL``
-|tr A|, and along N the values U^T b~ must vanish to ``CONFLICT_TOL``:
-values that conflict there are a ``ValueError`` before any solve.  The rest give the orthonormal rows R = S^-1 U^T A~.  The
-pass depends on the operators only: ``phase1_program`` returns it as a
-frozen ``Phase1Program``, which ``phase1_min_t`` takes in place of the
-stack, so callers that solve over one stack many times run it once, and a
-batch of programs shares it.  Only the conflict test and b~ are per program.
+A~_i = A_i - (tr A_i / d) 1, its blocks flattened side by side to (Re, Im)
+coordinates that keep tr(A~_i A~_l) (the real part alone for real
+operators), factors A~ = U S V^T by a QR and an SVD of the m x m factor.
+Singular values at or below ``DEPENDENCY_TOL`` max(1, s_max) mark
+dependencies N.  The rows fix tr(X) when the traces tr A_i have a component
+along N above ``CONFLICT_TOL`` |tr A|, and along N the values U^T b~ must
+vanish to ``CONFLICT_TOL``: values that conflict there are a ``ValueError``
+before any solve.  The rest give the orthonormal rows R = S^-1 U^T A~.  The pass depends on the
+operators only: ``phase1_program`` returns it as a frozen ``Phase1Program``,
+which ``phase1_min_t`` takes in place of the operators, so callers that
+solve over one program many times run it once, and a batch of programs
+shares it.  Only the conflict test and b~ are per program.
 
 ``solve`` runs a primal-dual path-following interior point method: a
 symmetrized Newton direction and Mehrotra-style predictor-corrector steps.
@@ -48,37 +52,32 @@ residual passes ``TOLERANCE`` stops as soon as t_p < -``BOUNDARY_BAND``
 value -t_d), and ``t_star`` is that bound; a dual-bound program may also
 stop one step early, at the dual look-ahead point of ``_path_following``.
 A t* inside the band, or close to it, clears neither bound first, so it
-still runs to the optimality test.  An iteration costs O(m d^3) with
-m <= 9 rows, all of it in BLAS: one Cholesky factor each of X and Z, whose
-inverses give Z^-1 and the four step lengths (two for the predictor, two
-for the corrector), and matmuls over the flattened operator stack.
+still runs to the optimality test.
 
-The kernel ``_path_following`` carries a leading batch axis: the iterates
-of k programs over one row stack are (k, d, d) arrays, so one pass of numpy
-calls advances them all, and at small d the per-call overhead is paid once
-per iteration instead of once per program.  The batch is masked, not
-synchronized.  Each program has its own step lengths and its own stopping,
-divergence and stall tests, log and failure message, and a program that
-stops leaves the active set with its last logged point as its result.  If a
-stacked Cholesky factor, Schur solve or eigensolve raises, only then does
-each program run alone (the Cholesky through ``_chol``'s jitter loop), and
-a program that still fails stops with its own message while its neighbours
-go on.  ``solve`` is the k = 1 call.  ``phase1_min_t`` hands the kernel
-chunks of programs whose (k, m, d, d) stacks hold at most ``BATCH_ENTRIES``
-entries, so a batch of any size runs in bounded memory.  The cone dimension
-is capped at ``DIM_CAP``.
+The kernel ``_path_following`` holds the rows of a program in n blocks as
+one (m, n, D, D) stack, each block zero-padded to the largest size D
+(``Blocks``), and the iterates of k programs as (k, n, D, D) arrays: a
+leading batch axis, then the block axis.  So one pass of numpy and LAPACK
+calls advances every block of every program, and at small D the per-call
+overhead is paid once per iteration instead of once per program or block.
+The blocks share t, y and the trace row: A(X), the Schur matrix, tr X and
+mu are sums over them, Z = 1/d - A^*(y) is a direct sum too, each step
+length is the minimum over the blocks, and a solve returns X and Z as the
+dense (d, d) direct sums.  An iteration costs O(m n D^3) with m <= 9 rows,
+all of it in BLAS: one Cholesky factor each of X and Z, whose inverses give
+Z^-1 and the four step lengths (two for the predictor, two for the
+corrector), and matmuls over the flattened row stack.
 
-A program may also come in blocks: a tuple of (m, d_b, d_b) stacks, whose
-operators are the direct sums A_i = sum_b A_i^b and whose X is block-diagonal,
-d = sum d_b.  The blocks share t, y and the trace row; the dependency pass
-runs on them side by side, A(X), the Schur matrix, tr X and mu are sums over
-them, Z = 1/d - A^*(y) is a direct sum too, and each step length is the
-minimum over the blocks.  The kernel holds the blocks of one program as one
-(n, D, D) stack, each zero-padded to the largest size D (``Blocks``), so
-every numpy and LAPACK call serves all blocks, on the batch axis as before.
-A solve returns X and Z as the dense direct sums.  An iteration then costs
-O(m n D^3) instead of O(m d^3); a one-block program runs exactly as the
-plain stack.
+The batch is masked, not synchronized.  Each program has its own step
+lengths and its own stopping, divergence and stall tests, log and failure
+message, and a program that stops leaves the active set with its last
+logged point as its result.  If a stacked Cholesky factor, Schur solve or
+eigensolve raises, only then does each program run alone (the Cholesky
+through ``_chol``'s jitter loop), and a program that still fails stops with
+its own message while its neighbours go on.  ``solve`` is the k = 1 call.
+``phase1_min_t`` hands the kernel chunks of programs whose (k, m, n, D, D)
+stacks hold at most ``BATCH_ENTRIES`` entries, so a batch of any size runs
+in bounded memory.  The cone dimension is capped at ``DIM_CAP``.
 """
 from __future__ import annotations
 
@@ -102,7 +101,7 @@ DEPENDENCY_TOL = 1e-10  # singular values of the traceless rows up to it, times 
 CONFLICT_TOL = 1e-8  # largest |U_dep^T b~| along the dependencies, times 1 + max |b~_i|;
 # smallest |U_dep^T tr A| that fixes the trace, times |tr A|
 DIM_CAP = 64
-BATCH_ENTRIES = 1 << 18  # complex entries of one (k, m, d, d) kernel stack: 4 MB
+BATCH_ENTRIES = 1 << 18  # complex entries of one (k, m, n, D, D) kernel stack: 4 MB
 
 _DIVERGENCE = 1e12
 # lam / need of the dual look-ahead: lam just above need factors whenever
@@ -162,27 +161,25 @@ def _each(fn, args, failed: dict[int, str], fallback, blank):
 
 
 class Blocks(NamedTuple):
-    """The rows of a program in blocks: the (m, n, D, D) stack of its n blocks,
-    each zero-padded from its size d_b to the largest, D, and the n sizes."""
+    """The rows of a program: the (m, n, D, D) stack of its n blocks, each
+    zero-padded from its size d_b to the largest, D, and the n sizes."""
 
     stack: np.ndarray
     sizes: tuple[int, ...]
 
 
-def _lowest_eigenvalue(w: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(w)[..., 0]
+def _lowest_eigenvalue(w: np.ndarray) -> np.ndarray:  # over all blocks of each (n, D, D) program
+    return np.linalg.eigvalsh(w)[..., 0].min(axis=-1)
 
 
 def _max_step(inv_factor: np.ndarray, direction: np.ndarray, failed: dict[int, str]) -> np.ndarray:
     """Largest alpha with C + alpha * direction still PSD, given L^-1 for C = L L^dag,
-    per matrix of a stack, or per (n, D, D) program in blocks, whose alpha is the
-    smallest over its blocks; ``failed`` as in ``_each``.  A padded block's
-    direction is zero on its padding and its L^-1 the identity there, which
-    adds eigenvalues 0 and so leaves alpha alone."""
+    per (n, D, D) program of a stack, so over all its blocks; ``failed`` as in
+    ``_each``.  A padded block's direction is zero on its padding and its L^-1
+    the identity there, which adds eigenvalues 0 and so leaves alpha alone."""
     w = _herm(inv_factor @ direction @ _adjoint(inv_factor))
-    lam = _each(_lowest_eigenvalue, (w,), failed, _lowest_eigenvalue, lambda w: np.zeros(w.shape[:-2]))
-    alpha = np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
-    return alpha if alpha.ndim < 2 else alpha.min(axis=1)
+    lam = _each(_lowest_eigenvalue, (w,), failed, _lowest_eigenvalue, lambda w: np.zeros(w.shape[:-3]))
+    return np.where(lam >= -1e-14, np.inf, -1.0 / np.minimum(lam, -1e-14))
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -198,9 +195,8 @@ def _contractions(ops: np.ndarray):
     symmetric, and the min-norm X = A^*(G^-1 b), G_kl = tr(A_k A_l), as BLAS products
     on one copy of the rows vec(A_k^T): tr(A_k X) = vec(X) . rows_k.  Each takes
     a single program or a stack of them along a leading batch axis.  ``ops`` is
-    an (m, d, d) stack, or the (m, n, D, D) stack of a program in n blocks, whose
-    iterates carry the block axis after the batch axis and whose contractions
-    sum over it."""
+    the (m, n, D, D) stack of a program in n blocks, whose iterates are (n, D, D)
+    and whose contractions sum over the blocks."""
     m = len(ops)
     rows = ops.swapaxes(-1, -2).reshape(m, -1)
     flat = ops.reshape(m, -1)
@@ -233,36 +229,29 @@ def _ridge_solve(schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(schur + ridge * np.eye(len(rhs)), rhs)
 
 
-def _path_following(ops, b: np.ndarray, shift=None) -> list[SdpSolution]:
-    """The interior point of ``solve`` on k programs at once: rows (m, d, d), b (k, m).
+def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution]:
+    """The interior point of ``solve`` on k programs at once: b (k, m), iterates
+    (k, n, D, D), zero on each block's padding.
 
-    Iterates are (k, d, d) stacks, and every program keeps its own step
-    lengths, stopping, divergence and stall tests, log and failure message.
     ``finish`` ends a program at its iterate and its last log row, so its
     objectives, mu and primal residual are that row's and ``iterations`` is
     len(iterate_log) - 1.  The program leaves the active set at the next
     compaction, after the stop tests or the predictor, so the arrays shrink.
     ``shift``, k trace shifts s or None, adds ``solve``'s bound stops and the
-    dual look-ahead.
-
-    Rows in ``Blocks`` make the iterates (k, n, D, D) stacks, zero on each
-    block's padding: the identity and C = 1/d are the blocks' masks, and only
+    dual look-ahead.  The identity and C = 1/d are the blocks' masks, and only
     the factorizations see the padding, which ``pad`` turns into an identity
     block there and takes out of Z^-1 again.
     """
     k, m = b.shape
     shift = np.full(k, math.nan) if shift is None else np.asarray(shift, dtype=float)
-    if isinstance(ops, Blocks):
-        ops, dims = ops
-        inside = np.arange(ops.shape[-1]) < np.array(dims)[:, None]  # (n, D): the unpadded levels
-        eye = np.zeros(ops.shape[1:], dtype=ops.dtype)
-        eye[:, np.arange(ops.shape[-1]), np.arange(ops.shape[-1])] = inside
-        pad = None if inside.all() else np.eye(ops.shape[-1]) - eye
-        entry = np.nonzero(inside[:, :, None] & inside[:, None, :])  # each unpadded entry of the blocks,
-        at = np.cumsum([0, *dims[:-1]])[entry[0]]
-        placed = (at + entry[1], at + entry[2])  # and where it sits in the (d, d) direct sum
-    else:
-        dims, eye, pad = ops.shape[1:2], np.eye(ops.shape[1], dtype=ops.dtype), None  # real rows keep every iterate real
+    ops, dims = rows
+    size = ops.shape[-1]
+    inside = np.arange(size) < np.array(dims)[:, None]  # (n, D): the unpadded levels
+    eye = np.eye(size, dtype=ops.dtype) * inside[:, :, None]  # real rows keep every iterate real
+    pad = None if inside.all() else np.eye(size) - eye  # adding a zero pad each iteration is not free
+    entry = np.nonzero(inside[:, :, None] & inside[:, None, :])  # each unpadded entry of the blocks,
+    at = np.cumsum([0, *dims[:-1]])[entry[0]]
+    placed = (at + entry[1], at + entry[2])  # and where it sits in the (d, d) direct sum
     d = sum(dims)
     c = eye / d
     if m == 0:  # Y = 0 and Z = 1/d are optimal: one logged point
@@ -278,8 +267,8 @@ def _path_following(ops, b: np.ndarray, shift=None) -> list[SdpSolution]:
     a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
     band = matcore.BOUNDARY_BAND
 
-    def per(s: np.ndarray) -> np.ndarray:  # one value per program, over its (blocks of) iterates
-        return s.reshape(-1, *[1] * eye.ndim)
+    def per(s: np.ndarray) -> np.ndarray:  # one value per program, over its (n, D, D) iterate
+        return s.reshape(-1, 1, 1, 1)
 
     def each_program(a: np.ndarray) -> np.ndarray:  # a stack with its blocks side by side
         return a.reshape(len(a), -1, a.shape[-1])
@@ -287,11 +276,11 @@ def _path_following(ops, b: np.ndarray, shift=None) -> list[SdpSolution]:
     def factor(a: np.ndarray, failed: dict[int, str], fallback) -> np.ndarray:
         """Cholesky factors of a stack; a padded block gets the identity on its padding."""
         a = a if pad is None else a + pad
-        return _each(np.linalg.cholesky, (a,), failed, fallback, lambda a: np.broadcast_to(np.eye(a.shape[-1]), a.shape))
+        return _each(np.linalg.cholesky, (a,), failed, fallback, lambda a: np.broadcast_to(np.eye(size), a.shape))
 
     def direct_sum(a: np.ndarray) -> np.ndarray:  # one program's blocks as its (d, d) matrix
-        if a.ndim == 2:
-            return a.copy()
+        if len(dims) == 1:  # one unpadded block: a copy is cheaper than the scatter
+            return a[0].copy()
         out = np.zeros((d, d), dtype=a.dtype)
         out[placed] = a[entry]
         return out
@@ -302,8 +291,8 @@ def _path_following(ops, b: np.ndarray, shift=None) -> list[SdpSolution]:
     if pad is None:
         lowest = _lowest_eigenvalue(x)
     else:  # the padding's eigenvalues are set above every block's
-        lowest = _lowest_eigenvalue(x + (1.0 + ops.shape[-1] * np.abs(x).max()) * pad)
-    lift = 1.5 * np.abs(lowest if lowest.ndim == 1 else lowest.min(axis=1))
+        lowest = _lowest_eigenvalue(x + (1.0 + size * np.abs(x).max()) * pad)
+    lift = 1.5 * np.abs(lowest)
     x += per(np.where(lift > 0.0, lift, 1.0 / d)) * eye
     z = np.repeat(c[None], k, axis=0)
     y = np.zeros((k, m))
@@ -460,24 +449,23 @@ def _path_following(ops, b: np.ndarray, shift=None) -> list[SdpSolution]:
     return out
 
 
-def solve(ops: np.ndarray, b: np.ndarray, *, shift: float | None = None) -> SdpSolution:
-    """Solve  min tr(Y)/d  s.t.  <A_i, Y> = b_i,  Y >= 0  by interior point.
-
-    ``ops`` is the (m, d, d) stack of traceless, linearly independent A_i
-    that ``phase1_min_t`` builds (orthonormal there, though any independent
-    rows will do).  The returned status is ``optimal`` only when both
-    feasibility residuals and the duality gap over max(1, |tr(Y)/d|) are
-    within ``TOLERANCE``; the dual slack is C - A^*(y) by construction, so
-    only the primal residual is tested.  Given the trace shift s = (fitted
-    trace)/d as ``shift``, a solve whose primal residual passes also stops
-    early, with status ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or
-    ``dual-bound`` once b.y - s > BOUNDARY_BAND or at the dual look-ahead
-    point of ``_path_following``.  Anything else is numerical
-    failure with the final residuals in the message.  This is the
+def solve(rows: Blocks, b: np.ndarray, *, shift: float | None = None) -> SdpSolution:
+    """Solve  min tr(Y)/d  s.t.  <A_i, Y> = b_i,  Y >= 0  by interior point: the
     one-program call of the batched kernel ``_path_following``.
+
+    ``rows`` holds the traceless, linearly independent A_i in ``Blocks``, as
+    ``phase1_program`` builds them (orthonormal there, though any independent
+    rows will do); X and Z come back as the (d, d) direct sums.  The status is
+    ``optimal`` only when the primal residual (the dual one is zero by
+    construction) and the duality gap over max(1, |tr(Y)/d|) are within
+    ``TOLERANCE``.  Given the trace shift s = (fitted trace)/d as ``shift``, a
+    solve whose primal residual passes also stops early, with status
+    ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or ``dual-bound`` once
+    b.y - s > BOUNDARY_BAND or at the dual look-ahead point.  Anything else is
+    numerical failure with the final residuals in the message.
     """
     shifts = None if shift is None else [shift]
-    return _path_following(ops, np.asarray(b, dtype=float)[None], shifts)[0]
+    return _path_following(rows, np.asarray(b, dtype=float)[None], shifts)[0]
 
 
 @dataclass(frozen=True)
@@ -522,14 +510,13 @@ def _check_dim(d: int) -> None:
 
 @dataclass(frozen=True)
 class Phase1Program:
-    """The dependency pass over an (m, d, d) operator stack, which ``phase1_min_t``
+    """The dependency pass over a program's m operators, which ``phase1_min_t``
     needs from the operators alone: the r orthonormal traceless rows
-    R = W A~ (``rows``, (r, d, d), or ``Blocks`` for a program in blocks)
-    with W (``w``, (r, m)), the coefficients
+    R = W A~ (``rows``, in ``Blocks``) with W (``w``, (r, m)), the coefficients
     ``coeff`` with sum_i coeff_i A_i = 1, the traces tr A_i, and the (m, m - r)
     dependencies ``null`` along which the values must agree."""
 
-    rows: np.ndarray | Blocks
+    rows: Blocks
     w: np.ndarray
     coeff: np.ndarray
     traces: np.ndarray
@@ -543,14 +530,14 @@ def batch_size(entries: int) -> int:
 
 
 def phase1_program(ops) -> Phase1Program:
-    """Run the dependency pass over the (m, d, d) stack ``ops`` once, for any
-    number of ``phase1_min_t`` calls over it; the rows must fix tr(X).
+    """Run the dependency pass over ``ops`` once, for any number of
+    ``phase1_min_t`` calls over it; the rows must fix tr(X).
 
-    ``ops`` may also be a tuple of (m, d_b, d_b) stacks, the blocks of a
-    block-diagonal program: operator i is the direct sum of the blocks' i-th
-    matrices, d = sum d_b, and X is block-diagonal too.  The pass then runs
-    on the blocks side by side, as tr(A_i A_l) is a sum over them, and the
-    rows come as ``Blocks``."""
+    ``ops`` is a tuple of (m, d_b, d_b) stacks, the blocks of a block-diagonal
+    program: operator i is the direct sum of the blocks' i-th matrices,
+    d = sum d_b, and X is block-diagonal too.  A single (m, d, d) stack is one
+    block.  The pass runs on the blocks side by side, as tr(A_i A_l) is a sum
+    over them."""
     blocks = tuple(ops) if isinstance(ops, tuple) and np.ndim(ops[0]) == 3 else (ops,)
     m = np.shape(blocks[0])[0]
     dims = [np.shape(blk)[-1] for blk in blocks]
@@ -584,22 +571,19 @@ def phase1_program(ops) -> Phase1Program:
     if fit <= CONFLICT_TOL * float(np.linalg.norm(traces)):
         raise ValueError("constraints do not fix the trace of X")
     w = u[:, keep].T / s[keep, None]
-    if len(stacks) == 1:
-        rows = np.tensordot(w, stacks[0], axes=1)
-    else:  # each block zero-padded to the largest
-        rows = np.zeros((len(w), len(stacks), max(dims), max(dims)), dtype=flat.dtype)
-        for i, stack in enumerate(stacks):
-            rows[:, i, : dims[i], : dims[i]] = np.tensordot(w, stack, axes=1)
-        rows = Blocks(rows, tuple(dims))
-    return Phase1Program(rows=rows, w=w, coeff=d * (null @ null_traces) / fit**2, traces=traces, null=null)
+    rows = np.zeros((len(w), len(stacks), max(dims), max(dims)), dtype=flat.dtype)  # each block zero-padded
+    for i, stack in enumerate(stacks):
+        rows[:, i, : dims[i], : dims[i]] = np.tensordot(w, stack, axes=1)
+    return Phase1Program(Blocks(rows, tuple(dims)), w, d * (null @ null_traces) / fit**2, traces, null)
 
 
 def phase1_min_t(ops, values, *, decide: bool = False):
-    """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the (m, d, d)
-    stack ``ops`` and the m ``values``; the rows must fix tr(X).
+    """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the operators
+    ``ops`` (an (m, d, d) stack or blocks, as ``phase1_program`` takes them) and
+    the m ``values``; the rows must fix tr(X).
 
-    ``ops`` may also be the ``phase1_program`` of the stack, which skips the
-    dependency pass: callers that solve many times over one stack run it once.
+    ``ops`` may also be their ``phase1_program``, which skips the dependency
+    pass: callers that solve many times over one program run it once.
     With a (k, m) array of values, the k programs share one dependency pass
     and one batched solve, and a list of k results comes back in their order.
     A trace-only row has A~_i = 0, so the dependency pass drops it.  Values
@@ -611,8 +595,7 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     """
     program = ops if isinstance(ops, Phase1Program) else phase1_program(ops)
     rows, w, coeff, traces = program.rows, program.w, program.coeff, program.traces
-    stack = rows.stack if isinstance(rows, Blocks) else rows
-    m, d = len(traces), sum(rows.sizes) if isinstance(rows, Blocks) else stack.shape[1]
+    m, d = len(traces), sum(rows.sizes)
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[-1] != m:
         raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
@@ -634,11 +617,13 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     if values.ndim == 1:
         solutions = [solve(rows, rhs[0], shift=float(shifts[0]) if decide else None)]
     else:
-        step = batch_size(stack.size)  # each (k, r, d, d) stack of the kernel
+        step = batch_size(rows.stack.size)  # each (k, r, n, D, D) stack of the kernel
         solutions = [
             sol for i in range(0, len(rhs), step)
             for sol in _path_following(rows, rhs[i : i + step], shifts[i : i + step])
         ]
+
+    eye = np.eye(d)
 
     def result(trace_value: float, sol: SdpSolution) -> Phase1Result:
         if sol.status not in (STATUS_OPTIMAL, STATUS_PRIMAL_BOUND, STATUS_DUAL_BOUND):
@@ -648,7 +633,7 @@ def phase1_min_t(ops, values, *, decide: bool = False):
         # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand sol.z over the rows
         y = w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
         c = (1.0 + float(y @ traces)) / d * coeff - y
-        return Phase1Result(t_star, sol.x - t_primal * np.eye(d), sol, dual_z=sol.z, dual_coefficients=c)
+        return Phase1Result(t_star, sol.x - t_primal * eye, sol, dual_z=sol.z, dual_coefficients=c)
 
     results = [result(*args) for args in zip(trace_values.tolist(), solutions)]
     return results if values.ndim == 2 else results[0]

@@ -106,20 +106,18 @@ class MomentMatrix:
         if m.shape != (3, 3):
             raise ValueError(f"moment matrix must be 3x3, got {m.shape}")
         matcore._check_finite("moment matrix", "M", m)
-        tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > tol:
-            raise ValueError(f"moment matrix is not Hermitian: deviation {dev:.3e}")
-        m = (m + m.conj().T) / 2.0
-        j = two_j / 2.0
-        casimir = float(np.trace(m).real)
-        target = j * (j + 1.0)
-        if abs(casimir - target) > tol:
-            raise ValueError(
-                f"Casimir violated: tr Re(M) - j(j+1) = {casimir - target:.3e} "
-                f"exceeds the tolerance {tol:.1e} (j(j+1) = {target:.9g})"
-            )
-        ell = extract_first_moments(m)
+        with matcore._no_overflow("moment matrix"):
+            tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
+            m = matcore.hermitize(m, tol=tol)
+            j = two_j / 2.0
+            casimir = float(np.trace(m).real)
+            target = j * (j + 1.0)
+            if abs(casimir - target) > tol:
+                raise ValueError(
+                    f"Casimir violated: tr Re(M) - j(j+1) = {casimir - target:.3e} "
+                    f"exceeds the tolerance {tol:.1e} (j(j+1) = {target:.9g})"
+                )
+            ell = extract_first_moments(m)
         return cls(two_j=two_j, matrix=m, first_moments=ell)
 
 

@@ -469,6 +469,11 @@ class TestExactTestExtension:
         with pytest.raises(ValueError, match="cone dimension 65 exceeds"):
             feasibility.exact_test_extension(np.eye(3, dtype=complex) / 3.0, 64)
 
+    def test_entries_near_the_float_max_are_an_input_error(self):
+        # finite, but (rho + rho^dag)/2 overflows: a ValueError, with no warning
+        with pytest.raises(ValueError, match="reduced state is too large for float64 arithmetic"):
+            feasibility.exact_test_extension(1e308 * np.eye(3), 4)
+
     @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 12])
     def test_closed_form_ops_match_oracle(self, two_j):
         basis3 = matcore.hermitian_basis(3)

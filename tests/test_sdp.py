@@ -22,13 +22,15 @@ PAULIS = (
 
 
 def record_solver_rows(monkeypatch):
-    """Record the row stack of every sdp.solve call from here on."""
+    """Record the row stack of every sdp.solve call from here on: the (m, d, d)
+    stack of the program's one block."""
     seen = []
     real_solve = sdp.solve
 
-    def recording(ops, b, **kwargs):
-        seen.append(ops)
-        return real_solve(ops, b, **kwargs)
+    def recording(rows, b, **kwargs):
+        assert len(rows.sizes) == 1
+        seen.append(rows.stack[:, 0])
+        return real_solve(rows, b, **kwargs)
 
     monkeypatch.setattr(sdp, "solve", recording)
     return seen
@@ -76,7 +78,7 @@ def highest_weight_program(two_j):
 class TestSolveAnalytic:
     def test_min_trace_with_pinned_corner(self):
         # phase-1 of <e00> = -1 at unit trace: <sigma_z / 2, Y> = -3/2 in Y = X + t*1
-        sol = sdp.solve(np.stack([SIGMA_Z / 2.0]), np.array([-1.5]))
+        sol = sdp.solve(sdp.Blocks(np.stack([SIGMA_Z / 2.0])[:, None], (2,)), np.array([-1.5]))
         assert sol.status == sdp.STATUS_OPTIMAL
         assert sol.primal_objective == pytest.approx(1.5, abs=1e-7)
         assert np.abs(sol.x - np.diag([0.0, 3.0])).max() < 1e-6
@@ -157,18 +159,19 @@ class TestWeakDualityAndDeterminism:
 class TestIterationKernels:
     @pytest.mark.parametrize("d", [2, 11, 63])
     def test_step_length_reaches_the_boundary(self, d):
+        # each matrix as a batch of one program in one block
         rng = np.random.default_rng(3100 + d)
         for _ in range(3):
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             x = g @ g.conj().T / d + 0.1 * np.eye(d)
-            inv_factor = np.linalg.inv(sdp._chol(x))
+            inv_factor = np.linalg.inv(sdp._chol(x))[None, None]
             direction = random_hermitian(rng, d)
-            alpha = sdp._max_step(inv_factor, direction, {})
+            (alpha,) = sdp._max_step(inv_factor, direction[None, None], {})
             assert 0.0 < alpha < math.inf
             edge = np.linalg.eigvalsh(x + alpha * direction)
             assert abs(edge[0]) <= 1e-9 * np.abs(edge).max()
             # a PSD direction never leaves the cone
-            assert sdp._max_step(inv_factor, g @ g.conj().T, {}) == math.inf
+            assert sdp._max_step(inv_factor, (g @ g.conj().T)[None, None], {})[0] == math.inf
 
     def test_flattened_contractions_match_their_definitions(self):
         rng = np.random.default_rng(3200)
@@ -391,8 +394,9 @@ class TestBatchedPhase1:
         assert len(got[1].iterate_log) == refs[0].iterations + 1
 
     def test_a_failed_program_leaves_its_neighbours(self, monkeypatch):
-        # every stacked Cholesky raises, so each matrix takes the _chol path, in the
-        # order X_0, X_1, Z_0, Z_1; program 1's X fails there in iteration 1
+        # every stacked Cholesky raises, so each program's (n, D, D) blocks take the
+        # _chol path, in the order X_0, X_1, Z_0, Z_1; program 1's X fails there in
+        # iteration 1
         ops, quick = corner_program(-1.0)
         values = np.stack([quick, corner_program(0.3)[1]])
         refs = sdp.phase1_min_t(ops, values)
@@ -400,7 +404,7 @@ class TestBatchedPhase1:
         calls = []
 
         def stacked_raises(a):
-            if a.ndim == 3:
+            if a.ndim == 4:
                 raise np.linalg.LinAlgError("forced")
             return real_cholesky(a)
 
@@ -463,10 +467,11 @@ class TestPreparedProgram:
     def test_holds_the_dependency_pass(self):
         ops = np.stack([np.eye(2, dtype=complex), SIGMA_Z, 2.0 * SIGMA_Z])
         program = sdp.phase1_program(ops)
-        assert program.rows.shape == (1, 2, 2) and program.null.shape == (3, 2)
+        assert program.rows.stack.shape == (1, 1, 2, 2) and program.rows.sizes == (2,)
+        assert program.null.shape == (3, 2)
         assert np.abs(np.tensordot(program.coeff, ops, axes=1) - np.eye(2)).max() <= 1e-12
         assert np.array_equal(program.traces, [2.0, 0.0, 0.0])
-        assert np.abs(np.tensordot(program.w, ops, axes=1) - program.rows).max() <= 1e-12
+        assert np.abs(np.tensordot(program.w, ops, axes=1) - program.rows.stack[:, 0]).max() <= 1e-12
 
     def test_malformed_programs_fail_at_the_pass(self):
         with pytest.raises(ValueError, match="cap"):
@@ -740,7 +745,7 @@ class TestRealArithmetic:
         for _ in range(20):
             ops, values = self.random_real_program(rng)
             program = sdp.phase1_program(ops)
-            assert program.rows.dtype == np.float64
+            assert program.rows.stack.dtype == np.float64
             real = sdp.phase1_min_t(program, values, decide=decide)
             cast = sdp.phase1_min_t(ops.astype(complex), values, decide=decide)
             assert real.x.dtype == real.dual_z.dtype == real.solution.z.dtype == np.float64
@@ -820,7 +825,7 @@ class TestBlocks:
         for dtype in (float, complex):
             blocks, dense, values = self.random_blocks(rng, sizes, 4, dtype)
             program = sdp.phase1_program(blocks)
-            assert isinstance(program.rows, sdp.Blocks) == (len(sizes) > 1)
+            assert program.rows.sizes == tuple(sizes)
             got = sdp.phase1_min_t(program, values, decide=decide)
             want = sdp.phase1_min_t(dense, values, decide=decide)
             for g, w, v in zip(got, want, values, strict=True):

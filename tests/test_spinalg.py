@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinmoment import feasibility, matcore, reduction, spinalg
 from spinmoment.spinalg import MomentMatrix
@@ -118,6 +120,32 @@ class TestMomentMatrix:
         m[0, 1] = 0.2
         with pytest.raises(ValueError, match="Hermitian"):
             MomentMatrix.from_matrix(2, m)
+
+    def test_from_matrix_rejects_entries_near_the_float_max(self):
+        # finite, but (M + M^dag)/2 overflows: an input error, with no warning
+        with pytest.raises(ValueError, match="too large for float64 arithmetic"):
+            MomentMatrix.from_matrix(4, 1e308 * np.eye(3))
+
+
+# every float, and the non-finite and near-overflow values often
+_PARTS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 0.0]), st.floats())
+_MATRICES = st.lists(st.builds(complex, _PARTS, _PARTS), min_size=9, max_size=9).map(
+    lambda z: np.array(z).reshape(3, 3)
+)
+
+
+class TestMalformedInput:
+    """Validation raises nothing but ``ValueError``; tier-1 turns any numpy
+    warning into a failure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_j=st.integers(1, 70), matrix=_MATRICES)
+    @example(two_j=4, matrix=1e308 * np.eye(3))
+    def test_from_matrix_returns_or_raises_value_error(self, two_j, matrix):
+        try:
+            MomentMatrix.from_matrix(two_j, matrix)
+        except ValueError:
+            pass
 
 
 class TestRelativeTolerances:
