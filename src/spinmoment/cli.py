@@ -204,7 +204,7 @@ def cmd_scan(args) -> int:
     if u.shape != (3,):
         raise MomentFileError("--u needs three comma-separated numbers")
     sets = tuple(s.strip().upper() for s in args.sets.split(",") if s.strip())
-    if float(np.linalg.norm(u)) > 1.0 + 1e-12:
+    if math.hypot(*u) > 1.0 + 1e-12:  # hypot, as |u| of a huge u would overflow
         print("warning: |u| > 1, all regions will be empty", file=sys.stderr)
     t0 = time.perf_counter()
     result = scan_grid(
@@ -401,12 +401,13 @@ def _check_early_witness(rng: np.random.Generator) -> tuple[str, bool, str]:
 def _check_real_frame(rng: np.random.Generator) -> tuple[str, bool, str]:
     # Each kind of frame, on rotated inputs built to have it, must be the kind the
     # exact test takes, with t* of the complex program over the dense products.
-    # The real kind has a degenerate pair of Re(M) with l off its axes; parity has
-    # l along a principal axis, four-block l = 0, axial l along a degenerate pair's axis.
+    # Parity has l along a principal axis, four-block l = 0, axial l along a
+    # degenerate pair's axis; the control, a degenerate pair of Re(M) with l off
+    # its axes, has no frame and runs the complex program.
     worst = 0.0
     taken = 0
     shapes = (
-        ("real", (0.3, -0.2, 0.4), (0.25, 0.25, 0.5)),
+        (None, (0.3, -0.2, 0.4), (0.25, 0.25, 0.5)),
         ("parity", (0.0, 0.0, 0.6), (0.2, 0.3, 0.5)),
         ("four-block", (0.0, 0.0, 0.0), (1.1, -0.04, -0.06)),
         ("axial", (0.0, 0.0, 0.5), (0.35, 0.35, 0.3)),
@@ -422,7 +423,7 @@ def _check_real_frame(rng: np.random.Generator) -> tuple[str, bool, str]:
             partner = sdp.phase1_min_t(dense, spinalg.moment_values(mm))
             worst = max(worst, abs(verdict.t_star - partner.t_star))
     detail = (
-        f"{taken} of 12 inputs at 2j in 4, 30, 62 took their frame (real, parity, four-block, axial), "
+        f"{taken} of 12 inputs at 2j in 4, 30, 62 took their frame (none, parity, four-block, axial), "
         f"max |t* - t*(complex)| = {worst:.1e}"
     )
     return "real-frame", taken == 12 and worst <= 1e-8, detail

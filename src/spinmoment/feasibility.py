@@ -48,16 +48,15 @@ STATUS_NON_QUANTUM = "non-quantum"
 STATUS_BOUNDARY = "boundary"
 
 _FIRST_MOMENTS = [0, 7, 8, 9]  # I, L1, L2, L3 within MOMENT_LABELS
-# The operators each kind of frame keeps (``exact_test_direct``): the seven real
-# symmetric ones in a real frame, and in the others those its symmetry fixes, less
-# S11 and S22 in an axial frame, where on diagonal X both are (j(j+1) I - S33)/2
-_KEPT = {"real": [0, 1, 3, 4, 6, 7, 9], "parity": [0, 1, 4, 6, 9], "four-block": [0, 1, 4, 6], "axial": [0, 6, 9]}
+# The operators each kind of frame keeps (``exact_test_direct``): those its symmetry
+# fixes, less S11 and S22 in an axial frame, where on diagonal X both are (j(j+1) I - S33)/2
+_KEPT = {"parity": [0, 1, 4, 6, 9], "four-block": [0, 1, 4, 6], "axial": [0, 6, 9]}
 
 
 @dataclass(frozen=True)
 class StageRecord:
     """One stage of a decision; ``frame`` is the kind of frame a phase-1 stage
-    solved in ("real", "parity", "four-block" or "axial"), None for the complex
+    solved in ("parity", "four-block" or "axial"), None for the complex
     program and for every other stage."""
 
     name: str
@@ -160,14 +159,12 @@ def _moment_program(two_j: int) -> sdp.Phase1Program:
 @lru_cache(maxsize=None)
 def _frame_blocks(kind: str, two_j: int) -> tuple[np.ndarray, ...]:
     """The blocks of a frame of this kind, as real orthonormal (d, d_b) bases
-    over the J_z basis, whose index a holds m = j - a: one block in a real
-    frame; the two parities of a (the pi turn about z) in a parity frame; d
-    blocks of one level in an axial frame; and in a four-block frame, at
-    integer j, the parities of a of (|m> + |-m>)/sqrt2 with |0>, and of
-    (|m> - |-m>)/sqrt2, m > 0 (the pi turns about z and x)."""
+    over the J_z basis, whose index a holds m = j - a: the two parities of a
+    (the pi turn about z) in a parity frame; d blocks of one level in an
+    axial frame; and in a four-block frame, at integer j, the parities of a
+    of (|m> + |-m>)/sqrt2 with |0>, and of (|m> - |-m>)/sqrt2, m > 0 (the pi
+    turns about z and x)."""
     eye = np.eye(two_j + 1)
-    if kind == "real":
-        return (eye,)
     if kind == "axial":
         return tuple(eye[:, [a]] for a in range(two_j + 1))
     if kind == "parity":
@@ -233,13 +230,10 @@ def _moment_map(rot: np.ndarray) -> np.ndarray:
 
 def _broken(kind: str, moments: np.ndarray, two_j: int) -> float:
     """The largest of the values that vanish in a frame of this kind, each over
-    its scale: S12 and S23 over j(j+1) and L2 over j in a real frame; S13 and L1
-    too in the block kinds, L3 in a four-block frame and S11 - S22 in an axial one."""
+    its scale: S12, S13 and S23 over j(j+1) and L1 and L2 over j in every kind,
+    L3 too in a four-block frame and S11 - S22 in an axial one."""
     j = two_j / 2.0
-    s, ell = [moments[2], moments[5]], [moments[8]]
-    if kind != "real":
-        s.append(moments[3])
-        ell.append(moments[7])
+    s, ell = [moments[2], moments[3], moments[5]], [moments[7], moments[8]]
     if kind == "four-block":
         ell.append(moments[9])
     if kind == "axial":
@@ -255,22 +249,11 @@ def _real_frame(b: np.ndarray, two_j: int) -> Frame | None:
     apart from the closer pair of principal values; otherwise z is along l,
     and x and y are the principal axes of Re(M) within the plane perpendicular
     to l.  It is axial if the vanishing values of ``_broken`` are within
-    ``matcore.FRAME_TOL``, and else four-block (l = 0 at integer j) or parity.
-
-    Otherwise the real frame: its y axis is a principal axis of Re(M)
-    perpendicular to l or, when a pair of principal axes is degenerate
-    (``eigh`` returns any basis of their plane), the direction in that plane
-    perpendicular to l.  Both kinds are among the directions
-    e = (p_b u_a - p_a u_b)/|(p_a, p_b)|, p = u^T l, in the planes of the
-    pairs (u_a, u_b) of principal axes (u_a when p_a = p_b = 0).  Each has
-    e.l = 0, and with x the in-plane normal to e, e^T S x =
-    p_a p_b (w_a - w_b)/(p_a^2 + p_b^2): the candidate with the smallest such
-    coupling, over j(j+1), is completed to rows (x, e, u_c).  It is the frame
-    if its values S12, S23 and L2 are within ``matcore.FRAME_TOL`` as well.
+    ``matcore.FRAME_TOL``, else four-block (l = 0 at integer j) or parity if
+    they are, and otherwise there is no frame.
     """
     j = two_j / 2.0
     s = (_CHI_REAL.T @ b).reshape(4, 4)[1:, 1:]
-    w, u = np.linalg.eigh(s)
     ell = b[7:]
     r = float(np.linalg.norm(ell))
     if r > matcore.FRAME_TOL * j:
@@ -278,6 +261,7 @@ def _real_frame(b: np.ndarray, two_j: int) -> Frame | None:
         rot = np.vstack([np.linalg.eigh(plane @ s @ plane.T)[1].T @ plane, ell / r])
         kinds = ("axial", "parity")
     else:
+        w, u = np.linalg.eigh(s)
         rot = u.T if w[1] - w[0] <= w[2] - w[1] else u.T[[1, 2, 0]]
         kinds = ("axial", "four-block" if two_j % 2 == 0 else "parity")
     if np.linalg.det(rot) < 0.0:
@@ -286,32 +270,17 @@ def _real_frame(b: np.ndarray, two_j: int) -> Frame | None:
     for kind in kinds:
         if _broken(kind, t @ b, two_j) <= matcore.FRAME_TOL:
             return Frame(kind, rot, t)
-
-    p = u.T @ ell
-    pairs = p * p + p[[1, 2, 0]] ** 2
-    coupling = np.abs(p * p[[1, 2, 0]] * (w - w[[1, 2, 0]])) / np.where(pairs > 0.0, pairs, 1.0)
-    a = int(np.argmin(coupling))
-    if coupling[a] > matcore.FRAME_TOL * j * (j + 1.0):
-        return None
-    first, second, third = u[:, a], u[:, (a + 1) % 3], u[:, (a + 2) % 3]
-    e = first if pairs[a] == 0.0 else (p[(a + 1) % 3] * first - p[a] * second) / math.sqrt(pairs[a])
-    rot = np.array([np.cross(e, third), e, third])
-    t = _moment_map(rot)
-    return Frame("real", rot, t) if _broken("real", t @ b, two_j) <= matcore.FRAME_TOL else None
+    return None
 
 
 def _real_frames(batch: np.ndarray, two_j: int) -> list[Frame] | None:
-    """The frame of every row of a (k, 10) batch, or None once a row has none.
-    Rows of different kinds all take the real program, each in its own frame,
-    in which the values S12, S23 and L2 vanish as in every kind's."""
+    """The frame of every row of a (k, 10) batch, or None once a row has none."""
     frames = []
     for b in batch:
         frame = _real_frame(b, two_j)
         if frame is None:
             return None
         frames.append(frame)
-    if len({f.kind for f in frames}) > 1:
-        frames = [f._replace(kind="real") for f in frames]
     return frames
 
 
@@ -469,7 +438,7 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     two_j = len(p1.x) - 1
     kind = _BOUND_KINDS.get(sol.status, "optimum")
     name = None if frame is None else frame.kind
-    where = {None: "", "real": "real frame, "}.get(name, f"real frame, {name}, ")
+    where = "" if name is None else f"real frame, {name}, "
     detail = f"t_star = {t:.3e}, {sol.iterations} iterations, gap {sol.gap:.0e}, {where}{kind}"
     rejected = t > BOUNDARY_BAND
     evidence = p1.dual_z if rejected else p1.x
@@ -576,29 +545,30 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
     values as one batched solve, and read each result with ``_read_phase1``:
     one verdict, or a list of k.
 
-    The call runs in the frames of its inputs (``exact_test_direct``) when
-    every input has one, over the program of their one kind
-    (``_frame_program``), or over the real program when their kinds differ;
-    the frames are looked for in input order, up to the first input without
-    one, and otherwise the call runs the complex ``_moment_program``.  Each
-    verdict's stage is timed from the start of the call, at its share of the
-    seconds up to the end of the solve."""
+    When every input has a frame (``exact_test_direct``), the inputs are
+    grouped by kind, and each group is one ``sdp.phase1_min_t`` call over its
+    kind's ``_frame_program``; otherwise the whole call runs the complex
+    ``_moment_program``.  The frames are looked for in input order, up to the
+    first input without one.  Each verdict's stage is timed from the start of
+    the call, at its share of the seconds up to the end of the last solve."""
     t0 = time.perf_counter()
     batch = np.atleast_2d(values)
-    frames = _real_frames(batch, two_j)
-    if frames is not None:
-        kept = _KEPT[frames[0].kind]
-        program = _frame_program(frames[0].kind, two_j)
-        rotated = np.stack([f.moments[kept] @ b for f, b in zip(frames, batch)])
-        values_solved = rotated if values.ndim == 2 else rotated[0]
-    else:
-        program = _moment_program(two_j)
-        frames, values_solved = [None] * len(batch), values
-    solved = sdp.phase1_min_t(program, values_solved, decide=decide)
+    frames = _real_frames(batch, two_j) or [None] * len(batch)
+    kinds = [None if f is None else f.kind for f in frames]
+    solved = [None] * len(batch)
+    for kind in dict.fromkeys(kinds):
+        rows = [i for i, k in enumerate(kinds) if k == kind]
+        if kind is None:
+            program, group = _moment_program(two_j), batch
+        else:
+            program = _frame_program(kind, two_j)
+            group = np.stack([frames[i].moments[_KEPT[kind]] @ batch[i] for i in rows])
+        got = sdp.phase1_min_t(program, group if values.ndim == 2 else group[0], decide=decide)
+        for i, p1 in zip(rows, got if values.ndim == 2 else [got]):
+            solved[i] = p1
     share = (time.perf_counter() - t0) / len(batch)
-    if values.ndim == 1:
-        return _read_phase1(solved, values, stage, _StageLog(share), frames[0])
-    return [_read_phase1(p1, v, stage, _StageLog(share), f) for p1, v, f in zip(solved, values, frames)]
+    verdicts = [_read_phase1(p1, b, stage, _StageLog(share), f) for p1, b, f in zip(solved, batch, frames)]
+    return verdicts if values.ndim == 2 else verdicts[0]
 
 
 def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
@@ -633,13 +603,11 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     m and m ± 2.  ``_real_frame`` finds the frame with the largest G, to
     ``matcore.FRAME_TOL``, and its rotation R:
 
-    - real: a principal axis of Re(M) perpendicular to l, turned to y, so
-      that S12, S23 and L2 vanish; G = {1, complex conjugation}, so X is
-      real symmetric: one block over the seven real operators;
-    - parity: l along a principal axis, turned to z, so that S13 and L1
-      vanish too; G adds the pi turn exp(-i pi L3), so X also splits by the
-      parity of j - m: two blocks over I, S11, S22, S33 and L3 (coherent,
-      Dicke, squeezed and thermal states);
+    - parity: l along a principal axis, turned to z, so that S12, S13, S23,
+      L1 and L2 vanish; G holds complex conjugation and the pi turn
+      exp(-i pi L3), so X is real symmetric and splits by the parity of
+      j - m: two blocks over I, S11, S22, S33 and L3 (coherent, Dicke,
+      squeezed and thermal states);
     - four-block: l = 0 at integer j, so that L3 vanishes too; G adds the pi
       turn about x, which maps |m> to |-m> and commutes with the first: four
       blocks of about d/4 over I, S11, S22 and S33, in the bases
@@ -652,9 +620,10 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     The blocked program is solved in float64, and its evidence maps back to
     the input's frame (``_read_phase1``).  Every entry point of the direct
     program (this one, ``exact_test_batch``, ``exact_test_extension``, the
-    scan and ``classify``) goes through ``_phase1_verdicts``, which takes a
-    kind when every input of the call has it; the stage record's ``frame``
-    then names it, and its detail says "real frame" and the kind of blocks.
+    scan and ``classify``) goes through ``_phase1_verdicts``, which solves a
+    call in frames, one solve per kind, only when every input has one; the
+    stage record's ``frame`` then names the kind, and its detail says "real
+    frame" and the kind of blocks.
     """
     values = spinalg.moment_values(m)
     return _phase1_verdicts("exact", m.two_j, values, decide=decide)

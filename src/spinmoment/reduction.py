@@ -145,14 +145,16 @@ def moments_from_coords(coords: RenormalizedCoords) -> MomentMatrix:
 
     Re(M) is diagonal, as in the frame the coordinates are taken in; sum(v) must
     equal 1 within the absolute ``matcore.CASIMIR_TOL``, since v is O(1): that
-    is the Casimir identity in these coordinates.
+    is the Casimir identity in these coordinates.  Coordinates whose moments
+    overflow float64 are a ``ValueError``.
     """
     two_j = _require_j_ge_1(coords.two_j)
-    vsum = float(np.sum(coords.v))
-    if abs(vsum - 1.0) > matcore.CASIMIR_TOL:
-        raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
-    b = _coords_values(two_j, coords.u, coords.v)
-    return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:])
+    with matcore._no_overflow("renormalized coordinates"):
+        vsum = float(np.sum(coords.v))
+        if abs(vsum - 1.0) > matcore.CASIMIR_TOL:
+            raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
+        b = _coords_values(two_j, coords.u, coords.v)
+        return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:])
 
 
 def tau(rho: np.ndarray, two_j: int) -> np.ndarray:

@@ -218,22 +218,22 @@ def scan_grid(
     for name, (lo, hi) in (("v1", v1_range), ("v2", v2_range)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{name} range ({lo}, {hi}) must be finite")
-    v1s = np.linspace(v1_range[0], v1_range[1], resolution)
-    v2s = np.linspace(v2_range[0], v2_range[1], resolution)
-
     t0 = time.perf_counter()
-    maps = _slice_maps(two_j, u)
     in_r = np.zeros((resolution, resolution), dtype=bool)
     in_t = np.zeros_like(in_r)
-    # blocks of whole rows whose three stacks together hold at most BATCH_ENTRIES entries
-    step = sdp.batch_size(resolution * sum(c0.size for c0, _, _ in maps))
-    for a in range(0, resolution, step):
-        v1 = v1s[a : a + step, None, None, None]
-        rho_psd, pt_psd, tau_psd = (
-            matcore.psd_mask(c0 + v1 * d1 + v2s[:, None, None] * d2) for c0, d1, d2 in maps
-        )
-        in_r[a : a + step] = rho_psd & pt_psd
-        in_t[a : a + step] = rho_psd & tau_psd
+    with matcore._no_overflow("scan slice"):
+        v1s = np.linspace(v1_range[0], v1_range[1], resolution)
+        v2s = np.linspace(v2_range[0], v2_range[1], resolution)
+        maps = _slice_maps(two_j, u)
+        # blocks of whole rows whose three stacks together hold at most BATCH_ENTRIES entries
+        step = sdp.batch_size(resolution * sum(c0.size for c0, _, _ in maps))
+        for a in range(0, resolution, step):
+            v1 = v1s[a : a + step, None, None, None]
+            rho_psd, pt_psd, tau_psd = (
+                matcore.psd_mask(c0 + v1 * d1 + v2s[:, None, None] * d2) for c0, d1, d2 in maps
+            )
+            in_r[a : a + step] = rho_psd & pt_psd
+            in_t[a : a + step] = rho_psd & tau_psd
     secs = np.full(in_r.shape, (time.perf_counter() - t0) / in_r.size)
 
     s = np.full(in_r.shape, -1, dtype=np.int8)

@@ -225,6 +225,39 @@ class TestCheckCommand:
         assert "Casimir" in err
 
 
+class TestHugeCoordinates:
+    """Coordinates whose moments overflow float64 are an input error, with no
+    numpy warning (tier-1 makes a RuntimeWarning an error): ValueError, exit 3."""
+
+    @pytest.mark.parametrize(
+        "u, v", [([1e308, 0, 0], [0.2, 0.3, 0.5]), ([0, 0, 0], [1e308, -1e308, 1])], ids=["u", "v"]
+    )
+    def test_check_coords(self, tmp_path, capsys, u, v):
+        from spinmoment import reduction
+
+        coords = reduction.RenormalizedCoords(np.array(u, dtype=float), np.array(v, dtype=float), 4)
+        with pytest.raises(ValueError, match="too large for float64"):
+            reduction.moments_from_coords(coords)
+        path = write_json(tmp_path / "huge.json", {"two_j": 4, "coords": {"u": u, "v": v}})
+        assert cli.main(["check", "--input", path]) == 3
+        assert "too large for float64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kwargs, argv",
+        [
+            ({"u": (1e308, 0.0, 0.0)}, ["--u", "1e308,0,0"]),
+            ({"v1_range": (-1e308, 1e308)}, ["--v1-min=-1e308", "--v1-max=1e308"]),
+        ],
+        ids=["u", "v1-range"],
+    )
+    def test_scan(self, tmp_path, capsys, kwargs, argv):
+        with pytest.raises(ValueError, match="too large for float64"):
+            scan_grid(10, **{"u": (0.1, 0.2, 0.3), **kwargs}, resolution=5)
+        argv = ["scan", "--j", "5", "--u", "0.1,0.2,0.3", "--grid", "5", "--out", str(tmp_path / "s.csv"), *argv]
+        assert cli.main(argv) == 3
+        assert "too large for float64" in capsys.readouterr().err
+
+
 class TestSolverFailure:
     @pytest.mark.parametrize("command", ["check", "witness", "scan"])
     def test_failed_solve_exits_four(self, tmp_path, capsys, monkeypatch, command):
@@ -576,6 +609,7 @@ class TestValidateCommand:
         assert rc == 0
         assert "[FAIL]" not in out
         assert "spin-algebra" in out
+        assert "[ ok ] real-frame: 12 of 12 inputs" in out and "(none, parity, four-block, axial)" in out
 
     def test_witness_duality_checks_extension_formulation(self, monkeypatch):
         # the witness must agree with t* of the program over the independent
@@ -634,8 +668,16 @@ class TestValidateCommand:
         name, ok, _ = cli._check_scan_oracle()
         assert (name, ok) == ("scan-oracle", False)
 
+    @staticmethod
+    def clear_programs():
+        from spinmoment import feasibility
+
+        feasibility._frame_program.cache_clear()
+        feasibility._moment_program.cache_clear()
+
     def test_real_frame_suite_catches_a_scaled_operator(self, monkeypatch):
-        # the real program with its L1 row scaled by 0.9 misses the complex t*
+        # L1 scaled by 0.9: no frame keeps it, and the frameless control's complex
+        # program, which does, misses the t* over the dense products
         from spinmoment import feasibility
 
         name, ok, detail = cli._check_real_frame(np.random.default_rng(2024))
@@ -648,18 +690,19 @@ class TestValidateCommand:
             ops[7] *= 0.9
             return ops
 
-        feasibility._frame_program.cache_clear()
+        self.clear_programs()
         monkeypatch.setattr(feasibility, "_moment_operator_set", mutant)
         try:
             name, ok, _ = cli._check_real_frame(np.random.default_rng(2024))
         finally:
-            feasibility._frame_program.cache_clear()
+            self.clear_programs()
         assert (name, ok) == ("real-frame", False)
 
     def test_real_frame_suite_catches_a_scaled_block_operator(self, monkeypatch):
-        # L3 scaled by 0.9: the real, parity and axial programs keep it and miss the
-        # complex t*, the four-block one drops it; S33, which every kind keeps in the
-        # Casimir dependency, scaled by 0.9 makes the inputs' values conflict
+        # L3 scaled by 0.9: the complex program of the frameless control and the
+        # parity and axial programs keep it and miss the dense t*, the four-block one
+        # drops it; S33, which every program keeps in the Casimir dependency, scaled
+        # by 0.9 makes the inputs' values conflict
         from spinmoment import feasibility
 
         real, solve = feasibility._moment_operator_set, feasibility._phase1_verdicts
@@ -678,19 +721,19 @@ class TestValidateCommand:
                 ops[label] *= 0.9
                 return ops
 
-            feasibility._frame_program.cache_clear()
+            self.clear_programs()
             monkeypatch.setattr(feasibility, "_moment_operator_set", mutant)
             try:
                 if label == 9:
                     name, ok, detail = cli._check_real_frame(np.random.default_rng(2024))
                     assert (name, ok) == ("real-frame", False)
                     assert detail.startswith("12 of 12 inputs")
-                    assert {frame for frame, missed in seen if missed} == {"real", "parity", "axial"}
+                    assert {frame for frame, missed in seen if missed} == {None, "parity", "axial"}
                 else:
                     with pytest.raises(ValueError, match="conflict"):
                         cli._check_real_frame(np.random.default_rng(2024))
             finally:
-                feasibility._frame_program.cache_clear()
+                self.clear_programs()
 
     def test_first_moment_suite_catches_flipped_sign(self, monkeypatch):
         import dataclasses
@@ -722,6 +765,7 @@ class TestValidateCommand:
         assert rc == 1
         assert "[FAIL] sdp-analytic: raised ArithmeticError: phase-1 SDP did not converge: forced" in captured.out
         assert captured.out.count("[ ok ]") == 8
+        assert "[ ok ] real-frame: 12 of 12 inputs" in captured.out
         assert "ran 9 suites" in captured.out
         assert "failing: sdp-analytic" in captured.err
 

@@ -905,6 +905,7 @@ class TestStageSeconds:
         return {
             "classify": (lambda: [feasibility.classify(m)], "exact"),
             "direct": (lambda: [feasibility.exact_test_direct(m)], "exact"),
+            # axial and four-block: one solve per kind
             "batch": (lambda: feasibility.exact_test_batch([m, dicke_zero_moments(m.two_j, 0.1)]), "exact"),
             "extension": (lambda: [feasibility.exact_test_extension(rho, m.two_j)], "extension"),
             "first-moments": (
@@ -930,9 +931,9 @@ class TestStageSeconds:
         t0 = time.perf_counter()
         verdicts = call()
         wall = time.perf_counter() - t0
-        assert len(spent) == 1
+        assert len(spent) == (2 if entry == "batch" else 1)
         records = [r for v in verdicts for r in v.tests_run]
-        assert sum(r.seconds for r in records if r.name == stage) >= 0.5 * spent[0]
+        assert sum(r.seconds for r in records if r.name == stage) >= 0.5 * sum(spent)
         assert sum(r.seconds for r in records) <= wall
         if entry == "classify":
             assert verdicts[0].stage == "exact"
@@ -942,7 +943,7 @@ class TestDecidedStop:
     """classify's exact stage stops at the first iterate whose primal or dual
     bound on t* clears the boundary band; exact_test_direct runs to the optimum."""
 
-    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (real frame, ((parity|four-block|axial), )?)?(optimum|primal bound|dual bound)"
+    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (real frame, (parity|four-block|axial), )?(optimum|primal bound|dual bound)"
 
     @staticmethod
     def families(two_j):
@@ -1395,9 +1396,9 @@ class TestSpinHalfRouting:
 
 
 def frame_moments(two_j, construction, rng):
-    """A moment matrix with a real frame, under a random rotation: l = 0; l along
-    a principal axis of Re(M); or a degenerate pair of Re(M) with any l.  The
-    values are spread over both verdicts."""
+    """A moment matrix under a random rotation: l = 0 or l along a principal axis
+    of Re(M), which have a frame; or a degenerate pair of Re(M) with any l, which
+    has none.  The values are spread over both verdicts."""
     j = two_j / 2.0
     casimir = j * (j + 1.0)
     v = rng.dirichlet(np.ones(3)) * 1.4 - 0.4 / 3.0  # sum(v) = 1, some v_k < 0 or > 1
@@ -1430,9 +1431,9 @@ def bench_evidence():
 
 
 class TestRealFrame:
-    """Inputs with a principal axis of Re(M) perpendicular to l solve the real
-    program in the frame where that axis is y, with the same verdict as the
-    complex program and evidence stated in the input's frame."""
+    """Inputs with a frame solve in it, with the same verdict as the complex
+    program and evidence stated in the input's frame; a principal axis of Re(M)
+    perpendicular to l alone is no frame, and such inputs solve the complex one."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1444,10 +1445,11 @@ class TestRealFrame:
         rng = np.random.default_rng(seed)
         m = frame_moments(two_j, construction, rng)
         b = spinalg.moment_values(m)
-        assert feasibility._real_frame(b, two_j) is not None
+        framed = construction != "pair"
+        assert (feasibility._real_frame(b, two_j) is not None) == framed
         got = feasibility.exact_test_direct(m, decide=True)
         want = complex_verdict(m)
-        assert "real frame" in got.tests_run[0].detail
+        assert ("real frame" in got.tests_run[0].detail) == framed
         assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind)
         assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
         assert iterations(got) == iterations(want)
@@ -1551,7 +1553,7 @@ class TestBlockFrames:
         return {
             "zero": "four-block" if two_j % 2 == 0 else "parity",
             "axis": "parity",
-            "pair": "real",
+            "pair": None,
             "axial": "axial",
         }[construction]
 
@@ -1577,6 +1579,45 @@ class TestBlockFrames:
             assert evidence.check_certificate(got.certificate_state, two_j, b) is None
         elif got.status == STATUS_NON_QUANTUM:
             assert evidence.check_witness(got.witness, two_j, b) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        two_j=st.integers(2, 63),
+        extra=st.lists(st.sampled_from(["zero", "axis", "axial"]), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_mixed_batch_solves_once_per_kind(self, two_j, extra, seed):
+        # each row of a batch with axial, parity and (at integer j) four-block
+        # inputs is solved in its own kind's program, as it would be alone
+        rng = np.random.default_rng(seed)
+        constructions = ["axial", "axis", *extra]
+        ms = [axial_moments(two_j, rng) if c == "axial" else frame_moments(two_j, c, rng) for c in constructions]
+        alone = [feasibility.exact_test_direct(m, decide=True) for m in ms]
+        kinds = {v.tests_run[0].frame for v in alone}
+        assert len(kinds) >= 2 and None not in kinds
+        calls = []
+        real = sdp.phase1_min_t
+
+        def spy(program, values, **kwargs):
+            calls.append(program)
+            return real(program, values, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sdp, "phase1_min_t", spy)
+            batch = feasibility.exact_test_batch(ms)
+        assert len(calls) == len(kinds)
+        assert {id(p) for p in calls} == {id(feasibility._frame_program(k, two_j)) for k in kinds}
+        evidence = bench_evidence()
+        for got, want, m in zip(batch, alone, ms):
+            assert got.tests_run[0].frame == want.tests_run[0].frame
+            assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind)
+            assert iterations(got) == iterations(want)
+            assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
+            b = spinalg.moment_values(m)
+            if got.status == STATUS_QUANTUM:
+                assert evidence.check_certificate(got.certificate_state, two_j, b) is None
+            elif got.status == STATUS_NON_QUANTUM:
+                assert evidence.check_witness(got.witness, two_j, b) is None
 
     @settings(max_examples=30, deadline=None)
     @given(two_j=st.integers(2, 63), seed=st.integers(0, 2**32 - 1))
@@ -1606,7 +1647,7 @@ class TestBlockFrames:
         # block-diagonal on them; the four-block kind holds four blocks of about d/4
         ops = feasibility._moment_operator_set(two_j)
         d = two_j + 1
-        for kind in ("real", "parity", "four-block", "axial"):
+        for kind in ("parity", "four-block", "axial"):
             if kind == "four-block" and two_j % 2:
                 continue
             blocks = feasibility._frame_blocks(kind, two_j)
