@@ -21,7 +21,8 @@ on the spin only, ``exact_test_batch`` decides many inputs at one spin with
 one batched phase-1 solve.
 
 The direct program runs in real arithmetic, and in blocks, when the input
-has a frame; ``exact_test_direct`` states the rule and why it is exact.
+has a frame, and in closed form when the frame is axial; ``exact_test_direct``
+states the rule and why it is exact.
 
 Every witness over ``spinalg.MOMENT_LABELS`` is canonical: its
 coefficients are orthogonal to the Casimir vector r (``_canonical``), along
@@ -56,8 +57,9 @@ _KEPT = {"parity": [0, 1, 4, 6, 9], "four-block": [0, 1, 4, 6], "axial": [0, 6, 
 @dataclass(frozen=True)
 class StageRecord:
     """One stage of a decision; ``frame`` is the kind of frame a phase-1 stage
-    solved in ("parity", "four-block" or "axial"), None for the complex
-    program and for every other stage."""
+    solved in ("parity" or "four-block", in blocks, or "axial", in closed
+    form with no SDP), None for the complex program and for every other
+    stage."""
 
     name: str
     outcome: str
@@ -158,15 +160,13 @@ def _moment_program(two_j: int) -> sdp.Phase1Program:
 
 @lru_cache(maxsize=None)
 def _frame_blocks(kind: str, two_j: int) -> tuple[np.ndarray, ...]:
-    """The blocks of a frame of this kind, as real orthonormal (d, d_b) bases
-    over the J_z basis, whose index a holds m = j - a: the two parities of a
-    (the pi turn about z) in a parity frame; d blocks of one level in an
-    axial frame; and in a four-block frame, at integer j, the parities of a
-    of (|m> + |-m>)/sqrt2 with |0>, and of (|m> - |-m>)/sqrt2, m > 0 (the pi
-    turns about z and x)."""
+    """The blocks of a parity or four-block frame, as real orthonormal (d, d_b)
+    bases over the J_z basis, whose index a holds m = j - a: the two parities
+    of a (the pi turn about z) in a parity frame; and in a four-block frame,
+    at integer j, the parities of a of (|m> + |-m>)/sqrt2 with |0>, and of
+    (|m> - |-m>)/sqrt2, m > 0 (the pi turns about z and x).  An axial frame
+    has no blocked program: ``_axial_optimum`` decides it in closed form."""
     eye = np.eye(two_j + 1)
-    if kind == "axial":
-        return tuple(eye[:, [a]] for a in range(two_j + 1))
     if kind == "parity":
         return eye[:, ::2], eye[:, 1::2]
     half = np.arange(two_j // 2)  # the levels m > 0
@@ -189,11 +189,76 @@ def _frame_basis(kind: str, two_j: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _frame_program(kind: str, two_j: int) -> sdp.Phase1Program:
-    """The dependency pass over the operators a frame of this kind keeps, as
-    float64 blocks (``_frame_blocks``): the program ``_phase1_verdicts`` runs in
-    that frame, cached per spin beside ``_moment_program``."""
+    """The dependency pass over the operators a parity or four-block frame
+    keeps, as float64 blocks (``_frame_blocks``): the program
+    ``_phase1_verdicts`` runs in that frame, cached per spin beside
+    ``_moment_program``."""
     ops = _moment_operator_set(two_j)[_KEPT[kind]].real
     return sdp.phase1_program(tuple(q.T @ ops @ q for q in _frame_blocks(kind, two_j)))
+
+
+@lru_cache(maxsize=None)
+def _polygon_facets(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The facets f of conv{(m, m^2)} that ``_axial_optimum`` maximizes over,
+    cached per spin: the levels m (index a holds m = j - a), each f's
+    coefficients over (I, S33, L3), tr f, and the two levels a certificate
+    on f sits on."""
+    j, d = two_j / 2.0, two_j + 1
+    levels = j - np.arange(d)
+    if two_j == 1:
+        facets = np.array([[j, 0.0, -1.0], [j, 0.0, 1.0]])
+        support = np.array([[-j, j], [-j, j]])  # the levels; the side's far one gets q = 0
+    else:
+        m0 = levels[:0:-1]
+        chords = np.stack([m0 * (m0 + 1.0), np.ones(two_j), -(2.0 * m0 + 1.0)], axis=1)
+        facets = np.vstack([chords, [j * j, -1.0, 0.0]])
+        support = np.vstack([np.stack([m0, m0 + 1.0], axis=1), [-j, j]])
+    return levels, facets, facets @ [d, j * (j + 1.0) * d / 3.0, 0.0], support
+
+
+def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
+    """The direct program in an axial frame in closed form: one
+    ``sdp.Phase1Result`` per row of the (k, 3) frame values b' = (tr X,
+    c = <L3^2>, l3) over ``_KEPT["axial"]``.
+
+    X is diagonal there (``exact_test_direct``), so q = diag(X) + t >= 0 has
+    sum q = b'_0 + d t, sum q m = l3 and sum q m^2 = c + t S2, S2 = j(j+1)d/3:
+    a point of the cone over the polygon conv{(m, m^2)}.  Each facet
+    f(m) = f_I + f_S m^2 + f_L m >= 0 on the levels bounds t >= -<f(L3), b'>/tr f,
+    and t* is the largest bound over the lower chords (m - m0)(m - m0 - 1),
+    m0 = -j .. j-1, and the top chord j^2 - m^2.  At 2j = 1 these have
+    tr f = 0 and the sides j -+ m replace them (at 2j >= 2 the chords imply
+    them); S33 = 1/4 there, so a value off b'_0/4 conflicts (``ValueError``).
+
+    The active facet's Z' = f(L3)/tr f is the witness, coefficients f/tr f,
+    value -t*.  The certificate is X' = diag(q) - t*·1 with q on the facet's
+    two levels, fixed by sum q and sum q m; at the optimum q >= 0 and it meets
+    sum q m^2 too.  The record is optimal at 0 iterations with gap 0, with or
+    without ``decide``."""
+    if two_j == 1:
+        off = np.abs(values[:, 1] - values[:, 0] / 4.0)
+        bad = np.flatnonzero(off > sdp.CONFLICT_TOL * (1.0 + np.abs(values).max(axis=1)))
+        if bad.size:
+            raise ValueError(f"the values conflict: S33 = 1/4 at j = 1/2, off by {off[bad[0]]:.1e}")
+    j, d = two_j / 2.0, two_j + 1
+    levels, facets, traces, support = _polygon_facets(two_j)
+    bounds = -(values @ facets.T) / traces
+    results = []
+    for b, k, row in zip(values, np.argmax(bounds, axis=1), bounds):
+        t = float(row[k])
+        s, (lo, hi) = b[0] + d * t, support[k]
+        y = np.zeros((d, d))
+        a_lo, a_hi = round(j - lo), round(j - hi)
+        y[a_lo, a_lo], y[a_hi, a_hi] = (hi * s - b[2]) / (hi - lo), (b[2] - lo * s) / (hi - lo)
+        c = facets[k] / traces[k]
+        z = np.diag(c[0] + c[1] * levels**2 + c[2] * levels)
+        point = s / d  # tr Y/d, Y = X' + t*·1
+        sol = sdp.SdpSolution(
+            sdp.STATUS_OPTIMAL, y, None, z, primal_objective=point, dual_objective=point, gap=0.0,
+            primal_residual=0.0, dual_residual=0.0, mu=0.0, iterate_log=[(point, point, 0.0, 0.0)],
+        )
+        results.append(sdp.Phase1Result(t, y - t * np.eye(d), sol, dual_z=z, dual_coefficients=c))
+    return results
 
 
 def _canonical(c: np.ndarray, two_j: int) -> np.ndarray:
@@ -422,12 +487,14 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     decided solve's t_star is the bound that decided it (``Verdict``).
 
     A solve in a ``Frame`` (kind, R, T) of ``_real_frame`` ran its kind's
-    program on b' = T b over the kept labels.  Its coefficients c' map back as
-    c = T^T c', and its Z' and X', direct sums of blocks, as W^dag Z' W and
-    W^dag X' W, W = Q^T V, with Q the blocks' bases side by side and V =
-    D^j(R) (``_spin_rotation``); the stage record then names the kind, and
-    its detail says "real frame" and the kind of blocks before the kind of
-    t_star.  The coefficients are made canonical (``_canonical``).
+    program on b' = T b over the kept labels (an axial one in closed form,
+    ``_axial_optimum``).  Its coefficients c' map back as c = T^T c', and its
+    Z' and X', direct sums of blocks, as W^dag Z' W and W^dag X' W, W = Q^T V,
+    with Q the blocks' bases side by side (the identity in an axial frame,
+    whose X' and Z' are diagonal) and V = D^j(R) (``_spin_rotation``); the
+    stage record then names the kind, and its detail says "real frame" and
+    the kind of blocks before the kind of t_star.  The coefficients are made
+    canonical (``_canonical``).
 
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
@@ -444,7 +511,9 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     evidence = p1.dual_z if rejected else p1.x
     c = p1.dual_coefficients
     if frame is not None:
-        w = _frame_basis(name, two_j).T @ _spin_rotation(frame.rotation, two_j)
+        w = _spin_rotation(frame.rotation, two_j)
+        if name != "axial":
+            w = _frame_basis(name, two_j).T @ w
         evidence = w.conj().T @ evidence @ w
         evidence = (evidence + evidence.conj().T) / 2.0
         c = frame.moments[_KEPT[name]].T @ c
@@ -546,11 +615,15 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
     one verdict, or a list of k.
 
     When every input has a frame (``exact_test_direct``), the inputs are
-    grouped by kind, and each group is one ``sdp.phase1_min_t`` call over its
-    kind's ``_frame_program``; otherwise the whole call runs the complex
-    ``_moment_program``.  The frames are looked for in input order, up to the
-    first input without one.  Each verdict's stage is timed from the start of
-    the call, at its share of the seconds up to the end of the last solve."""
+    grouped by kind: the axial group is decided in closed form
+    (``_axial_optimum``, optimal whether or not ``decide``), and each other
+    group is one ``sdp.phase1_min_t`` call over its kind's ``_frame_program``;
+    otherwise the whole call runs the complex ``_moment_program``.  The frames
+    are looked for in input order, up to the first input without one.  The
+    cone cap holds for every kind.  Each verdict's stage is timed from the
+    start of the call, at its share of the seconds up to the end of the last
+    solve."""
+    sdp._check_dim(two_j + 1)
     t0 = time.perf_counter()
     batch = np.atleast_2d(values)
     frames = _real_frames(batch, two_j) or [None] * len(batch)
@@ -558,13 +631,14 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
     solved = [None] * len(batch)
     for kind in dict.fromkeys(kinds):
         rows = [i for i, k in enumerate(kinds) if k == kind]
-        if kind is None:
-            program, group = _moment_program(two_j), batch
+        group = batch if kind is None else np.stack([frames[i].moments[_KEPT[kind]] @ batch[i] for i in rows])
+        if kind == "axial":
+            got = _axial_optimum(group, two_j)
         else:
-            program = _frame_program(kind, two_j)
-            group = np.stack([frames[i].moments[_KEPT[kind]] @ batch[i] for i in rows])
-        got = sdp.phase1_min_t(program, group if values.ndim == 2 else group[0], decide=decide)
-        for i, p1 in zip(rows, got if values.ndim == 2 else [got]):
+            program = _moment_program(two_j) if kind is None else _frame_program(kind, two_j)
+            got = sdp.phase1_min_t(program, group if values.ndim == 2 else group[0], decide=decide)
+            got = got if values.ndim == 2 else [got]
+        for i, p1 in zip(rows, got):
             solved[i] = p1
     share = (time.perf_counter() - t0) / len(batch)
     verdicts = [_read_phase1(p1, b, stage, _StageLog(share), f) for p1, b, f in zip(solved, batch, frames)]
@@ -615,15 +689,20 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
       turns anticommute, and l = 0 takes the parity kind;
     - axial: l along z (or l = 0) and a degenerate pair of Re(M) across it,
       so that S11 - S22 vanishes too; G is every rotation about z, so X is
-      diagonal: d blocks of one over I, S33 and L3.
+      diagonal, over I, S33 = L3^2 and L3: a linear program over the
+      spectrum of L3 whose hyperplanes are the facets of the polygon
+      conv{(m, m^2)}, solved in closed form by ``_axial_optimum`` (Dicke,
+      coherent and thermal states).
 
-    The blocked program is solved in float64, and its evidence maps back to
-    the input's frame (``_read_phase1``).  Every entry point of the direct
-    program (this one, ``exact_test_batch``, ``exact_test_extension``, the
-    scan and ``classify``) goes through ``_phase1_verdicts``, which solves a
-    call in frames, one solve per kind, only when every input has one; the
-    stage record's ``frame`` then names the kind, and its detail says "real
-    frame" and the kind of blocks.
+    The blocked program is solved in float64, and its evidence, like the
+    closed form's, maps back to the input's frame (``_read_phase1``).  Every
+    entry point of the direct program (this one, ``exact_test_batch``,
+    ``exact_test_extension``, the scan and ``classify``) goes through
+    ``_phase1_verdicts``, which solves a call in frames, one solve per
+    blocked kind and the axial inputs in closed form, only when every input
+    has one; the stage record's ``frame`` then names the kind, and its
+    detail says "real frame" and the kind of blocks.  An axial verdict is the
+    optimum, with or without ``decide``.
     """
     values = spinalg.moment_values(m)
     return _phase1_verdicts("exact", m.two_j, values, decide=decide)
@@ -718,7 +797,9 @@ def classify(m: MomentMatrix) -> Verdict:
     the boundary and the exact stage decides.  The exact stage stops once a
     certified bound on t* clears the band: its ``t_star`` is then that bound
     (``Verdict.t_star_kind``), an accept's certificate is the primal iterate
-    and a reject's witness the dual one, value -t_star.  So no path solves
+    and a reject's witness the dual one, value -t_star.  An axial input
+    solves no SDP: its exact stage is the closed-form optimum of
+    ``exact_test_direct``, on both sides of the band.  So no path solves
     more than one SDP, and none runs past its verdict.
 
     At 2j = 2 the pair marginal is the state itself, in reversed order, so

@@ -145,10 +145,13 @@ def moments_from_coords(coords: RenormalizedCoords) -> MomentMatrix:
 
     Re(M) is diagonal, as in the frame the coordinates are taken in; sum(v) must
     equal 1 within the absolute ``matcore.CASIMIR_TOL``, since v is O(1): that
-    is the Casimir identity in these coordinates.  Coordinates whose moments
-    overflow float64 are a ``ValueError``.
+    is the Casimir identity in these coordinates.  Non-finite coordinates, and
+    coordinates whose moments overflow float64, are a ``ValueError`` that names
+    the entry or the overflow.
     """
     two_j = _require_j_ge_1(coords.two_j)
+    for name in ("u", "v"):
+        matcore._check_finite("renormalized coordinates", name, np.asarray(getattr(coords, name), dtype=float))
     with matcore._no_overflow("renormalized coordinates"):
         vsum = float(np.sum(coords.v))
         if abs(vsum - 1.0) > matcore.CASIMIR_TOL:

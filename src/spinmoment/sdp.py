@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -229,6 +230,28 @@ def _ridge_solve(schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(schur + ridge * np.eye(len(rhs)), rhs)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _layout(dims: tuple[int, ...], size: int, dtype: np.dtype):
+    """The block layout of ``_path_following`` for blocks of sizes ``dims``
+    padded to ``size``, as read-only arrays cached per layout: ``eye``, the
+    identity's mask over the unpadded levels (of the rows' ``dtype``, so that
+    real rows keep every iterate real); ``pad``, the identity on the padding,
+    or None without padding; and ``entry`` and ``placed``, each unpadded entry
+    of the blocks and where it sits in the (d, d) direct sum."""
+    inside = np.arange(size) < np.array(dims)[:, None]  # (n, D): the unpadded levels
+    eye = _frozen(np.eye(size, dtype=dtype) * inside[:, :, None])
+    pad = None if inside.all() else _frozen(np.eye(size) - eye)
+    entry = tuple(map(_frozen, np.nonzero(inside[:, :, None] & inside[:, None, :])))
+    at = np.cumsum([0, *dims[:-1]])[entry[0]]
+    placed = (_frozen(at + entry[1]), _frozen(at + entry[2]))
+    return eye, pad, entry, placed
+
+
 def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution]:
     """The interior point of ``solve`` on k programs at once: b (k, m), iterates
     (k, n, D, D), zero on each block's padding.
@@ -246,12 +269,7 @@ def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution
     shift = np.full(k, math.nan) if shift is None else np.asarray(shift, dtype=float)
     ops, dims = rows
     size = ops.shape[-1]
-    inside = np.arange(size) < np.array(dims)[:, None]  # (n, D): the unpadded levels
-    eye = np.eye(size, dtype=ops.dtype) * inside[:, :, None]  # real rows keep every iterate real
-    pad = None if inside.all() else np.eye(size) - eye  # adding a zero pad each iteration is not free
-    entry = np.nonzero(inside[:, :, None] & inside[:, None, :])  # each unpadded entry of the blocks,
-    at = np.cumsum([0, *dims[:-1]])[entry[0]]
-    placed = (at + entry[1], at + entry[2])  # and where it sits in the (d, d) direct sum
+    eye, pad, entry, placed = _layout(tuple(dims), size, ops.dtype)  # a zero pad added each iteration is not free
     d = sum(dims)
     c = eye / d
     if m == 0:  # Y = 0 and Z = 1/d are optimal: one logged point

@@ -243,6 +243,17 @@ class TestHugeCoordinates:
         assert "too large for float64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "u, v, entry",
+        [([0, 0, 0], [float("nan"), 0, 1], "v[0] = nan"), ([0, float("inf"), 0], [0.2, 0.3, 0.5], "u[1] = inf")],
+        ids=["nan-v", "inf-u"],
+    )
+    def test_check_non_finite_coords(self, tmp_path, capsys, u, v, entry):
+        # json reads NaN and Infinity; the error names the coordinate, exit 3
+        path = write_json(tmp_path / "nan.json", {"two_j": 4, "coords": {"u": u, "v": v}})
+        assert cli.main(["check", "--input", path]) == 3
+        assert f"non-finite entries: {entry}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "kwargs, argv",
         [
             ({"u": (1e308, 0.0, 0.0)}, ["--u", "1e308,0,0"]),
@@ -261,9 +272,10 @@ class TestHugeCoordinates:
 class TestSolverFailure:
     @pytest.mark.parametrize("command", ["check", "witness", "scan"])
     def test_failed_solve_exits_four(self, tmp_path, capsys, monkeypatch, command):
-        # Dicke |2,0> at 2j = 4: entangled, so classify reaches the exact SDP
-        m = [[[3, 0], [0, 0], [0, 0]], [[0, 0], [3, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
-        path = write_json(tmp_path / "dicke.json", {"two_j": 4, "M": m})
+        # l = 0 and Re(M) = diag(3.6, 2.25, 0.15) at 2j = 4: entangled pairs, so classify
+        # reaches the exact SDP, in a four-block frame (an axial input would solve none)
+        m = [[[3.6, 0], [0, 0], [0, 0]], [[0, 0], [2.25, 0], [0, 0]], [[0, 0], [0, 0], [0.15, 0]]]
+        path = write_json(tmp_path / "zero.json", {"two_j": 4, "M": m})
         argv = [command, "--input", path]
         out = tmp_path / "scan.csv"
         if command == "scan":
@@ -700,9 +712,10 @@ class TestValidateCommand:
 
     def test_real_frame_suite_catches_a_scaled_block_operator(self, monkeypatch):
         # L3 scaled by 0.9: the complex program of the frameless control and the
-        # parity and axial programs keep it and miss the dense t*, the four-block one
-        # drops it; S33, which every program keeps in the Casimir dependency, scaled
-        # by 0.9 makes the inputs' values conflict
+        # parity program keep it and miss the dense t*, the four-block one drops it,
+        # and the axial closed form reads no operator; S33, which every program
+        # keeps in the Casimir dependency, scaled by 0.9 makes the inputs' values
+        # conflict
         from spinmoment import feasibility
 
         real, solve = feasibility._moment_operator_set, feasibility._phase1_verdicts
@@ -728,7 +741,7 @@ class TestValidateCommand:
                     name, ok, detail = cli._check_real_frame(np.random.default_rng(2024))
                     assert (name, ok) == ("real-frame", False)
                     assert detail.startswith("12 of 12 inputs")
-                    assert {frame for frame, missed in seen if missed} == {None, "parity", "axial"}
+                    assert {frame for frame, missed in seen if missed} == {None, "parity"}
                 else:
                     with pytest.raises(ValueError, match="conflict"):
                         cli._check_real_frame(np.random.default_rng(2024))

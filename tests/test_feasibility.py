@@ -232,8 +232,8 @@ class TestExactTestDirect:
     @pytest.mark.parametrize("two_j", [6, 30, 62])
     def test_certificate_is_the_phase1_primal(self, two_j):
         # X = Y - t*·1 for the solver's positive definite Y: lambda_min(X) >= -t*;
-        # the random state has no frame and solves the complex program, the
-        # Dicke mixture the axial one, whose blocks X' come back as W^dag X' W
+        # the random state has no frame and solves the complex program; the
+        # Dicke mixture is axial, and its closed-form X' comes back as V^dag X' V
         rng = np.random.default_rng(1500 + two_j)
         ops = feasibility._moment_operator_set(two_j)
         d = two_j + 1
@@ -249,9 +249,10 @@ class TestExactTestDirect:
                 want = sdp.phase1_min_t(ops, b).x
             else:
                 kind, rot3, t = frame
-                blocked = sdp.phase1_min_t(feasibility._frame_program(kind, two_j), (t @ b)[feasibility._KEPT[kind]]).x
-                rot = feasibility._frame_basis(kind, two_j).T @ feasibility._spin_rotation(rot3, two_j)
-                want = rot.conj().T @ blocked @ rot
+                assert kind == "axial"
+                (closed,) = feasibility._axial_optimum((t @ b)[feasibility._KEPT[kind]][None], two_j)
+                rot = feasibility._spin_rotation(rot3, two_j)
+                want = rot.conj().T @ closed.x @ rot
                 want = (want + want.conj().T) / 2.0
             assert np.array_equal(x, want)
             assert matcore.min_eigenvalue(x) >= abs(v.t_star) - 1e-12
@@ -761,7 +762,7 @@ class TestOneSdpPerDecision:
             lambda tj: coords_matrix([0, 0, 0], [1.2, -0.1, -0.1], tj),
             "reconstruct", STATUS_NON_QUANTUM, 0,
         ),
-        "exact-accept": (dicke_mixture_moments, "exact", STATUS_QUANTUM, 1),
+        "exact-accept": (dicke_mixture_moments, "exact", STATUS_QUANTUM, 0),
         "exact-reject": (lambda tj: dicke_zero_moments(tj, 0.1), "exact", STATUS_NON_QUANTUM, 1),
     }
 
@@ -799,9 +800,11 @@ class TestOneSdpPerDecision:
         assert len(programs) == expected
         # classify's exact stage stops at a decided bound, over the per-spin program
         assert all(decided for _, decided in calls + programs)
-        # both exact inputs have a frame with blocks: the program is their kind's
-        kind = {"exact-accept": "axial", "exact-reject": "four-block"}.get(path)
-        assert all(ops is feasibility._frame_program(kind, two_j) for ops, _ in programs)
+        # the exact reject is four-block and solves that kind's program; the exact
+        # accept is axial and is decided in closed form, with no SDP
+        assert all(ops is feasibility._frame_program("four-block", two_j) for ops, _ in programs)
+        if path.startswith("exact"):
+            assert v.tests_run[-1 if v.accepted else -2].frame == ("axial" if v.accepted else "four-block")
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_spin_one_solves_nothing(self, monkeypatch, path):
@@ -905,8 +908,8 @@ class TestStageSeconds:
         return {
             "classify": (lambda: [feasibility.classify(m)], "exact"),
             "direct": (lambda: [feasibility.exact_test_direct(m)], "exact"),
-            # axial and four-block: one solve per kind
-            "batch": (lambda: feasibility.exact_test_batch([m, dicke_zero_moments(m.two_j, 0.1)]), "exact"),
+            # four-block and axial: one solve, and the axial input in closed form
+            "batch": (lambda: feasibility.exact_test_batch([m, dicke_mixture_moments(m.two_j)]), "exact"),
             "extension": (lambda: [feasibility.exact_test_extension(rho, m.two_j)], "extension"),
             "first-moments": (
                 lambda: [exact_test_first_moments(m.first_moments, m.two_j)], "exact-first-moment"
@@ -915,7 +918,8 @@ class TestStageSeconds:
 
     @pytest.mark.parametrize("entry", ["classify", "direct", "batch", "extension", "first-moments"])
     def test_the_stage_holds_its_solve(self, monkeypatch, entry):
-        m = dicke_mixture_moments(30)
+        # Dicke-zero is four-block, so every entry point solves one SDP
+        m = dicke_zero_moments(30, 0.1)
         call, stage = self.calls(m)[entry]
         spent = []
         real = sdp.phase1_min_t
@@ -931,7 +935,7 @@ class TestStageSeconds:
         t0 = time.perf_counter()
         verdicts = call()
         wall = time.perf_counter() - t0
-        assert len(spent) == (2 if entry == "batch" else 1)
+        assert len(spent) == 1
         records = [r for v in verdicts for r in v.tests_run]
         assert sum(r.seconds for r in records if r.name == stage) >= 0.5 * sum(spent)
         assert sum(r.seconds for r in records) <= wall
@@ -941,7 +945,8 @@ class TestStageSeconds:
 
 class TestDecidedStop:
     """classify's exact stage stops at the first iterate whose primal or dual
-    bound on t* clears the boundary band; exact_test_direct runs to the optimum."""
+    bound on t* clears the boundary band; exact_test_direct runs to the optimum.
+    An axial input needs neither: its closed form is the optimum either way."""
 
     DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (real frame, (parity|four-block|axial), )?(optimum|primal bound|dual bound)"
 
@@ -965,6 +970,7 @@ class TestDecidedStop:
             assert re.fullmatch(self.DETAIL, record.detail)
             assert record.detail.endswith(got.t_star_kind)
             assert record.frame == ("axial" if got.status == STATUS_QUANTUM else "four-block")
+            assert (iterations(got) == 0) == (got.status == STATUS_QUANTUM)
             b = spinalg.moment_values(m)
             if got.status == STATUS_NON_QUANTUM:
                 # t_d <= t*: the witness is the dual iterate, value exactly -t_d
@@ -976,9 +982,11 @@ class TestDecidedStop:
                 assert abs(np.trace(w.matrix).real - 1.0) <= 1e-9
                 assert np.abs(np.tensordot(w.op_coefficients, ops, 1) - w.matrix).max() <= 1e-8
             else:
-                # t_p >= t*: the certificate is the primal iterate shifted by t_p
-                assert got.status == STATUS_QUANTUM and got.t_star_kind == "primal bound"
-                assert want.t_star - 1e-9 <= got.t_star < -matcore.BOUNDARY_BAND
+                # the axial accept is decided in closed form, at the optimum itself:
+                # the certificate is q on the active facet's levels, shifted by t*
+                assert got.status == STATUS_QUANTUM and got.t_star_kind == "optimum"
+                assert got.t_star == want.t_star < -matcore.BOUNDARY_BAND
+                assert np.array_equal(got.certificate_state, want.certificate_state)
                 x = got.certificate_state
                 assert matcore.min_eigenvalue(x) >= -got.t_star - 1e-12
                 assert abs(np.trace(x).real - 1.0) <= 1e-12
@@ -1008,33 +1016,43 @@ class TestDecidedStop:
         assert calls[STATUS_QUANTUM] <= 50
 
     def test_fewer_iterations_at_the_cap(self):
-        for m in self.families(62):
+        # the rejects; the axial accepts take 0 iterations either way
+        for m in self.families(62)[2:]:
             assert iterations(feasibility.classify(m)) < iterations(feasibility.exact_test_direct(m))
 
     def test_iterations_at_the_cap(self, monkeypatch):
         # the interior point starts at the program's own scale: on the seed-1
-        # verdicts-cap inputs the decided solves average at most 4.2 iterations
+        # verdicts-cap inputs the decided solves average at most 4.2 iterations;
+        # the three axial (dicke) exact verdicts solve none
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import inputs
 
         items = inputs.make_inputs(1, (62,), {"dicke": 3, "v-over-1": 3, "dicke-zero": 3})
         verdicts = [feasibility.classify(MomentMatrix.from_matrix(it.two_j, it.matrix)) for it in items]
-        counts = [iterations(v) for v in verdicts if v.stage == "exact"]
-        assert len(counts) == 6
+        exact = [v for v in verdicts if v.stage == "exact"]
+        assert len(exact) == 6
+        counts = [iterations(v) for v in exact if [r.frame for r in v.tests_run if r.name == "exact"] != ["axial"]]
+        assert len(counts) == 3
         assert np.mean(counts) <= 4.2
 
     @pytest.mark.parametrize("two_j", [6, 30])
     def test_boundary_input_runs_to_the_optimum(self, two_j):
+        # the rotated highest-weight state is axial (closed form); cos|j, j> + sin|j, j-1>,
+        # on the lower chord through m = j and j - 1, has no frame and solves the SDP
         rng = np.random.default_rng(1700 + two_j)
-        edge = spinalg.moment_matrix(highest_weight_state(two_j), spinalg.spin_operators(two_j))
-        m = rotated(edge, rng)
-        got = feasibility.exact_test_direct(m, decide=True)
-        want = feasibility.exact_test_direct(m)
-        assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind) == (
-            STATUS_BOUNDARY, "optimum"
-        )
-        assert got.t_star == want.t_star
-        assert np.array_equal(got.certificate_state, want.certificate_state)
+        triple = spinalg.spin_operators(two_j)
+        chord = np.zeros(two_j + 1, dtype=complex)
+        chord[:2] = np.cos(0.4), np.sin(0.4)
+        for state, frame in ((highest_weight_state(two_j), "axial"), (np.outer(chord, chord.conj()), None)):
+            m = rotated(spinalg.moment_matrix(state, triple), rng)
+            got = feasibility.exact_test_direct(m, decide=True)
+            want = feasibility.exact_test_direct(m)
+            assert got.tests_run[0].frame == frame
+            assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind) == (
+                STATUS_BOUNDARY, "optimum"
+            )
+            assert got.t_star == want.t_star
+            assert np.array_equal(got.certificate_state, want.certificate_state)
 
     def test_batched_and_single_stop_together(self):
         ms = [m for two_j in (10,) for m in self.families(two_j)]
@@ -1533,9 +1551,9 @@ class TestRealFrame:
 
 def axial_moments(two_j, rng):
     """Re(M) with a degenerate pair and l along the third principal axis (or
-    l = 0), under a random rotation: the axial kind."""
+    l = 0), under a random rotation: the axial kind.  At j = 1/2 Re(M) is I/4."""
     j = two_j / 2.0
-    v = rng.dirichlet(np.ones(3)) * 1.4 - 0.4 / 3.0
+    v = rng.dirichlet(np.ones(3)) * 1.4 - 0.4 / 3.0 if two_j > 1 else np.full(3, 1.0 / 3.0)
     v[1] = v[0] = (1.0 - v[2]) / 2.0
     ell = np.array([0.0, 0.0, rng.uniform(-1.05, 1.05) * j * rng.integers(0, 2)])
     m = np.diag(v * j * (j + 1.0)).astype(complex) + first_moment_part(ell)
@@ -1554,18 +1572,18 @@ class TestBlockFrames:
             "zero": "four-block" if two_j % 2 == 0 else "parity",
             "axis": "parity",
             "pair": None,
-            "axial": "axial",
         }[construction]
 
     @settings(max_examples=60, deadline=None)
     @given(
         two_j=st.integers(2, 63),
-        construction=st.sampled_from(["zero", "axis", "pair", "axial"]),
+        construction=st.sampled_from(["zero", "axis", "pair"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_blocked_verdict_is_the_complex_one(self, two_j, construction, seed):
+        # axial inputs solve no blocked program: TestAxialClosedForm checks them
         rng = np.random.default_rng(seed)
-        m = axial_moments(two_j, rng) if construction == "axial" else frame_moments(two_j, construction, rng)
+        m = frame_moments(two_j, construction, rng)
         b = spinalg.moment_values(m)
         got = feasibility.exact_test_direct(m, decide=True)
         want = complex_verdict(m)
@@ -1588,7 +1606,8 @@ class TestBlockFrames:
     )
     def test_a_mixed_batch_solves_once_per_kind(self, two_j, extra, seed):
         # each row of a batch with axial, parity and (at integer j) four-block
-        # inputs is solved in its own kind's program, as it would be alone
+        # inputs is decided in its own kind's program, as it would be alone: one
+        # solve per blocked kind, and the axial rows in closed form
         rng = np.random.default_rng(seed)
         constructions = ["axial", "axis", *extra]
         ms = [axial_moments(two_j, rng) if c == "axial" else frame_moments(two_j, c, rng) for c in constructions]
@@ -1605,8 +1624,8 @@ class TestBlockFrames:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sdp, "phase1_min_t", spy)
             batch = feasibility.exact_test_batch(ms)
-        assert len(calls) == len(kinds)
-        assert {id(p) for p in calls} == {id(feasibility._frame_program(k, two_j)) for k in kinds}
+        assert len(calls) == len(kinds - {"axial"})
+        assert {id(p) for p in calls} == {id(feasibility._frame_program(k, two_j)) for k in kinds - {"axial"}}
         evidence = bench_evidence()
         for got, want, m in zip(batch, alone, ms):
             assert got.tests_run[0].frame == want.tests_run[0].frame
@@ -1643,11 +1662,11 @@ class TestBlockFrames:
 
     @pytest.mark.parametrize("two_j", [2, 3, 4, 31, 62, 63])
     def test_blocks_split_the_space(self, two_j):
-        # each kind's bases are orthonormal, cover C^d, and every kept operator is
-        # block-diagonal on them; the four-block kind holds four blocks of about d/4
+        # each blocked kind's bases are orthonormal, cover C^d, and every kept operator
+        # is block-diagonal on them; the four-block kind holds four blocks of about d/4
         ops = feasibility._moment_operator_set(two_j)
         d = two_j + 1
-        for kind in ("parity", "four-block", "axial"):
+        for kind in ("parity", "four-block"):
             if kind == "four-block" and two_j % 2:
                 continue
             blocks = feasibility._frame_blocks(kind, two_j)
@@ -1663,3 +1682,86 @@ class TestBlockFrames:
             if kind == "four-block":
                 assert len(blocks) == (3 if two_j == 2 else 4)
                 assert max(b.shape[1] for b in blocks) - min(b.shape[1] for b in blocks) <= 1
+
+
+def axial_line(two_j, c, l3, rng):
+    """Re(M) = diag(a, a, c), a = (j(j+1) - c)/2, and l = (0, 0, l3), under a random rotation."""
+    j = two_j / 2.0
+    a = (j * (j + 1.0) - c) / 2.0
+    m = np.diag([a, a, c]).astype(complex) + first_moment_part([0.0, 0.0, l3])
+    return rotated(MomentMatrix.from_matrix(two_j, m), rng)
+
+
+class TestAxialClosedForm:
+    """Axial inputs are decided in closed form over the polygon conv{(m, m^2)}
+    (``feasibility._axial_optimum``): the verdict of the complex program at its
+    optimum, t* within that solve's own bounds, a witness of value -t* and
+    evidence that passes the bench checker."""
+
+    @staticmethod
+    def decide(m):
+        """The closed-form verdict, checked against the complex program run to the optimum."""
+        two_j = m.two_j
+        b = spinalg.moment_values(m)
+        got = feasibility.exact_test_direct(m, decide=True)
+        assert got.tests_run[0].frame == "axial"
+        assert (got.t_star_kind, iterations(got)) == ("optimum", 0)
+        p1 = sdp.phase1_min_t(feasibility._moment_program(two_j), b)
+        want = feasibility._read_phase1(p1, b, "exact", feasibility._StageLog())
+        assert got.status == want.status
+        t_d = p1.t_star - (p1.solution.primal_objective - p1.solution.dual_objective)
+        assert t_d - 1e-12 <= got.t_star <= p1.t_star + 1e-12
+        if got.witness is not None:
+            # relative to the pairing's own scale, sum_i |c_i b_i|: a t* near the band
+            # is the difference of terms about 1e4 times larger at 2j = 62
+            w = got.witness
+            assert abs(w.value + got.t_star) <= 1e-12 * (np.abs(w.op_coefficients) @ np.abs(b))
+        evidence = bench_evidence()
+        if got.status == STATUS_QUANTUM:
+            assert evidence.check_certificate(got.certificate_state, two_j, b) is None
+        elif got.status == STATUS_NON_QUANTUM:
+            assert evidence.check_witness(got.witness, two_j, b) is None
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_j=st.integers(1, 63), seed=st.integers(0, 2**32 - 1))
+    def test_the_closed_form_is_the_optimum(self, two_j, seed):
+        self.decide(axial_moments(two_j, np.random.default_rng(seed)))
+
+    def test_both_sides_of_the_band(self):
+        rng = np.random.default_rng(3300)
+        statuses = {self.decide(axial_moments(two_j, rng)).status for two_j in (2, 5, 30, 63) for _ in range(8)}
+        assert statuses == {STATUS_QUANTUM, STATUS_NON_QUANTUM}
+
+    @pytest.mark.parametrize("two_j", [2, 3, 10, 62, 63])
+    def test_edges_of_the_polygon(self, two_j):
+        # l3 = +-j with c = j^2 (a coherent state), c = j^2 with |l3| < j (the top
+        # chord: a mixture of |j, +-j>) and l3 = m, c = m^2 (|j, m>, a vertex) sit on
+        # the boundary, and the certificate reproduces them; l3 = j with a smaller
+        # or larger c crosses a chord, and c above j^2 the top chord
+        rng = np.random.default_rng(3400 + two_j)
+        j = two_j / 2.0
+        ops = moment_operators(two_j)
+        edges = [(j * j, j), (j * j, -j), (j * j, 0.3 * j), *((m * m, m) for m in (j - 1.0, j - 2.0, 0.5 * (two_j % 2)))]
+        for c, l3 in edges:
+            m = axial_line(two_j, c, l3, rng)
+            got = self.decide(m)
+            assert got.status == STATUS_BOUNDARY and abs(got.t_star) <= 1e-12 * two_j
+            b = spinalg.moment_values(m)
+            moments = np.einsum("kij,ji->k", ops, got.certificate_state).real
+            assert np.all(np.abs(moments - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))
+            assert matcore.min_eigenvalue(got.certificate_state) >= -1e-12
+        for c, l3 in ((j * j - 0.1, j), (j * j + 0.1, j), (j * j + 0.1, 0.0)):
+            assert self.decide(axial_line(two_j, c, l3, rng)).status == STATUS_NON_QUANTUM
+
+    def test_spin_half_takes_the_first_moment_sides(self):
+        # at 2j = 1 the chords have tr f = 0: t* = (|l3|/j - 1)/d, and a reject's
+        # witness is the side (1 -+ 2 L3)/2
+        rng = np.random.default_rng(3500)
+        for l3 in (0.0, 0.2, -0.45, 0.5, -0.55, 0.7):
+            got = self.decide(axial_line(1, 0.25, l3, rng))
+            assert got.t_star == pytest.approx((abs(l3) / 0.5 - 1.0) / 2.0, abs=1e-15)
+        # S33 = 1/4 at j = 1/2: a degenerate pair off I/4 conflicts, as in the SDP
+        m = MomentMatrix.from_matrix(1, np.diag([0.3, 0.3, 0.15]).astype(complex))
+        with pytest.raises(ValueError, match="conflict"):
+            feasibility.exact_test_direct(m)

@@ -203,6 +203,17 @@ class TestRenormalizedCoords:
         with pytest.raises(ValueError, match="Casimir"):
             reduction.moments_from_coords(c)
 
+    @pytest.mark.parametrize("name", ["u", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, name, bad):
+        # a nan passes the Casimir test (abs(nan - 1) > tol is False), so the
+        # entry is named before it, not as nine nan entries of M later on
+        vectors = {"u": np.zeros(3), "v": np.array([0.0, 0.0, 1.0])}
+        vectors[name][0] = bad
+        c = RenormalizedCoords(u=vectors["u"], v=vectors["v"], two_j=4)
+        with pytest.raises(ValueError, match=rf"non-finite entries: {name}\[0\] = {bad}$"):
+            reduction.moments_from_coords(c)
+
     def test_rejects_spin_half(self):
         t = spinalg.spin_operators(1)
         m = spinalg.moment_matrix(np.eye(2, dtype=complex) / 2.0, t)
