@@ -375,18 +375,19 @@ def _l2_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_lift(np.eye(len(spinalg.MOMENT_LABELS))[8], two_j))
 
 
-def _spin_rotation(rot: np.ndarray, two_j: int) -> np.ndarray:
-    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3).
+def _spin_rotation(rot: np.ndarray, two_j: int, rows=slice(None)) -> np.ndarray:
+    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3), or only its ``rows``.
 
     V = exp(-i alpha L3) exp(-i beta L2) exp(-i gamma L3) over the ZYZ angles
     of ``_euler_zyz``: L3 is diagonal and L2's eigenbasis is cached, so V costs
-    one d x d matmul.  No spin matrix is built.
+    one d x d matmul, and r of its rows an (r, d) by (d, d) one.  No spin
+    matrix is built.
     """
     alpha, beta, gamma = _euler_zyz(rot)
     w, u = _l2_eigen(two_j)
     m = two_j / 2.0 - np.arange(two_j + 1)  # the diagonal of L3
-    v = (u * np.exp(-1j * beta * w)) @ u.conj().T
-    return np.exp(-1j * alpha * m)[:, None] * v * np.exp(-1j * gamma * m)
+    v = (u[rows] * np.exp(-1j * beta * w)) @ u.conj().T
+    return np.exp(-1j * alpha * m[rows])[:, None] * v * np.exp(-1j * gamma * m)
 
 
 def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
@@ -395,13 +396,35 @@ def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
     Above j = 1/2 each A_i is the pair lift P^dag(K_i), K =
     ``reduction.reduction_operators``, as b_i = tr(K_i P(X)) for the pair
     marginal P(X) of any X, so the sum is the band ``_pair_adjoint``(sum_i
-    c_i K_i).  At j = 1/2, S_kl = delta_kl/4 and L_k = sigma_k/2.
+    c_i K_i), with no spin matrix; a reject's witness in a frame is built so
+    (``_read_phase1``).  At j = 1/2, S_kl = delta_kl/4 and L_k = sigma_k/2.
     """
     if two_j == 1:
         s = [np.eye(2) * (k == l) / 4.0 for k, l in zip(*spinalg._UPPER)]
         ls = [p / 2.0 for p in (reduction._PAULI_X, reduction._PAULI_Y, reduction._PAULI_Z)]
         return np.tensordot(c, np.stack([np.eye(2), *s, *ls]), 1)
     return _pair_adjoint(np.tensordot(c, reduction.reduction_operators(two_j), 1), two_j)
+
+
+@lru_cache(maxsize=None)
+def _band_weights(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The band of ``_pair_adjoint``, cached per spin: the flat (d, d)
+    positions of its five diagonals, and for each entry (a, b) of w the
+    weights sqrt(g_a(s) g_b(s)) it adds there, zero off its own diagonal."""
+    n, d = two_j, two_j + 1
+    s = np.arange(n - 1.0)
+    g = np.stack([(n - s) * (n - s - 1), 2 * (s + 1) * (n - s - 1), (s + 1) * (s + 2)])
+    g /= n * (n - 1)
+    # the diagonal of column - row = o holds rows r = max(0, -o) .. d - 1 - max(0, o), from start[o + 2]
+    start = np.cumsum([0, d - 2, d - 1, d, d - 1])
+    positions = np.concatenate([np.arange(max(0, -o), d - max(0, o)) * (d + 1) + o for o in range(-2, 3)])
+    weights = np.zeros((3, 3, len(positions)))
+    top = n - np.arange(n - 1)  # the rows r = top - a that w_ab reaches
+    for a in range(3):
+        for b in range(3):
+            weights[a, b, start[a - b + 2] + top - a - max(0, b - a)] = np.sqrt(g[a] * g[b])
+    positions.flags.writeable = weights.flags.writeable = False
+    return positions, weights.reshape(9, -1)
 
 
 def _pair_adjoint(w: np.ndarray, two_j: int) -> np.ndarray:
@@ -415,19 +438,16 @@ def _pair_adjoint(w: np.ndarray, two_j: int) -> np.ndarray:
     sqrt(g_a(s) g_b(s)) for the hypergeometric weights
     g_a(s) = C(2,a) C(n-2,s) / C(n,s+a), each a ratio of two-term products.
     Weight k sits at spin index n - k, so P^dag(w) is a band on diagonals
-    -2..2 built in O(n) operations, with no reordering.
+    -2..2: its entries are the sums over (a, b) of w_ab times the weights
+    that ``_band_weights`` tables per spin, in O(n) operations.
     """
-    n = two_j
-    s = np.arange(n - 1.0)
-    g = np.stack([(n - s) * (n - s - 1), 2 * (s + 1) * (n - s - 1), (s + 1) * (s + 2)])
-    g /= n * (n - 1)
+    d = two_j + 1
     w = np.asarray(w, dtype=complex)
-    out = np.zeros((*w.shape[:-2], n + 1, n + 1), dtype=complex)
-    top = n - np.arange(n - 1)
-    for a in range(3):
-        for b in range(3):
-            out[..., top - a, top - b] += w[..., a, b, None] * np.sqrt(g[a] * g[b])
-    return out
+    positions, weights = _band_weights(two_j)
+    band = (w.reshape(*w.shape[:-2], 9, 1) * weights).sum(axis=-2)  # before out: a lower peak
+    out = np.zeros((*w.shape[:-2], d * d), dtype=complex)
+    out[..., positions] = band
+    return out.reshape(*w.shape[:-2], d, d)
 
 
 def _rejected(stage: str, witness: Witness, log: _StageLog, t_star=None, kind=None) -> Verdict:
@@ -488,13 +508,14 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
 
     A solve in a ``Frame`` (kind, R, T) of ``_real_frame`` ran its kind's
     program on b' = T b over the kept labels (an axial one in closed form,
-    ``_axial_optimum``).  Its coefficients c' map back as c = T^T c', and its
-    Z' and X', direct sums of blocks, as W^dag Z' W and W^dag X' W, W = Q^T V,
-    with Q the blocks' bases side by side (the identity in an axial frame,
-    whose X' and Z' are diagonal) and V = D^j(R) (``_spin_rotation``); the
-    stage record then names the kind, and its detail says "real frame" and
-    the kind of blocks before the kind of t_star.  The coefficients are made
-    canonical (``_canonical``).
+    ``_axial_optimum``).  Its coefficients c' map back as c = T^T c', made
+    canonical (``_canonical``), and a reject's witness is the rotated dual
+    ``_lift``(c) = sum_i c_i A_i, with no rotation built.  An accept's X' maps
+    back as W^dag X' W, W = Q^T V, Q the blocks' bases side by side and
+    V = D^j(R) (``_spin_rotation``); an axial X' = diag(q) - t*·1, q on two
+    levels r, as sum_r q_r v_r^dag v_r - t*·1 over those two rows v_r of V.
+    The stage record names the kind, and its detail says "real frame" and
+    the kind of blocks before the kind of t_star.
 
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
@@ -507,23 +528,26 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     name = None if frame is None else frame.kind
     where = "" if name is None else f"real frame, {name}, "
     detail = f"t_star = {t:.3e}, {sol.iterations} iterations, gap {sol.gap:.0e}, {where}{kind}"
-    rejected = t > BOUNDARY_BAND
-    evidence = p1.dual_z if rejected else p1.x
-    c = p1.dual_coefficients
-    if frame is not None:
-        w = _spin_rotation(frame.rotation, two_j)
-        if name != "axial":
-            w = _frame_basis(name, two_j).T @ w
-        evidence = w.conj().T @ evidence @ w
-        evidence = (evidence + evidence.conj().T) / 2.0
-        c = frame.moments[_KEPT[name]].T @ c
-    if rejected:
+    if t > BOUNDARY_BAND:
+        c = p1.dual_coefficients if frame is None else frame.moments[_KEPT[name]].T @ p1.dual_coefficients
         c = _canonical(c, two_j)
+        z = p1.dual_z if frame is None else _lift(c, two_j)
         log.add(stage, "reject", detail, name)
-        return _rejected(stage, Witness(evidence, float(c @ values), c, spinalg.MOMENT_LABELS), log, t, kind)
+        return _rejected(stage, Witness(z, float(c @ values), c, spinalg.MOMENT_LABELS), log, t, kind)
+    x = p1.x
+    if name == "axial":
+        q = np.diag(sol.x)  # Y = X' + t*·1
+        levels = np.flatnonzero(q)
+        v = _spin_rotation(frame.rotation, two_j, levels)
+        x = v.conj().T @ (q[levels, None] * v) - t * np.eye(two_j + 1)
+    elif frame is not None:
+        w = _frame_basis(name, two_j).T @ _spin_rotation(frame.rotation, two_j)
+        x = w.conj().T @ x @ w
+    if frame is not None:
+        x = (x + x.conj().T) / 2.0
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail, name)
-    return Verdict(status, stage, t, evidence, None, log.done(), kind)
+    return Verdict(status, stage, t, x, None, log.done(), kind)
 
 
 def _first_moment_witness(b: np.ndarray, two_j: int) -> Witness:

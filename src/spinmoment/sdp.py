@@ -145,12 +145,15 @@ def _each(fn, args, failed: dict[int, str], fallback, blank):
     If the stacked call raises, each program runs ``fallback`` on its own
     slices instead; one whose fallback raises too is recorded in ``failed``
     (batch position -> message) and gets ``blank`` of its slices, so that its
-    neighbours go on unaffected.
+    neighbours go on unaffected.  A stack of one whose ``fallback`` is ``fn``
+    is recorded from the first raise, as the rerun would raise again.
     """
     try:
         return fn(*args)
-    except np.linalg.LinAlgError:
-        pass
+    except np.linalg.LinAlgError as exc:
+        if fallback is fn and len(args[0]) == 1:
+            failed.setdefault(0, f"linear algebra failure: {exc}")
+            return np.stack([blank(*(a[0] for a in args))])
     out = []
     for i, parts in enumerate(zip(*args)):
         try:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -248,12 +249,20 @@ class TestExactTestDirect:
             if frame is None:
                 want = sdp.phase1_min_t(ops, b).x
             else:
+                # X' = diag(q) - t*·1 with q on two levels: X = sum_r q_r v_r^dag v_r - t*·1
+                # over those two rows of V; the dense V^dag X' V agrees to its own rounding
                 kind, rot3, t = frame
                 assert kind == "axial"
                 (closed,) = feasibility._axial_optimum((t @ b)[feasibility._KEPT[kind]][None], two_j)
-                rot = feasibility._spin_rotation(rot3, two_j)
-                want = rot.conj().T @ closed.x @ rot
+                q = np.diag(closed.solution.x)
+                levels = np.flatnonzero(q)
+                assert len(levels) == 2
+                rows = feasibility._spin_rotation(rot3, two_j, levels)
+                want = rows.conj().T @ (q[levels, None] * rows) - closed.t_star * np.eye(d)
                 want = (want + want.conj().T) / 2.0
+                rot = feasibility._spin_rotation(rot3, two_j)
+                dense = rot.conj().T @ closed.x @ rot
+                assert np.abs(x - dense).max() <= 4.0 * d * np.finfo(float).eps * np.abs(closed.x).max()
             assert np.array_equal(x, want)
             assert matcore.min_eigenvalue(x) >= abs(v.t_star) - 1e-12
             assert abs(np.trace(x).real - 1.0) <= 1e-12
@@ -1327,6 +1336,9 @@ class TestFirstMomentShape:
             entry(np.full(shape, 0.1), 3)
 
 
+dense_moment_operators = lru_cache(maxsize=8)(moment_operators)  # 2j = 400 is 26 MB
+
+
 class TestPairLiftStack:
     """Every measured operator is built as a pair lift, with no spin matrix;
     the dense spin products of ``conftest.moment_operators`` are the partner."""
@@ -1336,6 +1348,17 @@ class TestPairLiftStack:
             got, want = feasibility._moment_operator_set(two_j), moment_operators(two_j)
             scale = np.abs(want).max(axis=(1, 2))
             assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale), two_j
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_j=st.one_of(st.integers(2, 63), st.sampled_from([100, 400])), seed=st.integers(0, 2**32 - 1))
+    def test_lift_is_the_dense_sum(self, two_j, seed):
+        # _lift(c) = sum_i c_i A_i for any c, above the SDP cap too
+        c = np.random.default_rng(seed).standard_normal((2, len(spinalg.MOMENT_LABELS)))
+        ops = dense_moment_operators(two_j)
+        want = np.tensordot(c, ops, 1)
+        scale = np.abs(c) @ np.abs(ops).max(axis=(1, 2))
+        err = np.abs(feasibility._lift(c, two_j) - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * scale)
 
     def test_decision_paths_build_no_spin_operators(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -1597,6 +1620,40 @@ class TestBlockFrames:
             assert evidence.check_certificate(got.certificate_state, two_j, b) is None
         elif got.status == STATUS_NON_QUANTUM:
             assert evidence.check_witness(got.witness, two_j, b) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        two_j=st.integers(2, 63),
+        f=st.floats(0.05, 0.45),
+        l3=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_blocked_reject_lifts_its_coefficients(self, two_j, f, l3, seed):
+        # <L3^2> = 0 with unequal <L1^2> and <L2^2> is not quantum: a four-block reject
+        # for l = 0 at integer j, else a parity one.  Its witness is _lift(c) of the
+        # coefficients mapped back, with no D^j(R) and no block basis built, and it is
+        # the blocked program's dual rotated back
+        rng = np.random.default_rng(seed)
+        m = dicke_zero_moments(two_j, f).matrix + first_moment_part([0.0, 0.0, l3])
+        m = rotated(MomentMatrix.from_matrix(two_j, m), rng)
+        b = spinalg.moment_values(m)
+        kind = "four-block" if l3 == 0.0 and two_j % 2 == 0 else "parity"
+        frame = feasibility._real_frame(b, two_j)
+        assert frame.kind == kind
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_spin_rotation", "_frame_basis"):
+                real = getattr(feasibility, name)
+                patch.setattr(feasibility, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+            got = feasibility.exact_test_direct(m, decide=True)
+        assert calls == []
+        assert (got.status, got.tests_run[0].frame) == (STATUS_NON_QUANTUM, kind)
+        kept = frame.moments[feasibility._KEPT[kind]] @ b
+        p1 = sdp.phase1_min_t(feasibility._frame_program(kind, two_j), kept, decide=True)
+        w = feasibility._frame_basis(kind, two_j).T @ feasibility._spin_rotation(frame.rotation, two_j)
+        want = w.conj().T @ p1.dual_z @ w
+        assert np.abs(got.witness.matrix - want).max() <= 1e-13 * np.abs(want).max()
+        assert bench_evidence().check_witness(got.witness, two_j, b) is None
 
     @settings(max_examples=30, deadline=None)
     @given(

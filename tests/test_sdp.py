@@ -430,6 +430,33 @@ class TestBatchedPhase1:
                 sdp.phase1_min_t(ops, values)
 
 
+class TestEach:
+    def test_a_lone_failure_is_recorded_from_the_first_raise(self):
+        # a stack of one whose fallback is the stacked call runs it once; the record,
+        # the output and the neighbours of a two-program stack are as with a rerun
+        calls = []
+
+        def cholesky(a):
+            calls.append(a.shape)
+            return np.linalg.cholesky(a)
+
+        def blank(a):
+            return np.broadcast_to(np.eye(3), a.shape)
+
+        bad = -np.eye(3)[None, None]
+        failed, rerun = {}, {}
+        got = sdp._each(cholesky, (bad,), failed, cholesky, blank)
+        want = sdp._each(cholesky, (bad,), rerun, lambda a: cholesky(a), blank)
+        assert calls == [bad.shape, bad.shape, bad.shape[1:]]
+        assert failed == rerun and failed[0].startswith("linear algebra failure: ")
+        assert np.array_equal(got, want) and got.shape == bad.shape
+        pair = np.concatenate([np.eye(3)[None, None], bad])
+        failed.clear()
+        got = sdp._each(cholesky, (pair,), failed, cholesky, blank)
+        assert list(failed) == [1]
+        assert np.array_equal(got, np.broadcast_to(np.eye(3), pair.shape))
+
+
 def assert_bit_identical(got, want):
     assert got.solution.status == want.solution.status
     assert got.solution.iterate_log == want.solution.iterate_log
