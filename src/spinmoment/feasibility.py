@@ -1,28 +1,18 @@
 """Decision procedures for moment feasibility.
 
-The decisive machinery is the phase-1 SDP over the spin-j state space; the
-cheap inner (PPT / separability) and outer (reduced expectation value matrix)
-tests bracket it from both sides, in the stage order of ``classify``.  Every
-piece of evidence comes from the computation that decided it.  Every phase-1
-decision, single or batched, is solved, timed and read by one function,
-``_phase1_verdicts``: an accept's certificate is the phase-1 primal X, a
-reject's witness the program's dual over the measured operators
-(``_read_phase1``).  Every measured operator is a pair lift P^dag(K_i)
-(``_lift``), so the operator stack and all three closed-form witnesses are
-bands with no spin matrix, and the extension program over a pair state rho
-is the direct program on b = K·rho.  Every program and witness works over
-the moment vector b of ``spinalg.moment_values``; the early stages are its
-linear stacks ``spinalg.CHI_PATTERN`` and
-``reduction._reconstruction_system``.  The SDP paths alone use the stack
-``_moment_operator_set`` and its dependency passes ``_moment_program`` and
-``_frame_program``, each cached per spin, and raise the cone-cap
-``ValueError`` before they build the operator stack.  As that stack depends
-on the spin only, ``exact_test_batch`` decides many inputs at one spin with
-one batched phase-1 solve.
-
-The direct program runs in real arithmetic, and in blocks, when the input
-has a frame, and in closed form when the frame is axial; ``exact_test_direct``
-states the rule and why it is exact.
+The decisive machinery is the phase-1 program over the spin-j state space;
+the cheap inner (PPT / separability) and outer (reduced expectation value
+matrix) tests bracket it from both sides, in the stage order of
+``classify``.  Every piece of evidence comes from the computation that
+decided it.  Every phase-1 decision, single or batched, is made, timed and
+read by ``_phase1_verdicts``: an accept's certificate is the primal X, a
+reject's witness the dual over the measured operators (``_read_phase1``).
+Every measured operator is a pair lift P^dag(K_i) (``_lift``), so the
+operator stack and all three closed-form witnesses are bands with no spin
+matrix, and the extension program over a pair state rho is the direct
+program on b = K·rho.  Everything works over the moment vector b of
+``spinalg.moment_values``.  An input with a frame is decided in it, in
+real arithmetic: ``exact_test_direct`` states the rule and why it is exact.
 
 Every witness over ``spinalg.MOMENT_LABELS`` is canonical: its
 coefficients are orthogonal to the Casimir vector r (``_canonical``), along
@@ -57,8 +47,8 @@ _KEPT = {"parity": [0, 1, 4, 6, 9], "four-block": [0, 1, 4, 6], "axial": [0, 6, 
 @dataclass(frozen=True)
 class StageRecord:
     """One stage of a decision; ``frame`` is the kind of frame a phase-1 stage
-    solved in ("parity" or "four-block", in blocks, or "axial", in closed
-    form with no SDP), None for the complex program and for every other
+    decided in ("parity", in blocks, or "four-block" or "axial", with no SDP:
+    ``exact_test_direct``), None for the complex program and for every other
     stage."""
 
     name: str
@@ -164,8 +154,7 @@ def _frame_blocks(kind: str, two_j: int) -> tuple[np.ndarray, ...]:
     bases over the J_z basis, whose index a holds m = j - a: the two parities
     of a (the pi turn about z) in a parity frame; and in a four-block frame,
     at integer j, the parities of a of (|m> + |-m>)/sqrt2 with |0>, and of
-    (|m> - |-m>)/sqrt2, m > 0 (the pi turns about z and x).  An axial frame
-    has no blocked program: ``_axial_optimum`` decides it in closed form."""
+    (|m> - |-m>)/sqrt2, m > 0 (the pi turns about z and x)."""
     eye = np.eye(two_j + 1)
     if kind == "parity":
         return eye[:, ::2], eye[:, 1::2]
@@ -190,9 +179,9 @@ def _frame_basis(kind: str, two_j: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _frame_program(kind: str, two_j: int) -> sdp.Phase1Program:
     """The dependency pass over the operators a parity or four-block frame
-    keeps, as float64 blocks (``_frame_blocks``): the program
-    ``_phase1_verdicts`` runs in that frame, cached per spin beside
-    ``_moment_program``."""
+    keeps, as float64 blocks (``_frame_blocks``), cached per spin beside
+    ``_moment_program``: the parity program, and the two rows
+    ``_four_block_optimum`` searches over."""
     ops = _moment_operator_set(two_j)[_KEPT[kind]].real
     return sdp.phase1_program(tuple(q.T @ ops @ q for q in _frame_blocks(kind, two_j)))
 
@@ -258,6 +247,110 @@ def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
             primal_residual=0.0, dual_residual=0.0, mu=0.0, iterate_log=[(point, point, 0.0, 0.0)],
         )
         results.append(sdp.Phase1Result(t, y - t * np.eye(d), sol, dual_z=z, dual_coefficients=c))
+    return results
+
+
+_EVALUATIONS = 60  # eigensolves per program of ``_four_block_optimum`` before a numerical failure
+
+
+def _four_block_optimum(values: np.ndarray, two_j: int, decide: bool) -> list[sdp.Phase1Result]:
+    """The direct program in a four-block frame with no SDP: one
+    ``sdp.Phase1Result`` per row of the (4,) or (k, 4) values over
+    ``_KEPT["four-block"]``, the programs searched side by side.
+
+    The trace and the Casimir leave two orthonormal rows R1, R2 of
+    ``_frame_program``.  With s = (fitted trace)/d and b~ the values over
+    them, t* = g(b~)/d - s for the gauge g of b~ over W, the field of values
+    of R1 + iR2 (Johnson, SIAM J. Numer. Anal. 15, 595 (1978)).  The top
+    eigenpair (h, v) of u.R over the blocks, u = (cos theta, sin theta),
+    gives a tangent, the dual point y = u/(d h) with t_d = b~.y - s, and a
+    support point p = (v^T R1 v, v^T R2 v) on the edge of W.  The chord of
+    two support points on either side of the ray along b~ meets it at b~/tau:
+    Y = tau((1 - mu) v_a v_a^T + mu v_b v_b^T) is PSD of rank 2 on both rows,
+    and t_p = tau/d - s.  The search starts at arg b~ and at the quarter
+    turn away from the side its point fell on, then steps to the outward
+    normal of the current chord.  It stops as ``sdp.phase1_min_t`` does:
+    with ``decide`` at t_p < -BOUNDARY_BAND or at the best t_d >
+    BOUNDARY_BAND, else at t_p - t_d within ``sdp.TOLERANCE`` max(1,
+    |t_p + s|), t* = t_p; after ``_EVALUATIONS`` eigensolves it fails.  At
+    b~ = 0, Y = 0.  ``iterations`` counts the eigensolves, X is None at a dual
+    bound found before any chord, and ``factor`` holds Y's two rows."""
+    program = _frame_program("four-block", two_j)
+    trace, b = sdp._standard_form(program, np.asarray(values, dtype=float))
+    (stack, sizes), d, k = program.rows, two_j + 1, len(b)
+    start = np.cumsum([0, *sizes])
+    _, _, entry, placed = sdp._layout(tuple(sizes), stack.shape[-1], stack.dtype)
+    s, bl, norm = (trace / d).tolist(), b.tolist(), np.linalg.norm(b, axis=1).tolist()
+    ray = [(bx / n, by / n) if n > 0.0 else (0.0, 0.0) for (bx, by), n in zip(bl, norm)]
+    u, y = list(ray), [(0.0, 0.0)] * k
+    ends = [[None, None] for _ in range(k)]  # support points clockwise and counterclockwise of the ray
+    results: list = [None] * k
+
+    def finish(i: int, status: str, evaluations: int, t_p: float, factor=None, residual=0.0) -> None:
+        z = np.zeros((d, d))  # 1/d - y.R as the direct sum of the blocks
+        z[placed] = -np.tensordot(y[i], stack, 1)[entry]
+        z[np.diag_indices(d)] += 1.0 / d
+        pobj, dobj = t_p + s[i], t_d[i] + s[i]
+        sol = sdp.SdpSolution(
+            status, None if factor is None else factor.T @ factor, np.array(y[i]), z,
+            primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj), iterations=evaluations,
+            primal_residual=residual, dual_residual=0.0, mu=(pobj - dobj) / d,
+            iterate_log=[(pobj, dobj, (pobj - dobj) / d, residual)],
+            message=f"no convergence after {evaluations} iterations" if status == sdp.STATUS_FAILURE else "",
+        )
+        results[i] = sdp._phase1_result(program, trace[i], sol, factor)
+
+    t_d = [-math.inf if n > 0.0 else -s_i for n, s_i in zip(norm, s)]
+    for i in [i for i in range(k) if norm[i] == 0.0]:
+        finish(i, sdp.STATUS_OPTIMAL, 0, -s[i], np.zeros((0, d)))
+    live = [i for i in range(k) if norm[i] > 0.0]
+    for evaluations in range(1, _EVALUATIONS + 1):
+        if not live:
+            break
+        at, turn = np.arange(len(live)), np.array([u[i] for i in live])[:, :, None, None, None]
+        # u.R entrywise, not by BLAS, so a program's steps do not depend on its batch
+        lam, vec = np.linalg.eigh(turn[:, 0] * stack[0] + turn[:, 1] * stack[1])
+        top = lam[:, :, -1].argmax(axis=1)
+        vec = vec[at, top, :, -1]
+        p = np.einsum("rkab,ka,kb->kr", stack[:, top], vec, vec).tolist()
+        going = []
+        for i, h, blk, v, (px, py) in zip(live, lam[at, top, -1].tolist(), top.tolist(), vec, p):
+            (bx, by), (rx, ry), (ux, uy) = bl[i], ray[i], u[i]
+            if (bx * ux + by * uy) / (d * h) - s[i] > t_d[i]:  # the best tangent is the dual point
+                t_d[i], y[i] = (bx * ux + by * uy) / (d * h) - s[i], (ux / (d * h), uy / (d * h))
+            c = rx * py - ry * px  # > 0: counterclockwise of the ray
+            ends[i][c >= 0.0] = (px, py, c, blk, v)
+            lo, hi = ends[i]
+            t_p = tau = math.inf
+            if lo is None or hi is None:  # the quarter turn towards the side not found yet
+                u[i] = (ry, -rx) if lo is None else (-ry, rx)
+            else:  # the chord meets the ray at (1 - mu) p_lo + mu p_hi = b~/tau; next, its normal
+                mu = lo[2] / (lo[2] - hi[2])
+                qx, qy = lo[0] + mu * (hi[0] - lo[0]), lo[1] + mu * (hi[1] - lo[1])
+                if qx * bx + qy * by > 0.0:
+                    tau = (bx * bx + by * by) / (qx * bx + qy * by)
+                    t_p = tau / d - s[i]
+                u[i] = (hi[1] - lo[1], lo[0] - hi[0])
+            if decide and t_p < -BOUNDARY_BAND:
+                status = sdp.STATUS_PRIMAL_BOUND
+            elif decide and t_d[i] > BOUNDARY_BAND:
+                status = sdp.STATUS_DUAL_BOUND
+            elif t_p < math.inf and t_p - t_d[i] <= sdp.TOLERANCE * max(1.0, abs(t_p + s[i])):
+                status = sdp.STATUS_OPTIMAL
+            else:
+                going.append(i)
+                continue
+            if t_p == math.inf:
+                finish(i, status, evaluations, t_p)
+                continue
+            factor = np.zeros((2, d))  # sqrt(tau (1 - mu)) v_lo and sqrt(tau mu) v_hi, in their blocks
+            for row, weight, (_, _, _, blk, v) in zip(factor, (1.0 - mu, mu), (lo, hi)):
+                row[start[blk] : start[blk + 1]] = math.sqrt(tau * weight) * v[: sizes[blk]]
+            residual = max(abs(tau * qx - bx), abs(tau * qy - by)) / (1.0 + max(abs(bx), abs(by)))
+            finish(i, status, evaluations, t_p, factor, residual)
+        live = going
+    for i in live:
+        finish(i, sdp.STATUS_FAILURE, _EVALUATIONS, math.inf)
     return results
 
 
@@ -376,16 +469,19 @@ def _l2_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spin_rotation(rot: np.ndarray, two_j: int, rows=slice(None)) -> np.ndarray:
-    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3), or only its ``rows``.
+    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3), or only its
+    ``rows``: indices, or an (r, d) array E for the combinations E V.
 
     V = exp(-i alpha L3) exp(-i beta L2) exp(-i gamma L3) over the ZYZ angles
     of ``_euler_zyz``: L3 is diagonal and L2's eigenbasis is cached, so V costs
-    one d x d matmul, and r of its rows an (r, d) by (d, d) one.  No spin
-    matrix is built.
+    one d x d matmul, and r rows or combinations an (r, d) by (d, d) one or
+    two.  No spin matrix is built.
     """
     alpha, beta, gamma = _euler_zyz(rot)
     w, u = _l2_eigen(two_j)
     m = two_j / 2.0 - np.arange(two_j + 1)  # the diagonal of L3
+    if np.ndim(rows) == 2:  # an (r, d) array E of weights: the r combinations E V
+        return ((rows * np.exp(-1j * alpha * m)) @ u * np.exp(-1j * beta * w)) @ u.conj().T * np.exp(-1j * gamma * m)
     v = (u[rows] * np.exp(-1j * beta * w)) @ u.conj().T
     return np.exp(-1j * alpha * m[rows])[:, None] * v * np.exp(-1j * gamma * m)
 
@@ -498,7 +594,7 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     """The verdict of a phase-1 program: a reject carries its dual as the
     witness, an accept its primal X, both in the frame of ``values``.
 
-    X = Y - t_p·1 for the solver's positive definite iterate Y, so
+    X = Y - t_p·1 for the solver's iterate Y >= 0, so
     lambda_min(X) >= -t_p: at least |t*| on a quantum verdict, at least
     -BOUNDARY_BAND on a boundary one.  tr X is the fitted trace to rounding,
     since t_p is defined from tr Y, and X meets the moments to the solver's
@@ -506,16 +602,17 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     value is -t_d.  At the optimum t_star = t_p and t_d agrees to the gap; a
     decided solve's t_star is the bound that decided it (``Verdict``).
 
-    A solve in a ``Frame`` (kind, R, T) of ``_real_frame`` ran its kind's
-    program on b' = T b over the kept labels (an axial one in closed form,
-    ``_axial_optimum``).  Its coefficients c' map back as c = T^T c', made
-    canonical (``_canonical``), and a reject's witness is the rotated dual
-    ``_lift``(c) = sum_i c_i A_i, with no rotation built.  An accept's X' maps
-    back as W^dag X' W, W = Q^T V, Q the blocks' bases side by side and
-    V = D^j(R) (``_spin_rotation``); an axial X' = diag(q) - t*·1, q on two
-    levels r, as sum_r q_r v_r^dag v_r - t*·1 over those two rows v_r of V.
-    The stage record names the kind, and its detail says "real frame" and
-    the kind of blocks before the kind of t_star.
+    A solve in a ``Frame`` (kind, R, T) of ``_real_frame`` ran on b' = T b
+    over its kind's kept labels.  Its coefficients c' map back as c = T^T c',
+    made canonical (``_canonical``), and a reject's witness is the rotated
+    dual ``_lift``(c) = sum_i c_i A_i, with no rotation built.  An accept's
+    certificate is turned back with V = D^j(R) (``_spin_rotation``), Q the
+    blocks' bases side by side: an axial X' = diag(q) - t*·1, q on two levels
+    r, as sum_r q_r v_r^dag v_r - t*·1 over those two rows v_r of V; a
+    four-block Y = F^T F as G^dag G - t*·1 over its two rows, G = (F Q^T) V,
+    in O(d^2); a parity X' densely, as W^dag X' W, W = Q^T V.  The stage
+    record names the kind, and its detail says "real frame" and the kind
+    before the kind of t_star.
 
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
@@ -523,7 +620,7 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     if p1.dual_z is None:
         raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
     t, sol = p1.t_star, p1.solution
-    two_j = len(p1.x) - 1
+    two_j = len(p1.dual_z) - 1
     kind = _BOUND_KINDS.get(sol.status, "optimum")
     name = None if frame is None else frame.kind
     where = "" if name is None else f"real frame, {name}, "
@@ -540,6 +637,9 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
         levels = np.flatnonzero(q)
         v = _spin_rotation(frame.rotation, two_j, levels)
         x = v.conj().T @ (q[levels, None] * v) - t * np.eye(two_j + 1)
+    elif p1.factor is not None:  # four-block: the rows of Y = F^T F turned back, (F Q^T) V
+        g = _spin_rotation(frame.rotation, two_j, p1.factor @ _frame_basis(name, two_j).T)
+        x = g.conj().T @ g - t * np.eye(two_j + 1)
     elif frame is not None:
         w = _frame_basis(name, two_j).T @ _spin_rotation(frame.rotation, two_j)
         x = w.conj().T @ x @ w
@@ -640,8 +740,9 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
 
     When every input has a frame (``exact_test_direct``), the inputs are
     grouped by kind: the axial group is decided in closed form
-    (``_axial_optimum``, optimal whether or not ``decide``), and each other
-    group is one ``sdp.phase1_min_t`` call over its kind's ``_frame_program``;
+    (``_axial_optimum``, optimal whether or not ``decide``), the four-block
+    group by one batched search (``_four_block_optimum``), and the parity
+    group by one ``sdp.phase1_min_t`` call over its ``_frame_program``;
     otherwise the whole call runs the complex ``_moment_program``.  The frames
     are looked for in input order, up to the first input without one.  The
     cone cap holds for every kind.  Each verdict's stage is timed from the
@@ -656,11 +757,14 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
     for kind in dict.fromkeys(kinds):
         rows = [i for i, k in enumerate(kinds) if k == kind]
         group = batch if kind is None else np.stack([frames[i].moments[_KEPT[kind]] @ batch[i] for i in rows])
+        one = group if values.ndim == 2 else group[0]
         if kind == "axial":
             got = _axial_optimum(group, two_j)
+        elif kind == "four-block":
+            got = _four_block_optimum(one, two_j, decide)
         else:
             program = _moment_program(two_j) if kind is None else _frame_program(kind, two_j)
-            got = sdp.phase1_min_t(program, group if values.ndim == 2 else group[0], decide=decide)
+            got = sdp.phase1_min_t(program, one, decide=decide)
             got = got if values.ndim == 2 else [got]
         for i, p1 in zip(rows, got):
             solved[i] = p1
@@ -709,8 +813,11 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     - four-block: l = 0 at integer j, so that L3 vanishes too; G adds the pi
       turn about x, which maps |m> to |-m> and commutes with the first: four
       blocks of about d/4 over I, S11, S22 and S33, in the bases
-      (|m> ± |-m>)/sqrt2 of ``_frame_blocks``.  At half-integer j the two
-      turns anticommute, and l = 0 takes the parity kind;
+      (|m> ± |-m>)/sqrt2 of ``_frame_blocks``.  The trace and the Casimir
+      leave two rows, so its hyperplanes are the tangents to their field of
+      values, and ``_four_block_optimum`` decides it by a tangent/chord
+      search with no SDP.  At half-integer j the two turns anticommute, and
+      l = 0 takes the parity kind;
     - axial: l along z (or l = 0) and a degenerate pair of Re(M) across it,
       so that S11 - S22 vanishes too; G is every rotation about z, so X is
       diagonal, over I, S33 = L3^2 and L3: a linear program over the
@@ -718,15 +825,11 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
       conv{(m, m^2)}, solved in closed form by ``_axial_optimum`` (Dicke,
       coherent and thermal states).
 
-    The blocked program is solved in float64, and its evidence, like the
-    closed form's, maps back to the input's frame (``_read_phase1``).  Every
-    entry point of the direct program (this one, ``exact_test_batch``,
+    Evidence found in a frame maps back to the input's (``_read_phase1``).
+    Every entry point of the direct program (this one, ``exact_test_batch``,
     ``exact_test_extension``, the scan and ``classify``) goes through
-    ``_phase1_verdicts``, which solves a call in frames, one solve per
-    blocked kind and the axial inputs in closed form, only when every input
-    has one; the stage record's ``frame`` then names the kind, and its
-    detail says "real frame" and the kind of blocks.  An axial verdict is the
-    optimum, with or without ``decide``.
+    ``_phase1_verdicts``, which decides a call in frames, by kind, only when
+    every input has one; the stage record's ``frame`` then names the kind.
     """
     values = spinalg.moment_values(m)
     return _phase1_verdicts("exact", m.two_j, values, decide=decide)
@@ -804,27 +907,18 @@ def classify(m: MomentMatrix) -> Verdict:
     """Full decision pipeline with cheap early exits.
 
     Order: structural validation (done on construction), the first-moment
-    law |l| <= j (quick reject, at every j), the 4x4 expectation value
-    matrix precheck (chi, quick reject), reconstruction positivity, the PPT
-    inner test (quick accept), then the decisive phase-1 SDP
-    (``exact_test_direct(m, decide=True)``, in real arithmetic and in blocks
-    when the input has a frame: the rule and why it is exact are stated there).  Every rejection carries a
-    witness.  The first-moment stage (``_first_moment_stage``, which is
-    ``first_moment_test`` too) is banded on its closed-form t*, and a reject
-    carries the optimal witness with ``t_star`` None, so first moments
-    longer than j are answered with no SDP at any spin, above the cone cap
-    too.  A chi or reconstruct stage builds its witness in closed form from
-    the stage's negative eigenvector and solves no SDP; its ``t_star`` is
-    None and its value is not -t*.  Such an early reject stands only when
-    the witness separates (value below -BOUNDARY_BAND).  A valid witness has value >= -t*, so the
+    law |l| <= j (``_first_moment_stage``, in closed form at every j, above
+    the cone cap too), the 4x4 expectation value matrix chi and
+    reconstruction positivity (quick rejects, with the closed-form witnesses
+    of ``_eigenvector_witness``), the PPT inner test (quick accept), then the
+    decisive ``exact_test_direct(m, decide=True)``.  Every rejection carries
+    a witness.  An early reject stands only when its witness separates
+    (value below -BOUNDARY_BAND): a valid witness has value >= -t*, so the
     exact test would reject too; otherwise the input is within the band of
-    the boundary and the exact stage decides.  The exact stage stops once a
-    certified bound on t* clears the band: its ``t_star`` is then that bound
-    (``Verdict.t_star_kind``), an accept's certificate is the primal iterate
-    and a reject's witness the dual one, value -t_star.  An axial input
-    solves no SDP: its exact stage is the closed-form optimum of
-    ``exact_test_direct``, on both sides of the band.  So no path solves
-    more than one SDP, and none runs past its verdict.
+    the boundary and the exact stage decides.  That stage stops once a
+    certified bound on t* clears the band (``Verdict.t_star_kind``), and an
+    axial or four-block input solves no SDP there.  So no path solves more
+    than one SDP, and none runs past its verdict.
 
     At 2j = 2 the pair marginal is the state itself, in reversed order, so
     S_1 = {rho_j >= 0} and t* = -lambda_min(rho_j): a passing reconstruct

@@ -42,17 +42,9 @@ construction (``SdpSolution.dual_residual`` measures its rounding once, on
 the returned (y, Z)).  The primal residual starts at zero and a Newton step
 keeps it there to rounding, so every iterate is a primal point Y >= 0 and a
 dual point (y, Z >= 0) at once.  With s = (fitted trace)/d, its objectives
-bound t* from both sides: t_p = tr(Y)/d - s >= t* >= t_d = b~.y - s.  An
-optimal return has the primal residual within ``TOLERANCE`` and a gap
-t_p - t_d <= ``TOLERANCE`` max(1, |tr(Y)/d|), so its t_p is that close to t*.
-``phase1_min_t(..., decide=True)`` uses the bounds: a program whose primal
-residual passes ``TOLERANCE`` stops as soon as t_p < -``BOUNDARY_BAND``
-(status primal-bound: X = Y - t_p·1 certifies feasibility) or t_d >
-``BOUNDARY_BAND`` (status dual-bound: the rebuilt dual is a witness of
-value -t_d), and ``t_star`` is that bound; a dual-bound program may also
-stop one step early, at the dual look-ahead point of ``_path_following``.
-A t* inside the band, or close to it, clears neither bound first, so it
-still runs to the optimality test.
+bound t* from both sides: t_p = tr(Y)/d - s >= t* >= t_d = b~.y - s.
+``solve`` states the optimality test and the ``decide`` stops on these
+bounds, and ``Phase1Result`` what each stop returns.
 
 The kernel ``_path_following`` holds the rows of a program in n blocks as
 one (m, n, D, D) stack, each block zero-padded to the largest size D
@@ -513,7 +505,9 @@ class Phase1Result:
     below -BOUNDARY_BAND) or t_d (dual-bound, a lower bound above
     BOUNDARY_BAND).  At the dual look-ahead point of ``_path_following`` t_d
     decides the sign but may sit well below t*.  ``x``, ``dual_z`` and
-    ``dual_coefficients`` are None unless the solve is optimal or decided.
+    ``dual_coefficients`` are None unless the solve is optimal or decided,
+    and ``x`` also when no primal point is known yet.  ``factor`` is set
+    where a closed form knows Y as a few rows F, Y = F^T F.
     """
 
     t_star: float
@@ -521,6 +515,7 @@ class Phase1Result:
     solution: SdpSolution
     dual_z: np.ndarray | None = None
     dual_coefficients: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
 
 def _check_dim(d: int) -> None:
@@ -615,25 +610,9 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     the sign of t* only, not its value.
     """
     program = ops if isinstance(ops, Phase1Program) else phase1_program(ops)
-    rows, w, coeff, traces = program.rows, program.w, program.coeff, program.traces
-    m, d = len(traces), sum(rows.sizes)
     values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != m:
-        raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
-    matcore._check_finite("phase-1 values", "b", values)
-    batch = np.atleast_2d(values)
-    trace_values = batch @ coeff
-    tilde_b = batch - np.outer(trace_values, traces) / d
-    mismatch = np.linalg.norm(tilde_b @ program.null, axis=1)
-    conflict = np.flatnonzero(mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1)))
-    if conflict.size:
-        where = f" of program {conflict[0]}" if values.ndim == 2 else ""
-        raise ValueError(
-            f"the values{where} conflict: a linearly dependent operator's value differs "
-            f"from the value the others imply ({mismatch[conflict[0]]:.1e})"
-        )
-
-    rhs = tilde_b @ w.T
+    trace_values, rhs = _standard_form(program, values)
+    rows, d = program.rows, sum(program.rows.sizes)
     shifts = trace_values / d if decide else np.full(len(rhs), math.nan)
     if values.ndim == 1:
         solutions = [solve(rows, rhs[0], shift=float(shifts[0]) if decide else None)]
@@ -643,18 +622,44 @@ def phase1_min_t(ops, values, *, decide: bool = False):
             sol for i in range(0, len(rhs), step)
             for sol in _path_following(rows, rhs[i : i + step], shifts[i : i + step])
         ]
-
-    eye = np.eye(d)
-
-    def result(trace_value: float, sol: SdpSolution) -> Phase1Result:
-        if sol.status not in (STATUS_OPTIMAL, STATUS_PRIMAL_BOUND, STATUS_DUAL_BOUND):
-            return Phase1Result(t_star=math.nan, x=None, solution=sol)
-        t_primal = sol.primal_objective - trace_value / d
-        t_star = sol.dual_objective - trace_value / d if sol.status == STATUS_DUAL_BOUND else t_primal
-        # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand sol.z over the rows
-        y = w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
-        c = (1.0 + float(y @ traces)) / d * coeff - y
-        return Phase1Result(t_star, sol.x - t_primal * eye, sol, dual_z=sol.z, dual_coefficients=c)
-
-    results = [result(*args) for args in zip(trace_values.tolist(), solutions)]
+    results = [_phase1_result(program, *args) for args in zip(trace_values.tolist(), solutions)]
     return results if values.ndim == 2 else results[0]
+
+
+def _standard_form(program: Phase1Program, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fitted traces tr X and the values b~ over the orthonormal rows of
+    ``program`` for (m,) or (k, m) ``values``, as (k,) and (k, r) arrays.  A
+    wrong shape, a non-finite value and values that conflict along a
+    dependency are each a ``ValueError``; a batch's conflict names its program."""
+    m, d = len(program.traces), sum(program.rows.sizes)
+    if values.ndim not in (1, 2) or values.shape[-1] != m:
+        raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
+    matcore._check_finite("phase-1 values", "b", values)
+    batch = np.atleast_2d(values)
+    trace_values = batch @ program.coeff
+    tilde_b = batch - np.outer(trace_values, program.traces) / d
+    mismatch = np.linalg.norm(tilde_b @ program.null, axis=1)
+    conflict = np.flatnonzero(mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1)))
+    if conflict.size:
+        where = f" of program {conflict[0]}" if values.ndim == 2 else ""
+        raise ValueError(
+            f"the values{where} conflict: a linearly dependent operator's value differs "
+            f"from the value the others imply ({mismatch[conflict[0]]:.1e})"
+        )
+    return trace_values, tilde_b @ program.w.T
+
+
+def _phase1_result(program: Phase1Program, trace_value: float, sol: SdpSolution, factor=None) -> Phase1Result:
+    """A solution of the standard form over ``program``'s rows read as a
+    ``Phase1Result``: t* from its objectives, X = Y - t_p·1, and its dual
+    expanded over the caller's operators."""
+    if sol.status not in (STATUS_OPTIMAL, STATUS_PRIMAL_BOUND, STATUS_DUAL_BOUND):
+        return Phase1Result(t_star=math.nan, x=None, solution=sol)
+    d = sum(program.rows.sizes)
+    t_primal = sol.primal_objective - trace_value / d
+    t_star = sol.dual_objective - trace_value / d if sol.status == STATUS_DUAL_BOUND else t_primal
+    # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand sol.z over the rows
+    y = program.w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
+    c = (1.0 + float(y @ program.traces)) / d * program.coeff - y
+    x = None if sol.x is None else sol.x - t_primal * np.eye(d)
+    return Phase1Result(t_star, x, sol, dual_z=sol.z, dual_coefficients=c, factor=factor)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinmoment
-from spinmoment import cli, sdp
+from spinmoment import cli, feasibility, sdp
 from spinmoment.cli import MomentFileError, load_moment_file, parse_spin
 from spinmoment.scan import scan_grid
 
@@ -273,7 +273,9 @@ class TestSolverFailure:
     @pytest.mark.parametrize("command", ["check", "witness", "scan"])
     def test_failed_solve_exits_four(self, tmp_path, capsys, monkeypatch, command):
         # l = 0 and Re(M) = diag(3.6, 2.25, 0.15) at 2j = 4: entangled pairs, so classify
-        # reaches the exact SDP, in a four-block frame (an axial input would solve none)
+        # reaches the exact stage, in a four-block frame, decided with no SDP by the
+        # search of feasibility._four_block_optimum (an axial input would be decided
+        # in closed form); its first eigensolve already decides, so it gets none
         m = [[[3.6, 0], [0, 0], [0, 0]], [[0, 0], [2.25, 0], [0, 0]], [[0, 0], [0, 0], [0.15, 0]]]
         path = write_json(tmp_path / "zero.json", {"two_j": 4, "M": m})
         argv = [command, "--input", path]
@@ -285,10 +287,12 @@ class TestSolverFailure:
 
         # a real non-convergence: no program reaches the tolerance in one iteration
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(feasibility, "_EVALUATIONS", 0)
         rc = cli.main(argv)
         err = capsys.readouterr().err
         assert rc == cli.EXIT_SOLVER_FAILURE == 4
-        assert err.startswith("error: ") and "no convergence after 1 iterations" in err
+        iterations = 1 if command == "scan" else 0
+        assert err.startswith("error: ") and f"no convergence after {iterations} iterations" in err
         assert not out.exists()
 
 

@@ -722,6 +722,16 @@ def dicke_zero_moments(two_j, f):
     return MomentMatrix.from_matrix(two_j, diag)
 
 
+def dicke_one_moments(two_j, f):
+    """<L3^2> = l3^2 = 1 forces |j,1>, whose L1/L2 moments are equal: not quantum
+    for f > 0.  Unlike Dicke-zero, l = (0, 0, 1) makes it a parity input, which
+    the exact stage decides with one SDP (from 2j = 6 on; at 2j = 4 the
+    reconstruct stage rejects it)."""
+    casimir = two_j / 2.0 * (two_j / 2.0 + 1.0)
+    diag = np.diag([(0.5 + f) * (casimir - 1.0), (0.5 - f) * (casimir - 1.0), 1.0]).astype(complex)
+    return MomentMatrix.from_matrix(two_j, diag + first_moment_part([0.0, 0.0, 1.0]))
+
+
 def dicke_mixture_moments(two_j, eps=0.01):
     """|j,0> (j integer) or |j,1/2> plus eps * I/d: quantum but pair-entangled."""
     triple = spinalg.spin_operators(two_j)
@@ -772,7 +782,7 @@ class TestOneSdpPerDecision:
             "reconstruct", STATUS_NON_QUANTUM, 0,
         ),
         "exact-accept": (dicke_mixture_moments, "exact", STATUS_QUANTUM, 0),
-        "exact-reject": (lambda tj: dicke_zero_moments(tj, 0.1), "exact", STATUS_NON_QUANTUM, 1),
+        "exact-reject": (lambda tj: dicke_zero_moments(tj, 0.1), "exact", STATUS_NON_QUANTUM, 0),
     }
 
     @staticmethod
@@ -809,8 +819,8 @@ class TestOneSdpPerDecision:
         assert len(programs) == expected
         # classify's exact stage stops at a decided bound, over the per-spin program
         assert all(decided for _, decided in calls + programs)
-        # the exact reject is four-block and solves that kind's program; the exact
-        # accept is axial and is decided in closed form, with no SDP
+        # the exact reject is four-block and the exact accept axial: each is decided
+        # with no SDP, by the tangent/chord search and by the closed form
         assert all(ops is feasibility._frame_program("four-block", two_j) for ops, _ in programs)
         if path.startswith("exact"):
             assert v.tests_run[-1 if v.accepted else -2].frame == ("axial" if v.accepted else "four-block")
@@ -835,18 +845,21 @@ class TestOneSdpPerDecision:
             assert matcore.min_eigenvalue(v.certificate_state) == pytest.approx(-v.t_star, abs=1e-15)
 
     def test_bench_tracer_sees_the_solve(self, monkeypatch):
-        # bench/run.py reads its sdp.solve.* metrics off these spans
+        # bench/run.py reads its sdp.solve.* metrics off these spans: the parity
+        # reject solves one SDP, the four-block Dicke-zero none
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         from tracing import Tracer
 
-        m = dicke_zero_moments(4, 0.1)
-        with Tracer(spinmoment) as tracer:
-            v = spinmoment.feasibility.classify(m)
-        assert (v.stage, v.status) == ("exact", STATUS_NON_QUANTUM)
-        (span,) = [s for s in tracer.spans if s.name == "sdp.solve"]
-        status, iterations = span.info
-        # the exact stage stops once its dual bound clears the band
-        assert status == sdp.STATUS_DUAL_BOUND and iterations > 0
+        for m, solves in ((dicke_one_moments(6, 0.1), 1), (dicke_zero_moments(4, 0.1), 0)):
+            with Tracer(spinmoment) as tracer:
+                v = spinmoment.feasibility.classify(m)
+            assert (v.stage, v.status) == ("exact", STATUS_NON_QUANTUM)
+            spans = [s for s in tracer.spans if s.name == "sdp.solve"]
+            assert len(spans) == solves
+            for span in spans:
+                status, iterations = span.info
+                # the exact stage stops once its dual bound clears the band
+                assert status == sdp.STATUS_DUAL_BOUND and iterations > 0
 
     def test_spin_half_reject_solves_nothing(self, monkeypatch):
         ell = np.array([0.3, 0.0, 0.5])
@@ -917,7 +930,7 @@ class TestStageSeconds:
         return {
             "classify": (lambda: [feasibility.classify(m)], "exact"),
             "direct": (lambda: [feasibility.exact_test_direct(m)], "exact"),
-            # four-block and axial: one solve, and the axial input in closed form
+            # parity and axial: one solve, and the axial input in closed form
             "batch": (lambda: feasibility.exact_test_batch([m, dicke_mixture_moments(m.two_j)]), "exact"),
             "extension": (lambda: [feasibility.exact_test_extension(rho, m.two_j)], "extension"),
             "first-moments": (
@@ -927,8 +940,9 @@ class TestStageSeconds:
 
     @pytest.mark.parametrize("entry", ["classify", "direct", "batch", "extension", "first-moments"])
     def test_the_stage_holds_its_solve(self, monkeypatch, entry):
-        # Dicke-zero is four-block, so every entry point solves one SDP
-        m = dicke_zero_moments(30, 0.1)
+        # a parity input, so every entry point solves one SDP (the four-block
+        # Dicke-zero would solve none)
+        m = dicke_one_moments(30, 0.1)
         call, stage = self.calls(m)[entry]
         spent = []
         real = sdp.phase1_min_t
@@ -1030,19 +1044,22 @@ class TestDecidedStop:
             assert iterations(feasibility.classify(m)) < iterations(feasibility.exact_test_direct(m))
 
     def test_iterations_at_the_cap(self, monkeypatch):
-        # the interior point starts at the program's own scale: on the seed-1
-        # verdicts-cap inputs the decided solves average at most 4.2 iterations;
-        # the three axial (dicke) exact verdicts solve none
+        # on the seed-1 verdicts-cap inputs the three dicke-zero exact verdicts are
+        # four-block, decided by the tangent/chord search in at most 7 eigensolves
+        # each (its "iterations"), and the three axial (dicke) ones in closed form:
+        # no SDP at all
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import inputs
 
         items = inputs.make_inputs(1, (62,), {"dicke": 3, "v-over-1": 3, "dicke-zero": 3})
+        calls, programs = TestOneSdpPerDecision.count_calls(monkeypatch)
         verdicts = [feasibility.classify(MomentMatrix.from_matrix(it.two_j, it.matrix)) for it in items]
+        assert calls == [] and programs == []
         exact = [v for v in verdicts if v.stage == "exact"]
         assert len(exact) == 6
-        counts = [iterations(v) for v in exact if [r.frame for r in v.tests_run if r.name == "exact"] != ["axial"]]
+        counts = [iterations(v) for v in exact if [r.frame for r in v.tests_run if r.name == "exact"] == ["four-block"]]
         assert len(counts) == 3
-        assert np.mean(counts) <= 4.2
+        assert max(counts) <= 7
 
     @pytest.mark.parametrize("two_j", [6, 30])
     def test_boundary_input_runs_to_the_optimum(self, two_j):
@@ -1462,6 +1479,25 @@ def complex_verdict(m, decide=True):
     return feasibility._read_phase1(p1, b, "exact", feasibility._StageLog())
 
 
+def assert_same_t_star(got, want, m):
+    """A framed verdict against the complex program's decided one, ``want``: a
+    blocked solve follows it iteration for iteration to the same t*; a
+    four-block verdict is decided with no SDP (``feasibility._four_block_optimum``),
+    so its bound lies between the band and the complex optimum, and its optimum
+    is that optimum to the kernel's 1e-8 gap."""
+    if got.tests_run[0].frame != "four-block":
+        assert iterations(got) == iterations(want)
+        assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
+        return
+    optimum = complex_verdict(m, decide=False).t_star
+    if got.t_star_kind == "dual bound":
+        assert matcore.BOUNDARY_BAND < got.t_star <= optimum + 1e-9
+    elif got.t_star_kind == "primal bound":
+        assert optimum - 1e-8 <= got.t_star < -matcore.BOUNDARY_BAND
+    else:
+        assert abs(got.t_star - optimum) <= 1e-8
+
+
 def bench_evidence():
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
@@ -1492,8 +1528,7 @@ class TestRealFrame:
         want = complex_verdict(m)
         assert ("real frame" in got.tests_run[0].detail) == framed
         assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind)
-        assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
-        assert iterations(got) == iterations(want)
+        assert_same_t_star(got, want, m)
         evidence = bench_evidence()
         if got.status == STATUS_QUANTUM:
             assert evidence.check_certificate(got.certificate_state, two_j, b) is None
@@ -1561,15 +1596,22 @@ class TestRealFrame:
 
     @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
     def test_frame_and_complex_witnesses_agree(self, two_j):
+        # Dicke-zero is four-block: its witness is a tangent of the search, not the
+        # complex program's dual point, so the two agree in value at the optimum (each
+        # within the 1e-8 gap of -t*), and each decided one separates
         rng = np.random.default_rng(3100 + two_j)
+        evidence = bench_evidence()
         for f in (0.05, 0.1, 0.15):
             m = rotated(dicke_zero_moments(two_j, f), rng)
+            b = spinalg.moment_values(m)
             for decide in (False, True):
                 got, want = feasibility.exact_test_direct(m, decide=decide), complex_verdict(m, decide)
-                assert "real frame" in got.tests_run[0].detail
-                c, c_want = got.witness.op_coefficients, want.witness.op_coefficients
-                assert np.linalg.norm(c - c_want) <= 1e-9 * np.linalg.norm(c_want)
-                assert np.abs(got.witness.matrix - want.witness.matrix).max() <= 1e-9
+                assert got.tests_run[0].frame == "four-block"
+                if decide:
+                    assert got.witness.separates and want.witness.separates
+                else:
+                    assert abs(got.witness.value - want.witness.value) <= 1e-8
+                assert evidence.check_witness(got.witness, two_j, b) is None
 
 
 def axial_moments(two_j, rng):
@@ -1613,8 +1655,7 @@ class TestBlockFrames:
         assert got.tests_run[0].frame == self.kind_of(construction, two_j)
         assert want.tests_run[0].frame is None
         assert (got.status, got.t_star_kind) == (want.status, want.t_star_kind)
-        assert iterations(got) == iterations(want)
-        assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
+        assert_same_t_star(got, want, m)
         evidence = bench_evidence()
         if got.status == STATUS_QUANTUM:
             assert evidence.check_certificate(got.certificate_state, two_j, b) is None
@@ -1632,7 +1673,7 @@ class TestBlockFrames:
         # <L3^2> = 0 with unequal <L1^2> and <L2^2> is not quantum: a four-block reject
         # for l = 0 at integer j, else a parity one.  Its witness is _lift(c) of the
         # coefficients mapped back, with no D^j(R) and no block basis built, and it is
-        # the blocked program's dual rotated back
+        # the frame's dual rotated back (for four-block, the search's tangent)
         rng = np.random.default_rng(seed)
         m = dicke_zero_moments(two_j, f).matrix + first_moment_part([0.0, 0.0, l3])
         m = rotated(MomentMatrix.from_matrix(two_j, m), rng)
@@ -1649,7 +1690,10 @@ class TestBlockFrames:
         assert calls == []
         assert (got.status, got.tests_run[0].frame) == (STATUS_NON_QUANTUM, kind)
         kept = frame.moments[feasibility._KEPT[kind]] @ b
-        p1 = sdp.phase1_min_t(feasibility._frame_program(kind, two_j), kept, decide=True)
+        if kind == "four-block":  # decided with no SDP
+            (p1,) = feasibility._four_block_optimum(kept, two_j, True)
+        else:
+            p1 = sdp.phase1_min_t(feasibility._frame_program(kind, two_j), kept, decide=True)
         w = feasibility._frame_basis(kind, two_j).T @ feasibility._spin_rotation(frame.rotation, two_j)
         want = w.conj().T @ p1.dual_z @ w
         assert np.abs(got.witness.matrix - want).max() <= 1e-13 * np.abs(want).max()
@@ -1664,7 +1708,8 @@ class TestBlockFrames:
     def test_a_mixed_batch_solves_once_per_kind(self, two_j, extra, seed):
         # each row of a batch with axial, parity and (at integer j) four-block
         # inputs is decided in its own kind's program, as it would be alone: one
-        # solve per blocked kind, and the axial rows in closed form
+        # solve for the parity rows, the four-block ones by one batched search
+        # and the axial ones in closed form
         rng = np.random.default_rng(seed)
         constructions = ["axial", "axis", *extra]
         ms = [axial_moments(two_j, rng) if c == "axial" else frame_moments(two_j, c, rng) for c in constructions]
@@ -1681,8 +1726,8 @@ class TestBlockFrames:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sdp, "phase1_min_t", spy)
             batch = feasibility.exact_test_batch(ms)
-        assert len(calls) == len(kinds - {"axial"})
-        assert {id(p) for p in calls} == {id(feasibility._frame_program(k, two_j)) for k in kinds - {"axial"}}
+        assert len(calls) == len(kinds - {"axial", "four-block"})
+        assert {id(p) for p in calls} == {id(feasibility._frame_program(k, two_j)) for k in kinds - {"axial", "four-block"}}
         evidence = bench_evidence()
         for got, want, m in zip(batch, alone, ms):
             assert got.tests_run[0].frame == want.tests_run[0].frame
@@ -1822,3 +1867,115 @@ class TestAxialClosedForm:
         m = MomentMatrix.from_matrix(1, np.diag([0.3, 0.3, 0.15]).astype(complex))
         with pytest.raises(ValueError, match="conflict"):
             feasibility.exact_test_direct(m)
+
+
+def four_block_accept(two_j, rng):
+    """l = 0 and Re(M) = diag(0.595, 0.395, 0.01) j(j+1) under a random rotation: a
+    four-block input that is quantum from 2j = 6 on (its pairs are entangled, so
+    classify reaches the exact stage)."""
+    j = two_j / 2.0
+    m = np.diag(np.array([0.595, 0.395, 0.01]) * j * (j + 1.0)).astype(complex)
+    return rotated(MomentMatrix.from_matrix(two_j, m), rng)
+
+
+class TestFourBlockSearch:
+    """Four-block programs are decided with no SDP, by the tangent/chord search of
+    ``feasibility._four_block_optimum`` over the field of values of their two rows:
+    the blocked program's t* and decided status, and evidence that passes the bench
+    checker."""
+
+    @staticmethod
+    def kept(m):
+        frame = feasibility._real_frame(spinalg.moment_values(m), m.two_j)
+        assert frame.kind == "four-block"
+        return frame.moments[feasibility._KEPT["four-block"]] @ spinalg.moment_values(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_j=st.integers(1, 31).map(lambda n: 2 * n), seed=st.integers(0, 2**32 - 1))
+    def test_the_search_is_the_blocked_program(self, two_j, seed):
+        m = frame_moments(two_j, "zero", np.random.default_rng(seed))
+        kept = self.kept(m)
+        program = feasibility._frame_program("four-block", two_j)
+        (got,) = feasibility._four_block_optimum(kept, two_j, False)
+        want = sdp.phase1_min_t(program, kept)
+        assert got.solution.status == want.solution.status == sdp.STATUS_OPTIMAL
+        assert abs(got.t_star - want.t_star) <= 1e-8
+        (got,) = feasibility._four_block_optimum(kept, two_j, True)
+        assert got.solution.status == sdp.phase1_min_t(program, kept, decide=True).solution.status
+        b = spinalg.moment_values(m)
+        evidence = bench_evidence()
+        for decide in (False, True):
+            v = feasibility.exact_test_direct(m, decide=decide)
+            assert v.tests_run[0].frame == "four-block"
+            if v.status == STATUS_QUANTUM:
+                assert evidence.check_certificate(v.certificate_state, two_j, b) is None
+            elif v.status == STATUS_NON_QUANTUM:
+                assert evidence.check_witness(v.witness, two_j, b) is None
+                # value -t_d: t_star itself at a dual bound, within the gap of the optimum
+                dual = v.t_star_kind == "dual bound"
+                gap = 1e-12 * (np.abs(v.witness.op_coefficients) @ np.abs(b)) if dual else 1e-8
+                assert abs(v.witness.value + v.t_star) <= gap
+
+    @pytest.mark.parametrize("two_j", [2, 4, 62])
+    def test_edge_rows(self, two_j):
+        # b~ = 0 (zero values: X = 0) leaves Y = 0 optimal at no eigensolve; the values
+        # of I/d are b~ = 0 to rounding; conflicting values (off the Casimir) and a
+        # non-finite value raise the kernel's own ValueError, single or batched
+        program = feasibility._frame_program("four-block", two_j)
+        j, d = two_j / 2.0, two_j + 1
+        (zero,) = feasibility._four_block_optimum(np.zeros(4), two_j, True)
+        assert (zero.solution.status, zero.solution.iterations, zero.t_star) == (sdp.STATUS_OPTIMAL, 0, 0.0)
+        assert not zero.x.any() and zero.factor.shape == (0, d)
+        mixed = np.array([1.0, *[j * (j + 1.0) / 3.0] * 3])
+        for decide in (False, True):
+            (got,) = feasibility._four_block_optimum(mixed, two_j, decide)
+            assert abs(got.t_star + 1.0 / d) <= 1e-12
+            assert abs(got.t_star - sdp.phase1_min_t(program, mixed).t_star) <= 1e-8
+        off = mixed * [1.0, 1.0, 1.0, 1.5]
+        for values in (off, np.stack([mixed, off]), np.array([1.0, np.nan, 0.0, 0.0])):
+            with pytest.raises(ValueError) as want:
+                sdp.phase1_min_t(program, values)
+            with pytest.raises(ValueError) as got:
+                feasibility._four_block_optimum(values, two_j, True)
+            assert str(got.value) == str(want.value)
+
+    def test_no_four_block_verdict_runs_the_kernel(self, monkeypatch):
+        calls = []
+        real = sdp._path_following
+        monkeypatch.setattr(sdp, "_path_following", lambda *a, **k: calls.append(a) or real(*a, **k))
+        rng = np.random.default_rng(3700)
+        ms = [rotated(dicke_zero_moments(tj, f), rng) for tj in (4, 10, 62) for f in (0.05, 0.15)]
+        ms += [four_block_accept(tj, rng) for tj in (10, 62)] + [frame_moments(30, "zero", rng) for _ in range(4)]
+        verdicts = [f(m) for m in ms for f in (feasibility.classify, feasibility.exact_test_direct)]
+        verdicts += feasibility.exact_test_batch(ms[:2]) + feasibility.exact_test_batch(ms[-4:])
+        assert {r.frame for v in verdicts for r in v.tests_run if r.name == "exact"} == {"four-block"}
+        assert {v.status for v in verdicts} >= {STATUS_QUANTUM, STATUS_NON_QUANTUM}
+        scan_grid(10, np.zeros(3), resolution=9, sets=("R", "S", "T"))
+        assert calls == []
+        feasibility.classify(dicke_one_moments(6, 0.1))  # a parity input solves one SDP
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("two_j", [6, 10, 30, 62])
+    def test_an_accept_is_built_from_its_support_vectors(self, monkeypatch, two_j):
+        # the certificate sum_r u_r u_r^dag - t*·1 from the two rows of Y turned back,
+        # (F Q^T) D^j(R), in O(d^2), against the dense W^dag X' W, W = Q^T D^j(R):
+        # equal to 1e-13, at most a few ulps of the O(1) entries of a d x d product
+        rng = np.random.default_rng(3800 + two_j)
+        evidence = bench_evidence()
+        for _ in range(3):
+            m = four_block_accept(two_j, rng)
+            b = spinalg.moment_values(m)
+            frame = feasibility._real_frame(b, two_j)
+            shapes = []
+            real = feasibility._spin_rotation
+            monkeypatch.setattr(feasibility, "_spin_rotation", lambda *a: shapes.append(np.shape(a[2])) or real(*a))
+            got = feasibility.exact_test_direct(m, decide=True)
+            monkeypatch.undo()
+            assert (got.status, got.t_star_kind, got.tests_run[0].frame) == (STATUS_QUANTUM, "primal bound", "four-block")
+            assert shapes == [(2, two_j + 1)]  # two combinations of rows, never all of D^j(R)
+            (p1,) = feasibility._four_block_optimum(self.kept(m), two_j, True)
+            w = feasibility._frame_basis("four-block", two_j).T @ feasibility._spin_rotation(frame.rotation, two_j)
+            dense = w.conj().T @ p1.x @ w
+            assert np.abs(got.certificate_state - (dense + dense.conj().T) / 2.0).max() <= 1e-13
+            assert evidence.check_certificate(got.certificate_state, two_j, b) is None
+            assert p1.solution.primal_residual <= 1e-15
