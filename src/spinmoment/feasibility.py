@@ -172,8 +172,9 @@ def _frame_blocks(kind: str, two_j: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _frame_basis(kind: str, two_j: int) -> np.ndarray:
-    """The bases of ``_frame_blocks`` side by side: the (d, d) orthogonal Q."""
-    return np.hstack(_frame_blocks(kind, two_j))
+    """The bases of ``_frame_blocks`` side by side: the (d, d) orthogonal Q, the
+    identity in an axial frame, whose blocks are the levels."""
+    return np.eye(two_j + 1) if kind == "axial" else np.hstack(_frame_blocks(kind, two_j))
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +223,9 @@ def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
     The active facet's Z' = f(L3)/tr f is the witness, coefficients f/tr f,
     value -t*.  The certificate is X' = diag(q) - t*·1 with q on the facet's
     two levels, fixed by sum q and sum q m; at the optimum q >= 0 and it meets
-    sum q m^2 too.  The record is optimal at 0 iterations with gap 0, with or
-    without ``decide``."""
+    sum q m^2 too; ``factor`` holds Y = diag(q) as the two rows sqrt(q_r) e_r.
+    The record is optimal at 0 iterations with gap 0, with or without
+    ``decide``."""
     if two_j == 1:
         off = np.abs(values[:, 1] - values[:, 0] / 4.0)
         bad = np.flatnonzero(off > sdp.CONFLICT_TOL * (1.0 + np.abs(values).max(axis=1)))
@@ -236,9 +238,10 @@ def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
     for b, k, row in zip(values, np.argmax(bounds, axis=1), bounds):
         t = float(row[k])
         s, (lo, hi) = b[0] + d * t, support[k]
-        y = np.zeros((d, d))
+        y, factor = np.zeros((d, d)), np.zeros((2, d))
         a_lo, a_hi = round(j - lo), round(j - hi)
         y[a_lo, a_lo], y[a_hi, a_hi] = (hi * s - b[2]) / (hi - lo), (b[2] - lo * s) / (hi - lo)
+        factor[0, a_lo], factor[1, a_hi] = np.sqrt(np.maximum(0.0, [y[a_lo, a_lo], y[a_hi, a_hi]]))
         c = facets[k] / traces[k]
         z = np.diag(c[0] + c[1] * levels**2 + c[2] * levels)
         point = s / d  # tr Y/d, Y = X' + t*·1
@@ -246,7 +249,7 @@ def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
             sdp.STATUS_OPTIMAL, y, None, z, primal_objective=point, dual_objective=point, gap=0.0,
             primal_residual=0.0, dual_residual=0.0, mu=0.0, iterate_log=[(point, point, 0.0, 0.0)],
         )
-        results.append(sdp.Phase1Result(t, y - t * np.eye(d), sol, dual_z=z, dual_coefficients=c))
+        results.append(sdp.Phase1Result(t, y - t * np.eye(d), sol, dual_z=z, dual_coefficients=c, factor=factor))
     return results
 
 
@@ -468,22 +471,22 @@ def _l2_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_lift(np.eye(len(spinalg.MOMENT_LABELS))[8], two_j))
 
 
-def _spin_rotation(rot: np.ndarray, two_j: int, rows=slice(None)) -> np.ndarray:
-    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3), or only its
-    ``rows``: indices, or an (r, d) array E for the combinations E V.
+def _spin_rotation(rot: np.ndarray, two_j: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3), or for an
+    (r, d) array E of ``rows`` only the r combinations E V.
 
     V = exp(-i alpha L3) exp(-i beta L2) exp(-i gamma L3) over the ZYZ angles
     of ``_euler_zyz``: L3 is diagonal and L2's eigenbasis is cached, so V costs
-    one d x d matmul, and r rows or combinations an (r, d) by (d, d) one or
-    two.  No spin matrix is built.
+    one d x d matmul, and r combinations two (r, d) by (d, d) ones.  No spin
+    matrix is built.
     """
     alpha, beta, gamma = _euler_zyz(rot)
     w, u = _l2_eigen(two_j)
     m = two_j / 2.0 - np.arange(two_j + 1)  # the diagonal of L3
-    if np.ndim(rows) == 2:  # an (r, d) array E of weights: the r combinations E V
+    if rows is not None:
         return ((rows * np.exp(-1j * alpha * m)) @ u * np.exp(-1j * beta * w)) @ u.conj().T * np.exp(-1j * gamma * m)
-    v = (u[rows] * np.exp(-1j * beta * w)) @ u.conj().T
-    return np.exp(-1j * alpha * m[rows])[:, None] * v * np.exp(-1j * gamma * m)
+    v = (u * np.exp(-1j * beta * w)) @ u.conj().T
+    return np.exp(-1j * alpha * m)[:, None] * v * np.exp(-1j * gamma * m)
 
 
 def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
@@ -607,12 +610,11 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     made canonical (``_canonical``), and a reject's witness is the rotated
     dual ``_lift``(c) = sum_i c_i A_i, with no rotation built.  An accept's
     certificate is turned back with V = D^j(R) (``_spin_rotation``), Q the
-    blocks' bases side by side: an axial X' = diag(q) - t*·1, q on two levels
-    r, as sum_r q_r v_r^dag v_r - t*·1 over those two rows v_r of V; a
-    four-block Y = F^T F as G^dag G - t*·1 over its two rows, G = (F Q^T) V,
-    in O(d^2); a parity X' densely, as W^dag X' W, W = Q^T V.  The stage
-    record names the kind, and its detail says "real frame" and the kind
-    before the kind of t_star.
+    blocks' bases side by side (``_frame_basis``): an axial or four-block
+    Y = F^T F of two rows (``Phase1Result.factor``) as G^dag G - t*·1,
+    G = (F Q^T) V, in O(d^2); a parity X' densely, as W^dag X' W, W = Q^T V.
+    The stage record names the kind, and its detail says "real frame" and the
+    kind before the kind of t_star.
 
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
@@ -632,12 +634,7 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
         log.add(stage, "reject", detail, name)
         return _rejected(stage, Witness(z, float(c @ values), c, spinalg.MOMENT_LABELS), log, t, kind)
     x = p1.x
-    if name == "axial":
-        q = np.diag(sol.x)  # Y = X' + t*·1
-        levels = np.flatnonzero(q)
-        v = _spin_rotation(frame.rotation, two_j, levels)
-        x = v.conj().T @ (q[levels, None] * v) - t * np.eye(two_j + 1)
-    elif p1.factor is not None:  # four-block: the rows of Y = F^T F turned back, (F Q^T) V
+    if p1.factor is not None:  # axial or four-block: the rows of Y = F^T F turned back, (F Q^T) V
         g = _spin_rotation(frame.rotation, two_j, p1.factor @ _frame_basis(name, two_j).T)
         x = g.conj().T @ g - t * np.eye(two_j + 1)
     elif frame is not None:
@@ -757,14 +754,13 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
     for kind in dict.fromkeys(kinds):
         rows = [i for i, k in enumerate(kinds) if k == kind]
         group = batch if kind is None else np.stack([frames[i].moments[_KEPT[kind]] @ batch[i] for i in rows])
-        one = group if values.ndim == 2 else group[0]
         if kind == "axial":
             got = _axial_optimum(group, two_j)
         elif kind == "four-block":
-            got = _four_block_optimum(one, two_j, decide)
+            got = _four_block_optimum(group, two_j, decide)
         else:
             program = _moment_program(two_j) if kind is None else _frame_program(kind, two_j)
-            got = sdp.phase1_min_t(program, one, decide=decide)
+            got = sdp.phase1_min_t(program, group if values.ndim == 2 else group[0], decide=decide)
             got = got if values.ndim == 2 else [got]
         for i, p1 in zip(rows, got):
             solved[i] = p1

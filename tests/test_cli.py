@@ -13,6 +13,7 @@ from spinmoment import cli, feasibility, sdp
 from spinmoment.cli import MomentFileError, load_moment_file, parse_spin
 from spinmoment.scan import scan_grid
 
+from conftest import first_moment_part
 from scan_csv import read_scan_csv
 
 
@@ -270,30 +271,45 @@ class TestHugeCoordinates:
 
 
 class TestSolverFailure:
+    @staticmethod
+    def run(argv, capsys, iterations):
+        out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_SOLVER_FAILURE == 4
+        assert err.startswith("error: ") and f"no convergence after {iterations} iterations" in err
+        assert out is None or not out.exists()
+
     @pytest.mark.parametrize("command", ["check", "witness", "scan"])
     def test_failed_solve_exits_four(self, tmp_path, capsys, monkeypatch, command):
         # l = 0 and Re(M) = diag(3.6, 2.25, 0.15) at 2j = 4: entangled pairs, so classify
         # reaches the exact stage, in a four-block frame, decided with no SDP by the
         # search of feasibility._four_block_optimum (an axial input would be decided
-        # in closed form); its first eigensolve already decides, so it gets none
+        # in closed form).  Its first eigensolve already decides it, so the search
+        # is allowed none and fails after 0 iterations; the scan's S cells still run
+        # the kernel, whose real non-convergence is forced as in
+        # test_kernel_non_convergence_exits_four
         m = [[[3.6, 0], [0, 0], [0, 0]], [[0, 0], [2.25, 0], [0, 0]], [[0, 0], [0, 0], [0.15, 0]]]
         path = write_json(tmp_path / "zero.json", {"two_j": 4, "M": m})
         argv = [command, "--input", path]
-        out = tmp_path / "scan.csv"
         if command == "scan":
             # the paper-figure slice has cells only the S test (an SDP) decides
             argv = ["scan", "--two-j", "10", "--u", "0.1,0.2,0.3", "--grid", "9",
-                    "--workers", "1", "--out", str(out)]
-
-        # a real non-convergence: no program reaches the tolerance in one iteration
+                    "--workers", "1", "--out", str(tmp_path / "scan.csv")]
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(feasibility, "_EVALUATIONS", 0)
-        rc = cli.main(argv)
-        err = capsys.readouterr().err
-        assert rc == cli.EXIT_SOLVER_FAILURE == 4
-        iterations = 1 if command == "scan" else 0
-        assert err.startswith("error: ") and f"no convergence after {iterations} iterations" in err
-        assert not out.exists()
+        self.run(argv, capsys, 1 if command == "scan" else 0)
+
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    def test_kernel_non_convergence_exits_four(self, tmp_path, capsys, monkeypatch, command):
+        # Dicke-one at 2j = 6, l = (0, 0, 1) and Re(M) = diag(6.6, 4.4, 1): a parity
+        # input the exact stage decides with the SDP kernel, so this is a real
+        # non-convergence: no program reaches the tolerance in one iteration
+        m = np.diag([6.6, 4.4, 1.0]) + first_moment_part([0.0, 0.0, 1.0])
+        pairs = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        path = write_json(tmp_path / "one.json", {"two_j": 6, "M": pairs})
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+        self.run([command, "--input", path], capsys, 1)
 
 
 class TestWitnessCommand:

@@ -249,16 +249,18 @@ class TestExactTestDirect:
             if frame is None:
                 want = sdp.phase1_min_t(ops, b).x
             else:
-                # X' = diag(q) - t*·1 with q on two levels: X = sum_r q_r v_r^dag v_r - t*·1
-                # over those two rows of V; the dense V^dag X' V agrees to its own rounding
+                # X' = diag(q) - t*·1 with q on two levels, diag(q) = F^T F for the rows
+                # F = sqrt(q_r) e_r: X = G^dag G - t*·1 over G = F V, two combinations of
+                # rows of V; the dense V^dag X' V agrees to its own rounding
                 kind, rot3, t = frame
                 assert kind == "axial"
                 (closed,) = feasibility._axial_optimum((t @ b)[feasibility._KEPT[kind]][None], two_j)
                 q = np.diag(closed.solution.x)
-                levels = np.flatnonzero(q)
-                assert len(levels) == 2
-                rows = feasibility._spin_rotation(rot3, two_j, levels)
-                want = rows.conj().T @ (q[levels, None] * rows) - closed.t_star * np.eye(d)
+                assert np.count_nonzero(q) == 2
+                assert np.array_equal(closed.factor.T @ closed.factor != 0.0, np.diag(q != 0.0))
+                assert np.abs(closed.factor.T @ closed.factor - closed.solution.x).max() <= 4.0 * np.finfo(float).eps * q.max()
+                rows = feasibility._spin_rotation(rot3, two_j, closed.factor)
+                want = rows.conj().T @ rows - closed.t_star * np.eye(d)
                 want = (want + want.conj().T) / 2.0
                 rot = feasibility._spin_rotation(rot3, two_j)
                 dense = rot.conj().T @ closed.x @ rot
@@ -740,6 +742,18 @@ def dicke_mixture_moments(two_j, eps=0.01):
     return spinalg.moment_matrix(rho, triple)
 
 
+def parity_mixture_moments(two_j, eps=0.01):
+    """cos(0.3)|j,1> + sin(0.3)|j,-1> plus eps * I/d (integer j >= 1): quantum but
+    pair-entangled, with l along the axis and unequal L1/L2 moments, a parity
+    input the exact stage accepts with one SDP."""
+    triple = spinalg.spin_operators(two_j)
+    d = triple.dim
+    psi = np.zeros(d)
+    psi[two_j // 2 - 1], psi[two_j // 2 + 1] = np.cos(0.3), np.sin(0.3)
+    rho = (1.0 - eps) * np.outer(psi, psi).astype(complex) + eps * np.eye(d) / d
+    return spinalg.moment_matrix(rho, triple)
+
+
 def long_first_moment_moments(two_j, excess=0.5):
     """|l| = j + excess > j: the first-moment stage rejects at every 2j."""
     j = two_j / 2.0
@@ -1018,25 +1032,35 @@ class TestDecidedStop:
 
     def test_rejects_end_at_the_dual_look_ahead(self, monkeypatch):
         # a reject whose full predictor step already certifies a bound above the
-        # band skips that iteration's step lengths and corrector: over the rejects
-        # of these families, two step-length tests per iteration come to at most
-        # 30 calls (50 when each reject waits for an iterate to clear the band); the
-        # accepts are untouched at 50
-        calls = {STATUS_QUANTUM: 0, STATUS_NON_QUANTUM: 0}
+        # band skips that iteration's step lengths and corrector: over the Dicke-one
+        # rejects (parity, so the kernel decides them), two step-length tests per
+        # iteration come to at most 30 calls (50 when each reject waits for an
+        # iterate to clear the band); the parity accepts (the pair state of
+        # parity_mixture_moments) are untouched by it, at most 64 calls.  Every
+        # group makes step tests, so the counts cannot pass with no kernel at all
+        calls = {}
         real = sdp._max_step
-        status = None
+        key = None
 
         def counting(*args):
-            calls[status] += 1
+            calls[key] = calls.get(key, 0) + 1
             return real(*args)
 
         monkeypatch.setattr(sdp, "_max_step", counting)
-        for two_j in (4, 10, 30, 62):
-            ms = self.families(two_j)
-            for status, group in ((STATUS_QUANTUM, ms[:2]), (STATUS_NON_QUANTUM, ms[2:])):
-                assert all(feasibility.classify(m).status == status for m in group)
-        assert calls[STATUS_NON_QUANTUM] <= 30
-        assert calls[STATUS_QUANTUM] <= 50
+        for two_j in (6, 10, 30, 62):
+            rng = np.random.default_rng(900 + two_j)
+            accepts = [rotated(parity_mixture_moments(two_j, eps), rng) for eps in (0.005, 0.02)]
+            rejects = [rotated(dicke_one_moments(two_j, f), rng) for f in (0.05, 0.15)]
+            for status, group in ((STATUS_QUANTUM, accepts), (STATUS_NON_QUANTUM, rejects)):
+                key = (status, two_j)
+                for m in group:
+                    v = feasibility.classify(m)
+                    assert (v.status, v.stage) == (status, "exact")
+                    assert [r.frame for r in v.tests_run if r.name == "exact"] == ["parity"]
+                assert calls.get(key, 0) >= 1
+        total = {status: sum(n for (s, _), n in calls.items() if s == status) for status in (STATUS_QUANTUM, STATUS_NON_QUANTUM)}
+        assert total[STATUS_NON_QUANTUM] <= 30
+        assert total[STATUS_QUANTUM] <= 64
 
     def test_fewer_iterations_at_the_cap(self):
         # the rejects; the axial accepts take 0 iterations either way
@@ -1597,8 +1621,11 @@ class TestRealFrame:
     @pytest.mark.parametrize("two_j", [4, 10, 30, 62])
     def test_frame_and_complex_witnesses_agree(self, two_j):
         # Dicke-zero is four-block: its witness is a tangent of the search, not the
-        # complex program's dual point, so the two agree in value at the optimum (each
-        # within the 1e-8 gap of -t*), and each decided one separates
+        # complex program's dual point.  At the optimum each value is within the
+        # stopping gap, sdp.TOLERANCE = 1e-8, of -t*; the value of a tangent falls off
+        # quadratically in its angle from the optimal one, so the two coefficient
+        # vectors agree to about sqrt(1e-8) relative (at most 1e-4 seen), checked to
+        # ten times that.  Each decided one separates
         rng = np.random.default_rng(3100 + two_j)
         evidence = bench_evidence()
         for f in (0.05, 0.1, 0.15):
@@ -1611,6 +1638,8 @@ class TestRealFrame:
                     assert got.witness.separates and want.witness.separates
                 else:
                     assert abs(got.witness.value - want.witness.value) <= 1e-8
+                    c, c_want = got.witness.op_coefficients, want.witness.op_coefficients
+                    assert np.linalg.norm(c - c_want) <= 10.0 * np.sqrt(sdp.TOLERANCE) * np.linalg.norm(c_want)
                 assert evidence.check_witness(got.witness, two_j, b) is None
 
 
