@@ -227,7 +227,10 @@ def cmd_scan(args) -> int:
     )
     n_exact = int(((result.in_t == 1) & (result.in_r == 0)).sum()) if "S" in sets else 0
     p50, p99 = np.percentile(result.point_seconds * 1e3, [50, 99])
-    print(f"exact tests on {n_exact} cells; per cell p50 {p50:.3f} ms, p99 {p99:.3f} ms")
+    print(
+        f"exact tests on {n_exact} cells; per cell p50 {p50:.3f} ms, p99 {p99:.3f} ms; "
+        f"{result.s_factored} factored accepts, {result.s_kernel} kernel solves"
+    )
     print(f"wrote {args.out}" + (f" and {args.svg}" if args.svg else ""))
     return 0
 

@@ -614,7 +614,8 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     Y = F^T F of two rows (``Phase1Result.factor``) as G^dag G - t*·1,
     G = (F Q^T) V, in O(d^2); a parity X' densely, as W^dag X' W, W = Q^T V.
     The stage record names the kind, and its detail says "real frame" and the
-    kind before the kind of t_star.
+    kind before the kind of t_star; a factored accept of the complex program
+    (``sdp.phase1_min_t``) says "factored" and its ||dX||_F there instead.
 
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
@@ -625,7 +626,7 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     two_j = len(p1.dual_z) - 1
     kind = _BOUND_KINDS.get(sol.status, "optimum")
     name = None if frame is None else frame.kind
-    where = "" if name is None else f"real frame, {name}, "
+    where = f"{sol.message}, " if sol.message else "" if name is None else f"real frame, {name}, "
     detail = f"t_star = {t:.3e}, {sol.iterations} iterations, gap {sol.gap:.0e}, {where}{kind}"
     if t > BOUNDARY_BAND:
         c = p1.dual_coefficients if frame is None else frame.moments[_KEPT[name]].T @ p1.dual_coefficients
@@ -748,6 +749,8 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
     sdp._check_dim(two_j + 1)
     t0 = time.perf_counter()
     batch = np.atleast_2d(values)
+    if not len(batch):
+        return []
     frames = _real_frames(batch, two_j) or [None] * len(batch)
     kinds = [None if f is None else f.kind for f in frames]
     solved = [None] * len(batch)
@@ -913,8 +916,9 @@ def classify(m: MomentMatrix) -> Verdict:
     exact test would reject too; otherwise the input is within the band of
     the boundary and the exact stage decides.  That stage stops once a
     certified bound on t* clears the band (``Verdict.t_star_kind``), and an
-    axial or four-block input solves no SDP there.  So no path solves more
-    than one SDP, and none runs past its verdict.
+    axial or four-block input solves no SDP there, nor does an input with no
+    frame that the factored stage of ``sdp.phase1_min_t`` accepts.  So no
+    path solves more than one SDP, and none runs past its verdict.
 
     At 2j = 2 the pair marginal is the state itself, in reversed order, so
     S_1 = {rho_j >= 0} and t* = -lambda_min(rho_j): a passing reconstruct

@@ -11,8 +11,11 @@ The SDP runs only on cells in T but not R, which is sound because the three
 sets are nested.  Those cells share one operator stack and differ only in
 their moment values, so they are decided by batched phase-1 solves
 (as in ``feasibility.exact_test_batch``, fed the values b directly), one
-kernel chunk at a time, of which only the flags are kept.  Output goes to
-CSV and optionally to a simple SVG rendering.
+kernel chunk at a time, of which only the flags are kept.  A cell with no
+frame is first offered to the factored accept stage of ``sdp.phase1_min_t``,
+and only the cells it leaves reach the interior point kernel;
+``ScanResult`` counts both.  Output goes to CSV and optionally to a simple
+SVG rendering.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ class ScanResult:
 
     ``point_seconds`` holds each cell's share of the batched R/T time plus,
     on a cell that needed the SDP, its share of the batched exact solve that
-    decided it: every cell of one batch gets the same share."""
+    decided it: every cell of one batch gets the same share.  Of the cells
+    that needed it, ``s_factored`` were accepted by the factored stage of
+    ``sdp.phase1_min_t`` and ``s_kernel`` decided by its interior point
+    kernel; the rest had an axial or four-block frame, decided in closed form."""
 
     two_j: int
     u: np.ndarray
@@ -48,6 +54,8 @@ class ScanResult:
     in_s: np.ndarray
     in_t: np.ndarray
     point_seconds: np.ndarray
+    s_factored: int = 0
+    s_kernel: int = 0
 
     def area(self, which: str) -> int:
         """Number of member cells of one of the sets R, S, T."""
@@ -164,23 +172,30 @@ def _slice_maps(two_j: int, u: np.ndarray):
     return [rho, pt, [np.tensordot(b, reduction._tau_system(two_j), 1) for b in basis]]
 
 
-def _exact_cells(args) -> tuple[list[bool], list[float]]:
+def _exact_cells(args) -> tuple[list[bool], list[float], tuple[int, int]]:
     """Exact tests of cells in T but not R, fed to the batched exact test one
     kernel chunk at a time so that only the flags outlive a chunk; returns
-    (accepted, seconds) per cell, each cell timed at its chunk's share.  Each
-    cell's moment values come straight from its coordinates."""
+    (accepted, seconds) per cell, each cell timed at its chunk's share, and
+    how many cells the factored stage and the kernel decided.  Each cell's
+    moment values come straight from its coordinates."""
     two_j, u, points = args
     program = feasibility._moment_program(two_j)
     step = sdp.batch_size(program.rows.stack.size)
-    accepted, seconds = [], []
+    accepted, seconds, factored, kernel = [], [], 0, 0
     for a in range(0, len(points), step):
         t0 = time.perf_counter()
         chunk = np.stack([
             reduction._coords_values(two_j, u, (v1, v2, 1.0 - v1 - v2)) for v1, v2 in points[a : a + step]
         ])
-        accepted += [v.accepted for v in feasibility._phase1_verdicts("exact", two_j, chunk, decide=True)]
+        for v in feasibility._phase1_verdicts("exact", two_j, chunk, decide=True):
+            accepted.append(v.accepted)
+            record = v.tests_run[0]  # the exact stage
+            if sdp.FACTORED in record.detail:
+                factored += 1
+            elif record.frame in (None, "parity"):
+                kernel += 1
         seconds += [(time.perf_counter() - t0) / len(chunk)] * len(chunk)
-    return accepted, seconds
+    return accepted, seconds, (factored, kernel)
 
 
 def scan_grid(
@@ -237,6 +252,7 @@ def scan_grid(
     secs = np.full(in_r.shape, (time.perf_counter() - t0) / in_r.size)
 
     s = np.full(in_r.shape, -1, dtype=np.int8)
+    factored = kernel = 0
     if want_s:
         s[:] = in_r
         cells = np.argwhere(in_t & ~in_r)
@@ -251,9 +267,11 @@ def scan_grid(
 
             with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 done = list(pool.map(_exact_cells, jobs))
-        for (a, b), (accepted, seconds) in zip(spans, done):
+        for (a, b), (accepted, seconds, (by_stage, by_kernel)) in zip(spans, done):
             chunk = tuple(cells[a:b].T)
             s[chunk] = accepted
             secs[chunk] += seconds
+            factored += by_stage
+            kernel += by_kernel
 
-    return ScanResult(two_j, u, v1s, v2s, in_r.astype(np.int8), s, in_t.astype(np.int8), secs)
+    return ScanResult(two_j, u, v1s, v2s, in_r.astype(np.int8), s, in_t.astype(np.int8), secs, factored, kernel)

@@ -70,6 +70,15 @@ its own message while its neighbours go on.  ``solve`` is the k = 1 call.
 ``phase1_min_t`` hands the kernel chunks of programs whose (k, m, n, D, D)
 stacks hold at most ``BATCH_ENTRIES`` entries, so a batch of any size runs
 in bounded memory.  The cone dimension is capped at ``DIM_CAP``.
+
+A decided one-block program (the complex moment program of every input
+with no frame) is first offered to ``_factored_accepts``: a few batched
+Gauss-Newton steps on a rank-3 factor V of the certificate, after Burer and
+Monteiro, whose residual has an exact correction along the orthonormal
+rows.  An accept found there is a checked proof of t* < -BOUNDARY_BAND, and
+its t_star is that weak bound, just beyond the band; the programs it leaves
+go to the kernel.  The stage cannot reject, so it never decides a t* the
+kernel would put on the other side.
 """
 from __future__ import annotations
 
@@ -101,6 +110,16 @@ _DIVERGENCE = 1e12
 # lambda_min(Z1) > need, that is whenever the rescaled y1 can clear the band at
 # all, and its bound keeps about a thousandth of the margin b.y1 - s - band
 _LOOKAHEAD_SHIFT = 0.999
+
+FACTOR_RANK = 3  # columns of the factor V of ``_factored_accepts``
+FACTOR_SHIFT = 2.0 * matcore.BOUNDARY_BAND  # tau: V V^dag + tau·1 is the certificate's PSD part
+# Gauss-Newton steps before a program falls through to the kernel, or once its
+# ||dX||_F is no lower than FACTOR_STALL steps before.  On the u = (0.1, 0.2, 0.3)
+# slices accepts converge in 4 to 30 steps (2j = 10 to 62, more at larger j); a
+# reject never converges, and the stall test ends it after 10 to 17 steps
+FACTOR_STEPS = 40
+FACTOR_STALL = 6
+FACTORED = "factored"  # how a factored accept's message, and the stage detail, name its path
 
 
 @dataclass
@@ -211,8 +230,9 @@ def _contractions(ops: np.ndarray):
         s = (xaz.reshape(-1, flat.shape[1]) @ rows.T).real.reshape(*x.shape[:at], m, m)
         return (s + s.swapaxes(-1, -2)) / 2.0
 
-    def min_norm(b: np.ndarray) -> np.ndarray:
-        return a_adjoint(np.linalg.solve((rows @ rows.conj().T).real, b[..., None])[..., 0])
+    def min_norm(b: np.ndarray) -> np.ndarray:  # one product per program, so none depends on its batch
+        y = np.linalg.solve((rows @ rows.conj().T).real, b[..., None])
+        return (y.swapaxes(-1, -2) @ flat).reshape(*b.shape[:-1], *shape)
 
     return a_apply, a_adjoint, schur, min_norm
 
@@ -245,6 +265,24 @@ def _layout(dims: tuple[int, ...], size: int, dtype: np.dtype):
     at = np.cumsum([0, *dims[:-1]])[entry[0]]
     placed = (_frozen(at + entry[1]), _frozen(at + entry[2]))
     return eye, pad, entry, placed
+
+
+def _start(rows: Blocks, b: np.ndarray, min_norm=None) -> np.ndarray:
+    """The primal start of ``_path_following`` for b (k, m), as (k, n, D, D):
+    the min-norm affine solution shifted into the interior at its own scale,
+    1.5 |lambda_min|, or 1/d if it is zero.  ``min_norm`` is the rows' own
+    (``_contractions``), when the caller has it."""
+    ops, dims = rows
+    size, d = ops.shape[-1], sum(dims)
+    eye, pad, _, _ = _layout(tuple(dims), size, ops.dtype)
+    x = _herm((min_norm or _contractions(ops)[3])(b))
+    if pad is None:
+        lowest = _lowest_eigenvalue(x)
+    else:  # the padding's eigenvalues are set above every block's
+        lowest = _lowest_eigenvalue(x + (1.0 + size * np.abs(x).max()) * pad)
+    lift = 1.5 * np.abs(lowest)
+    x += np.where(lift > 0.0, lift, 1.0 / d).reshape(-1, 1, 1, 1) * eye
+    return x
 
 
 def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution]:
@@ -298,15 +336,7 @@ def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution
         out[placed] = a[entry]
         return out
 
-    # Start: the min-norm affine solution shifted into the interior at its own
-    # scale, 1.5 |lambda_min|, or 1/d if it is zero; and y = 0, so Z = 1/d.
-    x = _herm(min_norm(b))
-    if pad is None:
-        lowest = _lowest_eigenvalue(x)
-    else:  # the padding's eigenvalues are set above every block's
-        lowest = _lowest_eigenvalue(x + (1.0 + size * np.abs(x).max()) * pad)
-    lift = 1.5 * np.abs(lowest)
-    x += per(np.where(lift > 0.0, lift, 1.0 / d)) * eye
+    x = _start(rows, b, min_norm)  # and y = 0, so Z = 1/d
     z = np.repeat(c[None], k, axis=0)
     y = np.zeros((k, m))
 
@@ -481,6 +511,86 @@ def solve(rows: Blocks, b: np.ndarray, *, shift: float | None = None) -> SdpSolu
     return _path_following(rows, np.asarray(b, dtype=float)[None], shifts)[0]
 
 
+def _factored_accepts(program: Phase1Program, trace_values: np.ndarray, b: np.ndarray) -> list:
+    """The factored accept stage of a one-block ``phase1_min_t(decide=True)``:
+    a ``Phase1Result`` for each of the k programs of (k,) fitted traces and
+    (k, r) values b~ over ``program``'s rows that it proves below the band,
+    None for the rest.
+
+    It looks for a (d, FACTOR_RANK) V with <R_k, V V^dag> = b~_k and
+    tr(V V^dag) = (fitted trace) - tau d, tau = ``FACTOR_SHIFT``: where t* <=
+    -tau such a V exists, as X + t*·1 >= 0 then leaves X - tau·1 >= 0 and an
+    extreme point of that spectrahedron has rank at most 3 (Pataki, Math.
+    Oper. Res. 23, 339 (1998)).  V starts at the top eigenpairs of the
+    kernel's own ``_start`` and takes minimum-norm Gauss-Newton steps (Burer
+    and Monteiro, Math. Program. 95, 329 (2003)): the Jacobian rows are
+    2 R_k V and 2 V, and their Gram matrix is (r + 1) x (r + 1).  The rows are
+    orthonormal and traceless, so the residual r = (r_R, r_tr) has the exact
+    correction dX = sum_k r_k R_k + (r_tr/d)·1, ||dX||_F = sqrt(|r_R|^2 +
+    r_tr^2/d), and X = V V^dag + tau·1 - dX meets every value exactly with
+    lambda_min(X) >= tau - ||dX||_F.  A program is accepted once ||dX||_F <
+    tau - BOUNDARY_BAND: t* <= t_p = ||dX||_F - tau < -BOUNDARY_BAND, a proof
+    with no tolerance to trust.  Its result has status primal-bound, Y =
+    X + t_p·1 and the dual point y = 0, Z = 1/d, whose t_d = -(fitted trace)/d
+    is a valid but weak bound; ``iterations`` counts the steps and the message
+    names the path and ||dX||_F.  A program is left to the kernel once it
+    stalls (its ||dX||_F no lower than ``FACTOR_STALL`` steps before, the
+    start aside), diverges, meets a singular Gram matrix or is still unproved
+    after ``FACTOR_STEPS`` steps.  Every product is one per program, so none
+    depends on the batch.
+    """
+    rows = program.rows.stack[:, 0]
+    r, d = len(rows), rows.shape[-1]
+    tau, band = FACTOR_SHIFT, matcore.BOUNDARY_BAND
+    eye = np.eye(d, dtype=rows.dtype)
+    both = np.concatenate([rows, eye[None]]).reshape(-1, d)  # the traceless rows, then the trace row
+    target = np.concatenate([b, (trace_values - tau * d)[:, None]], axis=1)
+    lam, vec = np.linalg.eigh(_start(program.rows, b)[:, 0])
+    v = vec[..., -FACTOR_RANK:] * np.sqrt(lam[:, None, -FACTOR_RANK:])
+    weight = np.append(np.ones(r), 1.0 / math.sqrt(d))  # ||dX||_F = |weight * residual|
+    history = np.full((len(b), FACTOR_STEPS + 1), math.inf)  # ||dX||_F per program and step
+    out: list = [None] * len(b)
+    live = np.arange(len(b))
+    for steps in range(FACTOR_STEPS + 1):
+        n = len(live)
+        jac = (both @ v).reshape(n, r + 1, -1)  # R_k V, then V, flattened: half the Jacobian rows
+        res = (jac @ v.reshape(n, -1, 1).conj())[..., 0].real - target[live]
+        err = np.sqrt(((res * weight) ** 2).sum(axis=1))
+        history[live, steps] = err
+        proved = err < tau - band
+        for i in np.flatnonzero(proved).tolist():
+            p, e = int(live[i]), float(err[i])
+            dx = np.tensordot(res[i, :r], rows, 1) + res[i, r] / d * eye
+            pobj = float(trace_values[p]) / d + e - tau  # tr(Y)/d: t_p = e - tau
+            sol = SdpSolution(
+                STATUS_PRIMAL_BOUND, _herm(v[i] @ v[i].conj().T - dx) + e * eye, np.zeros(r), eye / d,
+                primal_objective=pobj, dual_objective=0.0, gap=abs(pobj), iterations=steps,
+                primal_residual=0.0, dual_residual=0.0, mu=pobj / d, iterate_log=[(pobj, 0.0, pobj / d, 0.0)],
+                message=f"{FACTORED}, |dX|_F = {e:.1e}",
+            )
+            out[p] = _phase1_result(program, float(trace_values[p]), sol)
+        # a stall: no lower than FACTOR_STALL steps before, the start step aside
+        going = ~proved & (err < _DIVERGENCE)
+        if steps > FACTOR_STALL:
+            going &= err < history[live, steps - FACTOR_STALL]
+        if steps == FACTOR_STEPS or not going.any():
+            break
+        if not going.all():
+            live, v, jac, res = live[going], v[going], jac[going], res[going]
+        failed: dict[int, str] = {}  # a singular Gram matrix: the kernel decides that program
+        gram = 4.0 * (jac.conj() @ jac.swapaxes(-1, -2)).real
+        c = _each(
+            lambda g, f: np.linalg.solve(g, f[..., None])[..., 0], (gram, -res), failed,
+            lambda g, f: np.linalg.solve(g, f), lambda g, f: np.zeros_like(f),
+        )
+        v = v + 2.0 * (c[:, None] @ jac).reshape(v.shape)
+        if failed:
+            kept = np.ones(len(live), dtype=bool)
+            kept[list(failed)] = False
+            live, v = live[kept], v[kept]
+    return out
+
+
 @dataclass(frozen=True)
 class Phase1Result:
     """Outcome of the min-t feasibility program.
@@ -607,22 +717,31 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     ``ValueError`` before any solve, as do non-finite values.  With
     ``decide``, each program stops as soon as a certified bound puts t*
     outside the boundary band (see ``Phase1Result``): for callers that need
-    the sign of t* only, not its value.
+    the sign of t* only, not its value.  A decided one-block program meets
+    ``_factored_accepts`` first, which proves most accepts with no
+    interior point; the rest go to the kernel in input order, and a batch
+    with no rest calls no kernel.
     """
     program = ops if isinstance(ops, Phase1Program) else phase1_program(ops)
     values = np.asarray(values, dtype=float)
     trace_values, rhs = _standard_form(program, values)
     rows, d = program.rows, sum(program.rows.sizes)
+    step = batch_size(rows.stack.size)  # each (k, r, n, D, D) stack of the kernel
+    results: list = [None] * len(rhs)
+    if decide and len(rows.sizes) == 1 and len(rows.stack):  # a trace-only program is the kernel's at once
+        for i in range(0, len(rhs), step):
+            results[i : i + step] = _factored_accepts(program, trace_values[i : i + step], rhs[i : i + step])
+    left = [i for i, p1 in enumerate(results) if p1 is None]  # in input order
     shifts = trace_values / d if decide else np.full(len(rhs), math.nan)
-    if values.ndim == 1:
+    if values.ndim == 1 and left:
         solutions = [solve(rows, rhs[0], shift=float(shifts[0]) if decide else None)]
     else:
-        step = batch_size(rows.stack.size)  # each (k, r, n, D, D) stack of the kernel
         solutions = [
-            sol for i in range(0, len(rhs), step)
-            for sol in _path_following(rows, rhs[i : i + step], shifts[i : i + step])
+            sol for i in range(0, len(left), step)
+            for sol in _path_following(rows, rhs[left[i : i + step]], shifts[left[i : i + step]])
         ]
-    results = [_phase1_result(program, *args) for args in zip(trace_values.tolist(), solutions)]
+    for i, sol in zip(left, solutions):
+        results[i] = _phase1_result(program, float(trace_values[i]), sol)
     return results if values.ndim == 2 else results[0]
 
 
@@ -635,8 +754,9 @@ def _standard_form(program: Phase1Program, values: np.ndarray) -> tuple[np.ndarr
     if values.ndim not in (1, 2) or values.shape[-1] != m:
         raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
     matcore._check_finite("phase-1 values", "b", values)
-    batch = np.atleast_2d(values)
-    trace_values = batch @ program.coeff
+    batch = np.atleast_2d(values)[:, None]  # one product per program: none depends on its batch
+    trace_values = (batch @ program.coeff)[:, 0]
+    batch = batch[:, 0]
     tilde_b = batch - np.outer(trace_values, program.traces) / d
     mismatch = np.linalg.norm(tilde_b @ program.null, axis=1)
     conflict = np.flatnonzero(mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1)))
@@ -646,7 +766,7 @@ def _standard_form(program: Phase1Program, values: np.ndarray) -> tuple[np.ndarr
             f"the values{where} conflict: a linearly dependent operator's value differs "
             f"from the value the others imply ({mismatch[conflict[0]]:.1e})"
         )
-    return trace_values, tilde_b @ program.w.T
+    return trace_values, (tilde_b[:, None] @ program.w.T)[:, 0]
 
 
 def _phase1_result(program: Phase1Program, trace_value: float, sol: SdpSolution, factor=None) -> Phase1Result:

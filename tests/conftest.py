@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinmoment import matcore, reduction, spinalg
+from spinmoment import matcore, reduction, sdp, spinalg
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -107,6 +107,12 @@ def random_coords(rng, two_j, u_radius=0.9, v_spread=0.55):
     v12 = rng.uniform(-0.25, 1.05, size=2) * v_spread + (1 - v_spread) / 3.0
     v = np.array([v12[0], v12[1], 1.0 - v12[0] - v12[1]])
     return reduction.RenormalizedCoords(u=u, v=v, two_j=two_j)
+
+
+def kernel_only(patch):
+    """Leave every phase-1 program to the interior point kernel: no program is
+    accepted by the factored stage of ``sdp.phase1_min_t(decide=True)``."""
+    patch.setattr(sdp, "_factored_accepts", lambda program, traces, b: [None] * len(b))
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinmoment
@@ -32,6 +32,7 @@ from conftest import (
     casimir_vector,
     first_moment_part,
     highest_weight_state,
+    kernel_only,
     moment_operators,
     moments_of_pair_state,
     random_coords,
@@ -268,6 +269,15 @@ class TestExactTestDirect:
             assert np.array_equal(x, want)
             assert matcore.min_eigenvalue(x) >= abs(v.t_star) - 1e-12
             assert abs(np.trace(x).real - 1.0) <= 1e-12
+            if frame is None:
+                # decided, the complex program is accepted by the factored stage: X is
+                # its phase-1 primal V V^dag + tau·1 - dX, bit for bit
+                decided = feasibility.exact_test_direct(m, decide=True)
+                p1 = sdp.phase1_min_t(ops, b, decide=True)
+                assert sdp.FACTORED in p1.solution.message and p1.solution.status == sdp.STATUS_PRIMAL_BOUND
+                assert np.array_equal(decided.certificate_state, p1.x) and decided.t_star == p1.t_star
+                assert matcore.min_eigenvalue(p1.x) >= -p1.t_star - 1e-12
+                assert abs(np.trace(p1.x).real - 1.0) <= 1e-12
         # rotated highest-weight inputs sit on the boundary: X still meets every moment
         edge = spinalg.moment_matrix(highest_weight_state(two_j), spinalg.spin_operators(two_j))
         for _ in range(2):
@@ -349,6 +359,12 @@ class TestExactTestBatch:
             assert iterations(got) == iterations(want)
             if want.witness is not None:
                 assert abs(got.witness.value - want.witness.value) <= 1e-9 * abs(want.witness.value)
+            if sdp.FACTORED in want.tests_run[0].detail:
+                # a factored accept's arithmetic is its own: the batch changes no bit
+                assert got.tests_run[0].detail == want.tests_run[0].detail
+                assert got.t_star == want.t_star
+                assert np.array_equal(got.certificate_state, want.certificate_state)
+        assert sum(sdp.FACTORED in v.tests_run[0].detail for v in batch) > 20
         assert {v.t_star_kind for v in batch} >= {"primal bound", "dual bound"}
         again = feasibility.exact_test_batch(ms)
         assert [v.t_star for v in again] == [v.t_star for v in batch]
@@ -368,8 +384,10 @@ class TestExactTestBatch:
             raise AssertionError("a moment matrix was built")
 
         monkeypatch.setattr(MomentMatrix, "from_matrix", no_matrix)
-        accepted, seconds = scan._exact_cells((10, u, points))
+        accepted, seconds, (factored, kernel) = scan._exact_cells((10, u, points))
         assert accepted == want and len(seconds) == len(points)
+        # no cell of the slice has a frame: each is a factored accept or a kernel solve
+        assert factored + kernel == len(points) and 0 < factored <= sum(want)
         assert 0 < sum(want) < len(want)
 
     def test_one_spin_per_batch(self):
@@ -797,6 +815,12 @@ class TestOneSdpPerDecision:
         ),
         "exact-accept": (dicke_mixture_moments, "exact", STATUS_QUANTUM, 0),
         "exact-reject": (lambda tj: dicke_zero_moments(tj, 0.1), "exact", STATUS_NON_QUANTUM, 0),
+        # figure-slice cells (u = (0.1, 0.2, 0.3)) with no frame: the complex program
+        "frameless-accept": (lambda tj: coords_matrix([0.1, 0.2, 0.3], [-0.02, 0.46, 0.56], tj), "exact", STATUS_QUANTUM, 0),
+        "frameless-reject": (
+            lambda tj: coords_matrix([0.1, 0.2, 0.3], [-0.2, 0.28, 0.92] if tj == 4 else [-0.08, 0.22, 0.86], tj),
+            "exact", STATUS_NON_QUANTUM, 1,
+        ),
     }
 
     @staticmethod
@@ -829,15 +853,19 @@ class TestOneSdpPerDecision:
         v = feasibility.classify(m)
         assert (v.stage, v.status) == (stage, status)
         assert len(calls) == expected
-        # at most one phase-1 program per decision: the solver's, none for the witness
-        assert len(programs) == expected
+        # at most one phase-1 program per decision: the solver's, none for the witness;
+        # the frameless accept's is decided by the factored stage before any kernel solve
+        assert len(programs) == (1 if path.startswith("frameless") else 0)
         # classify's exact stage stops at a decided bound, over the per-spin program
         assert all(decided for _, decided in calls + programs)
+        assert all(ops is feasibility._moment_program(two_j) for ops, _ in programs)
         # the exact reject is four-block and the exact accept axial: each is decided
         # with no SDP, by the tangent/chord search and by the closed form
-        assert all(ops is feasibility._frame_program("four-block", two_j) for ops, _ in programs)
         if path.startswith("exact"):
             assert v.tests_run[-1 if v.accepted else -2].frame == ("axial" if v.accepted else "four-block")
+        if path.startswith("frameless"):
+            record = v.tests_run[-1 if v.accepted else -2]
+            assert record.frame is None and (sdp.FACTORED in record.detail) == v.accepted
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_spin_one_solves_nothing(self, monkeypatch, path):
@@ -985,7 +1013,10 @@ class TestDecidedStop:
     bound on t* clears the boundary band; exact_test_direct runs to the optimum.
     An axial input needs neither: its closed form is the optimum either way."""
 
-    DETAIL = r"t_star = \S+, \d+ iterations, gap \S+, (real frame, (parity|four-block|axial), )?(optimum|primal bound|dual bound)"
+    DETAIL = (
+        r"t_star = \S+, \d+ iterations, gap \S+, "
+        r"(real frame, (parity|four-block|axial), |factored, \|dX\|_F = \S+, )?(optimum|primal bound|dual bound)"
+    )
 
     @staticmethod
     def families(two_j):
@@ -1121,6 +1152,105 @@ class TestDecidedStop:
         rerun = sdp.phase1_min_t(ops, values, decide=True)
         assert [p.t_star for p in rerun] == [p.t_star for p in batch]
         assert all(np.array_equal(a.x, b.x) for a, b in zip(rerun, batch))
+
+
+class TestFactoredAccepts:
+    """A decided one-block program meets the factored stage of
+    ``sdp.phase1_min_t`` first: an accept proved by a rank-3 factor V, with the
+    certificate V V^dag + tau·1 - dX and no kernel solve.  What it cannot prove
+    falls through to the kernel, in input order."""
+
+    U = (0.1, 0.2, 0.3)
+
+    @classmethod
+    def figure_values(cls, resolution):
+        """The moment values of the figure-slice cells in T but not R."""
+        res = scan_grid(10, cls.U, resolution=resolution, sets=("R", "T"))
+        cells = np.argwhere((res.in_t == 1) & (res.in_r == 0))
+        v1, v2 = res.v1_values[cells[:, 0]], res.v2_values[cells[:, 1]]
+        return np.stack([reduction._coords_values(10, np.array(cls.U), (a, b, 1.0 - a - b)) for a, b in zip(v1, v2)])
+
+    def test_figure_slice_flags_do_not_depend_on_the_stage(self, monkeypatch):
+        res = scan_grid(10, self.U, resolution=41)
+        exact = int(((res.in_t == 1) & (res.in_r == 0)).sum())
+        assert res.s_factored > 0 and res.s_kernel > 0 and res.s_factored + res.s_kernel == exact
+        monkeypatch.setattr(sdp, "FACTOR_STEPS", 0)
+        kernel = scan_grid(10, self.U, resolution=41)
+        assert (kernel.s_factored, kernel.s_kernel) == (0, exact)
+        assert np.array_equal(res.in_s, kernel.in_s)
+
+    def test_every_factored_accept_is_a_kernel_accept(self):
+        # on the 41x41 figure slice each factored accept's optimum is below the band,
+        # its bound t_p = ||dX||_F - tau lies between that optimum and the band (so
+        # ||dX||_F < tau - band), and its certificate meets every value with
+        # lambda_min >= -t_p
+        values = self.figure_values(41)
+        program = feasibility._moment_program(10)
+        ops = moment_operators(10)
+        decided = sdp.phase1_min_t(program, values, decide=True)
+        factored = [i for i, p1 in enumerate(decided) if sdp.FACTORED in p1.solution.message]
+        assert len(factored) > 200
+        for i, optimum in zip(factored, sdp.phase1_min_t(program, values[factored])):
+            p1 = decided[i]
+            assert optimum.solution.status == sdp.STATUS_OPTIMAL
+            assert optimum.t_star - 1e-8 <= p1.t_star < -matcore.BOUNDARY_BAND
+            assert matcore.min_eigenvalue(p1.x) >= -p1.t_star - 1e-12
+            got = np.einsum("kij,ji->k", ops, p1.x).real
+            assert np.abs(got - values[i]).max() <= 1e-12 * np.abs(values[i]).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        two_j=st.integers(2, 63),
+        eps=st.floats(1e-2, 1.0),
+        pure=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_states_are_factored_accepts(self, two_j, eps, pure, seed):
+        rng = np.random.default_rng(seed)
+        d = two_j + 1
+        if pure:
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        else:
+            rho = random_density(rng, d)
+        rho = (1.0 - eps) * rho + eps * np.eye(d) / d
+        m = spinalg.moment_matrix(rho, spinalg.spin_operators(two_j))
+        b = spinalg.moment_values(m)
+        assume(feasibility._real_frame(b, two_j) is None)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            real = sdp._path_following
+            patch.setattr(sdp, "_path_following", lambda *a, **k: calls.append(a) or real(*a, **k))
+            v = feasibility.exact_test_direct(m, decide=True)
+        assert calls == []
+        assert (v.status, v.t_star_kind) == (STATUS_QUANTUM, "primal bound")
+        (record,) = v.tests_run
+        assert re.fullmatch(TestDecidedStop.DETAIL, record.detail) and sdp.FACTORED in record.detail
+        x = v.certificate_state
+        assert matcore.min_eigenvalue(x) >= 0.0
+        assert abs(np.trace(x).real - 1.0) <= 1e-12
+        got = np.einsum("kij,ji->k", moment_operators(two_j), x).real
+        assert np.abs(got - b).max() <= 1e-9 * np.abs(b).max()
+
+    def test_only_the_leftovers_reach_the_kernel(self, monkeypatch):
+        # an empty batch, a batch of accepts and a single accept call no kernel; the
+        # leftovers of a mixed batch go to it in input order, as one chunk
+        values = self.figure_values(15)
+        program = feasibility._moment_program(10)
+        accepts = [i for i, p1 in enumerate(sdp.phase1_min_t(program, values, decide=True)) if p1.solution.message]
+        calls = []
+        for name in ("solve", "_path_following"):
+            real = getattr(sdp, name)
+            monkeypatch.setattr(sdp, name, lambda *a, _real=real, _name=name, **k: calls.append((_name, a)) or _real(*a, **k))
+        assert feasibility._phase1_verdicts("exact", 4, np.empty((0, 10)), decide=True) == []
+        assert sdp.phase1_min_t(program, np.empty((0, 10)), decide=True) == []
+        assert len(sdp.phase1_min_t(program, values[accepts], decide=True)) == len(accepts)
+        assert sdp.FACTORED in sdp.phase1_min_t(program, values[accepts[0]], decide=True).solution.message
+        assert calls == []
+        sdp.phase1_min_t(program, values, decide=True)
+        ((name, (rows, b, shifts)),) = calls
+        left = [i for i in range(len(values)) if i not in accepts]
+        assert name == "_path_following" and np.array_equal(b, sdp._standard_form(program, values[left])[1])
 
 
 class TestFirstMomentStage:
@@ -1496,20 +1626,24 @@ def frame_moments(two_j, construction, rng):
 
 
 def complex_verdict(m, decide=True):
-    """The verdict of the complex program over all ten operators, read as
-    ``exact_test_direct`` reads its own."""
+    """The verdict of the complex program over all ten operators, solved by the
+    kernel alone (no factored accept stage) and read as ``exact_test_direct``
+    reads its own."""
     b = spinalg.moment_values(m)
-    p1 = sdp.phase1_min_t(feasibility._moment_program(m.two_j), b, decide=decide)
+    with pytest.MonkeyPatch.context() as patch:
+        kernel_only(patch)
+        p1 = sdp.phase1_min_t(feasibility._moment_program(m.two_j), b, decide=decide)
     return feasibility._read_phase1(p1, b, "exact", feasibility._StageLog())
 
 
 def assert_same_t_star(got, want, m):
-    """A framed verdict against the complex program's decided one, ``want``: a
+    """A verdict against the complex program's decided kernel one, ``want``: a
     blocked solve follows it iteration for iteration to the same t*; a
     four-block verdict is decided with no SDP (``feasibility._four_block_optimum``),
+    and so is a factored accept of the complex program (``sdp._factored_accepts``),
     so its bound lies between the band and the complex optimum, and its optimum
     is that optimum to the kernel's 1e-8 gap."""
-    if got.tests_run[0].frame != "four-block":
+    if got.tests_run[0].frame != "four-block" and sdp.FACTORED not in got.tests_run[0].detail:
         assert iterations(got) == iterations(want)
         assert abs(got.t_star - want.t_star) <= 1e-9 * abs(want.t_star)
         return

@@ -6,7 +6,7 @@ import pytest
 
 from spinmoment import feasibility, matcore, sdp, spinalg
 
-from conftest import highest_weight_state, random_density, random_hermitian
+from conftest import highest_weight_state, kernel_only, random_density, random_hermitian
 from sdp_oracle import bracket_optimum, random_phase1_dual
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -559,10 +559,12 @@ class TestInfeasibilityDetection:
         assert sol.message.startswith(f"no convergence after {k - 1} iterations")
 
     @pytest.mark.parametrize("e00", [-1.0, 0.3])
-    def test_decided_run_is_the_optimal_run_cut_short(self, e00):
-        # a decided solve takes the optimal solve's iterates and stops at the first
-        # bound that clears the band: for the reject, t_d of the dual look-ahead
-        # point beyond the last iterate; for the accept, t_p of an iterate
+    def test_decided_run_is_the_optimal_run_cut_short(self, monkeypatch, e00):
+        # a decided kernel solve takes the optimal solve's iterates and stops at the
+        # first bound that clears the band: for the reject, t_d of the dual look-ahead
+        # point beyond the last iterate; for the accept, t_p of an iterate (the
+        # factored stage would take the accept first: TestFactoredAccepts)
+        kernel_only(monkeypatch)
         program = corner_program(e00)
         ref = sdp.phase1_min_t(*program)
         p1 = sdp.phase1_min_t(*program, decide=True)
@@ -683,6 +685,7 @@ class TestKernelExits:
     @pytest.mark.parametrize("name", list(EXITS))
     def test_each_exit_is_its_last_logged_point(self, monkeypatch, name):
         setup, e00, decide, status, message, iterations = self.EXITS[name]
+        kernel_only(monkeypatch)  # the kernel's own exits: no factored accept first
         if setup is not None:
             setup(monkeypatch)
         program = (np.eye(2, dtype=complex)[None], np.array([1.0])) if e00 is None else corner_program(e00)
@@ -847,7 +850,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("sizes", [(3, 3), (4, 3, 3, 3), (1, 1, 1, 1, 1), (2, 5), (6,)])
     @pytest.mark.parametrize("decide", [False, True])
-    def test_blocks_match_the_direct_sum(self, sizes, decide):
+    def test_blocks_match_the_direct_sum(self, monkeypatch, sizes, decide):
+        # the kernel on the blocks follows the kernel on the direct sum; a decided
+        # one-block program would meet the factored stage first
+        kernel_only(monkeypatch)
         rng = np.random.default_rng(4000 + sum(sizes))
         for dtype in (float, complex):
             blocks, dense, values = self.random_blocks(rng, sizes, 4, dtype)
