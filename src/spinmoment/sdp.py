@@ -115,8 +115,8 @@ FACTOR_RANK = 3  # columns of the factor V of ``_factored_accepts``
 FACTOR_SHIFT = 2.0 * matcore.BOUNDARY_BAND  # tau: V V^dag + tau·1 is the certificate's PSD part
 # Gauss-Newton steps before a program falls through to the kernel, or once its
 # ||dX||_F is no lower than FACTOR_STALL steps before.  On the u = (0.1, 0.2, 0.3)
-# slices accepts converge in 4 to 30 steps (2j = 10 to 62, more at larger j); a
-# reject never converges, and the stall test ends it after 10 to 17 steps
+# slices accepts converge in 4 to 30 steps (more at larger j); a reject never
+# does, and the stall test ends most after 10 to 20 steps, not the whole budget
 FACTOR_STEPS = 40
 FACTOR_STALL = 6
 FACTORED = "factored"  # how a factored accept's message, and the stage detail, name its path
@@ -267,15 +267,14 @@ def _layout(dims: tuple[int, ...], size: int, dtype: np.dtype):
     return eye, pad, entry, placed
 
 
-def _start(rows: Blocks, b: np.ndarray, min_norm=None) -> np.ndarray:
+def _start(rows: Blocks, b: np.ndarray) -> np.ndarray:
     """The primal start of ``_path_following`` for b (k, m), as (k, n, D, D):
     the min-norm affine solution shifted into the interior at its own scale,
-    1.5 |lambda_min|, or 1/d if it is zero.  ``min_norm`` is the rows' own
-    (``_contractions``), when the caller has it."""
+    1.5 |lambda_min|, or 1/d if it is zero."""
     ops, dims = rows
     size, d = ops.shape[-1], sum(dims)
     eye, pad, _, _ = _layout(tuple(dims), size, ops.dtype)
-    x = _herm((min_norm or _contractions(ops)[3])(b))
+    x = _herm(_contractions(ops)[3](b))
     if pad is None:
         lowest = _lowest_eigenvalue(x)
     else:  # the padding's eigenvalues are set above every block's
@@ -315,7 +314,7 @@ def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution
             for _ in range(k)
         ]
 
-    a_apply, a_adjoint, schur_of, min_norm = _contractions(ops)
+    a_apply, a_adjoint, schur_of, _ = _contractions(ops)
     band = matcore.BOUNDARY_BAND
 
     def per(s: np.ndarray) -> np.ndarray:  # one value per program, over its (n, D, D) iterate
@@ -336,7 +335,7 @@ def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution
         out[placed] = a[entry]
         return out
 
-    x = _start(rows, b, min_norm)  # and y = 0, so Z = 1/d
+    x = _start(rows, b)  # and y = 0, so Z = 1/d
     z = np.repeat(c[None], k, axis=0)
     y = np.zeros((k, m))
 
@@ -754,9 +753,8 @@ def _standard_form(program: Phase1Program, values: np.ndarray) -> tuple[np.ndarr
     if values.ndim not in (1, 2) or values.shape[-1] != m:
         raise ValueError(f"expected {m} values, one per operator, got shape {values.shape}")
     matcore._check_finite("phase-1 values", "b", values)
-    batch = np.atleast_2d(values)[:, None]  # one product per program: none depends on its batch
-    trace_values = (batch @ program.coeff)[:, 0]
-    batch = batch[:, 0]
+    batch = np.atleast_2d(values)
+    trace_values = (batch[:, None] @ program.coeff)[:, 0]  # one product per program: none depends on its batch
     tilde_b = batch - np.outer(trace_values, program.traces) / d
     mismatch = np.linalg.norm(tilde_b @ program.null, axis=1)
     conflict = np.flatnonzero(mismatch > CONFLICT_TOL * (1.0 + np.abs(tilde_b).max(axis=1)))

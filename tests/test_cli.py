@@ -397,14 +397,18 @@ class TestScanCommand:
             assert not (fs == 1 and ft == 0)
         svg = (tmp_path / "scan.svg").read_text(encoding="utf-8")
         assert svg.startswith("<?xml")
-        # the summary counts the exact-test cells (T but not R) and the per-cell times
+        # the summary counts the exact-test cells (T but not R), the per-cell times and
+        # the cells the factored stage and the kernel decided: no cell here has a frame
         summary = re.search(
-            r"exact tests on (\d+) cells; per cell p50 ([\d.]+) ms, p99 ([\d.]+) ms",
+            r"exact tests on (\d+) cells; per cell p50 ([\d.]+) ms, p99 ([\d.]+) ms; "
+            r"(\d+) factored accepts, (\d+) kernel solves",
             capsys.readouterr().out,
         )
         assert summary is not None
         assert int(summary.group(1)) == sum(fr == 0 and ft == 1 for _, _, fr, _, ft in rows) > 0
         assert 0.0 < float(summary.group(2)) <= float(summary.group(3))
+        assert int(summary.group(4)) + int(summary.group(5)) == int(summary.group(1))
+        assert 0 < int(summary.group(4)) <= sum(fr == 0 and fs == 1 for _, _, fr, fs, _ in rows)
 
     def test_svg_cells_match_csv_flags(self, tmp_path):
         result = scan_grid(4, np.array([0.0, 0.0, 0.2]), resolution=7)
