@@ -283,8 +283,8 @@ def _check_sandwich(rng: np.random.Generator) -> tuple[str, bool, str]:
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            b = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
-            mm = MomentMatrix.from_matrix(two_j, np.tensordot(b, spinalg.CHI_PATTERN, axes=1)[1:, 1:])
+            b = matcore.traces(reduction.reduction_operators(two_j), rho).real
+            mm = MomentMatrix.from_matrix(two_j, matcore.combine(b, spinalg.CHI_PATTERN)[1:, 1:])
             in_r = reduction.ppt_inner_test(rho)
             exact = feasibility.exact_test_direct(mm).accepted
             in_t = matcore.is_psd(reduction.tau(rho, two_j), tol=1e-7)
@@ -311,7 +311,7 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
 def _witness_deviations(w: feasibility.Witness, ops: np.ndarray) -> tuple[float, float, float]:
     """-lambda_min(Z), |tr Z - 1| and max |sum_i c_i A_i - Z| of a witness over ``ops``."""
     z = w.matrix
-    expansion = float(np.abs(np.tensordot(w.op_coefficients, ops, axes=1) - z).max())
+    expansion = float(np.abs(matcore.combine(w.op_coefficients, ops) - z).max())
     return -matcore.min_eigenvalue(z), abs(np.trace(z).real - 1.0), expansion
 
 

@@ -283,7 +283,8 @@ def _four_block_optimum(values: np.ndarray, two_j: int, decide: bool) -> list[sd
     (stack, sizes), d, k = program.rows, two_j + 1, len(b)
     start = np.cumsum([0, *sizes])
     _, _, entry, placed = sdp._layout(tuple(sizes), stack.shape[-1], stack.dtype)
-    s, bl, norm = (trace / d).tolist(), b.tolist(), np.linalg.norm(b, axis=1).tolist()
+    s, bl = (trace / d).tolist(), b.tolist()
+    norm = [math.sqrt(bx * bx + by * by) for bx, by in bl]
     ray = [(bx / n, by / n) if n > 0.0 else (0.0, 0.0) for (bx, by), n in zip(bl, norm)]
     u, y = list(ray), [(0.0, 0.0)] * k
     ends = [[None, None] for _ in range(k)]  # support points clockwise and counterclockwise of the ray
@@ -291,7 +292,7 @@ def _four_block_optimum(values: np.ndarray, two_j: int, decide: bool) -> list[sd
 
     def finish(i: int, status: str, evaluations: int, t_p: float, factor=None, residual=0.0) -> None:
         z = np.zeros((d, d))  # 1/d - y.R as the direct sum of the blocks
-        z[placed] = -np.tensordot(y[i], stack, 1)[entry]
+        z[placed] = -matcore.combine(y[i], stack)[entry]
         z[np.diag_indices(d)] += 1.0 / d
         pobj, dobj = t_p + s[i], t_d[i] + s[i]
         sol = sdp.SdpSolution(
@@ -386,14 +387,14 @@ def _moment_map(rot: np.ndarray) -> np.ndarray:
     """T(R), read off Re chi(b') = Q Re chi(b) Q^T with Q = diag(1, R)."""
     q = np.eye(4)
     q[1:, 1:] = rot
-    return _CHI_READ @ np.einsum("ak,bl->abkl", q, q).reshape(16, 16) @ _CHI_REAL.T
+    return _CHI_READ @ (q[:, None, :, None] * q[None, :, None, :]).reshape(16, 16) @ _CHI_REAL.T
 
 
 def _broken(kind: str, moments: np.ndarray, two_j: int) -> float:
     """The largest of the values that vanish in a frame of this kind, each over
     its scale: S12, S13 and S23 over j(j+1) and L1 and L2 over j in every kind,
     L3 too in a four-block frame and S11 - S22 in an axial one."""
-    j = two_j / 2.0
+    j, moments = two_j / 2.0, moments.tolist()
     s, ell = [moments[2], moments[3], moments[5]], [moments[7], moments[8]]
     if kind == "four-block":
         ell.append(moments[9])
@@ -416,7 +417,7 @@ def _real_frame(b: np.ndarray, two_j: int) -> Frame | None:
     j = two_j / 2.0
     s = (_CHI_REAL.T @ b).reshape(4, 4)[1:, 1:]
     ell = b[7:]
-    r = float(np.linalg.norm(ell))
+    r = math.sqrt(ell.dot(ell))
     if r > matcore.FRAME_TOL * j:
         plane = np.linalg.svd(ell[None])[2][1:]  # orthonormal rows perpendicular to l
         rot = np.vstack([np.linalg.eigh(plane @ s @ plane.T)[1].T @ plane, ell / r])
@@ -501,8 +502,8 @@ def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
     if two_j == 1:
         s = [np.eye(2) * (k == l) / 4.0 for k, l in zip(*spinalg._UPPER)]
         ls = [p / 2.0 for p in (reduction._PAULI_X, reduction._PAULI_Y, reduction._PAULI_Z)]
-        return np.tensordot(c, np.stack([np.eye(2), *s, *ls]), 1)
-    return _pair_adjoint(np.tensordot(c, reduction.reduction_operators(two_j), 1), two_j)
+        return matcore.combine(c, np.stack([np.eye(2), *s, *ls]))
+    return _pair_adjoint(matcore.combine(c, reduction.reduction_operators(two_j)), two_j)
 
 
 @lru_cache(maxsize=None)
@@ -582,12 +583,12 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
     band, so neither stage builds a spin matrix or the operator stack.
     """
     f = spinalg.CHI_PATTERN if stage == "chi" else reduction._reconstruction_system(m.two_j)
-    c = np.einsum("a,iab,b->i", v.conj(), f, v).real
+    c = matcore.traces(f, np.outer(v, v.conj())).real
     z = _lift(c, m.two_j)
     norm = float(np.trace(z).real)
     z /= norm
     c = _canonical(c / norm, m.two_j)
-    return Witness(z, float(c @ spinalg.moment_values(m)), c, spinalg.MOMENT_LABELS)
+    return Witness(z, float(c @ m.values), c, spinalg.MOMENT_LABELS)
 
 
 _BOUND_KINDS = {sdp.STATUS_PRIMAL_BOUND: "primal bound", sdp.STATUS_DUAL_BOUND: "dual bound"}
@@ -597,25 +598,21 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     """The verdict of a phase-1 program: a reject carries its dual as the
     witness, an accept its primal X, both in the frame of ``values``.
 
-    X = Y - t_p·1 for the solver's iterate Y >= 0, so
-    lambda_min(X) >= -t_p: at least |t*| on a quantum verdict, at least
-    -BOUNDARY_BAND on a boundary one.  tr X is the fitted trace to rounding,
-    since t_p is defined from tr Y, and X meets the moments to the solver's
-    residual, so the certificate needs no post-processing.  The witness's
-    value is -t_d.  At the optimum t_star = t_p and t_d agrees to the gap; a
-    decided solve's t_star is the bound that decided it (``Verdict``).
+    X = Y - t_p·1 for the solver's iterate Y >= 0, so lambda_min(X) >= -t_p,
+    and X meets the trace and the moments to the solver's rounding and
+    residual: the certificate needs no post-processing.  The witness's value
+    is -t_d.  t_star is t_p at the optimum, else the bound that decided the
+    solve (``Verdict``).
 
-    A solve in a ``Frame`` (kind, R, T) of ``_real_frame`` ran on b' = T b
-    over its kind's kept labels.  Its coefficients c' map back as c = T^T c',
-    made canonical (``_canonical``), and a reject's witness is the rotated
-    dual ``_lift``(c) = sum_i c_i A_i, with no rotation built.  An accept's
-    certificate is turned back with V = D^j(R) (``_spin_rotation``), Q the
-    blocks' bases side by side (``_frame_basis``): an axial or four-block
-    Y = F^T F of two rows (``Phase1Result.factor``) as G^dag G - t*·1,
-    G = (F Q^T) V, in O(d^2); a parity X' densely, as W^dag X' W, W = Q^T V.
-    The stage record names the kind, and its detail says "real frame" and the
-    kind before the kind of t_star; a factored accept of the complex program
-    (``sdp.phase1_min_t``) says "factored" and its ||dX||_F there instead.
+    A solve in a ``Frame`` (kind, R, T) ran on b' = T b over its kind's kept
+    labels.  Its coefficients map back as c = T^T c', made canonical, and a
+    reject's witness is ``_lift``(c), with no rotation built.  An accept's
+    certificate turns back with V = D^j(R) (``_spin_rotation``) and the
+    blocks' bases Q (``_frame_basis``): an axial or four-block Y = F^T F of
+    two rows (``Phase1Result.factor``) as G^dag G - t*·1, G = (F Q^T) V, in
+    O(d^2); a parity X' as W^dag X' W, W = Q^T V.  The stage detail says
+    "real frame" and the kind, or, for a factored accept of the complex
+    program (``sdp.phase1_min_t``), "factored" and its ||dX||_F.
 
     A solve that is neither optimal nor decided is an ``ArithmeticError``
     (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
@@ -637,12 +634,14 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
     x = p1.x
     if p1.factor is not None:  # axial or four-block: the rows of Y = F^T F turned back, (F Q^T) V
         g = _spin_rotation(frame.rotation, two_j, p1.factor @ _frame_basis(name, two_j).T)
-        x = g.conj().T @ g - t * np.eye(two_j + 1)
+        x = g.conj().T @ g
+        x[np.diag_indices(two_j + 1)] -= t
     elif frame is not None:
         w = _frame_basis(name, two_j).T @ _spin_rotation(frame.rotation, two_j)
         x = w.conj().T @ x @ w
     if frame is not None:
-        x = (x + x.conj().T) / 2.0
+        x += x.conj().T
+        x /= 2.0
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail, name)
     return Verdict(status, stage, t, x, None, log.done(), kind)
@@ -692,7 +691,7 @@ def _first_moment_stage(b: np.ndarray, two_j: int, log: _StageLog, final: bool) 
     j = two_j / 2.0
     d = two_j + 1
     ell = b[7:]
-    r = float(np.linalg.norm(ell))
+    r = math.sqrt(ell.dot(ell))
     t = (r / j - 1.0) / d
     detail = f"|l| = {r:.9g}, j = {j:.9g}, t_star = {t:.3e}"
     if t > BOUNDARY_BAND:
@@ -830,8 +829,7 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     ``_phase1_verdicts``, which decides a call in frames, by kind, only when
     every input has one; the stage record's ``frame`` then names the kind.
     """
-    values = spinalg.moment_values(m)
-    return _phase1_verdicts("exact", m.two_j, values, decide=decide)
+    return _phase1_verdicts("exact", m.two_j, m.values, decide=decide)
 
 
 def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
@@ -848,7 +846,7 @@ def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
     two_j = ms[0].two_j
     if any(m.two_j != two_j for m in ms):
         raise ValueError("a batch of exact tests needs one spin number")
-    values = np.stack([spinalg.moment_values(m) for m in ms])
+    values = np.stack([m.values for m in ms])
     return _phase1_verdicts("exact", two_j, values, decide=True)
 
 
@@ -874,7 +872,7 @@ def exact_test_extension(rho: np.ndarray, two_j: int) -> Verdict:
             raise ValueError(f"expected a 3x3 symmetric-basis state, got {rho.shape}")
         if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
             raise ValueError("reduced state must have unit trace")
-        values = np.einsum("iab,ba->i", reduction.reduction_operators(two_j), rho).real
+        values = matcore.traces(reduction.reduction_operators(two_j), rho).real
     return _phase1_verdicts("extension", two_j, values)
 
 
@@ -890,10 +888,9 @@ def _validate_half_spin_structure(m: MomentMatrix) -> None:
 
 
 def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, log: _StageLog):
-    """Eigen-test a chi or reconstruct matrix: (lambda_min, witness).  Below
-    -PSD_TOL the witness is the closed form of the same eigensolve's lowest
-    eigenvector, else None."""
-    vals, vecs = matcore.hermitian_eig(matrix)
+    """(lambda_min, witness) of a chi or reconstruct matrix; the witness
+    (``_eigenvector_witness``) only below -PSD_TOL."""
+    vals, vecs = np.linalg.eigh(matrix)
     lam = float(vals[0])
     if lam >= -matcore.PSD_TOL:
         log.add(stage, "pass", f"min eigenvalue {lam:.3e}")
@@ -905,38 +902,22 @@ def _eigen_stage(stage: str, matrix: np.ndarray, m: MomentMatrix, log: _StageLog
 def classify(m: MomentMatrix) -> Verdict:
     """Full decision pipeline with cheap early exits.
 
-    Order: structural validation (done on construction), the first-moment
-    law |l| <= j (``_first_moment_stage``, in closed form at every j, above
-    the cone cap too), the 4x4 expectation value matrix chi and
-    reconstruction positivity (quick rejects, with the closed-form witnesses
-    of ``_eigenvector_witness``), the PPT inner test (quick accept), then the
-    decisive ``exact_test_direct(m, decide=True)``.  Every rejection carries
-    a witness.  An early reject stands only when its witness separates
-    (value below -BOUNDARY_BAND): a valid witness has value >= -t*, so the
-    exact test would reject too; otherwise the input is within the band of
-    the boundary and the exact stage decides.  That stage stops once a
-    certified bound on t* clears the band (``Verdict.t_star_kind``), and an
-    axial or four-block input solves no SDP there, nor does an input with no
-    frame that the factored stage of ``sdp.phase1_min_t`` accepts.  So no
-    path solves more than one SDP, and none runs past its verdict.
+    Order: the first-moment law (``_first_moment_stage``, at every j), chi
+    and reconstruction positivity (quick rejects), the PPT inner test (quick
+    accept), then ``exact_test_direct(m, decide=True)``.  An early reject
+    stands only when its witness separates: a valid witness has value
+    >= -t*, so the exact test would reject too; within the band the exact
+    stage decides.  No path solves more than one SDP.
 
     At 2j = 2 the pair marginal is the state itself, in reversed order, so
-    S_1 = {rho_j >= 0} and t* = -lambda_min(rho_j): a passing reconstruct
-    stage accepts with that ``t_star`` and the certificate
-    ``rho_j[::-1, ::-1]``.  Its status is boundary when |t*| is within the
-    band and rho_j is not PPT, the statuses the inner and exact stages would
-    give.  No path at 2j = 2 solves an SDP except an early reject whose
-    witness is inside the band.
+    t* = -lambda_min(rho_j): a passing reconstruct stage accepts with that
+    ``t_star`` and the certificate ``rho_j[::-1, ::-1]``, boundary when |t*|
+    is within the band and rho_j is not PPT.  At j = 1/2, where Re(M) = I/4
+    is forced (a structure stage), the first-moment stage is the last.
 
-    At j = 1/2 the second moments are forced to Re(M) = I/4, which a
-    structure stage checks, and the first-moment stage is the last: it
-    decides as ``first_moment_test`` does, and no path solves an SDP.
-
-    There is no separate outer (tau) stage: chi = D tau D with
-    D = diag(1, j, j, j) and j >= 1, so for any x, x^dag tau x = y^dag chi y
-    with y = D^-1 x and |y| <= |x|.  Hence lambda_min(tau) >=
-    min(0, lambda_min(chi)) >= -PSD_TOL once chi has passed, and the outer test
-    could never reject here.
+    There is no outer (tau) stage: chi = D tau D with D = diag(1, j, j, j)
+    and j >= 1, so lambda_min(tau) >= min(0, lambda_min(chi)) >= -PSD_TOL
+    once chi has passed.
     """
     log = _StageLog()
     log.add("validate", "pass")
@@ -944,7 +925,7 @@ def classify(m: MomentMatrix) -> Verdict:
     if m.two_j == 1:
         _validate_half_spin_structure(m)
         log.add("structure", "pass", "second moments forced at j=1/2")
-    first = _first_moment_stage(spinalg.moment_values(m), m.two_j, log, final=m.two_j == 1)
+    first = _first_moment_stage(m.values, m.two_j, log, final=m.two_j == 1)
     if first is not None:
         return first
 
@@ -953,14 +934,16 @@ def classify(m: MomentMatrix) -> Verdict:
         rho = reduction.reconstruct_rho(m)
         lam, witness = _eigen_stage("reconstruct", rho, m, log)
     if witness is None:
-        # the reconstruct stage passed rho_j >= 0, so PPT needs only the partial transpose
+        # rho_j >= 0 passed, so PPT needs only the partial transpose; at 2j = 2 a PPT
+        # rho_j is separable, so quantum even within the band, as at the inner stage
+        ppt = (m.two_j == 2 and lam > BOUNDARY_BAND) or (
+            np.linalg.eigvalsh(reduction._partial_transpose(rho))[0] >= -matcore.PSD_TOL
+        )
         if m.two_j == 2:
-            # a PPT rho_j is separable, so quantum even within the band, as at the inner stage
-            quantum = lam > BOUNDARY_BAND or matcore.is_psd(reduction._partial_transpose(rho))
-            log.records[-1] = replace(log.records[-1], outcome="accept" if quantum else "boundary")
-            status = STATUS_QUANTUM if quantum else STATUS_BOUNDARY
+            log.records[-1] = replace(log.records[-1], outcome="accept" if ppt else "boundary")
+            status = STATUS_QUANTUM if ppt else STATUS_BOUNDARY
             return Verdict(status, "reconstruct", -lam, rho[::-1, ::-1].copy(), None, log.done(), "optimum")
-        if matcore.is_psd(reduction._partial_transpose(rho)):
+        if ppt:
             log.add("inner", "accept", "reduced state is PPT, hence separable")
             return Verdict(STATUS_QUANTUM, "inner", None, None, None, log.done())
         log.add("inner", "undecided", "reduced state is entangled")

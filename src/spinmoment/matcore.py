@@ -50,10 +50,22 @@ def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 def _check_finite(what: str, symbol: str, a: np.ndarray) -> None:
     """Raise a ``ValueError`` that names every non-finite entry of ``a``."""
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
+    if not np.isfinite(a).all():
+        bad = np.argwhere(~np.isfinite(a))
         entries = (symbol + "".join(f"[{i}]" for i in idx) + f" = {a[tuple(idx)]}" for idx in bad)
         raise ValueError(f"{what} has non-finite entries: {', '.join(entries)}")
+
+
+def combine(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i c_i F_i for a (..., m) c over an (m, ...) stack F, as one product
+    with the stack's flat (m, -1) view."""
+    return (c @ stack.reshape(len(stack), -1)).reshape(*np.shape(c)[:-1], *stack.shape[1:])
+
+
+def traces(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """tr(F_i X) for every matrix of an (m, n, n) stack F, as one product with
+    its flat (m, n^2) view."""
+    return stack.reshape(len(stack), -1) @ x.T.ravel()
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -24,14 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import matcore
-from .spinalg import (
-    CHI_PATTERN,
-    MOMENT_LABELS,
-    MomentMatrix,
-    _UPPER,
-    _check_two_j,
-    moment_values,
-)
+from .spinalg import CHI_PATTERN, MOMENT_LABELS, MomentMatrix, _UPPER, _check_two_j
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -120,9 +113,9 @@ def reconstruct_rho(m: MomentMatrix) -> np.ndarray:
     of ``MomentMatrix``, since the values grow like j(j+1).
     """
     two_j = _require_j_ge_1(m.two_j)
-    b = moment_values(m)
-    rho = np.tensordot(b, _reconstruction_system(two_j), axes=1)
-    resid = np.einsum("iab,ba->i", reduction_operators(two_j), rho).real - b
+    b = m.values
+    rho = matcore.combine(b, _reconstruction_system(two_j))
+    resid = matcore.traces(reduction_operators(two_j), rho).real - b
     worst = int(np.argmax(np.abs(resid)))
     if abs(resid[worst]) > matcore.RESIDUAL_TOL * max(1.0, float(np.abs(b).max())):
         raise ValueError(
@@ -157,7 +150,7 @@ def moments_from_coords(coords: RenormalizedCoords) -> MomentMatrix:
         if abs(vsum - 1.0) > matcore.CASIMIR_TOL:
             raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
         b = _coords_values(two_j, coords.u, coords.v)
-        return MomentMatrix.from_matrix(two_j, np.tensordot(b, CHI_PATTERN, axes=1)[1:, 1:])
+        return MomentMatrix.from_matrix(two_j, matcore.combine(b, CHI_PATTERN)[1:, 1:])
 
 
 def tau(rho: np.ndarray, two_j: int) -> np.ndarray:
@@ -170,8 +163,7 @@ def tau(rho: np.ndarray, two_j: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError(f"expected a 3x3 symmetric-basis operator, got {rho.shape}")
-    b = np.einsum("iab,ba->i", reduction_operators(two_j), rho).real
-    return np.tensordot(b, _tau_system(two_j), axes=1)
+    return matcore.combine(matcore.traces(reduction_operators(two_j), rho).real, _tau_system(two_j))
 
 
 def _tau_system(two_j: int) -> np.ndarray:

@@ -166,10 +166,10 @@ def _slice_maps(two_j: int, u: np.ndarray):
     (v1, v2) at fixed u: a cell's matrix is c0 + v1 d1 + v2 d2, from b at the corners
     (v1, v2) = (0, 0), (1, 0), (0, 1), where v = (0, 0, 1), (1, 0, 0), (0, 1, 0)."""
     b0, b1, b2 = (reduction._coords_values(two_j, u, v) for v in np.eye(3)[[2, 0, 1]])
-    basis = (b0, b1 - b0, b2 - b0)
-    rho = [np.tensordot(b, reduction._reconstruction_system(two_j), 1) for b in basis]
-    pt = [matcore.hermitize(reduction._partial_transpose(r), tol=1e-10) for r in rho]
-    return [rho, pt, [np.tensordot(b, reduction._tau_system(two_j), 1) for b in basis]]
+    basis = np.stack([b0, b1 - b0, b2 - b0])
+    rho = matcore.combine(basis, reduction._reconstruction_system(two_j))
+    pt = [reduction._partial_transpose(r) for r in rho]
+    return [rho, pt, matcore.combine(basis, reduction._tau_system(two_j))]
 
 
 def _exact_cells(args) -> tuple[list[bool], list[float], tuple[int, int]]:

@@ -8,8 +8,11 @@ the highest-weight vector), and L1, L2 come from ladder operators with
 The one moment format is the vector b of ``moment_values``: the expectation
 values of the ten operators named by ``MOMENT_LABELS`` (the identity, the
 symmetrized products S_kl = (L_k L_l + L_l L_k)/2 for k <= l, and L1, L2, L3).
-Every cheap stage matrix is a fixed linear image of b; the chi matrix is
-sum_i b_i CHI_PATTERN[i].
+A ``MomentMatrix`` forms b once, at construction, and keeps it read-only.
+Every stage matrix and every lift is one product with a flat stack
+(``matcore.combine``); chi is sum_i b_i CHI_PATTERN[i].  Input is validated
+in ``MomentMatrix.from_matrix`` only: what the stages build from b is
+Hermitian by construction and goes to the eigensolver unchecked.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 MOMENT_LABELS = ("I", "S11", "S12", "S13", "S22", "S23", "S33", "L1", "L2", "L3")
 _UPPER = np.triu_indices(3)  # (k, l) of S11, S12, S13, S22, S23, S33
+_CYCLIC = (np.array([1, 2, 0]), np.array([2, 0, 1]))  # (k, l) of l_m = 2 Im(M_kl), m = 0, 1, 2
 
 
 def _chi_pattern() -> np.ndarray:
@@ -91,13 +95,20 @@ class MomentMatrix:
 
     ``matrix`` is Hermitian with real diagonal; tr Re(M) = j(j+1) by the
     Casimir identity, and Im(M_kl) = eps_klm * l_m / 2 encodes the first
-    moments.  Use ``from_matrix`` to validate raw input; its Hermiticity and
-    Casimir checks are relative to max(1, max_kl |M_kl|).
+    moments; ``values`` is their read-only moment vector b.  ``from_matrix``
+    validates raw input: finite, Hermitian and the Casimir, relative to
+    max(1, max_kl |M_kl|).
     """
 
     two_j: int
     matrix: np.ndarray
     first_moments: np.ndarray = field(repr=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        b = np.concatenate(([1.0], self.matrix.real[_UPPER], self.first_moments))
+        b.flags.writeable = False
+        object.__setattr__(self, "values", b)
 
     @classmethod
     def from_matrix(cls, two_j: int, matrix: np.ndarray) -> "MomentMatrix":
@@ -109,16 +120,13 @@ class MomentMatrix:
         with matcore._no_overflow("moment matrix"):
             tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
             m = matcore.hermitize(m, tol=tol)
-            j = two_j / 2.0
-            casimir = float(np.trace(m).real)
-            target = j * (j + 1.0)
+            casimir, target = float(m.real.trace()), two_j * (two_j + 2) / 4.0  # j(j+1)
             if abs(casimir - target) > tol:
                 raise ValueError(
                     f"Casimir violated: tr Re(M) - j(j+1) = {casimir - target:.3e} "
                     f"exceeds the tolerance {tol:.1e} (j(j+1) = {target:.9g})"
                 )
-            ell = extract_first_moments(m)
-        return cls(two_j=two_j, matrix=m, first_moments=ell)
+        return cls(two_j=two_j, matrix=m, first_moments=2.0 * m.imag[_CYCLIC])
 
 
 def spin_operators(two_j: int) -> SpinOperatorTriple:
@@ -198,15 +206,13 @@ def extract_first_moments(m: np.ndarray) -> np.ndarray:
     for k in range(3):
         if abs(im[k, k]) > tol:
             raise ValueError(f"diagonal entry ({k},{k}) has imaginary part {im[k, k]:.3e}")
-    ell = np.zeros(3)
-    for k, l, mm in _CYCLES:
+    for k, l, _ in _CYCLES:
         if abs(im[k, l] + im[l, k]) > tol:
             raise ValueError(
                 f"imaginary parts of entries ({k},{l})/({l},{k}) are inconsistent: "
                 f"{im[k, l]:.3e} vs {im[l, k]:.3e}"
             )
-        ell[mm] = im[k, l] - im[l, k]
-    return ell
+    return im[_CYCLIC] - im[_CYCLIC[::-1]]
 
 
 def moment_matrix(rho: np.ndarray, triple: SpinOperatorTriple) -> MomentMatrix:
@@ -231,8 +237,8 @@ def moment_matrix(rho: np.ndarray, triple: SpinOperatorTriple) -> MomentMatrix:
 
 
 def moment_values(m: MomentMatrix) -> np.ndarray:
-    """The moment vector b over ``MOMENT_LABELS``: 1, Re(M_kl) for k <= l, l_m."""
-    return np.concatenate(([1.0], m.matrix.real[_UPPER], m.first_moments))
+    """The moment vector b over ``MOMENT_LABELS``: 1, Re(M_kl) for k <= l, l_m (read-only)."""
+    return m.values
 
 
 def chi_matrix(m: MomentMatrix) -> np.ndarray:
@@ -241,4 +247,4 @@ def chi_matrix(m: MomentMatrix) -> np.ndarray:
     Entry (0,0) is the normalization, row/column 0 carry the first moments and
     the lower-right block is M.  PSD for every moment matrix of a true state.
     """
-    return np.tensordot(moment_values(m), CHI_PATTERN, axes=1)
+    return matcore.combine(m.values, CHI_PATTERN)

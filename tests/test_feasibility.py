@@ -2142,3 +2142,69 @@ class TestFourBlockSearch:
             assert np.abs(got.certificate_state - (dense + dense.conj().T) / 2.0).max() <= 1e-13
             assert evidence.check_certificate(got.certificate_state, two_j, b) is None
             assert p1.solution.primal_residual <= 1e-15
+
+
+class TestRandomStates:
+    """Moments of random states at every spin up to the cone cap: ``classify``
+    accepts them, never raises, and its evidence passes the benchmark's
+    package-free checks; an interior point stays quantum under a relative
+    1e-9 push that keeps the Casimir."""
+
+    KINDS = ("pure", "rank-2", "coherent", "full-rank")
+
+    @staticmethod
+    def state(kind, two_j, rng):
+        d = two_j + 1
+        if kind == "coherent":
+            psi = spinalg.coherent_state(rng.standard_normal(3), two_j)
+            return np.outer(psi, psi.conj())
+        rank = {"pure": 1, "rank-2": 2, "full-rank": d}[kind]
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        rho = g @ g.conj().T
+        return rho / np.trace(rho).real
+
+    @staticmethod
+    def assert_evidence(verdict, m):
+        evidence = bench_evidence()
+        values = evidence.moment_values(m.matrix)
+        if verdict.witness is not None:
+            assert evidence.check_witness(verdict.witness, m.two_j, values) is None
+        x = verdict.certificate_state
+        if x is not None and verdict.status == STATUS_BOUNDARY:
+            # a boundary verdict certifies only |t*| <= band, so lambda_min(X) >= -band: its
+            # X can miss the checker's -1e-9 floor (a pure state at 2j = 3 has t* = 2.6e-9)
+            assert np.linalg.eigvalsh(x)[0] >= -matcore.BOUNDARY_BAND
+            assert abs(np.trace(x).real - 1.0) <= evidence.TRACE_TOL
+            moments = np.einsum("kij,ji->k", evidence.operators(m.two_j), x).real
+            assert np.abs(moments - values).max() <= evidence.MOMENT_TOL
+        elif x is not None:
+            assert evidence.check_certificate(x, m.two_j, values) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_j=st.integers(2, 63), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_moments_of_states_are_accepted(self, two_j, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = spinalg.moment_matrix(self.state(kind, two_j, rng), spinalg.spin_operators(two_j))
+        verdict = feasibility.classify(m)
+        assert verdict.status in (STATUS_QUANTUM, STATUS_BOUNDARY)
+        self.assert_evidence(verdict, m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        two_j=st.integers(2, 63),
+        kind=st.sampled_from(KINDS),
+        weight=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_small_push_keeps_an_interior_point_quantum(self, two_j, kind, weight, seed):
+        rng = np.random.default_rng(seed)
+        d, j = two_j + 1, two_j / 2.0
+        rho = (1.0 - weight) * self.state(kind, two_j, rng) + weight * np.eye(d) / d
+        m = spinalg.moment_matrix(rho, spinalg.spin_operators(two_j))
+        e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        e = (e + e.conj().T) / 2.0
+        e -= np.trace(e).real / 3.0 * np.eye(3)  # tr Re(e) = 0: the push keeps the Casimir
+        pushed = MomentMatrix.from_matrix(two_j, m.matrix + 1e-9 * j * (j + 1.0) * e / np.abs(e).max())
+        verdict = feasibility.classify(pushed)
+        assert verdict.status == STATUS_QUANTUM
+        self.assert_evidence(verdict, pushed)

@@ -314,3 +314,62 @@ class TestPptInnerTest:
     def test_non_psd_input_fails(self):
         rho = np.diag([0.7, 0.5, -0.2]).astype(complex)
         assert not reduction.ppt_inner_test(rho)
+
+
+def _within(got, want, rel=1e-13):
+    """|got - want| at most ``rel`` of the scale max(1, max |want|)."""
+    return float(np.abs(got - want).max()) <= rel * max(1.0, float(np.abs(want).max()))
+
+
+class TestFlatMaps:
+    """Every fixed linear map of the moment vector b, or of witness coefficients
+    c, is one product with its flat stack; each equals the dense
+    ``np.tensordot`` / ``np.einsum`` sum it replaced."""
+
+    SPINS = [*range(2, 64), 100, 400]
+
+    @staticmethod
+    def moments(two_j, rng):
+        return moments_of_pair_state(random_density(rng, 3), two_j)
+
+    @pytest.mark.parametrize("two_j", SPINS)
+    def test_stage_matrices_match_the_dense_sums(self, two_j):
+        rng = np.random.default_rng(5100 + two_j)
+        m = self.moments(two_j, rng)
+        b = spinalg.moment_values(m)
+        recon, ops = reduction._reconstruction_system(two_j), reduction.reduction_operators(two_j)
+        assert _within(spinalg.chi_matrix(m), np.tensordot(b, spinalg.CHI_PATTERN, axes=1))
+        rho = reduction.reconstruct_rho(m)
+        assert _within(rho, np.tensordot(b, recon, axes=1))
+        # the residual's values b = tr(K_i rho) of reconstruct_rho, tau and the extension program
+        assert _within(matcore.traces(ops, rho).real, np.einsum("iab,ba->i", ops, rho).real)
+        assert _within(reduction.tau(rho, two_j), np.tensordot(pair_values(rho, two_j), reduction._tau_system(two_j), 1))
+        coords = renormalized_coords(m)
+        dense = np.tensordot(reduction._coords_values(two_j, coords.u, coords.v), spinalg.CHI_PATTERN, axes=1)[1:, 1:]
+        assert _within(reduction.moments_from_coords(coords).matrix, MomentMatrix.from_matrix(two_j, dense).matrix)
+
+    @pytest.mark.parametrize("two_j", SPINS)
+    def test_lift_and_eigenvector_witness_match_the_dense_sums(self, two_j):
+        rng = np.random.default_rng(5200 + two_j)
+        m = self.moments(two_j, rng)
+        ops = reduction.reduction_operators(two_j)
+        c = rng.standard_normal((2, len(spinalg.MOMENT_LABELS)))
+        assert _within(feasibility._lift(c, two_j), feasibility._pair_adjoint(np.tensordot(c, ops, 1), two_j))
+        for stage, f in (("chi", spinalg.CHI_PATTERN), ("reconstruct", reduction._reconstruction_system(two_j))):
+            v = rng.standard_normal(f.shape[-1]) + 1j * rng.standard_normal(f.shape[-1])
+            v /= np.linalg.norm(v)
+            raw = np.einsum("a,iab,b->i", v.conj(), f, v).real
+            z = feasibility._pair_adjoint(np.tensordot(raw, ops, 1), two_j)
+            norm = np.trace(z).real
+            got = feasibility._eigenvector_witness(stage, v, m)
+            assert _within(got.op_coefficients, feasibility._canonical(raw / norm, two_j))
+            assert _within(got.matrix, z / norm)
+
+    def test_moment_values_is_one_read_only_array(self):
+        m = self.moments(10, np.random.default_rng(5300))
+        b = spinalg.moment_values(m)
+        assert b is spinalg.moment_values(m) is m.values
+        with pytest.raises(ValueError, match="read-only"):
+            b[0] = 2.0
+        direct = MomentMatrix(two_j=10, matrix=m.matrix, first_moments=m.first_moments)
+        assert direct.values.tobytes() == b.tobytes() and not direct.values.flags.writeable
