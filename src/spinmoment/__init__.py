@@ -12,7 +12,6 @@ from .spinalg import (
     MomentMatrix,
     SpinOperatorTriple,
     chi_matrix,
-    extract_first_moments,
     moment_matrix,
     spin_operators,
     validate_algebra,
@@ -23,7 +22,6 @@ from .reduction import (
     ppt_inner_test,
     reconstruct_rho,
     reduction_operators,
-    tau,
 )
 from .sdp import SdpSolution, phase1_min_t
 from .feasibility import (

@@ -287,7 +287,7 @@ def _check_sandwich(rng: np.random.Generator) -> tuple[str, bool, str]:
             mm = MomentMatrix.from_matrix(two_j, matcore.combine(b, spinalg.CHI_PATTERN)[1:, 1:])
             in_r = reduction.ppt_inner_test(rho)
             exact = feasibility.exact_test_direct(mm).accepted
-            in_t = matcore.is_psd(reduction.tau(rho, two_j), tol=1e-7)
+            in_t = matcore.is_psd(spinalg.chi_matrix(mm))
             total += 1
             if (in_r and not exact) or (exact and not in_t):
                 violations += 1

@@ -211,9 +211,10 @@ def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
     ``sdp.Phase1Result`` per row of the (k, 3) frame values b' = (tr X,
     c = <L3^2>, l3) over ``_KEPT["axial"]``.
 
-    X is diagonal there (``exact_test_direct``), so q = diag(X) + t >= 0 has
-    sum q = b'_0 + d t, sum q m = l3 and sum q m^2 = c + t S2, S2 = j(j+1)d/3:
-    a point of the cone over the polygon conv{(m, m^2)}.  Each facet
+    X commutes with every rotation about z there (``exact_test_direct``), so
+    it is diagonal, and q = diag(X) + t >= 0 has sum q = b'_0 + d t,
+    sum q m = l3 and sum q m^2 = c + t S2, S2 = j(j+1)d/3: a point of the
+    cone over the polygon conv{(m, m^2)}.  Each facet
     f(m) = f_I + f_S m^2 + f_L m >= 0 on the levels bounds t >= -<f(L3), b'>/tr f,
     and t* is the largest bound over the lower chords (m - m0)(m - m0 - 1),
     m0 = -j .. j-1, and the top chord j^2 - m^2.  At 2j = 1 these have
@@ -472,22 +473,18 @@ def _l2_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_lift(np.eye(len(spinalg.MOMENT_LABELS))[8], two_j))
 
 
-def _spin_rotation(rot: np.ndarray, two_j: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """V = D^j(R) with V^dag L_k V = sum_l R_kl L_l, for R in SO(3), or for an
-    (r, d) array E of ``rows`` only the r combinations E V.
+def _spin_rotation(rot: np.ndarray, two_j: int, rows: np.ndarray) -> np.ndarray:
+    """The r combinations E V of V = D^j(R), V^dag L_k V = sum_l R_kl L_l for
+    R in SO(3), over the (r, d) array E of ``rows`` (the identity gives V).
 
     V = exp(-i alpha L3) exp(-i beta L2) exp(-i gamma L3) over the ZYZ angles
-    of ``_euler_zyz``: L3 is diagonal and L2's eigenbasis is cached, so V costs
-    one d x d matmul, and r combinations two (r, d) by (d, d) ones.  No spin
-    matrix is built.
+    of ``_euler_zyz``: L3 is diagonal and L2's eigenbasis is cached, so E V
+    costs two (r, d) by (d, d) matmuls.  No spin matrix is built.
     """
     alpha, beta, gamma = _euler_zyz(rot)
     w, u = _l2_eigen(two_j)
     m = two_j / 2.0 - np.arange(two_j + 1)  # the diagonal of L3
-    if rows is not None:
-        return ((rows * np.exp(-1j * alpha * m)) @ u * np.exp(-1j * beta * w)) @ u.conj().T * np.exp(-1j * gamma * m)
-    v = (u * np.exp(-1j * beta * w)) @ u.conj().T
-    return np.exp(-1j * alpha * m)[:, None] * v * np.exp(-1j * gamma * m)
+    return ((rows * np.exp(-1j * alpha * m)) @ u * np.exp(-1j * beta * w)) @ u.conj().T * np.exp(-1j * gamma * m)
 
 
 def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
@@ -637,7 +634,7 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
         x = g.conj().T @ g
         x[np.diag_indices(two_j + 1)] -= t
     elif frame is not None:
-        w = _frame_basis(name, two_j).T @ _spin_rotation(frame.rotation, two_j)
+        w = _spin_rotation(frame.rotation, two_j, _frame_basis(name, two_j).T)
         x = w.conj().T @ x @ w
     if frame is not None:
         x += x.conj().T
@@ -785,49 +782,23 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
     Appl. Algebra 192, 95 (2004)), makes every frame exact.  Let G be a group
     of unitary and antiunitary maps g of the spin space that fix every
     measured operator whose value is nonzero and keep the span of those with
-    value zero.  If X is feasible with X + t·1 >= 0, so is every g X g^dag,
-    and so is their average over G, with the same t.  So t* is unchanged when
-    X is restricted to the matrices that commute with G; there every operator
-    that G moves pairs to zero with X, and the program over the operators G
-    fixes decides exactly.  Its dual is a dual of the full program with zero
-    coefficients on the dropped operators.  The interior point keeps every
-    iterate in that subspace, so the blocked program follows the full one in
-    exact arithmetic, iteration for iteration: its start (the min-norm
-    solution of the rows, which lies in the span of the fixed operators,
-    shifted along 1, with Z = 1/d and y = 0) commutes with G, and from such a
-    point the Newton system of a G-invariant program has a unique solution,
-    which G therefore fixes.
+    value zero.  If X is feasible with X + t·1 >= 0, so is the average of
+    g X g^dag over G, with the same t.  So X may be restricted to the
+    matrices that commute with G, where every operator that G moves pairs to
+    zero with X, and the program over the operators G fixes decides exactly;
+    its dual is a dual of the full program with zero coefficients on the
+    dropped operators.  The interior point follows the full program in exact
+    arithmetic: its start commutes with G, and the Newton system of a
+    G-invariant program has a unique solution, which G therefore fixes.
 
-    In the J_z basis S12, S23 and L2 are imaginary antisymmetric and the
-    other seven real symmetric, and I, S11, S22, S33 and L3 couple m only to
-    m and m ± 2.  ``_real_frame`` finds the frame with the largest G, to
-    ``matcore.FRAME_TOL``, and its rotation R:
-
-    - parity: l along a principal axis, turned to z, so that S12, S13, S23,
-      L1 and L2 vanish; G holds complex conjugation and the pi turn
-      exp(-i pi L3), so X is real symmetric and splits by the parity of
-      j - m: two blocks over I, S11, S22, S33 and L3 (coherent, Dicke,
-      squeezed and thermal states);
-    - four-block: l = 0 at integer j, so that L3 vanishes too; G adds the pi
-      turn about x, which maps |m> to |-m> and commutes with the first: four
-      blocks of about d/4 over I, S11, S22 and S33, in the bases
-      (|m> ± |-m>)/sqrt2 of ``_frame_blocks``.  The trace and the Casimir
-      leave two rows, so its hyperplanes are the tangents to their field of
-      values, and ``_four_block_optimum`` decides it by a tangent/chord
-      search with no SDP.  At half-integer j the two turns anticommute, and
-      l = 0 takes the parity kind;
-    - axial: l along z (or l = 0) and a degenerate pair of Re(M) across it,
-      so that S11 - S22 vanishes too; G is every rotation about z, so X is
-      diagonal, over I, S33 = L3^2 and L3: a linear program over the
-      spectrum of L3 whose hyperplanes are the facets of the polygon
-      conv{(m, m^2)}, solved in closed form by ``_axial_optimum`` (Dicke,
-      coherent and thermal states).
-
-    Evidence found in a frame maps back to the input's (``_read_phase1``).
-    Every entry point of the direct program (this one, ``exact_test_batch``,
-    ``exact_test_extension``, the scan and ``classify``) goes through
-    ``_phase1_verdicts``, which decides a call in frames, by kind, only when
-    every input has one; the stage record's ``frame`` then names the kind.
+    ``_real_frame`` finds the frame with the largest G, to
+    ``matcore.FRAME_TOL``: parity (complex conjugation and the pi turn about
+    z, two real blocks of ``_frame_blocks`` for the kernel), four-block (the
+    pi turn about x too, decided by ``_four_block_optimum``) or axial (every
+    rotation about z, decided by ``_axial_optimum``).  ``_read_phase1`` maps
+    the evidence back.  Every entry point of the direct program goes through
+    ``_phase1_verdicts``, which decides a call in frames only when every
+    input has one; the stage record's ``frame`` then names the kind.
     """
     return _phase1_verdicts("exact", m.two_j, m.values, decide=decide)
 
@@ -914,10 +885,6 @@ def classify(m: MomentMatrix) -> Verdict:
     ``t_star`` and the certificate ``rho_j[::-1, ::-1]``, boundary when |t*|
     is within the band and rho_j is not PPT.  At j = 1/2, where Re(M) = I/4
     is forced (a structure stage), the first-moment stage is the last.
-
-    There is no outer (tau) stage: chi = D tau D with D = diag(1, j, j, j)
-    and j >= 1, so lambda_min(tau) >= min(0, lambda_min(chi)) >= -PSD_TOL
-    once chi has passed.
     """
     log = _StageLog()
     log.add("validate", "pass")

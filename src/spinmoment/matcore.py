@@ -1,7 +1,7 @@
 """Dense complex / Hermitian linear algebra primitives shared by all modules,
-and the one table of decision tolerances: only ``hermitize`` and ``is_psd``
-take a threshold argument, since each has two values in use; ``psd_mask``,
-the stacked positivity test, reads ``PSD_TOL`` itself."""
+and the one table of decision tolerances: only ``hermitize`` takes a
+threshold argument, since it has more than one value in use; ``is_psd`` and
+``psd_mask``, the single and stacked positivity tests, read ``PSD_TOL``."""
 
 from __future__ import annotations
 
@@ -92,9 +92,9 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(hermitian_eigvals(h)[0])
 
 
-def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -tol."""
-    return min_eigenvalue(h) >= -tol
+def is_psd(h: np.ndarray) -> bool:
+    """True iff the minimum eigenvalue is >= -PSD_TOL."""
+    return min_eigenvalue(h) >= -PSD_TOL
 
 
 def psd_mask(stack: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Two-qubit (spin-1) reduction: the moment-carrying operators on the symmetric
-subspace, state reconstruction from moments, renormalized coordinates, the
-reduced expectation value matrix and the PPT inner test.
+subspace, state reconstruction from moments, renormalized coordinates and the
+PPT inner test.
 
 Both directions are cached (10, 3, 3) stacks over the moment vector b of
 ``spinalg.moment_values``: ``reduction_operators`` gives K with
 b_i = tr(K_i rho_j), and ``_reconstruction_system`` gives R with
-rho_j = sum_i b_i R_i.  ``tau`` is sum_i b_i ``_tau_system``[i] for the b
-that K reads off its argument.
+rho_j = sum_i b_i R_i.  The paper's reduced expectation value matrix
+tau_j = D^-1 chi D^-1, D = diag(1, j, j, j), is congruent to
+``spinalg.chi_matrix``, so the outer set T_j is read off chi.
 
 Basis and sign conventions: the symmetric two-qubit basis is ordered
 (|00>, (|01>+|10>)/sqrt(2), |11>) with |1> the spin-up qubit level, so the
@@ -151,25 +152,6 @@ def moments_from_coords(coords: RenormalizedCoords) -> MomentMatrix:
             raise ValueError(f"sum(v) = {vsum:.9g} violates the Casimir constraint sum(v) = 1")
         b = _coords_values(two_j, coords.u, coords.v)
         return MomentMatrix.from_matrix(two_j, matcore.combine(b, CHI_PATTERN)[1:, 1:])
-
-
-def tau(rho: np.ndarray, two_j: int) -> np.ndarray:
-    """Reduced expectation value matrix of order j for a symmetric two-qubit
-    operator; positive semidefinite whenever rho extends to 2j qubits.
-
-    tau = D^-1 chi(b) D^-1 with b_i = tr(K_i rho) and D = diag(1, j, j, j).
-    """
-    two_j = _require_j_ge_1(two_j)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 symmetric-basis operator, got {rho.shape}")
-    return matcore.combine(matcore.traces(reduction_operators(two_j), rho).real, _tau_system(two_j))
-
-
-def _tau_system(two_j: int) -> np.ndarray:
-    """D^-1 C_i D^-1 for C = ``spinalg.CHI_PATTERN``, the (10, 4, 4) stack of tau."""
-    d = np.array([1.0, 2.0 / two_j, 2.0 / two_j, 2.0 / two_j])
-    return CHI_PATTERN * np.outer(d, d)
 
 
 def ppt_inner_test(rho: np.ndarray) -> bool:

@@ -2,9 +2,10 @@
 
 Every grid point fixes v3 = 1 - v1 - v2 (the Casimir constraint) and is
 classified against the inner PPT set R, the exact extendible set S_j and the
-outer reduced-expectation-value set T_j.  rho, its partial transpose and tau
-are linear in the moment vector b, which is affine in (v1, v2), so R and T
-come from one positivity mask (``matcore.psd_mask``, an LDL^dag vectorized
+outer set T_j: rho and chi PSD (``spinalg.chi_matrix``, congruent to the
+paper's reduced expectation value matrix).  rho, its partial transpose and
+chi are linear in the moment vector b, which is affine in (v1, v2), so R and
+T come from one positivity mask (``matcore.psd_mask``, an LDL^dag vectorized
 over the stack) per map, on blocks of whole grid rows that hold at most
 ``sdp.BATCH_ENTRIES`` entries.
 The SDP runs only on cells in T but not R, which is sound because the three
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import feasibility, matcore, reduction, sdp
+from . import feasibility, matcore, reduction, sdp, spinalg
 
 SVG_COLORS = {"R": "#1b5e90", "S": "#5aa9d6", "T": "#c6e3f2"}
 _SVG_SIZE = 640  # side of the plotted square, in pixels
@@ -150,7 +151,7 @@ def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool):
     rho = reduction.reconstruct_rho(m)
     rho_psd = matcore.min_eigenvalue(rho) >= -matcore.PSD_TOL
     in_r = rho_psd and reduction.ppt_inner_test(rho)
-    in_t = rho_psd and matcore.is_psd(reduction.tau(rho, two_j))
+    in_t = rho_psd and matcore.is_psd(spinalg.chi_matrix(m))
     if not want_s:
         return in_r, -1, in_t
     if in_r:
@@ -162,14 +163,14 @@ def _point_flags(two_j: int, u: np.ndarray, v1: float, v2: float, want_s: bool):
 
 
 def _slice_maps(two_j: int, u: np.ndarray):
-    """(c0, d1, d2) for each of rho, PT(V rho V^dag) and tau, which are affine in
+    """(c0, d1, d2) for each of rho, PT(V rho V^dag) and chi, which are affine in
     (v1, v2) at fixed u: a cell's matrix is c0 + v1 d1 + v2 d2, from b at the corners
     (v1, v2) = (0, 0), (1, 0), (0, 1), where v = (0, 0, 1), (1, 0, 0), (0, 1, 0)."""
     b0, b1, b2 = (reduction._coords_values(two_j, u, v) for v in np.eye(3)[[2, 0, 1]])
     basis = np.stack([b0, b1 - b0, b2 - b0])
     rho = matcore.combine(basis, reduction._reconstruction_system(two_j))
     pt = [reduction._partial_transpose(r) for r in rho]
-    return [rho, pt, matcore.combine(basis, reduction._tau_system(two_j))]
+    return [rho, pt, matcore.combine(basis, spinalg.CHI_PATTERN)]
 
 
 def _exact_cells(args) -> tuple[list[bool], list[float], tuple[int, int]]:
@@ -209,8 +210,7 @@ def scan_grid(
 ) -> ScanResult:
     """Classify a (v1, v2) grid at fixed u against the requested sets.
 
-    R and T come from the affine maps of ``_slice_maps`` (T through tau, as
-    chi = D tau D would scale the tolerance edge by up to j^2).  S is skipped
+    R and T come from the affine maps of ``_slice_maps``.  S is skipped
     unless requested; only its cells in T but not R run the SDP, in batched
     solves.  ``workers`` > 1 splits those cells into that many contiguous
     spans, at most one per CPU and per cell, each decided in its own process,
@@ -244,11 +244,11 @@ def scan_grid(
         step = sdp.batch_size(resolution * sum(c0.size for c0, _, _ in maps))
         for a in range(0, resolution, step):
             v1 = v1s[a : a + step, None, None, None]
-            rho_psd, pt_psd, tau_psd = (
+            rho_psd, pt_psd, chi_psd = (
                 matcore.psd_mask(c0 + v1 * d1 + v2s[:, None, None] * d2) for c0, d1, d2 in maps
             )
             in_r[a : a + step] = rho_psd & pt_psd
-            in_t[a : a + step] = rho_psd & tau_psd
+            in_t[a : a + step] = rho_psd & chi_psd
     secs = np.full(in_r.shape, (time.perf_counter() - t0) / in_r.size)
 
     s = np.full(in_r.shape, -1, dtype=np.int8)

@@ -192,29 +192,6 @@ def validate_algebra(triple: SpinOperatorTriple) -> AlgebraReport:
     )
 
 
-def extract_first_moments(m: np.ndarray) -> np.ndarray:
-    """First moments from the antisymmetric imaginary part of a 3x3 matrix.
-
-    Requires Im(M) antisymmetric within ``matcore.CASIMIR_TOL`` relative to
-    max(1, max_kl |M_kl|); l_m = Im(M_kl) - Im(M_lk) for cyclic (k, l, m).
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
-    tol = matcore.CASIMIR_TOL * max(1.0, float(np.abs(m).max()))
-    im = m.imag
-    for k in range(3):
-        if abs(im[k, k]) > tol:
-            raise ValueError(f"diagonal entry ({k},{k}) has imaginary part {im[k, k]:.3e}")
-    for k, l, _ in _CYCLES:
-        if abs(im[k, l] + im[l, k]) > tol:
-            raise ValueError(
-                f"imaginary parts of entries ({k},{l})/({l},{k}) are inconsistent: "
-                f"{im[k, l]:.3e} vs {im[l, k]:.3e}"
-            )
-    return im[_CYCLIC] - im[_CYCLIC[::-1]]
-
-
 def moment_matrix(rho: np.ndarray, triple: SpinOperatorTriple) -> MomentMatrix:
     """Moment matrix M_kl = tr(L_k L_l rho) of a density operator."""
     rho = matcore.hermitize(rho)

@@ -22,6 +22,7 @@ from conftest import (
     random_so3,
 )
 from first_moment_sdp import exact_test_first_moments
+from outer_set import tau_of_pair
 from sdp_oracle import bracket_optimum, random_phase1_dual
 
 BAND = 1e-7
@@ -40,15 +41,16 @@ def pair_state_samples():
 
 @pytest.fixture(scope="module")
 def sandwich_flags(pair_state_samples):
-    """PPT / exact / tau flags for the shared samples at j in {1, 2, 5}."""
+    """PPT / exact / tau flags for the shared samples at j in {1, 2, 5}, at
+    the 1e-7 edge; tau_j = D^-1 chi D^-1 is the paper's outer matrix."""
     flags = {}
     for two_j in (2, 4, 10):
         rows = []
         for rho in pair_state_samples:
-            ppt = matcore.is_psd(rho, tol=1e-7) and matcore.is_psd(reduction._partial_transpose(rho), tol=1e-7)
+            ppt = min(matcore.min_eigenvalue(rho), matcore.min_eigenvalue(reduction._partial_transpose(rho))) >= -1e-7
             m = moments_of_pair_state(rho, two_j)
             exact = feasibility.exact_test_direct(m).t_star <= BAND
-            tau_ok = matcore.is_psd(reduction.tau(rho, two_j), tol=1e-7)
+            tau_ok = matcore.min_eigenvalue(tau_of_pair(rho, two_j)) >= -1e-7
             rows.append((ppt, exact, tau_ok))
         flags[two_j] = rows
     return flags

@@ -566,6 +566,8 @@ class TestScanCommand:
             (10, (0.1, 0.2, 0.3), 15, ("R", "S", "T")),
             (62, (0.3, -0.2, 0.1), 15, ("R", "T")),
             (62, (0.3, -0.2, 0.1), 31, ("R", "T")),
+            (3, (0.1, 0.2, 0.3), 15, ("R", "T")),
+            (1000, (0.1, 0.2, 0.3), 21, ("R", "T")),
         ],
     )
     def test_every_cell_matches_point_oracle(self, two_j, u, n, sets):
@@ -602,13 +604,13 @@ class TestScanCommand:
             result = scan_grid(two_j, u, resolution=51, sets=("R", "T"))
             maps = _slice_maps(two_j, u)
             for i1, v1 in enumerate(result.v1_values):
-                rho_psd, pt_psd, tau_psd = (
+                rho_psd, pt_psd, chi_psd = (
                     np.linalg.eigvalsh(c0 + v1 * d1 + result.v2_values[:, None, None] * d2)[:, 0]
                     >= -matcore.PSD_TOL
                     for c0, d1, d2 in maps
                 )
                 assert np.array_equal(result.in_r[i1], rho_psd & pt_psd), (two_j, u, v1)
-                assert np.array_equal(result.in_t[i1], rho_psd & tau_psd), (two_j, u, v1)
+                assert np.array_equal(result.in_t[i1], rho_psd & chi_psd), (two_j, u, v1)
 
     @pytest.mark.parametrize("u, named", [("nan,0,0", r"u\[0\] = nan"), ("0,inf,0", r"u\[1\] = inf")])
     def test_non_finite_u_is_an_input_error(self, u, named, tmp_path, capsys):

@@ -25,7 +25,7 @@ from spinmoment.spinalg import MomentMatrix
 
 import symmetric_oracle
 from first_moment_sdp import exact_test_first_moments
-from outer_set import outer_test
+from outer_set import outer_test, tau_of_pair, tau_of_values
 from conftest import (
     build_fixed_state,
     canonical,
@@ -263,7 +263,7 @@ class TestExactTestDirect:
                 rows = feasibility._spin_rotation(rot3, two_j, closed.factor)
                 want = rows.conj().T @ rows - closed.t_star * np.eye(d)
                 want = (want + want.conj().T) / 2.0
-                rot = feasibility._spin_rotation(rot3, two_j)
+                rot = feasibility._spin_rotation(rot3, two_j, np.eye(two_j + 1))
                 dense = rot.conj().T @ closed.x @ rot
                 assert np.abs(x - dense).max() <= 4.0 * d * np.finfo(float).eps * np.abs(closed.x).max()
             assert np.array_equal(x, want)
@@ -557,10 +557,11 @@ class TestOuterTest:
         assert outer_test(m)
 
     def test_non_psd_reconstruction_fails_tau(self):
-        # v2 < -1/3 drives <L2^2> negative, so tau picks up a negative minor
+        # v2 < -1/3 drives <L2^2> negative, so tau (and chi, congruent to it) picks up a negative minor
         m = coords_matrix([0, 0, 0], [2.0, -0.5, -0.5], 4)
         rho = reduction.reconstruct_rho(m)
         assert matcore.min_eigenvalue(rho) < -1e-6  # per-instance premise
+        assert matcore.min_eigenvalue(tau_of_values(m.values, 4)) < -matcore.PSD_TOL
         assert not outer_test(m)
 
 
@@ -641,7 +642,7 @@ class TestClassify:
         assert v.stage == "reconstruct"
         names = [r.name for r in v.tests_run]
         assert names == ["validate", "first-moment", "chi", "reconstruct"]
-        # the tau test is implied by the chi stage, so classify never runs it
+        # the chi stage is the outer (tau) test, so there is no separate one
         assert "outer" not in names
         assert v.t_star == pytest.approx(-matcore.min_eigenvalue(rho), abs=1e-12)
         assert abs(v.t_star - feasibility.exact_test_direct(m).t_star) <= 1e-7
@@ -655,11 +656,12 @@ class TestClassify:
         bell[0, 0] = bell[2, 2] = bell[0, 2] = bell[2, 0] = 0.5
         rho = 0.97 * bell + 0.03 * np.eye(3) / 3.0
         m = moments_of_pair_state(rho, 12)
+        assert matcore.min_eigenvalue(tau_of_values(m.values, 12)) < -matcore.PSD_TOL
         assert not outer_test(m)
         v = feasibility.classify(m)
         assert v.status == STATUS_NON_QUANTUM
-        # chi and tau test the same condition (congruent matrices), so the
-        # cheaper chi stage fires first
+        # chi and tau test the same condition (congruent matrices): the chi
+        # stage is the outer test
         assert v.stage == "chi"
         assert v.witness is not None and v.witness.value < 0
 
@@ -674,7 +676,7 @@ class TestClassify:
                 continue
             j = two_j / 2.0
             d = np.diag([1.0, j, j, j])
-            tau = reduction.tau(reduction.reconstruct_rho(m), two_j)
+            tau = tau_of_pair(reduction.reconstruct_rho(m), two_j)
             chi = spinalg.chi_matrix(m)
             scale = max(1.0, np.abs(chi).max())
             assert np.abs(chi - d @ tau @ d).max() < 1e-10 * scale
@@ -697,7 +699,7 @@ class TestClassify:
             m = MomentMatrix.from_matrix(two_j, rot @ m.matrix @ rot.T)
             if matcore.min_eigenvalue(spinalg.chi_matrix(m)) < -matcore.PSD_TOL:
                 continue
-            tau = reduction.tau(reduction.reconstruct_rho(m), two_j)
+            tau = tau_of_pair(reduction.reconstruct_rho(m), two_j)
             assert matcore.min_eigenvalue(tau) >= -matcore.PSD_TOL
             tested += 1
         assert tested >= 10
@@ -1715,8 +1717,11 @@ class TestRealFrame:
         ls = moment_operators(two_j)[7:]
         half_turns = [np.diag(s) for s in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])]
         for rot in [np.eye(3), *half_turns, *(random_so3(rng) for _ in range(4))]:
-            v = feasibility._spin_rotation(rot, two_j)
+            v = feasibility._spin_rotation(rot, two_j, np.eye(two_j + 1))
             assert np.abs(v.conj().T @ v - np.eye(two_j + 1)).max() <= 1e-12
+            # the rows a parity accept turns back through: Q^T V, as r = d combinations
+            q = feasibility._frame_basis("parity", two_j)
+            assert np.abs(feasibility._spin_rotation(rot, two_j, q.T) - q.T @ v).max() <= 1e-13
             got = v.conj().T @ ls @ v
             assert np.abs(got - np.tensordot(rot, ls, 1)).max() <= 1e-9 * two_j
 
@@ -1857,7 +1862,8 @@ class TestBlockFrames:
             (p1,) = feasibility._four_block_optimum(kept, two_j, True)
         else:
             p1 = sdp.phase1_min_t(feasibility._frame_program(kind, two_j), kept, decide=True)
-        w = feasibility._frame_basis(kind, two_j).T @ feasibility._spin_rotation(frame.rotation, two_j)
+        v = feasibility._spin_rotation(frame.rotation, two_j, np.eye(two_j + 1))
+        w = feasibility._frame_basis(kind, two_j).T @ v
         want = w.conj().T @ p1.dual_z @ w
         assert np.abs(got.witness.matrix - want).max() <= 1e-13 * np.abs(want).max()
         assert bench_evidence().check_witness(got.witness, two_j, b) is None
@@ -2137,7 +2143,8 @@ class TestFourBlockSearch:
             assert (got.status, got.t_star_kind, got.tests_run[0].frame) == (STATUS_QUANTUM, "primal bound", "four-block")
             assert shapes == [(2, two_j + 1)]  # two combinations of rows, never all of D^j(R)
             (p1,) = feasibility._four_block_optimum(self.kept(m), two_j, True)
-            w = feasibility._frame_basis("four-block", two_j).T @ feasibility._spin_rotation(frame.rotation, two_j)
+            v = feasibility._spin_rotation(frame.rotation, two_j, np.eye(two_j + 1))
+            w = feasibility._frame_basis("four-block", two_j).T @ v
             dense = w.conj().T @ p1.x @ w
             assert np.abs(got.certificate_state - (dense + dense.conj().T) / 2.0).max() <= 1e-13
             assert evidence.check_certificate(got.certificate_state, two_j, b) is None

@@ -60,8 +60,9 @@ class TestPsd:
         assert matcore.is_psd(np.eye(3, dtype=complex))
 
     def test_tolerance_semantics(self):
-        assert not matcore.is_psd(np.diag([1.0, -1e-6]).astype(complex), tol=1e-8)
-        assert matcore.is_psd(np.diag([1.0, -1e-9]).astype(complex), tol=1e-8)
+        assert matcore.PSD_TOL == 1e-8
+        assert not matcore.is_psd(np.diag([1.0, -1e-6]).astype(complex))
+        assert matcore.is_psd(np.diag([1.0, -1e-9]).astype(complex))
 
 
 def _hermitian_stack(rng, n, spectra):

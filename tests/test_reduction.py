@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinmoment import feasibility, matcore, reduction, spinalg
+from spinmoment import feasibility, matcore, reduction, scan, spinalg
 from spinmoment.reduction import RenormalizedCoords
 from spinmoment.spinalg import MomentMatrix
 
@@ -13,6 +13,7 @@ from conftest import (
     random_density,
     renormalized_coords,
 )
+from outer_set import outer_test, tau_of_pair
 
 
 class TestReductionOperators:
@@ -78,7 +79,8 @@ def spin_pair_marginal(rho_spin, two_j):
 
 
 class TestMomentStacks:
-    """chi, rho_j and tau_j as linear stacks over the moment vector b."""
+    """chi and rho_j as linear stacks over the moment vector b, and tau_j of
+    the pair marginal as chi congruent by D = diag(1, j, j, j)."""
 
     @pytest.mark.parametrize("two_j", [2, 3, 4, 7, 10, 30])
     def test_stacks_on_random_states(self, two_j):
@@ -100,10 +102,10 @@ class TestMomentStacks:
             assert np.abs(rec - reduction.reconstruct_rho(m)).max() == 0.0
             assert np.abs(rec - rho3).max() <= 1e-9
             assert np.abs(pair_values(rho3, two_j) - b).max() <= 1e-10 * j * j
-            assert np.abs(reduction.tau(rho3, two_j) - d_inv @ chi_direct @ d_inv).max() <= 1e-10
+            assert np.abs(tau_of_pair(rho3, two_j) - d_inv @ chi_direct @ d_inv).max() <= 1e-10
             pair = random_density(rng, 3)
-            chi_k = np.tensordot(pair_values(pair, two_j), spinalg.CHI_PATTERN, axes=1)
-            assert np.abs(reduction.tau(pair, two_j) - d_inv @ chi_k @ d_inv).max() <= 1e-12
+            chi_k = spinalg.chi_matrix(moments_of_pair_state(pair, two_j))
+            assert np.abs(tau_of_pair(pair, two_j) - d_inv @ chi_k @ d_inv).max() <= 1e-12
 
 
 class TestReconstruct:
@@ -222,25 +224,29 @@ class TestRenormalizedCoords:
 
 
 class TestTau:
+    """tau_j = D^-1 chi D^-1 of a pair state (``outer_set.tau_of_pair``), the
+    paper's form of the outer set that the chi tests decide."""
+
     @pytest.mark.parametrize("two_j", [2, 4, 12])
     def test_highest_weight_boundary(self, two_j):
         rho = np.zeros((3, 3), dtype=complex)
         rho[2, 2] = 1.0
-        t = reduction.tau(rho, two_j)
+        t = tau_of_pair(rho, two_j)
         # the z-direction 2x2 minor sits exactly on v - u^2 + (1-v)/(2j) = 0
         minor = t[0, 0].real * t[3, 3].real - abs(t[0, 3]) ** 2
         assert minor == pytest.approx(0.0, abs=1e-12)
         assert matcore.min_eigenvalue(t) > -1e-10
 
     def test_maximally_mixed_psd_at_j5(self):
-        t = reduction.tau(np.eye(3, dtype=complex) / 3.0, 10)
-        assert matcore.is_psd(t, tol=1e-10)
+        t = tau_of_pair(np.eye(3, dtype=complex) / 3.0, 10)
+        assert matcore.min_eigenvalue(t) >= -1e-10
 
     def test_symmetric_bell_rejected_at_large_j(self):
         bell = np.zeros((3, 3), dtype=complex)
         bell[0, 0] = bell[2, 2] = bell[0, 2] = bell[2, 0] = 0.5
-        t = reduction.tau(bell, 1000)
+        t = tau_of_pair(bell, 1000)
         assert matcore.min_eigenvalue(t) < -1e-4
+        assert not outer_test(moments_of_pair_state(bell, 1000))
 
     def test_entries_reproduce_renormalized_coordinates(self, rng):
         two_j = 6
@@ -250,7 +256,7 @@ class TestTau:
         )
         m = reduction.moments_from_coords(coords)
         rho = reduction.reconstruct_rho(m)
-        t = reduction.tau(rho, two_j)
+        t = tau_of_pair(rho, two_j)
         assert np.allclose(np.real(t[0, 1:]), coords.u, atol=1e-10)
         assert np.abs(t[1:, 1:] - m.matrix / (j * j)).max() < 1e-10
 
@@ -259,8 +265,8 @@ class TestTau:
         high, low = 10, 4
         for _ in range(500):
             rho = random_density(rng, 3)
-            if matcore.is_psd(reduction.tau(rho, high), tol=1e-8):
-                assert matcore.is_psd(reduction.tau(rho, low), tol=1e-8)
+            if matcore.min_eigenvalue(tau_of_pair(rho, high)) >= -1e-8:
+                assert matcore.min_eigenvalue(tau_of_pair(rho, low)) >= -1e-8
 
     def test_direction_sweep_inequality(self):
         rng = np.random.default_rng(41)
@@ -269,7 +275,7 @@ class TestTau:
         kept = 0
         while kept < 20:
             rho = random_density(rng, 3)
-            if not matcore.is_psd(reduction.tau(rho, two_j), tol=1e-9):
+            if matcore.min_eigenvalue(tau_of_pair(rho, two_j)) < -1e-9:
                 continue
             kept += 1
             m = moments_of_pair_state(rho, two_j)
@@ -341,11 +347,14 @@ class TestFlatMaps:
         assert _within(spinalg.chi_matrix(m), np.tensordot(b, spinalg.CHI_PATTERN, axes=1))
         rho = reduction.reconstruct_rho(m)
         assert _within(rho, np.tensordot(b, recon, axes=1))
-        # the residual's values b = tr(K_i rho) of reconstruct_rho, tau and the extension program
+        # the residual's values b = tr(K_i rho) of reconstruct_rho and the extension program
         assert _within(matcore.traces(ops, rho).real, np.einsum("iab,ba->i", ops, rho).real)
-        assert _within(reduction.tau(rho, two_j), np.tensordot(pair_values(rho, two_j), reduction._tau_system(two_j), 1))
         coords = renormalized_coords(m)
-        dense = np.tensordot(reduction._coords_values(two_j, coords.u, coords.v), spinalg.CHI_PATTERN, axes=1)[1:, 1:]
+        dense = np.tensordot(reduction._coords_values(two_j, coords.u, coords.v), spinalg.CHI_PATTERN, axes=1)
+        # the scan's chi map, c0 + v1 d1 + v2 d2, at this cell
+        c0, d1, d2 = scan._slice_maps(two_j, coords.u)[2]
+        assert _within(c0 + coords.v[0] * d1 + coords.v[1] * d2, dense, rel=1e-12)
+        dense = dense[1:, 1:]
         assert _within(reduction.moments_from_coords(coords).matrix, MomentMatrix.from_matrix(two_j, dense).matrix)
 
     @pytest.mark.parametrize("two_j", SPINS)

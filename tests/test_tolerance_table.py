@@ -1,7 +1,7 @@
 """Decision tolerances live in one table of ``matcore`` constants: no public
-function or method of the package takes a tolerance parameter, except the two
-primitives whose callers use two values each, and every constant of the table
-is read by the package."""
+function or method of the package takes a tolerance parameter, except the one
+primitive whose callers use more than one value, and every constant of the
+table is read by the package."""
 
 import ast
 import importlib
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import spinmoment
 
-ALLOWED = {"spinmoment.matcore.hermitize", "spinmoment.matcore.is_psd"}
+ALLOWED = {"spinmoment.matcore.hermitize"}
 
 
 def is_tolerance(name):
@@ -36,7 +36,7 @@ def public_callables():
                         yield f"{mod.__name__}.{name}.{attr}", member
 
 
-def test_only_hermitize_and_is_psd_take_a_tolerance():
+def test_only_hermitize_takes_a_tolerance():
     found = {
         f"{qualname}({param})"
         for qualname, fn in public_callables()
