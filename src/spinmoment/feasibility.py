@@ -4,15 +4,11 @@ The decisive machinery is the phase-1 program over the spin-j state space;
 the cheap inner (PPT / separability) and outer (reduced expectation value
 matrix) tests bracket it from both sides, in the stage order of
 ``classify``.  Every piece of evidence comes from the computation that
-decided it.  Every phase-1 decision, single or batched, is made, timed and
-read by ``_phase1_verdicts``: an accept's certificate is the primal X, a
-reject's witness the dual over the measured operators (``_read_phase1``).
+decided it; every phase-1 decision is made and read by ``_phase1_verdicts``.
 Every measured operator is a pair lift P^dag(K_i) (``_lift``), so the
 operator stack and all three closed-form witnesses are bands with no spin
-matrix, and the extension program over a pair state rho is the direct
-program on b = K·rho.  Everything works over the moment vector b of
-``spinalg.moment_values``.  An input with a frame is decided in it, in
-real arithmetic: ``exact_test_direct`` states the rule and why it is exact.
+matrix.  An input with a frame is decided in it, in real arithmetic:
+``exact_test_direct`` states the rule and why it is exact.
 
 Every witness over ``spinalg.MOMENT_LABELS`` is canonical: its
 coefficients are orthogonal to the Casimir vector r (``_canonical``), along
@@ -96,13 +92,14 @@ class Verdict:
     t* = -lambda_min(rho_j) in closed form.  ``t_star_kind`` says which
     value it is: "optimum", or the certified "primal bound" (t* <= t_star <
     -BOUNDARY_BAND) or "dual bound" (t* >= t_star > BOUNDARY_BAND) at which
-    ``classify``'s exact stage stopped.
+    ``classify``'s exact stage stopped.  A phase-1 accept's
+    ``certificate_state`` is formed on its first read (``sdp.OnRequest``).
     """
 
     status: str
     stage: str
     t_star: float | None
-    certificate_state: np.ndarray | None
+    certificate_state: np.ndarray | None = sdp.OnRequest()
     witness: Witness | None
     tests_run: tuple[StageRecord, ...]
     t_star_kind: str | None = None
@@ -142,9 +139,8 @@ def _moment_operator_set(two_j: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _moment_program(two_j: int) -> sdp.Phase1Program:
-    """The dependency pass over ``_moment_operator_set(two_j)``, cached beside it, so
-    that the exact tests at one spin run it once; the stack raises the cone-cap
-    ``ValueError`` first, so nothing is cached above the cap."""
+    """The dependency pass over ``_moment_operator_set(two_j)``, cached beside
+    it (and, like it, never above the cone cap)."""
     return sdp.phase1_program(_moment_operator_set(two_j))
 
 
@@ -224,9 +220,9 @@ def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
     The active facet's Z' = f(L3)/tr f is the witness, coefficients f/tr f,
     value -t*.  The certificate is X' = diag(q) - t*·1 with q on the facet's
     two levels, fixed by sum q and sum q m; at the optimum q >= 0 and it meets
-    sum q m^2 too; ``factor`` holds Y = diag(q) as the two rows sqrt(q_r) e_r.
-    The record is optimal at 0 iterations with gap 0, with or without
-    ``decide``."""
+    sum q m^2 too; ``factor`` holds Y = diag(q) as the two rows sqrt(q_r) e_r,
+    and the dense Y, Z' and X' are formed on first read.  The record is
+    optimal at 0 iterations with gap 0, with or without ``decide``."""
     if two_j == 1:
         off = np.abs(values[:, 1] - values[:, 0] / 4.0)
         bad = np.flatnonzero(off > sdp.CONFLICT_TOL * (1.0 + np.abs(values).max(axis=1)))
@@ -239,18 +235,20 @@ def _axial_optimum(values: np.ndarray, two_j: int) -> list[sdp.Phase1Result]:
     for b, k, row in zip(values, np.argmax(bounds, axis=1), bounds):
         t = float(row[k])
         s, (lo, hi) = b[0] + d * t, support[k]
-        y, factor = np.zeros((d, d)), np.zeros((2, d))
-        a_lo, a_hi = round(j - lo), round(j - hi)
-        y[a_lo, a_lo], y[a_hi, a_hi] = (hi * s - b[2]) / (hi - lo), (b[2] - lo * s) / (hi - lo)
-        factor[0, a_lo], factor[1, a_hi] = np.sqrt(np.maximum(0.0, [y[a_lo, a_lo], y[a_hi, a_hi]]))
+        at = [round(j - lo), round(j - hi)]
+        q = np.zeros(d)  # diag(Y)
+        q[at] = (hi * s - b[2]) / (hi - lo), (b[2] - lo * s) / (hi - lo)
+        factor = np.zeros((2, d))
+        factor[[0, 1], at] = np.sqrt(np.maximum(0.0, q[at]))
         c = facets[k] / traces[k]
-        z = np.diag(c[0] + c[1] * levels**2 + c[2] * levels)
+        z = c[0] + c[1] * levels**2 + c[2] * levels  # diag(Z')
         point = s / d  # tr Y/d, Y = X' + t*·1
         sol = sdp.SdpSolution(
-            sdp.STATUS_OPTIMAL, y, None, z, primal_objective=point, dual_objective=point, gap=0.0,
+            sdp.STATUS_OPTIMAL, sdp.Later(np.diag, q), None, sdp.Later(np.diag, z),
+            primal_objective=point, dual_objective=point, gap=0.0,
             primal_residual=0.0, dual_residual=0.0, mu=0.0, iterate_log=[(point, point, 0.0, 0.0)],
         )
-        results.append(sdp.Phase1Result(t, y - t * np.eye(d), sol, dual_z=z, dual_coefficients=c, factor=factor))
+        results.append(sdp.Phase1Result(t, sdp.Later(sdp._less_identity, sol, t), sol, c, factor))
     return results
 
 
@@ -260,7 +258,8 @@ _EVALUATIONS = 60  # eigensolves per program of ``_four_block_optimum`` before a
 def _four_block_optimum(values: np.ndarray, two_j: int, decide: bool) -> list[sdp.Phase1Result]:
     """The direct program in a four-block frame with no SDP: one
     ``sdp.Phase1Result`` per row of the (4,) or (k, 4) values over
-    ``_KEPT["four-block"]``, the programs searched side by side.
+    ``_KEPT["four-block"]``, the programs searched side by side; the dense Y
+    and Z are formed on first read.
 
     The trace and the Casimir leave two orthonormal rows R1, R2 of
     ``_frame_program``.  With s = (fitted trace)/d and b~ the values over
@@ -292,12 +291,10 @@ def _four_block_optimum(values: np.ndarray, two_j: int, decide: bool) -> list[sd
     results: list = [None] * k
 
     def finish(i: int, status: str, evaluations: int, t_p: float, factor=None, residual=0.0) -> None:
-        z = np.zeros((d, d))  # 1/d - y.R as the direct sum of the blocks
-        z[placed] = -matcore.combine(y[i], stack)[entry]
-        z[np.diag_indices(d)] += 1.0 / d
         pobj, dobj = t_p + s[i], t_d[i] + s[i]
         sol = sdp.SdpSolution(
-            status, None if factor is None else factor.T @ factor, np.array(y[i]), z,
+            status, None if factor is None else sdp.Later(np.matmul, factor.T, factor), np.array(y[i]),
+            sdp.Later(_block_slack, y[i], stack, entry, placed, d),
             primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj), iterations=evaluations,
             primal_residual=residual, dual_residual=0.0, mu=(pobj - dobj) / d,
             iterate_log=[(pobj, dobj, (pobj - dobj) / d, residual)],
@@ -357,6 +354,14 @@ def _four_block_optimum(values: np.ndarray, two_j: int, decide: bool) -> list[sd
     for i in live:
         finish(i, sdp.STATUS_FAILURE, _EVALUATIONS, math.inf)
     return results
+
+
+def _block_slack(y, stack: np.ndarray, entry, placed, d: int) -> np.ndarray:
+    """Z = 1/d - y.R as the (d, d) direct sum of the blocks (``sdp._layout``)."""
+    z = np.zeros((d, d))
+    z[placed] = -matcore.combine(y, stack)[entry]
+    z[np.diag_indices(d)] += 1.0 / d
+    return z
 
 
 def _canonical(c: np.ndarray, two_j: int) -> np.ndarray:
@@ -493,8 +498,8 @@ def _lift(c: np.ndarray, two_j: int) -> np.ndarray:
     Above j = 1/2 each A_i is the pair lift P^dag(K_i), K =
     ``reduction.reduction_operators``, as b_i = tr(K_i P(X)) for the pair
     marginal P(X) of any X, so the sum is the band ``_pair_adjoint``(sum_i
-    c_i K_i), with no spin matrix; a reject's witness in a frame is built so
-    (``_read_phase1``).  At j = 1/2, S_kl = delta_kl/4 and L_k = sigma_k/2.
+    c_i K_i), with no spin matrix.  At j = 1/2, S_kl = delta_kl/4 and
+    L_k = sigma_k/2.
     """
     if two_j == 1:
         s = [np.eye(2) * (k == l) / 4.0 for k, l in zip(*spinalg._UPPER)]
@@ -576,8 +581,7 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
       positive.
 
     In both cases Z is PSD and nonzero, so its trace is positive.  The witness
-    is valid but not optimal: its value is not -t*.  ``_lift`` builds Z as a
-    band, so neither stage builds a spin matrix or the operator stack.
+    is valid but not optimal: its value is not -t*.
     """
     f = spinalg.CHI_PATTERN if stage == "chi" else reduction._reconstruction_system(m.two_j)
     c = matcore.traces(f, np.outer(v, v.conj())).real
@@ -591,33 +595,21 @@ def _eigenvector_witness(stage: str, v: np.ndarray, m: MomentMatrix) -> Witness:
 _BOUND_KINDS = {sdp.STATUS_PRIMAL_BOUND: "primal bound", sdp.STATUS_DUAL_BOUND: "dual bound"}
 
 
-def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _StageLog, frame=None) -> Verdict:
-    """The verdict of a phase-1 program: a reject carries its dual as the
-    witness, an accept its primal X, both in the frame of ``values``.
-
-    X = Y - t_p·1 for the solver's iterate Y >= 0, so lambda_min(X) >= -t_p,
-    and X meets the trace and the moments to the solver's rounding and
-    residual: the certificate needs no post-processing.  The witness's value
-    is -t_d.  t_star is t_p at the optimum, else the bound that decided the
-    solve (``Verdict``).
-
-    A solve in a ``Frame`` (kind, R, T) ran on b' = T b over its kind's kept
-    labels.  Its coefficients map back as c = T^T c', made canonical, and a
-    reject's witness is ``_lift``(c), with no rotation built.  An accept's
-    certificate turns back with V = D^j(R) (``_spin_rotation``) and the
-    blocks' bases Q (``_frame_basis``): an axial or four-block Y = F^T F of
-    two rows (``Phase1Result.factor``) as G^dag G - t*·1, G = (F Q^T) V, in
-    O(d^2); a parity X' as W^dag X' W, W = Q^T V.  The stage detail says
-    "real frame" and the kind, or, for a factored accept of the complex
-    program (``sdp.phase1_min_t``), "factored" and its ||dX||_F.
-
-    A solve that is neither optimal nor decided is an ``ArithmeticError``
-    (conflicting values never get here: ``sdp.phase1_min_t`` raises them).
+def _read_phase1(
+    p1: sdp.Phase1Result, two_j: int, values: np.ndarray, stage: str, log: _StageLog, frame=None
+) -> Verdict:
+    """The verdict of a phase-1 program at spin ``two_j``: a reject carries its
+    dual as the witness, of value -t_d, an accept its primal X
+    (``sdp.Phase1Result``), formed on first read (``_certificate``), both in
+    the frame of ``values``; t_star is as ``Verdict`` states.  A solve in a
+    ``Frame`` (kind, R, T) ran on b' = T b over its kind's kept labels: its
+    coefficients map back as c = T^T c', made canonical, and a reject's
+    witness is ``_lift``(c), with no rotation built.  A solve that is
+    neither optimal nor decided is an ``ArithmeticError``.
     """
-    if p1.dual_z is None:
+    if p1.dual_coefficients is None:
         raise ArithmeticError(f"phase-1 SDP did not converge: {p1.solution.message}")
     t, sol = p1.t_star, p1.solution
-    two_j = len(p1.dual_z) - 1
     kind = _BOUND_KINDS.get(sol.status, "optimum")
     name = None if frame is None else frame.kind
     where = f"{sol.message}, " if sol.message else "" if name is None else f"real frame, {name}, "
@@ -628,20 +620,29 @@ def _read_phase1(p1: sdp.Phase1Result, values: np.ndarray, stage: str, log: _Sta
         z = p1.dual_z if frame is None else _lift(c, two_j)
         log.add(stage, "reject", detail, name)
         return _rejected(stage, Witness(z, float(c @ values), c, spinalg.MOMENT_LABELS), log, t, kind)
-    x = p1.x
-    if p1.factor is not None:  # axial or four-block: the rows of Y = F^T F turned back, (F Q^T) V
-        g = _spin_rotation(frame.rotation, two_j, p1.factor @ _frame_basis(name, two_j).T)
-        x = g.conj().T @ g
-        x[np.diag_indices(two_j + 1)] -= t
-    elif frame is not None:
-        w = _spin_rotation(frame.rotation, two_j, _frame_basis(name, two_j).T)
-        x = w.conj().T @ x @ w
-    if frame is not None:
-        x += x.conj().T
-        x /= 2.0
     status = STATUS_BOUNDARY if abs(t) <= BOUNDARY_BAND else STATUS_QUANTUM
     log.add(stage, "boundary" if status == STATUS_BOUNDARY else "accept", detail, name)
-    return Verdict(status, stage, t, x, None, log.done(), kind)
+    return Verdict(status, stage, t, sdp.Later(_certificate, p1, two_j, frame), None, log.done(), kind)
+
+
+def _certificate(p1: sdp.Phase1Result, two_j: int, frame: Frame | None) -> np.ndarray:
+    """An accept's X turned back from its frame with V = D^j(R)
+    (``_spin_rotation``) and the blocks' bases Q (``_frame_basis``): an axial
+    or four-block Y = F^T F of two rows (``Phase1Result.factor``) as
+    G^dag G - t*·1, G = (F Q^T) V, in O(d^2); a parity X' as W^dag X' W,
+    W = Q^T V."""
+    if frame is None:
+        return p1.x
+    if p1.factor is not None:  # axial or four-block: the rows of Y = F^T F turned back, (F Q^T) V
+        g = _spin_rotation(frame.rotation, two_j, p1.factor @ _frame_basis(frame.kind, two_j).T)
+        x = g.conj().T @ g
+        x[np.diag_indices(two_j + 1)] -= p1.t_star
+    else:
+        w = _spin_rotation(frame.rotation, two_j, _frame_basis(frame.kind, two_j).T)
+        x = w.conj().T @ p1.x @ w
+    x += x.conj().T
+    x /= 2.0
+    return x
 
 
 def _first_moment_witness(b: np.ndarray, two_j: int) -> Witness:
@@ -652,9 +653,7 @@ def _first_moment_witness(b: np.ndarray, two_j: int) -> Witness:
     ``spinalg.MOMENT_LABELS`` its coefficients are 1/(2j+1) on I,
     -l^_k/(j(2j+1)) on L_k and 0 on each S_kl, made canonical, which moves
     an equal share of the I coefficient onto S11, S22 and S33.  Its value
-    c.b is (1 - |l|/j)/(2j+1) = -t* up to the Casimir residual of b.  Z is
-    built by ``_lift``, like the chi and reconstruct witnesses: above j = 1/2
-    as a band, with no spin matrix.
+    c.b is (1 - |l|/j)/(2j+1) = -t* up to the Casimir residual of b.
     """
     j, d = two_j / 2.0, two_j + 1
     ell = b[7:]
@@ -712,14 +711,9 @@ def _first_moment_stage(b: np.ndarray, two_j: int, log: _StageLog, final: bool) 
 
 
 def first_moment_test(ell: np.ndarray, two_j: int) -> Verdict:
-    """Closed-form first-moment feasibility: quantum iff |l|^2 <= j^2.
-
-    The first-moment stage of ``classify`` run as the final stage
-    (``_first_moment_stage``): a reject carries the optimal witness
-    Z = (1 - l^.L/j)/(2j+1), an accept a certificate state.  The witness's
-    value pairs its coefficients with l and the isotropic second moments
-    S_kl = delta_kl j(j+1)/3, the ones that meet the Casimir exactly.
-    """
+    """Closed-form first-moment feasibility, quantum iff |l|^2 <= j^2: the
+    final ``_first_moment_stage`` on l and the isotropic second moments
+    S_kl = delta_kl j(j+1)/3, the ones that meet the Casimir exactly."""
     two_j = spinalg._check_two_j(two_j)
     j = two_j / 2.0
     b = np.zeros(len(spinalg.MOMENT_LABELS))
@@ -764,7 +758,7 @@ def _phase1_verdicts(stage: str, two_j: int, values: np.ndarray, *, decide=False
         for i, p1 in zip(rows, got):
             solved[i] = p1
     share = (time.perf_counter() - t0) / len(batch)
-    verdicts = [_read_phase1(p1, b, stage, _StageLog(share), f) for p1, b, f in zip(solved, batch, frames)]
+    verdicts = [_read_phase1(p1, two_j, b, stage, _StageLog(share), f) for p1, b, f in zip(solved, batch, frames)]
     return verdicts if values.ndim == 2 else verdicts[0]
 
 
@@ -793,25 +787,16 @@ def exact_test_direct(m: MomentMatrix, *, decide: bool = False) -> Verdict:
 
     ``_real_frame`` finds the frame with the largest G, to
     ``matcore.FRAME_TOL``: parity (complex conjugation and the pi turn about
-    z, two real blocks of ``_frame_blocks`` for the kernel), four-block (the
-    pi turn about x too, decided by ``_four_block_optimum``) or axial (every
-    rotation about z, decided by ``_axial_optimum``).  ``_read_phase1`` maps
-    the evidence back.  Every entry point of the direct program goes through
-    ``_phase1_verdicts``, which decides a call in frames only when every
-    input has one; the stage record's ``frame`` then names the kind.
+    z), four-block (the pi turn about x too) or axial (every rotation about
+    z), each decided as ``_phase1_verdicts`` says.
     """
     return _phase1_verdicts("exact", m.two_j, m.values, decide=decide)
 
 
 def exact_test_batch(ms: Sequence[MomentMatrix]) -> list[Verdict]:
     """``exact_test_direct(m, decide=True)`` on many moment matrices at one
-    spin, from one batched phase-1 solve over the shared operator stack.
-
-    Each program stops on its own bound or optimum and each verdict is read
-    as a single one would be (``_phase1_verdicts``).  Conflicting values
-    raise ``ValueError`` and a failed solve ``ArithmeticError``, as for one
-    input.
-    """
+    spin, from one batched phase-1 solve (``_phase1_verdicts``): each verdict,
+    and each ``ValueError`` or ``ArithmeticError``, is the single one's."""
     if not ms:
         return []
     two_j = ms[0].two_j
@@ -921,4 +906,5 @@ def classify(m: MomentMatrix) -> Verdict:
 
     exact = exact_test_direct(m, decide=True)
     log.records.extend(exact.tests_run)
-    return replace(exact, tests_run=log.done())
+    # the copy reads the certificate through the exact verdict, so it is still formed on request
+    return replace(exact, certificate_state=sdp.Later(getattr, exact, "certificate_state"), tests_run=log.done())

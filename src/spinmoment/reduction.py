@@ -2,12 +2,10 @@
 subspace, state reconstruction from moments, renormalized coordinates and the
 PPT inner test.
 
-Both directions are cached (10, 3, 3) stacks over the moment vector b of
-``spinalg.moment_values``: ``reduction_operators`` gives K with
-b_i = tr(K_i rho_j), and ``_reconstruction_system`` gives R with
-rho_j = sum_i b_i R_i.  The paper's reduced expectation value matrix
-tau_j = D^-1 chi D^-1, D = diag(1, j, j, j), is congruent to
-``spinalg.chi_matrix``, so the outer set T_j is read off chi.
+Both directions, ``reduction_operators`` and ``_reconstruction_system``,
+are cached stacks over the moment vector b.  The paper's reduced
+expectation value matrix tau_j = D^-1 chi D^-1, D = diag(1, j, j, j), is
+congruent to ``spinalg.chi_matrix``, so the outer set T_j is read off chi.
 
 Basis and sign conventions: the symmetric two-qubit basis is ordered
 (|00>, (|01>+|10>)/sqrt(2), |11>) with |1> the spin-up qubit level, so the
@@ -128,10 +126,13 @@ def reconstruct_rho(m: MomentMatrix) -> np.ndarray:
 
 def _coords_values(two_j: int, u, v) -> np.ndarray:
     """The moment vector b of renormalized coordinates: l = j u, <L_k^2> =
-    j(j - 1/2) v_k + j/2 and Re(M_kl) = 0, k < l."""
+    j(j - 1/2) v_k + j/2 and Re(M_kl) = 0, k < l; for a (k, 3) v, the (k, 10)
+    vectors at one u."""
     j = two_j / 2.0
     d = np.asarray(v, dtype=float) * (j * (j - 0.5)) + j / 2.0
-    return np.concatenate(([1.0, d[0], 0.0, 0.0, d[1], 0.0, d[2]], np.asarray(u, dtype=float) * j))
+    b = np.zeros((*d.shape[:-1], 10))
+    b[..., 0], b[..., [1, 4, 6]], b[..., 7:] = 1.0, d, np.asarray(u, dtype=float) * j
+    return b
 
 
 def moments_from_coords(coords: RenormalizedCoords) -> MomentMatrix:

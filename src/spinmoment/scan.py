@@ -2,21 +2,18 @@
 
 Every grid point fixes v3 = 1 - v1 - v2 (the Casimir constraint) and is
 classified against the inner PPT set R, the exact extendible set S_j and the
-outer set T_j: rho and chi PSD (``spinalg.chi_matrix``, congruent to the
-paper's reduced expectation value matrix).  rho, its partial transpose and
-chi are linear in the moment vector b, which is affine in (v1, v2), so R and
-T come from one positivity mask (``matcore.psd_mask``, an LDL^dag vectorized
-over the stack) per map, on blocks of whole grid rows that hold at most
-``sdp.BATCH_ENTRIES`` entries.
+outer set T_j: rho and chi PSD (``spinalg.chi_matrix``; see ``reduction``).
+rho, its partial transpose and chi are linear in the moment vector b, which
+is affine in (v1, v2), so R and T come from one positivity mask
+(``matcore.psd_mask``, an LDL^dag vectorized over the stack) per map, on
+blocks of whole grid rows that hold at most ``sdp.BATCH_ENTRIES`` entries.
 The SDP runs only on cells in T but not R, which is sound because the three
 sets are nested.  Those cells share one operator stack and differ only in
-their moment values, so they are decided by batched phase-1 solves
-(as in ``feasibility.exact_test_batch``, fed the values b directly), one
-kernel chunk at a time, of which only the flags are kept.  A cell with no
-frame is first offered to the factored accept stage of ``sdp.phase1_min_t``,
-and only the cells it leaves reach the interior point kernel;
-``ScanResult`` counts both.  Output goes to CSV and optionally to a simple
-SVG rendering.
+their moment values, so they are decided by batched phase-1 solves (as in
+``feasibility.exact_test_batch``, fed the values b directly), one kernel
+chunk at a time, of which only the flags are kept (``ScanResult`` counts the
+factored accepts and the kernel solves).  Output goes to CSV and optionally
+to a simple SVG rendering.
 """
 
 from __future__ import annotations
@@ -174,20 +171,18 @@ def _slice_maps(two_j: int, u: np.ndarray):
 
 
 def _exact_cells(args) -> tuple[list[bool], list[float], tuple[int, int]]:
-    """Exact tests of cells in T but not R, fed to the batched exact test one
-    kernel chunk at a time so that only the flags outlive a chunk; returns
+    """Exact tests of cells in T but not R, one kernel chunk at a time; returns
     (accepted, seconds) per cell, each cell timed at its chunk's share, and
-    how many cells the factored stage and the kernel decided.  Each cell's
-    moment values come straight from its coordinates."""
+    how many cells the factored stage and the kernel decided.  A chunk's
+    moment values come straight from its cells' coordinates, in one product."""
     two_j, u, points = args
     program = feasibility._moment_program(two_j)
     step = sdp.batch_size(program.rows.stack.size)
     accepted, seconds, factored, kernel = [], [], 0, 0
     for a in range(0, len(points), step):
         t0 = time.perf_counter()
-        chunk = np.stack([
-            reduction._coords_values(two_j, u, (v1, v2, 1.0 - v1 - v2)) for v1, v2 in points[a : a + step]
-        ])
+        v = np.array(points[a : a + step])
+        chunk = reduction._coords_values(two_j, u, np.column_stack([v, 1.0 - v[:, 0] - v[:, 1]]))
         for v in feasibility._phase1_verdicts("exact", two_j, chunk, decide=True):
             accepted.append(v.accepted)
             record = v.tests_run[0]  # the exact stage
@@ -208,13 +203,10 @@ def scan_grid(
     sets=("R", "S", "T"),
     workers: int = 1,
 ) -> ScanResult:
-    """Classify a (v1, v2) grid at fixed u against the requested sets.
-
-    R and T come from the affine maps of ``_slice_maps``.  S is skipped
-    unless requested; only its cells in T but not R run the SDP, in batched
-    solves.  ``workers`` > 1 splits those cells into that many contiguous
-    spans, at most one per CPU and per cell, each decided in its own process,
-    with results collected in cell order.
+    """Classify a (v1, v2) grid at fixed u against the requested sets, S
+    (skipped unless requested) as the module docstring says.  ``workers`` > 1
+    splits the SDP cells into that many contiguous spans, at most one per CPU
+    and per cell, each decided in its own process, collected in cell order.
     """
     two_j = reduction._require_j_ge_1(two_j)
     if workers < 1:

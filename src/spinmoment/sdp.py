@@ -49,16 +49,15 @@ bounds, and ``Phase1Result`` what each stop returns.
 The kernel ``_path_following`` holds the rows of a program in n blocks as
 one (m, n, D, D) stack, each block zero-padded to the largest size D
 (``Blocks``), and the iterates of k programs as (k, n, D, D) arrays: a
-leading batch axis, then the block axis.  So one pass of numpy and LAPACK
-calls advances every block of every program, and at small D the per-call
-overhead is paid once per iteration instead of once per program or block.
-The blocks share t, y and the trace row: A(X), the Schur matrix, tr X and
-mu are sums over them, Z = 1/d - A^*(y) is a direct sum too, each step
-length is the minimum over the blocks, and a solve returns X and Z as the
-dense (d, d) direct sums.  An iteration costs O(m n D^3) with m <= 9 rows,
-all of it in BLAS: one Cholesky factor each of X and Z, whose inverses give
-Z^-1 and the four step lengths (two for the predictor, two for the
-corrector), and matmuls over the flattened row stack.
+leading batch axis, then the block axis, so that one pass of numpy and
+LAPACK calls advances every block of every program.  The blocks share t, y
+and the trace row: A(X), the Schur matrix, tr X and mu are sums over them,
+Z = 1/d - A^*(y) is a direct sum too, each step length is the minimum over
+the blocks, and a solve returns X and Z as the dense (d, d) direct sums.
+An iteration costs O(m n D^3) with m <= 9 rows, all of it in BLAS: one
+Cholesky factor each of X and Z, whose inverses give Z^-1 and the four step
+lengths (two for the predictor, two for the corrector), and matmuls over
+the flattened row stack.
 
 The batch is masked, not synchronized.  Each program has its own step
 lengths and its own stopping, divergence and stall tests, log and failure
@@ -66,25 +65,21 @@ message, and a program that stops leaves the active set with its last
 logged point as its result.  If a stacked Cholesky factor, Schur solve or
 eigensolve raises, only then does each program run alone (the Cholesky
 through ``_chol``'s jitter loop), and a program that still fails stops with
-its own message while its neighbours go on.  ``solve`` is the k = 1 call.
-``phase1_min_t`` hands the kernel chunks of programs whose (k, m, n, D, D)
-stacks hold at most ``BATCH_ENTRIES`` entries, so a batch of any size runs
-in bounded memory.  The cone dimension is capped at ``DIM_CAP``.
+its own message while its neighbours go on.  ``phase1_min_t`` hands the
+kernel chunks of programs whose (k, m, n, D, D) stacks hold at most
+``BATCH_ENTRIES`` entries, so a batch of any size runs in bounded memory.
+The cone dimension is capped at ``DIM_CAP``.
 
 A decided one-block program (the complex moment program of every input
-with no frame) is first offered to ``_factored_accepts``: a few batched
-Gauss-Newton steps on a rank-3 factor V of the certificate, after Burer and
-Monteiro, whose residual has an exact correction along the orthonormal
-rows.  An accept found there is a checked proof of t* < -BOUNDARY_BAND, and
-its t_star is that weak bound, just beyond the band; the programs it leaves
-go to the kernel.  The stage cannot reject, so it never decides a t* the
-kernel would put on the other side.
+with no frame) meets ``_factored_accepts`` first, a stage that can only
+accept; the programs it leaves go to the kernel.  Evidence a caller may
+never read is stored as the call that forms it (``OnRequest``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, is_dataclass
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -122,12 +117,40 @@ FACTOR_STALL = 6
 FACTORED = "factored"  # how a factored accept's message, and the stage detail, name its path
 
 
+class Later(partial):
+    """The call that forms the value of an ``OnRequest`` field."""
+
+
+class OnRequest:
+    """A dataclass field that may be given a ``Later``: the first read makes the
+    call and keeps its value for every later read.  Required with no default."""
+
+    def __init__(self, *default) -> None:
+        self.default = default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # the default, as the dataclass reads it; none while it builds a required field
+            if not (self.default or is_dataclass(owner)):
+                raise AttributeError(self.name)
+            return self.default[0] if self.default else self
+        value = obj.__dict__[self.name]
+        if isinstance(value, Later):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class SdpSolution:
     status: str
-    x: np.ndarray | None = None
+    x: np.ndarray | None = OnRequest(None)
     y: np.ndarray | None = None
-    z: np.ndarray | None = None
+    z: np.ndarray | None = OnRequest(None)
     primal_objective: float = math.nan
     dual_objective: float = math.nan
     gap: float = math.nan
@@ -268,9 +291,7 @@ def _layout(dims: tuple[int, ...], size: int, dtype: np.dtype):
 
 
 def _start(rows: Blocks, b: np.ndarray) -> np.ndarray:
-    """The primal start of ``_path_following`` for b (k, m), as (k, n, D, D):
-    the min-norm affine solution shifted into the interior at its own scale,
-    1.5 |lambda_min|, or 1/d if it is zero."""
+    """The primal start Y0 of ``solve`` (module docstring) for b (k, m), as (k, n, D, D)."""
     ops, dims = rows
     size, d = ops.shape[-1], sum(dims)
     eye, pad, _, _ = _layout(tuple(dims), size, ops.dtype)
@@ -284,18 +305,16 @@ def _start(rows: Blocks, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution]:
+def _path_following(rows: Blocks, b: np.ndarray, shift=None, *, start=None) -> list[SdpSolution]:
     """The interior point of ``solve`` on k programs at once: b (k, m), iterates
-    (k, n, D, D), zero on each block's padding.
-
-    ``finish`` ends a program at its iterate and its last log row, so its
-    objectives, mu and primal residual are that row's and ``iterations`` is
-    len(iterate_log) - 1.  The program leaves the active set at the next
-    compaction, after the stop tests or the predictor, so the arrays shrink.
-    ``shift``, k trace shifts s or None, adds ``solve``'s bound stops and the
-    dual look-ahead.  The identity and C = 1/d are the blocks' masks, and only
-    the factorizations see the padding, which ``pad`` turns into an identity
-    block there and takes out of Z^-1 again.
+    (k, n, D, D), zero on each block's padding, from ``start`` (their
+    ``_start`` if None).  ``finish`` ends a program at its iterate and its
+    last log row (so ``iterations`` is len(iterate_log) - 1); it leaves the
+    active set, and the arrays, at the next compaction.  ``shift``, k trace
+    shifts s or None, adds ``solve``'s bound stops and the dual look-ahead.
+    The identity and C = 1/d are the blocks' masks; only the factorizations
+    see the padding, which ``pad`` makes an identity block and takes out of
+    Z^-1 again.
     """
     k, m = b.shape
     shift = np.full(k, math.nan) if shift is None else np.asarray(shift, dtype=float)
@@ -335,7 +354,7 @@ def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution
         out[placed] = a[entry]
         return out
 
-    x = _start(rows, b)  # and y = 0, so Z = 1/d
+    x = _start(rows, b) if start is None else start  # and y = 0, so Z = 1/d
     z = np.repeat(c[None], k, axis=0)
     y = np.zeros((k, m))
 
@@ -492,29 +511,24 @@ def _path_following(rows: Blocks, b: np.ndarray, shift=None) -> list[SdpSolution
 
 
 def solve(rows: Blocks, b: np.ndarray, *, shift: float | None = None) -> SdpSolution:
-    """Solve  min tr(Y)/d  s.t.  <A_i, Y> = b_i,  Y >= 0  by interior point: the
-    one-program call of the batched kernel ``_path_following``.
-
-    ``rows`` holds the traceless, linearly independent A_i in ``Blocks``, as
-    ``phase1_program`` builds them (orthonormal there, though any independent
-    rows will do); X and Z come back as the (d, d) direct sums.  The status is
-    ``optimal`` only when the primal residual (the dual one is zero by
-    construction) and the duality gap over max(1, |tr(Y)/d|) are within
-    ``TOLERANCE``.  Given the trace shift s = (fitted trace)/d as ``shift``, a
-    solve whose primal residual passes also stops early, with status
-    ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or ``dual-bound`` once
-    b.y - s > BOUNDARY_BAND or at the dual look-ahead point.  Anything else is
-    numerical failure with the final residuals in the message.
+    """Solve  min tr(Y)/d  s.t.  <A_i, Y> = b_i,  Y >= 0  over traceless,
+    independent ``Blocks`` rows A_i: the k = 1 call of ``_path_following``.
+    It is ``optimal`` once the primal residual and the gap over
+    max(1, |tr(Y)/d|) are within ``TOLERANCE``; given the trace shift
+    s = (fitted trace)/d as ``shift``, a solve with a passing residual stops
+    at ``primal-bound`` once tr(Y)/d - s < -BOUNDARY_BAND or ``dual-bound``
+    once b.y - s > BOUNDARY_BAND or at the dual look-ahead point.  Anything
+    else is numerical failure with the final residuals in the message.
     """
     shifts = None if shift is None else [shift]
     return _path_following(rows, np.asarray(b, dtype=float)[None], shifts)[0]
 
 
-def _factored_accepts(program: Phase1Program, trace_values: np.ndarray, b: np.ndarray) -> list:
+def _factored_accepts(program: Phase1Program, trace_values: np.ndarray, b: np.ndarray, start: np.ndarray) -> list:
     """The factored accept stage of a one-block ``phase1_min_t(decide=True)``:
     a ``Phase1Result`` for each of the k programs of (k,) fitted traces and
     (k, r) values b~ over ``program``'s rows that it proves below the band,
-    None for the rest.
+    None for the rest; ``start`` is the kernel's ``_start`` of the k programs.
 
     It looks for a (d, FACTOR_RANK) V with <R_k, V V^dag> = b~_k and
     tr(V V^dag) = (fitted trace) - tau d, tau = ``FACTOR_SHIFT``: where t* <=
@@ -536,7 +550,7 @@ def _factored_accepts(program: Phase1Program, trace_values: np.ndarray, b: np.nd
     stalls (its ||dX||_F no lower than ``FACTOR_STALL`` steps before, the
     start aside), diverges, meets a singular Gram matrix or is still unproved
     after ``FACTOR_STEPS`` steps.  Every product is one per program, so none
-    depends on the batch.
+    depends on the batch.  Y is stored as V and the residual (``_factored_x``).
     """
     rows = program.rows.stack[:, 0]
     r, d = len(rows), rows.shape[-1]
@@ -544,7 +558,7 @@ def _factored_accepts(program: Phase1Program, trace_values: np.ndarray, b: np.nd
     eye = np.eye(d, dtype=rows.dtype)
     both = np.concatenate([rows, eye[None]]).reshape(-1, d)  # the traceless rows, then the trace row
     target = np.concatenate([b, (trace_values - tau * d)[:, None]], axis=1)
-    lam, vec = np.linalg.eigh(_start(program.rows, b)[:, 0])
+    lam, vec = np.linalg.eigh(start[:, 0])
     v = vec[..., -FACTOR_RANK:] * np.sqrt(lam[:, None, -FACTOR_RANK:])
     weight = np.append(np.ones(r), 1.0 / math.sqrt(d))  # ||dX||_F = |weight * residual|
     history = np.full((len(b), FACTOR_STEPS + 1), math.inf)  # ||dX||_F per program and step
@@ -559,10 +573,10 @@ def _factored_accepts(program: Phase1Program, trace_values: np.ndarray, b: np.nd
         proved = err < tau - band
         for i in np.flatnonzero(proved).tolist():
             p, e = int(live[i]), float(err[i])
-            dx = np.tensordot(res[i, :r], rows, 1) + res[i, r] / d * eye
             pobj = float(trace_values[p]) / d + e - tau  # tr(Y)/d: t_p = e - tau
             sol = SdpSolution(
-                STATUS_PRIMAL_BOUND, _herm(v[i] @ v[i].conj().T - dx) + e * eye, np.zeros(r), eye / d,
+                STATUS_PRIMAL_BOUND, Later(_factored_x, v[i].copy(), res[i].copy(), rows, e), np.zeros(r),
+                Later(np.diag, np.full(d, 1.0 / d, dtype=rows.dtype)),
                 primal_objective=pobj, dual_objective=0.0, gap=abs(pobj), iterations=steps,
                 primal_residual=0.0, dual_residual=0.0, mu=pobj / d, iterate_log=[(pobj, 0.0, pobj / d, 0.0)],
                 message=f"{FACTORED}, |dX|_F = {e:.1e}",
@@ -590,41 +604,53 @@ def _factored_accepts(program: Phase1Program, trace_values: np.ndarray, b: np.nd
     return out
 
 
+def _factored_x(v: np.ndarray, res: np.ndarray, rows: np.ndarray, e: float) -> np.ndarray:
+    """A factored accept's Y = herm(V V^dag - dX) + ||dX||_F·1, dX = sum_k res_k R_k + (res_tr/d)·1."""
+    d = len(v)
+    eye = np.eye(d, dtype=rows.dtype)
+    dx = np.tensordot(res[:-1], rows, 1) + res[-1] / d * eye
+    return _herm(v @ v.conj().T - dx) + e * eye
+
+
+def _less_identity(sol: SdpSolution, t: float) -> np.ndarray | None:
+    """X = Y - t·1 for the primal point Y = ``sol.x``, None without one."""
+    return None if sol.x is None else sol.x - t * np.eye(len(sol.x))
+
+
 @dataclass(frozen=True)
 class Phase1Result:
     """Outcome of the min-t feasibility program.
 
     ``t_star <= 0`` certifies a PSD point ``x`` satisfying the constraints;
-    ``t_star > 0`` proves infeasibility.  A numerical failure gives
-    ``t_star`` nan.  (Dependent rows with conflicting values leave no X at
-    all; ``phase1_min_t`` raises them as a ``ValueError``.)
-
-    ``x = Y - t_p·1`` for the final primal iterate Y > 0, so lambda_min(x) >=
-    -t_p with t_p = tr(Y)/d - (fitted trace)/d.  ``dual_z`` is the solver's
-    own slack ``solution.z`` = 1/d - sum_k y_k R_k over the orthonormal rows
-    R that ``solve`` saw, and the separating hyperplane: PSD, unit trace, in
-    the span of the constraints, and it pairs with every X meeting them to
-    -t_d, t_d = b~.y - (fitted trace)/d.  ``dual_coefficients`` c expand it
-    over the caller's rows, ``dual_z = sum_i c_i A_i`` and ``c.b = -t_d``, so
-    a witness needs nothing else.
+    ``t_star > 0`` proves infeasibility.  A numerical failure gives ``t_star``
+    nan.  ``x = Y - t_p·1`` for the final primal iterate Y > 0, so
+    lambda_min(x) >= -t_p with t_p = tr(Y)/d - (fitted trace)/d.  ``dual_z``
+    is the solver's own slack ``solution.z`` = 1/d - sum_k y_k R_k over the
+    orthonormal rows R that ``solve`` saw, and the separating hyperplane: PSD,
+    unit trace, in the span of the constraints, and it pairs with every X
+    meeting them to -t_d, t_d = b~.y - (fitted trace)/d.
+    ``dual_coefficients`` c expand it over the caller's rows, ``dual_z = sum_i
+    c_i A_i`` and ``c.b = -t_d``, so a witness needs nothing else.
 
     ``t_star`` is the optimum t_p of an optimal solve, where t_d agrees to
     the gap.  A ``decide`` solve may stop earlier on a certified bound
     instead, named by ``solution.status``: t_p (primal-bound, an upper bound
     below -BOUNDARY_BAND) or t_d (dual-bound, a lower bound above
-    BOUNDARY_BAND).  At the dual look-ahead point of ``_path_following`` t_d
-    decides the sign but may sit well below t*.  ``x``, ``dual_z`` and
-    ``dual_coefficients`` are None unless the solve is optimal or decided,
-    and ``x`` also when no primal point is known yet.  ``factor`` is set
-    where a closed form knows Y as a few rows F, Y = F^T F.
+    BOUNDARY_BAND).  ``x``, ``dual_z`` and ``dual_coefficients`` are None
+    unless the solve is optimal or decided, and ``x`` also when no primal
+    point is known yet; ``x`` and ``dual_z`` are formed on first read.
+    ``factor`` is set where a closed form knows Y as a few rows F, Y = F^T F.
     """
 
     t_star: float
-    x: np.ndarray | None
+    x: np.ndarray | None = OnRequest()
     solution: SdpSolution
-    dual_z: np.ndarray | None = None
     dual_coefficients: np.ndarray | None = None
     factor: np.ndarray | None = None
+
+    @property
+    def dual_z(self) -> np.ndarray | None:
+        return None if self.dual_coefficients is None else self.solution.z
 
 
 def _check_dim(d: int) -> None:
@@ -655,14 +681,9 @@ def batch_size(entries: int) -> int:
 
 
 def phase1_program(ops) -> Phase1Program:
-    """Run the dependency pass over ``ops`` once, for any number of
-    ``phase1_min_t`` calls over it; the rows must fix tr(X).
-
-    ``ops`` is a tuple of (m, d_b, d_b) stacks, the blocks of a block-diagonal
-    program: operator i is the direct sum of the blocks' i-th matrices,
-    d = sum d_b, and X is block-diagonal too.  A single (m, d, d) stack is one
-    block.  The pass runs on the blocks side by side, as tr(A_i A_l) is a sum
-    over them."""
+    """Run the dependency pass over ``ops``, a tuple of blocks or one (m, d, d)
+    stack, once, for any number of ``phase1_min_t`` calls over it; the rows
+    must fix tr(X)."""
     blocks = tuple(ops) if isinstance(ops, tuple) and np.ndim(ops[0]) == 3 else (ops,)
     m = np.shape(blocks[0])[0]
     dims = [np.shape(blk)[-1] for blk in blocks]
@@ -704,22 +725,15 @@ def phase1_program(ops) -> Phase1Program:
 
 def phase1_min_t(ops, values, *, decide: bool = False):
     """Solve  min t  s.t.  X + t*1 >= 0  and  <A_i, X> = b_i  over the operators
-    ``ops`` (an (m, d, d) stack or blocks, as ``phase1_program`` takes them) and
-    the m ``values``; the rows must fix tr(X).
-
-    ``ops`` may also be their ``phase1_program``, which skips the dependency
-    pass: callers that solve many times over one program run it once.
-    With a (k, m) array of values, the k programs share one dependency pass
-    and one batched solve, and a list of k results comes back in their order.
-    A trace-only row has A~_i = 0, so the dependency pass drops it.  Values
-    that conflict along a dependency, in any program of a batch, raise a
-    ``ValueError`` before any solve, as do non-finite values.  With
-    ``decide``, each program stops as soon as a certified bound puts t*
-    outside the boundary band (see ``Phase1Result``): for callers that need
-    the sign of t* only, not its value.  A decided one-block program meets
-    ``_factored_accepts`` first, which proves most accepts with no
-    interior point; the rest go to the kernel in input order, and a batch
-    with no rest calls no kernel.
+    ``ops`` (as ``phase1_program`` takes them, or their ``Phase1Program``) and
+    the m ``values``, or a (k, m) array of values, whose k results come back
+    as a list in their order; the rows must fix tr(X).  Conflicting or
+    non-finite values, in any program, raise a ``ValueError`` before any
+    solve.  With ``decide``, each program stops as soon as a certified bound
+    puts t* outside the boundary band (``Phase1Result``), and a one-block
+    program meets ``_factored_accepts`` first; the rest go to the kernel in
+    input order, from the start the stage began at, and a batch with no rest
+    calls no kernel.
     """
     program = ops if isinstance(ops, Phase1Program) else phase1_program(ops)
     values = np.asarray(values, dtype=float)
@@ -727,17 +741,24 @@ def phase1_min_t(ops, values, *, decide: bool = False):
     rows, d = program.rows, sum(program.rows.sizes)
     step = batch_size(rows.stack.size)  # each (k, r, n, D, D) stack of the kernel
     results: list = [None] * len(rhs)
+    starts = []  # the start of each program the factored stage leaves, in input order
     if decide and len(rows.sizes) == 1 and len(rows.stack):  # a trace-only program is the kernel's at once
         for i in range(0, len(rhs), step):
-            results[i : i + step] = _factored_accepts(program, trace_values[i : i + step], rhs[i : i + step])
+            start = _start(rows, rhs[i : i + step])
+            results[i : i + step] = _factored_accepts(program, trace_values[i : i + step], rhs[i : i + step], start)
+            starts.append(start[[p1 is None for p1 in results[i : i + step]]])
     left = [i for i, p1 in enumerate(results) if p1 is None]  # in input order
+    starts = np.concatenate(starts) if starts else None
     shifts = trace_values / d if decide else np.full(len(rhs), math.nan)
     if values.ndim == 1 and left:
         solutions = [solve(rows, rhs[0], shift=float(shifts[0]) if decide else None)]
     else:
         solutions = [
             sol for i in range(0, len(left), step)
-            for sol in _path_following(rows, rhs[left[i : i + step]], shifts[left[i : i + step]])
+            for sol in _path_following(
+                rows, rhs[left[i : i + step]], shifts[left[i : i + step]],
+                start=None if starts is None else starts[i : i + step],
+            )
         ]
     for i, sol in zip(left, solutions):
         results[i] = _phase1_result(program, float(trace_values[i]), sol)
@@ -779,5 +800,4 @@ def _phase1_result(program: Phase1Program, trace_value: float, sol: SdpSolution,
     # 1/d = sum_i (coeff_i / d) A_i and A~_i = A_i - (tr A_i / d) 1 expand sol.z over the rows
     y = program.w.T @ sol.y  # sum_k y_k R_k = sum_i (W^T y)_i A~_i
     c = (1.0 + float(y @ program.traces)) / d * program.coeff - y
-    x = None if sol.x is None else sol.x - t_primal * np.eye(d)
-    return Phase1Result(t_star, x, sol, dual_z=sol.z, dual_coefficients=c, factor=factor)
+    return Phase1Result(t_star, Later(_less_identity, sol, t_primal), sol, c, factor)

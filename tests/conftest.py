@@ -112,7 +112,7 @@ def random_coords(rng, two_j, u_radius=0.9, v_spread=0.55):
 def kernel_only(patch):
     """Leave every phase-1 program to the interior point kernel: no program is
     accepted by the factored stage of ``sdp.phase1_min_t(decide=True)``."""
-    patch.setattr(sdp, "_factored_accepts", lambda program, traces, b: [None] * len(b))
+    patch.setattr(sdp, "_factored_accepts", lambda program, traces, b, start: [None] * len(b))
 
 
 @pytest.fixture

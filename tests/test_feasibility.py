@@ -1,10 +1,12 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -1635,7 +1637,7 @@ def complex_verdict(m, decide=True):
     with pytest.MonkeyPatch.context() as patch:
         kernel_only(patch)
         p1 = sdp.phase1_min_t(feasibility._moment_program(m.two_j), b, decide=decide)
-    return feasibility._read_phase1(p1, b, "exact", feasibility._StageLog())
+    return feasibility._read_phase1(p1, m.two_j, b, "exact", feasibility._StageLog())
 
 
 def assert_same_t_star(got, want, m):
@@ -1978,7 +1980,7 @@ class TestAxialClosedForm:
         assert got.tests_run[0].frame == "axial"
         assert (got.t_star_kind, iterations(got)) == ("optimum", 0)
         p1 = sdp.phase1_min_t(feasibility._moment_program(two_j), b)
-        want = feasibility._read_phase1(p1, b, "exact", feasibility._StageLog())
+        want = feasibility._read_phase1(p1, two_j, b, "exact", feasibility._StageLog())
         assert got.status == want.status
         t_d = p1.t_star - (p1.solution.primal_objective - p1.solution.dual_objective)
         assert t_d - 1e-12 <= got.t_star <= p1.t_star + 1e-12
@@ -2139,6 +2141,8 @@ class TestFourBlockSearch:
             real = feasibility._spin_rotation
             monkeypatch.setattr(feasibility, "_spin_rotation", lambda *a: shapes.append(np.shape(a[2])) or real(*a))
             got = feasibility.exact_test_direct(m, decide=True)
+            assert shapes == []  # the certificate is formed on its first read
+            got.certificate_state
             monkeypatch.undo()
             assert (got.status, got.t_star_kind, got.tests_run[0].frame) == (STATUS_QUANTUM, "primal bound", "four-block")
             assert shapes == [(2, two_j + 1)]  # two combinations of rows, never all of D^j(R)
@@ -2215,3 +2219,120 @@ class TestRandomStates:
         verdict = feasibility.classify(pushed)
         assert verdict.status == STATUS_QUANTUM
         self.assert_evidence(verdict, pushed)
+
+
+class TestEvidenceOnRequest:
+    """A phase-1 verdict's certificate, and the dense Y, Z and X of the closed
+    forms and the factored stage, are formed on their first read
+    (``sdp.OnRequest``): a scan or a batch that reads the flags forms none, and a
+    read returns the eager formula's bits, the same array every time."""
+
+    @staticmethod
+    def formed(monkeypatch):
+        """The builder of every on-request value formed from here on, in order."""
+        formed = []
+        call = partial.__call__
+        monkeypatch.setattr(sdp.Later, "__call__", lambda self: formed.append(self.func) or call(self))
+        return formed
+
+    def test_a_scan_and_a_frameless_batch_form_no_certificate(self, monkeypatch):
+        formed = self.formed(monkeypatch)
+        res = scan_grid(10, (0.1, 0.2, 0.3), resolution=41)
+        assert (res.area("S"), res.s_factored + res.s_kernel) == (603, 301)
+        batch = feasibility.exact_test_batch(TestExactTestBatch.figure_cells())
+        assert all(v.tests_run[0].frame is None for v in batch)
+        assert sum(sdp.FACTORED in v.tests_run[0].detail for v in batch) > 20
+        assert formed == []
+        accept = next(v for v in batch if sdp.FACTORED in v.tests_run[0].detail)
+        x = accept.certificate_state
+        assert formed == [feasibility._certificate, sdp._less_identity, sdp._factored_x]
+        assert accept.certificate_state is x and len(formed) == 3
+
+    @pytest.mark.parametrize("two_j", [6, 62])
+    def test_axial_matrices_are_the_eager_formulas(self, two_j):
+        b = spinalg.moment_values(dicke_mixture_moments(two_j, 1e-3))
+        frame = feasibility._real_frame(b, two_j)
+        assert frame.kind == "axial"
+        kept = (frame.moments @ b)[feasibility._KEPT["axial"]][None]
+        (p1,) = feasibility._axial_optimum(kept, two_j)
+        # the closed form's Y, X' = Y - t*·1 and Z' as they were formed eagerly
+        j, d = two_j / 2.0, two_j + 1
+        levels, facets, traces, support = feasibility._polygon_facets(two_j)
+        bounds = -(kept @ facets.T) / traces
+        k = int(np.argmax(bounds[0]))
+        t = float(bounds[0, k])
+        s, (lo, hi) = kept[0, 0] + d * t, support[k]
+        y = np.zeros((d, d))
+        a_lo, a_hi = round(j - lo), round(j - hi)
+        y[a_lo, a_lo], y[a_hi, a_hi] = (hi * s - kept[0, 2]) / (hi - lo), (kept[0, 2] - lo * s) / (hi - lo)
+        c = facets[k] / traces[k]
+        z = np.diag(c[0] + c[1] * levels**2 + c[2] * levels)
+        assert p1.t_star == t
+        assert p1.solution.x.tobytes() == y.tobytes()
+        assert p1.x.tobytes() == (y - t * np.eye(d)).tobytes()
+        assert p1.dual_z.tobytes() == z.tobytes()
+        assert p1.x is p1.x and p1.dual_z is p1.solution.z is p1.solution.z
+
+    @pytest.mark.parametrize("two_j", [6, 62])
+    def test_four_block_matrices_are_the_eager_formulas(self, two_j):
+        rng = np.random.default_rng(5100 + two_j)
+        program = feasibility._frame_program("four-block", two_j)
+        (stack, sizes), d = program.rows, two_j + 1
+        _, _, entry, placed = sdp._layout(tuple(sizes), stack.shape[-1], stack.dtype)
+        for m in (four_block_accept(two_j, rng), frame_moments(two_j, "zero", rng)):
+            b = spinalg.moment_values(m)
+            frame = feasibility._real_frame(b, two_j)
+            assert frame.kind == "four-block"
+            kept = (frame.moments @ b)[feasibility._KEPT["four-block"]]
+            trace, _ = sdp._standard_form(program, kept)
+            for decide in (False, True):
+                (p1,) = feasibility._four_block_optimum(kept, two_j, decide)
+                sol = p1.solution
+                z = np.zeros((d, d))  # 1/d - y.R, the direct sum of the blocks
+                z[placed] = -matcore.combine(tuple(sol.y.tolist()), stack)[entry]
+                z[np.diag_indices(d)] += 1.0 / d
+                assert p1.dual_z.tobytes() == z.tobytes() and p1.dual_z is sol.z is sol.z
+                y = p1.factor.T @ p1.factor
+                t_p = sol.primal_objective - float(trace[0]) / d
+                assert sol.x.tobytes() == y.tobytes()
+                assert p1.x.tobytes() == (y - t_p * np.eye(d)).tobytes() and p1.x is p1.x
+
+    def test_a_certificate_is_the_eager_rotation(self):
+        # a four-block accept at 2j = 62: G^dag G - t*·1, G = (F Q^T) D^j(R), hermitized;
+        # classify's verdict reads it through the exact stage's, still on request
+        two_j = 62
+        m = four_block_accept(two_j, np.random.default_rng(5200))
+        b = spinalg.moment_values(m)
+        frame = feasibility._real_frame(b, two_j)
+        (p1,) = feasibility._four_block_optimum((frame.moments @ b)[feasibility._KEPT["four-block"]], two_j, True)
+        g = feasibility._spin_rotation(frame.rotation, two_j, p1.factor @ feasibility._frame_basis("four-block", two_j).T)
+        want = g.conj().T @ g
+        want[np.diag_indices(two_j + 1)] -= p1.t_star
+        want += want.conj().T
+        want /= 2.0
+        for v in (feasibility.exact_test_direct(m, decide=True), feasibility.classify(m)):
+            assert v.stage == "exact" and isinstance(vars(v)["certificate_state"], sdp.Later)
+            x = v.certificate_state
+            assert x.tobytes() == want.tobytes() and v.certificate_state is x
+
+    def test_an_unread_factored_verdict_stores_its_factor(self):
+        # l in a principal plane of Re(M) at 2j = 62 has no frame: a factored accept,
+        # whose unread verdict holds V (d x 3) and no d x d matrix
+        two_j, d = 62, 63
+        c = 31 * 32
+        matrix = np.diag([0.59 * c, 0.4 * c, 0.01 * c]).astype(complex) + first_moment_part([1.0, 0.0, 1.0])
+        ms = [MomentMatrix.from_matrix(two_j, matrix)] * 8
+        feasibility.exact_test_batch(ms[:1])  # the per-spin caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            batch = feasibility.exact_test_batch(ms)
+            gc.collect()
+            stored = tracemalloc.get_traced_memory()[0]
+            batch[0].certificate_state
+            read = tracemalloc.get_traced_memory()[0] - stored
+        finally:
+            tracemalloc.stop()
+        assert all(sdp.FACTORED in v.tests_run[0].detail and v.tests_run[0].frame is None for v in batch)
+        assert stored / len(batch) < d * d * 16 / 4
+        assert read > d * d * 16 / 2  # the measure sees a dense certificate once one is read

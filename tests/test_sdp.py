@@ -898,3 +898,81 @@ class TestBlocks:
         for inv_factor, direction in seen:
             assert np.array_equal(inv_factor, np.broadcast_to(np.eye(2), inv_factor.shape))
             assert not direction.any()
+
+
+def figure_values():
+    """The moment values of the 15x15 figure-slice cells in T but not R, at 2j = 10:
+    a batch of frameless programs, most of them factored accepts."""
+    from spinmoment import reduction, scan
+
+    u = np.array([0.1, 0.2, 0.3])
+    res = scan.scan_grid(10, u, resolution=15, sets=("R", "T"))
+    cells = np.argwhere((res.in_t == 1) & (res.in_r == 0))
+    v1, v2 = res.v1_values[cells[:, 0]], res.v2_values[cells[:, 1]]
+    return reduction._coords_values(10, u, np.stack([v1, v2, 1.0 - v1 - v2], axis=1))
+
+
+class TestOnRequest:
+    """Evidence that a caller may never read is stored as the ``sdp.Later`` call
+    that forms it: an ``sdp.OnRequest`` field makes the call on its first read,
+    bit for bit the eager formula, and returns the same array to every read."""
+
+    def test_a_field_is_formed_once_on_first_read(self):
+        calls = []
+        sol = sdp.SdpSolution(sdp.STATUS_OPTIMAL, sdp.Later(lambda: calls.append(1) or np.eye(2)), z=np.eye(2))
+        assert calls == [] and sol.y is None
+        x = sol.x
+        assert calls == [1] and np.array_equal(x, np.eye(2)) and sol.x is x
+        assert sdp.SdpSolution(sdp.STATUS_FAILURE).x is None  # the default
+        with pytest.raises(TypeError):
+            sdp.Phase1Result(0.0)  # x and the solution have no default
+
+    def test_a_factored_accept_stores_its_factor(self):
+        # X = herm(V V^dag - dX) + ||dX||_F·1 - t_p·1 from V (d x 3), the residual
+        # behind dX over the program's own rows (not a copy of them), and ||dX||_F
+        program = feasibility._moment_program(10)
+        decided = sdp.phase1_min_t(program, figure_values(), decide=True)
+        factored = [p1 for p1 in decided if sdp.FACTORED in p1.solution.message]
+        assert len(factored) > 20
+        d, r = 11, len(program.rows.stack)
+        for p1 in factored:
+            sol = p1.solution
+            v, res, rows, e = vars(sol)["x"].args
+            assert v.shape == (d, sdp.FACTOR_RANK) and res.shape == (r + 1,)
+            assert np.shares_memory(rows, program.rows.stack)
+            assert e == pytest.approx(math.sqrt(res[:r] @ res[:r] + res[r] ** 2 / d), rel=1e-12)
+            assert p1.t_star == pytest.approx(e - sdp.FACTOR_SHIFT, abs=1e-15)
+            eye = np.eye(d, dtype=complex)
+            dx = np.tensordot(res[:r], rows, 1) + res[r] / d * eye
+            y = sdp._herm(v @ v.conj().T - dx) + e * eye
+            assert p1.x.tobytes() == (y - p1.t_star * np.eye(d)).tobytes()
+            assert sol.x.tobytes() == y.tobytes()
+            assert p1.dual_z is sol.z and sol.z.tobytes() == (eye / d).tobytes()
+            assert p1.x is p1.x and sol.x is sol.x and p1.dual_z is p1.dual_z
+
+    def test_the_kernel_result_is_formed_on_request(self):
+        # X = Y - t_p·1 of a kernel solve too: formed on first read from the kept Y
+        ops = np.stack([np.eye(2, dtype=complex), SIGMA_Z])
+        p1 = sdp.phase1_min_t(ops, np.array([1.0, 0.4]))
+        assert isinstance(vars(p1)["x"], sdp.Later)
+        t_p = p1.solution.primal_objective - 0.5
+        assert p1.x.tobytes() == (p1.solution.x - t_p * np.eye(2)).tobytes() and p1.x is p1.x
+        assert p1.dual_z is p1.solution.z
+
+    def test_the_kernel_starts_where_the_factored_stage_started(self, monkeypatch):
+        # one _start per program: the leftovers of a decided batch reach the kernel
+        # at the start their factored stage began from, and solve as from their own
+        values = figure_values()
+        program = feasibility._moment_program(10)
+        starts = []
+        real = sdp._start
+        monkeypatch.setattr(sdp, "_start", lambda rows, b: starts.append(len(b)) or real(rows, b))
+        decided = sdp.phase1_min_t(program, values, decide=True)
+        assert starts == [len(values)]
+        left = [i for i, p1 in enumerate(decided) if not p1.solution.message]
+        assert 0 < len(left) < len(values)
+        trace, b = sdp._standard_form(program, values[left])
+        alone = sdp._path_following(program.rows, b, trace / 11)
+        for i, sol in zip(left, alone):
+            assert decided[i].solution.iterate_log == sol.iterate_log
+            assert decided[i].solution.x.tobytes() == sol.x.tobytes()
